@@ -215,28 +215,30 @@ impl ChoicePolicy for TopologyAwareChoice {
     /// collides with the next blip; the core whose tracked load is lowest
     /// has genuinely been idle.  With no idle core at all, fall back to the
     /// least-tracked-loaded candidate anywhere.
+    ///
+    /// One pass and no allocation: this runs once per submitted task.
     fn place_wakeup(&self, prev: CoreId, candidates: &[CoreSnapshot]) -> Option<CoreId> {
-        if candidates.iter().any(|c| c.id == prev && c.is_idle()) {
-            return Some(prev);
-        }
-        let mut by_level: [Vec<&CoreSnapshot>; 4] = [vec![], vec![], vec![], vec![]];
+        let key = |c: &CoreSnapshot| (c.tracked_scaled, c.id.0);
+        let keep_min = |best: &mut Option<(u64, usize)>, c: &CoreSnapshot| {
+            if best.is_none_or(|b| key(c) < b) {
+                *best = Some(key(c));
+            }
+        };
+        // The quietest idle core of each distance class, and the quietest
+        // core of all for the no-idle-core fallback (where distance is
+        // moot, so a busy `prev` competes there too).
+        let mut idle_at: [Option<(u64, usize)>; 4] = [None; 4];
+        let mut quietest = None;
         for c in candidates {
-            // `prev` itself is not idle (checked above); it re-enters only
-            // through the no-idle-core fallback, where distance is moot.
-            if c.id != prev {
-                by_level[self.topo.steal_level(prev, c.id).index()].push(c);
+            if c.is_idle() {
+                if c.id == prev {
+                    return Some(prev);
+                }
+                keep_min(&mut idle_at[self.topo.steal_level(prev, c.id).index()], c);
             }
+            keep_min(&mut quietest, c);
         }
-        for level in StealLevel::ALL {
-            if let Some(best) = by_level[level.index()]
-                .iter()
-                .filter(|c| c.is_idle())
-                .min_by_key(|c| (c.tracked_scaled, c.id.0))
-            {
-                return Some(best.id);
-            }
-        }
-        candidates.iter().min_by_key(|c| (c.tracked_scaled, c.id.0)).map(|c| c.id)
+        idle_at.into_iter().flatten().next().or(quietest).map(|(_, id)| CoreId(id))
     }
 
     fn observe(&self, thief: CoreId, victim: CoreId, success: bool) {

@@ -28,6 +28,60 @@
 //!          └──token/timeout──  park (blocked)
 //! ```
 //!
+//! # The submit → run → complete path shares nothing
+//!
+//! The paper's optimistic scheduler is fast because its common path
+//! touches per-core state only; the path around it has to keep that
+//! property or it costs more than the work it schedules.  When nobody is
+//! parked, nobody drains and nobody joins, a task makes no system call and
+//! writes only lines that belong to the worker that submitted it and the
+//! worker that ran it — plus one `fetch_max` per executed task on the
+//! machine's logical clock, which the load trackers and the trace read:
+//!
+//! * **The payload rides in a slab, its slot in the task word.**  Runqueues
+//!   carry task *words*; the closure waits in a `JobSlab` with one shard
+//!   per submitting worker plus one for threads outside the executor.
+//!   A task id is `(generation << 24 | slot) * shards + shard`: the
+//!   claiming worker decodes shard and slot and takes the job with one
+//!   uncontended lock, no hashing.  A slot's generation is bumped every
+//!   time it is vacated, so ids are **unique for the run** although slots
+//!   are recycled, and a slot whose generation space is spent is retired,
+//!   so ids stay below the `2^55` the runqueue word can pack.  Shards grow
+//!   on demand; nothing is pre-sized.
+//! * **Counters are per worker.**  Each worker owns one cache-line-padded
+//!   cell holding what it `submitted`, `completed` and saw `panicked`;
+//!   threads outside the executor share one more.  The number of jobs in
+//!   flight is `Σ submitted − Σ completed`, summed only by whoever needs it
+//!   (`drain`, `shutdown`, an exiting worker) and read **completed first**:
+//!   a job's submission is counted before it is enqueued, so every
+//!   completion a reader has seen brings its submission with it and the
+//!   difference cannot read 0 while a job is in flight.
+//! * **A spawn knows where it came from.**  Worker threads carry their
+//!   executor's id and their own index in a thread-local.  A spawn made
+//!   from a worker uses that worker's slab shard and counter cell, passes
+//!   its core as `prev` to `place_wakeup` (the paper's previous-core rule)
+//!   and does not read the clock — its worker advanced it when the running
+//!   task was picked.  Workers read the wall clock once per executed task.
+//!   A spawn from outside passes the core the last outside spawn was placed
+//!   on: a producer's run of submissions stays with one worker for as long
+//!   as that worker keeps up, and moves on when the policy finds it busy.
+//!   Spreading the hint over the workers would wake each of them in turn:
+//!   a producer of tiny jobs then keeps every worker thread busy and runs
+//!   at whatever pace the operating system's placement of them leaves it —
+//!   twice as slow when it shares its CPU with a worker it keeps waking.
+//! * **Placement reads no busy neighbour and allocates nothing.**  A busy
+//!   core's load lives on lines its worker writes for every task, so a
+//!   snapshot of it costs both sides a coherence miss.  While nobody is
+//!   parked, a worker's spawn offers the policy its own core only — the
+//!   child stays where its parent ran and stealing evens out the rest.
+//!   With a worker parked, or from outside the executor, the policy sees
+//!   every core, as it always did.  Snapshots are collected into a
+//!   thread-local buffer, for placements and steal decisions alike.
+//! * **A result wakes only a joiner that is waiting.**  [`JoinHandle::join`]
+//!   registers under the result cell's lock before it blocks; a completion
+//!   notifies the condition variable only for a registered joiner and
+//!   skips the cell altogether when the handle was dropped.
+//!
 //! # Parking protocol
 //!
 //! Idle workers park on a per-worker token [`Parker`] and register on a
@@ -37,13 +91,33 @@
 //! `searching` counter), they pop one parked worker to go steal.  Bounding
 //! undirected wakeups by `searching == 0` is what prevents wakeup storms:
 //! one submission wakes at most one thief, and a thief that finds work
-//! will wake the next one through its own submissions' completions.  The
-//! register → re-check → block ordering closes the classic lost-wakeup
-//! race (see [`crate::parker`]); a short timed backstop on the park makes
-//! even a missed edge self-heal.
+//! will wake the next one through its own submissions' completions.  A
+//! short timed backstop on the park makes even a missed edge self-heal.
+//!
+//! Two ordering arguments keep the lock-free fast paths from losing a
+//! wakeup; both are the same store → fence → load pair on each side.
+//!
+//! 1. **Producer vs parking worker.**  The worker registers, *then*
+//!    re-checks its queue; the producer enqueues, *then* reads the
+//!    published count of registered workers and takes the idle stack's
+//!    lock only when it is non-zero.  `SeqCst` fences between the two
+//!    steps on both sides guarantee that the worker sees the task or the
+//!    producer sees the registration (spelled out in [`crate::parker`]).
+//! 2. **Completer vs `drain` / `shutdown`.**  The waiter raises its flag,
+//!    *then* sums the counters and blocks if jobs are in flight; a
+//!    completer bumps its `completed` count, *then* reads the flags and,
+//!    if one is up and the sum is zero, wakes the waiter.  The flag
+//!    accesses and the `completed` accesses are all `SeqCst`, so in their
+//!    single total order either the waiter's sum includes the last
+//!    completion or the last completer sees the flag; and of two racing
+//!    completers, the later one sees the earlier one's count.  That
+//!    `SeqCst` increment of a worker's own line is the only
+//!    read-modify-write the counters cost; with no flag up a completion
+//!    reads two flags nobody is writing.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -56,15 +130,20 @@ use sched_trace::{TraceEvent, TraceSink};
 
 use crate::parker::{IdleStack, Parker};
 
-/// Fallback park duration: a parked worker re-checks the world this often
-/// even if no token arrives.  Purely a backstop — the token protocol is
-/// what wakes workers — but it turns any missed edge (or a descheduled
-/// producer on an oversubscribed machine) into bounded latency instead of
-/// a hang.
+/// Fallback park duration: a parked worker (or drainer) re-checks the world
+/// this often even if no token arrives.  Purely a backstop — the token
+/// protocol is what wakes them — but it turns any missed edge (or a
+/// descheduled producer on an oversubscribed machine) into bounded latency
+/// instead of a hang.
 const PARK_BACKSTOP: Duration = Duration::from_millis(2);
 
-/// Number of job-table shards; a power of two so the modulo is a mask.
-const JOB_SHARDS: usize = 16;
+/// Low bits of a slab shard's job word that hold the slot index; the bits
+/// above hold the slot's generation.  A shard therefore holds at most 2^24
+/// jobs in flight from one submitter.
+const SLOT_BITS: u32 = 24;
+
+/// Task ids must stay below this to fit the runqueue's packed word.
+const ID_LIMIT: u64 = 1 << 55;
 
 /// How the executor is built: machine shape, policy, and knobs.
 #[derive(Debug)]
@@ -116,10 +195,16 @@ impl ExecConfig {
     }
 }
 
+/// Gives `T` a cache-line pair of its own, so that one thread writing it
+/// never invalidates what another thread keeps next to it.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Padded<T>(T);
+
 /// What one submitted task actually does when a worker runs it.
 enum Job {
-    /// Run a closure (the `spawn` API).
-    Closure(Box<dyn FnOnce() + Send + 'static>),
+    /// Run a closure (the `spawn` API); returns whether it panicked.
+    Closure(Box<dyn FnOnce() -> bool + Send + 'static>),
     /// Spin for a sampled service time and record the end-to-end latency
     /// since submission (the open-loop benchmark API).
     Request {
@@ -130,33 +215,135 @@ enum Job {
     },
 }
 
-/// The id → job side table.  Runqueues carry task *words* (id, nice); the
-/// payload rides here, inserted before the enqueue so a worker that claims
-/// the id always finds it.
-struct JobTable {
-    shards: Vec<Mutex<HashMap<u64, Job>>>,
+/// One slab slot: the waiting job and how often the slot has been vacated.
+struct Slot {
+    generation: u64,
+    job: Option<Job>,
 }
 
-impl JobTable {
-    fn new() -> Self {
-        JobTable { shards: (0..JOB_SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
+/// One submitter's slots, grown on demand and recycled through `free`.
+#[derive(Default)]
+struct SlabShard {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+}
+
+/// The id → job side table (see the module docs for the id layout).  A job
+/// is inserted before its id is enqueued, so a worker that claims the id
+/// always finds it.
+struct JobSlab {
+    shards: Vec<Padded<Mutex<SlabShard>>>,
+    /// Generations a slot may hand out before its ids would reach
+    /// [`ID_LIMIT`]; a slot that has used them all is not recycled.
+    generations: u64,
+}
+
+impl JobSlab {
+    fn new(nr_shards: usize) -> Self {
+        JobSlab {
+            shards: (0..nr_shards).map(|_| Padded::default()).collect(),
+            generations: (ID_LIMIT / nr_shards as u64) >> SLOT_BITS,
+        }
     }
 
-    fn insert(&self, id: u64, job: Job) {
-        let mut shard = self.shards[id as usize % JOB_SHARDS].lock().expect("job shard poisoned");
-        shard.insert(id, job);
+    /// Stores `job` in `shard` and returns the id that resolves to it.
+    fn insert(&self, shard: usize, job: Job) -> TaskId {
+        let mut slab = self.shards[shard].0.lock().expect("job slab poisoned");
+        let slot = match slab.free.pop() {
+            Some(slot) => slot as usize,
+            None => {
+                let slot = slab.slots.len();
+                assert!(
+                    slot < 1 << SLOT_BITS,
+                    "more than 2^{SLOT_BITS} jobs in flight from one submitter"
+                );
+                slab.slots.push(Slot { generation: 0, job: None });
+                slot
+            }
+        };
+        let entry = &mut slab.slots[slot];
+        entry.job = Some(job);
+        let word = entry.generation << SLOT_BITS | slot as u64;
+        TaskId(word * self.shards.len() as u64 + shard as u64)
     }
 
-    fn take(&self, id: u64) -> Option<Job> {
-        let mut shard = self.shards[id as usize % JOB_SHARDS].lock().expect("job shard poisoned");
-        shard.remove(&id)
+    /// Removes and returns the job `id` resolves to; `None` for an id that
+    /// was never handed out or has been taken already.
+    fn take(&self, id: TaskId) -> Option<Job> {
+        let nr_shards = self.shards.len() as u64;
+        let (word, shard) = (id.0 / nr_shards, (id.0 % nr_shards) as usize);
+        let (generation, slot) = (word >> SLOT_BITS, (word & ((1 << SLOT_BITS) - 1)) as usize);
+        let mut slab = self.shards[shard].0.lock().expect("job slab poisoned");
+        let entry = slab.slots.get_mut(slot).filter(|entry| entry.generation == generation)?;
+        let job = entry.job.take()?;
+        entry.generation += 1;
+        if entry.generation < self.generations {
+            slab.free.push(slot as u32);
+        }
+        Some(job)
     }
+}
+
+/// One submitter's share of the executor's counters.  A worker's cell is
+/// written by that worker alone (`submitted` as a producer, the other two
+/// as the runner), the last cell by every thread outside the executor.
+#[derive(Debug, Default)]
+struct Counters {
+    submitted: AtomicU64,
+    completed: AtomicU64,
+    panicked: AtomicU64,
+}
+
+/// `counter += 1` for a counter only the calling thread writes: a load and
+/// a store, no read-modify-write.  Readers need no more than `Relaxed`
+/// here because every such count is published by a later release — the
+/// enqueue for `submitted`, the `completed` increment for `panicked`.
+fn bump_own(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
+/// What a spawned job's result cell holds.
+struct JoinState<T> {
+    /// The closure's return value, or the payload it panicked with.
+    result: Option<std::thread::Result<T>>,
+    /// Set by [`JoinHandle::join`] before it blocks; a completion notifies
+    /// the condition variable only when it finds this set.
+    waiting: bool,
 }
 
 /// One spawned job's result slot (see [`Executor::spawn`]).
 struct JoinCell<T> {
-    slot: Mutex<Option<T>>,
+    state: Mutex<JoinState<T>>,
     done: Condvar,
+}
+
+impl<T> JoinCell<T> {
+    fn new() -> Self {
+        JoinCell {
+            state: Mutex::new(JoinState { result: None, waiting: false }),
+            done: Condvar::new(),
+        }
+    }
+
+    /// Hands the job's outcome to whoever holds the [`JoinHandle`] and
+    /// returns whether that took a condition-variable wake.  It does only
+    /// for a joiner that is already waiting: one that arrives later finds
+    /// the result under the lock and never blocks, and a dropped handle
+    /// (the handle is not `Clone`, so a reference count of one means it is
+    /// gone for good) gets no store at all.
+    fn complete(self: &Arc<Self>, result: std::thread::Result<T>) -> bool {
+        if Arc::strong_count(self) == 1 {
+            return false;
+        }
+        let mut state = self.state.lock().expect("join cell poisoned");
+        state.result = Some(result);
+        let waiting = state.waiting;
+        drop(state);
+        if waiting {
+            self.done.notify_one();
+        }
+        waiting
+    }
 }
 
 /// Waits for one spawned closure's result.
@@ -166,50 +353,83 @@ pub struct JoinHandle<T> {
 
 impl<T> JoinHandle<T> {
     /// Blocks until the job has run and returns its result.
+    ///
+    /// # Panics
+    ///
+    /// If the job panicked, the panic resumes here, with the job's payload.
     pub fn join(self) -> T {
-        let mut slot = self.cell.slot.lock().expect("join cell poisoned");
-        loop {
-            match slot.take() {
-                Some(out) => return out,
-                None => slot = self.cell.done.wait(slot).expect("join cell poisoned"),
+        let mut state = self.cell.state.lock().expect("join cell poisoned");
+        let result = loop {
+            if let Some(result) = state.result.take() {
+                break result;
             }
-        }
+            state.waiting = true;
+            state = self.cell.done.wait(state).expect("join cell poisoned");
+        };
+        drop(state);
+        result.unwrap_or_else(|payload| resume_unwind(payload))
     }
 
     /// `true` once the job has completed (non-blocking).
     pub fn is_finished(&self) -> bool {
-        self.cell.slot.lock().expect("join cell poisoned").is_some()
+        self.cell.state.lock().expect("join cell poisoned").result.is_some()
     }
 }
 
-/// Everything the worker threads share.
+/// Which executor's worker the current thread is, and which one.
+#[derive(Debug, Clone, Copy)]
+struct WorkerTag {
+    executor: u64,
+    index: usize,
+}
+
+thread_local! {
+    /// Set once by each worker thread; `None` on every other thread.
+    static WORKER: Cell<Option<WorkerTag>> = const { Cell::new(None) };
+    /// The per-core snapshots of the last placement or steal decision this
+    /// thread made, kept for their allocation.
+    static SNAPSHOTS: Cell<Vec<CoreSnapshot>> = const { Cell::new(Vec::new()) };
+}
+
+/// Source of [`Shared::id`].
+static NEXT_EXECUTOR: AtomicU64 = AtomicU64::new(0);
+
+/// Everything the worker threads share.  Every field but the padded ones
+/// is written only at start-up, at `drain` or at shutdown.
 struct Shared {
+    /// Distinguishes this executor's workers from another's (see
+    /// [`WorkerTag`]).
+    id: u64,
     cores: Vec<DequeRq>,
     policy: Policy,
     batch: StealBatch,
     topo: Arc<MachineTopology>,
     /// Logical machine clock in nanoseconds since `start`; workers and
-    /// producers advance it with `fetch_max` so it never goes backwards.
+    /// outside producers advance it with `fetch_max` so it never goes
+    /// backwards.
     clock: Arc<AtomicU64>,
     start: Instant,
     stats: BalanceStats,
     trace: TraceSink,
-    jobs: JobTable,
+    jobs: JobSlab,
+    /// One cell per worker, then one for threads outside the executor.
+    counters: Vec<Padded<Counters>>,
     parkers: Vec<Parker>,
     idle: IdleStack,
     /// Workers currently in their stealing phase; producers skip the
     /// undirected wakeup while this is nonzero (storm bound).
-    searching: AtomicUsize,
-    /// Jobs submitted and not yet completed.
-    pending: AtomicU64,
+    searching: Padded<AtomicUsize>,
+    /// Previous-core hint for submissions from outside the executor: the
+    /// core the last one was placed on.  Written only when that changes.
+    outside_prev: Padded<AtomicUsize>,
     shutdown: AtomicBool,
-    next_task: AtomicU64,
-    /// Round-robin previous-core hint for submissions from outside the
-    /// executor (a fresh request has no meaningful "previous core").
-    rr: AtomicUsize,
+    /// Up while a thread is blocked in [`Executor::drain`] on `drainer`.
+    draining: AtomicBool,
+    drainer: Parker,
+    /// Held for the whole of a `drain`, so `drainer` has one user.
+    drain_gate: Mutex<()>,
     /// Per-worker latency histograms merge here as workers exit.
     latency: Mutex<Histogram>,
-    completed: AtomicU64,
 }
 
 impl Shared {
@@ -230,23 +450,129 @@ impl Shared {
         self.clock.load(Ordering::Acquire)
     }
 
+    /// The calling thread's worker index, if it is one of this executor's
+    /// workers.
+    fn local_worker(&self) -> Option<usize> {
+        WORKER.get().filter(|tag| tag.executor == self.id).map(|tag| tag.index)
+    }
+
+    /// Runs `decide` on fresh lock-less snapshots of `cores`, collected
+    /// into the calling thread's reusable buffer.
+    fn with_snapshots<R>(
+        &self,
+        cores: std::ops::Range<usize>,
+        decide: impl FnOnce(&mut Vec<CoreSnapshot>) -> R,
+    ) -> R {
+        let mut snapshots = SNAPSHOTS.take();
+        snapshots.clear();
+        snapshots.extend(self.cores[cores].iter().map(DequeRq::snapshot));
+        let out = decide(&mut snapshots);
+        SNAPSHOTS.set(snapshots);
+        out
+    }
+
+    fn completed(&self) -> u64 {
+        self.counters.iter().map(|c| c.0.completed.load(Ordering::SeqCst)).sum()
+    }
+
+    /// Jobs submitted and not yet completed.  Completions are summed
+    /// first: each one read brings its job's submission with it (counted
+    /// before the enqueue the completion followed), so the difference is
+    /// never negative and never 0 while a job is in flight.
+    fn pending(&self) -> u64 {
+        let completed = self.completed();
+        let submitted: u64 =
+            self.counters.iter().map(|c| c.0.submitted.load(Ordering::Relaxed)).sum();
+        submitted - completed
+    }
+
     fn should_exit(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire) && self.pending.load(Ordering::Acquire) == 0
+        self.shutdown.load(Ordering::SeqCst) && self.pending() == 0
+    }
+
+    fn wake_every_worker(&self) {
+        for worker in self.idle.drain() {
+            self.parkers[worker].unpark();
+        }
     }
 
     /// Wakes whoever should handle a task just seated on `target`'s queue:
     /// the target's own worker if it is parked, else — when nobody is
     /// already out stealing — the most recently parked worker to go steal.
+    /// Call it *after* the enqueue: with nobody registered it is one fence
+    /// and one load, and that is only safe in this order (ordering
+    /// argument 1 of the module docs).
     fn notify(&self, target: usize) {
+        fence(Ordering::SeqCst);
+        if !self.idle.any_parked() {
+            return;
+        }
         if self.idle.pop_specific(target) {
             self.parkers[target].unpark();
             return;
         }
-        if self.searching.load(Ordering::Acquire) == 0 {
+        if self.searching.0.load(Ordering::Acquire) == 0 {
             if let Some(worker) = self.idle.pop_any() {
                 self.parkers[worker].unpark();
             }
         }
+    }
+
+    /// Seats `job` on a runqueue: slab, counter, placement, enqueue, wake.
+    fn submit(&self, job: Job) -> TaskId {
+        let nr_workers = self.cores.len();
+        let local = self.local_worker();
+        // A worker's own shard and cell; the shared last ones otherwise.
+        let lane = local.unwrap_or(nr_workers);
+        let id = self.jobs.insert(lane, job);
+        let submitted = &self.counters[lane].0.submitted;
+        let (prev, candidates) = match local {
+            // A spawn from a worker continues that worker's task: its core
+            // is the previous core.  It is also the only core whose load
+            // this thread can read for free — a busy neighbour's lives on
+            // lines that neighbour writes for every task, and reading them
+            // costs both sides a coherence miss per submission.  So while
+            // nobody is parked the policy is offered this core alone: the
+            // child stays where its parent ran, and stealing evens out
+            // what that leaves uneven.
+            Some(me) => {
+                bump_own(submitted);
+                let alone = !self.idle.any_parked();
+                (CoreId(me), if alone { me..me + 1 } else { 0..nr_workers })
+            }
+            // A submission from outside continues the last one: its
+            // previous core is where that was placed, so a producer stays
+            // with one worker while that worker keeps up and wakes another
+            // only when the policy finds the first busy (nothing herds: a
+            // busy `prev` loses to any idle core).  Every core is equally
+            // foreign to an outside thread, so the policy sees them all.
+            // Nobody else may be awake to move the clock; a worker's spawn
+            // goes by the reading its worker took as it picked the running
+            // task.
+            None => {
+                submitted.fetch_add(1, Ordering::Relaxed);
+                self.advance_clock();
+                (CoreId(self.outside_prev.0.load(Ordering::Relaxed)), 0..nr_workers)
+            }
+        };
+        // Place the wakeup: the policy reads the same lock-less snapshots
+        // the stealing side does.
+        let target = self
+            .with_snapshots(candidates, |snapshots| {
+                self.policy.choice.place_wakeup(prev, snapshots)
+            })
+            .unwrap_or(prev);
+        if local.is_none() && target != prev {
+            self.outside_prev.0.store(target.0, Ordering::Relaxed);
+        }
+        if self.trace.is_enabled() {
+            let now = self.now_ns();
+            self.trace.record(target, now, &TraceEvent::TaskWake { task: id });
+            self.trace.record(target, now, &TraceEvent::PlaceDecision { task: id, core: target });
+        }
+        self.cores[target.0].enqueue(RqTask::new(id));
+        self.notify(target.0);
+        id
     }
 
     /// One three-step balancing operation for `thief` — the same
@@ -255,91 +581,111 @@ impl Shared {
     /// program point (which is what keeps `stats == fold(trace)` exact for
     /// this substrate too).
     fn balance_once(&self, thief: CoreId) -> StealOutcome {
-        let snapshots: Vec<CoreSnapshot> = self.cores.iter().map(DequeRq::snapshot).collect();
-        let thief_snap = snapshots[thief.0];
-        let candidates: Vec<CoreSnapshot> = snapshots
-            .into_iter()
-            .filter(|s| s.id != thief && self.policy.filter.can_steal(&thief_snap, s))
-            .collect();
-        let Some(victim) = self.policy.choice.choose(&thief_snap, &candidates) else {
-            self.stats.record(&StealOutcome::NoCandidates);
-            if self.trace.is_enabled() {
-                self.trace.record(
+        self.with_snapshots(0..self.cores.len(), |snapshots| {
+            let thief_snap = snapshots[thief.0];
+            snapshots.retain(|s| s.id != thief && self.policy.filter.can_steal(&thief_snap, s));
+            let candidates = &snapshots[..];
+            let Some(victim) = self.policy.choice.choose(&thief_snap, candidates) else {
+                self.stats.record(&StealOutcome::NoCandidates);
+                if self.trace.is_enabled() {
+                    self.trace.record(
+                        thief,
+                        self.now_ns(),
+                        &TraceEvent::steal_attempt(&StealOutcome::NoCandidates, None, 1),
+                    );
+                }
+                return StealOutcome::NoCandidates;
+            };
+            let victim_snap =
+                candidates.iter().find(|s| s.id == victim).expect("choice membership");
+            let max_tasks = self.batch.size(&self.policy, &thief_snap, victim_snap);
+            let level = self.topo.steal_level(thief, victim);
+            let outcome = DequeRq::try_steal_recorded(
+                &self.cores[thief.0],
+                &self.cores[victim.0],
+                self.policy.filter.as_ref(),
+                max_tasks,
+                Some(StealRecorder::new(&self.stats, Some(level)).with_trace(
+                    &self.trace,
                     thief,
                     self.now_ns(),
-                    &TraceEvent::steal_attempt(&StealOutcome::NoCandidates, None, 1),
-                );
-            }
-            return StealOutcome::NoCandidates;
-        };
-        let victim_snap = candidates.iter().find(|s| s.id == victim).expect("choice membership");
-        let max_tasks = self.batch.size(&self.policy, &thief_snap, victim_snap);
-        let level = self.topo.steal_level(thief, victim);
-        let outcome = DequeRq::try_steal_recorded(
-            &self.cores[thief.0],
-            &self.cores[victim.0],
-            self.policy.filter.as_ref(),
-            max_tasks,
-            Some(StealRecorder::new(&self.stats, Some(level)).with_trace(
-                &self.trace,
-                thief,
-                self.now_ns(),
-            )),
-        );
-        self.policy.choice.observe(thief, victim, outcome.is_success());
-        outcome
+                )),
+            );
+            self.policy.choice.observe(thief, victim, outcome.is_success());
+            outcome
+        })
     }
 
     /// Runs one claimed task to completion on worker `me`.
     fn execute(&self, task: TaskId, me: usize, latency: &mut Histogram) {
-        match self.jobs.take(task.0) {
-            Some(Job::Closure(f)) => f(),
+        let job = self.jobs.take(task);
+        // Jobs are inserted before their id is enqueued, so a claimed id
+        // always resolves; tolerate a miss anyway rather than poisoning
+        // the worker.
+        debug_assert!(job.is_some(), "task {task:?} has no job");
+        let (panicked, request_submitted_ns) = match job {
+            Some(Job::Closure(run)) => (run(), None),
             Some(Job::Request { service_ns, submitted_ns }) => {
                 spin_for(service_ns);
-                let e2e_ns = self.now_wall_ns().saturating_sub(submitted_ns);
-                latency.record(e2e_ns / 1_000);
+                (false, Some(submitted_ns))
             }
-            // Jobs are inserted before their id is enqueued, so a claimed
-            // id always resolves; tolerate (and count) a miss anyway
-            // rather than poisoning the worker.
-            None => debug_assert!(false, "task {task:?} has no job"),
+            None => (false, None),
+        };
+        // The one wall-clock read per task: it ends this task's latency,
+        // stamps its completion and is the reading the next task's spawns
+        // go by.
+        let now = self.advance_clock();
+        if let Some(submitted_ns) = request_submitted_ns {
+            latency.record(now.saturating_sub(submitted_ns) / 1_000);
         }
         if self.trace.is_enabled() {
-            self.trace.record(CoreId(me), self.now_ns(), &TraceEvent::TaskDone { task });
+            self.trace.record(CoreId(me), now, &TraceEvent::TaskDone { task });
         }
         let removed = self.cores[me].complete_current();
         debug_assert_eq!(removed.as_ref().map(|t| t.id), Some(task));
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 && self.shutdown.load(Ordering::Acquire)
-        {
-            // Last job out during shutdown: wake everyone so they observe
-            // `should_exit` and leave.
-            for worker in self.idle.drain() {
-                self.parkers[worker].unpark();
+
+        let mine = &self.counters[me].0;
+        if panicked {
+            bump_own(&mine.panicked);
+        }
+        // Ordering argument 2 of the module docs: count, then look for a
+        // waiter, all `SeqCst`.
+        mine.completed.fetch_add(1, Ordering::SeqCst);
+        let draining = self.draining.load(Ordering::SeqCst);
+        let shutdown = self.shutdown.load(Ordering::SeqCst);
+        if (draining || shutdown) && self.pending() == 0 {
+            if draining {
+                self.drainer.unpark();
+            }
+            if shutdown {
+                // Last job out during shutdown: wake everyone so they
+                // observe `should_exit` and leave.
+                self.wake_every_worker();
             }
         }
     }
 
     /// The body of one worker thread.
     fn worker_loop(&self, me: usize) {
+        WORKER.set(Some(WorkerTag { executor: self.id, index: me }));
         let rq = &self.cores[me];
         let mut latency = Histogram::new();
+        self.advance_clock();
         loop {
-            self.advance_clock();
             rq.refresh();
             // Run everything reachable from the own core: the seated task
             // (a wakeup may have claimed the idle core directly), then
-            // ring and injector via `pick_next`.
+            // ring and injector via `pick_next`.  Each task advances the
+            // clock as it completes.
             while let Some(task) = rq.current_task().or_else(|| rq.pick_next()) {
                 self.execute(task, me, &mut latency);
-                self.advance_clock();
             }
             // Own sources empty: go stealing.  The `searching` counter is
             // up only around the attempt — producers seeing it nonzero
             // trust this thief to find their work.
-            self.searching.fetch_add(1, Ordering::AcqRel);
+            self.searching.0.fetch_add(1, Ordering::AcqRel);
             let outcome = self.balance_once(CoreId(me));
-            self.searching.fetch_sub(1, Ordering::AcqRel);
+            self.searching.0.fetch_sub(1, Ordering::AcqRel);
             if outcome.is_success() {
                 continue;
             }
@@ -360,13 +706,17 @@ impl Shared {
             }
             self.trace.record(CoreId(me), self.now_ns(), &TraceEvent::Park);
             let woken = self.parkers[me].park_timeout(PARK_BACKSTOP);
-            if !woken && !self.idle.remove(me) {
+            // Leave the stack whatever ended the park.  A token does not
+            // prove a producer popped us: shutdown unparks every worker
+            // without touching the stack, and a token can land after the
+            // zero-length park that was meant to eat it.
+            if !self.idle.remove(me) && !woken {
                 // Timed out, but a producer popped us in the window before
                 // the deregistration — its token is deposited; eat it.
                 self.parkers[me].park_timeout(Duration::ZERO);
             }
-            self.advance_clock();
-            self.trace.record(CoreId(me), self.now_ns(), &TraceEvent::Unpark);
+            let now = self.advance_clock();
+            self.trace.record(CoreId(me), now, &TraceEvent::Unpark);
         }
         self.latency.lock().expect("latency histogram poisoned").merge(&latency);
     }
@@ -388,8 +738,12 @@ fn spin_for(ns: u64) {
 pub struct ExecReport {
     /// End-to-end request latency (submission → completion), microseconds.
     pub latency_us: Histogram,
-    /// Jobs completed over the executor's lifetime.
+    /// Jobs completed over the executor's lifetime, panicked ones included.
     pub completed: u64,
+    /// Jobs whose closure panicked.  Each one still completed: its worker
+    /// carried on, and the panic resumed in [`JoinHandle::join`] if the
+    /// handle was kept.
+    pub panicked: u64,
     /// The balancing counters of the run (steals, failures, migrations,
     /// per-level attribution) — fold the drained trace to reproduce them.
     pub stats: BalanceStats,
@@ -424,6 +778,7 @@ impl Executor {
             .collect();
         let nr_workers = cores.len();
         let shared = Arc::new(Shared {
+            id: NEXT_EXECUTOR.fetch_add(1, Ordering::Relaxed),
             cores,
             policy,
             batch,
@@ -432,16 +787,17 @@ impl Executor {
             start: Instant::now(),
             stats: BalanceStats::new(),
             trace,
-            jobs: JobTable::new(),
+            jobs: JobSlab::new(nr_workers + 1),
+            counters: (0..=nr_workers).map(|_| Padded::default()).collect(),
             parkers: (0..nr_workers).map(|_| Parker::new()).collect(),
             idle: IdleStack::new(),
-            searching: AtomicUsize::new(0),
-            pending: AtomicU64::new(0),
+            searching: Padded::default(),
+            outside_prev: Padded::default(),
             shutdown: AtomicBool::new(false),
-            next_task: AtomicU64::new(0),
-            rr: AtomicUsize::new(0),
+            draining: AtomicBool::new(false),
+            drainer: Parker::new(),
+            drain_gate: Mutex::new(()),
             latency: Mutex::new(Histogram::new()),
-            completed: AtomicU64::new(0),
         });
         let workers = (0..nr_workers)
             .map(|me| {
@@ -465,17 +821,22 @@ impl Executor {
     /// The closure becomes a task word on a real runqueue: it is placed by
     /// the policy's [`sched_core::ChoicePolicy::place_wakeup`], may be stolen between
     /// cores before it runs, and executes on whichever worker claims it.
+    ///
+    /// A closure that panics does not take its worker down: the job counts
+    /// as completed (and in [`ExecReport::panicked`]) and the panic resumes
+    /// in [`JoinHandle::join`].
     pub fn spawn<F, T>(&self, f: F) -> JoinHandle<T>
     where
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let cell = Arc::new(JoinCell { slot: Mutex::new(None), done: Condvar::new() });
+        let cell = Arc::new(JoinCell::new());
         let out = Arc::clone(&cell);
-        self.submit_job(Job::Closure(Box::new(move || {
-            let result = f();
-            *out.slot.lock().expect("join cell poisoned") = Some(result);
-            out.done.notify_all();
+        self.shared.submit(Job::Closure(Box::new(move || {
+            let result = catch_unwind(AssertUnwindSafe(f));
+            let panicked = result.is_err();
+            out.complete(result);
+            panicked
         })));
         JoinHandle { cell }
     }
@@ -485,43 +846,27 @@ impl Executor {
     /// report's histogram.
     pub fn submit_request(&self, service_ns: u64) {
         let submitted_ns = self.shared.now_wall_ns();
-        self.submit_job(Job::Request { service_ns, submitted_ns });
-    }
-
-    fn submit_job(&self, job: Job) -> TaskId {
-        let shared = &self.shared;
-        let id = TaskId(shared.next_task.fetch_add(1, Ordering::Relaxed));
-        shared.pending.fetch_add(1, Ordering::AcqRel);
-        shared.jobs.insert(id.0, job);
-        // Place the wakeup: the policy reads the same lock-less snapshots
-        // the stealing side does.  External submissions have no meaningful
-        // previous core, so a rotating hint spreads the "prev is idle"
-        // fast path instead of herding everything onto core 0.
-        let prev = CoreId(shared.rr.fetch_add(1, Ordering::Relaxed) % shared.cores.len());
-        let snapshots: Vec<CoreSnapshot> = shared.cores.iter().map(DequeRq::snapshot).collect();
-        let target = shared.policy.choice.place_wakeup(prev, &snapshots).unwrap_or(prev);
-        let now = shared.advance_clock();
-        if shared.trace.is_enabled() {
-            shared.trace.record(target, now, &TraceEvent::TaskWake { task: id });
-            shared.trace.record(target, now, &TraceEvent::PlaceDecision { task: id, core: target });
-        }
-        shared.cores[target.0].enqueue(RqTask::new(id));
-        shared.notify(target.0);
-        id
+        self.shared.submit(Job::Request { service_ns, submitted_ns });
     }
 
     /// Blocks until every submitted job has completed.  Open-loop runs
     /// call this after the generator finishes so the histogram covers the
     /// whole schedule, including the backlog.
     pub fn drain(&self) {
-        while self.shared.pending.load(Ordering::Acquire) > 0 {
-            std::thread::sleep(Duration::from_micros(200));
+        let shared = &self.shared;
+        let _one_drainer = shared.drain_gate.lock().expect("drain gate poisoned");
+        // Ordering argument 2 of the module docs: flag, then sum; the
+        // completer that brings the sum to zero wakes us.
+        shared.draining.store(true, Ordering::SeqCst);
+        while shared.pending() != 0 {
+            shared.drainer.park_timeout(PARK_BACKSTOP);
         }
+        shared.draining.store(false, Ordering::SeqCst);
     }
 
     /// Jobs completed so far.
     pub fn completed(&self) -> u64 {
-        self.shared.completed.load(Ordering::Relaxed)
+        self.shared.completed()
     }
 
     /// The run's balancing counters (live; also returned by value in the
@@ -538,10 +883,8 @@ impl Executor {
     /// Stops accepting progress, waits for the queues to empty, joins all
     /// workers, and returns what the run measured.
     pub fn shutdown(self) -> ExecReport {
-        self.shared.shutdown.store(true, Ordering::Release);
-        for worker in self.shared.idle.drain() {
-            self.shared.parkers[worker].unpark();
-        }
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.wake_every_worker();
         // Belt and braces: a worker may have been between the drain and
         // its own park registration.
         for parker in &self.shared.parkers {
@@ -555,7 +898,8 @@ impl Executor {
         stats.merge_from(&shared.stats);
         ExecReport {
             latency_us: shared.latency.lock().expect("latency histogram poisoned").clone(),
-            completed: shared.completed.load(Ordering::Relaxed),
+            completed: shared.completed(),
+            panicked: shared.counters.iter().map(|c| c.0.panicked.load(Ordering::Relaxed)).sum(),
             stats,
         }
     }
@@ -565,8 +909,8 @@ impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("workers", &self.workers.len())
-            .field("pending", &self.shared.pending.load(Ordering::Relaxed))
-            .field("completed", &self.shared.completed.load(Ordering::Relaxed))
+            .field("pending", &self.shared.pending())
+            .field("completed", &self.shared.completed())
             .finish()
     }
 }
@@ -576,9 +920,13 @@ mod tests {
     use super::*;
     use crate::openloop::{drive, OpenLoopSpec, ServiceMix};
     use sched_core::policy::TopologyAwareChoice;
+    use sched_core::ChoicePolicy;
     use sched_core::LoadMetric;
     use sched_topology::TopologyBuilder;
+    use sched_trace::sanity::{SanityChecker, SanityKind};
     use sched_trace::FoldedStats;
+    use std::collections::HashSet;
+    use std::sync::mpsc;
 
     fn small_topo() -> Arc<MachineTopology> {
         Arc::new(TopologyBuilder::new().sockets(1).cores_per_socket(4).llcs_per_socket(1).build())
@@ -595,6 +943,11 @@ mod tests {
         let topo = small_topo();
         let policy = exec_policy(&topo);
         Executor::start(ExecConfig::new(topo, policy).with_trace(trace))
+    }
+
+    /// Shuts down an executor its jobs shared (to spawn from inside).
+    fn shutdown_shared(exec: Arc<Executor>) -> ExecReport {
+        Arc::into_inner(exec).expect("every job has dropped its executor").shutdown()
     }
 
     #[test]
@@ -675,6 +1028,466 @@ mod tests {
         assert_eq!(report.completed, 0);
     }
 
+    // ---- the job slab ----
+
+    fn request(service_ns: u64) -> Job {
+        Job::Request { service_ns, submitted_ns: 0 }
+    }
+
+    #[test]
+    fn slab_ids_resolve_exactly_once_and_stay_unique_across_slot_reuse() {
+        let slab = JobSlab::new(3);
+        let mut seen = HashSet::new();
+        for round in 0..50u64 {
+            // Two in flight per shard, vacated every round: the free list
+            // hands the same two slots out again with a new generation.
+            let ids: Vec<TaskId> =
+                (0..6).map(|i| slab.insert(i % 3, request(round * 6 + i as u64))).collect();
+            for (i, id) in ids.iter().enumerate() {
+                assert!(seen.insert(id.0), "id {id:?} handed out twice");
+                assert!(id.0 < ID_LIMIT);
+                assert_eq!(id.0 % 3, i as u64 % 3, "the shard rides in the id");
+                match slab.take(*id) {
+                    Some(Job::Request { service_ns, .. }) => {
+                        assert_eq!(
+                            service_ns,
+                            round * 6 + i as u64,
+                            "an id resolves to its own job"
+                        );
+                    }
+                    _ => panic!("id {id:?} did not resolve"),
+                }
+                assert!(slab.take(*id).is_none(), "an id resolves once");
+            }
+        }
+        for shard in &slab.shards {
+            assert_eq!(shard.0.lock().unwrap().slots.len(), 2, "slots were recycled, not grown");
+        }
+        assert!(
+            slab.take(TaskId(ID_LIMIT - 1)).is_none(),
+            "an id never handed out resolves to nothing"
+        );
+    }
+
+    #[test]
+    fn a_slot_with_its_generations_spent_is_retired_and_ids_stay_below_the_limit() {
+        let mut slab = JobSlab::new(5);
+        // The largest id the layout can produce: last generation, last
+        // slot, last shard.
+        let largest = ((slab.generations - 1) << SLOT_BITS | ((1 << SLOT_BITS) - 1)) * 5 + 4;
+        assert!(largest < ID_LIMIT);
+        assert!(slab.generations > 1 << 20, "retirement is not an everyday event");
+
+        slab.generations = 3;
+        let slot_of = |id: TaskId| (id.0 / 5) & ((1 << SLOT_BITS) - 1);
+        let generation_of = |id: TaskId| (id.0 / 5) >> SLOT_BITS;
+        for generation in 0..3 {
+            let id = slab.insert(1, request(0));
+            assert_eq!((slot_of(id), generation_of(id)), (0, generation));
+            assert!(slab.take(id).is_some());
+        }
+        let id = slab.insert(1, request(0));
+        assert_eq!((slot_of(id), generation_of(id)), (1, 0), "slot 0 is out of generations");
+    }
+
+    /// Satellite (a): submitters inside and outside the executor race the
+    /// workers over the slab while waves of drains force every slot to be
+    /// reused.  Read back from the trace alone: every id was handed out
+    /// once, fits the runqueue word, completed once, and the sanity
+    /// checker's task conservation is clean.
+    fn slab_conserves_tasks(submitters: usize, waves: usize, per_wave: usize, children: usize) {
+        let sink = TraceSink::with_capacity(4, 1 << 16);
+        let exec = Arc::new(start(sink.clone()));
+        for _ in 0..waves {
+            std::thread::scope(|scope| {
+                for _ in 0..submitters {
+                    scope.spawn(|| {
+                        for _ in 0..per_wave {
+                            let inner = Arc::clone(&exec);
+                            drop(exec.spawn(move || {
+                                for _ in 0..children {
+                                    drop(inner.spawn(|| ()));
+                                }
+                            }));
+                        }
+                    });
+                }
+            });
+            exec.drain();
+        }
+        let total = (submitters * waves * per_wave * (1 + children)) as u64;
+        let report = shutdown_shared(exec);
+        assert_eq!(report.completed, total);
+
+        let trace = sink.drain();
+        assert_eq!(trace.dropped, 0);
+        let ids_of = |wanted: fn(&TraceEvent) -> Option<TaskId>| -> Vec<u64> {
+            trace.events.iter().filter_map(|e| wanted(&e.event)).map(|id| id.0).collect()
+        };
+        let woken = ids_of(|e| match e {
+            TraceEvent::TaskWake { task } => Some(*task),
+            _ => None,
+        });
+        let done = ids_of(|e| match e {
+            TraceEvent::TaskDone { task } => Some(*task),
+            _ => None,
+        });
+        let unique: HashSet<u64> = woken.iter().copied().collect();
+        assert_eq!(woken.len() as u64, total);
+        assert_eq!(unique.len(), woken.len(), "an id was handed out twice");
+        assert!(unique.iter().all(|&id| id < ID_LIMIT));
+        assert_eq!(done.len(), woken.len());
+        assert_eq!(done.into_iter().collect::<HashSet<u64>>(), unique, "each id completed once");
+        if waves > 1 {
+            assert!(
+                unique.iter().any(|&id| (id / 5) >> SLOT_BITS > 0),
+                "later waves must have reused the slots the earlier ones vacated"
+            );
+        }
+        // Conservation only: racing placements can land on a thief between
+        // its steal decision and the migration's record, which the checker
+        // reads as an inversion — optimism at work, not a lost task.
+        let lost_or_duplicated: Vec<_> = SanityChecker::check_trace(&trace, false, Some(&[0; 4]))
+            .into_iter()
+            .filter(|v| matches!(v.kind, SanityKind::TaskLost | SanityKind::TaskDuplicated))
+            .collect();
+        assert!(lost_or_duplicated.is_empty(), "{lost_or_duplicated:?}");
+    }
+
+    mod properties {
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn the_slab_conserves_tasks_under_concurrent_submit_and_execute(
+                submitters in 1usize..4,
+                waves in 2usize..5,
+                per_wave in 1usize..24,
+                children in 0usize..3,
+            ) {
+                super::slab_conserves_tasks(submitters, waves, per_wave, children);
+            }
+        }
+    }
+
+    // ---- counters, drain, panics ----
+
+    /// Satellite (b): while one job is held in flight, submitters inside
+    /// and outside the executor churn the counters and a monitor sums them
+    /// the whole time.  The held job alone makes the true value at least
+    /// one; a sum that read `submitted` before `completed` would pair old
+    /// submissions with new completions and dip to zero or wrap below it.
+    fn pending_never_reads_zero_with_a_job_in_flight(externals: usize, jobs: usize) {
+        let exec = Arc::new(start(TraceSink::disabled()));
+        let total = (externals * jobs * 3) as u64 + 1;
+        let (release, held) = mpsc::channel::<()>();
+        let gate = exec.spawn(move || held.recv().expect("the test releases the gate"));
+        let churning = AtomicBool::new(true);
+        let reads = std::thread::scope(|scope| {
+            let monitor = scope.spawn(|| {
+                let mut reads = 0u64;
+                while churning.load(Ordering::Acquire) {
+                    let pending = exec.shared.pending();
+                    assert!((1..=total).contains(&pending), "read {reads} saw {pending} in flight");
+                    reads += 1;
+                }
+                reads
+            });
+            let submitters: Vec<_> = (0..externals)
+                .map(|_| {
+                    scope.spawn(|| {
+                        for _ in 0..jobs {
+                            let inner = Arc::clone(&exec);
+                            // One submission from outside, two from its
+                            // worker; joined, so that few jobs are in
+                            // flight and a wrong sum has nowhere to hide.
+                            let parent = exec.spawn(move || {
+                                drop(inner.spawn(|| ()));
+                                drop(inner.spawn(|| ()));
+                            });
+                            parent.join();
+                        }
+                    })
+                })
+                .collect();
+            for submitter in submitters {
+                submitter.join().expect("submitter panicked");
+            }
+            churning.store(false, Ordering::Release);
+            monitor.join().expect("the monitor found a zero")
+        });
+        assert!(reads > 0);
+        release.send(()).expect("the gate job is waiting");
+        gate.join();
+        exec.drain();
+        assert_eq!(exec.shared.pending(), 0);
+        let report = shutdown_shared(exec);
+        assert_eq!(report.completed, total);
+    }
+
+    #[test]
+    fn the_pending_sum_keeps_a_held_job_visible() {
+        pending_never_reads_zero_with_a_job_in_flight(2, 200);
+    }
+
+    #[test]
+    fn a_panicking_job_completes_and_resumes_in_its_joiner() {
+        let exec = start(TraceSink::disabled());
+        let handles: Vec<JoinHandle<u64>> = (0..1000u64)
+            .map(|i| {
+                exec.spawn(move || {
+                    assert_ne!(i, 417, "job 417 panics on purpose");
+                    i
+                })
+            })
+            .collect();
+        exec.drain();
+        let mut sum = 0;
+        for (i, handle) in handles.into_iter().enumerate() {
+            if i == 417 {
+                let payload = catch_unwind(AssertUnwindSafe(|| handle.join()))
+                    .expect_err("the job's panic resumes in join");
+                let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+                assert!(message.contains("job 417 panics on purpose"), "{message}");
+            } else {
+                sum += handle.join();
+            }
+        }
+        assert_eq!(sum, (0..1000u64).sum::<u64>() - 417);
+        let report = exec.shutdown();
+        assert_eq!(report.completed, 1000);
+        assert_eq!(report.panicked, 1);
+    }
+
+    #[test]
+    fn concurrent_drains_all_return() {
+        let exec = start(TraceSink::disabled());
+        for _ in 0..64 {
+            exec.submit_request(20_000);
+        }
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| exec.drain());
+            }
+        });
+        assert_eq!(exec.completed(), 64);
+        exec.shutdown();
+    }
+
+    #[test]
+    fn a_token_nobody_popped_for_does_not_register_a_worker_twice() {
+        let exec = start(TraceSink::disabled());
+        let all_parked = || {
+            while exec.shared.idle.len() < exec.nr_workers() {
+                std::thread::yield_now();
+            }
+        };
+        for _ in 0..20 {
+            // Tokens without a pop — what shutdown's unpark-everyone does,
+            // and what a token that missed its zero-length park looks like.
+            // Each worker wakes still registered, finds nothing and parks
+            // again; it must have left the stack in between.
+            all_parked();
+            for parker in &exec.shared.parkers {
+                parker.unpark();
+            }
+        }
+        all_parked();
+        assert_eq!(exec.spawn(|| 7).join(), 7);
+        exec.shutdown();
+    }
+
+    // ---- satellite (c): who pays for a completion's wake ----
+
+    #[test]
+    fn a_dropped_handle_gets_no_store_and_no_wake() {
+        let cell = Arc::new(JoinCell::new());
+        drop(JoinHandle { cell: Arc::clone(&cell) });
+        assert!(!cell.complete(Ok(7)));
+        assert!(cell.state.lock().unwrap().result.is_none(), "nobody can read it: not stored");
+    }
+
+    #[test]
+    fn a_joiner_that_has_not_arrived_gets_the_result_without_a_wake() {
+        let cell = Arc::new(JoinCell::new());
+        let handle = JoinHandle { cell: Arc::clone(&cell) };
+        assert!(!cell.state.lock().unwrap().waiting);
+        assert!(!cell.complete(Ok(7)), "no registered waiter, no condvar wake");
+        assert!(handle.is_finished());
+        assert_eq!(handle.join(), 7, "the late joiner finds the result and never blocks");
+    }
+
+    #[test]
+    fn a_waiting_joiner_is_woken() {
+        let cell = Arc::new(JoinCell::new());
+        let handle = JoinHandle { cell: Arc::clone(&cell) };
+        let joiner = std::thread::spawn(move || handle.join());
+        // `waiting` is set under the lock the wait releases, so once it
+        // reads true the joiner is blocked (or about to find the result).
+        while !cell.state.lock().unwrap().waiting {
+            std::thread::yield_now();
+        }
+        assert!(cell.complete(Ok(7)), "a registered waiter takes the wake");
+        assert_eq!(joiner.join().expect("joiner panicked"), 7);
+    }
+
+    // ---- satellite (d): the previous core of a spawn ----
+
+    /// One `place_wakeup` call as the policy saw it.
+    #[derive(Debug)]
+    struct Placement {
+        prev: CoreId,
+        offered: Vec<CoreId>,
+        chosen: CoreId,
+    }
+
+    /// Delegates to `TopologyAwareChoice` and writes down every placement
+    /// the executor asks for.
+    struct RecordingChoice {
+        inner: TopologyAwareChoice,
+        calls: Arc<Mutex<Vec<Placement>>>,
+    }
+
+    impl ChoicePolicy for RecordingChoice {
+        fn choose(&self, thief: &CoreSnapshot, candidates: &[CoreSnapshot]) -> Option<CoreId> {
+            self.inner.choose(thief, candidates)
+        }
+
+        fn observe(&self, thief: CoreId, victim: CoreId, success: bool) {
+            self.inner.observe(thief, victim, success);
+        }
+
+        fn place_wakeup(&self, prev: CoreId, candidates: &[CoreSnapshot]) -> Option<CoreId> {
+            let chosen = self.inner.place_wakeup(prev, candidates);
+            self.calls.lock().unwrap().push(Placement {
+                prev,
+                offered: candidates.iter().map(|c| c.id).collect(),
+                chosen: chosen.unwrap_or(prev),
+            });
+            chosen
+        }
+
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+    }
+
+    #[test]
+    fn a_spawn_from_a_worker_passes_its_core_as_prev_and_an_outside_one_the_last_outside_placement()
+    {
+        let topo = small_topo();
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let policy = Policy::simple().with_choice(Box::new(RecordingChoice {
+            inner: TopologyAwareChoice::new(Arc::clone(&topo), LoadMetric::NrThreads),
+            calls: Arc::clone(&calls),
+        }));
+        let exec = Arc::new(Executor::start(ExecConfig::new(topo, policy)));
+        let take_calls = || std::mem::take(&mut *calls.lock().unwrap());
+        let everyone = [0, 1, 2, 3].map(CoreId);
+
+        // From outside: each spawn continues on the core the last one was
+        // placed on, and none lands on a core that a running job holds.
+        let (started, running_on) = mpsc::channel::<usize>();
+        let (release, held) = mpsc::channel::<()>();
+        let gate = exec.spawn(move || {
+            let me = WORKER.get().expect("jobs run on worker threads").index;
+            started.send(me).expect("the test waits for the gate job");
+            held.recv().expect("the test releases the gate");
+        });
+        let held_core = CoreId(running_on.recv().expect("the gate job starts"));
+        for _ in 0..6 {
+            exec.spawn(|| ()).join();
+        }
+        release.send(()).expect("the gate job is waiting");
+        gate.join();
+        let outside = take_calls();
+        assert_eq!(outside.len(), 7);
+        assert_eq!(outside[0].prev, CoreId(0), "the first outside spawn starts at core 0");
+        assert_eq!(outside[0].chosen, CoreId(0), "and stays there: every core is idle");
+        for pair in outside.windows(2) {
+            assert_eq!(pair[1].prev, pair[0].chosen, "an outside spawn continues the last one");
+            assert_eq!(pair[1].offered, everyone, "an outside spawn offers every core");
+            assert_ne!(pair[1].chosen, held_core, "the gate job holds its core");
+        }
+        let mut last_outside = outside[6].chosen;
+
+        for _ in 0..16 {
+            let inner = Arc::clone(&exec);
+            let (me, child) = exec
+                .spawn(move || {
+                    // Spawn once the other three workers are parked.
+                    while inner.shared.idle.len() < 3 {
+                        std::thread::yield_now();
+                    }
+                    let me = WORKER.get().expect("jobs run on worker threads").index;
+                    (me, inner.spawn(|| ()))
+                })
+                .join();
+            child.join();
+            let seen = take_calls();
+            assert_eq!(seen.len(), 2, "the outside spawn, then the worker's");
+            assert_eq!(
+                seen[0].prev, last_outside,
+                "a worker's spawn leaves the outside hint alone"
+            );
+            assert_eq!(seen[1].prev, CoreId(me), "a worker's spawn continues on its own core");
+            assert_eq!(seen[0].offered, everyone, "an outside spawn offers every core");
+            assert_eq!(seen[1].offered, everyone, "so does a worker's while others are parked");
+            last_outside = seen[0].chosen;
+        }
+
+        // Four jobs that meet at a barrier hold all four workers until each
+        // has spawned, so nobody is parked when they do: each offers its
+        // own core and nothing else.
+        let meet = Arc::new(std::sync::Barrier::new(4));
+        let parents: Vec<_> = (0..4)
+            .map(|_| {
+                let (inner, meet) = (Arc::clone(&exec), Arc::clone(&meet));
+                exec.spawn(move || {
+                    meet.wait();
+                    let me = WORKER.get().expect("jobs run on worker threads").index;
+                    let child = inner.spawn(|| ());
+                    meet.wait();
+                    (me, child)
+                })
+            })
+            .collect();
+        let mut held: Vec<usize> = parents
+            .into_iter()
+            .map(|parent| {
+                let (me, child) = parent.join();
+                child.join();
+                me
+            })
+            .collect();
+        held.sort_unstable();
+        assert_eq!(held, [0, 1, 2, 3], "the barrier needed every worker");
+        let placed = take_calls();
+        let mut alone: Vec<CoreId> = placed
+            .iter()
+            .filter(|call| call.offered.len() == 1)
+            .map(|call| call.offered[0])
+            .collect();
+        alone.sort_unstable_by_key(|core| core.0);
+        assert_eq!(alone, everyone, "each worker's spawn offered exactly its own core");
+        let last_outside = placed
+            .iter()
+            .rfind(|call| call.offered.len() == 4)
+            .expect("the four parents came from outside")
+            .chosen;
+
+        // A worker of *another* executor is an outside thread to this one.
+        let other = Arc::new(start(TraceSink::disabled()));
+        let inner = Arc::clone(&exec);
+        other.spawn(move || inner.spawn(|| ()).join()).join();
+        let foreign = take_calls();
+        assert_eq!(foreign.len(), 1);
+        assert_eq!(foreign[0].prev, last_outside, "it continues the outside spawns before it");
+        shutdown_shared(other);
+        exec.drain();
+        shutdown_shared(exec);
+    }
+
     // ---- stress legs (CI `exec-stress` job; `--ignored`) ----
 
     /// Park/unpark race hammer: repeated idle → burst → drain cycles drive
@@ -739,5 +1552,12 @@ mod tests {
         let summary = exec.shutdown();
         assert_eq!(summary.completed, report.submitted);
         assert!(summary.latency_us.count() > 0);
+    }
+
+    /// Satellite (b), at strength: more submitters, for longer.
+    #[test]
+    #[ignore]
+    fn the_pending_sum_never_reads_zero_under_a_long_hammer() {
+        pending_never_reads_zero_with_a_job_in_flight(3, 20_000);
     }
 }

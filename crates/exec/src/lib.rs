@@ -11,7 +11,9 @@
 //!
 //! * **spawn/join** — closures become task words on real runqueues, get
 //!   placed by [`sched_core::ChoicePolicy::place_wakeup`], migrate through
-//!   batched CAS steals, and run wherever a worker claims them;
+//!   batched CAS steals, and run wherever a worker claims them, over a
+//!   submit → run → complete path that writes per-worker state only (slab
+//!   shards carrying the payloads, per-worker counters; see [`executor`]);
 //! * **parking/unparking** — idle workers park on per-worker tokens,
 //!   registered on a last-parked-first-woken idle stack, with a global
 //!   `searching` counter bounding wakeup storms (see [`parker`] and the
@@ -24,6 +26,7 @@
 //!   wall-clock end-to-end latency into a [`sched_metrics::Histogram`]
 //!   (the `e2e_p99_us`/`e2e_p999_us` fields of the benchmark records).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod executor;

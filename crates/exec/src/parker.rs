@@ -18,7 +18,32 @@
 //! blocks.  A producer that enqueues after the re-check necessarily sees
 //! the registration and deposits the token, so the park returns
 //! immediately instead of sleeping through the wakeup.
+//!
+//! # Producers do not take the lock when nobody is parked
+//!
+//! The stack publishes its length in an atomic ([`IdleStack::any_parked`])
+//! so that a producer whose enqueue finds every worker awake — every
+//! submission of a saturated closed loop — pays one fence and one load of
+//! a line nobody is writing, not a lock round-trip on a line everybody
+//! is.  The register → re-check → block argument survives as a Dekker
+//! pair of `SeqCst` fences:
+//!
+//! ```text
+//!   worker                          producer
+//!   W1  push: len = parked (store)  P1  enqueue (writes the runqueue)
+//!   W2  fence(SeqCst)               P2  fence(SeqCst)
+//!   W3  re-check the runqueue       P3  any_parked (load)
+//! ```
+//!
+//! The two fences are totally ordered.  If P2 comes first, everything
+//! before it — the enqueue — is visible to everything after W2, so the
+//! re-check W3 finds the task and the worker does not block.  If W2 comes
+//! first, the registration W1 is visible to P3, so the producer takes the
+//! lock and wakes a worker exactly as it always did.  Either way the task
+//! is not stranded.  W2 is the fence at the end of [`IdleStack::push`];
+//! P2 is the producer's own, issued after its enqueue.
 
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -74,6 +99,9 @@ impl Parker {
 #[derive(Debug, Default)]
 pub struct IdleStack {
     parked: Mutex<Vec<usize>>,
+    /// `parked.len()`, stored under the lock after every change and read
+    /// without it by [`IdleStack::any_parked`].
+    len: AtomicUsize,
 }
 
 impl IdleStack {
@@ -82,31 +110,51 @@ impl IdleStack {
         IdleStack::default()
     }
 
-    /// Registers `worker` as parked (pushes it on top).  Must be called
-    /// *before* the worker's final re-check of its work sources.
-    pub fn push(&self, worker: usize) {
+    /// Runs `change` on the stack under the lock and republishes its length.
+    fn with_parked<R>(&self, change: impl FnOnce(&mut Vec<usize>) -> R) -> R {
         let mut parked = self.parked.lock().expect("idle stack poisoned");
-        debug_assert!(!parked.contains(&worker), "worker parked twice");
-        parked.push(worker);
+        let out = change(&mut parked);
+        // Relaxed: the lock orders the writers, and the one lock-free reader
+        // is ordered by the fence pair (see the module docs).
+        self.len.store(parked.len(), Ordering::Relaxed);
+        out
+    }
+
+    /// Registers `worker` as parked (pushes it on top).  Must be called
+    /// *before* the worker's final re-check of its work sources: the fence
+    /// that ends this call is W2 of the module docs' ordering argument.
+    pub fn push(&self, worker: usize) {
+        self.with_parked(|parked| {
+            debug_assert!(!parked.contains(&worker), "worker parked twice");
+            parked.push(worker);
+        });
+        fence(Ordering::SeqCst);
+    }
+
+    /// `true` if some worker is registered, read without the lock.  A
+    /// producer that skips the wake path on `false` must have issued a
+    /// `SeqCst` fence between its enqueue and this call (P2 of the module
+    /// docs' ordering argument); without one the answer is only a hint.
+    pub fn any_parked(&self) -> bool {
+        !self.is_empty()
     }
 
     /// Deregisters `worker` wherever it sits on the stack.  Returns `true`
     /// if it was still registered — `false` means a producer already popped
     /// it (and deposited a token the worker's next park will consume).
     pub fn remove(&self, worker: usize) -> bool {
-        let mut parked = self.parked.lock().expect("idle stack poisoned");
-        match parked.iter().position(|&w| w == worker) {
+        self.with_parked(|parked| match parked.iter().position(|&w| w == worker) {
             Some(at) => {
                 parked.remove(at);
                 true
             }
             None => false,
-        }
+        })
     }
 
     /// Pops the most recently parked worker (last parked, first woken).
     pub fn pop_any(&self) -> Option<usize> {
-        self.parked.lock().expect("idle stack poisoned").pop()
+        self.with_parked(Vec::pop)
     }
 
     /// Pops `worker` specifically, if it is registered.
@@ -114,9 +162,10 @@ impl IdleStack {
         self.remove(worker)
     }
 
-    /// Number of currently registered workers.
+    /// Number of currently registered workers (the published length: exact
+    /// between operations, read without the lock).
     pub fn len(&self) -> usize {
-        self.parked.lock().expect("idle stack poisoned").len()
+        self.len.load(Ordering::Relaxed)
     }
 
     /// `true` when no worker is registered.
@@ -126,8 +175,7 @@ impl IdleStack {
 
     /// Drains the whole stack, top first (shutdown wakes everyone).
     pub fn drain(&self) -> Vec<usize> {
-        let mut parked = self.parked.lock().expect("idle stack poisoned");
-        let mut all = std::mem::take(&mut *parked);
+        let mut all = self.with_parked(std::mem::take);
         all.reverse();
         all
     }
@@ -180,6 +228,22 @@ mod tests {
         assert!(s.pop_specific(0));
         assert!(!s.pop_specific(0), "already popped");
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn the_published_length_follows_every_change() {
+        let s = IdleStack::new();
+        assert!(!s.any_parked());
+        s.push(4);
+        s.push(5);
+        assert!(s.any_parked());
+        assert!(s.remove(4));
+        assert!(s.any_parked(), "5 is still registered");
+        assert_eq!(s.pop_any(), Some(5));
+        assert!(!s.any_parked());
+        s.push(6);
+        assert_eq!(s.drain(), vec![6]);
+        assert!(!s.any_parked());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The experiment harness: regenerates every table of `EXPERIMENTS.md` and
-//! the machine-readable `BENCH_results.json`.
+//! The experiment harness: prints the bespoke table of every experiment
+//! and writes the machine-readable `BENCH_results.json`.
 //!
 //! Usage:
 //!
@@ -14,10 +14,11 @@
 //! ```
 //!
 //! `--trace DIR` (any mode) exports one Chrome/Perfetto `*.trace.json` per
-//! traced sim/rq run into `DIR` — open them at <https://ui.perfetto.dev>.
+//! traced run (every backend but the model) into `DIR` — open them at
+//! <https://ui.perfetto.dev>.
 //!
 //! `--json` runs the unified [`sched_bench::ExperimentRunner`] catalog —
-//! every experiment on every backend (model, sim, rq) — prints the combined
+//! every experiment on every backend that executes it — prints the combined
 //! table, and writes the records to `BENCH_results.json` (or `--out PATH`).
 
 use sched_bench::{all_experiments, run_experiment, ExperimentId};
@@ -25,7 +26,7 @@ use sched_bench::{all_experiments, run_experiment, ExperimentId};
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--trace DIR` enables decision tracing for the whole invocation:
-    // every sim/rq run exports a Chrome/Perfetto `*.trace.json` into DIR.
+    // every traced run exports a Chrome/Perfetto `*.trace.json` into DIR.
     if let Some(i) = args.iter().position(|a| a == "--trace") {
         match args.get(i + 1) {
             Some(dir) if !dir.starts_with("--") => {

@@ -1,4 +1,6 @@
-//! The thirteen experiments of the per-experiment index (DESIGN.md §4).
+//! The bespoke table of each experiment, e1–e26: one function per entry
+//! of the README's per-experiment index, one row of the `EXPERIMENTS`
+//! table each.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,120 +50,66 @@ pub enum ExperimentId {
     E26,
 }
 
+/// One experiment: its id, the key the CLI parses, the title the harness
+/// shows and the function that builds its tables.
+type Row = (ExperimentId, &'static str, &'static str, fn() -> Vec<Table>);
+
+/// Every experiment, in index order.  Adding one is adding a variant and
+/// its row here.
+#[rustfmt::skip] // one row per experiment
+const EXPERIMENTS: [Row; 26] = {
+    use ExperimentId::*;
+    [
+        (E1, "e1", "E1  Figure 1: the choice step is irrelevant to the proofs", e1_choice_irrelevance),
+        (E2, "e2", "E2  Listing 1: the simple load balancer in action", e2_listing1),
+        (E3, "e3", "E3  Listing 2 / Lemma 1: filter soundness and completeness", e3_lemma1),
+        (E4, "e4", "E4  §4.2: steal soundness and sequential work conservation", e4_sequential),
+        (E5, "e5", "E5  §4.3: the greedy-filter ping-pong counterexample", e5_pingpong),
+        (E6, "e6", "E6  §4.3 P1: failures imply concurrent successes", e6_failures),
+        (E7, "e7", "E7  §4.3 P2: the potential decreases on every steal", e7_potential),
+        (E8, "e8", "E8  §3.2: rounds to reach work conservation (the bound N)", e8_convergence),
+        (E9, "e9", "E9  §1: scientific (fork-join) workload degradation", e9_scientific),
+        (E10, "e10", "E10 §1: database (OLTP) throughput loss", e10_database),
+        (E11, "e11", "E11 §3.1: overhead of lock-less vs fully locked balancing", e11_overhead),
+        (E12, "e12", "E12 §5: hierarchical / NUMA-aware balancing in step 2", e12_hierarchical),
+        (E13, "e13", "E13 §1/§5: the DSL front-end and its two backends", e13_dsl),
+        (E14, "e14", "E14 §5: NUMA imbalance — distance-ordered stealing drains a saturated node", e14_numa_imbalance),
+        (E15, "e15", "E15 §5: cross-node ping-pong bait — locality of the victim search", e15_cross_node_pingpong),
+        (E16, "e16", "E16 §5: hierarchical convergence — per-level balancing stays node-local", e16_hierarchical_convergence),
+        (E17, "e17", "E17 §3.1: bursty on/off load — instantaneous balancing thrashes, PELT converges", e17_bursty_tracking),
+        (E18, "e18", "E18 §4.2: mixed niceness — instantaneous weighted vs PELT-decayed weighted", e18_mixed_nice_tracking),
+        (E19, "e19", "E19 §3.1: load-tracker overhead on the balancing hot path", e19_tracker_overhead),
+        (E20, "e20", "E20 §3.1: steal-heavy fan-out — the owner path under thief bombardment", e20_steal_fanout),
+        (E21, "e21", "E21 §3.1: PELT half-life sensitivity — churn vs responsiveness at 1/4/16/64 ms", e21_half_life_sweep),
+        (E22, "e22", "E22 §3.2: overflow storm — ring overflow must stay stealable (injector vs spill)", e22_overflow_storm),
+        (E23, "e23", "E23 §3.1: batched stealing — tasks claimed per acquisition, k=1..8 vs half", e23_batched_stealing),
+        (E24, "e24", "E24 §2: event-driven simulation — O(events) vs O(cores x horizon) at 1M tasks", e24_event_engine_scaling),
+        (E25, "e25", "E25 §3.2: trace-only detection — the sanity checker finds the spill hole", e25_trace_sanity),
+        (E26, "e26", "E26 §4: the real executor — open-loop latency ladder, measured end-to-end p99/p999", e26_executor_ladder),
+    ]
+};
+
 impl ExperimentId {
     /// All experiments, in index order.
     pub fn all() -> Vec<ExperimentId> {
-        use ExperimentId::*;
-        vec![
-            E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12, E13, E14, E15, E16, E17, E18, E19,
-            E20, E21, E22, E23, E24, E25, E26,
-        ]
+        EXPERIMENTS.iter().map(|row| row.0).collect()
     }
 
     /// Parses an experiment id such as `e5` or `E12`.
     pub fn parse(text: &str) -> Option<ExperimentId> {
-        use ExperimentId::*;
-        Some(match text.to_ascii_lowercase().as_str() {
-            "e1" => E1,
-            "e2" => E2,
-            "e3" => E3,
-            "e4" => E4,
-            "e5" => E5,
-            "e6" => E6,
-            "e7" => E7,
-            "e8" => E8,
-            "e9" => E9,
-            "e10" => E10,
-            "e11" => E11,
-            "e12" => E12,
-            "e13" => E13,
-            "e14" => E14,
-            "e15" => E15,
-            "e16" => E16,
-            "e17" => E17,
-            "e18" => E18,
-            "e19" => E19,
-            "e20" => E20,
-            "e21" => E21,
-            "e22" => E22,
-            "e23" => E23,
-            "e24" => E24,
-            "e25" => E25,
-            "e26" => E26,
-            _ => return None,
-        })
+        let key = text.to_ascii_lowercase();
+        EXPERIMENTS.iter().find(|row| row.1 == key).map(|row| row.0)
     }
 
     /// Short description shown by the harness.
     pub fn title(self) -> &'static str {
-        use ExperimentId::*;
-        match self {
-            E1 => "E1  Figure 1: the choice step is irrelevant to the proofs",
-            E2 => "E2  Listing 1: the simple load balancer in action",
-            E3 => "E3  Listing 2 / Lemma 1: filter soundness and completeness",
-            E4 => "E4  §4.2: steal soundness and sequential work conservation",
-            E5 => "E5  §4.3: the greedy-filter ping-pong counterexample",
-            E6 => "E6  §4.3 P1: failures imply concurrent successes",
-            E7 => "E7  §4.3 P2: the potential decreases on every steal",
-            E8 => "E8  §3.2: rounds to reach work conservation (the bound N)",
-            E9 => "E9  §1: scientific (fork-join) workload degradation",
-            E10 => "E10 §1: database (OLTP) throughput loss",
-            E11 => "E11 §3.1: overhead of lock-less vs fully locked balancing",
-            E12 => "E12 §5: hierarchical / NUMA-aware balancing in step 2",
-            E13 => "E13 §1/§5: the DSL front-end and its two backends",
-            E14 => "E14 §5: NUMA imbalance — distance-ordered stealing drains a saturated node",
-            E15 => "E15 §5: cross-node ping-pong bait — locality of the victim search",
-            E16 => "E16 §5: hierarchical convergence — per-level balancing stays node-local",
-            E17 => {
-                "E17 §3.1: bursty on/off load — instantaneous balancing thrashes, PELT converges"
-            }
-            E18 => "E18 §4.2: mixed niceness — instantaneous weighted vs PELT-decayed weighted",
-            E19 => "E19 §3.1: load-tracker overhead on the balancing hot path",
-            E20 => "E20 §3.1: steal-heavy fan-out — the owner path under thief bombardment",
-            E21 => "E21 §3.1: PELT half-life sensitivity — churn vs responsiveness at 1/4/16/64 ms",
-            E22 => {
-                "E22 §3.2: overflow storm — ring overflow must stay stealable (injector vs spill)"
-            }
-            E23 => "E23 §3.1: batched stealing — tasks claimed per acquisition, k=1..8 vs half",
-            E24 => "E24 §2: event-driven simulation — O(events) vs O(cores x horizon) at 1M tasks",
-            E25 => "E25 §3.2: trace-only detection — the sanity checker finds the spill hole",
-            E26 => {
-                "E26 §4: the real executor — open-loop latency ladder, measured end-to-end p99/p999"
-            }
-        }
+        EXPERIMENTS[self as usize].2
     }
 }
 
 /// Runs one experiment and returns its tables.
 pub fn run_experiment(id: ExperimentId) -> Vec<Table> {
-    match id {
-        ExperimentId::E1 => e1_choice_irrelevance(),
-        ExperimentId::E2 => e2_listing1(),
-        ExperimentId::E3 => e3_lemma1(),
-        ExperimentId::E4 => e4_sequential(),
-        ExperimentId::E5 => e5_pingpong(),
-        ExperimentId::E6 => e6_failures(),
-        ExperimentId::E7 => e7_potential(),
-        ExperimentId::E8 => e8_convergence(),
-        ExperimentId::E9 => e9_scientific(),
-        ExperimentId::E10 => e10_database(),
-        ExperimentId::E11 => e11_overhead(),
-        ExperimentId::E12 => e12_hierarchical(),
-        ExperimentId::E13 => e13_dsl(),
-        ExperimentId::E14 => e14_numa_imbalance(),
-        ExperimentId::E15 => e15_cross_node_pingpong(),
-        ExperimentId::E16 => e16_hierarchical_convergence(),
-        ExperimentId::E17 => e17_bursty_tracking(),
-        ExperimentId::E18 => e18_mixed_nice_tracking(),
-        ExperimentId::E19 => e19_tracker_overhead(),
-        ExperimentId::E20 => e20_steal_fanout(),
-        ExperimentId::E21 => e21_half_life_sweep(),
-        ExperimentId::E22 => e22_overflow_storm(),
-        ExperimentId::E23 => e23_batched_stealing(),
-        ExperimentId::E24 => e24_event_engine_scaling(),
-        ExperimentId::E25 => e25_trace_sanity(),
-        ExperimentId::E26 => e26_executor_ladder(),
-    }
+    (EXPERIMENTS[id as usize].3)()
 }
 
 /// Runs every experiment in index order.
@@ -1244,6 +1192,22 @@ fn e24_event_engine_scaling() -> Vec<Table> {
     vec![table]
 }
 
+/// Runs `spec` on the backend called `backend` with tracing on; returns
+/// the record, the drained trace and the idle-while-overloaded windows
+/// the sanity checker finds in that trace alone.
+fn traced_with_windows(
+    backend: &str,
+    spec: &crate::runner::ExperimentSpec,
+) -> (crate::runner::ExperimentRecord, sched_trace::Trace, Vec<sched_trace::SanityViolation>) {
+    let (record, trace) = crate::runner::ExperimentRunner::with_all_backends()
+        .run_traced(backend, spec)
+        .expect("a trace-recording backend")
+        .unwrap_or_else(|| panic!("{backend} executes `{}`", spec.scenario));
+    let mut windows = sched_trace::SanityChecker::check_trace(&trace, false, None);
+    windows.retain(|v| v.kind == sched_trace::SanityKind::IdleWhileOverloaded);
+    (record, trace, windows)
+}
+
 /// E25: the conservation hole found from a trace alone.  Both tiny-ring
 /// flavours run the identical overflow storm with a recording sink
 /// attached; the sanity checker then reads nothing but the drained
@@ -1257,31 +1221,19 @@ fn e24_event_engine_scaling() -> Vec<Table> {
 /// sized so the injector never runs dry mid-epoch — and the same checker
 /// stays silent.
 fn e25_trace_sanity() -> Vec<Table> {
-    use crate::runner::run_rq_traced;
-    use sched_rq::{TinyDequeRq, TinySpillDequeRq};
-    use sched_trace::{SanityChecker, SanityKind};
-
     let spec = crate::catalog::spec(ExperimentId::E25);
     let mut table = Table::new(
         "E25: trace-only detection — idle-while-overloaded windows flagged by the sanity checker",
         &["overflow discipline", "events", "dropped", "flagged windows", "verdict"],
     );
-    let runs = [
-        ("injector", run_rq_traced::<TinyDequeRq>("rq-deque-tiny", &spec)),
-        ("private spill", run_rq_traced::<TinySpillDequeRq>("rq-deque-spill", &spec)),
-    ];
-    for (flavour, run) in runs {
-        let (_, trace) = run.expect("the storm scenario runs on the tiny backends");
-        let windows = SanityChecker::check_trace(&trace, false, None)
-            .into_iter()
-            .filter(|v| v.kind == SanityKind::IdleWhileOverloaded)
-            .count();
+    for (flavour, backend) in [("injector", "rq-deque-tiny"), ("private spill", "rq-deque-spill")] {
+        let (_, trace, windows) = traced_with_windows(backend, &spec);
         table.row(&[
             flavour.into(),
             trace.events.len().to_string(),
             trace.dropped.to_string(),
-            windows.to_string(),
-            if windows == 0 {
+            windows.len().to_string(),
+            if windows.is_empty() {
                 "clean: every overflowed task stayed reachable".into()
             } else {
                 "hole: idle cores starved beside hidden work".into()
@@ -1302,9 +1254,6 @@ fn e25_trace_sanity() -> Vec<Table> {
 /// idle-while-overloaded windows — parked workers may never sleep beside
 /// reachable work.
 fn e26_executor_ladder() -> Vec<Table> {
-    use crate::runner::run_exec_traced;
-    use sched_trace::{SanityChecker, SanityKind};
-
     let mut table = Table::new(
         "E26: open-loop latency ladder on the real executor (wall-clock end-to-end)",
         &[
@@ -1319,11 +1268,7 @@ fn e26_executor_ladder() -> Vec<Table> {
         ],
     );
     for spec in crate::catalog::specs_of(ExperimentId::E26) {
-        let (record, trace) = run_exec_traced(&spec).expect("the ladder runs on the executor");
-        let windows = SanityChecker::check_trace(&trace, false, None)
-            .into_iter()
-            .filter(|v| v.kind == SanityKind::IdleWhileOverloaded)
-            .count();
+        let (record, _, windows) = traced_with_windows("exec", &spec);
         let rate = spec.driver.openloop().expect("E26 rungs are open-loop").rate_hz;
         table.row(&[
             spec.scenario.clone(),
@@ -1333,7 +1278,7 @@ fn e26_executor_ladder() -> Vec<Table> {
             record.migrations.to_string(),
             format!("{:.0}", record.e2e_p99_us.expect("exec records measure e2e latency")),
             format!("{:.0}", record.e2e_p999_us.expect("exec records measure e2e latency")),
-            windows.to_string(),
+            windows.len().to_string(),
         ]);
     }
     vec![table]
@@ -1379,8 +1324,11 @@ mod tests {
         assert_eq!(ExperimentId::parse("e26"), Some(ExperimentId::E26));
         assert_eq!(ExperimentId::parse("nope"), None);
         assert_eq!(ExperimentId::all().len(), 26);
-        for id in ExperimentId::all() {
-            assert!(!id.title().is_empty());
+        for (row, id) in ExperimentId::all().into_iter().enumerate() {
+            assert_eq!(id as usize, row, "the table is indexed by variant");
+            let number = format!("{}", row + 1);
+            assert_eq!(ExperimentId::parse(&format!("E{number}")), Some(id));
+            assert!(id.title().starts_with(&format!("E{number} ")), "{}", id.title());
         }
     }
 
@@ -1437,25 +1385,12 @@ mod tests {
     /// flavour's trace of the identical storm comes back clean.
     #[test]
     fn e25_checker_flags_the_spill_hole_from_the_trace_alone() {
-        use crate::runner::run_rq_traced;
-        use sched_rq::{TinyDequeRq, TinySpillDequeRq};
-        use sched_trace::{SanityChecker, SanityKind};
-
         let spec = crate::catalog::spec(ExperimentId::E25);
-        let (_, clean) =
-            run_rq_traced::<TinyDequeRq>("rq-deque-tiny", &spec).expect("the storm runs");
-        let (_, holed) =
-            run_rq_traced::<TinySpillDequeRq>("rq-deque-spill", &spec).expect("the storm runs");
+        let (_, clean, clean_windows) = traced_with_windows("rq-deque-tiny", &spec);
+        let (_, holed, flagged) = traced_with_windows("rq-deque-spill", &spec);
         assert_eq!(clean.dropped, 0, "the storm must fit the rings for a meaningful verdict");
         assert_eq!(holed.dropped, 0);
-        let windows = |trace: &sched_trace::Trace| -> Vec<_> {
-            SanityChecker::check_trace(trace, false, None)
-                .into_iter()
-                .filter(|v| v.kind == SanityKind::IdleWhileOverloaded)
-                .collect()
-        };
-        assert_eq!(windows(&clean).len(), 0, "a conserving overflow discipline must trace clean");
-        let flagged = windows(&holed);
+        assert_eq!(clean_windows.len(), 0, "a conserving overflow discipline must trace clean");
         assert!(!flagged.is_empty(), "the spill hole must be visible from the trace alone");
         for violation in &flagged {
             assert!(
@@ -1475,14 +1410,11 @@ mod tests {
     /// a parked worker never slept beside reachable work.
     #[test]
     fn e26_ladder_stays_below_the_knee_with_no_idle_while_overloaded() {
-        use crate::runner::run_exec_traced;
-        use sched_trace::{SanityChecker, SanityKind};
-
         let specs = crate::catalog::specs_of(ExperimentId::E26);
         assert_eq!(specs.len(), 3, "the ladder has three rungs");
         for spec in specs {
             let openloop = spec.driver.openloop().expect("E26 rungs are open-loop");
-            let (record, trace) = run_exec_traced(&spec).expect("the ladder runs");
+            let (record, trace, windows) = traced_with_windows("exec", &spec);
             assert_eq!(trace.dropped, 0, "{}: the sink must capture every event", spec.scenario);
             assert!(record.threads > 0, "{}: the generator submitted requests", spec.scenario);
             let p999 = record.e2e_p999_us.expect("exec records measure e2e latency");
@@ -1497,10 +1429,6 @@ mod tests {
                 "{}: p999 of {p999}us has collapsed toward the {horizon_us}us horizon",
                 spec.scenario
             );
-            let windows: Vec<_> = SanityChecker::check_trace(&trace, false, None)
-                .into_iter()
-                .filter(|v| v.kind == SanityKind::IdleWhileOverloaded)
-                .collect();
             assert!(
                 windows.is_empty(),
                 "{}: a parked worker slept beside reachable work: {:?}",

@@ -28,8 +28,8 @@ use sched_trace::{SanityChecker, SanityKind, SanityViolation, Trace};
 
 use crate::catalog::{from_doc, LoadedScenario};
 use crate::runner::{
-    run_rq_traced, run_sim_result, run_sim_traced, Driver, ExperimentRecord, ExperimentRunner,
-    ExperimentSpec, ModelBackend, RqBackend, RqDequeBackend, SimEngine, SimEventBackend,
+    run_sim_result, Driver, ExperimentRecord, ExperimentRunner, ExperimentSpec, ModelBackend,
+    RqBackend, RqDequeBackend, SimEngine, SimEventBackend,
 };
 
 /// What to fuzz: the seed pins the whole scenario stream, the count bounds
@@ -458,8 +458,11 @@ pub fn check_sanity(scenario: &LoadedScenario) -> Vec<Violation> {
         });
     };
 
+    let runner = ExperimentRunner::with_all_backends();
+    let traced = |backend: &str| runner.run_traced(backend, spec).expect("a traced backend");
+
     let finished = run_sim_result(SimEngine::Event, spec).is_some_and(|r| r.finished);
-    if let Some((_, trace)) = run_sim_traced(SimEngine::Event, spec) {
+    if let Some((_, trace)) = traced("sim-event") {
         let all_idle = vec![0u64; spec.loads.len()];
         let final_loads = if finished { Some(&all_idle[..]) } else { None };
         for v in &SanityChecker::check_trace(&trace, false, final_loads) {
@@ -468,7 +471,7 @@ pub fn check_sanity(scenario: &LoadedScenario) -> Vec<Violation> {
     }
 
     if spec.driver.storm().is_none() && spec.driver.burst().is_none() {
-        if let Some((record, trace)) = run_rq_traced::<sched_rq::DequeRq>("rq-deque", spec) {
+        if let Some((record, trace)) = traced("rq-deque") {
             let final_loads: Vec<u64> = record.final_loads.iter().map(|&n| n as u64).collect();
             for v in &SanityChecker::check_trace(&trace, false, Some(&final_loads)) {
                 if matches!(v.kind, SanityKind::TaskLost | SanityKind::TaskDuplicated) {

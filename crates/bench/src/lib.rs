@@ -1,19 +1,23 @@
 //! Experiment harness regenerating every figure, listing and quantitative
 //! claim of the paper.
 //!
-//! Each experiment of the per-experiment index in `DESIGN.md` §4 is
-//! implemented in [`experiments`] and returns [`sched_metrics::Table`]s; the
-//! `experiments` binary prints them, and `EXPERIMENTS.md` records a captured
-//! run.  The Criterion benches under `benches/` time the same scenarios,
-//! which are built by [`scenarios`].
+//! [`runner`] declares every experiment once as an [`ExperimentSpec`] —
+//! loaded by [`mod@catalog`] from the declarative `experiments/*.scn`
+//! documents — and executes it against any [`Backend`]: the pure model,
+//! the simulator under its tick and event-driven engines, contending OS
+//! threads over the mutex and lock-free runqueues (plus the storm-only
+//! tiny-ring flavours), and the real executor.  `experiments --json`
+//! serializes the resulting [`ExperimentRecord`]s to `BENCH_results.json`,
+//! the workspace's machine-readable perf trajectory, which `xtask
+//! bench-diff` gates.
 //!
-//! On top of the bespoke tables, [`runner`] declares every experiment once
-//! as an [`ExperimentSpec`] and executes it against three interchangeable
-//! [`Backend`]s — the pure model ([`runner::ModelBackend`]), the
-//! discrete-event simulator ([`runner::SimBackend`]) and real contending
-//! OS threads ([`runner::RqBackend`]).  `experiments --json` serializes the
-//! resulting [`ExperimentRecord`]s to `BENCH_results.json`, the workspace's
-//! machine-readable perf trajectory.
+//! A traced run is the same run with a recorder attached
+//! ([`ExperimentRunner::run_traced`]); [`report`] folds the drained trace
+//! into tables and [`fuzz`] feeds it to the sanity checker.
+//!
+//! Beside the catalog, [`experiments`] keeps one bespoke table function
+//! per experiment (e1–e26, the README's per-experiment index), printed by
+//! the `experiments` binary and built from [`scenarios`].
 
 pub mod catalog;
 pub mod experiments;
@@ -31,11 +35,10 @@ pub use experiments::{all_experiments, run_experiment, ExperimentId};
 pub use fuzz::{
     check_ordering, check_records, check_sanity, fuzz_scenarios, FuzzConfig, FuzzReport, Violation,
 };
-pub use report::{run_traced_backend, trace_report, TRACEABLE_BACKENDS};
+pub use report::trace_report;
 pub use runner::{
-    records_table, records_to_json, records_to_json_full, run_exec_traced, run_rq_traced,
-    run_sim_result, run_sim_traced, set_trace_dir, Backend, BatchK, BurstSpec, Driver, ExecBackend,
-    ExperimentRecord, ExperimentRunner, ExperimentSpec, ModelBackend, OpenLoopDriverSpec,
-    PolicySpec, RqBackend, SimBackend, SimEngine, SimEventBackend, SpecError, StormSpec, TopoSpec,
-    WorkloadKind, WorkloadSpec,
+    records_table, records_to_json, records_to_json_full, run_sim_result, set_trace_dir, Backend,
+    BatchK, BurstSpec, Driver, ExecBackend, ExperimentRecord, ExperimentRunner, ExperimentSpec,
+    ModelBackend, OpenLoopDriverSpec, PolicySpec, RqBackend, SimBackend, SimEngine,
+    SimEventBackend, SpecError, StormSpec, TopoSpec, WorkloadKind, WorkloadSpec,
 };

@@ -21,59 +21,14 @@
 //!   windows and reports tasks-per-acquisition in each, the over-time
 //!   view of E23's end-of-run aggregate.
 //!
-//! [`trace_report`] bundles all three; [`run_traced_backend`] maps a
-//! record backend name to the matching traced runner so callers (xtask)
-//! can go from a catalog [`ExperimentSpec`] to tables without naming
-//! substrate types.
+//! [`trace_report`] bundles all three; the trace itself comes from
+//! [`crate::ExperimentRunner::run_traced`], which takes a catalog spec and
+//! a record backend name.
 
 use sched_core::CoreId;
 use sched_metrics::{Histogram, Table};
 use sched_topology::StealLevel;
 use sched_trace::{StealOutcomeKind, Trace, TraceEvent};
-
-use crate::runner::{
-    run_exec_traced, run_rq_traced, run_sim_traced, ExperimentRecord, ExperimentSpec, SimEngine,
-};
-
-/// Record-backend names [`run_traced_backend`] accepts, in the catalog's
-/// canonical order.
-pub const TRACEABLE_BACKENDS: [&str; 7] =
-    ["sim", "sim-event", "rq", "rq-deque", "rq-deque-tiny", "rq-deque-spill", "exec"];
-
-/// Runs one catalog spec on the named backend with a recording trace
-/// sink attached, returning the record and the drained trace.
-///
-/// Returns `None` when the backend cannot execute the spec (the
-/// simulators refuse overflow storms and batch sweeps, the tiny-ring
-/// flavours refuse everything *but* storms) — the same compatibility
-/// rules the unified runner applies.  Unknown names are an `Err` so the
-/// CLI can distinguish a typo from an incompatible scenario.
-pub fn run_traced_backend(
-    backend: &str,
-    spec: &ExperimentSpec,
-) -> Result<Option<(ExperimentRecord, Trace)>, String> {
-    Ok(match backend {
-        "sim" => run_sim_traced(SimEngine::Tick, spec),
-        "sim-event" => run_sim_traced(SimEngine::Event, spec),
-        // The tiny-ring flavours exist to be overflowed; on anything but
-        // a storm they measure ring-capacity artefacts, so the unified
-        // runner skips them and the report does the same.
-        "rq-deque-tiny" | "rq-deque-spill" if spec.driver.storm().is_none() => None,
-        "rq" => run_rq_traced::<sched_rq::PerCoreRq<sched_rq::FifoQueue>>("rq", spec),
-        "rq-deque" => run_rq_traced::<sched_rq::DequeRq>("rq-deque", spec),
-        "rq-deque-tiny" => run_rq_traced::<sched_rq::TinyDequeRq>("rq-deque-tiny", spec),
-        "rq-deque-spill" => run_rq_traced::<sched_rq::TinySpillDequeRq>("rq-deque-spill", spec),
-        // The executor runs open-loop streams alone (the same rule its
-        // unified-runner backend applies via `Driver::openloop`).
-        "exec" => run_exec_traced(spec),
-        other => {
-            return Err(format!(
-                "unknown backend `{other}` (expected one of: {})",
-                TRACEABLE_BACKENDS.join(", ")
-            ))
-        }
-    })
-}
 
 /// The full report: steal-latency histograms, idle attribution, and the
 /// tasks-per-acquisition timeline, in that order.
@@ -411,10 +366,11 @@ mod tests {
         // the report's showcase: leveled steals, real park/unpark spans,
         // and a draining backlog.
         let spec = crate::catalog::spec(crate::ExperimentId::E16);
-        let (_, trace) = run_traced_backend("sim", &spec)
+        let (_, trace) = crate::ExperimentRunner::with_all_backends()
+            .run_traced("sim", &spec)
             .expect("sim is a known backend")
             .expect("the simulator executes E16");
-        assert_eq!(trace.dropped, 0, "E16 fits the default rings");
+        assert_eq!(trace.dropped, 0, "E16 fits the rings");
         let latency = steal_latency_table(&trace).to_text();
         assert!(
             StealLevel::ALL.iter().any(|l| latency.contains(l.short_name())),
@@ -424,15 +380,5 @@ mod tests {
         assert!(idle.contains("stole work"), "idle eight-node cores steal their way out: {idle}");
         let timeline = acquisition_timeline_table(&trace).to_text();
         assert!(timeline.contains("1.00"), "sim steals move one task each: {timeline}");
-    }
-
-    #[test]
-    fn unknown_backends_are_an_error_not_a_silent_skip() {
-        let spec = crate::catalog::spec(crate::ExperimentId::E16);
-        assert!(run_traced_backend("qr-deque", &spec).is_err());
-        assert!(
-            run_traced_backend("rq-deque-tiny", &spec).expect("known backend").is_none(),
-            "tiny flavours execute nothing but storms"
-        );
     }
 }

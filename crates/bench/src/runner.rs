@@ -1,19 +1,28 @@
 //! The unified experiment runner: one declarative scenario description,
-//! three execution backends.
+//! executed by any backend.
 //!
-//! The paper's claims live at three altitudes — the abstract model
-//! (`sched-core` balancing rounds), a discrete-event machine (`sched-sim`)
-//! and real contending OS threads (`sched-rq`).  Historically each
-//! experiment hand-rolled its own driver for one altitude; this module
-//! declares every experiment **once** as an [`ExperimentSpec`] and executes
-//! it against any [`Backend`], so a scenario measured in the model can be
-//! re-measured, unchanged, on the simulator and on real threads.
+//! The paper's claims live at several altitudes — the abstract model
+//! (`sched-core` balancing rounds), a discrete-event machine (`sched-sim`,
+//! under a tick and an event-driven engine), contending OS threads over the
+//! mutex and lock-free runqueues (`sched-rq`), and the real executor
+//! (`sched-exec`).  This module declares every experiment **once** as an
+//! [`ExperimentSpec`] and executes it against any [`Backend`], so a
+//! scenario measured in the model can be re-measured, unchanged, on the
+//! simulator and on real threads.
 //!
 //! Specs themselves are *data*: the catalog loads them from declarative
 //! `experiments/*.scn` documents (see [`mod@crate::catalog`]), and
 //! [`ExperimentSpec::builder`] is the validating way to construct one in
 //! code.  How work arrives is a single [`Driver`] value — replay, workload,
-//! burst or storm — so a spec cannot carry two contradictory drivers.
+//! burst, storm or open loop — so a spec cannot carry two contradictory
+//! drivers.
+//!
+//! A spec executes one way: [`Backend::run`], with or without a
+//! [`TraceSink`] attached.  A traced run is the same run with a recorder
+//! on it, not a second entry point: [`ExperimentRunner::run`] attaches one
+//! per backend when `--trace DIR` asked for exports, and
+//! [`ExperimentRunner::run_traced`] attaches one and hands the drained
+//! trace back.
 //!
 //! [`ExperimentRunner::run_catalog`] produces flat [`ExperimentRecord`]s;
 //! the `experiments --json` binary serializes them to `BENCH_results.json`,
@@ -28,6 +37,7 @@ use sched_dsl::PolicyDef;
 use sched_metrics::{StealLocality, Table};
 use sched_rq::MultiQueue;
 use sched_topology::{MachineTopology, NodeId, TopologyBuilder};
+use sched_trace::{Trace, TraceSink};
 use sched_workloads::{
     OltpWorkload, Phase as WorkloadPhase, ScientificWorkload, ThreadSpec, Workload,
 };
@@ -55,25 +65,32 @@ const MIXED_NICE: [i8; 3] = [-10, 0, 10];
 /// Where `--trace DIR` asked traced runs to land, once set.
 static TRACE_DIR: OnceLock<PathBuf> = OnceLock::new();
 
-/// Enables decision tracing for every subsequent sim/rq run in this
-/// process: each traced spec×backend execution exports a Chrome/Perfetto
+/// Enables trace export for every subsequent run in this process: each
+/// spec×backend execution that records decisions writes a Chrome/Perfetto
 /// `*.trace.json` into `dir` (created on first export).  Set once — this
 /// is the `experiments --trace DIR` switch; later calls are ignored.
 pub fn set_trace_dir(dir: &Path) {
     let _ = TRACE_DIR.set(dir.to_path_buf());
 }
 
-/// A recording sink for the next run, iff tracing was enabled.
-fn trace_sink_for(nr_cores: usize) -> Option<sched_trace::TraceSink> {
-    TRACE_DIR.get().map(|_| sched_trace::TraceSink::recording(nr_cores))
+/// Events one traced run may hold before its rings overwrite, however many
+/// cores they are spread over — a dozen times the largest trace of the
+/// catalog (the top open-loop rung on the executor, ~11k events), so the
+/// runs that assert a drop-free trace get one on any core alone.
+const TRACE_EVENTS: usize = 1 << 17;
+
+/// The recording sink of one traced run: [`TRACE_EVENTS`] slots shared out
+/// among the cores, and no core below the default ring.
+fn trace_sink(nr_cores: usize) -> TraceSink {
+    let per_core = TRACE_EVENTS / nr_cores.max(1);
+    TraceSink::with_capacity(nr_cores, per_core.max(sched_trace::ring::DEFAULT_RING_CAPACITY))
 }
 
-/// Drains `sink` and writes the Chrome trace for `spec` on `backend`.
-/// Export failures are reported, not fatal — tracing must never sink an
-/// experiment run.
-fn export_trace(spec: &ExperimentSpec, backend: &str, sink: &sched_trace::TraceSink) {
+/// Writes the Chrome trace of `spec` on `backend` into the `--trace DIR`
+/// directory, if one was set.  Export failures are reported, not fatal —
+/// tracing must never sink an experiment run.
+fn export_trace(spec: &ExperimentSpec, backend: &str, trace: &Trace) {
     let Some(dir) = TRACE_DIR.get() else { return };
-    let trace = sink.drain();
     if trace.events.is_empty() {
         return;
     }
@@ -84,7 +101,7 @@ fn export_trace(spec: &ExperimentSpec, backend: &str, sink: &sched_trace::TraceS
         .collect();
     let path = dir.join(format!("{slug}.trace.json"));
     let write = std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&path, sched_trace::to_chrome_json(&trace)));
+        .and_then(|()| std::fs::write(&path, sched_trace::to_chrome_json(trace)));
     match write {
         Ok(()) => eprintln!(
             "trace: wrote {} ({} events{})",
@@ -990,11 +1007,19 @@ impl ExperimentRecord {
 
 /// One way of executing an [`ExperimentSpec`].
 pub trait Backend {
-    /// Short name used in records (`"model"`, `"sim"`, `"rq"`).
+    /// Short name used in records (`"model"`, `"sim"`, `"rq"`, …).
     fn name(&self) -> &'static str;
 
-    /// Executes the spec, or returns `None` if this backend cannot run it.
-    fn run(&self, spec: &ExperimentSpec) -> Option<ExperimentRecord>;
+    /// Executes the spec — recording every scheduling decision into `sink`
+    /// when one is attached — or returns `None` if this backend cannot run
+    /// it.  The record does not depend on whether a sink was attached.
+    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord>;
+
+    /// `false` for a backend with no decision points to record, which
+    /// ignores the sink; [`ExperimentRunner::run_traced`] refuses it.
+    fn records_trace(&self) -> bool {
+        true
+    }
 }
 
 fn record_base(spec: &ExperimentSpec, backend: &'static str) -> ExperimentRecord {
@@ -1146,7 +1171,11 @@ impl Backend for ModelBackend {
         "model"
     }
 
-    fn run(&self, spec: &ExperimentSpec) -> Option<ExperimentRecord> {
+    fn records_trace(&self) -> bool {
+        false
+    }
+
+    fn run(&self, spec: &ExperimentSpec, _sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
         // Overflow storms probe ring-overflow handling; the model has no
         // ring, so there is nothing for it to measure.  Batch sweeps probe
         // how many queue acquisitions a transfer costs; the model moves one
@@ -1271,140 +1300,105 @@ pub enum SimEngine {
     Event,
 }
 
-/// Runs one spec on the chosen simulation engine and returns the raw
-/// simulator result, honouring the spec's `events` budget and (on the
-/// event engine) its `order` seed.  This is the hook the scenario fuzzer's
-/// ordering sweep and the engine-parity tests drive: they compare result
-/// quantities (`finished`, `operations`, `makespan_ns`, …) that record
-/// stamping would discard.  Returns `None` for specs the simulator cannot
-/// execute (storms, batch sweeps, mis-sized load vectors).
-pub fn run_sim_result(engine: SimEngine, spec: &ExperimentSpec) -> Option<sched_sim::SimResult> {
-    use sched_sim::{
-        Engine, EventEngine, HierarchicalScheduler, OptimisticScheduler, OrderingPolicy, SimConfig,
-        SimScheduler,
-    };
+/// Everything one simulator run is built from.  Both engines, traced or
+/// not, stamped into a record or not, start from this one construction.
+struct SimScenario {
+    engine: SimEngine,
+    topo: Arc<MachineTopology>,
+    workload: Workload,
+    scheduler: Box<dyn sched_sim::SimScheduler>,
+    config: sched_sim::SimConfig,
+}
 
-    if spec.driver.storm().is_some() || spec.driver.openloop().is_some() || spec.batch.is_some() {
-        return None;
+impl SimScenario {
+    /// Builds `spec` for `engine`, honouring the spec's `events` budget
+    /// and (on the event engine) its `order` seed.  `None` for specs the
+    /// simulator cannot execute: like the model it has no fixed-capacity
+    /// ring for a storm to overflow and no per-steal queue acquisition for
+    /// a batch sweep to amortise, and it has no wall clock for an open loop.
+    fn build(engine: SimEngine, spec: &ExperimentSpec) -> Option<Self> {
+        use sched_sim::{HierarchicalScheduler, OptimisticScheduler, OrderingPolicy, SimConfig};
+
+        if spec.driver.storm().is_some() || spec.driver.openloop().is_some() || spec.batch.is_some()
+        {
+            return None;
+        }
+        let topo = Arc::new(spec.topo.build());
+        if topo.nr_cpus() != spec.loads.len() {
+            return None;
+        }
+        let workload = spec.sim_workload(topo.nr_cpus());
+        let scheduler: Box<dyn sched_sim::SimScheduler> = if spec.policy.is_hierarchical() {
+            Box::new(HierarchicalScheduler::new(spec.policy.build(&topo), Arc::clone(&topo)))
+        } else {
+            Box::new(OptimisticScheduler::with_topology(
+                spec.policy.build(&topo),
+                Arc::clone(&topo),
+            ))
+        };
+        let mut config = SimConfig::default();
+        if let Some(budget) = spec.events {
+            config = config.with_event_budget(budget);
+        }
+        if engine == SimEngine::Event {
+            if let Some(seed) = spec.order {
+                config = config.with_ordering(OrderingPolicy::Seeded(seed));
+            }
+        }
+        Some(SimScenario { engine, topo, workload, scheduler, config })
     }
-    let topo = Arc::new(spec.topo.build());
-    if topo.nr_cpus() != spec.loads.len() {
-        return None;
-    }
-    let workload = spec.sim_workload(topo.nr_cpus());
-    let scheduler: Box<dyn SimScheduler> = if spec.policy.is_hierarchical() {
-        Box::new(HierarchicalScheduler::new(spec.policy.build(&topo), Arc::clone(&topo)))
-    } else {
-        Box::new(OptimisticScheduler::with_topology(spec.policy.build(&topo), Arc::clone(&topo)))
-    };
-    let mut config = SimConfig::default();
-    if let Some(budget) = spec.events {
-        config = config.with_event_budget(budget);
-    }
-    if engine == SimEngine::Event {
-        if let Some(seed) = spec.order {
-            config = config.with_ordering(OrderingPolicy::Seeded(seed));
+
+    fn run(self, sink: Option<&TraceSink>) -> sched_sim::SimResult {
+        let SimScenario { engine, topo, workload, scheduler, config } = self;
+        match engine {
+            SimEngine::Tick => {
+                let mut driver = sched_sim::Engine::new(config, Some(&topo), &workload, scheduler);
+                if let Some(sink) = sink {
+                    driver.set_trace_sink(sink.clone());
+                }
+                driver.run()
+            }
+            SimEngine::Event => {
+                let mut driver =
+                    sched_sim::EventEngine::new(config, Some(&topo), &workload, scheduler);
+                if let Some(sink) = sink {
+                    driver.set_trace_sink(sink.clone());
+                }
+                driver.run()
+            }
         }
     }
-    Some(match engine {
-        SimEngine::Tick => Engine::new(config, Some(&topo), &workload, scheduler).run(),
-        SimEngine::Event => EventEngine::new(config, Some(&topo), &workload, scheduler).run(),
-    })
+}
+
+/// Runs one spec on the chosen simulation engine and returns the raw
+/// simulator result.  This is the hook the scenario fuzzer's ordering
+/// sweep and the engine-parity tests drive: they compare result quantities
+/// (`finished`, `operations`, `makespan_ns`, …) that record stamping would
+/// discard.  Returns `None` for specs the simulator cannot execute (storms,
+/// batch sweeps, open loops, mis-sized load vectors).
+pub fn run_sim_result(engine: SimEngine, spec: &ExperimentSpec) -> Option<sched_sim::SimResult> {
+    SimScenario::build(engine, spec).map(|scenario| scenario.run(None))
 }
 
 /// Runs one spec on the chosen simulation engine, labelling the record
-/// with `backend`; with `--trace DIR` set the run is recorded and
-/// exported.  Both engines share the scenario construction, the measured
-/// quantities and the schema-v6 engine columns.
-fn run_sim_spec(
+/// with `backend`.  Both engines share the scenario construction, the
+/// measured quantities and the schema-v6 engine columns.
+fn run_sim(
     engine: SimEngine,
     backend: &'static str,
     spec: &ExperimentSpec,
+    sink: Option<&TraceSink>,
 ) -> Option<ExperimentRecord> {
-    let sink = trace_sink_for(spec.loads.len());
-    let record = run_sim_spec_with_sink(engine, backend, spec, sink.as_ref())?;
-    if let Some(sink) = &sink {
-        export_trace(spec, backend, sink);
-    }
-    Some(record)
-}
-
-/// Runs `spec` on the chosen simulation engine with a recording
-/// [`sched_trace::TraceSink`] attached, returning the record together
-/// with the drained decision trace.  This is the entry point the
-/// fuzzer's sanity leg and the E25 experiment use; `--trace DIR` instead
-/// routes through the process-global export directory.
-pub fn run_sim_traced(
-    engine: SimEngine,
-    spec: &ExperimentSpec,
-) -> Option<(ExperimentRecord, sched_trace::Trace)> {
-    let backend = match engine {
-        SimEngine::Tick => "sim",
-        SimEngine::Event => "sim-event",
-    };
-    let sink = sched_trace::TraceSink::recording(spec.loads.len());
-    let record = run_sim_spec_with_sink(engine, backend, spec, Some(&sink))?;
-    Some((record, sink.drain()))
-}
-
-fn run_sim_spec_with_sink(
-    engine: SimEngine,
-    backend: &'static str,
-    spec: &ExperimentSpec,
-    sink: Option<&sched_trace::TraceSink>,
-) -> Option<ExperimentRecord> {
-    use sched_sim::{
-        Engine, EventEngine, HierarchicalScheduler, OptimisticScheduler, OrderingPolicy, SimConfig,
-        SimScheduler,
-    };
-
-    // Like the model, the simulator has no fixed-capacity ring and
-    // cannot execute an overflow storm, and no per-steal queue
-    // acquisition for a batch sweep to amortise.
-    if spec.driver.storm().is_some() || spec.driver.openloop().is_some() || spec.batch.is_some() {
-        return None;
-    }
-    let topo = Arc::new(spec.topo.build());
-    if topo.nr_cpus() != spec.loads.len() {
-        return None;
-    }
-    let workload = spec.sim_workload(topo.nr_cpus());
-    let scheduler: Box<dyn SimScheduler> = if spec.policy.is_hierarchical() {
-        Box::new(HierarchicalScheduler::new(spec.policy.build(&topo), Arc::clone(&topo)))
-    } else {
-        Box::new(OptimisticScheduler::with_topology(spec.policy.build(&topo), Arc::clone(&topo)))
-    };
-    let mut config = SimConfig::default();
-    if let Some(budget) = spec.events {
-        config = config.with_event_budget(budget);
-    }
-    if engine == SimEngine::Event {
-        if let Some(seed) = spec.order {
-            config = config.with_ordering(OrderingPolicy::Seeded(seed));
-        }
-    }
+    let scenario = SimScenario::build(engine, spec)?;
+    let topo = Arc::clone(&scenario.topo);
+    let threads = scenario.workload.nr_threads() as u64;
 
     let start = Instant::now();
-    let result = match engine {
-        SimEngine::Tick => {
-            let mut driver = Engine::new(config, Some(&topo), &workload, scheduler);
-            if let Some(sink) = sink {
-                driver.set_trace_sink(sink.clone());
-            }
-            driver.run()
-        }
-        SimEngine::Event => {
-            let mut driver = EventEngine::new(config, Some(&topo), &workload, scheduler);
-            if let Some(sink) = sink {
-                driver.set_trace_sink(sink.clone());
-            }
-            driver.run()
-        }
-    };
+    let result = scenario.run(sink);
     let wall = start.elapsed();
 
     let mut record = record_base(spec, backend);
-    record.threads = workload.nr_threads() as u64;
+    record.threads = threads;
     record.throughput = result.throughput_ops_per_sec();
     record.throughput_unit = "ops/s";
     record.violating_idle = result.violating_idle_fraction();
@@ -1432,8 +1426,8 @@ impl Backend for SimBackend {
         "sim"
     }
 
-    fn run(&self, spec: &ExperimentSpec) -> Option<ExperimentRecord> {
-        run_sim_spec(SimEngine::Tick, self.name(), spec)
+    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+        run_sim(SimEngine::Tick, self.name(), spec, sink)
     }
 }
 
@@ -1442,8 +1436,8 @@ impl Backend for SimEventBackend {
         "sim-event"
     }
 
-    fn run(&self, spec: &ExperimentSpec) -> Option<ExperimentRecord> {
-        run_sim_spec(SimEngine::Event, self.name(), spec)
+    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+        run_sim(SimEngine::Event, self.name(), spec, sink)
     }
 }
 
@@ -1590,36 +1584,11 @@ fn run_rq_storm<B: sched_rq::RqBackend>(
 }
 
 /// Runs one spec on a machine of `B`-discipline runqueues, labelling the
-/// record with `backend`; with `--trace DIR` set the run is recorded and
-/// exported.
-fn run_rq_spec<B: sched_rq::RqBackend>(
+/// record with `backend`.
+fn run_rq<B: sched_rq::RqBackend>(
     backend: &'static str,
     spec: &ExperimentSpec,
-) -> Option<ExperimentRecord> {
-    let sink = trace_sink_for(spec.loads.len());
-    let record = run_rq_spec_with_sink::<B>(backend, spec, sink.as_ref())?;
-    if let Some(sink) = &sink {
-        export_trace(spec, backend, sink);
-    }
-    Some(record)
-}
-
-/// Runs `spec` on a machine of `B`-discipline runqueues with a recording
-/// [`sched_trace::TraceSink`] attached, returning the record together
-/// with the drained decision trace (see [`run_sim_traced`]).
-pub fn run_rq_traced<B: sched_rq::RqBackend>(
-    backend: &'static str,
-    spec: &ExperimentSpec,
-) -> Option<(ExperimentRecord, sched_trace::Trace)> {
-    let sink = sched_trace::TraceSink::recording(spec.loads.len());
-    let record = run_rq_spec_with_sink::<B>(backend, spec, Some(&sink))?;
-    Some((record, sink.drain()))
-}
-
-fn run_rq_spec_with_sink<B: sched_rq::RqBackend>(
-    backend: &'static str,
-    spec: &ExperimentSpec,
-    sink: Option<&sched_trace::TraceSink>,
+    sink: Option<&TraceSink>,
 ) -> Option<ExperimentRecord> {
     // An open-loop stream needs real worker threads pulling work as it
     // arrives; the round-driven runqueue harness has none.
@@ -1708,8 +1677,8 @@ impl Backend for RqBackend {
         "rq"
     }
 
-    fn run(&self, spec: &ExperimentSpec) -> Option<ExperimentRecord> {
-        run_rq_spec::<sched_rq::PerCoreRq<sched_rq::FifoQueue>>(self.name(), spec)
+    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+        run_rq::<sched_rq::PerCoreRq<sched_rq::FifoQueue>>(self.name(), spec, sink)
     }
 }
 
@@ -1718,8 +1687,8 @@ impl Backend for RqDequeBackend {
         "rq-deque"
     }
 
-    fn run(&self, spec: &ExperimentSpec) -> Option<ExperimentRecord> {
-        run_rq_spec::<sched_rq::DequeRq>(self.name(), spec)
+    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+        run_rq::<sched_rq::DequeRq>(self.name(), spec, sink)
     }
 }
 
@@ -1742,9 +1711,9 @@ impl Backend for RqTinyDequeBackend {
         "rq-deque-tiny"
     }
 
-    fn run(&self, spec: &ExperimentSpec) -> Option<ExperimentRecord> {
+    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
         spec.driver.storm()?;
-        run_rq_spec::<sched_rq::TinyDequeRq>(self.name(), spec)
+        run_rq::<sched_rq::TinyDequeRq>(self.name(), spec, sink)
     }
 }
 
@@ -1753,19 +1722,19 @@ impl Backend for RqSpillDequeBackend {
         "rq-deque-spill"
     }
 
-    fn run(&self, spec: &ExperimentSpec) -> Option<ExperimentRecord> {
+    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
         spec.driver.storm()?;
-        run_rq_spec::<sched_rq::TinySpillDequeRq>(self.name(), spec)
+        run_rq::<sched_rq::TinySpillDequeRq>(self.name(), spec, sink)
     }
 }
 
 /// The real-executor backend (record backend `"exec"`): OS worker threads
 /// on [`sched_exec::Executor`] — the verified ring+injector runqueues with
-/// parking/unparking — driven by an open-loop request stream and measuring
-/// wall-clock end-to-end latency into the schema-v8 `e2e_p99_us` /
-/// `e2e_p999_us` columns.  Only executes specs carrying an
-/// [`OpenLoopDriverSpec`]; every other driver shape is round-paced and
-/// already covered by the runqueue backends.
+/// parking/unparking — driven by an open-loop request stream whose driver
+/// measures wall-clock end-to-end latency from each request's scheduled
+/// arrival into the schema-v8 `e2e_p99_us` / `e2e_p999_us` columns.  Only
+/// executes specs carrying an [`OpenLoopDriverSpec`]; every other driver
+/// shape is round-paced and already covered by the runqueue backends.
 pub struct ExecBackend;
 
 /// Ring capacity of the executor backend's per-worker runqueues: far past
@@ -1778,67 +1747,57 @@ impl Backend for ExecBackend {
         "exec"
     }
 
-    fn run(&self, spec: &ExperimentSpec) -> Option<ExperimentRecord> {
-        spec.driver.openloop()?;
-        let sink = trace_sink_for(spec.loads.len());
-        let record = run_exec_spec_with_sink(self.name(), spec, sink.as_ref())?;
-        if let Some(sink) = &sink {
-            export_trace(spec, self.name(), sink);
+    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+        let openloop = spec.driver.openloop()?;
+        let topo = Arc::new(spec.topo.build());
+        if topo.nr_cpus() != spec.loads.len() {
+            return None;
         }
+        let policy = spec.policy.build(&topo);
+        let mut config = sched_exec::ExecConfig::new(Arc::clone(&topo), policy)
+            .with_ring_capacity(EXEC_RING_CAPACITY);
+        if let Some(sink) = sink {
+            config = config.with_trace(sink.clone());
+        }
+
+        let start = Instant::now();
+        let exec = sched_exec::Executor::start(config);
+        let driven = sched_exec::drive(&exec, openloop.exec_spec());
+        exec.drain();
+        let report = exec.shutdown();
+        let wall = start.elapsed();
+        // Drained: the driver's slots hold every request's latency.
+        let latency_us = driven.latency_us();
+
+        let mut record = record_base(spec, self.name());
+        record.threads = driven.submitted;
+        record.throughput = if wall.as_secs_f64() > 0.0 {
+            report.completed as f64 / wall.as_secs_f64()
+        } else {
+            0.0
+        };
+        record.throughput_unit = "reqs/s";
+        record.migrations = report.stats.migrations();
+        record.failures = report.stats.failures();
+        record.locality = StealLocality::from_counts(report.stats.level_migration_counts());
+        record.e2e_p99_us = Some(latency_us.quantile(0.99) as f64);
+        record.e2e_p999_us = Some(latency_us.quantile(0.999) as f64);
+        // Like the simulator, the executor runs its requests to completion —
+        // there is no final residency to conserve, so `final_loads` stays
+        // empty.
+        record.wall_ms = wall.as_secs_f64() * 1e3;
         Some(record)
     }
 }
 
-/// Runs `spec` on the real executor with a recording
-/// [`sched_trace::TraceSink`] attached, returning the record together with
-/// the drained decision trace (see [`run_rq_traced`]).  The sink is sized
-/// well past the event volume of the catalogued rungs so the sanity
-/// checker sees a complete, drop-free trace.
-pub fn run_exec_traced(spec: &ExperimentSpec) -> Option<(ExperimentRecord, sched_trace::Trace)> {
-    let sink = sched_trace::TraceSink::with_capacity(spec.loads.len(), 1 << 17);
-    let record = run_exec_spec_with_sink("exec", spec, Some(&sink))?;
-    Some((record, sink.drain()))
-}
-
-fn run_exec_spec_with_sink(
-    backend: &'static str,
-    spec: &ExperimentSpec,
-    sink: Option<&sched_trace::TraceSink>,
-) -> Option<ExperimentRecord> {
-    let openloop = spec.driver.openloop()?;
-    let topo = Arc::new(spec.topo.build());
-    if topo.nr_cpus() != spec.loads.len() {
-        return None;
-    }
-    let policy = spec.policy.build(&topo);
-    let mut config = sched_exec::ExecConfig::new(Arc::clone(&topo), policy)
-        .with_ring_capacity(EXEC_RING_CAPACITY);
-    if let Some(sink) = sink {
-        config = config.with_trace(sink.clone());
-    }
-
-    let start = Instant::now();
-    let exec = sched_exec::Executor::start(config);
-    let generated = sched_exec::drive(&exec, openloop.exec_spec());
-    exec.drain();
-    let report = exec.shutdown();
-    let wall = start.elapsed();
-
-    let mut record = record_base(spec, backend);
-    record.threads = generated.submitted;
-    record.throughput =
-        if wall.as_secs_f64() > 0.0 { report.completed as f64 / wall.as_secs_f64() } else { 0.0 };
-    record.throughput_unit = "reqs/s";
-    record.migrations = report.stats.migrations();
-    record.failures = report.stats.failures();
-    record.locality = StealLocality::from_counts(report.stats.level_migration_counts());
-    record.e2e_p99_us = Some(report.latency_us.quantile(0.99) as f64);
-    record.e2e_p999_us = Some(report.latency_us.quantile(0.999) as f64);
-    // Like the simulator, the executor runs its requests to completion —
-    // there is no final residency to conserve, so `final_loads` stays
-    // empty.
-    record.wall_ms = wall.as_secs_f64() * 1e3;
-    Some(record)
+/// Runs `spec` on `backend` with a recorder attached and returns the record
+/// with the drained trace — written out too, under `--trace DIR`.
+fn run_recorded(backend: &dyn Backend, spec: &ExperimentSpec) -> Option<(ExperimentRecord, Trace)> {
+    let sink = trace_sink(spec.loads.len());
+    let record = backend.run(spec, Some(&sink))?;
+    let trace = sink.drain();
+    export_trace(spec, backend.name(), &trace);
+    Some((record, trace))
 }
 
 /// Executes specs across a set of backends.
@@ -1877,18 +1836,54 @@ impl ExperimentRunner {
         &self.backends
     }
 
+    /// Names [`ExperimentRunner::run_traced`] accepts, in execution order.
+    pub fn traced_backends(&self) -> Vec<&'static str> {
+        self.backends.iter().filter(|b| b.records_trace()).map(|b| b.name()).collect()
+    }
+
     /// Runs one spec on every backend that supports it, honouring the
     /// spec's backend matrix.  Consumes the spec — a run is a terminal use;
     /// callers that reuse one clone it explicitly.
     pub fn run(&self, spec: ExperimentSpec) -> Vec<ExperimentRecord> {
+        let exporting = TRACE_DIR.get().is_some();
         self.backends
             .iter()
             .filter(|b| match &spec.backends {
                 Some(allowed) => allowed.iter().any(|name| name == b.name()),
                 None => true,
             })
-            .filter_map(|b| b.run(&spec))
+            .filter_map(|b| {
+                if exporting && b.records_trace() {
+                    run_recorded(b.as_ref(), &spec).map(|(record, _)| record)
+                } else {
+                    b.run(&spec, None)
+                }
+            })
             .collect()
+    }
+
+    /// Runs one spec on the backend called `backend` with decision tracing
+    /// on, returning the record and the drained trace.
+    ///
+    /// `Ok(None)` means the backend cannot execute the spec (the
+    /// simulators refuse overflow storms and batch sweeps, the tiny-ring
+    /// flavours refuse everything *but* storms) — each backend's own rule,
+    /// as in [`ExperimentRunner::run`], though the spec's backend matrix is
+    /// not consulted: the caller named the backend.  A name this runner has
+    /// no trace-recording backend for is an `Err`, so a CLI can tell a typo
+    /// from an incompatible scenario.
+    pub fn run_traced(
+        &self,
+        backend: &str,
+        spec: &ExperimentSpec,
+    ) -> Result<Option<(ExperimentRecord, Trace)>, String> {
+        match self.backends.iter().find(|b| b.name() == backend && b.records_trace()) {
+            Some(b) => Ok(run_recorded(b.as_ref(), spec)),
+            None => Err(format!(
+                "unknown backend `{backend}` (expected one of: {})",
+                self.traced_backends().join(", ")
+            )),
+        }
     }
 
     /// Runs every spec on every backend.
@@ -2144,6 +2139,75 @@ mod tests {
                 "{}: no core may end above the initial maximum",
                 r.backend
             );
+        }
+    }
+
+    /// What the by-name traced entry refuses: a typo and the model (which
+    /// records no trace) are errors, not silent skips, and the tiny
+    /// flavours decline through their own storm-only rule.
+    #[test]
+    fn run_traced_refuses_unknown_names_and_leaves_declining_to_the_backend() {
+        let runner = ExperimentRunner::with_all_backends();
+        let replay = small_spec(PolicySpec::Listing1);
+        assert!(runner.run_traced("qr-deque", &replay).is_err());
+        assert!(runner.run_traced("model", &replay).is_err());
+        for tiny in ["rq-deque-tiny", "rq-deque-spill"] {
+            assert!(
+                runner.run_traced(tiny, &replay).expect("a known backend").is_none(),
+                "{tiny}: the tiny flavours execute nothing but storms"
+            );
+        }
+    }
+
+    /// Tracing attaches to a run, it does not fork it: for every backend
+    /// of the runner, found by name, and the first catalogued spec it
+    /// executes, the traced run and the plain one produce the same record
+    /// wherever a record can repeat, and the trace alone folds back into
+    /// the traced record's counters with nothing dropped.
+    #[test]
+    fn a_traced_run_is_the_same_run_on_every_backend() {
+        use sched_trace::FoldedStats;
+
+        let runner = ExperimentRunner::with_all_backends();
+        let catalog = crate::catalog::catalog();
+        let names: Vec<&str> = runner.backends().iter().map(|b| b.name()).collect();
+        assert_eq!(names.len(), 8);
+        assert_eq!(runner.traced_backends(), names[1..], "every backend but the model traces");
+        for &name in &names[1..] {
+            let (spec, traced, trace) = catalog
+                .iter()
+                .find_map(|spec| {
+                    let (record, trace) = runner.run_traced(name, spec).expect("a known name")?;
+                    Some((spec, record, trace))
+                })
+                .unwrap_or_else(|| panic!("{name} executes no catalogued spec"));
+            let mut only = spec.clone();
+            only.backends = Some(vec![name.to_string()]);
+            let plain = runner.run(only).pop().expect("the plain run accepts what the traced did");
+
+            let identity = |r: &ExperimentRecord| {
+                let ExperimentRecord { experiment, scenario, policy, tracker, .. } = r.clone();
+                let shape = (r.backend, r.cores, r.threads, r.throughput_unit);
+                let columns = (r.rq_backend, r.steal_batch_k, r.sim_engine);
+                (experiment, scenario, policy, tracker, shape, columns)
+            };
+            assert_eq!(identity(&traced), identity(&plain), "{name}");
+            assert_eq!(traced.backend, name);
+            if traced.sim_engine.is_some() {
+                // Simulated time: every measured field repeats exactly.
+                let measured = |r: &ExperimentRecord| {
+                    let counts = (r.migrations, r.failures, r.locality.counts());
+                    let idle = (r.violating_idle, r.per_node_violating_idle.clone());
+                    (counts, idle, r.throughput, r.p99_sched_latency_us, r.events_processed)
+                };
+                assert_eq!(measured(&traced), measured(&plain), "{name}");
+            }
+
+            assert_eq!(trace.dropped, 0, "{name}: the sink must hold `{}`", spec.scenario);
+            let folded = FoldedStats::from_trace(&trace);
+            assert_eq!(folded.migrations, traced.migrations, "{name}: migrations == fold(trace)");
+            assert_eq!(folded.failures(), traced.failures, "{name}: failures == fold(trace)");
+            assert_eq!(folded.level_migrations, traced.locality.counts(), "{name}");
         }
     }
 

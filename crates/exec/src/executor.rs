@@ -10,6 +10,11 @@
 //! [`StealRecorder`] program point the `stats == fold(trace)` parity proofs
 //! rely on, and per-decision tracing through [`sched_trace`].
 //!
+//! A job is a closure, and that is the only kind there is.  What a caller
+//! wants measured about its jobs — [`crate::openloop`]'s per-request
+//! latency, say — it measures itself, inside the closures it submits; the
+//! executor keeps counts and the decision trace, no timings.
+//!
 //! # The worker loop
 //!
 //! ```text
@@ -122,7 +127,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sched_core::{CoreId, CoreSnapshot, Policy, StealOutcome, TaskId};
-use sched_metrics::Histogram;
 use sched_rq::steal::StealRecorder;
 use sched_rq::{BalanceStats, DequeRq, RqBackend, RqTask, StealBatch};
 use sched_topology::MachineTopology;
@@ -201,19 +205,9 @@ impl ExecConfig {
 #[repr(align(128))]
 struct Padded<T>(T);
 
-/// What one submitted task actually does when a worker runs it.
-enum Job {
-    /// Run a closure (the `spawn` API); returns whether it panicked.
-    Closure(Box<dyn FnOnce() -> bool + Send + 'static>),
-    /// Spin for a sampled service time and record the end-to-end latency
-    /// since submission (the open-loop benchmark API).
-    Request {
-        /// Nanoseconds of CPU to burn.
-        service_ns: u64,
-        /// Submission time, nanoseconds since the executor started.
-        submitted_ns: u64,
-    },
-}
+/// A submitted task's payload: runs the caller's closure, hands its result
+/// to the join cell and returns whether it panicked.
+type Job = Box<dyn FnOnce() -> bool + Send + 'static>;
 
 /// One slab slot: the waiting job and how often the slot has been vacated.
 struct Slot {
@@ -428,19 +422,13 @@ struct Shared {
     drainer: Parker,
     /// Held for the whole of a `drain`, so `drainer` has one user.
     drain_gate: Mutex<()>,
-    /// Per-worker latency histograms merge here as workers exit.
-    latency: Mutex<Histogram>,
 }
 
 impl Shared {
-    fn now_wall_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-    }
-
     /// Advances the logical clock to wall time and publishes it to the
     /// trace, so events across workers are stamped on one timeline.
     fn advance_clock(&self) -> u64 {
-        let now = self.now_wall_ns();
+        let now = self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         self.clock.fetch_max(now, Ordering::AcqRel);
         self.trace.set_now(now);
         now
@@ -617,27 +605,16 @@ impl Shared {
     }
 
     /// Runs one claimed task to completion on worker `me`.
-    fn execute(&self, task: TaskId, me: usize, latency: &mut Histogram) {
+    fn execute(&self, task: TaskId, me: usize) {
         let job = self.jobs.take(task);
         // Jobs are inserted before their id is enqueued, so a claimed id
         // always resolves; tolerate a miss anyway rather than poisoning
         // the worker.
         debug_assert!(job.is_some(), "task {task:?} has no job");
-        let (panicked, request_submitted_ns) = match job {
-            Some(Job::Closure(run)) => (run(), None),
-            Some(Job::Request { service_ns, submitted_ns }) => {
-                spin_for(service_ns);
-                (false, Some(submitted_ns))
-            }
-            None => (false, None),
-        };
-        // The one wall-clock read per task: it ends this task's latency,
-        // stamps its completion and is the reading the next task's spawns
-        // go by.
+        let panicked = job.is_some_and(|run| run());
+        // The one wall-clock read per task: it stamps this task's
+        // completion and is the reading the next task's spawns go by.
         let now = self.advance_clock();
-        if let Some(submitted_ns) = request_submitted_ns {
-            latency.record(now.saturating_sub(submitted_ns) / 1_000);
-        }
         if self.trace.is_enabled() {
             self.trace.record(CoreId(me), now, &TraceEvent::TaskDone { task });
         }
@@ -669,7 +646,6 @@ impl Shared {
     fn worker_loop(&self, me: usize) {
         WORKER.set(Some(WorkerTag { executor: self.id, index: me }));
         let rq = &self.cores[me];
-        let mut latency = Histogram::new();
         self.advance_clock();
         loop {
             rq.refresh();
@@ -678,7 +654,7 @@ impl Shared {
             // ring and injector via `pick_next`.  Each task advances the
             // clock as it completes.
             while let Some(task) = rq.current_task().or_else(|| rq.pick_next()) {
-                self.execute(task, me, &mut latency);
+                self.execute(task, me);
             }
             // Own sources empty: go stealing.  The `searching` counter is
             // up only around the attempt — producers seeing it nonzero
@@ -718,26 +694,12 @@ impl Shared {
             let now = self.advance_clock();
             self.trace.record(CoreId(me), now, &TraceEvent::Unpark);
         }
-        self.latency.lock().expect("latency histogram poisoned").merge(&latency);
-    }
-}
-
-/// Burns roughly `ns` nanoseconds of CPU (the "service" of a benchmark
-/// request).  Spinning, not sleeping: a request occupies its core exactly
-/// the way real work would, which is what makes the measured queueing
-/// delays honest.
-fn spin_for(ns: u64) {
-    let end = Instant::now() + Duration::from_nanos(ns);
-    while Instant::now() < end {
-        std::hint::spin_loop();
     }
 }
 
 /// Everything a finished run measured, returned by [`Executor::shutdown`].
 #[derive(Debug)]
 pub struct ExecReport {
-    /// End-to-end request latency (submission → completion), microseconds.
-    pub latency_us: Histogram,
     /// Jobs completed over the executor's lifetime, panicked ones included.
     pub completed: u64,
     /// Jobs whose closure panicked.  Each one still completed: its worker
@@ -797,7 +759,6 @@ impl Executor {
             draining: AtomicBool::new(false),
             drainer: Parker::new(),
             drain_gate: Mutex::new(()),
-            latency: Mutex::new(Histogram::new()),
         });
         let workers = (0..nr_workers)
             .map(|me| {
@@ -832,26 +793,18 @@ impl Executor {
     {
         let cell = Arc::new(JoinCell::new());
         let out = Arc::clone(&cell);
-        self.shared.submit(Job::Closure(Box::new(move || {
+        self.shared.submit(Box::new(move || {
             let result = catch_unwind(AssertUnwindSafe(f));
             let panicked = result.is_err();
             out.complete(result);
             panicked
-        })));
+        }));
         JoinHandle { cell }
     }
 
-    /// Submits one open-loop benchmark request costing `service_ns` of
-    /// CPU; its end-to-end latency (now → completion) lands in the
-    /// report's histogram.
-    pub fn submit_request(&self, service_ns: u64) {
-        let submitted_ns = self.shared.now_wall_ns();
-        self.shared.submit(Job::Request { service_ns, submitted_ns });
-    }
-
     /// Blocks until every submitted job has completed.  Open-loop runs
-    /// call this after the generator finishes so the histogram covers the
-    /// whole schedule, including the backlog.
+    /// call this after the generator finishes so that every request of the
+    /// schedule, the backlog included, has written its latency.
     pub fn drain(&self) {
         let shared = &self.shared;
         let _one_drainer = shared.drain_gate.lock().expect("drain gate poisoned");
@@ -897,7 +850,6 @@ impl Executor {
         let stats = BalanceStats::new();
         stats.merge_from(&shared.stats);
         ExecReport {
-            latency_us: shared.latency.lock().expect("latency histogram poisoned").clone(),
             completed: shared.completed(),
             panicked: shared.counters.iter().map(|c| c.0.panicked.load(Ordering::Relaxed)).sum(),
             stats,
@@ -918,7 +870,7 @@ impl std::fmt::Debug for Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::openloop::{drive, OpenLoopSpec, ServiceMix};
+    use crate::openloop::{drive, spin_for, OpenLoopSpec, ServiceMix};
     use sched_core::policy::TopologyAwareChoice;
     use sched_core::ChoicePolicy;
     use sched_core::LoadMetric;
@@ -963,16 +915,22 @@ mod tests {
     #[test]
     fn requests_measure_end_to_end_latency() {
         let exec = start(TraceSink::disabled());
-        for _ in 0..32 {
-            exec.submit_request(5_000);
-        }
+        let spec = OpenLoopSpec {
+            rate_hz: 4_000,
+            duration_ms: 10,
+            service: ServiceMix::Fixed { ns: 5_000 },
+            seed: 5,
+        };
+        let driven = drive(&exec, spec);
+        assert!(driven.submitted > 0);
         exec.drain();
+        let latency = driven.latency_us();
         let report = exec.shutdown();
-        assert_eq!(report.completed, 32);
-        assert_eq!(report.latency_us.count(), 32);
+        assert_eq!(report.completed, driven.submitted);
+        assert_eq!(latency.count(), driven.submitted);
         // 5 µs of service: every measured latency is at least that, minus
         // the µs-truncation of sub-microsecond parts.
-        assert!(report.latency_us.max() >= 4);
+        assert!(latency.min() >= Some(4));
     }
 
     #[test]
@@ -984,12 +942,69 @@ mod tests {
             service: ServiceMix::Fixed { ns: 2_000 },
             seed: 7,
         };
-        let report = drive(&exec, spec);
-        assert!(report.submitted > 0);
+        let driven = drive(&exec, spec);
+        assert!(driven.submitted > 0);
+        assert_eq!(driven.submitted, spec.arrivals().count() as u64);
         exec.drain();
+        // Drained, the driver's histogram holds every request, and the
+        // executor counted exactly those jobs.
+        let latency = driven.latency_us();
         let summary = exec.shutdown();
-        assert_eq!(summary.completed, report.submitted);
-        assert_eq!(summary.latency_us.count(), report.submitted);
+        assert_eq!(latency.count(), driven.submitted);
+        assert_eq!(summary.completed, driven.submitted);
+    }
+
+    /// Coordinated omission: a request's clock starts at its *scheduled*
+    /// arrival.  The schedule packs its arrivals into one millisecond,
+    /// which the submit loop cannot keep up with, so it runs ever later;
+    /// the workers are held until the loop is done, so every completion
+    /// follows `wall_ns` and each request — the last one, whose bound is
+    /// the smallest, included — waited at least from its arrival until
+    /// then.  A stamp taken at submission would hide the generator's lag:
+    /// the requests run first after the release were submitted last and
+    /// would read as having waited next to nothing.
+    #[test]
+    fn a_request_is_timed_from_its_scheduled_arrival_not_from_its_submission() {
+        let exec = start(TraceSink::disabled());
+        let held = Arc::new(std::sync::Barrier::new(exec.nr_workers() + 1));
+        let gates: Vec<JoinHandle<()>> = (0..exec.nr_workers())
+            .map(|_| {
+                let held = Arc::clone(&held);
+                exec.spawn(move || {
+                    held.wait();
+                    held.wait();
+                })
+            })
+            .collect();
+        held.wait();
+        let spec = OpenLoopSpec {
+            rate_hz: 10_000_000,
+            duration_ms: 1,
+            service: ServiceMix::Fixed { ns: 0 },
+            seed: 13,
+        };
+        let driven = drive(&exec, spec);
+        held.wait();
+        gates.into_iter().for_each(JoinHandle::join);
+        exec.drain();
+
+        let last = spec.arrivals().last().expect("the schedule is not empty");
+        let lag_ns = driven.wall_ns - last.at_ns;
+        assert!(
+            lag_ns > 1_000_000,
+            "the loop must fall behind for the lag to show: {} requests in {} ns",
+            driven.submitted,
+            driven.wall_ns
+        );
+        let latency = driven.latency_us();
+        assert_eq!(latency.count(), driven.submitted);
+        assert!(
+            latency.min() >= Some(lag_ns / 1_000),
+            "a request read {:?} us although the generator ran {} us late",
+            latency.min(),
+            lag_ns / 1_000
+        );
+        exec.shutdown();
     }
 
     #[test]
@@ -1030,33 +1045,36 @@ mod tests {
 
     // ---- the job slab ----
 
-    fn request(service_ns: u64) -> Job {
-        Job::Request { service_ns, submitted_ns: 0 }
+    /// A job that leaves `tag` in `ran` when it runs.
+    fn tagged(tag: u64, ran: &Arc<AtomicU64>) -> Job {
+        let ran = Arc::clone(ran);
+        Box::new(move || {
+            ran.store(tag, Ordering::Relaxed);
+            false
+        })
     }
 
     #[test]
     fn slab_ids_resolve_exactly_once_and_stay_unique_across_slot_reuse() {
         let slab = JobSlab::new(3);
+        let ran = Arc::new(AtomicU64::new(u64::MAX));
         let mut seen = HashSet::new();
         for round in 0..50u64 {
             // Two in flight per shard, vacated every round: the free list
             // hands the same two slots out again with a new generation.
             let ids: Vec<TaskId> =
-                (0..6).map(|i| slab.insert(i % 3, request(round * 6 + i as u64))).collect();
+                (0..6).map(|i| slab.insert(i % 3, tagged(round * 6 + i as u64, &ran))).collect();
             for (i, id) in ids.iter().enumerate() {
                 assert!(seen.insert(id.0), "id {id:?} handed out twice");
                 assert!(id.0 < ID_LIMIT);
                 assert_eq!(id.0 % 3, i as u64 % 3, "the shard rides in the id");
-                match slab.take(*id) {
-                    Some(Job::Request { service_ns, .. }) => {
-                        assert_eq!(
-                            service_ns,
-                            round * 6 + i as u64,
-                            "an id resolves to its own job"
-                        );
-                    }
-                    _ => panic!("id {id:?} did not resolve"),
-                }
+                let run = slab.take(*id).unwrap_or_else(|| panic!("id {id:?} did not resolve"));
+                run();
+                assert_eq!(
+                    ran.load(Ordering::Relaxed),
+                    round * 6 + i as u64,
+                    "an id resolves to its own job"
+                );
                 assert!(slab.take(*id).is_none(), "an id resolves once");
             }
         }
@@ -1082,11 +1100,11 @@ mod tests {
         let slot_of = |id: TaskId| (id.0 / 5) & ((1 << SLOT_BITS) - 1);
         let generation_of = |id: TaskId| (id.0 / 5) >> SLOT_BITS;
         for generation in 0..3 {
-            let id = slab.insert(1, request(0));
+            let id = slab.insert(1, Box::new(|| false));
             assert_eq!((slot_of(id), generation_of(id)), (0, generation));
             assert!(slab.take(id).is_some());
         }
-        let id = slab.insert(1, request(0));
+        let id = slab.insert(1, Box::new(|| false));
         assert_eq!((slot_of(id), generation_of(id)), (1, 0), "slot 0 is out of generations");
     }
 
@@ -1263,7 +1281,7 @@ mod tests {
     fn concurrent_drains_all_return() {
         let exec = start(TraceSink::disabled());
         for _ in 0..64 {
-            exec.submit_request(20_000);
+            drop(exec.spawn(|| spin_for(20_000)));
         }
         std::thread::scope(|scope| {
             for _ in 0..3 {
@@ -1523,7 +1541,7 @@ mod tests {
                 let exec = Arc::clone(&exec);
                 scope.spawn(move || {
                     for _ in 0..500 {
-                        exec.submit_request(1_000);
+                        drop(exec.spawn(|| spin_for(1_000)));
                         std::thread::sleep(Duration::from_micros(50));
                     }
                 });
@@ -1547,11 +1565,12 @@ mod tests {
             service: ServiceMix::Bimodal { short_ns: 2_000, long_ns: 50_000, long_pct: 5 },
             seed: 3,
         };
-        let report = drive(&exec, spec);
+        let driven = drive(&exec, spec);
         exec.drain();
+        let latency = driven.latency_us();
         let summary = exec.shutdown();
-        assert_eq!(summary.completed, report.submitted);
-        assert!(summary.latency_us.count() > 0);
+        assert_eq!(summary.completed, driven.submitted);
+        assert_eq!(latency.count(), driven.submitted);
     }
 
     /// Satellite (b), at strength: more submitters, for longer.

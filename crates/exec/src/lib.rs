@@ -22,9 +22,13 @@
 //!   [`sched_rq::steal::StealRecorder`] program point as the other
 //!   substrates, so `stats == fold(trace)` parity holds on real threads;
 //! * **an open-loop load generator** ([`openloop`]) — seeded Poisson
-//!   arrivals with fixed/exponential/bimodal service mixes, measuring
-//!   wall-clock end-to-end latency into a [`sched_metrics::Histogram`]
-//!   (the `e2e_p99_us`/`e2e_p999_us` fields of the benchmark records).
+//!   arrivals with fixed/exponential/bimodal service mixes.  It is a
+//!   client like any other: the executor runs closures and nothing else,
+//!   each request is a spawned closure that spins its service time and
+//!   writes how long it took into a slot the driver owns, and the
+//!   driver folds the slots into a [`sched_metrics::Histogram`] of
+//!   latencies taken from each request's *scheduled* arrival (the
+//!   `e2e_p99_us`/`e2e_p999_us` fields of the benchmark records).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,13 +10,27 @@
 //! measured end-to-end latency.  That is the methodology the latency
 //! ladder (`e26`) sweeps toward saturation.
 //!
+//! The latency is measured **from outside the executor**, which runs
+//! closures and knows nothing of requests: [`drive`] owns one slot per
+//! scheduled arrival, each request is a spawned closure that spins its
+//! service time and writes how long it took into its slot, and the
+//! [`OpenLoopReport`] folds the slots into a histogram once the caller has
+//! drained.  A request's clock starts at its *scheduled* arrival, not when
+//! the generator got round to submitting it: time the generator runs late
+//! is time the request waited, and stamping at submission would leave out
+//! exactly the delays an overloaded system causes (coordinated omission).
+//!
 //! Everything is deterministic given the seed: the arrival timestamps and
 //! the per-request service times come from one splitmix64 stream, so a
 //! scenario replays the identical request schedule on every run (the
 //! *submission* schedule, that is — wall-clock jitter in when those
 //! submissions land is the operating system's to add).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use sched_metrics::Histogram;
 
 use crate::executor::Executor;
 
@@ -170,29 +184,68 @@ impl Iterator for ArrivalStream {
     }
 }
 
-/// What an open-loop run submitted, as observed by the generator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// What an open-loop run submitted and, once the executor has drained,
+/// how long each request took.
+#[derive(Debug)]
 pub struct OpenLoopReport {
     /// Requests submitted to the executor.
     pub submitted: u64,
     /// Wall-clock length of the submission phase, nanoseconds.
     pub wall_ns: u64,
+    /// One slot per request: nanoseconds from its scheduled arrival to the
+    /// end of its service, written by its closure; 0 until it has run.
+    latency_ns: Arc<[AtomicU64]>,
+}
+
+impl OpenLoopReport {
+    /// End-to-end latency, in microseconds, of every request that has
+    /// completed: from its scheduled arrival to the end of its service.
+    /// Read it after [`Executor::drain`] and it covers the whole schedule,
+    /// the backlog included.
+    pub fn latency_us(&self) -> Histogram {
+        let mut latency = Histogram::new();
+        for slot in self.latency_ns.iter() {
+            // Relaxed is enough after a drain: the completion count the
+            // drain waited for was bumped after the closure's store.
+            match slot.load(Ordering::Relaxed) {
+                0 => {}
+                ns => latency.record(ns / 1_000),
+            }
+        }
+        latency
+    }
+}
+
+fn elapsed_ns(since: Instant) -> u64 {
+    since.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+}
+
+/// Burns roughly `ns` nanoseconds of CPU (the "service" of a request).
+/// Spinning, not sleeping: a request occupies its core exactly the way real
+/// work would, which is what makes the measured queueing delays honest.
+pub(crate) fn spin_for(ns: u64) {
+    let end = Instant::now() + Duration::from_nanos(ns);
+    while Instant::now() < end {
+        std::hint::spin_loop();
+    }
 }
 
 /// Drives `spec`'s arrival schedule into `exec` in real time.
 ///
-/// The generator sleeps until each arrival's timestamp and submits it,
+/// The generator sleeps until each arrival's timestamp and spawns it,
 /// *never* waiting for completions — that is the open-loop contract.  If
 /// the clock has already passed a batch of arrivals (sleep overshoot, or
 /// an executor hogging every core of a small machine), they are submitted
 /// back to back; their queueing delay is real and belongs in the
-/// measurement.  Returns once the schedule is exhausted, without draining:
+/// measurement, which is why each request is timed from its scheduled
+/// arrival.  Returns once the schedule is exhausted, without draining:
 /// callers decide whether to wait for the queues to empty
-/// ([`Executor::drain`]) before reading the latency histogram.
+/// ([`Executor::drain`]) before reading [`OpenLoopReport::latency_us`].
 pub fn drive(exec: &Executor, spec: OpenLoopSpec) -> OpenLoopReport {
+    let schedule: Vec<Arrival> = spec.arrivals().collect();
+    let latency_ns: Arc<[AtomicU64]> = schedule.iter().map(|_| AtomicU64::new(0)).collect();
     let start = Instant::now();
-    let mut report = OpenLoopReport::default();
-    for arrival in spec.arrivals() {
+    for (slot, arrival) in schedule.iter().enumerate() {
         let due = Duration::from_nanos(arrival.at_ns);
         loop {
             let elapsed = start.elapsed();
@@ -203,11 +256,16 @@ pub fn drive(exec: &Executor, spec: OpenLoopSpec) -> OpenLoopReport {
             // open-loop generator is fine — late submissions queue up.
             std::thread::sleep(due - elapsed);
         }
-        exec.submit_request(arrival.service_ns);
-        report.submitted += 1;
+        let (latency_ns, Arrival { at_ns, service_ns }) = (Arc::clone(&latency_ns), *arrival);
+        // Nobody joins a request: the dropped handle costs its completion
+        // nothing.
+        drop(exec.spawn(move || {
+            spin_for(service_ns);
+            let waited_ns = elapsed_ns(start).saturating_sub(at_ns);
+            latency_ns[slot].store(waited_ns.max(1), Ordering::Relaxed);
+        }));
     }
-    report.wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    report
+    OpenLoopReport { submitted: schedule.len() as u64, wall_ns: elapsed_ns(start), latency_ns }
 }
 
 #[cfg(test)]

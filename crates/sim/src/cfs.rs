@@ -104,12 +104,7 @@ impl SimScheduler for CfsLikeScheduler {
                 return prev;
             }
         }
-        queues
-            .cores()
-            .iter()
-            .min_by_key(|c| (c.nr_threads(), c.id))
-            .map(|c| c.id)
-            .expect("at least one core exists")
+        queues.idlest()
     }
 
     fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> RoundStats {

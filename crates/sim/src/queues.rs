@@ -123,6 +123,26 @@ impl CoreQueues {
         &self.cores
     }
 
+    /// The least loaded core, the lowest id among equals: the first idle
+    /// core when there is one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no cores.
+    pub fn idlest(&self) -> CoreId {
+        let mut best = self.cores[0].id;
+        let mut least = self.cores[0].nr_threads();
+        for core in &self.cores[1..] {
+            if least == 0 {
+                break;
+            }
+            if core.nr_threads() < least {
+                (best, least) = (core.id, core.nr_threads());
+            }
+        }
+        best
+    }
+
     /// Per-core thread counts.
     pub fn loads(&self) -> Vec<u64> {
         self.cores.iter().map(SimCore::nr_threads).collect()
@@ -257,34 +277,35 @@ impl CoreQueues {
         }
     }
 
-    /// Read-only load snapshots of every core, with weights taken from the
-    /// thread table — the selection-phase view handed to `sched-core`
-    /// policies.
+    /// Read-only load snapshot of one core, with weights taken from the
+    /// thread table.
+    pub fn snapshot(&self, core: CoreId, threads: &[SimThread]) -> CoreSnapshot {
+        let core = &self.cores[core.0];
+        let mut weighted = 0u64;
+        let mut lightest: Option<u64> = None;
+        if let Some(cur) = core.current {
+            weighted += threads[cur.0].weight().raw();
+        }
+        for &tid in &core.ready {
+            let w = threads[tid.0].weight().raw();
+            weighted += w;
+            lightest = Some(lightest.map_or(w, |l: u64| l.min(w)));
+        }
+        CoreSnapshot {
+            id: core.id,
+            node: core.node,
+            nr_threads: core.nr_threads(),
+            weighted_load: weighted,
+            lightest_ready_weight: lightest,
+            tracked_scaled: core.tracked.scaled,
+            injected: 0,
+        }
+    }
+
+    /// [`CoreQueues::snapshot`] of every core — the selection-phase view
+    /// handed to `sched-core` policies.
     pub fn snapshots(&self, threads: &[SimThread]) -> Vec<CoreSnapshot> {
-        self.cores
-            .iter()
-            .map(|core| {
-                let mut weighted = 0u64;
-                let mut lightest: Option<u64> = None;
-                if let Some(cur) = core.current {
-                    weighted += threads[cur.0].weight().raw();
-                }
-                for &tid in &core.ready {
-                    let w = threads[tid.0].weight().raw();
-                    weighted += w;
-                    lightest = Some(lightest.map_or(w, |l: u64| l.min(w)));
-                }
-                CoreSnapshot {
-                    id: core.id,
-                    node: core.node,
-                    nr_threads: core.nr_threads(),
-                    weighted_load: weighted,
-                    lightest_ready_weight: lightest,
-                    tracked_scaled: core.tracked.scaled,
-                    injected: 0,
-                }
-            })
-            .collect()
+        self.cores.iter().map(|core| self.snapshot(core.id, threads)).collect()
     }
 
     /// Total number of threads on all runqueues (running plus waiting).
@@ -325,6 +346,20 @@ mod tests {
         assert!(!q.is_work_conserving());
         q.core_mut(CoreId(0)).current = Some(SimThreadId(2));
         assert!(q.is_work_conserving());
+    }
+
+    #[test]
+    fn idlest_is_the_first_idle_core_else_the_first_least_loaded() {
+        let mut q = CoreQueues::new(3);
+        q.core_mut(CoreId(0)).current = Some(SimThreadId(0));
+        assert_eq!(q.idlest(), CoreId(1), "the lowest-numbered idle core");
+        q.core_mut(CoreId(1)).current = Some(SimThreadId(1));
+        q.enqueue(CoreId(1), SimThreadId(2));
+        q.core_mut(CoreId(2)).current = Some(SimThreadId(3));
+        assert_eq!(q.idlest(), CoreId(0), "no idle core: the first of the least loaded");
+        q.enqueue(CoreId(0), SimThreadId(4));
+        q.enqueue(CoreId(0), SimThreadId(5));
+        assert_eq!(q.idlest(), CoreId(2));
     }
 
     #[test]

@@ -62,14 +62,13 @@ impl RoundStats {
 /// known, node-based (same node vs remote) otherwise.
 fn steal_level_of(
     topo: Option<&MachineTopology>,
-    snapshots: &[CoreSnapshot],
-    thief: CoreId,
-    victim: CoreId,
+    thief: &CoreSnapshot,
+    victim: &CoreSnapshot,
 ) -> StealLevel {
     match topo {
-        Some(topo) => topo.steal_level(thief, victim),
+        Some(topo) => topo.steal_level(thief.id, victim.id),
         None => {
-            if snapshots[thief.0].node == snapshots[victim.0].node {
+            if thief.node == victim.node {
                 StealLevel::SameNode
             } else {
                 StealLevel::Remote
@@ -214,15 +213,7 @@ impl SimScheduler for OptimisticScheduler {
                 return prev;
             }
         }
-        if let Some(idle) = queues.cores().iter().find(|c| c.is_idle()) {
-            return idle.id;
-        }
-        queues
-            .cores()
-            .iter()
-            .min_by_key(|c| (c.nr_threads(), c.id))
-            .map(|c| c.id)
-            .expect("at least one core exists")
+        queues.idlest()
     }
 
     fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> RoundStats {
@@ -247,11 +238,12 @@ impl SimScheduler for OptimisticScheduler {
         // live queues before migrating (Listing 1 line 12).
         let mut stats = RoundStats::default();
         for (thief, victim) in plans {
-            let live = queues.snapshots(threads);
+            let live_thief = queues.snapshot(thief, threads);
+            let live_victim = queues.snapshot(victim, threads);
             let mut migrated = None;
-            if self.policy.filter.can_steal(&live[thief.0], &live[victim.0]) {
+            if self.policy.filter.can_steal(&live_thief, &live_victim) {
                 if let Some(tid) = queues.migrate_newest(victim, thief) {
-                    let level = steal_level_of(self.topo.as_deref(), &live, thief, victim);
+                    let level = steal_level_of(self.topo.as_deref(), &live_thief, &live_victim);
                     stats.record_migration(level);
                     migrated = Some((tid, level));
                 }
@@ -319,9 +311,10 @@ impl HierarchicalScheduler {
         }
         let mut stats = RoundStats::default();
         for (thief, victim) in plans {
-            let live = queues.snapshots(threads);
+            let live_thief = queues.snapshot(thief, threads);
+            let live_victim = queues.snapshot(victim, threads);
             let mut migrated = None;
-            if self.policy.filter.can_steal(&live[thief.0], &live[victim.0]) {
+            if self.policy.filter.can_steal(&live_thief, &live_victim) {
                 if let Some(tid) = queues.migrate_newest(victim, thief) {
                     let stolen_across = self.topo.steal_level(thief, victim);
                     stats.record_migration(stolen_across);
@@ -369,15 +362,7 @@ impl SimScheduler for HierarchicalScheduler {
                 return nearest.id;
             }
         }
-        if let Some(idle) = queues.cores().iter().find(|c| c.is_idle()) {
-            return idle.id;
-        }
-        queues
-            .cores()
-            .iter()
-            .min_by_key(|c| (c.nr_threads(), c.id))
-            .map(|c| c.id)
-            .expect("at least one core exists")
+        queues.idlest()
     }
 
     fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> RoundStats {

@@ -497,9 +497,10 @@ fn trace_report_task(args: &[String]) -> Result<ExitCode, String> {
         None => sched_bench::ExperimentId::E16,
     };
     let backend = flag_value(args, "--backend").unwrap_or_else(|| "sim".to_string());
+    let runner = sched_bench::ExperimentRunner::with_all_backends();
     let mut reported = 0usize;
     for spec in sched_bench::catalog::specs_of(id) {
-        let Some((record, trace)) = sched_bench::run_traced_backend(&backend, &spec)? else {
+        let Some((record, trace)) = runner.run_traced(&backend, &spec)? else {
             continue;
         };
         println!(
@@ -519,7 +520,7 @@ fn trace_report_task(args: &[String]) -> Result<ExitCode, String> {
             "backend `{backend}` cannot execute any `{}` scenario \
              (backends: {})",
             id.title(),
-            sched_bench::TRACEABLE_BACKENDS.join(", ")
+            runner.traced_backends().join(", ")
         ));
     }
     Ok(ExitCode::SUCCESS)

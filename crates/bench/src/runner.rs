@@ -915,13 +915,7 @@ impl ExperimentRecord {
             ("throughput", JsonValue::Float(self.throughput)),
             ("throughput_unit", JsonValue::Str(self.throughput_unit.into())),
             ("violating_idle", JsonValue::Float(self.violating_idle)),
-            (
-                "convergence_rounds",
-                match self.convergence_rounds {
-                    Some(r) => JsonValue::Int(r as i64),
-                    None => JsonValue::Null,
-                },
-            ),
+            ("convergence_rounds", or_null(self.convergence_rounds, |r| JsonValue::Int(r as i64))),
             ("migrations", JsonValue::Int(self.migrations as i64)),
             ("failures", JsonValue::Int(self.failures as i64)),
             ("steals_smt", JsonValue::Int(levels[0] as i64)),
@@ -929,68 +923,20 @@ impl ExperimentRecord {
             ("steals_node", JsonValue::Int(levels[2] as i64)),
             ("steals_remote", JsonValue::Int(levels[3] as i64)),
             ("remote_steal_rate", JsonValue::Float(self.remote_steal_rate())),
-            (
-                "rq_backend",
-                match self.rq_backend {
-                    Some(name) => JsonValue::Str(name.into()),
-                    None => JsonValue::Null,
-                },
-            ),
-            (
-                "p99_sched_latency_us",
-                match self.p99_sched_latency_us {
-                    Some(us) => JsonValue::Float(us),
-                    None => JsonValue::Null,
-                },
-            ),
-            (
-                "steal_batch_k",
-                match self.steal_batch_k {
-                    Some(k) => JsonValue::Str(k.into()),
-                    None => JsonValue::Null,
-                },
-            ),
-            (
-                "tasks_per_acquisition",
-                match self.tasks_per_acquisition {
-                    Some(t) => JsonValue::Float(t),
-                    None => JsonValue::Null,
-                },
-            ),
+            ("rq_backend", or_null(self.rq_backend, |name| JsonValue::Str(name.into()))),
+            ("p99_sched_latency_us", or_null(self.p99_sched_latency_us, JsonValue::Float)),
+            ("steal_batch_k", or_null(self.steal_batch_k, |k| JsonValue::Str(k.into()))),
+            ("tasks_per_acquisition", or_null(self.tasks_per_acquisition, JsonValue::Float)),
             (
                 "per_node_violating_idle",
                 JsonValue::Array(
                     self.per_node_violating_idle.iter().map(|&v| JsonValue::Float(v)).collect(),
                 ),
             ),
-            (
-                "sim_engine",
-                match self.sim_engine {
-                    Some(engine) => JsonValue::Str(engine.into()),
-                    None => JsonValue::Null,
-                },
-            ),
-            (
-                "events_processed",
-                match self.events_processed {
-                    Some(n) => JsonValue::Int(n as i64),
-                    None => JsonValue::Null,
-                },
-            ),
-            (
-                "e2e_p99_us",
-                match self.e2e_p99_us {
-                    Some(us) => JsonValue::Float(us),
-                    None => JsonValue::Null,
-                },
-            ),
-            (
-                "e2e_p999_us",
-                match self.e2e_p999_us {
-                    Some(us) => JsonValue::Float(us),
-                    None => JsonValue::Null,
-                },
-            ),
+            ("sim_engine", or_null(self.sim_engine, |engine| JsonValue::Str(engine.into()))),
+            ("events_processed", or_null(self.events_processed, |n| JsonValue::Int(n as i64))),
+            ("e2e_p99_us", or_null(self.e2e_p99_us, JsonValue::Float)),
+            ("e2e_p999_us", or_null(self.e2e_p999_us, JsonValue::Float)),
             ("wall_ms", JsonValue::Float(self.wall_ms)),
         ];
         if full {
@@ -1003,6 +949,11 @@ impl ExperimentRecord {
         }
         object(fields)
     }
+}
+
+/// A column that only some backends measure: its value, or `null`.
+fn or_null<T>(value: Option<T>, some: impl FnOnce(T) -> JsonValue) -> JsonValue {
+    value.map_or(JsonValue::Null, some)
 }
 
 /// One way of executing an [`ExperimentSpec`].
@@ -1052,22 +1003,63 @@ fn record_base(spec: &ExperimentSpec, backend: &'static str) -> ExperimentRecord
     }
 }
 
-/// Samples the per-node idle fraction of one pre-convergence round into the
-/// running per-node violation accumulators.
-fn sample_node_idle(acc: &mut [f64], topo: &MachineTopology, is_idle: impl Fn(usize) -> bool) {
-    for (node, slot) in acc.iter_mut().enumerate() {
-        let cpus = topo.cpus_of_node(NodeId(node));
-        let idle = cpus.iter().filter(|c| is_idle(c.0)).count();
-        *slot += idle as f64 / cpus.len() as f64;
+/// What a round-driven run (model or runqueues, any driver) measures about
+/// itself besides its steal counters: how much of the machine — and of each
+/// NUMA node — sat idle per sampled round, and the wall time it took.
+struct RoundSamples<'a> {
+    topo: &'a MachineTopology,
+    exposure: sched_metrics::OverflowExposure,
+    node_idle: Vec<f64>,
+}
+
+impl<'a> RoundSamples<'a> {
+    fn new(topo: &'a MachineTopology) -> Self {
+        RoundSamples {
+            topo,
+            exposure: sched_metrics::OverflowExposure::new(topo.nr_cpus()),
+            node_idle: vec![0.0; topo.nr_nodes()],
+        }
+    }
+
+    /// Samples one round.  The idle cores count against the run only while
+    /// they are `violating` — idle next to work they could have had.
+    fn sample(&mut self, violating: bool, is_idle: impl Fn(usize) -> bool) {
+        let idle = (0..self.topo.nr_cpus()).filter(|&c| is_idle(c)).count();
+        self.exposure.record_round(idle, violating);
+        if violating {
+            for (node, slot) in self.node_idle.iter_mut().enumerate() {
+                let cpus = self.topo.cpus_of_node(NodeId(node));
+                let idle = cpus.iter().filter(|c| is_idle(c.0)).count();
+                *slot += idle as f64 / cpus.len() as f64;
+            }
+        }
+    }
+
+    /// Stamps the run's wall time, its migrations per wall-clock second and
+    /// the idle fractions averaged over the sampled rounds.
+    fn stamp(self, record: &mut ExperimentRecord, wall: std::time::Duration) {
+        record.wall_ms = wall.as_secs_f64() * 1e3;
+        record.throughput = if wall.as_secs_f64() > 0.0 {
+            record.migrations as f64 / wall.as_secs_f64()
+        } else {
+            0.0
+        };
+        record.violating_idle = self.exposure.violating_fraction();
+        let rounds = self.exposure.sampled_rounds().max(1) as f64;
+        record.per_node_violating_idle = self.node_idle.into_iter().map(|v| v / rounds).collect();
     }
 }
 
-/// Averages per-node accumulators over the sampled rounds.
-fn finish_node_idle(acc: Vec<f64>, sampled_rounds: u64) -> Vec<f64> {
-    if sampled_rounds == 0 {
-        acc.into_iter().map(|_| 0.0).collect()
-    } else {
-        acc.into_iter().map(|v| v / sampled_rounds as f64).collect()
+/// Folds one model round's attempts into the record's counters, attributing
+/// every successful steal to its distance class.
+fn absorb(record: &mut ExperimentRecord, topo: &MachineTopology, report: &RoundReport) {
+    record.migrations += report.nr_stolen() as u64;
+    record.failures += report.nr_failures() as u64;
+    for attempt in report.successes() {
+        let victim = attempt.outcome.victim().expect("successes have victims");
+        record
+            .locality
+            .record(topo.steal_level(attempt.thief, victim), attempt.outcome.nr_stolen() as u64);
     }
 }
 
@@ -1112,8 +1104,7 @@ impl ModelBackend {
         let executor = ConcurrentRound::new(&balancer);
         let mut record = record_base(spec, "model");
         let nr_cores = system.nr_cores();
-        let mut node_idle = vec![0.0f64; topo.nr_nodes()];
-        let mut violating_core_rounds = 0.0f64;
+        let mut samples = RoundSamples::new(topo);
 
         // Warm up: let decayed trackers converge to the steady loads.
         let mut now = burst.warmup_ns;
@@ -1129,19 +1120,10 @@ impl ModelBackend {
             now += burst.epoch_ns;
             system.tick(now, tracker.as_ref());
             let idle = system.idle_cores();
-            violating_core_rounds += idle.len() as f64 / nr_cores as f64;
-            sample_node_idle(&mut node_idle, topo, |c| idle.contains(&CoreId(c)));
+            samples.sample(true, |c| idle.contains(&CoreId(c)));
 
             let report = executor.execute(&mut system, &RoundSchedule::AllSelectThenSteal);
-            record.migrations += report.nr_stolen() as u64;
-            record.failures += report.nr_failures() as u64;
-            for attempt in report.successes() {
-                let victim = attempt.outcome.victim().expect("successes have victims");
-                record.locality.record(
-                    topo.steal_level(attempt.thief, victim),
-                    attempt.outcome.nr_stolen() as u64,
-                );
-            }
+            absorb(&mut record, topo, &report);
 
             // The sleepers wake on their own core.
             if let Some(task) = parked_current {
@@ -1151,16 +1133,7 @@ impl ModelBackend {
                 system.core_mut(sleeper).enqueue(task);
             }
         }
-        let wall = start.elapsed();
-
-        record.wall_ms = wall.as_secs_f64() * 1e3;
-        record.throughput = if wall.as_secs_f64() > 0.0 {
-            record.migrations as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        record.violating_idle = violating_core_rounds / burst.epochs.max(1) as f64;
-        record.per_node_violating_idle = finish_node_idle(node_idle, burst.epochs as u64);
+        samples.stamp(&mut record, start.elapsed());
         record.final_loads = model_final_loads(&system);
         record
     }
@@ -1211,24 +1184,7 @@ impl Backend for ModelBackend {
             .then(|| HierarchicalRound::new(&balancer, Arc::clone(&topo)));
         let executor = ConcurrentRound::new(&balancer);
         let mut record = record_base(spec, self.name());
-        let nr_cores = spec.loads.len();
-        let mut violating_core_rounds = 0.0f64;
-        let mut node_idle = vec![0.0f64; topo.nr_nodes()];
-        let mut sampled_rounds = 0u64;
-
-        // Folds one round's attempts into the counters, attributing every
-        // successful steal to its distance class.
-        let absorb = |record: &mut ExperimentRecord, report: &RoundReport| {
-            record.migrations += report.nr_stolen() as u64;
-            record.failures += report.nr_failures() as u64;
-            for attempt in report.successes() {
-                let victim = attempt.outcome.victim().expect("successes have victims");
-                record.locality.record(
-                    topo.steal_level(attempt.thief, victim),
-                    attempt.outcome.nr_stolen() as u64,
-                );
-            }
-        };
+        let mut samples = RoundSamples::new(&topo);
 
         let start = Instant::now();
         for round in 0..=spec.budget_rounds {
@@ -1242,37 +1198,24 @@ impl Backend for ModelBackend {
             if round == spec.budget_rounds {
                 break;
             }
-            violating_core_rounds += system.idle_cores().len() as f64 / nr_cores as f64;
+            // Every idle core in a non-work-conserving state is a violation
+            // by definition.
             let idle = system.idle_cores();
-            sample_node_idle(&mut node_idle, &topo, |c| idle.contains(&CoreId(c)));
-            sampled_rounds += 1;
+            samples.sample(true, |c| idle.contains(&CoreId(c)));
             match &hierarchical {
                 Some(hier) => {
                     let report = hier.execute(&mut system, &RoundSchedule::AllSelectThenSteal);
                     for pass in &report.passes {
-                        absorb(&mut record, &pass.report);
+                        absorb(&mut record, &topo, &pass.report);
                     }
                 }
                 None => {
                     let report = executor.execute(&mut system, &RoundSchedule::AllSelectThenSteal);
-                    absorb(&mut record, &report);
+                    absorb(&mut record, &topo, &report);
                 }
             }
         }
-        let wall = start.elapsed();
-
-        record.wall_ms = wall.as_secs_f64() * 1e3;
-        record.throughput = if wall.as_secs_f64() > 0.0 {
-            record.migrations as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        // Average fraction of cores sitting idle per pre-convergence round;
-        // every idle core in a non-work-conserving state is a violation by
-        // definition.
-        record.violating_idle =
-            if sampled_rounds == 0 { 0.0 } else { violating_core_rounds / sampled_rounds as f64 };
-        record.per_node_violating_idle = finish_node_idle(node_idle, sampled_rounds);
+        samples.stamp(&mut record, start.elapsed());
         record.final_loads = model_final_loads(&system);
         Some(record)
     }
@@ -1470,8 +1413,7 @@ fn run_rq_burst<B: sched_rq::RqBackend>(
     let mut record = record_base(spec, backend);
     record.rq_backend = Some(B::backend_name());
     let nr_cores = spec.loads.len();
-    let mut node_idle = vec![0.0f64; topo.nr_nodes()];
-    let mut violating_core_rounds = 0.0f64;
+    let mut samples = RoundSamples::new(topo);
 
     let mut now = burst.warmup_ns;
     mq.tick(now);
@@ -1487,9 +1429,7 @@ fn run_rq_burst<B: sched_rq::RqBackend>(
         now += burst.epoch_ns;
         mq.tick(now);
         let snapshots = mq.snapshots();
-        let idle = snapshots.iter().filter(|s| s.nr_threads == 0).count();
-        violating_core_rounds += idle as f64 / nr_cores as f64;
-        sample_node_idle(&mut node_idle, topo, |c| snapshots[c].nr_threads == 0);
+        samples.sample(true, |c| snapshots[c].nr_threads == 0);
 
         let stats = mq.concurrent_round(&policy);
         record.migrations += stats.migrations();
@@ -1500,13 +1440,7 @@ fn run_rq_burst<B: sched_rq::RqBackend>(
             mq.spawn_on_with_nice(sleeper, nice);
         }
     }
-    let wall = start.elapsed();
-
-    record.wall_ms = wall.as_secs_f64() * 1e3;
-    record.throughput =
-        if wall.as_secs_f64() > 0.0 { record.migrations as f64 / wall.as_secs_f64() } else { 0.0 };
-    record.violating_idle = violating_core_rounds / burst.epochs.max(1) as f64;
-    record.per_node_violating_idle = finish_node_idle(node_idle, burst.epochs as u64);
+    samples.stamp(&mut record, start.elapsed());
     record.final_loads = rq_final_loads(&mq.snapshots());
     record
 }
@@ -1532,8 +1466,7 @@ fn run_rq_storm<B: sched_rq::RqBackend>(
     let batch = spec.batch.map(BatchK::steal_batch).unwrap_or_default();
     let mut successes = 0u64;
     let nr_cores = spec.loads.len();
-    let mut exposure = sched_metrics::OverflowExposure::new(nr_cores);
-    let mut node_idle = vec![0.0f64; topo.nr_nodes()];
+    let mut samples = RoundSamples::new(topo);
     let mut now = 0u64;
 
     let start = Instant::now();
@@ -1552,12 +1485,8 @@ fn run_rq_storm<B: sched_rq::RqBackend>(
             // Sample the *settled* state: idle-after-a-full-round while
             // work waits is exactly the conservation violation.
             let snapshots = mq.snapshots();
-            let idle = snapshots.iter().filter(|s| s.nr_threads == 0).count();
             let work_waiting = snapshots.iter().any(|s| s.nr_threads >= 2);
-            exposure.record_round(idle, work_waiting);
-            if work_waiting {
-                sample_node_idle(&mut node_idle, topo, |c| snapshots[c].nr_threads == 0);
-            }
+            samples.sample(work_waiting, |c| snapshots[c].nr_threads == 0);
         }
         // Epoch boundary: the tick fires (this is where the legacy spill
         // finally re-exposes stranded work) and the machine drains for the
@@ -1568,13 +1497,7 @@ fn run_rq_storm<B: sched_rq::RqBackend>(
             while mq.core(CoreId(core)).complete_current().is_some() {}
         }
     }
-    let wall = start.elapsed();
-
-    record.wall_ms = wall.as_secs_f64() * 1e3;
-    record.throughput =
-        if wall.as_secs_f64() > 0.0 { record.migrations as f64 / wall.as_secs_f64() } else { 0.0 };
-    record.violating_idle = exposure.violating_fraction();
-    record.per_node_violating_idle = finish_node_idle(node_idle, exposure.sampled_rounds());
+    samples.stamp(&mut record, start.elapsed());
     if spec.batch.is_some() {
         record.tasks_per_acquisition =
             Some(if successes > 0 { record.migrations as f64 / successes as f64 } else { 0.0 });
@@ -1624,10 +1547,7 @@ fn run_rq<B: sched_rq::RqBackend>(
     record.rq_backend = Some(B::backend_name());
     let batch = spec.batch.map(BatchK::steal_batch).unwrap_or_default();
     let mut successes = 0u64;
-    let nr_cores = spec.loads.len();
-    let mut violating_core_rounds = 0.0f64;
-    let mut node_idle = vec![0.0f64; topo.nr_nodes()];
-    let mut sampled_rounds = 0u64;
+    let mut samples = RoundSamples::new(&topo);
 
     let start = Instant::now();
     for round in 0..=spec.budget_rounds {
@@ -1642,10 +1562,7 @@ fn run_rq<B: sched_rq::RqBackend>(
             break;
         }
         let snapshots = mq.snapshots();
-        let idle = snapshots.iter().filter(|s| s.nr_threads == 0).count();
-        violating_core_rounds += idle as f64 / nr_cores as f64;
-        sample_node_idle(&mut node_idle, &topo, |c| snapshots[c].nr_threads == 0);
-        sampled_rounds += 1;
+        samples.sample(true, |c| snapshots[c].nr_threads == 0);
         let stats = if spec.policy.is_hierarchical() {
             mq.hierarchical_round(&policy)
         } else {
@@ -1656,14 +1573,7 @@ fn run_rq<B: sched_rq::RqBackend>(
         successes += stats.successes();
         record.locality.merge(&StealLocality::from_counts(stats.level_migration_counts()));
     }
-    let wall = start.elapsed();
-
-    record.wall_ms = wall.as_secs_f64() * 1e3;
-    record.throughput =
-        if wall.as_secs_f64() > 0.0 { record.migrations as f64 / wall.as_secs_f64() } else { 0.0 };
-    record.violating_idle =
-        if sampled_rounds == 0 { 0.0 } else { violating_core_rounds / sampled_rounds as f64 };
-    record.per_node_violating_idle = finish_node_idle(node_idle, sampled_rounds);
+    samples.stamp(&mut record, start.elapsed());
     if spec.batch.is_some() {
         record.tasks_per_acquisition =
             Some(if successes > 0 { record.migrations as f64 / successes as f64 } else { 0.0 });

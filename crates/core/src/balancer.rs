@@ -58,23 +58,17 @@ impl Balancer {
         thief: CoreId,
         admit: impl Fn(CoreId) -> bool,
     ) -> Selection {
-        let thief_snap = *snapshot.core(thief);
-        let candidates: Vec<CoreSnapshot> = snapshot
-            .others(thief)
-            .into_iter()
-            .filter(|victim| admit(victim.id) && self.policy.filter.can_steal(&thief_snap, victim))
-            .collect();
-        let mut chosen = self.policy.choice.choose(&thief_snap, &candidates);
-        // Enforce Listing 1's post-condition `ensuring(res => cores.contains(res))`:
-        // a choice outside the filtered list would invalidate the proof, so it
-        // is clamped back onto the list (and flagged in debug builds).
-        if let Some(c) = chosen {
-            if !candidates.iter().any(|s| s.id == c) {
-                debug_assert!(false, "choice policy returned a core outside the candidate list");
-                chosen = candidates.first().map(|s| s.id);
-            }
+        let mut candidates = Vec::new();
+        let chosen = self.policy.select(
+            snapshot.core(thief),
+            snapshot.cores().iter().copied(),
+            admit,
+            &mut candidates,
+        );
+        Selection {
+            candidates: candidates.iter().map(|c| c.id).collect(),
+            chosen: chosen.map(|c| c.id),
         }
-        Selection { candidates: candidates.iter().map(|c| c.id).collect(), chosen }
     }
 
     /// Stealing phase (step 3): atomic with respect to the two runqueues.

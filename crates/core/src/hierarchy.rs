@@ -5,7 +5,10 @@
 //! cores".  [`HierarchicalRound`] realises that as a stack of concurrent
 //! balancing passes, one per [`StealLevel`], innermost first: the SMT pass
 //! only admits sibling victims, the LLC pass cache-local ones, the node pass
-//! NUMA-local ones, and the final pass is completely unrestricted.
+//! NUMA-local ones, and the final pass is completely unrestricted.  A pass
+//! is not a second round implementation: it is the flat round's own pass
+//! ([`ConcurrentRound::execute_within`]) given the distance cap as its admit
+//! predicate, and the selection inside it is [`crate::Policy::select`].
 //!
 //! Two facts make this safe and convergent *per level*:
 //!
@@ -27,9 +30,8 @@ use std::sync::Arc;
 use sched_topology::{MachineTopology, StealLevel};
 
 use crate::balancer::Balancer;
-use crate::outcome::{BalanceAttempt, RoundReport, StealOutcome};
-use crate::round::{Phase, RoundSchedule};
-use crate::snapshot::SystemSnapshot;
+use crate::outcome::RoundReport;
+use crate::round::{ConcurrentRound, RoundSchedule};
 use crate::system::SystemState;
 
 /// One level-capped concurrent pass of a hierarchical round.
@@ -126,52 +128,12 @@ impl<'a> HierarchicalRound<'a> {
             // Derive a distinct interleaving per pass so seeded schedules
             // race differently at each level.
             let pass_schedule = schedule.for_round(level.index());
-            let pass = self.execute_pass(system, &pass_schedule, level);
+            let pass = ConcurrentRound::new(self.balancer).execute_within(
+                system,
+                &pass_schedule,
+                |thief, victim| self.topo.steal_level(thief, victim) <= level,
+            );
             report.passes.push(LevelPass { level: Some(level), report: pass });
-        }
-        report
-    }
-
-    /// One concurrent pass admitting only victims within `level` of their
-    /// thief.
-    fn execute_pass(
-        &self,
-        system: &mut SystemState,
-        schedule: &RoundSchedule,
-        level: StealLevel,
-    ) -> RoundReport {
-        let steps = schedule.steps(system.nr_cores());
-        RoundSchedule::validate(&steps, system.nr_cores())
-            .unwrap_or_else(|e| panic!("invalid round schedule: {e}"));
-        let mut pending = vec![None; system.nr_cores()];
-        let mut report = RoundReport::default();
-        for (time, step) in steps.iter().enumerate() {
-            match step.phase {
-                Phase::Select => {
-                    let snapshot = SystemSnapshot::capture(system);
-                    let selection = self.balancer.select_within(&snapshot, step.core, |victim| {
-                        self.topo.steal_level(step.core, victim) <= level
-                    });
-                    pending[step.core.0] = Some((selection, time));
-                }
-                Phase::Steal => {
-                    let (selection, select_time) = pending[step.core.0]
-                        .take()
-                        .expect("validated schedule guarantees select before steal");
-                    let outcome = match selection.chosen {
-                        Some(victim) => self.balancer.steal(system, step.core, victim),
-                        None => StealOutcome::NoCandidates,
-                    };
-                    report.attempts.push(BalanceAttempt {
-                        thief: step.core,
-                        select_time,
-                        steal_time: time,
-                        candidates: selection.candidates,
-                        chosen: selection.chosen,
-                        outcome,
-                    });
-                }
-            }
         }
         report
     }

@@ -71,8 +71,12 @@ pub trait ChoicePolicy: Send + Sync {
     /// Chooses a victim among `candidates` (which never contains the thief).
     ///
     /// Must return the id of one of the candidates, or `None` if the list is
-    /// empty; the balancer enforces the membership post-condition
-    /// (Listing 1's `ensuring(res => cores.contains(res))`).
+    /// empty (Listing 1's `ensuring(res => cores.contains(res))`).  Nothing
+    /// outside a policy calls this directly: every substrate selects through
+    /// [`Policy::select`], which enforces the post-condition in every build
+    /// profile — any other answer to a non-empty list is replaced by the
+    /// first candidate, so a wrong choice can cost locality but never a
+    /// panic, a steal from a core the filter refused, or a skipped steal.
     fn choose(&self, thief: &CoreSnapshot, candidates: &[CoreSnapshot]) -> Option<CoreId>;
 
     /// Feedback from the stealing phase: the attempt `thief` made against
@@ -260,6 +264,35 @@ impl Policy {
         self
     }
 
+    /// The selection phase — steps 1 and 2 of Listing 1 — for one thief,
+    /// lock-less and read-only: the one place the filter and the choice are
+    /// composed, shared by the model ([`crate::Balancer`]), the runqueues,
+    /// the executor and the simulator, so the code `sched-verify` checks is
+    /// the selection every substrate runs.
+    ///
+    /// `snapshots` are the observations to pick from, in the order the
+    /// choice should see them (the thief's own, if present, is skipped);
+    /// those that `admit` lets through (hierarchical passes cap the distance
+    /// there; flat callers admit everyone) and the filter accepts are
+    /// collected into `candidates`, the caller's buffer, which is cleared
+    /// first and holds the candidate list afterwards.  Returns the chosen
+    /// victim's snapshot, with [`ChoicePolicy::choose`]'s post-condition
+    /// enforced: `None` exactly when no candidate passed.
+    pub fn select(
+        &self,
+        thief: &CoreSnapshot,
+        snapshots: impl IntoIterator<Item = CoreSnapshot>,
+        admit: impl Fn(CoreId) -> bool,
+        candidates: &mut Vec<CoreSnapshot>,
+    ) -> Option<CoreSnapshot> {
+        candidates.clear();
+        candidates.extend(snapshots.into_iter().filter(|victim| {
+            victim.id != thief.id && admit(victim.id) && self.filter.can_steal(thief, victim)
+        }));
+        let answer = self.choice.choose(thief, candidates);
+        candidates.iter().find(|c| Some(c.id) == answer).or(candidates.first()).copied()
+    }
+
     /// A compact `filter/choice/steal` description for reports.
     pub fn describe(&self) -> String {
         format!("{}/{}/{}", self.filter.name(), self.choice.name(), self.steal.name())
@@ -294,6 +327,30 @@ mod tests {
         let p = Policy::simple().with_choice(Box::new(FirstChoice));
         assert_eq!(p.describe(), "delta_filter/first/steal_one");
         assert_eq!(p.metric, LoadMetric::NrThreads);
+    }
+
+    #[test]
+    fn select_filters_through_admit_into_the_callers_buffer() {
+        use crate::snapshot::SystemSnapshot;
+        use crate::system::SystemState;
+
+        let snapshot = SystemSnapshot::capture(&SystemState::from_loads(&[0, 3, 5, 1]));
+        let thief = snapshot.core(CoreId(0));
+        let all = || snapshot.cores().iter().copied();
+        let ids = |list: &[CoreSnapshot]| list.iter().map(|c| c.id.0).collect::<Vec<_>>();
+        let policy = Policy::simple();
+        // Whatever the buffer held is gone; the thief and the core the
+        // filter refuses (core 3, one thread) never enter it.
+        let mut candidates = vec![*thief];
+        let victim = policy.select(thief, all(), |_| true, &mut candidates);
+        assert_eq!(victim, Some(*snapshot.core(CoreId(2))), "the most loaded candidate");
+        assert_eq!(ids(&candidates), [1, 2]);
+        // `admit` narrows the list the choice sees.
+        let victim = policy.select(thief, all(), |core| core != CoreId(2), &mut candidates);
+        assert_eq!(victim.map(|v| v.id), Some(CoreId(1)));
+        assert_eq!(ids(&candidates), [1]);
+        assert_eq!(policy.select(thief, all(), |_| false, &mut candidates), None);
+        assert!(candidates.is_empty());
     }
 
     #[test]

@@ -149,6 +149,10 @@ const SLOT_BITS: u32 = 24;
 /// Task ids must stay below this to fit the runqueue's packed word.
 const ID_LIMIT: u64 = 1 << 55;
 
+/// Claim size of one steal decision.  Sized in the selection phase from the
+/// thief's and the victim's snapshots, like every [`StealBatch`].
+const STEAL_BATCH: StealBatch = StealBatch::One;
+
 /// How the executor is built: machine shape, policy, and knobs.
 #[derive(Debug)]
 pub struct ExecConfig {
@@ -158,8 +162,6 @@ pub struct ExecConfig {
     /// [`sched_core::ChoicePolicy::place_wakeup`] drives submission placement, and its
     /// tracker maintains the loads both read.
     pub policy: Policy,
-    /// Claim size of one steal decision.
-    pub batch: StealBatch,
     /// Capacity of each worker's ring (overflow spills to the shared
     /// injector, so this bounds memory, not admission).
     pub ring_capacity: usize,
@@ -171,19 +173,7 @@ impl ExecConfig {
     /// A configuration with the default ring capacity, one-task steals and
     /// no tracing.
     pub fn new(topo: Arc<MachineTopology>, policy: Policy) -> Self {
-        ExecConfig {
-            topo,
-            policy,
-            batch: StealBatch::One,
-            ring_capacity: 1024,
-            trace: TraceSink::disabled(),
-        }
-    }
-
-    /// Sets the steal batch size.
-    pub fn with_batch(mut self, batch: StealBatch) -> Self {
-        self.batch = batch;
-        self
+        ExecConfig { topo, policy, ring_capacity: 1024, trace: TraceSink::disabled() }
     }
 
     /// Attaches a decision trace sink.
@@ -396,7 +386,6 @@ struct Shared {
     id: u64,
     cores: Vec<DequeRq>,
     policy: Policy,
-    batch: StealBatch,
     topo: Arc<MachineTopology>,
     /// Logical machine clock in nanoseconds since `start`; workers and
     /// outside producers advance it with `fetch_max` so it never goes
@@ -442,21 +431,6 @@ impl Shared {
     /// workers.
     fn local_worker(&self) -> Option<usize> {
         WORKER.get().filter(|tag| tag.executor == self.id).map(|tag| tag.index)
-    }
-
-    /// Runs `decide` on fresh lock-less snapshots of `cores`, collected
-    /// into the calling thread's reusable buffer.
-    fn with_snapshots<R>(
-        &self,
-        cores: std::ops::Range<usize>,
-        decide: impl FnOnce(&mut Vec<CoreSnapshot>) -> R,
-    ) -> R {
-        let mut snapshots = SNAPSHOTS.take();
-        snapshots.clear();
-        snapshots.extend(self.cores[cores].iter().map(DequeRq::snapshot));
-        let out = decide(&mut snapshots);
-        SNAPSHOTS.set(snapshots);
-        out
     }
 
     fn completed(&self) -> u64 {
@@ -544,12 +518,13 @@ impl Shared {
             }
         };
         // Place the wakeup: the policy reads the same lock-less snapshots
-        // the stealing side does.
-        let target = self
-            .with_snapshots(candidates, |snapshots| {
-                self.policy.choice.place_wakeup(prev, snapshots)
-            })
-            .unwrap_or(prev);
+        // the stealing side does, collected into this thread's reusable
+        // buffer.
+        let mut snapshots = SNAPSHOTS.take();
+        snapshots.clear();
+        snapshots.extend(self.cores[candidates].iter().map(DequeRq::snapshot));
+        let target = self.policy.choice.place_wakeup(prev, &snapshots).unwrap_or(prev);
+        SNAPSHOTS.set(snapshots);
         if local.is_none() && target != prev {
             self.outside_prev.0.store(target.0, Ordering::Relaxed);
         }
@@ -563,45 +538,39 @@ impl Shared {
         id
     }
 
-    /// One three-step balancing operation for `thief` — the same
-    /// selection/steal split as `MultiQueue::balance_once_batched`, with
-    /// the outcome counted and traced through the shared [`StealRecorder`]
-    /// program point (which is what keeps `stats == fold(trace)` exact for
-    /// this substrate too).
+    /// One three-step balancing operation for `thief`.  The selection is
+    /// [`Policy::select`] — the one the model, the runqueues and the
+    /// simulator run — over fresh lock-less snapshots, its candidates
+    /// collected into this thread's reusable buffer (no allocation on the
+    /// steal path); the outcome is counted and traced through the shared
+    /// [`StealRecorder`] program point, which is what keeps
+    /// `stats == fold(trace)` exact for this substrate too.
     fn balance_once(&self, thief: CoreId) -> StealOutcome {
-        self.with_snapshots(0..self.cores.len(), |snapshots| {
-            let thief_snap = snapshots[thief.0];
-            snapshots.retain(|s| s.id != thief && self.policy.filter.can_steal(&thief_snap, s));
-            let candidates = &snapshots[..];
-            let Some(victim) = self.policy.choice.choose(&thief_snap, candidates) else {
-                self.stats.record(&StealOutcome::NoCandidates);
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        thief,
-                        self.now_ns(),
-                        &TraceEvent::steal_attempt(&StealOutcome::NoCandidates, None, 1),
-                    );
-                }
-                return StealOutcome::NoCandidates;
-            };
-            let victim_snap =
-                candidates.iter().find(|s| s.id == victim).expect("choice membership");
-            let max_tasks = self.batch.size(&self.policy, &thief_snap, victim_snap);
-            let level = self.topo.steal_level(thief, victim);
-            let outcome = DequeRq::try_steal_recorded(
-                &self.cores[thief.0],
-                &self.cores[victim.0],
-                self.policy.filter.as_ref(),
-                max_tasks,
-                Some(StealRecorder::new(&self.stats, Some(level)).with_trace(
-                    &self.trace,
-                    thief,
-                    self.now_ns(),
-                )),
-            );
-            self.policy.choice.observe(thief, victim, outcome.is_success());
-            outcome
-        })
+        let thief_snap = self.cores[thief.0].snapshot();
+        let mut candidates = SNAPSHOTS.take();
+        let victim = self.policy.select(
+            &thief_snap,
+            self.cores.iter().map(DequeRq::snapshot),
+            |_| true,
+            &mut candidates,
+        );
+        SNAPSHOTS.set(candidates);
+        let recorder = |level| {
+            StealRecorder::new(&self.stats, level).with_trace(&self.trace, thief, self.now_ns())
+        };
+        let Some(victim) = victim else {
+            recorder(None).record_attempt(&StealOutcome::NoCandidates, 1);
+            return StealOutcome::NoCandidates;
+        };
+        let outcome = DequeRq::try_steal_recorded(
+            &self.cores[thief.0],
+            &self.cores[victim.id.0],
+            self.policy.filter.as_ref(),
+            STEAL_BATCH.size(&self.policy, &thief_snap, &victim),
+            Some(recorder(Some(self.topo.steal_level(thief, victim.id)))),
+        );
+        self.policy.choice.observe(thief, victim.id, outcome.is_success());
+        outcome
     }
 
     /// Runs one claimed task to completion on worker `me`.
@@ -721,7 +690,7 @@ impl Executor {
     /// Builds the runqueues and spawns one worker thread per CPU of the
     /// configured topology.
     pub fn start(config: ExecConfig) -> Self {
-        let ExecConfig { topo, policy, batch, ring_capacity, trace } = config;
+        let ExecConfig { topo, policy, ring_capacity, trace } = config;
         let clock = Arc::new(AtomicU64::new(0));
         let cores: Vec<DequeRq> = topo
             .cpus()
@@ -743,7 +712,6 @@ impl Executor {
             id: NEXT_EXECUTOR.fetch_add(1, Ordering::Relaxed),
             cores,
             policy,
-            batch,
             topo,
             clock,
             start: Instant::now(),
@@ -833,9 +801,26 @@ impl Executor {
         self.shared.cores.iter().map(DequeRq::snapshot).collect()
     }
 
-    /// Stops accepting progress, waits for the queues to empty, joins all
-    /// workers, and returns what the run measured.
+    /// Waits for the queues to empty, stops and joins all workers (the
+    /// [`Drop`] sequence), and returns what the run measured.
     pub fn shutdown(self) -> ExecReport {
+        let shared = Arc::clone(&self.shared);
+        drop(self);
+        let stats = BalanceStats::new();
+        stats.merge_from(&shared.stats);
+        ExecReport {
+            completed: shared.completed(),
+            panicked: shared.counters.iter().map(|c| c.0.panicked.load(Ordering::Relaxed)).sum(),
+            stats,
+        }
+    }
+}
+
+/// Dropping the executor is shutting it down without asking for the report:
+/// every job submitted so far still runs, then the workers exit and are
+/// joined.
+impl Drop for Executor {
+    fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wake_every_worker();
         // Belt and braces: a worker may have been between the drain and
@@ -843,16 +828,20 @@ impl Executor {
         for parker in &self.shared.parkers {
             parker.unpark();
         }
-        for handle in self.workers {
-            handle.join().expect("worker thread panicked");
+        // A job that drops the last handle runs this on a worker, itself
+        // still in flight: the workers cannot exit before it returns, so it
+        // must not wait for them.  They leave on their own once it has.
+        if self.shared.local_worker().is_some() {
+            return;
         }
-        let shared = &self.shared;
-        let stats = BalanceStats::new();
-        stats.merge_from(&shared.stats);
-        ExecReport {
-            completed: shared.completed(),
-            panicked: shared.counters.iter().map(|c| c.0.panicked.load(Ordering::Relaxed)).sum(),
-            stats,
+        for handle in self.workers.drain(..) {
+            // A job's panic is caught where it runs; a worker's own is a bug
+            // in this module and is passed on, except into another unwind.
+            if let Err(panic) = handle.join() {
+                if !std::thread::panicking() {
+                    resume_unwind(panic);
+                }
+            }
         }
     }
 }
@@ -1041,6 +1030,55 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         let report = exec.shutdown();
         assert_eq!(report.completed, 0);
+    }
+
+    /// Dropping is shutting down: running and queued closures all run, each
+    /// once, and every worker thread is gone when `drop` returns (the
+    /// workers hold the last references to `Shared`).
+    #[test]
+    fn dropping_the_executor_runs_what_was_submitted_and_joins_the_workers() {
+        let exec = start(TraceSink::disabled());
+        let shared = Arc::downgrade(&exec.shared);
+        let runs: Arc<Vec<AtomicU64>> = Arc::new((0..200).map(|_| AtomicU64::new(0)).collect());
+        let started = Arc::new(std::sync::Barrier::new(exec.nr_workers() + 1));
+        for i in 0..runs.len() {
+            let (runs, started) = (Arc::clone(&runs), Arc::clone(&started));
+            drop(exec.spawn(move || {
+                // The first four hold every worker until the rest is queued.
+                if i < 4 {
+                    started.wait();
+                }
+                spin_for(20_000);
+                runs[i].fetch_add(1, Ordering::Relaxed);
+            }));
+        }
+        started.wait();
+        drop(exec);
+        assert!(shared.upgrade().is_none(), "a worker thread outlived the drop");
+        assert!(runs.iter().all(|n| n.load(Ordering::Relaxed) == 1), "{runs:?}");
+    }
+
+    /// A job may hold the last handle.  Dropping it there cannot wait for
+    /// the workers — they wait for the job — but they still finish what is
+    /// queued and leave.
+    #[test]
+    fn the_last_handle_may_be_dropped_by_a_job() {
+        let exec = Arc::new(start(TraceSink::disabled()));
+        let shared = Arc::downgrade(&exec.shared);
+        let ran = Arc::new(AtomicU64::new(0));
+        let (handed_over, last_handle) = mpsc::channel::<Arc<Executor>>();
+        drop(exec.spawn(move || drop(last_handle.recv().expect("the test sends its handle"))));
+        for _ in 0..50 {
+            let ran = Arc::clone(&ran);
+            drop(exec.spawn(move || ran.fetch_add(1, Ordering::Relaxed)));
+        }
+        handed_over.send(exec).expect("the job is waiting for the handle");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while shared.upgrade().is_some() {
+            assert!(Instant::now() < deadline, "the workers never left");
+            std::thread::yield_now();
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 50);
     }
 
     // ---- the job slab ----

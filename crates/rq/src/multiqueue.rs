@@ -1,5 +1,18 @@
 //! A machine's worth of concurrent runqueues and optimistic balancing over
 //! them.
+//!
+//! Every balancing operation here — flat, batched, hierarchical,
+//! barrier-synchronized, pessimistic — is the same two phases.  The
+//! selection is [`Policy::select`], the one `sched-verify` checks and the
+//! model, the executor and the simulator also run; the operations differ
+//! only in which observations they hand it (fresh lock-less snapshots, one
+//! set shared by the distance levels, snapshots taken under every lock) and
+//! which victims they admit.  The stealing phase is one private step, the
+//! only caller of [`RqBackend::try_steal_recorded`]: claim, count and trace
+//! through the [`StealRecorder`], tell the choice how it went.  Likewise
+//! there is one scoped-thread round (every core runs an operation from its
+//! own OS thread) under the three public rounds, and one convergence loop
+//! under the two public ones.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,7 +27,7 @@ use crate::entity::RqTask;
 use crate::fifo::FifoQueue;
 use crate::percore::PerCoreRq;
 use crate::stats::BalanceStats;
-use crate::steal::{try_steal, StealRecorder};
+use crate::steal::{snapshot_locked, StealRecorder};
 use crate::TaskQueue;
 
 /// How many tasks one steal decision asks the stealing phase for.
@@ -171,19 +184,6 @@ impl<B: RqBackend> MultiQueue<B> {
         &self.trace
     }
 
-    /// Counts — and, when tracing, records — a selection phase that chose
-    /// no victim at all, on `thief`'s ring.
-    fn record_no_candidates(&self, thief: CoreId, stats: &BalanceStats) {
-        stats.record(&StealOutcome::NoCandidates);
-        if self.trace.is_enabled() {
-            self.trace.record(
-                thief,
-                self.now_ns(),
-                &TraceEvent::steal_attempt(&StealOutcome::NoCandidates, None, 1),
-            );
-        }
-    }
-
     /// The machine topology, if this queue was built over one.
     pub fn topology(&self) -> Option<&Arc<MachineTopology>> {
         self.topo.as_ref()
@@ -311,7 +311,7 @@ impl<B: RqBackend> MultiQueue<B> {
     /// Steps 1 and 2 (filter + choice) read only the lock-less snapshots;
     /// step 3 locks exactly the two runqueues involved.
     pub fn balance_once(&self, thief: CoreId, policy: &Policy) -> StealOutcome {
-        self.balance_once_inner(thief, policy, None, StealBatch::One)
+        self.steal(thief, self.select(thief, policy, StealBatch::One), policy, None)
     }
 
     /// Like [`MultiQueue::balance_once`], but records the outcome (with its
@@ -323,7 +323,7 @@ impl<B: RqBackend> MultiQueue<B> {
         policy: &Policy,
         stats: &BalanceStats,
     ) -> StealOutcome {
-        self.balance_once_inner(thief, policy, Some(stats), StealBatch::One)
+        self.steal(thief, self.select(thief, policy, StealBatch::One), policy, Some(stats))
     }
 
     /// Like [`MultiQueue::balance_once_recorded`], with the stealing phase
@@ -337,49 +337,53 @@ impl<B: RqBackend> MultiQueue<B> {
         batch: StealBatch,
         stats: &BalanceStats,
     ) -> StealOutcome {
-        self.balance_once_inner(thief, policy, Some(stats), batch)
+        self.steal(thief, self.select(thief, policy, batch), policy, Some(stats))
     }
 
-    fn balance_once_inner(
+    /// Selection phase of one flat operation: [`Policy::select`] over fresh
+    /// lock-less snapshots of every core, plus the claim size, which is
+    /// taken from the same optimistic observations the choice just used.
+    fn select(&self, thief: CoreId, policy: &Policy, batch: StealBatch) -> Option<(CoreId, usize)> {
+        let thief_snap = self.cores[thief.0].snapshot();
+        let victim = policy.select(
+            &thief_snap,
+            self.cores.iter().map(B::snapshot),
+            |_| true,
+            &mut Vec::new(),
+        )?;
+        Some((victim.id, batch.size(policy, &thief_snap, &victim)))
+    }
+
+    /// Stealing phase of one operation, the only one there is: claims up to
+    /// `max_tasks` from the selected victim — atomically per backend
+    /// discipline (double-lock or CAS claim), re-checked, the outcome
+    /// counted and traced with the claim and attributed to the victim's
+    /// distance class — or counts an operation whose selection found no
+    /// victim at all.
+    fn steal(
         &self,
         thief: CoreId,
+        selected: Option<(CoreId, usize)>,
         policy: &Policy,
         stats: Option<&BalanceStats>,
-        batch: StealBatch,
     ) -> StealOutcome {
-        // Selection phase: lock-less.
-        let snapshots = self.snapshots();
-        let thief_snap = snapshots[thief.0];
-        let candidates: Vec<CoreSnapshot> = snapshots
-            .into_iter()
-            .filter(|s| s.id != thief && policy.filter.can_steal(&thief_snap, s))
-            .collect();
-        let Some(victim) = policy.choice.choose(&thief_snap, &candidates) else {
-            if let Some(stats) = stats {
-                self.record_no_candidates(thief, stats);
+        let recorder = |level| {
+            stats.map(|stats| {
+                StealRecorder::new(stats, level).with_trace(&self.trace, thief, self.now_ns())
+            })
+        };
+        let Some((victim, max_tasks)) = selected else {
+            if let Some(recorder) = recorder(None) {
+                recorder.record_attempt(&StealOutcome::NoCandidates, 1);
             }
             return StealOutcome::NoCandidates;
         };
-        // The claim is sized from the same optimistic observations the
-        // choice just used (the victim is a member of `candidates` by the
-        // choice post-condition).
-        let victim_snap = candidates.iter().find(|s| s.id == victim).expect("choice membership");
-        let max_tasks = batch.size(policy, &thief_snap, victim_snap);
-        // Stealing phase: atomic per backend discipline (double-lock or
-        // CAS claim), re-checked; the outcome is counted with the claim
-        // and attributed to the victim's distance class.
         let outcome = B::try_steal_recorded(
             &self.cores[thief.0],
             &self.cores[victim.0],
             policy.filter.as_ref(),
             max_tasks,
-            stats.map(|stats| {
-                StealRecorder::new(stats, Some(self.steal_level_of(thief, victim))).with_trace(
-                    &self.trace,
-                    thief,
-                    self.now_ns(),
-                )
-            }),
+            recorder(Some(self.steal_level_of(thief, victim))),
         );
         // Adaptive choices (topology-aware backoff) learn from the outcome.
         // `is_success()` is true for *any* nonzero claim: a partial batch
@@ -403,52 +407,46 @@ impl<B: RqBackend> MultiQueue<B> {
         policy: &Policy,
         stats: &BalanceStats,
     ) -> StealOutcome {
-        let Some(topo) = self.topo.clone() else {
+        let Some(topo) = &self.topo else {
             return self.balance_once_recorded(thief, policy, stats);
         };
-        // Selection phase: lock-less, bucketing candidates by distance.
+        // One set of lock-less observations serves every level: each level
+        // is the flat selection with "exactly this far away" as its admit
+        // predicate, so the policy's choice picks within the level.
         let snapshots = self.snapshots();
-        let thief_snap = snapshots[thief.0];
-        let mut by_level: [Vec<CoreSnapshot>; 4] = [vec![], vec![], vec![], vec![]];
-        for s in snapshots {
-            if s.id != thief && policy.filter.can_steal(&thief_snap, &s) {
-                by_level[topo.steal_level(thief, s.id).index()].push(s);
-            }
-        }
-        if by_level.iter().all(Vec::is_empty) {
-            self.record_no_candidates(thief, stats);
-            return StealOutcome::NoCandidates;
-        }
-        // Stealing phase: walk the levels outwards, letting the policy's
-        // choice pick within each level; only the final (farthest populated)
+        let mut candidates = Vec::new();
+        // Walk the levels outwards; only the final (farthest populated)
         // level's failure is the operation's outcome.
-        let mut last = StealOutcome::NoCandidates;
+        let mut last = None;
         for level in StealLevel::ALL {
-            let group = &by_level[level.index()];
-            if group.is_empty() {
-                continue;
-            }
-            let Some(victim) = policy.choice.choose(&thief_snap, group) else {
+            let Some(victim) = policy.select(
+                &snapshots[thief.0],
+                snapshots.iter().copied(),
+                |victim| topo.steal_level(thief, victim) == level,
+                &mut candidates,
+            ) else {
                 continue;
             };
-            let outcome = B::try_steal_recorded(
-                &self.cores[thief.0],
-                &self.cores[victim.0],
-                policy.filter.as_ref(),
-                1,
-                Some(StealRecorder::new(stats, Some(level)).with_trace(
-                    &self.trace,
-                    thief,
-                    self.now_ns(),
-                )),
-            );
-            policy.choice.observe(thief, victim, outcome.is_success());
+            let outcome = self.steal(thief, Some((victim.id, 1)), policy, Some(stats));
             if outcome.is_success() {
                 return outcome;
             }
-            last = outcome;
+            last = Some(outcome);
         }
-        last
+        last.unwrap_or_else(|| self.steal(thief, None, policy, Some(stats)))
+    }
+
+    /// One concurrent round: every core runs `op` from its own OS thread
+    /// simultaneously, all counting into the returned stats.
+    fn round(&self, op: impl Fn(CoreId, &BalanceStats) + Sync) -> BalanceStats {
+        let stats = BalanceStats::new();
+        std::thread::scope(|scope| {
+            for core in &self.cores {
+                let (op, stats) = (&op, &stats);
+                scope.spawn(move || op(core.id(), stats));
+            }
+        });
+        stats
     }
 
     /// Runs one *concurrent* balancing round: every core executes
@@ -466,19 +464,11 @@ impl<B: RqBackend> MultiQueue<B> {
     /// threads.  [`StealBatch::One`] makes this exactly
     /// [`MultiQueue::concurrent_round`].
     pub fn concurrent_round_batched(&self, policy: &Policy, batch: StealBatch) -> BalanceStats {
-        let stats = BalanceStats::new();
-        std::thread::scope(|scope| {
-            for core in &self.cores {
-                let stats = &stats;
-                let mq = &*self;
-                scope.spawn(move || {
-                    // The outcome is recorded inside the stealing phase's
-                    // critical section, atomically with the dequeue.
-                    let _ = mq.balance_once_inner(core.id(), policy, Some(stats), batch);
-                });
-            }
-        });
-        stats
+        // The outcome is recorded inside the stealing phase's critical
+        // section, atomically with the dequeue.
+        self.round(|thief, stats| {
+            self.balance_once_batched(thief, policy, batch, stats);
+        })
     }
 
     /// Runs one *hierarchical* concurrent round: every core executes the
@@ -487,38 +477,9 @@ impl<B: RqBackend> MultiQueue<B> {
     /// [`sched_core::HierarchicalRound`], so the same domain-ordered policy
     /// runs at all three altitudes.
     pub fn hierarchical_round(&self, policy: &Policy) -> BalanceStats {
-        let stats = BalanceStats::new();
-        std::thread::scope(|scope| {
-            for core in &self.cores {
-                let stats = &stats;
-                let mq = &*self;
-                scope.spawn(move || {
-                    let _ = mq.balance_once_hierarchical(core.id(), policy, stats);
-                });
-            }
-        });
-        stats
-    }
-
-    /// Runs hierarchical rounds until the machine is work-conserving or the
-    /// round budget is exhausted; returns the number of rounds used, if it
-    /// converged, plus the folded outcome counters.
-    pub fn converge_hierarchical(
-        &self,
-        policy: &Policy,
-        max_rounds: usize,
-    ) -> (Option<usize>, BalanceStats) {
-        let total = BalanceStats::new();
-        for round in 0..=max_rounds {
-            if self.is_work_conserving() {
-                return (Some(round), total);
-            }
-            if round == max_rounds {
-                break;
-            }
-            total.merge_from(&self.hierarchical_round(policy));
-        }
-        (None, total)
+        self.round(|thief, stats| {
+            self.balance_once_hierarchical(thief, policy, stats);
+        })
     }
 
     /// Like [`MultiQueue::concurrent_round`], but every thread performs its
@@ -531,70 +492,52 @@ impl<B: RqBackend> MultiQueue<B> {
     /// failed steals) are guaranteed rather than merely possible.  E11 uses
     /// it to measure the failure rate the paper's P1/P2 lemmas are about.
     pub fn concurrent_round_synchronized(&self, policy: &Policy) -> BalanceStats {
-        let stats = BalanceStats::new();
         let barrier = std::sync::Barrier::new(self.cores.len());
-        std::thread::scope(|scope| {
-            for core in &self.cores {
-                let stats = &stats;
-                let barrier = &barrier;
-                let mq = &*self;
-                scope.spawn(move || {
-                    // Selection phase: lock-less, on the pre-round state.
-                    let snapshots = mq.snapshots();
-                    let thief_snap = snapshots[core.id().0];
-                    let candidates: Vec<CoreSnapshot> = snapshots
-                        .into_iter()
-                        .filter(|s| s.id != core.id() && policy.filter.can_steal(&thief_snap, s))
-                        .collect();
-                    let chosen = policy.choice.choose(&thief_snap, &candidates);
-                    // Every core finishes selecting before anyone steals.
-                    barrier.wait();
-                    match chosen {
-                        Some(victim) => {
-                            let outcome = B::try_steal_recorded(
-                                &mq.cores[core.id().0],
-                                &mq.cores[victim.0],
-                                policy.filter.as_ref(),
-                                1,
-                                Some(
-                                    StealRecorder::new(
-                                        stats,
-                                        Some(mq.steal_level_of(core.id(), victim)),
-                                    )
-                                    .with_trace(
-                                        &mq.trace,
-                                        core.id(),
-                                        mq.now_ns(),
-                                    ),
-                                ),
-                            );
-                            policy.choice.observe(core.id(), victim, outcome.is_success());
-                        }
-                        None => mq.record_no_candidates(core.id(), stats),
-                    };
-                });
+        self.round(|thief, stats| {
+            let selected = self.select(thief, policy, StealBatch::One);
+            // Every core finishes selecting before anyone steals.
+            barrier.wait();
+            self.steal(thief, selected, policy, Some(stats));
+        })
+    }
+
+    /// Runs `round` until the machine is work-conserving or the round
+    /// budget is exhausted, folding the per-round counters (including the
+    /// per-level attribution) into the total.
+    fn converge_by(
+        &self,
+        max_rounds: usize,
+        round: impl Fn() -> BalanceStats,
+    ) -> (Option<usize>, BalanceStats) {
+        let total = BalanceStats::new();
+        for rounds in 0..=max_rounds {
+            if self.is_work_conserving() {
+                return (Some(rounds), total);
             }
-        });
-        stats
+            if rounds == max_rounds {
+                break;
+            }
+            total.merge_from(&round());
+        }
+        (None, total)
     }
 
     /// Runs concurrent rounds until the machine is work-conserving or the
     /// round budget is exhausted; returns the number of rounds used, if it
     /// converged.
     pub fn converge(&self, policy: &Policy, max_rounds: usize) -> (Option<usize>, BalanceStats) {
-        let total = BalanceStats::new();
-        for round in 0..=max_rounds {
-            if self.is_work_conserving() {
-                return (Some(round), total);
-            }
-            if round == max_rounds {
-                break;
-            }
-            // Fold the per-round counters (including the per-level
-            // attribution) into the total.
-            total.merge_from(&self.concurrent_round(policy));
-        }
-        (None, total)
+        self.converge_by(max_rounds, || self.concurrent_round(policy))
+    }
+
+    /// Runs hierarchical rounds until the machine is work-conserving or the
+    /// round budget is exhausted; returns the number of rounds used, if it
+    /// converged, plus the folded outcome counters.
+    pub fn converge_hierarchical(
+        &self,
+        policy: &Policy,
+        max_rounds: usize,
+    ) -> (Option<usize>, BalanceStats) {
+        self.converge_by(max_rounds, || self.hierarchical_round(policy))
     }
 }
 
@@ -612,34 +555,20 @@ impl<Q: TaskQueue + 'static> MultiQueue<PerCoreRq<Q>> {
         // Lock all runqueues in id order (a global order, so concurrent
         // pessimistic balancers cannot deadlock).
         let guards: Vec<_> = self.cores.iter().map(|c| c.lock()).collect();
-        let snapshots: Vec<CoreSnapshot> = self
-            .cores
-            .iter()
-            .zip(&guards)
-            .map(|(rq, inner)| CoreSnapshot {
-                id: rq.id(),
-                node: rq.node(),
-                nr_threads: inner.nr_threads(),
-                weighted_load: inner.weighted_load(),
-                lightest_ready_weight: inner.queue.lightest_weight(),
-                tracked_scaled: inner.tracked.scaled,
-                injected: 0,
-            })
-            .collect();
-        let thief_snap = snapshots[thief.0];
-        let candidates: Vec<CoreSnapshot> = snapshots
-            .into_iter()
-            .filter(|s| s.id != thief && policy.filter.can_steal(&thief_snap, s))
-            .collect();
-        let Some(victim) = policy.choice.choose(&thief_snap, &candidates) else {
-            return StealOutcome::NoCandidates;
-        };
+        let snapshots: Vec<CoreSnapshot> =
+            self.cores.iter().zip(&guards).map(|(rq, inner)| snapshot_locked(rq, inner)).collect();
+        let victim = policy.select(
+            &snapshots[thief.0],
+            snapshots.iter().copied(),
+            |_| true,
+            &mut Vec::new(),
+        );
         drop(guards);
         // Re-acquire just the two locks to perform the migration; because the
         // selection was made under the global lock there is no staleness in a
         // single-threaded use, and under concurrency the re-check still
         // protects correctness.
-        try_steal(&self.cores[thief.0], &self.cores[victim.0], policy.filter.as_ref(), 1)
+        self.steal(thief, victim.map(|victim| (victim.id, 1)), policy, None)
     }
 }
 

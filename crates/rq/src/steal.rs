@@ -66,7 +66,7 @@ impl<'a> StealRecorder<'a> {
 }
 
 /// Builds a live snapshot of a locked runqueue.
-fn snapshot_locked<Q: TaskQueue>(rq: &PerCoreRq<Q>, inner: &RqInner<Q>) -> CoreSnapshot {
+pub(crate) fn snapshot_locked<Q: TaskQueue>(rq: &PerCoreRq<Q>, inner: &RqInner<Q>) -> CoreSnapshot {
     CoreSnapshot {
         id: rq.id(),
         node: rq.node(),
@@ -79,26 +79,12 @@ fn snapshot_locked<Q: TaskQueue>(rq: &PerCoreRq<Q>, inner: &RqInner<Q>) -> CoreS
 }
 
 /// Attempts to steal up to `max_tasks` waiting tasks from `victim` into
-/// `thief`, re-checking `filter` under the locks first.
+/// `thief`, re-checking `filter` under the locks first, and records the
+/// outcome into `recorder`'s counters (if any) **while both runqueue locks
+/// are still held**.
 ///
 /// Returns the same [`StealOutcome`] vocabulary as the pure model, so the
 /// P1/P2 reasoning applies verbatim to this implementation.
-///
-/// # Panics
-///
-/// Panics if `thief` and `victim` are the same core, which would be a
-/// balancer bug (the filter never selects the thief itself).
-pub fn try_steal<Q: TaskQueue>(
-    thief: &PerCoreRq<Q>,
-    victim: &PerCoreRq<Q>,
-    filter: &dyn FilterPolicy,
-    max_tasks: usize,
-) -> StealOutcome {
-    try_steal_recorded(thief, victim, filter, max_tasks, None)
-}
-
-/// Like [`try_steal`], but records the outcome into `recorder`'s counters
-/// **while both runqueue locks are still held**.
 ///
 /// Recording under the locks makes the counter transition atomic with the
 /// dequeue: without it, a steal that migrates an entity and a local wakeup
@@ -107,6 +93,11 @@ pub fn try_steal<Q: TaskQueue>(
 /// with the published queue states sees the migrated entity counted twice
 /// (once in flight, once settled).  With the recorder, counters and queue
 /// contents always change under the same critical section.
+///
+/// # Panics
+///
+/// Panics if `thief` and `victim` are the same core, which would be a
+/// balancer bug (the filter never selects the thief itself).
 pub fn try_steal_recorded<Q: TaskQueue>(
     thief: &PerCoreRq<Q>,
     victim: &PerCoreRq<Q>,
@@ -190,7 +181,7 @@ mod tests {
         for i in 0..3 {
             victim.enqueue(RqTask::new(TaskId(i)));
         }
-        let outcome = try_steal(&thief, &victim, &DeltaFilter::listing1(), 1);
+        let outcome = try_steal_recorded(&thief, &victim, &DeltaFilter::listing1(), 1, None);
         assert!(outcome.is_success());
         assert_eq!(thief.snapshot().nr_threads, 1);
         assert_eq!(victim.snapshot().nr_threads, 2);
@@ -202,7 +193,7 @@ mod tests {
         let victim = rq(1);
         victim.enqueue(RqTask::new(TaskId(0)));
         // The victim only has one thread: the filter cannot hold.
-        let outcome = try_steal(&thief, &victim, &DeltaFilter::listing1(), 1);
+        let outcome = try_steal_recorded(&thief, &victim, &DeltaFilter::listing1(), 1, None);
         assert_eq!(outcome, StealOutcome::RecheckFailed { victim: CoreId(1) });
         assert_eq!(victim.snapshot().nr_threads, 1);
     }
@@ -213,7 +204,7 @@ mod tests {
         let victim = rq(1);
         victim.enqueue(RqTask::new(TaskId(0)));
         victim.enqueue(RqTask::new(TaskId(1)));
-        let outcome = try_steal(&thief, &victim, &DeltaFilter::listing1(), 8);
+        let outcome = try_steal_recorded(&thief, &victim, &DeltaFilter::listing1(), 8, None);
         match outcome {
             StealOutcome::Stole { tasks, .. } => assert_eq!(tasks, vec![TaskId(1)]),
             other => panic!("expected a steal, got {other:?}"),
@@ -230,7 +221,7 @@ mod tests {
         for i in 0..4 {
             a.enqueue(RqTask::new(TaskId(i)));
         }
-        let outcome = try_steal(&b, &a, &DeltaFilter::listing1(), 1);
+        let outcome = try_steal_recorded(&b, &a, &DeltaFilter::listing1(), 1, None);
         assert!(outcome.is_success());
         assert_eq!(a.snapshot().nr_threads, 3);
         assert_eq!(b.snapshot().nr_threads, 1);
@@ -240,7 +231,7 @@ mod tests {
     #[should_panic(expected = "cannot steal from itself")]
     fn self_steal_is_a_bug() {
         let a = rq(0);
-        let _ = try_steal(&a, &a, &DeltaFilter::listing1(), 1);
+        let _ = try_steal_recorded(&a, &a, &DeltaFilter::listing1(), 1, None);
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! [`SimScheduler::place_wakeup`] on every wakeup and
 //! [`SimScheduler::balance_round`] every balancing period — at the same
 //! simulated times, so one implementation serves both.
+//!
+//! Balancing is one pass function, `balance_pass`: every core plans through
+//! [`Policy::select`] — the selection `sched-verify` checks, shared with the
+//! model, the runqueues and the executor — against one shared snapshot, then
+//! the planned steals re-check against the live queues.
+//! [`OptimisticScheduler`]'s round is that pass admitting every victim;
+//! [`HierarchicalScheduler`]'s is the same pass once per steal level,
+//! admitting only victims within the level's distance.
 
 use std::sync::Arc;
 
@@ -123,6 +131,57 @@ fn trace_steal(
     }
 }
 
+/// One machine-wide balancing pass, the only one the simulator has: every
+/// core plans through [`Policy::select`] against ONE shared snapshot — the
+/// "all cores balance simultaneously" interleaving, so selections made by
+/// later cores can be stale and their steals can fail, exactly the optimism
+/// of the model — then each planned steal re-checks the filter against the
+/// live queues before migrating (Listing 1 line 12).  `admit` caps which
+/// `(thief, victim)` pairs the pass may plan: the flat round admits
+/// everyone, a hierarchical level only victims within its distance.
+fn balance_pass(
+    policy: &Policy,
+    topo: Option<&MachineTopology>,
+    trace: &TraceSink,
+    queues: &mut CoreQueues,
+    threads: &[SimThread],
+    admit: impl Fn(CoreId, CoreId) -> bool,
+) -> RoundStats {
+    let snapshots = queues.snapshots(threads);
+    let mut candidates = Vec::new();
+    let mut plans: Vec<(CoreId, CoreId)> = Vec::new();
+    for thief in &snapshots {
+        let victim = policy.select(
+            thief,
+            snapshots.iter().copied(),
+            |victim| admit(thief.id, victim),
+            &mut candidates,
+        );
+        if let Some(victim) = victim {
+            plans.push((thief.id, victim.id));
+        }
+    }
+    let mut stats = RoundStats::default();
+    for (thief, victim) in plans {
+        let live_thief = queues.snapshot(thief, threads);
+        let live_victim = queues.snapshot(victim, threads);
+        let mut migrated = None;
+        if policy.filter.can_steal(&live_thief, &live_victim) {
+            if let Some(tid) = queues.migrate_newest(victim, thief) {
+                let level = steal_level_of(topo, &live_thief, &live_victim);
+                stats.record_migration(level);
+                migrated = Some((tid, level));
+            }
+        }
+        if migrated.is_none() {
+            stats.failures += 1;
+        }
+        trace_steal(trace, thief, victim, migrated);
+        policy.choice.observe(thief, victim, migrated.is_some());
+    }
+    stats
+}
+
 /// The decisions a scheduler makes inside the simulator.
 ///
 /// The engine owns the mechanism (runqueues, election, preemption, time);
@@ -217,44 +276,7 @@ impl SimScheduler for OptimisticScheduler {
     }
 
     fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> RoundStats {
-        // Selection phase for every core against ONE shared snapshot: this is
-        // the "all cores balance simultaneously" interleaving, so selections
-        // made by later cores can be stale and their steals can fail —
-        // exactly the optimism of the model.
-        let snapshots = queues.snapshots(threads);
-        let mut plans: Vec<(CoreId, CoreId)> = Vec::new();
-        for thief in queues.cores().iter().map(|c| c.id) {
-            let thief_snap = snapshots[thief.0];
-            let candidates: Vec<_> = snapshots
-                .iter()
-                .filter(|s| s.id != thief && self.policy.filter.can_steal(&thief_snap, s))
-                .copied()
-                .collect();
-            if let Some(victim) = self.policy.choice.choose(&thief_snap, &candidates) {
-                plans.push((thief, victim));
-            }
-        }
-        // Stealing phase: each planned steal re-checks the filter against the
-        // live queues before migrating (Listing 1 line 12).
-        let mut stats = RoundStats::default();
-        for (thief, victim) in plans {
-            let live_thief = queues.snapshot(thief, threads);
-            let live_victim = queues.snapshot(victim, threads);
-            let mut migrated = None;
-            if self.policy.filter.can_steal(&live_thief, &live_victim) {
-                if let Some(tid) = queues.migrate_newest(victim, thief) {
-                    let level = steal_level_of(self.topo.as_deref(), &live_thief, &live_victim);
-                    stats.record_migration(level);
-                    migrated = Some((tid, level));
-                }
-            }
-            if migrated.is_none() {
-                stats.failures += 1;
-            }
-            trace_steal(&self.trace, thief, victim, migrated);
-            self.policy.choice.observe(thief, victim, migrated.is_some());
-        }
-        stats
+        balance_pass(&self.policy, self.topo.as_deref(), &self.trace, queues, threads, |_, _| true)
     }
 
     fn set_trace_sink(&mut self, sink: TraceSink) {
@@ -282,52 +304,6 @@ impl HierarchicalScheduler {
     /// Creates the scheduler around `policy` for the given machine.
     pub fn new(policy: Policy, topo: Arc<MachineTopology>) -> Self {
         HierarchicalScheduler { policy, topo, trace: TraceSink::disabled() }
-    }
-
-    /// One level-capped pass: plan against a shared snapshot, then steal
-    /// with the usual re-check.
-    fn level_pass(
-        &mut self,
-        queues: &mut CoreQueues,
-        threads: &[SimThread],
-        level: StealLevel,
-    ) -> RoundStats {
-        let snapshots = queues.snapshots(threads);
-        let mut plans: Vec<(CoreId, CoreId)> = Vec::new();
-        for thief in queues.cores().iter().map(|c| c.id) {
-            let thief_snap = snapshots[thief.0];
-            let candidates: Vec<_> = snapshots
-                .iter()
-                .filter(|s| {
-                    s.id != thief
-                        && self.topo.steal_level(thief, s.id) <= level
-                        && self.policy.filter.can_steal(&thief_snap, s)
-                })
-                .copied()
-                .collect();
-            if let Some(victim) = self.policy.choice.choose(&thief_snap, &candidates) {
-                plans.push((thief, victim));
-            }
-        }
-        let mut stats = RoundStats::default();
-        for (thief, victim) in plans {
-            let live_thief = queues.snapshot(thief, threads);
-            let live_victim = queues.snapshot(victim, threads);
-            let mut migrated = None;
-            if self.policy.filter.can_steal(&live_thief, &live_victim) {
-                if let Some(tid) = queues.migrate_newest(victim, thief) {
-                    let stolen_across = self.topo.steal_level(thief, victim);
-                    stats.record_migration(stolen_across);
-                    migrated = Some((tid, stolen_across));
-                }
-            }
-            if migrated.is_none() {
-                stats.failures += 1;
-            }
-            trace_steal(&self.trace, thief, victim, migrated);
-            self.policy.choice.observe(thief, victim, migrated.is_some());
-        }
-        stats
     }
 }
 
@@ -371,7 +347,16 @@ impl SimScheduler for HierarchicalScheduler {
             if queues.is_work_conserving() {
                 break;
             }
-            stats.merge(self.level_pass(queues, threads, level));
+            // One level-capped pass: the flat pass, admitting only victims
+            // within `level` of their thief.
+            stats.merge(balance_pass(
+                &self.policy,
+                Some(&self.topo),
+                &self.trace,
+                queues,
+                threads,
+                |thief, victim| self.topo.steal_level(thief, victim) <= level,
+            ));
         }
         stats
     }

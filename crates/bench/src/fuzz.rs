@@ -16,6 +16,10 @@
 //! * **non-inversion** — stealing must never make any core more loaded
 //!   than the most loaded core initially was.
 //!
+//! Every sim-compatible scenario additionally serves as an **engine-parity**
+//! input: its event-engine result must equal the reference (tick) engine's
+//! in every measured quantity ([`engine_parity_mismatches`]).
+//!
 //! Each generated document is also round-tripped through the printer and
 //! parser, so the fuzzer doubles as a grammar fuzzer for
 //! [`sched_dsl::parse_doc`].  Failing scenarios are returned as documents —
@@ -425,6 +429,56 @@ pub fn check_ordering(
     violations
 }
 
+/// Every measured quantity in which the event engine's result differs from
+/// the reference (tick) engine's on the same spec: the two are one machine
+/// under two upkeeps and must agree exactly, so an empty list is the only
+/// acceptable answer.  Covers completion, operations, makespan, the
+/// balancing counters (successes, failures, migrations, per-level
+/// migrations), the scheduling-latency distribution and the per-core busy /
+/// benign-idle / violating-idle times.
+pub fn engine_parity_mismatches(
+    reference: &sched_sim::SimResult,
+    event: &sched_sim::SimResult,
+) -> Vec<String> {
+    type Quantity = fn(&sched_sim::SimResult) -> String;
+    let quantities: [(&str, Quantity); 6] = [
+        ("finished", |r| r.finished.to_string()),
+        ("operations", |r| r.operations.to_string()),
+        ("makespan_ns", |r| r.makespan_ns.to_string()),
+        ("balancing", |r| format!("{:?}", r.balance)),
+        ("scheduling latency", |r| {
+            let [p50, p99, max] = [0.5, 0.99, 1.0].map(|q| r.latency.quantile(q));
+            format!("{} samples, p50 {p50} p99 {p99} max {max}", r.latency.count())
+        }),
+        ("per-core idle accounting", |r| format!("{:?}", r.idle)),
+    ];
+    quantities
+        .iter()
+        .map(|(what, of)| (what, of(reference), of(event)))
+        .filter(|(_, reference, event)| reference != event)
+        .map(|(what, reference, event)| {
+            format!("{what}: the event engine says {event}, the reference engine {reference}")
+        })
+        .collect()
+}
+
+/// The engine-parity oracle: re-runs the scenario on the reference engine
+/// and reports every quantity in which `baseline` — the priority-ordered
+/// event-engine result of the same spec — differs from it.
+fn check_engine_parity(spec: &ExperimentSpec, baseline: &sched_sim::SimResult) -> Vec<Violation> {
+    let reference =
+        run_sim_result(SimEngine::Tick, spec).expect("the engines decline the same specs");
+    engine_parity_mismatches(&reference, baseline)
+        .into_iter()
+        .map(|detail| Violation {
+            scenario: spec.scenario.clone(),
+            backend: "sim-event".into(),
+            kind: "engine-parity".into(),
+            detail,
+        })
+        .collect()
+}
+
 /// The trace-driven sanity leg: re-runs the scenario with a decision
 /// recorder attached and folds the event stream through the online
 /// invariant checker ([`sched_trace::sanity`]).
@@ -484,8 +538,10 @@ pub fn check_sanity(scenario: &LoadedScenario) -> Vec<Violation> {
 }
 
 /// Runs one loaded scenario through the runner and its invariant block.
-/// A document carrying an `order` seed (an ordering-sweep repro) is
-/// additionally re-checked against its priority-ordered baseline.
+/// A sim-compatible scenario's event-engine result is held against the
+/// reference engine's ([`engine_parity_mismatches`]), and a document
+/// carrying an `order` seed (an ordering-sweep repro) is additionally
+/// re-checked against that priority-ordered baseline.
 pub fn check_scenario(scenario: &LoadedScenario) -> (usize, Vec<Violation>) {
     let runner = ExperimentRunner::new(vec![
         Box::new(ModelBackend),
@@ -496,10 +552,11 @@ pub fn check_scenario(scenario: &LoadedScenario) -> (usize, Vec<Violation>) {
     let records = runner.run(scenario.spec.clone());
     let mut violations = check_records(&scenario.spec, scenario.expectations(), &records);
     violations.extend(check_sanity(scenario));
-    if let Some(order_seed) = scenario.spec.order {
-        let mut baseline_spec = scenario.spec.clone();
-        baseline_spec.order = None;
-        if let Some(baseline) = run_sim_result(SimEngine::Event, &baseline_spec) {
+    let mut baseline_spec = scenario.spec.clone();
+    baseline_spec.order = None;
+    if let Some(baseline) = run_sim_result(SimEngine::Event, &baseline_spec) {
+        violations.extend(check_engine_parity(&baseline_spec, &baseline));
+        if let Some(order_seed) = scenario.spec.order {
             violations.extend(check_ordering(&baseline_spec, &baseline, order_seed));
         }
     }
@@ -644,6 +701,16 @@ mod tests {
         assert_eq!(nr_records, 1, "only the sim-event backend runs a repro doc");
         let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
         assert!(violations.is_empty(), "{rendered:#?}");
+    }
+
+    #[test]
+    fn the_parity_oracle_names_the_quantities_that_diverged() {
+        let run = |id| run_sim_result(SimEngine::Event, &crate::catalog::spec(id)).unwrap();
+        let (e2, e5) = (run(crate::ExperimentId::E2), run(crate::ExperimentId::E5));
+        assert_eq!(engine_parity_mismatches(&e2, &e2), Vec::<String>::new());
+        let mismatches = engine_parity_mismatches(&e2, &e5);
+        assert!(mismatches.iter().any(|m| m.starts_with("balancing: ")), "{mismatches:#?}");
+        assert!(mismatches.iter().any(|m| m.starts_with("per-core idle")), "{mismatches:#?}");
     }
 
     #[test]

@@ -1292,24 +1292,23 @@ impl SimScenario {
     }
 
     fn run(self, sink: Option<&TraceSink>) -> sched_sim::SimResult {
-        let SimScenario { engine, topo, workload, scheduler, config } = self;
-        match engine {
-            SimEngine::Tick => {
-                let mut driver = sched_sim::Engine::new(config, Some(&topo), &workload, scheduler);
-                if let Some(sink) = sink {
-                    driver.set_trace_sink(sink.clone());
-                }
-                driver.run()
-            }
-            SimEngine::Event => {
-                let mut driver =
-                    sched_sim::EventEngine::new(config, Some(&topo), &workload, scheduler);
-                if let Some(sink) = sink {
-                    driver.set_trace_sink(sink.clone());
-                }
-                driver.run()
-            }
+        match self.engine {
+            SimEngine::Tick => self.run_on::<sched_sim::engine::Eager>(sink),
+            SimEngine::Event => self.run_on::<sched_sim::event_engine::Lazy>(sink),
         }
+    }
+
+    fn run_on<U: sched_sim::Upkeep>(self, sink: Option<&TraceSink>) -> sched_sim::SimResult {
+        let mut machine = sched_sim::Machine::<U>::new(
+            self.config,
+            Some(&self.topo),
+            &self.workload,
+            self.scheduler,
+        );
+        if let Some(sink) = sink {
+            machine.set_trace_sink(sink.clone());
+        }
+        machine.run()
     }
 }
 

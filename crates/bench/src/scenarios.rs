@@ -1,11 +1,11 @@
-//! Shared scenario builders used by both the experiment harness and the
-//! Criterion benches.
+//! Scenario builders of the simulator experiments (E9, E10): the machines,
+//! the workloads and the schedulers they compare.
 
 use std::sync::Arc;
 
 use sched_core::prelude::*;
 use sched_sim::{
-    CfsBugs, CfsLikeScheduler, Engine, OptimisticScheduler, SimConfig, SimResult, SimScheduler,
+    CfsBugs, CfsLikeScheduler, EventEngine, OptimisticScheduler, SimConfig, SimResult, SimScheduler,
 };
 use sched_topology::{MachineTopology, TopologyBuilder};
 use sched_workloads::{OltpWorkload, ScientificWorkload, Workload};
@@ -62,7 +62,7 @@ pub fn run_sim(topo: &MachineTopology, workload: &Workload, scheduler: Scheduler
         SchedulerKind::CfsSane => Box::new(CfsLikeScheduler::new(CfsBugs::none())),
         SchedulerKind::CfsBuggy => Box::new(CfsLikeScheduler::new(CfsBugs::all())),
     };
-    Engine::new(SimConfig::default(), Some(topo), workload, boxed).run()
+    EventEngine::new(SimConfig::default(), Some(topo), workload, boxed).run()
 }
 
 /// The schedulers compared by the simulator experiments.

@@ -1,400 +1,81 @@
-//! The tick-driven simulation engine.
+//! The tick-driven engine: the simulated machine under its eager upkeep,
+//! and the reference the event-driven engine is checked against.
 //!
-//! The engine owns the *mechanism* — time, runqueues, election, preemption,
-//! barriers — and delegates the two *policies* the paper studies to a
-//! [`SimScheduler`]: where waking threads are placed, and how runqueues are
-//! balanced every balancing period.  Runs are fully deterministic given the
-//! workload, the scheduler and the configured [`OrderingPolicy`].
+//! [`Eager`] keeps every core on the calendar and every number current:
+//! each core re-arms its preemption timer every timeslice whether or not it
+//! has work, every balance tick folds every core's tracked load and
+//! re-elects every core, and every event charges every core's idle time.
+//! A run therefore costs O(cores × rounds) even when the machine is mostly
+//! asleep — which is the price of being obviously right.
 //!
-//! This engine keeps every core on the calendar: each core re-arms its
-//! preemption timer every timeslice whether or not it has work, so a run
-//! costs O(cores × rounds) even when the machine is mostly asleep.  The
-//! [`crate::event_engine::EventEngine`] reproduces exactly the same schedule
-//! (pinned by parity tests) while only paying for cores that actually have
-//! something to do.
-//!
-//! [`OrderingPolicy`]: crate::event::OrderingPolicy
+//! [`crate::event_engine::EventEngine`] reproduces exactly the same
+//! schedule (pinned by the parity suites) while only paying for cores that
+//! have something to do.  This upkeep is its oracle, so it stays
+//! *independent* of it: nothing here calls the lazy accounting, the
+//! catch-up replay, timer elision, balance parking or the mutation log.
+//! It is also the `sim` backend of the experiment records.
 
-use std::sync::Arc;
+use sched_core::CoreId;
 
-use sched_core::tracker::LoadTracker;
-use sched_core::{CoreId, TaskId};
-use sched_metrics::{IdleAccounting, LatencyRecorder};
-use sched_topology::MachineTopology;
-use sched_trace::{TraceEvent, TraceSink};
-use sched_workloads::{Phase, Workload};
-
-use crate::barrier::SimBarrier;
 use crate::config::SimConfig;
-use crate::event::{Event, EventKind, EventQueue};
-use crate::queues::CoreQueues;
-use crate::result::SimResult;
-use crate::scheduler::{RoundStats, SimScheduler};
-use crate::thread::{SimThread, SimThreadId, ThreadState};
+use crate::event::{EventKind, EventQueue};
+use crate::machine::{Machine, Upkeep};
 
-/// The discrete-event simulator.
-pub struct Engine {
-    config: SimConfig,
-    queues: CoreQueues,
-    threads: Vec<SimThread>,
-    barriers: Vec<SimBarrier>,
-    events: EventQueue,
-    scheduler: Box<dyn SimScheduler>,
-    /// The scheduler's load criterion: the engine folds every run, sleep
-    /// and wakeup event into the per-core tracked averages under it.
-    tracker: Arc<dyn LoadTracker>,
-    workload_name: String,
-    now: u64,
+/// The tick-driven simulator: a [`Machine`] kept up to date eagerly.
+pub type Engine = Machine<Eager>;
+
+/// The eager upkeep: everything about every core, at every event.
+#[derive(Debug)]
+pub struct Eager {
+    /// Time up to which every core's idle time has been charged.
     last_account: u64,
-    idle: IdleAccounting,
-    latency: LatencyRecorder,
-    balance_stats: RoundStats,
-    finished_count: usize,
-    events_processed: u64,
-    trace: TraceSink,
-    /// Last narrated busy-state per core, so Park/Unpark events fire only
-    /// on transitions (the trace is edge-, not level-triggered).
-    core_busy: Vec<bool>,
-    balance_rounds: u64,
 }
 
-impl Engine {
-    /// Builds an engine for `workload` under `scheduler`.
-    ///
-    /// If `topo` is given the core count and NUMA layout come from it,
-    /// otherwise `config.nr_cores` cores on a single node are used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload fails validation (mismatched barriers).
-    pub fn new(
-        config: SimConfig,
-        topo: Option<&MachineTopology>,
-        workload: &Workload,
-        scheduler: Box<dyn SimScheduler>,
-    ) -> Self {
-        workload.validate().unwrap_or_else(|e| panic!("invalid workload: {e}"));
-        let queues = match topo {
-            Some(t) => CoreQueues::with_topology(t),
-            None => CoreQueues::new(config.nr_cores),
-        };
-        let nr_cores = queues.nr_cores();
-
-        let threads: Vec<SimThread> = workload
-            .threads
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| SimThread::new(SimThreadId(i), spec.clone()))
-            .collect();
-        let barriers = workload.barriers.iter().map(|&(id, n)| SimBarrier::new(id, n)).collect();
-
-        let mut events = EventQueue::with_ordering(config.ordering);
-        for thread in &threads {
-            events.push(thread.spec.arrival_ns, EventKind::Arrival(thread.id));
-        }
+impl Upkeep for Eager {
+    fn new(nr_cores: usize, config: &SimConfig, events: &mut EventQueue) -> Self {
         for core in 0..nr_cores {
             events.push(config.timeslice_ns, EventKind::Timer(CoreId(core)));
         }
         events.push(config.balance_period_ns, EventKind::Balance);
-
-        Engine {
-            idle: IdleAccounting::new(nr_cores),
-            latency: LatencyRecorder::new(),
-            balance_stats: RoundStats::default(),
-            queues,
-            threads,
-            barriers,
-            events,
-            tracker: scheduler.tracker(),
-            scheduler,
-            workload_name: workload.name.clone(),
-            now: 0,
-            last_account: 0,
-            finished_count: 0,
-            events_processed: 0,
-            trace: TraceSink::disabled(),
-            core_busy: vec![false; nr_cores],
-            balance_rounds: 0,
-            config,
-        }
+        Eager { last_account: 0 }
     }
 
-    /// Attaches `sink` so the run narrates its decisions: placements,
-    /// parking transitions and balancing rounds from the engine, steal
-    /// attempts from the scheduler (forwarded a clone).  Recording is
-    /// write-only — an attached sink never changes the schedule.  Call
-    /// before [`Engine::run`] and keep a clone of the sink to drain.
-    pub fn set_trace_sink(&mut self, sink: TraceSink) {
-        self.scheduler.set_trace_sink(sink.clone());
-        self.trace = sink;
-        self.trace.set_now(self.now);
-        if self.trace.is_enabled() {
-            // Every core starts parked; the first election narrates Unpark.
-            for core in 0..self.queues.nr_cores() {
-                self.trace.record_now(CoreId(core), &TraceEvent::Park);
-            }
-        }
-    }
-
-    /// Narrates `core`'s idle/busy transition, if its state changed since
-    /// the last narration.
-    fn trace_core_state(&mut self, core: CoreId) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        let busy = self.queues.core(core).current.is_some();
-        if busy != self.core_busy[core.0] {
-            self.core_busy[core.0] = busy;
-            self.trace.record_now(core, if busy { &TraceEvent::Unpark } else { &TraceEvent::Park });
-        }
-    }
-
-    /// Folds `core`'s current instantaneous load into its tracked average
-    /// at the present simulation time.  Called after every queue mutation,
-    /// so decayed criteria see each run/sleep/wakeup transition.
-    fn touch(&mut self, core: CoreId) {
-        self.queues.touch(core, self.now, self.tracker.as_ref(), &self.threads);
-    }
-
-    /// Runs the simulation to completion (or to the horizon) and returns the
-    /// measurements.
-    pub fn run(mut self) -> SimResult {
-        while let Some(event) = self.events.pop() {
-            if event.time > self.config.horizon_ns {
-                break;
-            }
-            if let Some(budget) = self.config.event_budget {
-                if self.events_processed >= budget {
-                    break;
-                }
-            }
-            self.events_processed += 1;
-            self.account_until(event.time);
-            self.now = event.time;
-            self.trace.set_now(self.now);
-            self.handle(event);
-            if self.finished_count == self.threads.len() {
-                break;
-            }
-        }
-        self.account_until(self.now);
-        let finished = self.finished_count == self.threads.len();
-        SimResult {
-            scheduler: self.scheduler.name(),
-            workload: self.workload_name,
-            makespan_ns: self.now,
-            finished,
-            operations: self.threads.iter().map(|t| t.ops_completed).sum(),
-            events_processed: self.events_processed,
-            idle: self.idle,
-            latency: self.latency,
-            balance: self.balance_stats,
-        }
-    }
-
-    fn account_until(&mut self, t: u64) {
-        let span = t.saturating_sub(self.last_account);
+    fn advance(m: &mut Engine, to: u64) {
+        let span = to.saturating_sub(m.upkeep.last_account);
         if span == 0 {
             return;
         }
-        let any_overloaded = self.queues.any_overloaded();
-        for core in self.queues.cores() {
-            self.idle.account(core.id.0, span, core.is_idle(), any_overloaded);
+        let any_overloaded = m.queues.any_overloaded();
+        for core in m.queues.cores() {
+            m.idle.account(core.id.0, span, core.is_idle(), any_overloaded);
         }
-        self.last_account = t;
+        m.upkeep.last_account = to;
     }
 
-    fn handle(&mut self, event: Event) {
-        match event.kind {
-            EventKind::Arrival(tid) => {
-                debug_assert_eq!(self.threads[tid.0].state, ThreadState::NotArrived);
-                self.enter_phase(tid);
-            }
-            EventKind::SleepDone(tid) => {
-                debug_assert_eq!(self.threads[tid.0].state, ThreadState::Sleeping);
-                self.threads[tid.0].phase_idx += 1;
-                self.enter_phase(tid);
-            }
-            EventKind::PhaseDone { tid, token } => self.on_phase_done(tid, token),
-            EventKind::Timer(core) => self.on_timer(core),
-            EventKind::Balance => self.on_balance(),
+    fn on_timer(m: &mut Engine, core: CoreId) {
+        m.preempt(core);
+        if m.unfinished() {
+            m.events.push(m.now + m.config.timeslice_ns, EventKind::Timer(core));
         }
     }
 
-    /// Records that `tid` voluntarily left the runnable population (a
-    /// sleep phase or a barrier wait), so trace consumers stop counting
-    /// it against its last core's occupancy until it wakes again.
-    fn trace_task_sleep(&mut self, tid: SimThreadId) {
-        if self.trace.is_enabled() {
-            let core = self.threads[tid.0].last_core.unwrap_or(CoreId(0));
-            self.trace.record_now(core, &TraceEvent::TaskSleep { task: TaskId(tid.0 as u64) });
-        }
-    }
-
-    /// Starts the thread's current phase (compute, sleep, barrier) or
-    /// finishes the thread if no phase remains.
-    fn enter_phase(&mut self, tid: SimThreadId) {
-        match self.threads[tid.0].current_phase() {
-            None => {
-                let thread = &mut self.threads[tid.0];
-                thread.state = ThreadState::Finished;
-                thread.finish_time = Some(self.now);
-                let last = thread.last_core;
-                self.finished_count += 1;
-                if self.trace.is_enabled() {
-                    self.trace.record_now(
-                        last.unwrap_or(CoreId(0)),
-                        &TraceEvent::TaskDone { task: TaskId(tid.0 as u64) },
-                    );
-                }
-            }
-            Some(Phase::Compute(ns)) => {
-                self.threads[tid.0].remaining_ns = ns;
-                self.make_runnable(tid);
-            }
-            Some(Phase::Sleep(ns)) => {
-                self.threads[tid.0].state = ThreadState::Sleeping;
-                self.trace_task_sleep(tid);
-                self.events.push(self.now + ns, EventKind::SleepDone(tid));
-            }
-            Some(Phase::Barrier(id)) => {
-                self.threads[tid.0].state = ThreadState::AtBarrier(id);
-                self.trace_task_sleep(tid);
-                let barrier = self
-                    .barriers
-                    .iter_mut()
-                    .find(|b| b.id == id)
-                    .expect("validated workloads declare every barrier");
-                if let Some(released) = barrier.arrive(tid) {
-                    for freed in released {
-                        self.threads[freed.0].phase_idx += 1;
-                        self.enter_phase(freed);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Places a runnable thread on a core, starting it immediately if the
-    /// core is idle.
-    fn make_runnable(&mut self, tid: SimThreadId) {
-        let prev = self.threads[tid.0].last_core;
-        let target = match (prev, self.threads[tid.0].spec.origin_core) {
-            // First placement of a pinned thread: honour the workload's
-            // origin core (e.g. "all workers forked on core 0").
-            (None, Some(origin)) => CoreId(origin % self.queues.nr_cores()),
-            _ => self.scheduler.place_wakeup(&self.queues, &self.threads, tid, prev),
-        };
-        if self.trace.is_enabled() {
-            let task = TaskId(tid.0 as u64);
-            self.trace.record_now(target, &TraceEvent::TaskWake { task });
-            self.trace.record_now(target, &TraceEvent::PlaceDecision { task, core: target });
-        }
-        let thread = &mut self.threads[tid.0];
-        thread.state = ThreadState::Runnable;
-        thread.ready_since = Some(self.now);
-        thread.last_core = Some(target);
-        if self.queues.core(target).current.is_none() {
-            self.start_running(target, tid);
-        } else {
-            self.queues.enqueue(target, tid);
-        }
-        self.touch(target);
-        self.trace_core_state(target);
-    }
-
-    /// Puts `tid` on `core` and schedules the completion of its compute
-    /// phase.
-    fn start_running(&mut self, core: CoreId, tid: SimThreadId) {
-        debug_assert!(self.queues.core(core).current.is_none());
-        self.queues.core_mut(core).current = Some(tid);
-        let thread = &mut self.threads[tid.0];
-        thread.state = ThreadState::Running;
-        thread.running_since = Some(self.now);
-        thread.last_core = Some(core);
-        thread.run_token += 1;
-        if let Some(ready_since) = thread.ready_since.take() {
-            self.latency.record(ready_since, self.now);
-        }
-        self.events.push(
-            self.now + thread.remaining_ns,
-            EventKind::PhaseDone { tid, token: thread.run_token },
-        );
-    }
-
-    /// Elects the oldest waiting thread of `core` if the core is idle.
-    fn elect_next(&mut self, core: CoreId) {
-        if self.queues.core(core).current.is_none() {
-            if let Some(next) = self.queues.pop_ready(core) {
-                self.start_running(core, next);
-            }
-        }
-        self.touch(core);
-        self.trace_core_state(core);
-    }
-
-    fn on_phase_done(&mut self, tid: SimThreadId, token: u64) {
-        if self.threads[tid.0].run_token != token {
-            // The thread was preempted or migrated since this completion was
-            // scheduled; a fresh completion event exists.
-            return;
-        }
-        debug_assert_eq!(self.threads[tid.0].state, ThreadState::Running);
-        let core = self.threads[tid.0].last_core.expect("a running thread has a core");
-        debug_assert_eq!(self.queues.core(core).current, Some(tid));
-        self.queues.core_mut(core).current = None;
-        {
-            let thread = &mut self.threads[tid.0];
-            thread.ops_completed += 1;
-            thread.remaining_ns = 0;
-            thread.run_token += 1;
-            thread.phase_idx += 1;
-        }
-        self.enter_phase(tid);
-        self.elect_next(core);
-    }
-
-    fn on_timer(&mut self, core: CoreId) {
-        // Round-robin preemption: if somebody is waiting, the running thread
-        // yields the core and requeues at the tail.
-        if let Some(running) = self.queues.core(core).current {
-            if !self.queues.core(core).ready.is_empty() {
-                let thread = &mut self.threads[running.0];
-                let ran_for =
-                    self.now - thread.running_since.expect("running thread has a start time");
-                thread.remaining_ns = thread.remaining_ns.saturating_sub(ran_for);
-                thread.run_token += 1;
-                thread.state = ThreadState::Runnable;
-                thread.ready_since = Some(self.now);
-                self.queues.core_mut(core).current = None;
-                self.queues.enqueue(core, running);
-                self.elect_next(core);
-            }
-        }
-        if self.finished_count < self.threads.len() {
-            self.events.push(self.now + self.config.timeslice_ns, EventKind::Timer(core));
-        }
-    }
-
-    fn on_balance(&mut self) {
+    fn on_balance(m: &mut Engine) {
         // Decay every tracked load to the present before the selection
         // phase reads it, and refresh after the migrations settle.
-        self.queues.touch_all(self.now, self.tracker.as_ref(), &self.threads);
-        if self.trace.is_enabled() {
-            self.trace
-                .record_now(CoreId(0), &TraceEvent::BalanceRound { round: self.balance_rounds });
-        }
-        self.balance_rounds += 1;
-        let stats = self.scheduler.balance_round(&mut self.queues, &self.threads);
-        self.balance_stats.merge(stats);
+        m.queues.touch_all(m.now, m.tracker.as_ref(), &m.threads);
+        m.balance_round();
         // Any core that received work while idle starts running it now
         // (elect_next also refreshes each core's tracked load).
-        for core in 0..self.queues.nr_cores() {
-            self.elect_next(CoreId(core));
+        for core in 0..m.queues.nr_cores() {
+            m.elect_next(CoreId(core));
         }
-        if self.finished_count < self.threads.len() {
-            self.events.push(self.now + self.config.balance_period_ns, EventKind::Balance);
+        if m.unfinished() {
+            m.events.push(m.now + m.config.balance_period_ns, EventKind::Balance);
         }
+    }
+
+    fn finish(m: &mut Engine, _budget_exhausted: bool) {
+        Self::advance(m, m.now);
     }
 }
 
@@ -404,7 +85,7 @@ mod tests {
     use crate::cfs::{CfsBugs, CfsLikeScheduler};
     use crate::scheduler::OptimisticScheduler;
     use sched_core::Policy;
-    use sched_workloads::{ScientificWorkload, ThreadSpec};
+    use sched_workloads::{Phase, ScientificWorkload, ThreadSpec, Workload};
 
     fn small_scientific() -> Workload {
         ScientificWorkload {

@@ -1,4 +1,5 @@
-//! The event-driven simulation engine: O(events) instead of O(cores × ticks).
+//! The event-driven engine: the simulated machine under its lazy upkeep,
+//! O(events) instead of O(cores × ticks).
 //!
 //! The tick engine ([`crate::engine::Engine`]) keeps every core on the
 //! calendar: per-core preemption timers re-arm every timeslice whether or not
@@ -7,9 +8,9 @@
 //! still pays for 100% of its cores, which is exactly backwards for the
 //! idle-while-overloaded scenarios the paper cares about.
 //!
-//! This engine runs the *same* simulation — same handlers, same scheduler
-//! callbacks, same accounting totals — while only paying for cores that have
-//! something to do:
+//! This engine is the *same* [`Machine`] — same handlers, same scheduler
+//! callbacks, same accounting totals — whose upkeep, [`Lazy`], only pays for
+//! cores that have something to do:
 //!
 //! * **Timer elision** — a core's preemption timer is on the calendar only
 //!   while the core is preemptible (someone running *and* someone waiting).
@@ -29,9 +30,11 @@
 //!   event; here a global "some core is overloaded" time integral plus
 //!   per-core change timestamps settle each core lazily, producing the same
 //!   per-core busy / benign-idle / violating-idle totals.
+//! * **Election of mutated cores only** — a balancing round logs the cores
+//!   it moved work between; only those are re-elected afterwards.
 //!
 //! Under the default [`OrderingPolicy::Priority`] the two engines produce
-//! bit-identical results (pinned by parity tests in `sched-bench`): ranks
+//! bit-identical results (pinned by the parity suites): ranks
 //! order simultaneous events as balance, then wakeups in push order, then
 //! timers in core order, which is engine-independent.  Exact FIFO parity is
 //! impossible by construction — FIFO ties depend on push order, and eliding
@@ -44,24 +47,18 @@
 //! [`OrderingPolicy::Seeded`]: crate::event::OrderingPolicy::Seeded
 //! [`CoreQueues::catch_up`]: crate::queues::CoreQueues::catch_up
 
-use std::sync::Arc;
+use sched_core::CoreId;
 
-use sched_core::tracker::LoadTracker;
-use sched_core::{CoreId, TaskId};
-use sched_metrics::{IdleAccounting, LatencyRecorder};
-use sched_topology::MachineTopology;
-use sched_trace::{TraceEvent, TraceSink};
-use sched_workloads::{Phase, Workload};
-
-use crate::barrier::SimBarrier;
 use crate::config::SimConfig;
-use crate::event::{Event, EventKind, EventQueue};
-use crate::queues::CoreQueues;
-use crate::result::SimResult;
-use crate::scheduler::{RoundStats, SimScheduler};
-use crate::thread::{SimThread, SimThreadId, ThreadState};
+use crate::event::{EventKind, EventQueue};
+use crate::machine::{Machine, Upkeep};
 
-/// Per-core bookkeeping the event engine keeps off the calendar.
+/// The event-driven simulator: a [`Machine`] kept up to date lazily.
+/// Construction and results are drop-in compatible with
+/// [`crate::engine::Engine`].
+pub type EventEngine = Machine<Lazy>;
+
+/// Per-core bookkeeping the lazy upkeep keeps off the calendar.
 #[derive(Debug, Clone)]
 struct CoreMeta {
     /// A preemption timer for this core is currently on the calendar.
@@ -79,23 +76,10 @@ struct CoreMeta {
     v_snapshot: u64,
 }
 
-/// The event-driven simulator.  Construction and results are drop-in
-/// compatible with [`crate::engine::Engine`].
-pub struct EventEngine {
-    config: SimConfig,
-    queues: CoreQueues,
-    threads: Vec<SimThread>,
-    barriers: Vec<SimBarrier>,
-    events: EventQueue,
-    scheduler: Box<dyn SimScheduler>,
-    tracker: Arc<dyn LoadTracker>,
-    workload_name: String,
-    now: u64,
-    idle: IdleAccounting,
-    latency: LatencyRecorder,
-    balance_stats: RoundStats,
-    finished_count: usize,
-    events_processed: u64,
+/// The lazy upkeep: a core is brought up to date when something happens to
+/// it, and the calendar holds only the timers and ticks that can matter.
+#[derive(Debug)]
+pub struct Lazy {
     meta: Vec<CoreMeta>,
     /// Number of cores currently holding two or more threads.
     nr_overloaded: usize,
@@ -105,66 +89,14 @@ pub struct EventEngine {
     v_last_ns: u64,
     /// The machine-wide balance event is off the calendar (machine asleep).
     balance_parked: bool,
-    budget_exhausted: bool,
-    trace: TraceSink,
-    /// Last narrated busy-state per core, so Park/Unpark events fire only
-    /// on transitions (the trace is edge-, not level-triggered).
-    core_busy: Vec<bool>,
-    balance_rounds: u64,
 }
 
-impl EventEngine {
-    /// Builds an engine for `workload` under `scheduler`.
-    ///
-    /// If `topo` is given the core count and NUMA layout come from it,
-    /// otherwise `config.nr_cores` cores on a single node are used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload fails validation (mismatched barriers).
-    pub fn new(
-        config: SimConfig,
-        topo: Option<&MachineTopology>,
-        workload: &Workload,
-        scheduler: Box<dyn SimScheduler>,
-    ) -> Self {
-        workload.validate().unwrap_or_else(|e| panic!("invalid workload: {e}"));
-        let queues = match topo {
-            Some(t) => CoreQueues::with_topology(t),
-            None => CoreQueues::new(config.nr_cores),
-        };
-        let nr_cores = queues.nr_cores();
-
-        let threads: Vec<SimThread> = workload
-            .threads
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| SimThread::new(SimThreadId(i), spec.clone()))
-            .collect();
-        let barriers = workload.barriers.iter().map(|&(id, n)| SimBarrier::new(id, n)).collect();
-
-        let mut events = EventQueue::with_ordering(config.ordering);
-        for thread in &threads {
-            events.push(thread.spec.arrival_ns, EventKind::Arrival(thread.id));
-        }
+impl Upkeep for Lazy {
+    fn new(nr_cores: usize, config: &SimConfig, events: &mut EventQueue) -> Self {
         // No per-core timers: they are armed on demand.  The balance tick
         // starts live and parks itself once the machine is asleep.
         events.push(config.balance_period_ns, EventKind::Balance);
-
-        EventEngine {
-            idle: IdleAccounting::new(nr_cores),
-            latency: LatencyRecorder::new(),
-            balance_stats: RoundStats::default(),
-            queues,
-            threads,
-            barriers,
-            events,
-            tracker: scheduler.tracker(),
-            scheduler,
-            workload_name: workload.name.clone(),
-            now: 0,
-            finished_count: 0,
-            events_processed: 0,
+        Lazy {
             meta: vec![
                 CoreMeta {
                     timer_armed: false,
@@ -180,113 +112,115 @@ impl EventEngine {
             v_total: 0,
             v_last_ns: 0,
             balance_parked: false,
-            budget_exhausted: false,
-            trace: TraceSink::disabled(),
-            core_busy: vec![false; nr_cores],
-            balance_rounds: 0,
-            config,
-        }
-    }
-
-    /// Attaches `sink` so the run narrates its decisions: placements,
-    /// parking transitions and balancing rounds from the engine, steal
-    /// attempts from the scheduler (forwarded a clone).  Recording is
-    /// write-only — an attached sink never changes the schedule, so the
-    /// tick-engine parity is unaffected.  Call before [`EventEngine::run`]
-    /// and keep a clone of the sink to drain.
-    pub fn set_trace_sink(&mut self, sink: TraceSink) {
-        self.scheduler.set_trace_sink(sink.clone());
-        self.trace = sink;
-        self.trace.set_now(self.now);
-        if self.trace.is_enabled() {
-            // Every core starts parked; the first election narrates Unpark.
-            for core in 0..self.queues.nr_cores() {
-                self.trace.record_now(CoreId(core), &TraceEvent::Park);
-            }
-        }
-    }
-
-    /// Narrates `core`'s idle/busy transition, if its state changed since
-    /// the last narration.
-    fn trace_core_state(&mut self, core: CoreId) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        let busy = self.queues.core(core).current.is_some();
-        if busy != self.core_busy[core.0] {
-            self.core_busy[core.0] = busy;
-            self.trace.record_now(core, if busy { &TraceEvent::Unpark } else { &TraceEvent::Park });
-        }
-    }
-
-    /// Runs the simulation to completion (or to the horizon / event budget)
-    /// and returns the measurements.
-    pub fn run(mut self) -> SimResult {
-        while let Some(event) = self.events.pop() {
-            if event.time > self.config.horizon_ns {
-                break;
-            }
-            if let Some(budget) = self.config.event_budget {
-                if self.events_processed >= budget {
-                    self.budget_exhausted = true;
-                    break;
-                }
-            }
-            self.events_processed += 1;
-            self.advance_violation(event.time);
-            self.now = event.time;
-            self.trace.set_now(self.now);
-            self.handle(event);
-            if self.finished_count == self.threads.len() {
-                break;
-            }
-        }
-        if self.finished_count < self.threads.len() && !self.budget_exhausted {
-            // The tick engine keeps every timer and the balance tick on the
-            // calendar until the horizon, so its truncated makespan is the
-            // last grid point within it; reproduce that without the events.
-            let ts = self.config.timeslice_ns;
-            let bp = self.config.balance_period_ns;
-            let h = self.config.horizon_ns;
-            self.now = self.now.max(h / ts * ts).max(h / bp * bp);
-        }
-        self.advance_violation(self.now);
-        for core in 0..self.queues.nr_cores() {
-            self.settle(CoreId(core));
-        }
-        let finished = self.finished_count == self.threads.len();
-        SimResult {
-            scheduler: self.scheduler.name(),
-            workload: self.workload_name,
-            makespan_ns: self.now,
-            finished,
-            operations: self.threads.iter().map(|t| t.ops_completed).sum(),
-            events_processed: self.events_processed,
-            idle: self.idle,
-            latency: self.latency,
-            balance: self.balance_stats,
         }
     }
 
     /// Advances the machine-wide violation integral to `to` using the state
     /// that held since the previous event.
-    fn advance_violation(&mut self, to: u64) {
-        let span = to.saturating_sub(self.v_last_ns);
-        if span > 0 && self.nr_overloaded > 0 {
-            self.v_total += span;
+    fn advance(m: &mut EventEngine, to: u64) {
+        let up = &mut m.upkeep;
+        let span = to.saturating_sub(up.v_last_ns);
+        if span > 0 && up.nr_overloaded > 0 {
+            up.v_total += span;
         }
-        self.v_last_ns = to;
+        up.v_last_ns = to;
     }
 
+    /// Replays the balance-grid tracker folds `core` missed while it was off
+    /// the calendar.
+    fn before_change(m: &mut EventEngine, core: CoreId) {
+        m.queues.catch_up(core, m.now, m.config.balance_period_ns, m.tracker.as_ref(), &m.threads);
+    }
+
+    fn after_change(m: &mut EventEngine, core: CoreId) {
+        m.settle(core);
+        m.refresh(core);
+        m.maybe_arm_timer(core);
+    }
+
+    /// Puts the machine-wide balance event back on its grid after a wakeup
+    /// ended a fully-asleep episode.
+    fn on_wakeup(m: &mut EventEngine) {
+        if !m.upkeep.balance_parked {
+            return;
+        }
+        m.upkeep.balance_parked = false;
+        let bp = m.config.balance_period_ns;
+        m.events.push((m.now / bp + 1) * bp, EventKind::Balance);
+    }
+
+    fn on_timer(m: &mut EventEngine, core: CoreId) {
+        m.upkeep.meta[core.0].timer_armed = false;
+        m.upkeep.meta[core.0].last_timer_fired_ns = m.now;
+        // A timer that went stale while on the calendar fires as a no-op; a
+        // preemption re-arms through `after_change`.
+        m.preempt(core);
+    }
+
+    fn on_balance(m: &mut EventEngine) {
+        // Bring every core to the present before the selection phase reads
+        // it: replay missed grid folds, fold at the present (the tick
+        // engine's `touch_all`), and flush idle accounting so the round's
+        // mutations settle from a clean slate.  O(cores) here is free —
+        // `balance_round` itself snapshots every core anyway.
+        for core in 0..m.queues.nr_cores() {
+            let id = CoreId(core);
+            Self::before_change(m, id);
+            m.touch(id);
+            m.settle(id);
+        }
+        m.queues.enable_mutation_log();
+        let stats = m.balance_round();
+        let mutated = m.queues.drain_mutation_log();
+        let round_was_noop = stats.successes == 0 && stats.failures == 0 && stats.migrations == 0;
+        // Only cores the round actually moved work between need election
+        // (the tick engine elects every core, but an untouched core's
+        // election is a no-op by the runqueue invariant).
+        for &core in &mutated {
+            m.elect_next(core);
+            Self::after_change(m, core);
+        }
+        if m.unfinished() {
+            let asleep = round_was_noop
+                && m.queues.total_threads() == 0
+                && m.queues.cores().iter().all(|c| c.tracked.scaled == 0);
+            if asleep {
+                // Every future round would be a no-op over unchanged queues
+                // and fully-decayed loads: park until the next wakeup.
+                m.upkeep.balance_parked = true;
+            } else {
+                m.events.push(m.now + m.config.balance_period_ns, EventKind::Balance);
+            }
+        }
+    }
+
+    fn finish(m: &mut EventEngine, budget_exhausted: bool) {
+        if m.unfinished() && !budget_exhausted {
+            // The tick engine keeps every timer and the balance tick on the
+            // calendar until the horizon, so its truncated makespan is the
+            // last grid point within it; reproduce that without the events.
+            let ts = m.config.timeslice_ns;
+            let bp = m.config.balance_period_ns;
+            let h = m.config.horizon_ns;
+            m.now = m.now.max(h / ts * ts).max(h / bp * bp);
+        }
+        Self::advance(m, m.now);
+        for core in 0..m.queues.nr_cores() {
+            m.settle(CoreId(core));
+        }
+    }
+}
+
+impl Machine<Lazy> {
     /// Flushes `core`'s idle accounting up to the present using the status
     /// flags stored at its last change (the violation integral must already
     /// be advanced to `self.now`).
     fn settle(&mut self, core: CoreId) {
-        let m = &mut self.meta[core.0];
+        let m = &mut self.upkeep.meta[core.0];
         let span = self.now.saturating_sub(m.last_change_ns);
         if span > 0 {
             if m.was_idle {
-                let violating = self.v_total - m.v_snapshot;
+                let violating = self.upkeep.v_total - m.v_snapshot;
                 self.idle.account(core.0, violating, true, true);
                 self.idle.account(core.0, span - violating, true, false);
             } else {
@@ -294,7 +228,7 @@ impl EventEngine {
             }
         }
         m.last_change_ns = self.now;
-        m.v_snapshot = self.v_total;
+        m.v_snapshot = self.upkeep.v_total;
     }
 
     /// Re-reads `core`'s live status into its meta and the overload count.
@@ -303,46 +237,22 @@ impl EventEngine {
             let c = self.queues.core(core);
             (c.is_idle(), c.is_overloaded())
         };
-        let was_over = self.meta[core.0].was_overloaded;
+        let was_over = self.upkeep.meta[core.0].was_overloaded;
         if is_over && !was_over {
-            self.nr_overloaded += 1;
+            self.upkeep.nr_overloaded += 1;
         } else if !is_over && was_over {
-            self.nr_overloaded -= 1;
+            self.upkeep.nr_overloaded -= 1;
         }
-        let m = &mut self.meta[core.0];
+        let m = &mut self.upkeep.meta[core.0];
         m.was_idle = is_idle;
         m.was_overloaded = is_over;
-    }
-
-    /// Settles and refreshes `core` after a mutation at the present time.
-    fn note_change(&mut self, core: CoreId) {
-        self.settle(core);
-        self.refresh(core);
-        self.trace_core_state(core);
-    }
-
-    /// Replays the balance-grid tracker folds `core` missed while it was off
-    /// the calendar.  Must run *before* mutating the core.
-    fn catch_up_core(&mut self, core: CoreId) {
-        self.queues.catch_up(
-            core,
-            self.now,
-            self.config.balance_period_ns,
-            self.tracker.as_ref(),
-            &self.threads,
-        );
-    }
-
-    /// Folds `core`'s instantaneous load into its tracked average now.
-    fn touch(&mut self, core: CoreId) {
-        self.queues.touch(core, self.now, self.tracker.as_ref(), &self.threads);
     }
 
     /// Puts a preemption timer for `core` on the calendar if the core is
     /// preemptible and none is pending.  Timers land on the tick engine's
     /// timeslice grid; a grid point whose timer already fired is skipped.
     fn maybe_arm_timer(&mut self, core: CoreId) {
-        if self.meta[core.0].timer_armed {
+        if self.upkeep.meta[core.0].timer_armed {
             return;
         }
         {
@@ -354,260 +264,28 @@ impl EventEngine {
         let ts = self.config.timeslice_ns;
         let at = if self.now > 0
             && self.now.is_multiple_of(ts)
-            && self.meta[core.0].last_timer_fired_ns != self.now
+            && self.upkeep.meta[core.0].last_timer_fired_ns != self.now
         {
             self.now
         } else {
             (self.now / ts + 1) * ts
         };
         self.events.push(at, EventKind::Timer(core));
-        self.meta[core.0].timer_armed = true;
-    }
-
-    /// Puts the machine-wide balance event back on its grid after a wakeup
-    /// ended a fully-asleep episode.
-    fn unpark_balance(&mut self) {
-        if !self.balance_parked {
-            return;
-        }
-        self.balance_parked = false;
-        let bp = self.config.balance_period_ns;
-        self.events.push((self.now / bp + 1) * bp, EventKind::Balance);
-    }
-
-    fn handle(&mut self, event: Event) {
-        match event.kind {
-            EventKind::Arrival(tid) => {
-                debug_assert_eq!(self.threads[tid.0].state, ThreadState::NotArrived);
-                self.enter_phase(tid);
-            }
-            EventKind::SleepDone(tid) => {
-                debug_assert_eq!(self.threads[tid.0].state, ThreadState::Sleeping);
-                self.threads[tid.0].phase_idx += 1;
-                self.enter_phase(tid);
-            }
-            EventKind::PhaseDone { tid, token } => self.on_phase_done(tid, token),
-            EventKind::Timer(core) => self.on_timer(core),
-            EventKind::Balance => self.on_balance(),
-        }
-    }
-
-    /// Records that `tid` voluntarily left the runnable population (a
-    /// sleep phase or a barrier wait), so trace consumers stop counting
-    /// it against its last core's occupancy until it wakes again.
-    fn trace_task_sleep(&mut self, tid: SimThreadId) {
-        if self.trace.is_enabled() {
-            let core = self.threads[tid.0].last_core.unwrap_or(CoreId(0));
-            self.trace.record_now(core, &TraceEvent::TaskSleep { task: TaskId(tid.0 as u64) });
-        }
-    }
-
-    /// Starts the thread's current phase (compute, sleep, barrier) or
-    /// finishes the thread if no phase remains.
-    fn enter_phase(&mut self, tid: SimThreadId) {
-        match self.threads[tid.0].current_phase() {
-            None => {
-                let thread = &mut self.threads[tid.0];
-                thread.state = ThreadState::Finished;
-                thread.finish_time = Some(self.now);
-                let last = thread.last_core;
-                self.finished_count += 1;
-                if self.trace.is_enabled() {
-                    self.trace.record_now(
-                        last.unwrap_or(CoreId(0)),
-                        &TraceEvent::TaskDone { task: TaskId(tid.0 as u64) },
-                    );
-                }
-            }
-            Some(Phase::Compute(ns)) => {
-                self.threads[tid.0].remaining_ns = ns;
-                self.make_runnable(tid);
-            }
-            Some(Phase::Sleep(ns)) => {
-                self.threads[tid.0].state = ThreadState::Sleeping;
-                self.trace_task_sleep(tid);
-                self.events.push(self.now + ns, EventKind::SleepDone(tid));
-            }
-            Some(Phase::Barrier(id)) => {
-                self.threads[tid.0].state = ThreadState::AtBarrier(id);
-                self.trace_task_sleep(tid);
-                let barrier = self
-                    .barriers
-                    .iter_mut()
-                    .find(|b| b.id == id)
-                    .expect("validated workloads declare every barrier");
-                if let Some(released) = barrier.arrive(tid) {
-                    for freed in released {
-                        self.threads[freed.0].phase_idx += 1;
-                        self.enter_phase(freed);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Places a runnable thread on a core, starting it immediately if the
-    /// core is idle.
-    fn make_runnable(&mut self, tid: SimThreadId) {
-        let prev = self.threads[tid.0].last_core;
-        let target = match (prev, self.threads[tid.0].spec.origin_core) {
-            // First placement of a pinned thread: honour the workload's
-            // origin core (e.g. "all workers forked on core 0").
-            (None, Some(origin)) => CoreId(origin % self.queues.nr_cores()),
-            _ => self.scheduler.place_wakeup(&self.queues, &self.threads, tid, prev),
-        };
-        self.catch_up_core(target);
-        if self.trace.is_enabled() {
-            let task = TaskId(tid.0 as u64);
-            self.trace.record_now(target, &TraceEvent::TaskWake { task });
-            self.trace.record_now(target, &TraceEvent::PlaceDecision { task, core: target });
-        }
-        let thread = &mut self.threads[tid.0];
-        thread.state = ThreadState::Runnable;
-        thread.ready_since = Some(self.now);
-        thread.last_core = Some(target);
-        if self.queues.core(target).current.is_none() {
-            self.start_running(target, tid);
-        } else {
-            self.queues.enqueue(target, tid);
-        }
-        self.note_change(target);
-        self.touch(target);
-        self.maybe_arm_timer(target);
-        self.unpark_balance();
-    }
-
-    /// Puts `tid` on `core` and schedules the completion of its compute
-    /// phase.
-    fn start_running(&mut self, core: CoreId, tid: SimThreadId) {
-        debug_assert!(self.queues.core(core).current.is_none());
-        self.queues.core_mut(core).current = Some(tid);
-        let thread = &mut self.threads[tid.0];
-        thread.state = ThreadState::Running;
-        thread.running_since = Some(self.now);
-        thread.last_core = Some(core);
-        thread.run_token += 1;
-        if let Some(ready_since) = thread.ready_since.take() {
-            self.latency.record(ready_since, self.now);
-        }
-        self.events.push(
-            self.now + thread.remaining_ns,
-            EventKind::PhaseDone { tid, token: thread.run_token },
-        );
-    }
-
-    /// Elects the oldest waiting thread of `core` if the core is idle.
-    fn elect_next(&mut self, core: CoreId) {
-        if self.queues.core(core).current.is_none() {
-            if let Some(next) = self.queues.pop_ready(core) {
-                self.start_running(core, next);
-            }
-        }
-        self.touch(core);
-    }
-
-    fn on_phase_done(&mut self, tid: SimThreadId, token: u64) {
-        if self.threads[tid.0].run_token != token {
-            // The thread was preempted or migrated since this completion was
-            // scheduled; a fresh completion event exists.
-            return;
-        }
-        debug_assert_eq!(self.threads[tid.0].state, ThreadState::Running);
-        let core = self.threads[tid.0].last_core.expect("a running thread has a core");
-        debug_assert_eq!(self.queues.core(core).current, Some(tid));
-        self.catch_up_core(core);
-        self.queues.core_mut(core).current = None;
-        {
-            let thread = &mut self.threads[tid.0];
-            thread.ops_completed += 1;
-            thread.remaining_ns = 0;
-            thread.run_token += 1;
-            thread.phase_idx += 1;
-        }
-        self.enter_phase(tid);
-        self.elect_next(core);
-        self.note_change(core);
-        self.maybe_arm_timer(core);
-    }
-
-    fn on_timer(&mut self, core: CoreId) {
-        self.meta[core.0].timer_armed = false;
-        self.meta[core.0].last_timer_fired_ns = self.now;
-        // Round-robin preemption: if somebody is waiting, the running thread
-        // yields the core and requeues at the tail.  A timer that went stale
-        // while on the calendar fires as a no-op.
-        if let Some(running) = self.queues.core(core).current {
-            if !self.queues.core(core).ready.is_empty() {
-                self.catch_up_core(core);
-                let thread = &mut self.threads[running.0];
-                let ran_for =
-                    self.now - thread.running_since.expect("running thread has a start time");
-                thread.remaining_ns = thread.remaining_ns.saturating_sub(ran_for);
-                thread.run_token += 1;
-                thread.state = ThreadState::Runnable;
-                thread.ready_since = Some(self.now);
-                self.queues.core_mut(core).current = None;
-                self.queues.enqueue(core, running);
-                self.elect_next(core);
-                self.note_change(core);
-            }
-        }
-        self.maybe_arm_timer(core);
-    }
-
-    fn on_balance(&mut self) {
-        // Bring every core to the present before the selection phase reads
-        // it: replay missed grid folds, fold at the present (the tick
-        // engine's `touch_all`), and flush idle accounting so the round's
-        // mutations settle from a clean slate.  O(cores) here is free —
-        // `balance_round` itself snapshots every core anyway.
-        for core in 0..self.queues.nr_cores() {
-            let id = CoreId(core);
-            self.catch_up_core(id);
-            self.touch(id);
-            self.settle(id);
-        }
-        if self.trace.is_enabled() {
-            self.trace
-                .record_now(CoreId(0), &TraceEvent::BalanceRound { round: self.balance_rounds });
-        }
-        self.balance_rounds += 1;
-        self.queues.enable_mutation_log();
-        let stats = self.scheduler.balance_round(&mut self.queues, &self.threads);
-        let mutated = self.queues.drain_mutation_log();
-        let round_was_noop = stats.successes == 0 && stats.failures == 0 && stats.migrations == 0;
-        self.balance_stats.merge(stats);
-        // Only cores the round actually moved work between need election
-        // (the tick engine elects every core, but an untouched core's
-        // election is a no-op by the runqueue invariant).
-        for &core in &mutated {
-            self.elect_next(core);
-            self.note_change(core);
-            self.maybe_arm_timer(core);
-        }
-        if self.finished_count < self.threads.len() {
-            let asleep = round_was_noop
-                && self.queues.total_threads() == 0
-                && self.queues.cores().iter().all(|c| c.tracked.scaled == 0);
-            if asleep {
-                // Every future round would be a no-op over unchanged queues
-                // and fully-decayed loads: park until the next wakeup.
-                self.balance_parked = true;
-            } else {
-                self.events.push(self.now + self.config.balance_period_ns, EventKind::Balance);
-            }
-        }
+        self.upkeep.meta[core.0].timer_armed = true;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::cfs::{CfsBugs, CfsLikeScheduler};
     use crate::engine::Engine;
-    use crate::scheduler::{HierarchicalScheduler, OptimisticScheduler};
+    use crate::result::SimResult;
+    use crate::scheduler::{HierarchicalScheduler, OptimisticScheduler, SimScheduler};
     use sched_core::Policy;
-    use sched_workloads::{ScientificWorkload, ThreadSpec};
+    use sched_workloads::{Phase, ScientificWorkload, ThreadSpec, Workload};
 
     fn assert_parity(tick: &SimResult, event: &SimResult) {
         assert_eq!(event.makespan_ns, tick.makespan_ns, "makespan");

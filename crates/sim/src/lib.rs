@@ -7,20 +7,33 @@
 //! with per-core runqueues, preemption, sleeping, barriers and periodic
 //! machine-wide load-balancing rounds.
 //!
-//! Two engines drive the same simulation:
+//! There is one simulated machine, [`machine::Machine`]: one set of phase,
+//! wakeup, election, completion and preemption handlers, one run loop.  It
+//! is generic over its [`machine::Upkeep`] — which timers and balance ticks
+//! are on the calendar, when a core's tracked load is folded, when idle time
+//! is charged, which cores are re-elected after a balancing round — and the
+//! two upkeeps are the two engines:
 //!
-//! * [`engine::Engine`] — the tick-driven engine: every core re-arms its
-//!   preemption timer every timeslice and every balance tick folds every
-//!   core's tracked load, so a run costs O(cores × rounds);
-//! * [`event_engine::EventEngine`] — the event-driven engine: cores sleep
-//!   off the calendar until a wakeup, balance or timer event targets them,
-//!   tracker decay is replayed lazily, and the machine-wide balance tick
-//!   parks while the machine is asleep, so a run costs O(events).
+//! * [`engine::Engine`] — the tick-driven engine, the machine under its
+//!   *eager* upkeep: every core re-arms its preemption timer every
+//!   timeslice, every balance tick folds and re-elects every core and every
+//!   event charges every core, so a run costs O(cores × rounds).  It is the
+//!   **reference**: some forty lines that are right by inspection;
+//! * [`event_engine::EventEngine`] — the event-driven engine, the machine
+//!   under its *lazy* upkeep: cores sleep off the calendar until a wakeup,
+//!   balance or timer event targets them, tracker decay is replayed lazily,
+//!   and the machine-wide balance tick parks while the machine is asleep,
+//!   so a run costs O(events).  It is the one to run.
 //!
 //! Under the default [`event::OrderingPolicy::Priority`] tie-break the two
-//! engines produce identical results (pinned by parity tests);
-//! [`event::OrderingPolicy::Seeded`] turns the same-time tie-break into a
-//! seeded permutation for systematic schedule exploration.
+//! engines produce identical results, pinned by parity suites over the
+//! whole scenario catalog, random replays and the scenario fuzzer.  That
+//! check is only worth something because the eager upkeep never calls the
+//! lazy one's accounting, catch-up replay, timer elision or balance
+//! parking — the reference stays independent of what it is the oracle for,
+//! and only the mechanism, which both must share to be comparable at all,
+//! is written once.  [`event::OrderingPolicy::Seeded`] turns the same-time
+//! tie-break into a seeded permutation for systematic schedule exploration.
 //!
 //! Two schedulers plug into either engine:
 //!
@@ -30,7 +43,7 @@
 //!   "wasted cores" bugs (overload-on-wakeup, group imbalance) injectable,
 //!   reproducing the §1 motivation numbers in shape.
 //!
-//! The engines measure exactly the quantities the paper talks about:
+//! The machine measures exactly the quantities the paper talks about:
 //! violating idle time (idle while another core is overloaded), makespan,
 //! throughput, scheduling latency, steal success/failure counts, and the
 //! number of discrete events processed.
@@ -39,11 +52,11 @@
 //!
 //! ```
 //! use sched_core::Policy;
-//! use sched_sim::{Engine, OptimisticScheduler, SimConfig};
+//! use sched_sim::{EventEngine, OptimisticScheduler, SimConfig};
 //! use sched_workloads::ScientificWorkload;
 //!
 //! let workload = ScientificWorkload { nr_threads: 4, iterations: 2, ..Default::default() }.generate();
-//! let engine = Engine::new(
+//! let engine = EventEngine::new(
 //!     SimConfig::with_cores(4),
 //!     None,
 //!     &workload,
@@ -59,6 +72,7 @@ pub mod config;
 pub mod engine;
 pub mod event;
 pub mod event_engine;
+pub mod machine;
 pub mod queues;
 pub mod result;
 pub mod scheduler;
@@ -69,6 +83,7 @@ pub use config::SimConfig;
 pub use engine::Engine;
 pub use event::OrderingPolicy;
 pub use event_engine::EventEngine;
+pub use machine::{Machine, Upkeep};
 pub use queues::{CoreQueues, SimCore};
 pub use result::SimResult;
 pub use scheduler::{HierarchicalScheduler, OptimisticScheduler, RoundStats, SimScheduler};

@@ -1,12 +1,13 @@
 //! The simulator's scheduler interface and the verified optimistic
 //! scheduler built from `sched-core` policies.
 //!
-//! A [`SimScheduler`] is engine-agnostic: the tick-driven
+//! A [`SimScheduler`] is engine-agnostic: the one
+//! [`Machine`](crate::machine::Machine) behind the tick-driven
 //! [`crate::engine::Engine`] and the event-driven
-//! [`crate::event_engine::EventEngine`] invoke the same two callbacks —
+//! [`crate::event_engine::EventEngine`] invokes the two callbacks —
 //! [`SimScheduler::place_wakeup`] on every wakeup and
-//! [`SimScheduler::balance_round`] every balancing period — at the same
-//! simulated times, so one implementation serves both.
+//! [`SimScheduler::balance_round`] every balancing period — from one place
+//! each, at the same simulated times under either upkeep.
 //!
 //! Balancing is one pass function, `balance_pass`: every core plans through
 //! [`Policy::select`] — the selection `sched-verify` checks, shared with the

@@ -5,7 +5,9 @@
 //! Run with: `cargo run --release --example database_workload`
 
 use optimistic_sched::core::Policy;
-use optimistic_sched::sim::{CfsBugs, CfsLikeScheduler, Engine, OptimisticScheduler, SimConfig};
+use optimistic_sched::sim::{
+    CfsBugs, CfsLikeScheduler, EventEngine, OptimisticScheduler, SimConfig,
+};
 use optimistic_sched::topology::TopologyBuilder;
 use optimistic_sched::workloads::OltpWorkload;
 
@@ -23,14 +25,14 @@ fn run() {
     .generate();
     println!("workload: {} on {} cores\n", workload.name, topo.nr_cpus());
 
-    let optimistic = Engine::new(
+    let optimistic = EventEngine::new(
         SimConfig::default(),
         Some(&topo),
         &workload,
         Box::new(OptimisticScheduler::new(Policy::simple())),
     )
     .run();
-    let buggy = Engine::new(
+    let buggy = EventEngine::new(
         SimConfig::default(),
         Some(&topo),
         &workload,

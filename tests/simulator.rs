@@ -3,7 +3,7 @@
 
 use optimistic_sched::core::Policy;
 use optimistic_sched::sim::{
-    CfsBugs, CfsLikeScheduler, Engine, OptimisticScheduler, SimConfig, SimResult,
+    CfsBugs, CfsLikeScheduler, EventEngine, OptimisticScheduler, SimConfig, SimResult,
 };
 use optimistic_sched::topology::TopologyBuilder;
 use optimistic_sched::workloads::{BuildWorkload, OltpWorkload, ScientificWorkload, Workload};
@@ -15,7 +15,7 @@ fn run(topo_sockets: usize, workload: &Workload, buggy: bool) -> SimResult {
     } else {
         Box::new(OptimisticScheduler::new(Policy::simple()))
     };
-    Engine::new(SimConfig::default(), Some(&topo), workload, scheduler).run()
+    EventEngine::new(SimConfig::default(), Some(&topo), workload, scheduler).run()
 }
 
 #[test]

@@ -35,11 +35,23 @@
 //! `(experiment, scenario, backend)` key — [`sched_json::record_key`], the
 //! same identity the writer's parity tests use, and duplicate keys in
 //! either document are an error — and exits non-zero when the
-//! current run regressed beyond tolerance:
+//! current run differs from what a re-run reproduces, or regressed beyond
+//! tolerance where a re-run does not reproduce:
 //!
-//! * `throughput` — relative, for the units a re-run reproduces: fails when
-//!   `current < baseline × (1 − tolerance)`.  The simulator's `ops/s` are
-//!   measured in simulated time and are deterministic.  `migrations/s` is
+//! * the **deterministic backends** (`model`, `sim`, `sim-event`) — exact:
+//!   `migrations`, `failures`, `violating_idle`, `events_processed`,
+//!   `p99_sched_latency_us`, and `throughput` when its unit is `ops/s`
+//!   (simulated time) must be `==` the baseline's, in both directions.  A
+//!   re-run reproduces them bit for bit, so any difference is a schedule
+//!   change; an intended one regenerates `BENCH_results.json` in the same
+//!   PR.  The model's `migrations/s` is wall-clock speed and is not
+//!   compared.
+//!
+//! `--tolerance` governs the other records (`rq*`, `exec`):
+//!
+//! * `throughput` — relative, for the units a re-run roughly reproduces
+//!   (`reqs/s`): fails when `current < baseline × (1 − tolerance)`.
+//!   `migrations/s` is
 //!   wall-clock speed — it breathes with the machine, with 64 OS threads on
 //!   2 vCPUs by more than any tolerance worth having — and is **not gated
 //!   here**: wall-clock speed belongs to `benchmark/`'s paired
@@ -47,9 +59,6 @@
 //! * `violating_idle` — absolute: fails when
 //!   `current > baseline + tolerance` (it is a fraction in `[0, 1]`, so a
 //!   relative bound would explode around zero).
-//! * `migrations`, model backend only — relative, both directions: the
-//!   model executor is deterministic, so its migration count is an exact
-//!   behavioural fingerprint and any drift flags a real change.
 //! * `p99_sched_latency_us` — **absolute ceiling** (`--p99-ceiling-us F`,
 //!   schema v4): any current record carrying a p99 scheduling latency
 //!   above the ceiling fails, regardless of what the baseline said.  A
@@ -67,18 +76,12 @@
 //!   rows' amortisation breathes with steal races, but a collapse back
 //!   towards one task per acquisition means batching silently stopped
 //!   working and fails the gate.
-//! * `events_processed` (schema v6, the simulator backends) — relative
-//!   **ceiling** when both runs measured it: the simulators are
-//!   deterministic, so an event count climbing beyond tolerance means the
-//!   engine started doing asymptotically more work per scenario (the
-//!   regression the event-driven engine exists to prevent).  Processing
-//!   fewer events is an improvement and never fails.
 //! * a key present in the baseline but missing from the current run fails;
 //!   keys only in the current run are reported as re-baseline hints.
 //!
-//! Improvements never fail the gate; refresh the committed baseline with
-//! `cargo run --release -p sched-bench --bin experiments -- --json` when
-//! they accumulate.
+//! On the tolerance-gated records improvements never fail the gate; refresh
+//! the committed baseline with
+//! `cargo run --release -p sched-bench --bin experiments -- --json`.
 
 use std::process::ExitCode;
 
@@ -94,14 +97,34 @@ struct Record {
     throughput: f64,
     throughput_unit: String,
     violating_idle: f64,
-    migrations: f64,
+    migrations: Option<f64>,
+    failures: Option<f64>,
     p99_sched_latency_us: Option<f64>,
     e2e_p99_us: Option<f64>,
     e2e_p999_us: Option<f64>,
     steal_batch_k: Option<String>,
     tasks_per_acquisition: Option<f64>,
-    sim_engine: Option<String>,
     events_processed: Option<f64>,
+}
+
+impl Record {
+    /// The backend is deterministic: a re-run reproduces its counts.
+    fn is_deterministic(&self) -> bool {
+        matches!(self.backend.as_str(), "model" | "sim" | "sim-event")
+    }
+
+    /// The fields a re-run of a deterministic backend reproduces bit for
+    /// bit.  Simulated-time throughput is one; wall-clock throughput is not.
+    fn reproducible_fields(&self) -> [(&'static str, Option<f64>); 6] {
+        [
+            ("migrations", self.migrations),
+            ("failures", self.failures),
+            ("violating_idle", Some(self.violating_idle)),
+            ("events_processed", self.events_processed),
+            ("p99_sched_latency_us", self.p99_sched_latency_us),
+            ("throughput", (self.throughput_unit == "ops/s").then_some(self.throughput)),
+        ]
+    }
 }
 
 fn records_of(doc: &Json, path: &str) -> Result<Vec<Record>, String> {
@@ -128,13 +151,13 @@ fn records_of(doc: &Json, path: &str) -> Result<Vec<Record>, String> {
             throughput: number("throughput")?,
             throughput_unit: field("throughput_unit")?,
             violating_idle: number("violating_idle")?,
-            migrations: number("migrations").unwrap_or(f64::NAN),
+            migrations: r.get("migrations").and_then(Json::as_f64),
+            failures: r.get("failures").and_then(Json::as_f64),
             p99_sched_latency_us: r.get("p99_sched_latency_us").and_then(Json::as_f64),
             e2e_p99_us: r.get("e2e_p99_us").and_then(Json::as_f64),
             e2e_p999_us: r.get("e2e_p999_us").and_then(Json::as_f64),
             steal_batch_k: r.get("steal_batch_k").and_then(Json::as_str).map(str::to_string),
             tasks_per_acquisition: r.get("tasks_per_acquisition").and_then(Json::as_f64),
-            sim_engine: r.get("sim_engine").and_then(Json::as_str).map(str::to_string),
             events_processed: r.get("events_processed").and_then(Json::as_f64),
         });
     }
@@ -193,8 +216,24 @@ fn bench_diff(args: &[String]) -> Result<ExitCode, String> {
             continue;
         };
         compared += 1;
-        // Simulated-time throughputs are deterministic and gated;
-        // wall-clock ones (`migrations/s`) are `benchmark/`'s to judge.
+        if base.is_deterministic() {
+            // A re-run reproduces these bit for bit, so any difference — in
+            // either direction — is a schedule change, not noise.
+            for ((field, was), (_, is)) in
+                base.reproducible_fields().into_iter().zip(cur.reproducible_fields())
+            {
+                if was != is {
+                    regressions.push(format!(
+                        "EXACT     {}: {field} {is:?} != baseline {was:?} (deterministic backend; \
+                         regenerate the baseline if the schedule change is intended)",
+                        base.key
+                    ));
+                }
+            }
+            continue;
+        }
+        // The executor's `reqs/s` is gated; wall-clock `migrations/s` is
+        // `benchmark/`'s to judge.
         let floor = base.throughput * (1.0 - tolerance);
         if base.throughput_unit != "migrations/s" && cur.throughput < floor {
             regressions.push(format!(
@@ -234,46 +273,6 @@ fn bench_diff(args: &[String]) -> Result<ExitCode, String> {
                     tolerance * 200.0
                 ));
             }
-        }
-        // The simulators are deterministic, so their event counts are an
-        // exact cost fingerprint (schema v6): climbing beyond tolerance
-        // means a scenario got asymptotically more expensive to simulate.
-        // Fewer events is the improvement the event engine exists for and
-        // never fails the gate.
-        if let (Some(base_events), Some(cur_events)) = (base.events_processed, cur.events_processed)
-        {
-            let ceil = base_events * (1.0 + tolerance);
-            if cur_events > ceil {
-                regressions.push(format!(
-                    "EVENTS    {}: {:.0} events > {:.0} (baseline {:.0}, engine {}, +{:.0}% \
-                     tolerated)",
-                    base.key,
-                    cur_events,
-                    ceil,
-                    base_events,
-                    cur.sim_engine.as_deref().unwrap_or("?"),
-                    tolerance * 100.0
-                ));
-            }
-        }
-        // The model backend's executor is deterministic, so its wall-clock
-        // throughput not being gated above does not leave it ungated: its
-        // migration count is an exact behavioural fingerprint, and any
-        // drift beyond tolerance (in either direction — more migrations
-        // means ping-pong, fewer means lost balancing work) flags a real
-        // change that needs a deliberate re-baseline.
-        if base.backend == "model"
-            && base.migrations.is_finite()
-            && cur.migrations.is_finite()
-            && (cur.migrations - base.migrations).abs() > base.migrations * tolerance
-        {
-            regressions.push(format!(
-                "MIGRATIONS {}: {:.0} vs baseline {:.0} (deterministic backend, ±{:.0}% tolerated)",
-                base.key,
-                cur.migrations,
-                base.migrations,
-                tolerance * 100.0
-            ));
         }
     }
     // The latency SLO is absolute and applies to every *current* record
@@ -342,7 +341,7 @@ fn bench_diff(args: &[String]) -> Result<ExitCode, String> {
         println!("  note: {note}");
     }
     if regressions.is_empty() {
-        println!("bench-diff: OK — no regression beyond tolerance");
+        println!("bench-diff: OK — deterministic records exact, no regression beyond tolerance");
         Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("bench-diff: {} regression(s):", regressions.len());
@@ -580,11 +579,12 @@ mod tests {
         let base = dir.join("base.json");
         let good = dir.join("good.json");
         let bad = dir.join("bad.json");
-        std::fs::write(&base, doc(&record("e1", "sim", 1000.0, 0.2, "ops/s"))).unwrap();
+        // A wall-clock backend: the tolerance governs it.
+        std::fs::write(&base, doc(&record("e26", "exec", 1000.0, 0.2, "reqs/s"))).unwrap();
         // Within tolerance: -10% throughput.
-        std::fs::write(&good, doc(&record("e1", "sim", 900.0, 0.2, "ops/s"))).unwrap();
+        std::fs::write(&good, doc(&record("e26", "exec", 900.0, 0.2, "reqs/s"))).unwrap();
         // Beyond tolerance: -20% throughput.
-        std::fs::write(&bad, doc(&record("e1", "sim", 800.0, 0.2, "ops/s"))).unwrap();
+        std::fs::write(&bad, doc(&record("e26", "exec", 800.0, 0.2, "reqs/s"))).unwrap();
         let run = |current: &std::path::Path| {
             bench_diff(&[
                 "--baseline".into(),
@@ -626,8 +626,9 @@ mod tests {
         };
         // A 3x drop in wall-clock speed is the machine's business.
         assert_eq!(run(model(500_000.0, 20)), ExitCode::SUCCESS);
-        // 25% fewer migrations from a deterministic backend is a behaviour
-        // change, whatever the wall clock said.
+        // One migration more or fewer from a deterministic backend is a
+        // behaviour change, whatever the wall clock said.
+        assert_eq!(run(model(1_500_000.0, 21)), ExitCode::FAILURE);
         assert_eq!(run(model(1_500_000.0, 15)), ExitCode::FAILURE);
     }
 
@@ -644,7 +645,8 @@ mod tests {
                  \"violating_idle\": 0.1, \"p99_sched_latency_us\": {p99}}}"
             )
         };
-        std::fs::write(&base, doc(&sim("100.0"))).unwrap();
+        // The same p99 on both sides: only the absolute ceiling can object.
+        std::fs::write(&base, doc(&sim("9000.0"))).unwrap();
         std::fs::write(&cur, doc(&sim("9000.0"))).unwrap();
         let run = |ceiling: Option<&str>| {
             let mut args = vec![
@@ -659,10 +661,10 @@ mod tests {
             }
             bench_diff(&args).unwrap()
         };
-        // Without the flag nothing gates on latency (old behaviour).
+        // Without the flag no ceiling applies.
         assert_eq!(run(None), ExitCode::SUCCESS);
-        // With it, 9000us busts a 5000us ceiling even though the relative
-        // throughput and idle gates are clean.
+        // With it, 9000us busts a 5000us ceiling even though the record
+        // equals its baseline.
         assert_eq!(run(Some("5000")), ExitCode::FAILURE);
         assert_eq!(run(Some("10000")), ExitCode::SUCCESS);
         // A p99 that *disappears* relative to the baseline is a broken
@@ -756,12 +758,12 @@ mod tests {
     }
 
     #[test]
-    fn event_count_growth_is_gated_and_shrinkage_is_not() {
+    fn event_count_drift_is_gated_exactly_in_both_directions() {
         let dir = std::env::temp_dir().join("xtask-bench-diff-events");
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join("base.json");
         let cur = dir.join("cur.json");
-        // A wall-clock unit: only the events gate can catch this row.
+        // A wall-clock unit, so only the event count can differ.
         let sim = |events: &str| {
             format!(
                 "{{\"experiment\": \"e24\", \"scenario\": \"s\", \"backend\": \"sim-event\", \
@@ -781,13 +783,14 @@ mod tests {
             ])
             .unwrap()
         };
-        // Within +15% passes...
-        assert_eq!(run(&sim("2000000"), &sim("2100000")), ExitCode::SUCCESS);
-        // ...an asymptotic blow-up fails...
-        assert_eq!(run(&sim("2000000"), &sim("6000000")), ExitCode::FAILURE);
-        // ...processing fewer events is an improvement, never gated...
-        assert_eq!(run(&sim("6000000"), &sim("2000000")), ExitCode::SUCCESS);
-        // ...and rows that never measured it (schema v6 null) are not gated.
+        // The simulator reproduces its event count exactly...
+        assert_eq!(run(&sim("2000000"), &sim("2000000")), ExitCode::SUCCESS);
+        // ...so one event more fails...
+        assert_eq!(run(&sim("2000000"), &sim("2000001")), ExitCode::FAILURE);
+        // ...and so do fewer: a cheaper schedule is still a changed one, and
+        // lands with a regenerated baseline...
+        assert_eq!(run(&sim("6000000"), &sim("2000000")), ExitCode::FAILURE);
+        // ...while rows that never measured it (schema v6 null) agree.
         assert_eq!(run(&sim("null"), &sim("null")), ExitCode::SUCCESS);
     }
 
@@ -798,9 +801,9 @@ mod tests {
         let base = dir.join("base.json");
         let idle = dir.join("idle.json");
         let missing = dir.join("missing.json");
-        std::fs::write(&base, doc(&record("e3", "model", 100.0, 0.1, "ops/s"))).unwrap();
-        std::fs::write(&idle, doc(&record("e3", "model", 100.0, 0.4, "ops/s"))).unwrap();
-        std::fs::write(&missing, doc(&record("e4", "model", 100.0, 0.1, "ops/s"))).unwrap();
+        std::fs::write(&base, doc(&record("e3", "rq", 100.0, 0.1, "migrations/s"))).unwrap();
+        std::fs::write(&idle, doc(&record("e3", "rq", 100.0, 0.4, "migrations/s"))).unwrap();
+        std::fs::write(&missing, doc(&record("e4", "rq", 100.0, 0.1, "migrations/s"))).unwrap();
         let run = |current: &std::path::Path| {
             bench_diff(&[
                 "--baseline".into(),

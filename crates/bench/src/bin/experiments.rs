@@ -112,15 +112,11 @@ fn run_unified_json(args: &[String]) {
         .collect();
 
     let mut specs = match flag_value("--scenarios") {
-        Some(dir) => sched_bench::load_dir(std::path::Path::new(&dir))
-            .unwrap_or_else(|e| {
-                eprintln!("error: cannot load scenarios from {dir}: {e}");
-                std::process::exit(2);
-            })
-            .into_iter()
-            .map(|s| s.spec)
-            .collect(),
-        None => sched_bench::catalog(),
+        Some(dir) => sched_bench::load_dir(std::path::Path::new(&dir)).unwrap_or_else(|e| {
+            eprintln!("error: cannot load scenarios from {dir}: {e}");
+            std::process::exit(2);
+        }),
+        None => sched_bench::builtin(),
     };
     let wanted: Vec<ExperimentId> = args
         .iter()
@@ -134,7 +130,7 @@ fn run_unified_json(args: &[String]) {
         })
         .collect();
     if !wanted.is_empty() {
-        specs.retain(|s| wanted.contains(&s.id));
+        specs.retain(|s| ExperimentId::parse(&s.experiment).is_some_and(|id| wanted.contains(&id)));
     }
     let runner = sched_bench::ExperimentRunner::with_all_backends();
     eprintln!("running {} experiments on {} backends...", specs.len(), runner.backends().len());

@@ -1,61 +1,40 @@
-//! The experiment catalog, loaded from declarative scenario documents.
+//! The experiment catalog: the committed scenario documents, loaded.
 //!
 //! Every catalogued experiment lives in `experiments/eN.scn` at the
-//! workspace root: a [`ScenarioDoc`] embedding the scenario's topology,
-//! load vector, policy (named or an inline DSL program), backend matrix,
-//! arrival driver and expected-invariant block.  This module is the bridge
-//! between those documents and the executable [`ExperimentSpec`]s of
-//! [`crate::runner`]:
+//! workspace root, and those files are the *only* copy of the catalog: one
+//! or more `scenario` blocks each, holding the topology, load vector,
+//! policy (a named recipe or an inline DSL program), backend matrix,
+//! arrival driver and expected-invariant block.  What the grammar parses —
+//! a [`Scenario`] — is what the backends of [`crate::runner`] execute;
+//! there is no second representation to convert to, and the printer
+//! ([`sched_dsl::print_doc`]) regenerates a file from what the parser read
+//! (pinned: every committed file is in the printer's canonical form).
+//!
+//! The loader API:
 //!
 //! * [`builtin`] parses the embedded copies of the workspace documents
 //!   (compiled in with `include_str!`, so the binary needs no filesystem)
-//!   into [`LoadedScenario`]s — the catalog every harness entry point runs;
+//!   — the catalog every harness entry point runs; [`spec`] and
+//!   [`specs_of`] pick one experiment's scenarios out of it;
 //! * [`load_dir`]/[`load_str`] load *external* documents at runtime, which
 //!   is how `experiments --scenarios DIR` and the fuzzer's repro files
-//!   execute scenarios that were never compiled in;
-//! * [`from_doc`]/[`to_doc`] convert one scenario each way; conversion into
-//!   a spec funnels through [`ExperimentSpec::builder`], so a document
-//!   cannot express a combination the builder would reject.
+//!   execute scenarios that were never compiled in.
 //!
-//! The expected-invariant block (`expect { … }`) is carried on the
-//! [`LoadedScenario`], not the spec: invariants are claims *about* a run,
-//! checked by [`crate::fuzz`] after the fact, not inputs to it.
+//! Every loader runs [`validate`] on each scenario and rejects a second
+//! scenario with the same `experiment | scenario` record key anywhere in
+//! what one call loads.
 
 use std::path::Path;
 
-use sched_dsl::{
-    DocBatch, DocDriver, DocInvariant, DocPolicy, DocService, DocTopology, ScenarioDoc,
-};
-use sched_exec::ServiceMix;
+use sched_dsl::Scenario;
 
 use crate::experiments::ExperimentId;
-use crate::runner::{
-    BatchK, BurstSpec, Driver, ExperimentSpec, OpenLoopDriverSpec, PolicySpec, SpecError,
-    StormSpec, TopoSpec, WorkloadKind, WorkloadSpec,
-};
-
-/// One scenario as loaded from a document: the parsed document (carrying
-/// the name, backend matrix and expected invariants) plus the validated,
-/// executable spec built from it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadedScenario {
-    /// The declarative form, as parsed.
-    pub doc: ScenarioDoc,
-    /// The executable form, validated by [`ExperimentSpec::builder`].
-    pub spec: ExperimentSpec,
-}
-
-impl LoadedScenario {
-    /// The invariants this scenario's records are expected to satisfy.
-    pub fn expectations(&self) -> &[DocInvariant] {
-        &self.doc.expect
-    }
-}
+use crate::runner::{validate, SpecError};
 
 /// The embedded sources of the builtin catalog, one `(file name, source)`
 /// pair per experiment, in index order.  These are compiled-in copies of
 /// the workspace's `experiments/*.scn` files.
-pub fn builtin_sources() -> Vec<(&'static str, &'static str)> {
+fn builtin_sources() -> Vec<(&'static str, &'static str)> {
     macro_rules! sources {
         ($($name:literal),* $(,)?) => {
             vec![$(($name, include_str!(concat!("../../../experiments/", $name)))),*]
@@ -69,61 +48,63 @@ pub fn builtin_sources() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// Parses the builtin catalog.  Panics if an embedded document is invalid —
-/// the workspace's own scenario files are part of the build, and a broken
-/// one is a build defect, not a runtime condition.
-pub fn builtin() -> Vec<LoadedScenario> {
-    builtin_sources()
-        .into_iter()
-        .flat_map(|(name, source)| {
-            load_str(source, name).unwrap_or_else(|e| panic!("builtin scenario {name}: {e}"))
-        })
-        .collect()
+/// The builtin catalog, in index order — the unified runner's input.
+/// Panics if an embedded document is invalid: the workspace's own scenario
+/// files are part of the build, and a broken one is a build defect, not a
+/// runtime condition.
+pub fn builtin() -> Vec<Scenario> {
+    let mut loaded = Vec::new();
+    for (name, source) in builtin_sources() {
+        load_into(&mut loaded, source, name)
+            .unwrap_or_else(|e| panic!("builtin scenario {name}: {e}"));
+    }
+    loaded
 }
 
-/// The catalogued specs, in catalog order — the unified runner's input.
-pub fn catalog() -> Vec<ExperimentSpec> {
-    builtin().into_iter().map(|s| s.spec).collect()
-}
-
-/// The first catalogued spec of one experiment (E17/E21/E23 have several;
-/// use [`specs_of`] for the full sweep).
-pub fn spec(id: ExperimentId) -> ExperimentSpec {
+/// The first catalogued scenario of one experiment (E17/E21/E23 have
+/// several; use [`specs_of`] for the full sweep).
+pub fn spec(id: ExperimentId) -> Scenario {
     specs_of(id).into_iter().next().expect("catalogued experiment")
 }
 
-/// Every catalogued spec of one experiment, in catalog order.
-pub fn specs_of(id: ExperimentId) -> Vec<ExperimentSpec> {
-    catalog().into_iter().filter(|s| s.id == id).collect()
+/// Every catalogued scenario of one experiment, in catalog order.
+pub fn specs_of(id: ExperimentId) -> Vec<Scenario> {
+    builtin().into_iter().filter(|s| ExperimentId::parse(&s.experiment) == Some(id)).collect()
 }
 
-/// Parses scenario documents from `source` (one or more `scenario` blocks)
-/// and validates each into a spec.  `origin` labels errors.
-pub fn load_str(source: &str, origin: &str) -> Result<Vec<LoadedScenario>, SpecError> {
-    let docs =
-        sched_dsl::parse_doc(source).map_err(|e| SpecError::new(format!("{origin}: {e}")))?;
-    let mut loaded = Vec::with_capacity(docs.len());
-    for doc in docs {
-        let spec = from_doc(&doc).map_err(|e| SpecError::new(format!("{origin}: {e}")))?;
-        let duplicate = loaded
-            .iter()
-            .any(|prior: &LoadedScenario| prior.spec.id == spec.id && prior.doc.name == doc.name);
+/// Parses and validates the scenarios of `source` onto the end of `loaded`.
+fn load_into(loaded: &mut Vec<Scenario>, source: &str, origin: &str) -> Result<(), SpecError> {
+    let located = |e: &dyn std::fmt::Display| SpecError::new(format!("{origin}: {e}"));
+    for scenario in sched_dsl::parse_doc(source).map_err(|e| located(&e))? {
+        validate(&scenario).map_err(|e| located(&e))?;
+        let duplicate = loaded.iter().any(|prior| {
+            prior.name == scenario.name
+                && prior.experiment.eq_ignore_ascii_case(&scenario.experiment)
+        });
         if duplicate {
             // Records are keyed `experiment | scenario | backend`; two
             // scenarios with the same key would collide silently in the
             // bench-diff gate.
-            return Err(SpecError::new(format!(
-                "{origin}: duplicate scenario `{}` for {:?}",
-                doc.name, spec.id
+            return Err(located(&format!(
+                "duplicate scenario `{}` for {}",
+                scenario.name, scenario.experiment
             )));
         }
-        loaded.push(LoadedScenario { doc, spec });
+        loaded.push(scenario);
     }
+    Ok(())
+}
+
+/// Parses scenario documents from `source` (one or more `scenario` blocks)
+/// and validates each.  `origin` labels errors.
+pub fn load_str(source: &str, origin: &str) -> Result<Vec<Scenario>, SpecError> {
+    let mut loaded = Vec::new();
+    load_into(&mut loaded, source, origin)?;
     Ok(loaded)
 }
 
 /// Loads every `*.scn` document in `dir` (sorted by file name).
-pub fn load_dir(dir: &Path) -> Result<Vec<LoadedScenario>, SpecError> {
+pub fn load_dir(dir: &Path) -> Result<Vec<Scenario>, SpecError> {
     let mut paths: Vec<_> = std::fs::read_dir(dir)
         .map_err(|e| SpecError::new(format!("{}: {e}", dir.display())))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -134,732 +115,57 @@ pub fn load_dir(dir: &Path) -> Result<Vec<LoadedScenario>, SpecError> {
     for path in paths {
         let source = std::fs::read_to_string(&path)
             .map_err(|e| SpecError::new(format!("{}: {e}", path.display())))?;
-        loaded.extend(load_str(&source, &path.display().to_string())?);
+        load_into(&mut loaded, &source, &path.display().to_string())?;
     }
     Ok(loaded)
-}
-
-/// Builds the executable spec one document describes.  All structural
-/// validation funnels through [`ExperimentSpec::builder`].
-pub fn from_doc(doc: &ScenarioDoc) -> Result<ExperimentSpec, SpecError> {
-    let name = &doc.name;
-    let id = ExperimentId::parse(&doc.experiment).ok_or_else(|| {
-        SpecError::new(format!("{name}: unknown experiment `{}`", doc.experiment))
-    })?;
-    let topo = match doc.topology {
-        DocTopology::Flat(cores) => TopoSpec::Flat(cores as usize),
-        DocTopology::DualSocket => TopoSpec::DualSocket,
-        DocTopology::EightNode => TopoSpec::EightNode,
-    };
-    let policy = policy_from_doc(name, &doc.policy)?;
-    let driver = driver_from_doc(name, &doc.driver)?;
-
-    let mut builder = ExperimentSpec::builder(id, doc.name.clone())
-        .loads(doc.loads.iter().map(|&l| l as usize).collect())
-        .topo(topo)
-        .policy(policy)
-        .driver(driver)
-        .budget_rounds(doc.budget as usize)
-        .mixed_nice(doc.mixed_nice);
-    if let Some(batch) = doc.batch {
-        builder = builder.batch(match batch {
-            DocBatch::Fixed(k) if k >= 1 => BatchK::Fixed(k as usize),
-            DocBatch::Fixed(k) => {
-                return Err(SpecError::new(format!("{name}: batch size {k} must be at least 1")))
-            }
-            DocBatch::Half => BatchK::HalfImbalance,
-        });
-    }
-    if let Some(backends) = &doc.backends {
-        builder = builder.backends(backends.clone());
-    }
-    if let Some(events) = doc.events {
-        builder = builder.events(events);
-    }
-    if let Some(order) = doc.order {
-        builder = builder.order(order);
-    }
-    builder.build()
-}
-
-fn policy_from_doc(scenario: &str, policy: &DocPolicy) -> Result<PolicySpec, SpecError> {
-    let named = match policy {
-        DocPolicy::Inline(def) => return Ok(PolicySpec::Dsl(def.clone())),
-        DocPolicy::Named { name, arg } => match (name.as_str(), arg) {
-            ("listing1", None) => PolicySpec::Listing1,
-            ("greedy", None) => PolicySpec::Greedy,
-            ("weighted", None) => PolicySpec::Weighted,
-            ("steal_half", None) => PolicySpec::StealHalf,
-            ("numa_aware", None) => PolicySpec::NumaAware,
-            ("topo_aware", None) => PolicySpec::TopoAware,
-            ("hierarchical", None) => PolicySpec::Hierarchical,
-            ("pelt", None) => PolicySpec::Pelt,
-            ("pelt_weighted", None) => PolicySpec::PeltWeighted,
-            ("pelt_half_life", Some(ms)) if (1..=3_600_000).contains(ms) => {
-                PolicySpec::PeltHalfLife(*ms as u32)
-            }
-            ("pelt_half_life", arg) => {
-                return Err(SpecError::new(format!(
-                    "{scenario}: pelt_half_life needs a half-life in milliseconds, got {arg:?}"
-                )))
-            }
-            (other, Some(arg)) => {
-                return Err(SpecError::new(format!(
-                    "{scenario}: policy `{other}` takes no argument (got {arg})"
-                )))
-            }
-            (other, None) => {
-                return Err(SpecError::new(format!(
-                "{scenario}: unknown policy `{other}` (write an inline `policy {other} {{ … }}` \
-                     block to define one)"
-            )))
-            }
-        },
-    };
-    Ok(named)
-}
-
-fn driver_from_doc(scenario: &str, driver: &DocDriver) -> Result<Driver, SpecError> {
-    Ok(match driver {
-        DocDriver::Replay => Driver::Replay,
-        DocDriver::Workload { kind, seed, jitter_pct } => {
-            let kind = match kind.as_str() {
-                "scientific" => WorkloadKind::Scientific,
-                "oltp" => WorkloadKind::Oltp,
-                "sleepers" => WorkloadKind::Sleepers,
-                other => {
-                    return Err(SpecError::new(format!(
-                        "{scenario}: unknown workload `{other}` (scientific, oltp, sleepers)"
-                    )))
-                }
-            };
-            let mut spec = WorkloadSpec::new(kind);
-            if let Some(seed) = seed {
-                spec.seed = *seed;
-            }
-            if let Some(jitter) = jitter_pct {
-                spec.jitter_pct = *jitter;
-            }
-            Driver::Workload(spec)
-        }
-        DocDriver::Burst { epochs, epoch_ns, warmup_ns, seed, jitter_pct } => {
-            let mut spec = BurstSpec::new(*epochs as usize, *epoch_ns, *warmup_ns);
-            if let Some(seed) = seed {
-                spec.seed = *seed;
-            }
-            if let Some(jitter) = jitter_pct {
-                spec.jitter_pct = *jitter;
-            }
-            Driver::Burst(spec)
-        }
-        DocDriver::Storm { epochs, fanout, rounds } => Driver::Storm(StormSpec {
-            epochs: *epochs as usize,
-            fanout: *fanout as usize,
-            rounds_per_epoch: *rounds as usize,
-        }),
-        DocDriver::OpenLoop { rate_hz, duration_ms, service, seed } => {
-            let service = match service {
-                DocService::Fixed(ns) => ServiceMix::Fixed { ns: *ns },
-                DocService::Exp(mean_ns) => ServiceMix::Exp { mean_ns: *mean_ns },
-                // The document parser bounds the percentage to 0–100.
-                DocService::Bimodal(short_ns, long_ns, long_pct) => ServiceMix::Bimodal {
-                    short_ns: *short_ns,
-                    long_ns: *long_ns,
-                    long_pct: *long_pct as u8,
-                },
-            };
-            let mut spec = OpenLoopDriverSpec::new(*rate_hz, *duration_ms, service);
-            if let Some(seed) = seed {
-                spec.seed = *seed;
-            }
-            Driver::OpenLoop(spec)
-        }
-    })
-}
-
-/// Renders one spec back into its declarative form, attaching `expect` as
-/// the document's invariant block.  `from_doc(&to_doc(spec, _))` rebuilds
-/// an equal spec — the regeneration path the builtin documents were
-/// originally produced with.
-pub fn to_doc(spec: &ExperimentSpec, expect: &[DocInvariant]) -> ScenarioDoc {
-    let policy = match &spec.policy {
-        PolicySpec::Listing1 => named("listing1"),
-        PolicySpec::Greedy => named("greedy"),
-        PolicySpec::Weighted => named("weighted"),
-        PolicySpec::StealHalf => named("steal_half"),
-        PolicySpec::NumaAware => named("numa_aware"),
-        PolicySpec::TopoAware => named("topo_aware"),
-        PolicySpec::Hierarchical => named("hierarchical"),
-        PolicySpec::Pelt => named("pelt"),
-        PolicySpec::PeltWeighted => named("pelt_weighted"),
-        PolicySpec::PeltHalfLife(ms) => {
-            DocPolicy::Named { name: "pelt_half_life".into(), arg: Some(i64::from(*ms)) }
-        }
-        PolicySpec::Dsl(def) => DocPolicy::Inline(def.clone()),
-    };
-    let driver = match spec.driver {
-        Driver::Replay => DocDriver::Replay,
-        Driver::Workload(w) => DocDriver::Workload {
-            kind: match w.kind {
-                WorkloadKind::Scientific => "scientific".into(),
-                WorkloadKind::Oltp => "oltp".into(),
-                WorkloadKind::Sleepers => "sleepers".into(),
-            },
-            seed: Some(w.seed),
-            jitter_pct: Some(w.jitter_pct),
-        },
-        Driver::Burst(b) => DocDriver::Burst {
-            epochs: b.epochs as u64,
-            epoch_ns: b.epoch_ns,
-            warmup_ns: b.warmup_ns,
-            seed: Some(b.seed),
-            jitter_pct: Some(b.jitter_pct),
-        },
-        Driver::Storm(s) => DocDriver::Storm {
-            epochs: s.epochs as u64,
-            fanout: s.fanout as u64,
-            rounds: s.rounds_per_epoch as u64,
-        },
-        Driver::OpenLoop(o) => DocDriver::OpenLoop {
-            rate_hz: o.rate_hz,
-            duration_ms: o.duration_ms,
-            service: match o.service {
-                ServiceMix::Fixed { ns } => DocService::Fixed(ns),
-                ServiceMix::Exp { mean_ns } => DocService::Exp(mean_ns),
-                ServiceMix::Bimodal { short_ns, long_ns, long_pct } => {
-                    DocService::Bimodal(short_ns, long_ns, u64::from(long_pct))
-                }
-            },
-            seed: Some(o.seed),
-        },
-    };
-    ScenarioDoc {
-        name: spec.scenario.clone(),
-        experiment: format!("{:?}", spec.id).to_ascii_lowercase(),
-        topology: match spec.topo {
-            TopoSpec::Flat(cores) => DocTopology::Flat(cores as u64),
-            TopoSpec::DualSocket => DocTopology::DualSocket,
-            TopoSpec::EightNode => DocTopology::EightNode,
-        },
-        loads: spec.loads.iter().map(|&l| l as u64).collect(),
-        policy,
-        backends: spec.backends.clone(),
-        driver,
-        budget: spec.budget_rounds as u64,
-        events: spec.events,
-        order: spec.order,
-        batch: spec.batch.map(|b| match b {
-            BatchK::Fixed(k) => DocBatch::Fixed(k as i64),
-            BatchK::HalfImbalance => DocBatch::Half,
-        }),
-        mixed_nice: spec.mixed_nice,
-        expect: expect.to_vec(),
-    }
-}
-
-fn named(name: &str) -> DocPolicy {
-    DocPolicy::Named { name: name.into(), arg: None }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::PELT_HALF_LIFE_NS;
-    use sched_workloads::{ImbalancePattern, StaticImbalance};
+    use crate::runner::{batch_label, build_topology, policy_name, tracker_name};
+    use sched_dsl::Driver;
 
-    /// The catalog as it was hardcoded before the declarative documents
-    /// existed — the parity fixture the builtin `.scn` files are pinned
-    /// against, spec for spec.  (This is also the source the documents were
-    /// generated from; see `regenerate_builtin_documents`.)
-    fn legacy_catalog() -> Vec<ExperimentSpec> {
-        use ExperimentId::*;
-        let build = |id,
-                     scenario: &str,
-                     loads: Vec<usize>,
-                     topo,
-                     policy,
-                     driver,
-                     budget: usize,
-                     mixed: bool,
-                     batch: Option<BatchK>| {
-            let mut b = ExperimentSpec::builder(id, scenario)
-                .loads(loads)
-                .topo(topo)
-                .policy(policy)
-                .driver(driver)
-                .budget_rounds(budget)
-                .mixed_nice(mixed);
-            if let Some(batch) = batch {
-                b = b.batch(batch);
-            }
-            b.build().expect("legacy catalog specs are valid")
-        };
-        let replay = Driver::Replay;
-        let mut specs = vec![
-            build(
-                E1,
-                "choice-irrelevance: four hot cores of sixteen",
-                vec![12, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 6, 0, 0, 0],
-                TopoSpec::Flat(16),
-                PolicySpec::Listing1,
-                replay,
-                256,
-                false,
-                None,
-            ),
-            build(
-                E2,
-                "listing1: all threads on core 0 of 8",
-                vec![16, 0, 0, 0, 0, 0, 0, 0],
-                TopoSpec::Flat(8),
-                PolicySpec::Listing1,
-                replay,
-                128,
-                false,
-                None,
-            ),
-            build(
-                E3,
-                "lemma1 scope: three cores, loads [4,1,0]",
-                vec![4, 1, 0],
-                TopoSpec::Flat(3),
-                PolicySpec::Listing1,
-                replay,
-                64,
-                false,
-                None,
-            ),
-            build(
-                E4,
-                "sequential WC: step imbalance on four cores",
-                StaticImbalance::new(4, 8, ImbalancePattern::Step).loads(),
-                TopoSpec::Flat(4),
-                PolicySpec::Weighted,
-                replay,
-                64,
-                false,
-                None,
-            ),
-            build(
-                E5,
-                "greedy filter on the ping-pong-prone shape",
-                vec![4, 1, 0, 0],
-                TopoSpec::Flat(4),
-                PolicySpec::Greedy,
-                replay,
-                64,
-                false,
-                None,
-            ),
-            build(
-                E6,
-                "contention: one hot core, seven thieves",
-                vec![8, 0, 0, 0, 0, 0, 0, 0],
-                TopoSpec::Flat(8),
-                PolicySpec::Listing1,
-                replay,
-                128,
-                false,
-                None,
-            ),
-            build(
-                E7,
-                "potential drain: step imbalance, 8 cores 16 threads",
-                StaticImbalance::new(8, 16, ImbalancePattern::Step).loads(),
-                TopoSpec::Flat(8),
-                PolicySpec::Listing1,
-                replay,
-                128,
-                false,
-                None,
-            ),
-            build(
-                E8,
-                "convergence at scale: 64 cores, single hot",
-                StaticImbalance::new(64, 128, ImbalancePattern::SingleHot).loads(),
-                TopoSpec::Flat(64),
-                PolicySpec::StealHalf,
-                replay,
-                1024,
-                false,
-                None,
-            ),
-            build(
-                E9,
-                "scientific fork-join on the dual-socket server",
-                {
-                    let mut loads = vec![0; 16];
-                    loads[0] = 16;
-                    loads
-                },
-                TopoSpec::DualSocket,
-                PolicySpec::Listing1,
-                Driver::Workload(WorkloadSpec::new(WorkloadKind::Scientific)),
-                256,
-                false,
-                None,
-            ),
-            build(
-                E10,
-                "OLTP on the dual-socket server",
-                {
-                    let mut loads = vec![0; 16];
-                    for slot in loads.iter_mut().take(4) {
-                        *slot = 8;
-                    }
-                    loads
-                },
-                TopoSpec::DualSocket,
-                PolicySpec::Listing1,
-                Driver::Workload(WorkloadSpec::new(WorkloadKind::Oltp)),
-                256,
-                false,
-                None,
-            ),
-            build(
-                E11,
-                "lock-less overhead: every fourth core hot, 64 cores",
-                (0..64).map(|i| if i % 4 == 0 { 6 } else { 0 }).collect(),
-                TopoSpec::Flat(64),
-                PolicySpec::Listing1,
-                replay,
-                512,
-                false,
-                None,
-            ),
-            build(
-                E12,
-                "hierarchical: one hot core per NUMA node",
-                numa_loads(),
-                TopoSpec::EightNode,
-                PolicySpec::NumaAware,
-                replay,
-                512,
-                false,
-                None,
-            ),
-            build(
-                E13,
-                "DSL-compiled listing1: all threads on core 0 of 8",
-                vec![16, 0, 0, 0, 0, 0, 0, 0],
-                TopoSpec::Flat(8),
-                PolicySpec::dsl_listing1(),
-                replay,
-                128,
-                false,
-                None,
-            ),
-            build(
-                E14,
-                "NUMA imbalance: node 0 saturated, node 1 idle",
-                {
-                    let mut loads = vec![0; 16];
-                    for slot in loads.iter_mut().take(8) {
-                        *slot = 4;
-                    }
-                    loads
-                },
-                TopoSpec::DualSocket,
-                PolicySpec::TopoAware,
-                replay,
-                256,
-                false,
-                None,
-            ),
-            build(
-                E15,
-                "cross-node ping-pong bait: hot cores on distant nodes",
-                distant_hot_loads(),
-                TopoSpec::EightNode,
-                PolicySpec::TopoAware,
-                replay,
-                512,
-                false,
-                None,
-            ),
-            build(
-                E16,
-                "hierarchical convergence: one hot core per NUMA node",
-                numa_loads(),
-                TopoSpec::EightNode,
-                PolicySpec::Hierarchical,
-                replay,
-                512,
-                false,
-                None,
-            ),
-        ];
-        for (policy, scenario) in [
-            (PolicySpec::Listing1, "bursty on/off: instantaneous balancing"),
-            (PolicySpec::Pelt, "bursty on/off: PELT balancing"),
-        ] {
-            specs.push(build(
-                E17,
-                scenario,
-                vec![2; 8],
-                TopoSpec::Flat(8),
-                policy,
-                Driver::Burst(BurstSpec::new(32, 1_000_000, 32 * PELT_HALF_LIFE_NS)),
-                64,
-                false,
-                None,
-            ));
-        }
-        specs.push(build(
-            E18,
-            "mixed niceness: PELT-decayed weighted balancing",
-            StaticImbalance::new(8, 24, ImbalancePattern::SingleHot).loads(),
-            TopoSpec::Flat(8),
-            PolicySpec::PeltWeighted,
-            replay,
-            512,
-            true,
-            None,
-        ));
-        specs.push(build(
-            E19,
-            "tracker overhead: every fourth core hot, 64 cores",
-            (0..64).map(|i| if i % 4 == 0 { 6 } else { 0 }).collect(),
-            TopoSpec::Flat(64),
-            PolicySpec::Pelt,
-            replay,
-            512,
-            false,
-            None,
-        ));
-        specs.push(build(
-            E20,
-            "steal-heavy fan-out: one producer core, fifteen thieves",
-            fan_out_loads(64),
-            TopoSpec::Flat(16),
-            PolicySpec::Listing1,
-            replay,
-            256,
-            false,
-            None,
-        ));
-        for half_life_ms in [1u32, 4, 16, 64] {
-            specs.push(build(
-                E21,
-                &format!("half-life sweep: pelt({half_life_ms}ms) vs 4ms bursts"),
-                vec![2; 8],
-                TopoSpec::Flat(8),
-                PolicySpec::PeltHalfLife(half_life_ms),
-                Driver::Burst(BurstSpec::new(32, 4_000_000, 32 * 64_000_000)),
-                64,
-                false,
-                None,
-            ));
-        }
-        specs.push(build(
-            E22,
-            "overflow storm: fan-out bursts on tiny rings",
-            fan_out_loads(1),
-            TopoSpec::Flat(16),
-            PolicySpec::Listing1,
-            Driver::Storm(StormSpec { epochs: 16, fanout: 24, rounds_per_epoch: 2 }),
-            0,
-            false,
-            None,
-        ));
-        for batch in BatchK::SWEEP {
-            specs.push(build(
-                E23,
-                &format!("batch sweep k={}: steal-heavy fan-out", batch.name()),
-                fan_out_loads(64),
-                TopoSpec::Flat(16),
-                PolicySpec::Listing1,
-                replay,
-                256,
-                false,
-                Some(batch),
-            ));
-        }
-        for batch in BatchK::SWEEP {
-            specs.push(build(
-                E23,
-                &format!("batch sweep k={}: overflow storm", batch.name()),
-                fan_out_loads(1),
-                TopoSpec::Flat(16),
-                PolicySpec::Listing1,
-                Driver::Storm(StormSpec { epochs: 16, fanout: 24, rounds_per_epoch: 2 }),
-                0,
-                false,
-                Some(batch),
-            ));
-        }
-        // E24 carries builder clauses the closure above has no slots for
-        // (a backend matrix and an event budget): a million mostly-sleeping
-        // tasks on 256 flat cores, simulator engines only.  The budget is
-        // sized so the event engine finishes (~2 events per sleeping task)
-        // while the tick engine — 256 cores x 1ms timers across 20-second
-        // sleeps — exhausts it and records the cap.
-        specs.push(
-            ExperimentSpec::builder(E24, "event engine at scale: 1M sleepers on 256 cores")
-                .loads(vec![0; 256])
-                .topo(TopoSpec::Flat(256))
-                .policy(PolicySpec::Listing1)
-                .driver(Driver::Workload(WorkloadSpec::new(WorkloadKind::Sleepers)))
-                .budget_rounds(0)
-                .backends(vec!["sim".into(), "sim-event".into()])
-                .events(4_000_000)
-                .build()
-                .expect("legacy catalog specs are valid"),
-        );
-        // E25: the E22 storm re-shaped for the trace-only verdict.  The
-        // fan-out (128) exceeds what fifteen one-task thieves can claim in
-        // six rounds (90), so the injector never runs dry mid-epoch and a
-        // conserving discipline's trace carries no suspicious failure
-        // window; the spill baseline strands the same thieves for all six
-        // rounds, which is past the checker's consecutive-failure
-        // threshold.
-        specs.push(build(
-            E25,
-            "trace-only detection: overflow storm under the sanity checker",
-            fan_out_loads(1),
-            TopoSpec::Flat(16),
-            PolicySpec::Listing1,
-            Driver::Storm(StormSpec { epochs: 8, fanout: 128, rounds_per_epoch: 6 }),
-            0,
-            false,
-            None,
-        ));
-        // E26: the open-loop latency ladder on the real executor.  Three
-        // rungs of rising offered rate, each far below the machine's
-        // service capacity, so the measured p99/p999 is queueing-plus-
-        // wakeup cost rather than overload collapse.  The load vector is
-        // all-zero — every request arrives through the generator — and
-        // the matrix names the executor alone, the only backend with OS
-        // worker threads and a wall clock to measure against.
-        for (rate_hz, service, rung) in [
-            (2_000, ServiceMix::Fixed { ns: 3_000 }, "fixed 3us"),
-            (6_000, ServiceMix::Exp { mean_ns: 4_000 }, "exp 4us"),
-            (
-                12_000,
-                ServiceMix::Bimodal { short_ns: 2_000, long_ns: 20_000, long_pct: 5 },
-                "bimodal 2us/20us/5%",
-            ),
-        ] {
-            specs.push(
-                ExperimentSpec::builder(E26, format!("open-loop ladder: {rate_hz}/s, {rung}"))
-                    .loads(vec![0; 4])
-                    .topo(TopoSpec::Flat(4))
-                    .policy(PolicySpec::TopoAware)
-                    .driver(Driver::OpenLoop(OpenLoopDriverSpec::new(rate_hz, 150, service)))
-                    .budget_rounds(0)
-                    .backends(vec!["exec".into()])
-                    .build()
-                    .expect("legacy catalog specs are valid"),
-            );
-        }
-        specs
-    }
-
-    /// One hot core per NUMA node of the eight-node machine, holding the
-    /// node's entire 2x-cores share.
-    fn numa_loads() -> Vec<usize> {
-        let topo = TopoSpec::EightNode.build();
-        let mut loads = vec![0; topo.nr_cpus()];
-        let per_node = 2 * topo.nr_cpus() / topo.nr_nodes();
-        for node in 0..topo.nr_nodes() {
-            loads[topo.cpus_of_node(sched_topology::NodeId(node))[0].0] = per_node;
-        }
-        loads
-    }
-
-    /// Hot cores on ring-distant nodes 0 and 4 of the eight-node machine.
-    fn distant_hot_loads() -> Vec<usize> {
-        let topo = TopoSpec::EightNode.build();
-        let mut loads = vec![0; topo.nr_cpus()];
-        let per_node = topo.nr_cpus() / topo.nr_nodes();
-        for node in [0usize, 4] {
-            loads[topo.cpus_of_node(sched_topology::NodeId(node))[0].0] = 2 * per_node;
-        }
-        loads
-    }
-
-    /// `n` threads on core 0 of a 16-core flat machine.
-    fn fan_out_loads(n: usize) -> Vec<usize> {
-        let mut loads = vec![0; 16];
-        loads[0] = n;
-        loads
-    }
-
-    /// The invariants each legacy scenario's records are expected to
-    /// satisfy — the `expect` blocks of the generated documents.
-    fn legacy_expectations(spec: &ExperimentSpec) -> Vec<DocInvariant> {
-        // A sim-only scenario (E24) has no final residency to check:
-        // simulator tasks run to completion, so only task conservation —
-        // vacuously satisfied by design, checked by the ordering sweep's
-        // finished/operations comparison instead — is claimed.
-        // The same applies to the executor-only ladder (E26): its requests
-        // run to completion, so `final_loads` stays empty and only the
-        // vacuously-satisfied task conservation is claimed.
-        if spec
-            .backends
-            .as_ref()
-            .is_some_and(|b| b.iter().all(|x| x.starts_with("sim") || x == "exec"))
-        {
-            return vec![DocInvariant::ConservationOfTasks];
-        }
-        match spec.driver {
-            // Storm epochs *measure* a conservation hole on the spill
-            // baseline, and burst blips park tasks outside the system, so
-            // only task conservation is claimed there.
-            Driver::Storm(_) | Driver::Burst(_) => vec![DocInvariant::ConservationOfTasks],
-            // The greedy filter is the refuted baseline: it may ping-pong
-            // forever, so work conservation is deliberately not claimed.
-            _ if spec.policy == PolicySpec::Greedy => {
-                vec![DocInvariant::ConservationOfTasks, DocInvariant::NonInversion]
-            }
-            _ => vec![
-                DocInvariant::WorkConservation,
-                DocInvariant::ConservationOfTasks,
-                DocInvariant::NonInversion,
-            ],
-        }
-    }
-
+    /// The committed files are the only copy of the catalog, so what pins
+    /// them is their own form: each is its two header lines followed by
+    /// exactly what the printer makes of what the parser reads.  A file
+    /// hand-edited out of that form fails here; regenerating one is
+    /// `print_doc(parse_doc(file))` under the same header.
     #[test]
-    fn builtin_documents_reproduce_the_legacy_catalog_exactly() {
-        let legacy = legacy_catalog();
-        let loaded = builtin();
-        assert_eq!(
-            loaded.len(),
-            legacy.len(),
-            "the declarative catalog must have one scenario per legacy spec"
-        );
-        for (scenario, want) in loaded.iter().zip(&legacy) {
-            assert_eq!(
-                &scenario.spec, want,
-                "scenario `{}` drifted from the legacy catalog",
-                scenario.doc.name
+    fn committed_documents_are_in_canonical_form() {
+        for ((name, source), id) in builtin_sources().into_iter().zip(ExperimentId::all()) {
+            let scenarios = sched_dsl::parse_doc(source).expect(name);
+            let canonical = format!(
+                "# {}\n# Declarative scenario document; the sched-bench catalog loads this at \
+                 build time.\n\n{}",
+                id.title().trim(),
+                sched_dsl::print_doc(&scenarios)
             );
-            assert!(
-                !scenario.doc.expect.is_empty(),
-                "scenario `{}` must claim at least one invariant",
-                scenario.doc.name
-            );
+            assert_eq!(source, canonical, "{name} is not in canonical form");
+            for scenario in &scenarios {
+                assert_eq!(ExperimentId::parse(&scenario.experiment), Some(id), "{name}");
+                assert!(!scenario.expect.is_empty(), "`{}` must claim an invariant", scenario.name);
+            }
         }
     }
 
     #[test]
     fn catalog_covers_every_experiment() {
-        let specs = catalog();
+        let specs = builtin();
         assert_eq!(specs.len(), 41);
         let mut seen = std::collections::BTreeSet::new();
         for spec in &specs {
             assert!(
-                seen.insert(format!("{:?}|{}", spec.id, spec.scenario)),
-                "duplicate scenario {:?} `{}`",
-                spec.id,
-                spec.scenario
+                seen.insert(format!("{}|{}", spec.experiment, spec.name)),
+                "duplicate scenario {} `{}`",
+                spec.experiment,
+                spec.name
             );
             assert_eq!(
-                spec.topo.build().nr_cpus(),
+                build_topology(spec.topology).nr_cpus(),
                 spec.loads.len(),
-                "{:?}: load vector must match the machine",
-                spec.id
+                "{}: load vector must match the machine",
+                spec.experiment
             );
             // A workload driver generates its threads itself, and an
             // open-loop stream arrives entirely through the generator;
@@ -867,68 +173,61 @@ mod tests {
             // some.
             assert!(
                 spec.nr_threads() > 0
-                    || matches!(spec.driver, Driver::Workload(_) | Driver::OpenLoop(_)),
-                "{:?}: a scenario needs threads",
-                spec.id
+                    || matches!(spec.driver, Driver::Workload { .. } | Driver::OpenLoop(_)),
+                "{}: a scenario needs threads",
+                spec.experiment
             );
         }
-        let ids: std::collections::BTreeSet<String> =
-            specs.iter().map(|s| format!("{:?}", s.id)).collect();
-        assert_eq!(ids.len(), ExperimentId::all().len(), "every experiment is catalogued");
-        let count = |id| specs.iter().filter(|s| s.id == id).count();
+        let of = |id| specs.iter().filter(move |s| ExperimentId::parse(&s.experiment) == Some(id));
+        assert!(
+            ExperimentId::all().into_iter().all(|id| of(id).count() > 0),
+            "every experiment is catalogued"
+        );
+        let count = |id| of(id).count();
         assert_eq!(count(ExperimentId::E17), 2, "E17 sweeps two criteria");
         assert_eq!(count(ExperimentId::E21), 4, "E21 sweeps four half-lives");
         assert_eq!(count(ExperimentId::E23), 10, "E23 sweeps five batch sizes on two shapes");
         assert_eq!(count(ExperimentId::E24), 1, "E24 is the event-engine scaling scenario");
         assert_eq!(count(ExperimentId::E25), 1, "E25 is the trace-only detection storm");
         assert_eq!(count(ExperimentId::E26), 3, "E26 climbs three open-loop rungs");
-        for spec in specs.iter().filter(|s| s.id == ExperimentId::E26) {
+        for spec in of(ExperimentId::E26) {
             assert_eq!(
                 spec.backends.as_deref(),
                 Some(&["exec".to_string()][..]),
                 "E26 runs on the executor alone"
             );
-            assert!(spec.driver.openloop().is_some(), "E26 rungs are open-loop");
+            assert!(matches!(spec.driver, Driver::OpenLoop(_)), "E26 rungs are open-loop");
         }
-        for spec in specs.iter().filter(|s| s.id == ExperimentId::E24) {
+        for spec in of(ExperimentId::E24) {
             assert_eq!(
                 spec.backends.as_deref(),
                 Some(&["sim".to_string(), "sim-event".into()][..])
             );
             assert!(spec.events.is_some(), "E24 declares the event budget that caps the tick run");
         }
-        for spec in specs.iter().filter(|s| s.id == ExperimentId::E23) {
+        for spec in of(ExperimentId::E23) {
             assert!(spec.batch.is_some(), "E23 specs carry a batch size");
         }
     }
 
     #[test]
-    fn every_builtin_document_round_trips_through_to_doc() {
-        for scenario in builtin() {
-            let doc = to_doc(&scenario.spec, &scenario.doc.expect);
-            let spec = from_doc(&doc).expect("regenerated documents stay valid");
-            assert_eq!(spec, scenario.spec, "{}: to_doc changed the spec", scenario.doc.name);
-        }
-    }
-
-    #[test]
     fn committed_results_match_the_declarative_catalog() {
-        // The parity pin against the *records*: the committed
-        // BENCH_results.json was produced by the hardcoded catalog; its
-        // deterministic fields must be exactly what the declarative catalog
-        // predicts, record for record, in order.
+        // The parity pin against the *records*: every identity field of
+        // every committed BENCH_results.json record must be exactly what
+        // the documents predict, record for record, in order.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_results.json");
         let text = std::fs::read_to_string(path).expect("committed BENCH_results.json");
         let json = sched_json::parse(&text).expect("valid JSON");
         let records = json.get("records").and_then(|r| r.as_array()).expect("records array");
 
-        let mut predicted: Vec<(String, String, String, String, String, usize)> = Vec::new();
-        for spec in catalog() {
+        type Identity = (String, String, String, String, String, usize, Option<String>);
+        let mut predicted: Vec<Identity> = Vec::new();
+        for spec in builtin() {
             // A declared backend matrix (E24: the sim engines only) wins;
             // otherwise the driver shape picks the default matrix.
             let backends: Vec<String> = if let Some(named) = &spec.backends {
                 named.clone()
-            } else if spec.driver.storm().is_some() {
+            } else if matches!(spec.driver, Driver::Storm(_)) {
                 ["rq", "rq-deque", "rq-deque-tiny", "rq-deque-spill"]
                     .map(String::from)
                     .into_iter()
@@ -941,15 +240,16 @@ mod tests {
                     .into_iter()
                     .collect()
             };
-            let experiment = format!("{:?}", spec.id).to_ascii_lowercase();
+            let batch = spec.batch.map(batch_label);
             for backend in backends {
                 predicted.push((
-                    experiment.clone(),
-                    spec.scenario.clone(),
+                    spec.experiment.clone(),
+                    spec.name.clone(),
                     backend,
-                    spec.policy.name(),
-                    spec.policy.tracker_name(),
+                    policy_name(&spec.policy),
+                    tracker_name(&spec.policy),
                     spec.loads.len(),
+                    batch.clone(),
                 ));
             }
         }
@@ -963,6 +263,7 @@ mod tests {
                 field("policy").to_string(),
                 field("tracker").to_string(),
                 record.get("cores").and_then(|v| v.as_f64()).unwrap_or_default() as usize,
+                record.get("steal_batch_k").and_then(|v| v.as_str()).map(str::to_string),
             );
             assert_eq!(
                 &got,
@@ -996,34 +297,25 @@ scenario "twin" { experiment e2; topology flat(2); loads [2, 0]; policy listing1
             r#"scenario "x" { experiment e2; topology flat(4); loads [2, 0]; policy listing1; }"#;
         let err = load_str(wrong_size, "test").unwrap_err();
         assert!(err.to_string().contains("cores"), "{err}");
-    }
 
-    /// Regenerates `experiments/*.scn` from the legacy fixture.  Run once
-    /// by hand (`cargo test -p sched-bench regenerate_builtin -- --ignored`)
-    /// whenever the fixture changes; the parity tests above then pin the
-    /// files.
-    #[test]
-    #[ignore = "writes the workspace scenario documents; run by hand"]
-    fn regenerate_builtin_documents() {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../experiments");
-        std::fs::create_dir_all(root).expect("experiments directory");
-        let legacy = legacy_catalog();
-        for id in ExperimentId::all() {
-            let docs: Vec<ScenarioDoc> = legacy
-                .iter()
-                .filter(|s| s.id == id)
-                .map(|s| to_doc(s, &legacy_expectations(s)))
-                .collect();
-            assert!(!docs.is_empty(), "{id:?} missing from the legacy fixture");
-            let name = format!("{id:?}").to_ascii_lowercase();
-            let header = format!(
-                "# {}\n# {}\n\n",
-                id.title().trim(),
-                "Declarative scenario document; the sched-bench catalog loads this at build time."
-            );
-            let path = format!("{root}/{name}.scn");
-            std::fs::write(&path, format!("{header}{}", sched_dsl::print_doc(&docs)))
-                .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        // The sizes are compared as declared: a machine far too large to
+        // build is refused for its load vector, not attempted.
+        let huge = r#"scenario "x" { experiment e2; topology flat(100000000000); loads [1]; policy listing1; }"#;
+        let err = load_str(huge, "test").unwrap_err();
+        assert!(err.to_string().contains("100000000000 cores"), "{err}");
+
+        // The duplicate check covers everything one call loads, also when
+        // the twins sit in two files of one directory.
+        let dir = std::env::temp_dir().join(format!("sched-bench-twins-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("a scratch directory");
+        let twin = duplicate.trim().lines().next().expect("the first twin");
+        for file in ["a.scn", "b.scn"] {
+            std::fs::write(dir.join(file), twin).expect("a scratch document");
         }
+        let outcome = load_dir(&dir);
+        std::fs::remove_dir_all(&dir).expect("the scratch directory goes away");
+        let err = outcome.unwrap_err();
+        assert!(err.to_string().contains("duplicate"), "{err}");
+        assert!(err.to_string().contains("b.scn"), "{err}");
     }
 }

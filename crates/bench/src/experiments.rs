@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sched_core::prelude::*;
+use sched_dsl::{Driver, PolicyRecipe, Scenario};
 use sched_metrics::Table;
 use sched_rq::MultiQueue;
 use sched_verify::{
@@ -115,6 +116,14 @@ pub fn run_experiment(id: ExperimentId) -> Vec<Table> {
 /// Runs every experiment in index order.
 pub fn all_experiments() -> Vec<(ExperimentId, Vec<Table>)> {
     ExperimentId::all().into_iter().map(|id| (id, run_experiment(id))).collect()
+}
+
+/// Epochs of a burst-driven scenario (0 under any other driver).
+fn burst_epochs(spec: &Scenario) -> u64 {
+    match spec.driver {
+        Driver::Burst(burst) => burst.epochs as u64,
+        _ => 0,
+    }
 }
 
 fn verdict(ok: bool) -> String {
@@ -698,15 +707,15 @@ fn locality_table(
 /// E14: a saturated NUMA node next to an idle one — the victim search must
 /// cross the socket, but only as much as work conservation demands.
 fn e14_numa_imbalance() -> Vec<Table> {
-    use crate::runner::{ExperimentRunner, ModelBackend, PolicySpec};
+    use crate::runner::{ExperimentRunner, ModelBackend};
     let spec = crate::catalog::spec(ExperimentId::E14);
     let runner = ExperimentRunner::new(vec![Box::new(ModelBackend)]);
     let mut rows = Vec::new();
     for (name, policy) in [
-        ("flat max-load choice", PolicySpec::Listing1),
-        ("NUMA-aware choice", PolicySpec::NumaAware),
-        ("topology-aware (thresholds+backoff)", PolicySpec::TopoAware),
-        ("hierarchical rounds", PolicySpec::Hierarchical),
+        ("flat max-load choice", PolicyRecipe::Listing1),
+        ("NUMA-aware choice", PolicyRecipe::NumaAware),
+        ("topology-aware (thresholds+backoff)", PolicyRecipe::TopoAware),
+        ("hierarchical rounds", PolicyRecipe::Hierarchical),
     ] {
         let mut spec = spec.clone();
         spec.policy = policy;
@@ -721,14 +730,14 @@ fn e14_numa_imbalance() -> Vec<Table> {
 /// E15: two saturated cores on ring-distant nodes — bait for distance-blind
 /// choosers, which bounce threads across the interconnect.
 fn e15_cross_node_pingpong() -> Vec<Table> {
-    use crate::runner::{ExperimentRunner, ModelBackend, PolicySpec};
+    use crate::runner::{ExperimentRunner, ModelBackend};
     let spec = crate::catalog::spec(ExperimentId::E15);
     let runner = ExperimentRunner::new(vec![Box::new(ModelBackend)]);
     let mut rows = Vec::new();
     for (name, policy) in [
-        ("flat max-load choice", PolicySpec::Listing1),
-        ("topology-aware (thresholds+backoff)", PolicySpec::TopoAware),
-        ("hierarchical rounds", PolicySpec::Hierarchical),
+        ("flat max-load choice", PolicyRecipe::Listing1),
+        ("topology-aware (thresholds+backoff)", PolicyRecipe::TopoAware),
+        ("hierarchical rounds", PolicyRecipe::Hierarchical),
     ] {
         let mut spec = spec.clone();
         spec.policy = policy;
@@ -778,7 +787,7 @@ fn e17_bursty_tracking() -> Vec<Table> {
     let mut churn: Vec<(String, MigrationChurn)> = Vec::new();
     for spec in &specs {
         for r in runner.run(spec.clone()) {
-            let epochs = spec.driver.burst().map_or(0, |b| b.epochs as u64);
+            let epochs = burst_epochs(spec);
             let c = MigrationChurn::new(r.migrations, r.failures, epochs, r.violating_idle);
             table.row(&[
                 r.tracker.clone(),
@@ -822,7 +831,7 @@ fn e17_bursty_tracking() -> Vec<Table> {
 /// versus its PELT-decayed counterpart: the decayed criterion reaches the
 /// same weighted balance, paying a bounded warm-up lag.
 fn e18_mixed_nice_tracking() -> Vec<Table> {
-    use crate::runner::{ExperimentRunner, ModelBackend, PolicySpec, RqBackend};
+    use crate::runner::{ExperimentRunner, ModelBackend, RqBackend};
 
     let spec = crate::catalog::spec(ExperimentId::E18);
     let runner = ExperimentRunner::new(vec![Box::new(ModelBackend), Box::new(RqBackend)]);
@@ -830,7 +839,7 @@ fn e18_mixed_nice_tracking() -> Vec<Table> {
         "E18: single hot core, 24 mixed-nice threads — weighted balance under instantaneous vs decayed tracking",
         &["criterion", "backend", "rounds to WC", "migrations", "failures"],
     );
-    for policy in [PolicySpec::Weighted, PolicySpec::PeltWeighted] {
+    for policy in [PolicyRecipe::Weighted, PolicyRecipe::PeltWeighted] {
         let mut spec = spec.clone();
         spec.policy = policy;
         for r in runner.run(spec) {
@@ -1031,7 +1040,7 @@ fn e20_steal_fanout() -> Vec<Table> {
 ///   imbalance and the machine converges grow with the half-life — the
 ///   reactivity cost an over-long half-life pays.
 fn e21_half_life_sweep() -> Vec<Table> {
-    use crate::runner::{ExperimentRunner, ModelBackend, PolicySpec, RqBackend, TopoSpec};
+    use crate::runner::{ExperimentRunner, ModelBackend, RqBackend};
     use sched_metrics::MigrationChurn;
 
     let specs = crate::catalog::specs_of(ExperimentId::E21);
@@ -1042,7 +1051,7 @@ fn e21_half_life_sweep() -> Vec<Table> {
     );
     for spec in &specs {
         for r in runner.run(spec.clone()) {
-            let epochs = spec.driver.burst().map_or(0, |b| b.epochs as u64);
+            let epochs = burst_epochs(spec);
             let churn = MigrationChurn::new(r.migrations, r.failures, epochs, r.violating_idle);
             churn_table.row(&[
                 r.tracker.clone(),
@@ -1061,16 +1070,13 @@ fn e21_half_life_sweep() -> Vec<Table> {
     );
     let model = ExperimentRunner::new(vec![Box::new(ModelBackend)]);
     for half_life_ms in [1u32, 4, 16, 64] {
-        let spec = crate::runner::ExperimentSpec::builder(
-            ExperimentId::E21,
-            "half-life sweep: warm-up lag",
-        )
-        .loads(vec![16, 0, 0, 0, 0, 0, 0, 0])
-        .topo(TopoSpec::Flat(8))
-        .policy(PolicySpec::PeltHalfLife(half_life_ms))
-        .budget_rounds(1024)
-        .build()
-        .expect("a valid warm-up-lag spec");
+        let source = format!(
+            "scenario \"half-life sweep: warm-up lag\" {{ experiment e21; topology flat(8); \
+             loads [16, 0, 0, 0, 0, 0, 0, 0]; policy pelt_half_life({half_life_ms}); budget 1024; }}"
+        );
+        let spec = crate::catalog::load_str(&source, "e21b")
+            .expect("a valid warm-up-lag scenario")
+            .remove(0);
         let r = model.run(spec).remove(0);
         lag_table.row(&[
             r.tracker.clone(),
@@ -1103,7 +1109,10 @@ fn e22_overflow_storm() -> Vec<Table> {
          whether idle cores can reach it",
         &["rq backend", "migrations", "failures", "idle-while-spilled %", "migrations/epoch"],
     );
-    let epochs = spec.driver.storm().map_or(0, |s| s.epochs as u64);
+    let epochs = match spec.driver {
+        Driver::Storm(storm) => storm.epochs as u64,
+        _ => 0,
+    };
     for r in runner.run(spec) {
         let churn = MigrationChurn::new(r.migrations, r.failures, epochs, r.violating_idle);
         table.row(&[
@@ -1146,9 +1155,13 @@ fn e23_batched_stealing() -> Vec<Table> {
     for spec in &specs {
         for r in runner.run(spec.clone()) {
             table.row(&[
-                if spec.driver.storm().is_some() { "storm".into() } else { "fan-out".into() },
+                if matches!(spec.driver, Driver::Storm(_)) {
+                    "storm".into()
+                } else {
+                    "fan-out".into()
+                },
                 r.rq_backend.unwrap_or(r.backend).into(),
-                r.steal_batch_k.unwrap_or("?").into(),
+                r.steal_batch_k.unwrap_or_else(|| "?".into()),
                 r.migrations.to_string(),
                 r.failures.to_string(),
                 r.tasks_per_acquisition.map(|t| format!("{t:.2}")).unwrap_or_else(|| "-".into()),
@@ -1197,12 +1210,12 @@ fn e24_event_engine_scaling() -> Vec<Table> {
 /// the sanity checker finds in that trace alone.
 fn traced_with_windows(
     backend: &str,
-    spec: &crate::runner::ExperimentSpec,
+    spec: &Scenario,
 ) -> (crate::runner::ExperimentRecord, sched_trace::Trace, Vec<sched_trace::SanityViolation>) {
     let (record, trace) = crate::runner::ExperimentRunner::with_all_backends()
         .run_traced(backend, spec)
         .expect("a trace-recording backend")
-        .unwrap_or_else(|| panic!("{backend} executes `{}`", spec.scenario));
+        .unwrap_or_else(|| panic!("{backend} executes `{}`", spec.name));
     let mut windows = sched_trace::SanityChecker::check_trace(&trace, false, None);
     windows.retain(|v| v.kind == sched_trace::SanityKind::IdleWhileOverloaded);
     (record, trace, windows)
@@ -1269,9 +1282,10 @@ fn e26_executor_ladder() -> Vec<Table> {
     );
     for spec in crate::catalog::specs_of(ExperimentId::E26) {
         let (record, _, windows) = traced_with_windows("exec", &spec);
-        let rate = spec.driver.openloop().expect("E26 rungs are open-loop").rate_hz;
+        let Driver::OpenLoop(openloop) = spec.driver else { panic!("E26 rungs are open-loop") };
+        let rate = openloop.rate_hz;
         table.row(&[
-            spec.scenario.clone(),
+            spec.name.clone(),
             rate.to_string(),
             record.threads.to_string(),
             format!("{:.0}", record.throughput * record.wall_ms / 1e3),
@@ -1413,13 +1427,13 @@ mod tests {
         let specs = crate::catalog::specs_of(ExperimentId::E26);
         assert_eq!(specs.len(), 3, "the ladder has three rungs");
         for spec in specs {
-            let openloop = spec.driver.openloop().expect("E26 rungs are open-loop");
+            let Driver::OpenLoop(openloop) = spec.driver else { panic!("E26 rungs are open-loop") };
             let (record, trace, windows) = traced_with_windows("exec", &spec);
-            assert_eq!(trace.dropped, 0, "{}: the sink must capture every event", spec.scenario);
-            assert!(record.threads > 0, "{}: the generator submitted requests", spec.scenario);
+            assert_eq!(trace.dropped, 0, "{}: the sink must capture every event", spec.name);
+            assert!(record.threads > 0, "{}: the generator submitted requests", spec.name);
             let p999 = record.e2e_p999_us.expect("exec records measure e2e latency");
             let p99 = record.e2e_p99_us.expect("exec records measure e2e latency");
-            assert!(p99 <= p999, "{}: quantiles are ordered", spec.scenario);
+            assert!(p99 <= p999, "{}: quantiles are ordered", spec.name);
             // Below the knee the tail is queueing-plus-wakeup jitter; at
             // or past it, requests queue behind an ever-growing backlog
             // and the p999 climbs toward the full horizon.
@@ -1427,12 +1441,12 @@ mod tests {
             assert!(
                 p999 < horizon_us / 2.0,
                 "{}: p999 of {p999}us has collapsed toward the {horizon_us}us horizon",
-                spec.scenario
+                spec.name
             );
             assert!(
                 windows.is_empty(),
                 "{}: a parked worker slept beside reachable work: {:?}",
-                spec.scenario,
+                spec.name,
                 windows
             );
         }
@@ -1445,32 +1459,32 @@ mod tests {
     /// claim.  Counts, not wall clock, so this runs in the default pass.
     #[test]
     fn e23_batching_amortises_acquisitions_on_the_fan_out() {
-        use crate::runner::{BatchK, ExperimentRunner, RqDequeBackend};
+        use crate::runner::{ExperimentRunner, RqDequeBackend};
+        use sched_dsl::Batch;
 
-        let specs: Vec<crate::runner::ExperimentSpec> = crate::catalog::specs_of(ExperimentId::E23)
+        let specs: Vec<Scenario> = crate::catalog::specs_of(ExperimentId::E23)
             .into_iter()
-            .filter(|s| s.driver.storm().is_none())
+            .filter(|s| !matches!(s.driver, Driver::Storm(_)))
             .collect();
         assert_eq!(specs.len(), 5, "the fan-out half of the sweep");
         let runner = ExperimentRunner::new(vec![Box::new(RqDequeBackend)]);
-        let tpa = |batch: BatchK| -> f64 {
+        let tpa = |batch: Batch| -> f64 {
             let spec = specs.iter().find(|s| s.batch == Some(batch)).expect("swept k");
             let record = runner.run(spec.clone()).remove(0);
-            assert_eq!(record.steal_batch_k, Some(batch.name()));
+            assert_eq!(record.steal_batch_k, Some(crate::runner::batch_label(batch)));
             record.tasks_per_acquisition.expect("batch records measure the amortisation")
         };
-        let baseline = tpa(BatchK::Fixed(1));
+        let baseline = tpa(Batch::Fixed(1));
         assert!(
             (baseline - 1.0).abs() < 1e-9,
             "k=1 moves exactly one thread per acquisition, got {baseline}"
         );
-        for batch in [BatchK::Fixed(8), BatchK::HalfImbalance] {
+        for batch in [Batch::Fixed(8), Batch::Half] {
             let batched = tpa(batch);
             assert!(
                 batched > 1.0,
-                "{}: batched claims must amortise acquisitions, got {batched:.2} \
-                 tasks/acquisition vs the k=1 baseline of 1.0",
-                batch.name()
+                "{batch:?}: batched claims must amortise acquisitions, got {batched:.2} \
+                 tasks/acquisition vs the k=1 baseline of 1.0"
             );
         }
     }
@@ -1484,19 +1498,20 @@ mod tests {
     #[test]
     #[ignore = "wall-clock comparison; run via `cargo test --release -- --ignored`"]
     fn e23_batched_stealing_raises_fan_out_throughput() {
-        use crate::runner::{BatchK, ExperimentRunner, RqDequeBackend};
+        use crate::runner::{ExperimentRunner, RqDequeBackend};
+        use sched_dsl::Batch;
 
-        let specs: Vec<crate::runner::ExperimentSpec> = crate::catalog::specs_of(ExperimentId::E23)
+        let specs: Vec<Scenario> = crate::catalog::specs_of(ExperimentId::E23)
             .into_iter()
-            .filter(|s| s.driver.storm().is_none())
+            .filter(|s| !matches!(s.driver, Driver::Storm(_)))
             .collect();
         let runner = ExperimentRunner::new(vec![Box::new(RqDequeBackend)]);
-        let best = |batch: BatchK| -> f64 {
+        let best = |batch: Batch| -> f64 {
             let spec = specs.iter().find(|s| s.batch == Some(batch)).expect("swept k");
             (0..3).map(|_| runner.run(spec.clone()).remove(0).throughput).fold(0.0, f64::max)
         };
-        let k1 = best(BatchK::Fixed(1));
-        let half = best(BatchK::HalfImbalance);
+        let k1 = best(Batch::Fixed(1));
+        let half = best(Batch::Half);
         assert!(
             half > k1,
             "imbalance-sized batches must beat one-thread steals on the fan-out: \

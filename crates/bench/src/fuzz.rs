@@ -3,7 +3,7 @@
 //!
 //! The declarative catalog makes experiments *data*, and data can be
 //! generated: [`fuzz_scenarios`] derives a deterministic stream of
-//! [`ScenarioDoc`]s from one seed — topologies x load vectors x arrival
+//! [`Scenario`]s from one seed — topologies x load vectors x arrival
 //! drivers x nice mixes x policies (including inline DSL programs) — runs
 //! each through the unified runner, and checks every produced record
 //! against the scenario's `expect` block with [`check_records`]:
@@ -26,14 +26,15 @@
 //! `xtask fuzz-scenarios` writes them to `experiments/repro/*.scn`, and
 //! `--repro FILE` replays such a file through the same checker.
 
-use sched_dsl::{DocDriver, DocInvariant, DocPolicy, DocTopology, ScenarioDoc};
+use sched_dsl::{
+    Batch, Burst, Driver, Invariant, PolicyRecipe, Scenario, Storm, Topology, WorkloadKind,
+};
 
 use sched_trace::{SanityChecker, SanityKind, SanityViolation, Trace};
 
-use crate::catalog::{from_doc, LoadedScenario};
 use crate::runner::{
-    run_sim_result, Driver, ExperimentRecord, ExperimentRunner, ExperimentSpec, ModelBackend,
-    RqBackend, RqDequeBackend, SimEngine, SimEventBackend,
+    run_sim_result, validate, ExperimentRecord, ExperimentRunner, ModelBackend, RqBackend,
+    RqDequeBackend, SimEngine, SimEventBackend,
 };
 
 /// What to fuzz: the seed pins the whole scenario stream, the count bounds
@@ -80,7 +81,7 @@ impl std::fmt::Display for Violation {
 #[derive(Debug, Clone)]
 pub struct FuzzFailure {
     /// The generated document, exactly as it would print.
-    pub doc: ScenarioDoc,
+    pub doc: Scenario,
     /// The violations its run produced.
     pub violations: Vec<Violation>,
 }
@@ -139,69 +140,69 @@ impl Rng {
 }
 
 /// Generates the `index`-th scenario of a seed's stream.
-fn generate_doc(master_seed: u64, index: usize) -> ScenarioDoc {
+fn generate_doc(master_seed: u64, index: usize) -> Scenario {
     // Decorrelate per-scenario streams: one splitmix step over the index.
     let mut rng = Rng::new(master_seed ^ Rng::new(index as u64).next());
 
     let (topology, cores) = if rng.chance(10) {
-        (DocTopology::DualSocket, 16u64)
+        (Topology::DualSocket, 16usize)
     } else {
-        let cores = rng.range(2, 12);
-        (DocTopology::Flat(cores), cores)
+        let cores = rng.range(2, 12) as usize;
+        (Topology::Flat(cores), cores)
     };
 
-    let loads: Vec<u64> = match rng.below(3) {
+    let loads: Vec<usize> = match rng.below(3) {
         0 => {
             // Single hot core holding a 2x-cores pile.
-            let hot = rng.below(cores) as usize;
-            let mut loads = vec![0; cores as usize];
+            let hot = rng.below(cores as u64) as usize;
+            let mut loads = vec![0; cores];
             loads[hot] = 2 * cores;
             loads
         }
         1 => {
             // A descending step.
-            (0..cores).map(|i| cores.saturating_sub(i) / 2 + u64::from(i == 0)).collect()
+            (0..cores).map(|i| (cores - i) / 2 + usize::from(i == 0)).collect()
         }
         _ => {
             // Bounded random vector, at least one thread.
-            let mut loads: Vec<u64> = (0..cores).map(|_| rng.below(5)).collect();
-            if loads.iter().sum::<u64>() == 0 {
+            let mut loads: Vec<usize> = (0..cores).map(|_| rng.below(5) as usize).collect();
+            if loads.iter().sum::<usize>() == 0 {
                 loads[0] = 1;
             }
             loads
         }
     };
-    let threads: u64 = loads.iter().sum();
+    let threads: usize = loads.iter().sum();
 
     // Arrival driver.  Budgets are generous: the fuzzer checks invariants,
     // not convergence speed, and a decayed tracker pays a warm-up lag.
     let (driver, budget) = match rng.below(100) {
-        0..=54 => (DocDriver::Replay, 8 * threads + 256),
+        0..=54 => (Driver::Replay, 8 * threads + 256),
         55..=69 => (
-            DocDriver::Burst {
-                epochs: rng.range(4, 16),
+            Driver::Burst(Burst {
+                epochs: rng.range(4, 16) as usize,
                 epoch_ns: 1_000_000,
                 warmup_ns: 32_000_000,
-                seed: Some(rng.below(1_000)),
-                jitter_pct: Some(rng.below(61) as u32),
-            },
+                seed: rng.below(1_000),
+                jitter_pct: rng.below(61) as u32,
+            }),
             0,
         ),
         70..=84 => (
-            DocDriver::Storm {
+            Driver::Storm(Storm {
                 // At least two waiting tasks per thief, so a couple of
                 // settled rounds reach every idle core.
-                epochs: rng.range(2, 5),
-                fanout: rng.range(2 * cores, 4 * cores),
-                rounds: rng.range(2, 3),
-            },
+                epochs: rng.range(2, 5) as usize,
+                fanout: rng.range(2 * cores as u64, 4 * cores as u64) as usize,
+                rounds: rng.range(2, 3) as usize,
+            }),
             0,
         ),
         _ => (
-            DocDriver::Workload {
-                kind: if rng.chance(50) { "scientific".into() } else { "oltp".into() },
-                seed: Some(rng.below(10_000)),
-                jitter_pct: Some(rng.below(41) as u32),
+            Driver::Workload {
+                kind: if rng.chance(50) { WorkloadKind::Scientific } else { WorkloadKind::Oltp },
+                seed: rng.below(10_000),
+                jitter_pct: rng.below(41) as u32,
             },
             8 * threads + 256,
         ),
@@ -212,23 +213,23 @@ fn generate_doc(master_seed: u64, index: usize) -> ScenarioDoc {
     // the filter stays Listing 1's `delta >= 2`, which is what makes the
     // work-conservation expectation sound.
     let policy = match rng.below(100) {
-        0..=44 => DocPolicy::Named { name: "listing1".into(), arg: None },
-        45..=64 => DocPolicy::Named { name: "steal_half".into(), arg: None },
-        65..=79 => DocPolicy::Named { name: "pelt".into(), arg: None },
+        0..=44 => PolicyRecipe::Listing1,
+        45..=64 => PolicyRecipe::StealHalf,
+        65..=79 => PolicyRecipe::Pelt,
         _ => {
             let choose = ["max victim.load", "min victim.load", "first"][rng.below(3) as usize];
             let source = format!(
                 "policy fuzzed {{\n    metric threads;\n    filter = victim.load - self.load >= 2;\n    choose = {choose};\n    steal = 1;\n}}"
             );
-            DocPolicy::Inline(sched_dsl::parse(&source).expect("generated policies parse"))
+            PolicyRecipe::Inline(sched_dsl::parse(&source).expect("generated policies parse"))
         }
     };
 
-    let is_storm = matches!(driver, DocDriver::Storm { .. });
-    let is_burst = matches!(driver, DocDriver::Burst { .. });
+    let is_storm = matches!(driver, Driver::Storm(_));
+    let is_burst = matches!(driver, Driver::Burst(_));
     let batch_pct = if is_storm {
         30
-    } else if matches!(driver, DocDriver::Replay) {
+    } else if driver == Driver::Replay {
         20
     } else {
         0
@@ -252,16 +253,12 @@ fn generate_doc(master_seed: u64, index: usize) -> ScenarioDoc {
         // Storm epochs drain, burst blips park tasks outside the system
         // mid-run; only task conservation is claimed, as in the builtin
         // E17/E22 documents.
-        vec![DocInvariant::ConservationOfTasks]
+        vec![Invariant::ConservationOfTasks]
     } else {
-        vec![
-            DocInvariant::WorkConservation,
-            DocInvariant::ConservationOfTasks,
-            DocInvariant::NonInversion,
-        ]
+        vec![Invariant::WorkConservation, Invariant::ConservationOfTasks, Invariant::NonInversion]
     };
 
-    ScenarioDoc {
+    Scenario {
         name: format!("fuzz seed {master_seed} #{index}"),
         experiment: "e1".into(),
         topology,
@@ -278,13 +275,13 @@ fn generate_doc(master_seed: u64, index: usize) -> ScenarioDoc {
     }
 }
 
-fn pick_batch(rng: &mut Rng) -> sched_dsl::DocBatch {
+fn pick_batch(rng: &mut Rng) -> Batch {
     match rng.below(5) {
-        0 => sched_dsl::DocBatch::Fixed(1),
-        1 => sched_dsl::DocBatch::Fixed(2),
-        2 => sched_dsl::DocBatch::Fixed(4),
-        3 => sched_dsl::DocBatch::Fixed(8),
-        _ => sched_dsl::DocBatch::Half,
+        0 => Batch::Fixed(1),
+        1 => Batch::Fixed(2),
+        2 => Batch::Fixed(4),
+        3 => Batch::Fixed(8),
+        _ => Batch::Half,
     }
 }
 
@@ -297,27 +294,23 @@ fn is_work_conserving(loads: &[usize]) -> bool {
 /// Checks one scenario's records against its invariant block.  Records
 /// without final-load residency (the simulator's: its tasks run to
 /// completion) are skipped where residency is what's checked.
-pub fn check_records(
-    spec: &ExperimentSpec,
-    expect: &[DocInvariant],
-    records: &[ExperimentRecord],
-) -> Vec<Violation> {
+pub fn check_records(spec: &Scenario, records: &[ExperimentRecord]) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut violate = |backend: &str, inv: DocInvariant, detail: String| {
+    let mut violate = |backend: &str, inv: Invariant, detail: String| {
         violations.push(Violation {
-            scenario: spec.scenario.clone(),
+            scenario: spec.name.clone(),
             backend: backend.to_string(),
             kind: inv.keyword().to_string(),
             detail,
         });
     };
-    let initial_total = spec.nr_threads() as usize;
+    let initial_total = spec.nr_threads();
     let initial_max = spec.loads.iter().copied().max().unwrap_or(0);
     for record in records {
-        for &inv in expect {
+        for &inv in &spec.expect {
             match inv {
-                DocInvariant::WorkConservation => match spec.driver {
-                    Driver::Replay | Driver::Workload(_) => {
+                Invariant::WorkConservation => match spec.driver {
+                    Driver::Replay | Driver::Workload { .. } => {
                         // Both sim engines run their tasks to completion and
                         // report no final residency; WC there is the ordering
                         // sweep's finished/operations check instead.
@@ -333,7 +326,7 @@ pub fn check_records(
                                 inv,
                                 format!(
                                     "did not converge within {} rounds; final loads {:?}",
-                                    spec.budget_rounds, record.final_loads
+                                    spec.budget, record.final_loads
                                 ),
                             );
                         }
@@ -343,14 +336,15 @@ pub fn check_records(
                     // fuzzer does not generate such claims.
                     _ => {}
                 },
-                DocInvariant::ConservationOfTasks => {
+                Invariant::ConservationOfTasks => {
                     if record.final_loads.is_empty() {
                         continue;
                     }
                     let final_total: usize = record.final_loads.iter().sum();
                     // A storm drains the machine at every epoch boundary, so
                     // conservation there means "nothing left behind".
-                    let want = if spec.driver.storm().is_some() { 0 } else { initial_total };
+                    let want =
+                        if matches!(spec.driver, Driver::Storm(_)) { 0 } else { initial_total };
                     if final_total != want {
                         violate(
                             record.backend,
@@ -362,8 +356,8 @@ pub fn check_records(
                         );
                     }
                 }
-                DocInvariant::NonInversion => {
-                    if record.final_loads.is_empty() || !matches!(spec.driver, Driver::Replay) {
+                Invariant::NonInversion => {
+                    if record.final_loads.is_empty() || spec.driver != Driver::Replay {
                         continue;
                     }
                     let final_max = record.final_loads.iter().copied().max().unwrap_or(0);
@@ -391,7 +385,7 @@ pub fn check_records(
 /// is the result of `run_sim_result(SimEngine::Event, spec)` with no
 /// `order` set.
 pub fn check_ordering(
-    spec: &ExperimentSpec,
+    spec: &Scenario,
     baseline: &sched_sim::SimResult,
     order_seed: u64,
 ) -> Vec<Violation> {
@@ -399,7 +393,7 @@ pub fn check_ordering(
     seeded_spec.order = Some(order_seed);
     let Some(seeded) = run_sim_result(SimEngine::Event, &seeded_spec) else {
         return vec![Violation {
-            scenario: spec.scenario.clone(),
+            scenario: spec.name.clone(),
             backend: "sim-event".into(),
             kind: "ordering".into(),
             detail: format!("order {order_seed}: the event engine declined the spec"),
@@ -408,7 +402,7 @@ pub fn check_ordering(
     let mut violations = Vec::new();
     let mut violate = |detail: String| {
         violations.push(Violation {
-            scenario: spec.scenario.clone(),
+            scenario: spec.name.clone(),
             backend: "sim-event".into(),
             kind: "ordering".into(),
             detail,
@@ -465,13 +459,13 @@ pub fn engine_parity_mismatches(
 /// The engine-parity oracle: re-runs the scenario on the reference engine
 /// and reports every quantity in which `baseline` — the priority-ordered
 /// event-engine result of the same spec — differs from it.
-fn check_engine_parity(spec: &ExperimentSpec, baseline: &sched_sim::SimResult) -> Vec<Violation> {
+fn check_engine_parity(spec: &Scenario, baseline: &sched_sim::SimResult) -> Vec<Violation> {
     let reference =
         run_sim_result(SimEngine::Tick, spec).expect("the engines decline the same specs");
     engine_parity_mismatches(&reference, baseline)
         .into_iter()
         .map(|detail| Violation {
-            scenario: spec.scenario.clone(),
+            scenario: spec.name.clone(),
             backend: "sim-event".into(),
             kind: "engine-parity".into(),
             detail,
@@ -500,12 +494,11 @@ fn check_engine_parity(spec: &ExperimentSpec, baseline: &sched_sim::SimResult) -
 /// Each violation ships the offending event span as its detail — the
 /// repro document tells you *what* to re-run, the excerpt shows *where*
 /// in the decision stream it went wrong.
-pub fn check_sanity(scenario: &LoadedScenario) -> Vec<Violation> {
-    let spec = &scenario.spec;
+pub fn check_sanity(spec: &Scenario) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut push = |backend: &str, trace: &Trace, v: &SanityViolation| {
         violations.push(Violation {
-            scenario: scenario.doc.name.clone(),
+            scenario: spec.name.clone(),
             backend: backend.into(),
             kind: format!("sanity-{}", v.kind),
             detail: format!("the decision trace breaks an invariant\n{}", v.excerpt(trace, 2)),
@@ -524,7 +517,7 @@ pub fn check_sanity(scenario: &LoadedScenario) -> Vec<Violation> {
         }
     }
 
-    if spec.driver.storm().is_none() && spec.driver.burst().is_none() {
+    if !matches!(spec.driver, Driver::Storm(_) | Driver::Burst(_)) {
         if let Some((record, trace)) = traced("rq-deque") {
             let final_loads: Vec<u64> = record.final_loads.iter().map(|&n| n as u64).collect();
             for v in &SanityChecker::check_trace(&trace, false, Some(&final_loads)) {
@@ -537,26 +530,26 @@ pub fn check_sanity(scenario: &LoadedScenario) -> Vec<Violation> {
     violations
 }
 
-/// Runs one loaded scenario through the runner and its invariant block.
+/// Runs one scenario through the runner and its invariant block.
 /// A sim-compatible scenario's event-engine result is held against the
 /// reference engine's ([`engine_parity_mismatches`]), and a document
 /// carrying an `order` seed (an ordering-sweep repro) is additionally
 /// re-checked against that priority-ordered baseline.
-pub fn check_scenario(scenario: &LoadedScenario) -> (usize, Vec<Violation>) {
+pub fn check_scenario(scenario: &Scenario) -> (usize, Vec<Violation>) {
     let runner = ExperimentRunner::new(vec![
         Box::new(ModelBackend),
         Box::new(SimEventBackend),
         Box::new(RqBackend),
         Box::new(RqDequeBackend),
     ]);
-    let records = runner.run(scenario.spec.clone());
-    let mut violations = check_records(&scenario.spec, scenario.expectations(), &records);
+    let records = runner.run(scenario.clone());
+    let mut violations = check_records(scenario, &records);
     violations.extend(check_sanity(scenario));
-    let mut baseline_spec = scenario.spec.clone();
+    let mut baseline_spec = scenario.clone();
     baseline_spec.order = None;
     if let Some(baseline) = run_sim_result(SimEngine::Event, &baseline_spec) {
         violations.extend(check_engine_parity(&baseline_spec, &baseline));
-        if let Some(order_seed) = scenario.spec.order {
+        if let Some(order_seed) = scenario.order {
             violations.extend(check_ordering(&baseline_spec, &baseline, order_seed));
         }
     }
@@ -592,10 +585,9 @@ pub fn fuzz_scenarios(config: &FuzzConfig) -> FuzzReport {
         }
 
         // The execution leg.
-        match from_doc(&doc) {
-            Ok(spec) => {
-                let scenario = LoadedScenario { doc: doc.clone(), spec };
-                let (nr_records, mut run_violations) = check_scenario(&scenario);
+        match validate(&doc) {
+            Ok(()) => {
+                let (nr_records, mut run_violations) = check_scenario(&doc);
                 report.records_checked += nr_records;
                 violations.append(&mut run_violations);
 
@@ -605,13 +597,12 @@ pub fn fuzz_scenarios(config: &FuzzConfig) -> FuzzReport {
                 // becomes its own repro document pinning the order seed, so
                 // `--repro` replays exactly the permutation that broke.
                 if config.orders > 0 {
-                    if let Some(baseline) = run_sim_result(SimEngine::Event, &scenario.spec) {
+                    if let Some(baseline) = run_sim_result(SimEngine::Event, &doc) {
                         for k in 0..config.orders {
                             let order_seed =
                                 Rng::new(config.seed ^ ((index as u64) << 32) ^ k as u64).next();
                             report.orders_checked += 1;
-                            let order_violations =
-                                check_ordering(&scenario.spec, &baseline, order_seed);
+                            let order_violations = check_ordering(&doc, &baseline, order_seed);
                             if !order_violations.is_empty() {
                                 let mut repro = doc.clone();
                                 repro.name = format!("{} order {order_seed}", doc.name);
@@ -689,15 +680,15 @@ mod tests {
         // check_scenario, which must re-run the ordering comparison.
         let mut doc = (0..64)
             .map(|index| generate_doc(7, index))
-            .find(|d| !matches!(d.driver, DocDriver::Storm { .. }) && d.batch.is_none())
+            .find(|d| !matches!(d.driver, Driver::Storm(_)) && d.batch.is_none())
             .expect("seed 7 generates a sim-compatible scenario");
         doc.order = Some(12345);
         doc.backends = Some(vec!["sim-event".to_string()]);
         let printed = sched_dsl::print_scenario(&doc);
         let parsed = sched_dsl::parse_doc(&printed).expect("repro docs parse");
         assert_eq!(parsed, vec![doc.clone()]);
-        let spec = from_doc(&doc).expect("repro docs load");
-        let (nr_records, violations) = check_scenario(&LoadedScenario { doc, spec });
+        validate(&doc).expect("repro docs load");
+        let (nr_records, violations) = check_scenario(&doc);
         assert_eq!(nr_records, 1, "only the sim-event backend runs a repro doc");
         let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
         assert!(violations.is_empty(), "{rendered:#?}");
@@ -715,22 +706,19 @@ mod tests {
 
     #[test]
     fn the_checker_flags_planted_violations() {
-        let doc = generate_doc(1, 0);
-        let spec = from_doc(&doc).expect("generated docs load");
+        let mut spec = generate_doc(1, 0);
+        validate(&spec).expect("generated docs load");
+        spec.expect = vec![
+            Invariant::WorkConservation,
+            Invariant::ConservationOfTasks,
+            Invariant::NonInversion,
+        ];
         // A fabricated record that conserves nothing and inverts the load.
         let runner = ExperimentRunner::new(vec![Box::new(ModelBackend)]);
         let mut record = runner.run(crate::catalog::spec(crate::ExperimentId::E2)).remove(0);
         record.convergence_rounds = None;
-        record.final_loads = vec![spec.nr_threads() as usize + 3; spec.loads.len()];
-        let violations = check_records(
-            &spec,
-            &[
-                DocInvariant::WorkConservation,
-                DocInvariant::ConservationOfTasks,
-                DocInvariant::NonInversion,
-            ],
-            &[record],
-        );
+        record.final_loads = vec![spec.nr_threads() + 3; spec.loads.len()];
+        let violations = check_records(&spec, &[record]);
         let kinds: Vec<&str> = violations.iter().map(|v| v.kind.as_str()).collect();
         assert!(kinds.contains(&"conservation_of_tasks"), "{kinds:?}");
     }
@@ -741,11 +729,11 @@ mod tests {
         // and e5 scenarios (fast, deterministic) must pass their own blocks.
         for scenario in crate::catalog::builtin()
             .into_iter()
-            .filter(|s| matches!(s.spec.id, crate::ExperimentId::E2 | crate::ExperimentId::E5))
+            .filter(|s| matches!(s.experiment.as_str(), "e2" | "e5"))
         {
             let (_, violations) = check_scenario(&scenario);
             let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-            assert!(violations.is_empty(), "{}: {rendered:#?}", scenario.doc.name);
+            assert!(violations.is_empty(), "{}: {rendered:#?}", scenario.name);
         }
     }
 }

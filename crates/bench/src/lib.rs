@@ -1,9 +1,14 @@
 //! Experiment harness regenerating every figure, listing and quantitative
 //! claim of the paper.
 //!
-//! [`runner`] declares every experiment once as an [`ExperimentSpec`] —
-//! loaded by [`mod@catalog`] from the declarative `experiments/*.scn`
-//! documents — and executes it against any [`Backend`]: the pure model,
+//! An experiment is declared once, as a [`sched_dsl::Scenario`] — the one
+//! type the `.scn` grammar parses, the fuzzer generates and every
+//! [`Backend`] runs.  [`mod@catalog`] loads the committed
+//! `experiments/*.scn` documents (the only copy of the catalog; the loader
+//! API is [`load_str`] / [`load_dir`] / [`builtin`]), and [`runner`] holds
+//! the scenario's meaning — the policy, machine and workload it builds,
+//! its record names, and [`validate`], the cross-field rules — and
+//! executes it against any backend: the pure model,
 //! the simulator under its tick and event-driven engines, contending OS
 //! threads over the mutex and lock-free runqueues (plus the storm-only
 //! tiny-ring flavours), and the real executor.  `experiments --json`
@@ -30,15 +35,14 @@ pub mod scenarios;
 /// the `xtask bench-diff` gate so writer and reader can never disagree).
 pub use sched_json as json;
 
-pub use catalog::{builtin, catalog, from_doc, load_dir, load_str, to_doc, LoadedScenario};
+pub use catalog::{builtin, load_dir, load_str};
 pub use experiments::{all_experiments, run_experiment, ExperimentId};
 pub use fuzz::{
     check_ordering, check_records, check_sanity, fuzz_scenarios, FuzzConfig, FuzzReport, Violation,
 };
 pub use report::trace_report;
 pub use runner::{
-    records_table, records_to_json, records_to_json_full, run_sim_result, set_trace_dir, Backend,
-    BatchK, BurstSpec, Driver, ExecBackend, ExperimentRecord, ExperimentRunner, ExperimentSpec,
-    ModelBackend, OpenLoopDriverSpec, PolicySpec, RqBackend, SimBackend, SimEngine,
-    SimEventBackend, SpecError, StormSpec, TopoSpec, WorkloadKind, WorkloadSpec,
+    records_table, records_to_json, records_to_json_full, run_sim_result, set_trace_dir, validate,
+    Backend, ExecBackend, ExperimentRecord, ExperimentRunner, ModelBackend, RqBackend, SimBackend,
+    SimEngine, SimEventBackend, SpecError,
 };

@@ -5,17 +5,18 @@
 //! (`sched-core` balancing rounds), a discrete-event machine (`sched-sim`,
 //! under a tick and an event-driven engine), contending OS threads over the
 //! mutex and lock-free runqueues (`sched-rq`), and the real executor
-//! (`sched-exec`).  This module declares every experiment **once** as an
-//! [`ExperimentSpec`] and executes it against any [`Backend`], so a
-//! scenario measured in the model can be re-measured, unchanged, on the
-//! simulator and on real threads.
+//! (`sched-exec`).  An experiment is declared **once**, as a
+//! [`sched_dsl::Scenario`] — the type the `.scn` grammar parses — and this
+//! module executes it against any [`Backend`], so a scenario measured in
+//! the model can be re-measured, unchanged, on the simulator and on real
+//! threads.
 //!
-//! Specs themselves are *data*: the catalog loads them from declarative
-//! `experiments/*.scn` documents (see [`mod@crate::catalog`]), and
-//! [`ExperimentSpec::builder`] is the validating way to construct one in
-//! code.  How work arrives is a single [`Driver`] value — replay, workload,
-//! burst, storm or open loop — so a spec cannot carry two contradictory
-//! drivers.
+//! The scenario type itself lives in `sched-dsl`, next to its grammar; what
+//! lives here is its *meaning*, as functions of that type: the `Policy`,
+//! machine and simulator workload it builds, its record names, the maps
+//! into the executing crates' own types, and [`validate`] — the cross-field
+//! rules a runnable scenario obeys, which the [`mod@crate::catalog`]
+//! loaders apply to every document.
 //!
 //! A spec executes one way: [`Backend::run`], with or without a
 //! [`TraceSink`] attached.  A traced run is the same run with a recorder
@@ -33,7 +34,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use sched_core::prelude::*;
-use sched_dsl::PolicyDef;
+use sched_dsl::{
+    Batch, Burst, Driver, OpenLoop, PolicyRecipe, Scenario, Service, Storm, Topology, WorkloadKind,
+};
 use sched_metrics::{StealLocality, Table};
 use sched_rq::MultiQueue;
 use sched_topology::{MachineTopology, NodeId, TopologyBuilder};
@@ -54,9 +57,6 @@ const SYNTH_TASK_NS: u64 = 2_000_000;
 /// backends (CFS's balancing period is on this order); decayed trackers
 /// fold this much elapsed time per round.
 const ROUND_NS: u64 = 1_000_000;
-
-/// Half-life used by the catalogued PELT policies.
-pub const PELT_HALF_LIFE_NS: u64 = 8_000_000;
 
 /// Niceness cycle used by mixed-importance scenarios (E18): every third
 /// task is important, normal, then background.
@@ -89,12 +89,12 @@ fn trace_sink(nr_cores: usize) -> TraceSink {
 /// Writes the Chrome trace of `spec` on `backend` into the `--trace DIR`
 /// directory, if one was set.  Export failures are reported, not fatal —
 /// tracing must never sink an experiment run.
-fn export_trace(spec: &ExperimentSpec, backend: &str, trace: &Trace) {
+fn export_trace(spec: &Scenario, backend: &str, trace: &Trace) {
     let Some(dir) = TRACE_DIR.get() else { return };
     if trace.events.is_empty() {
         return;
     }
-    let slug: String = format!("{:?}-{}-{}", spec.id, spec.scenario, backend)
+    let slug: String = format!("{}-{}-{}", spec.experiment, spec.name, backend)
         .to_ascii_lowercase()
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '-' })
@@ -113,386 +113,209 @@ fn export_trace(spec: &ExperimentSpec, backend: &str, trace: &Trace) {
     }
 }
 
-/// How a scenario's policy is built (policies are not `Clone`, and each
-/// backend needs its own instance, so the *recipe* is what the spec holds).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PolicySpec {
-    /// The paper's Listing 1: `delta >= 2` filter, max-load choice, steal one.
-    Listing1,
-    /// The refuted greedy filter (`victim load >= 2`, ignores the thief).
-    Greedy,
-    /// Weighted-load variant of Listing 1.
-    Weighted,
-    /// Listing 1 with a CFS-style steal-half-the-imbalance step 3.
-    StealHalf,
-    /// Listing 1 with a NUMA-aware step-2 choice over the scenario topology.
-    NumaAware,
-    /// Listing 1 with the distance-ordered [`TopologyAwareChoice`] step 2
-    /// (per-level thresholds and failure backoff), executed as flat rounds.
-    TopoAware,
-    /// The same topology-aware policy, but executed as *hierarchical*
-    /// rounds: one level-capped pass per steal level, innermost first, on
-    /// every backend (model `HierarchicalRound`, sim
-    /// `HierarchicalScheduler`, rq `hierarchical_round`).
-    Hierarchical,
-    /// A policy compiled from a DSL definition — either inlined in a
-    /// scenario document or parsed from source.  The catalogued
-    /// `dsl(listing1)` rows use this with the stdlib Listing 1 program.
-    Dsl(PolicyDef),
-    /// Listing 1 over a PELT-style decayed thread count
-    /// ([`sched_core::Policy::pelt`], half-life [`PELT_HALF_LIFE_NS`]).
-    Pelt,
-    /// The weighted balancer over a PELT-style decayed weighted load
-    /// ([`sched_core::Policy::pelt_weighted`]).
-    PeltWeighted,
-    /// Listing 1 over a PELT-decayed thread count with an explicit
-    /// half-life in milliseconds (the E21 sensitivity sweep).
-    PeltHalfLife(u32),
+/// Half-life of the `pelt` and `pelt_weighted` recipes.
+const PELT_HALF_LIFE_NS: u64 = 8_000_000;
+
+/// Display name of a policy recipe in records and tables.
+pub(crate) fn policy_name(recipe: &PolicyRecipe) -> String {
+    match recipe {
+        PolicyRecipe::Listing1 => "listing1".into(),
+        PolicyRecipe::Greedy => "greedy".into(),
+        PolicyRecipe::Weighted => "weighted".into(),
+        PolicyRecipe::StealHalf => "listing1+steal_half".into(),
+        PolicyRecipe::NumaAware => "listing1+numa_choice".into(),
+        PolicyRecipe::TopoAware => "listing1+topo_choice".into(),
+        PolicyRecipe::Hierarchical => "hierarchical(topo)".into(),
+        PolicyRecipe::Inline(def) => format!("dsl({})", def.name),
+        PolicyRecipe::Pelt => "listing1+pelt".into(),
+        PolicyRecipe::PeltWeighted => "weighted+pelt".into(),
+        PolicyRecipe::PeltHalfLife(ms) => format!("listing1+pelt({ms}ms)"),
+    }
 }
 
-impl PolicySpec {
-    /// The stdlib Listing 1 program as a [`PolicySpec::Dsl`] recipe — the
-    /// policy of the catalogued `dsl(listing1)` rows.
-    pub fn dsl_listing1() -> PolicySpec {
-        PolicySpec::Dsl(
-            sched_dsl::parse(sched_dsl::stdlib::LISTING1)
-                .expect("the stdlib Listing 1 source parses"),
-        )
-    }
-
-    /// Display name used in records and tables.
-    pub fn name(&self) -> String {
-        match self {
-            PolicySpec::Listing1 => "listing1".into(),
-            PolicySpec::Greedy => "greedy".into(),
-            PolicySpec::Weighted => "weighted".into(),
-            PolicySpec::StealHalf => "listing1+steal_half".into(),
-            PolicySpec::NumaAware => "listing1+numa_choice".into(),
-            PolicySpec::TopoAware => "listing1+topo_choice".into(),
-            PolicySpec::Hierarchical => "hierarchical(topo)".into(),
-            PolicySpec::Dsl(def) => format!("dsl({})", def.name),
-            PolicySpec::Pelt => "listing1+pelt".into(),
-            PolicySpec::PeltWeighted => "weighted+pelt".into(),
-            PolicySpec::PeltHalfLife(ms) => format!("listing1+pelt({ms}ms)"),
+/// Name of the load criterion a recipe balances (the `tracker` field of the
+/// JSON records, schema v3).
+pub(crate) fn tracker_name(recipe: &PolicyRecipe) -> String {
+    match recipe {
+        PolicyRecipe::Weighted => "weighted".into(),
+        PolicyRecipe::Pelt => "pelt(nr_threads, 8ms)".into(),
+        PolicyRecipe::PeltWeighted => "pelt(weighted, 8ms)".into(),
+        PolicyRecipe::PeltHalfLife(ms) => format!("pelt(nr_threads, {ms}ms)"),
+        PolicyRecipe::Inline(def) => {
+            let base = match def.metric {
+                sched_dsl::MetricSpec::Threads => "nr_threads",
+                sched_dsl::MetricSpec::Weighted => "weighted",
+            };
+            match def.load {
+                Some(sched_dsl::LoadSpec::Pelt { half_life_ms }) => {
+                    format!("pelt({base}, {half_life_ms}ms)")
+                }
+                _ => base.into(),
+            }
         }
+        _ => "nr_threads".into(),
     }
+}
 
-    /// Name of the load criterion this policy balances (the `tracker` field
-    /// of the JSON records, schema v3).
-    pub fn tracker_name(&self) -> String {
-        match self {
-            PolicySpec::Weighted => "weighted".into(),
-            PolicySpec::Pelt => "pelt(nr_threads, 8ms)".into(),
-            PolicySpec::PeltWeighted => "pelt(weighted, 8ms)".into(),
-            PolicySpec::PeltHalfLife(ms) => format!("pelt(nr_threads, {ms}ms)"),
-            PolicySpec::Dsl(def) => {
-                let base = match def.metric {
-                    sched_dsl::MetricSpec::Threads => "nr_threads",
-                    sched_dsl::MetricSpec::Weighted => "weighted",
-                };
-                match def.load {
-                    Some(sched_dsl::LoadSpec::Pelt { half_life_ms }) => {
-                        format!("pelt({base}, {half_life_ms}ms)")
-                    }
-                    _ => base.into(),
+/// Builds a fresh policy instance for one backend run.  An inline program
+/// that does not compile is a [`validate`] error, so it panics here.
+pub(crate) fn build_policy(recipe: &PolicyRecipe, topo: &Arc<MachineTopology>) -> Policy {
+    match recipe {
+        PolicyRecipe::Listing1 => Policy::simple(),
+        PolicyRecipe::Greedy => Policy::greedy(),
+        PolicyRecipe::Weighted => Policy::weighted(),
+        PolicyRecipe::StealHalf => {
+            Policy::simple().with_steal(Box::new(StealHalfImbalance::new(LoadMetric::NrThreads)))
+        }
+        PolicyRecipe::NumaAware => Policy::simple()
+            .with_choice(Box::new(NumaAwareChoice::new(Arc::clone(topo), LoadMetric::NrThreads))),
+        PolicyRecipe::TopoAware | PolicyRecipe::Hierarchical => Policy::simple().with_choice(
+            Box::new(TopologyAwareChoice::new(Arc::clone(topo), LoadMetric::NrThreads)),
+        ),
+        PolicyRecipe::Inline(def) => {
+            sched_dsl::compile(def).expect("validated inline policies compile").policy
+        }
+        PolicyRecipe::Pelt => Policy::pelt(PELT_HALF_LIFE_NS),
+        PolicyRecipe::PeltWeighted => Policy::pelt_weighted(PELT_HALF_LIFE_NS),
+        PolicyRecipe::PeltHalfLife(ms) => Policy::pelt(u64::from(*ms) * 1_000_000),
+    }
+}
+
+/// How many cores a topology clause declares — known without building the
+/// machine, so a document's sizes can be checked before anything is
+/// allocated for them.
+fn declared_cores(topology: Topology) -> usize {
+    match topology {
+        Topology::Flat(cores) => cores,
+        Topology::DualSocket => 16,
+        Topology::EightNode => 64,
+    }
+}
+
+/// Builds the machine a topology clause names.
+pub(crate) fn build_topology(topology: Topology) -> MachineTopology {
+    match topology {
+        Topology::Flat(cores) => TopologyBuilder::new().sockets(1).cores_per_socket(cores).build(),
+        Topology::DualSocket => TopologyBuilder::new().sockets(2).cores_per_socket(8).build(),
+        Topology::EightNode => TopologyBuilder::eight_node_numa(),
+    }
+}
+
+/// The runqueue-layer transfer sizing a scenario selects (one thread per
+/// steal where it names none).
+fn steal_batch(batch: Option<Batch>) -> sched_rq::StealBatch {
+    match batch {
+        None => sched_rq::StealBatch::default(),
+        Some(Batch::Fixed(k)) => sched_rq::StealBatch::Fixed(k),
+        Some(Batch::Half) => sched_rq::StealBatch::HalfImbalance,
+    }
+}
+
+/// Stable record label of a batch size (schema v5 `steal_batch_k`): the
+/// decimal `k`, or `half`.
+pub(crate) fn batch_label(batch: Batch) -> String {
+    match batch {
+        Batch::Fixed(k) => k.to_string(),
+        Batch::Half => "half".into(),
+    }
+}
+
+/// The executor-crate form of an open-loop driver.
+fn exec_openloop(openloop: OpenLoop) -> sched_exec::OpenLoopSpec {
+    sched_exec::OpenLoopSpec {
+        rate_hz: openloop.rate_hz,
+        duration_ms: openloop.duration_ms,
+        service: match openloop.service {
+            Service::Fixed(ns) => sched_exec::ServiceMix::Fixed { ns },
+            Service::Exp(mean_ns) => sched_exec::ServiceMix::Exp { mean_ns },
+            Service::Bimodal(short_ns, long_ns, long_pct) => {
+                sched_exec::ServiceMix::Bimodal { short_ns, long_ns, long_pct }
+            }
+        },
+        seed: openloop.seed,
+    }
+}
+
+/// The workload the simulator backends run for a scenario.
+fn sim_workload(spec: &Scenario, nr_cores: usize) -> Workload {
+    match spec.driver {
+        Driver::Burst(burst) => {
+            // The simulator realises the on/off shape natively: blinker
+            // threads whose compute/sleep cycles open the same transient
+            // imbalances the model/rq drivers script by hand.
+            sched_workloads::OnOffWorkload {
+                nr_cores,
+                blinkers_per_core: 2,
+                cycles: burst.epochs.min(24),
+                on_ns: burst.epoch_ns * 2,
+                off_ns: burst.epoch_ns * 2,
+                jitter: f64::from(burst.jitter_pct) / 100.0,
+                seed: burst.seed,
+            }
+            .generate()
+        }
+        Driver::Workload { kind, seed, jitter_pct } => {
+            let jitter = f64::from(jitter_pct) / 100.0;
+            match kind {
+                WorkloadKind::Scientific => ScientificWorkload {
+                    nr_threads: nr_cores,
+                    iterations: 8,
+                    phase_ns: 4_000_000,
+                    jitter,
+                    seed,
+                    fork_on_core: Some(0),
+                }
+                .generate(),
+                WorkloadKind::Oltp => OltpWorkload {
+                    nr_workers: nr_cores * 2,
+                    transactions: 40,
+                    service_ns: 500_000,
+                    think_ns: 250_000,
+                    jitter,
+                    seed,
+                    initial_spread: 4,
+                }
+                .generate(),
+                WorkloadKind::Sleepers => sched_workloads::SleeperWorkload {
+                    nr_tasks: 1_000_000,
+                    sleep_ns: 20_000_000_000,
+                    jitter,
+                    burst_percent: 2,
+                    burst_ns: 500_000,
+                    seed,
+                }
+                .generate(),
+            }
+        }
+        // Storms and open loops never reach a simulator (it declines
+        // them), so this arm is theirs only for match exhaustiveness.
+        Driver::Replay | Driver::Storm(_) | Driver::OpenLoop(_) => {
+            // Replay the load vector: `loads[i]` independent tasks of
+            // fixed CPU time pinned to origin core `i`.
+            let mut workload = Workload::new(format!("synthetic({})", spec.name));
+            let mut index = 0usize;
+            for (core, &n) in spec.loads.iter().enumerate() {
+                for _ in 0..n {
+                    workload.push(ThreadSpec {
+                        nice: if spec.mixed_nice {
+                            MIXED_NICE[index % MIXED_NICE.len()]
+                        } else {
+                            0
+                        },
+                        arrival_ns: 0,
+                        origin_core: Some(core),
+                        phases: vec![WorkloadPhase::Compute(SYNTH_TASK_NS)],
+                    });
+                    index += 1;
                 }
             }
-            _ => "nr_threads".into(),
-        }
-    }
-
-    /// Returns `true` if backends must execute this spec as hierarchical
-    /// (domain-ordered) rounds rather than flat machine-wide ones.
-    pub fn is_hierarchical(&self) -> bool {
-        matches!(self, PolicySpec::Hierarchical)
-    }
-
-    /// Builds a fresh policy instance for one backend run.
-    pub fn build(&self, topo: &Arc<MachineTopology>) -> Policy {
-        match self {
-            PolicySpec::Listing1 => Policy::simple(),
-            PolicySpec::Greedy => Policy::greedy(),
-            PolicySpec::Weighted => Policy::weighted(),
-            PolicySpec::StealHalf => Policy::simple()
-                .with_steal(Box::new(StealHalfImbalance::new(LoadMetric::NrThreads))),
-            PolicySpec::NumaAware => Policy::simple().with_choice(Box::new(NumaAwareChoice::new(
-                Arc::clone(topo),
-                LoadMetric::NrThreads,
-            ))),
-            PolicySpec::TopoAware | PolicySpec::Hierarchical => Policy::simple().with_choice(
-                Box::new(TopologyAwareChoice::new(Arc::clone(topo), LoadMetric::NrThreads)),
-            ),
-            PolicySpec::Dsl(def) => {
-                sched_dsl::compile(def).expect("catalogued DSL policies compile").policy
-            }
-            PolicySpec::Pelt => Policy::pelt(PELT_HALF_LIFE_NS),
-            PolicySpec::PeltWeighted => Policy::pelt_weighted(PELT_HALF_LIFE_NS),
-            PolicySpec::PeltHalfLife(ms) => Policy::pelt(u64::from(*ms) * 1_000_000),
+            workload
         }
     }
 }
 
-/// The machine a scenario runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopoSpec {
-    /// `cores` identical cores on one node.
-    Flat(usize),
-    /// The dual-socket 16-core server of the wasted-cores study.
-    DualSocket,
-    /// The eight-node NUMA machine of the hierarchical experiment.
-    EightNode,
-}
-
-impl TopoSpec {
-    /// Builds the topology.
-    pub fn build(self) -> MachineTopology {
-        match self {
-            TopoSpec::Flat(cores) => {
-                TopologyBuilder::new().sockets(1).cores_per_socket(cores).build()
-            }
-            TopoSpec::DualSocket => TopologyBuilder::new().sockets(2).cores_per_socket(8).build(),
-            TopoSpec::EightNode => TopologyBuilder::eight_node_numa(),
-        }
-    }
-}
-
-/// The richer simulator workloads a scenario may carry on top of its load
-/// vector (E9/E10 reproduce the paper's motivation numbers with these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadKind {
-    /// Fork-join scientific workload sized to the machine.
-    Scientific,
-    /// OLTP workload sized to the machine.
-    Oltp,
-    /// Huge mostly-sleeping population with sparse bursts (E24) — sized to
-    /// stress the asymptotic gap between the tick and event engines.
-    Sleepers,
-}
-
-/// A simulator workload driver: the named generator plus its seed and
-/// jitter, both carried in the scenario document (with per-kind defaults
-/// matching the historical hardcoded values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkloadSpec {
-    /// Which generator runs.
-    pub kind: WorkloadKind,
-    /// RNG seed for the generator.
-    pub seed: u64,
-    /// Service-time jitter, in percent.
-    pub jitter_pct: u32,
-}
-
-impl WorkloadSpec {
-    /// A workload spec with the historical default seed/jitter for `kind`
-    /// (scientific: seed 42, 5% jitter; OLTP: seed 7, 20% jitter;
-    /// sleepers: seed 24, 20% jitter).
-    pub fn new(kind: WorkloadKind) -> Self {
-        match kind {
-            WorkloadKind::Scientific => WorkloadSpec { kind, seed: 42, jitter_pct: 5 },
-            WorkloadKind::Oltp => WorkloadSpec { kind, seed: 7, jitter_pct: 20 },
-            WorkloadKind::Sleepers => WorkloadSpec { kind, seed: 24, jitter_pct: 20 },
-        }
-    }
-}
-
-/// A bursty on/off scenario layered over a spec's load vector: each epoch,
-/// one core's tasks briefly go to sleep (its instantaneous load drops to
-/// zero) and return at the epoch's end.  The time-averaged load of every
-/// core is identical, so migrations performed during the blips are pure
-/// churn — the shape experiment E17 uses to separate instantaneous from
-/// decayed load criteria.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BurstSpec {
-    /// Number of sleep/wake epochs (one balancing round each).
-    pub epochs: usize,
-    /// Logical time between epochs, in nanoseconds.  Kept well below the
-    /// PELT half-life so decayed loads barely move across one blip.
-    pub epoch_ns: u64,
-    /// Logical warm-up time before the first epoch, so decayed trackers
-    /// have converged to the steady per-core load when the blinking starts.
-    pub warmup_ns: u64,
-    /// RNG seed for the simulator's blinker realisation of the shape.
-    pub seed: u64,
-    /// On/off cycle jitter for the simulator realisation, in percent.
-    pub jitter_pct: u32,
-}
-
-impl BurstSpec {
-    /// A burst spec with the historical default simulator seed (17) and
-    /// jitter (40%).
-    pub fn new(epochs: usize, epoch_ns: u64, warmup_ns: u64) -> Self {
-        BurstSpec { epochs, epoch_ns, warmup_ns, seed: 17, jitter_pct: 40 }
-    }
-}
-
-/// An overflow-storm driver replacing the run-to-convergence loop: each
-/// epoch, a fan-out burst lands on core 0 and a fixed number of genuinely
-/// concurrent balancing rounds runs against it **without any tick** — so
-/// whatever the runqueue backend does with ring overflow is exactly what
-/// thieves see — then the machine drains and the next burst fires.
-///
-/// The headline metric is [`sched_metrics::OverflowExposure`]: the
-/// fraction of the machine left idle *after* each round while an
-/// overloaded core still held waiting work.  A backend whose overflow
-/// stays stealable (the shared injector) pins this at ~0; one that hides
-/// overflow behind the tick (the legacy private spill) strands idle cores
-/// for the rest of every epoch.  Only the runqueue backends execute storm
-/// specs — the model and simulator have no ring to overflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StormSpec {
-    /// Number of burst/balance/drain epochs.
-    pub epochs: usize,
-    /// Tasks spawned onto core 0 at each epoch's start — sized well past
-    /// the tiny flavours' ring capacity so most of the burst overflows.
-    pub fanout: usize,
-    /// Concurrent balancing rounds per epoch, run with no tick in between.
-    pub rounds_per_epoch: usize,
-}
-
-/// An open-loop arrival driver for the real executor backend: Poisson
-/// arrivals at a fixed offered rate, each request costing a sampled
-/// service time, submitted on the generator's clock *regardless of
-/// completions* — the load shape under which queueing delay (and so the
-/// measured end-to-end p99/p999) is honest rather than self-throttled.
-/// Only the `exec` backend executes open-loop specs: the model and
-/// simulators have no wall clock to measure against, and the runqueue
-/// harnesses drive balancing rounds, not request streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpenLoopDriverSpec {
-    /// Offered arrival rate, in requests per second.
-    pub rate_hz: u64,
-    /// Generator horizon, in milliseconds of wall-clock time.
-    pub duration_ms: u64,
-    /// Per-request service-time distribution.
-    pub service: sched_exec::ServiceMix,
-    /// RNG seed for the arrival/service draws.
-    pub seed: u64,
-}
-
-impl OpenLoopDriverSpec {
-    /// The historical default generator seed.
-    pub const DEFAULT_SEED: u64 = 11;
-
-    /// An open-loop spec with the default seed.
-    pub fn new(rate_hz: u64, duration_ms: u64, service: sched_exec::ServiceMix) -> Self {
-        OpenLoopDriverSpec { rate_hz, duration_ms, service, seed: Self::DEFAULT_SEED }
-    }
-
-    /// The executor-crate form of this driver.
-    pub fn exec_spec(&self) -> sched_exec::OpenLoopSpec {
-        sched_exec::OpenLoopSpec {
-            rate_hz: self.rate_hz,
-            duration_ms: self.duration_ms,
-            service: self.service,
-            seed: self.seed,
-        }
-    }
-}
-
-/// How work arrives while the balancer runs — exactly one of the five
-/// shapes.  The old spec carried `workload`/`burst`/`storm` as three
-/// independent `Option`s whose illegal combinations were resolved by
-/// backend-dependent precedence; as an enum those combinations are
-/// unrepresentable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Driver {
-    /// Replay the initial load vector and balance to convergence (or the
-    /// round budget).
-    Replay,
-    /// The simulator runs a named workload generator; the model and
-    /// runqueue backends replay the load vector as usual.
-    Workload(WorkloadSpec),
-    /// Bursty on/off epochs replacing the run-to-convergence loop.
-    Burst(BurstSpec),
-    /// Overflow storms (runqueue backends only).
-    Storm(StormSpec),
-    /// Open-loop request stream on the real executor (`exec` backend only).
-    OpenLoop(OpenLoopDriverSpec),
-}
-
-impl Driver {
-    /// The burst parameters, if this is a burst driver.
-    pub fn burst(&self) -> Option<BurstSpec> {
-        match self {
-            Driver::Burst(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The storm parameters, if this is a storm driver.
-    pub fn storm(&self) -> Option<StormSpec> {
-        match self {
-            Driver::Storm(s) => Some(*s),
-            _ => None,
-        }
-    }
-
-    /// The workload parameters, if this is a workload driver.
-    pub fn workload(&self) -> Option<WorkloadSpec> {
-        match self {
-            Driver::Workload(w) => Some(*w),
-            _ => None,
-        }
-    }
-
-    /// The open-loop parameters, if this is an open-loop driver.
-    pub fn openloop(&self) -> Option<OpenLoopDriverSpec> {
-        match self {
-            Driver::OpenLoop(o) => Some(*o),
-            _ => None,
-        }
-    }
-}
-
-/// Steal-batch sizing for the E23 sweep: how many threads one successful
-/// steal decision may claim in a single queue acquisition.  Maps onto
-/// [`sched_rq::StealBatch`]; only the runqueue backends execute batch
-/// specs — the model and simulator balance one abstract thread per steal
-/// by construction, so a batched row there would measure nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchK {
-    /// A fixed batch of `k` per acquisition; `Fixed(1)` is the Listing 1
-    /// `stealOneThread` baseline every other point is compared against.
-    Fixed(usize),
-    /// Half the observed thief/victim imbalance (at least one) — the
-    /// convergence-preserving transfer that leaves neither side more
-    /// loaded than the other was.
-    HalfImbalance,
-}
-
-impl BatchK {
-    /// The swept batch sizes, in sweep order.
-    pub const SWEEP: [BatchK; 5] = [
-        BatchK::Fixed(1),
-        BatchK::Fixed(2),
-        BatchK::Fixed(4),
-        BatchK::Fixed(8),
-        BatchK::HalfImbalance,
-    ];
-
-    /// Stable record label for the JSON rows (schema v5 `steal_batch_k`).
-    pub fn name(self) -> &'static str {
-        match self {
-            BatchK::Fixed(1) => "1",
-            BatchK::Fixed(2) => "2",
-            BatchK::Fixed(4) => "4",
-            BatchK::Fixed(8) => "8",
-            BatchK::Fixed(_) => "fixed",
-            BatchK::HalfImbalance => "half",
-        }
-    }
-
-    /// The runqueue-layer transfer-sizing policy this sweep point selects.
-    fn steal_batch(self) -> sched_rq::StealBatch {
-        match self {
-            BatchK::Fixed(k) => sched_rq::StealBatch::Fixed(k),
-            BatchK::HalfImbalance => sched_rq::StealBatch::HalfImbalance,
-        }
-    }
-}
-
-/// An invalid spec combination rejected by [`ExperimentSpecBuilder::build`]
-/// or the [`mod@crate::catalog`] loader.
+/// A scenario the harness cannot run, rejected by [`validate`] or by the
+/// [`mod@crate::catalog`] loader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError(pub String);
 
@@ -510,309 +333,65 @@ impl SpecError {
     }
 }
 
-/// One experiment, declared once, executable on every backend.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentSpec {
-    /// Which experiment of the per-experiment index this scenario belongs to.
-    pub id: ExperimentId,
-    /// Human-readable scenario name.
-    pub scenario: String,
-    /// Initial per-core load vector (`loads[i]` threads start on core `i`).
-    pub loads: Vec<usize>,
-    /// Machine shape; `loads.len()` must equal its CPU count.
-    pub topo: TopoSpec,
-    /// Policy recipe.
-    pub policy: PolicySpec,
-    /// How work arrives while the balancer runs.
-    pub driver: Driver,
-    /// Balancing-round budget for the model and runqueue backends (replay
-    /// and workload drivers; burst/storm epochs pace themselves).
-    pub budget_rounds: usize,
-    /// Give the initial tasks mixed niceness (cycling important / normal /
-    /// background) instead of uniform `nice 0`.
-    pub mixed_nice: bool,
-    /// Steal-batch sizing override for the E23 sweep, if any (runqueue
-    /// backends only; `None` keeps the one-thread-per-steal default).
-    pub batch: Option<BatchK>,
-    /// Backend matrix from the scenario document: only backends whose name
-    /// appears here execute the spec.  `None` means every applicable
-    /// backend (a backend may still decline, e.g. the model on storms).
-    pub backends: Option<Vec<String>>,
-    /// Driver-level event budget for the simulator backends (schema v6):
-    /// both sim engines stop after this many processed events and report
-    /// the run as truncated.  E24 uses it to cap the tick engine where the
-    /// event engine finishes comfortably.  `None` means unbounded.
-    pub events: Option<u64>,
-    /// Same-time tie-break seed for the event-driven simulator backend
-    /// (`OrderingPolicy::Seeded`); `None` keeps the parity-preserving
-    /// priority ordering.  Recorded in repro scenarios emitted by the
-    /// ordering sweep.
-    pub order: Option<u64>,
-}
-
-impl ExperimentSpec {
-    /// Starts building a spec; `build()` validates the combination.
-    pub fn builder(id: ExperimentId, scenario: impl Into<String>) -> ExperimentSpecBuilder {
-        ExperimentSpecBuilder {
-            id,
-            scenario: scenario.into(),
-            loads: Vec::new(),
-            topo: None,
-            policy: PolicySpec::Listing1,
-            driver: Driver::Replay,
-            budget_rounds: 0,
-            mixed_nice: false,
-            batch: None,
-            backends: None,
-            events: None,
-            order: None,
+/// Checks the combinations the [`Scenario`] type alone cannot rule out:
+/// every rule relates two clauses, or a clause and what the backends can
+/// execute.  The loaders call it on everything they load; a scenario built
+/// in code passes through it before it is run.
+pub fn validate(spec: &Scenario) -> Result<(), SpecError> {
+    let fail = |what: String| Err(SpecError::new(format!("{}: {what}", spec.name)));
+    if ExperimentId::parse(&spec.experiment).is_none() {
+        return fail(format!("unknown experiment `{}`", spec.experiment));
+    }
+    if spec.loads.is_empty() {
+        return fail("a scenario needs a load vector".into());
+    }
+    // Compared before any machine is built: the declared size comes from
+    // the document, and nothing is allocated for one that does not match.
+    let nr_cores = declared_cores(spec.topology);
+    if nr_cores != spec.loads.len() {
+        return fail(format!(
+            "load vector has {} entries but the machine has {nr_cores} cores",
+            spec.loads.len()
+        ));
+    }
+    let storm = matches!(spec.driver, Driver::Storm(_));
+    let openloop = matches!(spec.driver, Driver::OpenLoop(_));
+    if spec.batch.is_some() && !(storm || spec.driver == Driver::Replay) {
+        // No backend reads the batch under any other driver.
+        return fail("a steal batch applies to replay and storm drivers only".into());
+    }
+    if let PolicyRecipe::Inline(def) = &spec.policy {
+        if let Err(e) = sched_dsl::compile(def) {
+            return fail(format!("inline policy does not compile: {e}"));
         }
     }
-
-    /// Total threads in the initial load vector.
-    pub fn nr_threads(&self) -> u64 {
-        self.loads.iter().map(|&l| l as u64).sum()
+    // The simulator backends have no ring to overflow and no per-steal
+    // queue acquisition: a backend matrix that *names* one of them on a
+    // storm or batch scenario is a contradiction, rejected here instead of
+    // silently producing no record at run time.
+    let names_sim = spec.backends.iter().flatten().any(|b| b.starts_with("sim"));
+    if names_sim && (storm || spec.batch.is_some()) {
+        return fail("the simulator backends cannot execute storm or batch specs".into());
     }
-
-    /// The workload the simulator backend runs for this spec.
-    pub(crate) fn sim_workload(&self, nr_cores: usize) -> Workload {
-        match self.driver {
-            Driver::Burst(burst) => {
-                // The simulator realises the on/off shape natively: blinker
-                // threads whose compute/sleep cycles open the same transient
-                // imbalances the model/rq drivers script by hand.
-                sched_workloads::OnOffWorkload {
-                    nr_cores,
-                    blinkers_per_core: 2,
-                    cycles: burst.epochs.min(24),
-                    on_ns: burst.epoch_ns * 2,
-                    off_ns: burst.epoch_ns * 2,
-                    jitter: f64::from(burst.jitter_pct) / 100.0,
-                    seed: burst.seed,
-                }
-                .generate()
-            }
-            Driver::Workload(w) => match w.kind {
-                WorkloadKind::Scientific => ScientificWorkload {
-                    nr_threads: nr_cores,
-                    iterations: 8,
-                    phase_ns: 4_000_000,
-                    jitter: f64::from(w.jitter_pct) / 100.0,
-                    seed: w.seed,
-                    fork_on_core: Some(0),
-                }
-                .generate(),
-                WorkloadKind::Oltp => OltpWorkload {
-                    nr_workers: nr_cores * 2,
-                    transactions: 40,
-                    service_ns: 500_000,
-                    think_ns: 250_000,
-                    jitter: f64::from(w.jitter_pct) / 100.0,
-                    seed: w.seed,
-                    initial_spread: 4,
-                }
-                .generate(),
-                WorkloadKind::Sleepers => sched_workloads::SleeperWorkload {
-                    nr_tasks: 1_000_000,
-                    sleep_ns: 20_000_000_000,
-                    jitter: f64::from(w.jitter_pct) / 100.0,
-                    burst_percent: 2,
-                    burst_ns: 500_000,
-                    seed: w.seed,
-                }
-                .generate(),
-            },
-            // Open-loop specs never reach a simulator (every non-exec
-            // backend declines them), so replaying the (empty) load vector
-            // here is dead code kept only for match exhaustiveness.
-            Driver::Replay | Driver::Storm(_) | Driver::OpenLoop(_) => {
-                // Replay the load vector: `loads[i]` independent tasks of
-                // fixed CPU time pinned to origin core `i`.
-                let mut workload = Workload::new(format!("synthetic({})", self.scenario));
-                let mut index = 0usize;
-                for (core, &n) in self.loads.iter().enumerate() {
-                    for _ in 0..n {
-                        workload.push(ThreadSpec {
-                            nice: if self.mixed_nice {
-                                MIXED_NICE[index % MIXED_NICE.len()]
-                            } else {
-                                0
-                            },
-                            arrival_ns: 0,
-                            origin_core: Some(core),
-                            phases: vec![WorkloadPhase::Compute(SYNTH_TASK_NS)],
-                        });
-                        index += 1;
-                    }
-                }
-                workload
-            }
+    // Open-loop streams run on the real executor alone: any other backend
+    // named in the matrix would silently produce no record, and with no
+    // matrix at all the intent is ambiguous, so the scenario must say
+    // `backends ["exec"]` explicitly.
+    if openloop {
+        match &spec.backends {
+            Some(backends) if !backends.is_empty() && backends.iter().all(|b| b == "exec") => {}
+            Some(_) => return fail("an open-loop driver runs on the `exec` backend only".into()),
+            None => return fail("an open-loop spec must declare `backends [\"exec\"]`".into()),
         }
     }
-}
-
-/// Builder for [`ExperimentSpec`] — the one construction path that checks
-/// the combinations the type system alone cannot rule out (load vector vs
-/// machine size, batch sizing vs driver shape, inline DSL compilability).
-#[derive(Debug, Clone)]
-pub struct ExperimentSpecBuilder {
-    id: ExperimentId,
-    scenario: String,
-    loads: Vec<usize>,
-    topo: Option<TopoSpec>,
-    policy: PolicySpec,
-    driver: Driver,
-    budget_rounds: usize,
-    mixed_nice: bool,
-    batch: Option<BatchK>,
-    backends: Option<Vec<String>>,
-    events: Option<u64>,
-    order: Option<u64>,
-}
-
-impl ExperimentSpecBuilder {
-    /// Initial per-core load vector.
-    pub fn loads(mut self, loads: Vec<usize>) -> Self {
-        self.loads = loads;
-        self
+    if spec.events.is_some() && (storm || openloop) {
+        return fail(
+            "an event budget applies to the simulator backends only, which cannot execute \
+             this driver"
+                .into(),
+        );
     }
-
-    /// Machine shape.
-    pub fn topo(mut self, topo: TopoSpec) -> Self {
-        self.topo = Some(topo);
-        self
-    }
-
-    /// Policy recipe (defaults to Listing 1).
-    pub fn policy(mut self, policy: PolicySpec) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Arrival driver (defaults to [`Driver::Replay`]).
-    pub fn driver(mut self, driver: Driver) -> Self {
-        self.driver = driver;
-        self
-    }
-
-    /// Balancing-round budget (defaults to 0).
-    pub fn budget_rounds(mut self, budget: usize) -> Self {
-        self.budget_rounds = budget;
-        self
-    }
-
-    /// Mixed-importance niceness cycling.
-    pub fn mixed_nice(mut self, mixed: bool) -> Self {
-        self.mixed_nice = mixed;
-        self
-    }
-
-    /// Steal-batch sizing override.
-    pub fn batch(mut self, batch: BatchK) -> Self {
-        self.batch = Some(batch);
-        self
-    }
-
-    /// Restrict execution to the named backends.
-    pub fn backends(mut self, backends: Vec<String>) -> Self {
-        self.backends = Some(backends);
-        self
-    }
-
-    /// Event budget for the simulator backends.
-    pub fn events(mut self, events: u64) -> Self {
-        self.events = Some(events);
-        self
-    }
-
-    /// Same-time tie-break seed for the event-driven simulator backend.
-    pub fn order(mut self, seed: u64) -> Self {
-        self.order = Some(seed);
-        self
-    }
-
-    /// Validates and builds the spec.
-    pub fn build(self) -> Result<ExperimentSpec, SpecError> {
-        let scenario = &self.scenario;
-        let topo = self
-            .topo
-            .ok_or_else(|| SpecError::new(format!("{scenario}: a spec needs a topology")))?;
-        if self.loads.is_empty() {
-            return Err(SpecError::new(format!("{scenario}: a spec needs a load vector")));
-        }
-        let nr_cpus = topo.build().nr_cpus();
-        if nr_cpus != self.loads.len() {
-            return Err(SpecError::new(format!(
-                "{scenario}: load vector has {} entries but the machine has {nr_cpus} cores",
-                self.loads.len()
-            )));
-        }
-        if self.batch.is_some() && !matches!(self.driver, Driver::Replay | Driver::Storm(_)) {
-            // The old option-bag API silently dropped the batch on burst
-            // drivers (no backend read it there); now it's unrepresentable
-            // noise, so reject it loudly.
-            return Err(SpecError::new(format!(
-                "{scenario}: a steal batch applies to replay and storm drivers only"
-            )));
-        }
-        if let PolicySpec::Dsl(def) = &self.policy {
-            sched_dsl::compile(def).map_err(|e| {
-                SpecError::new(format!("{scenario}: inline policy does not compile: {e}"))
-            })?;
-        }
-        // The simulator backends have no ring to overflow and no per-steal
-        // queue acquisition: a backend matrix that *names* one of them on a
-        // storm or batch spec is a contradiction, rejected here instead of
-        // silently producing no record at run time.
-        if let Some(backends) = &self.backends {
-            if backends.iter().any(|b| b.starts_with("sim"))
-                && (matches!(self.driver, Driver::Storm(_)) || self.batch.is_some())
-            {
-                return Err(SpecError::new(format!(
-                    "{scenario}: the simulator backends cannot execute storm or batch specs"
-                )));
-            }
-        }
-        // Open-loop streams run on the real executor alone: any other
-        // backend named in the matrix would silently produce no record,
-        // and with no matrix at all the intent is ambiguous, so the spec
-        // must say `backends ["exec"]` explicitly.
-        if matches!(self.driver, Driver::OpenLoop(_)) {
-            match &self.backends {
-                Some(backends) if backends.iter().all(|b| b == "exec") && !backends.is_empty() => {}
-                Some(_) => {
-                    return Err(SpecError::new(format!(
-                        "{scenario}: an open-loop driver runs on the `exec` backend only"
-                    )))
-                }
-                None => {
-                    return Err(SpecError::new(format!(
-                        "{scenario}: an open-loop spec must declare `backends [\"exec\"]`"
-                    )))
-                }
-            }
-        }
-        if self.events.is_some() && matches!(self.driver, Driver::Storm(_) | Driver::OpenLoop(_)) {
-            return Err(SpecError::new(format!(
-                "{scenario}: an event budget applies to the simulator backends only, \
-                 which cannot execute this driver"
-            )));
-        }
-        Ok(ExperimentSpec {
-            id: self.id,
-            scenario: self.scenario,
-            loads: self.loads,
-            topo,
-            policy: self.policy,
-            driver: self.driver,
-            budget_rounds: self.budget_rounds,
-            mixed_nice: self.mixed_nice,
-            batch: self.batch,
-            backends: self.backends,
-            events: self.events,
-            order: self.order,
-        })
-    }
+    Ok(())
 }
 
 /// What one backend measured for one spec.
@@ -861,9 +440,9 @@ pub struct ExperimentRecord {
     /// Measured wall-clock end-to-end p999 request latency in microseconds
     /// (schema v8; see `e2e_p99_us`).
     pub e2e_p999_us: Option<f64>,
-    /// Batch-size label of the E23 sweep (`"1"`, `"2"`, `"4"`, `"8"`,
-    /// `"half"`; schema v5).  `None` on non-batch records.
-    pub steal_batch_k: Option<&'static str>,
+    /// Batch-size label (the decimal `k`, or `"half"`; schema v5).  `None`
+    /// on non-batch records.
+    pub steal_batch_k: Option<String>,
     /// Threads migrated per successful steal acquisition (schema v5).
     /// `migrations / successes`: exactly 1.0 at `k = 1`, strictly above it
     /// when batching amortises acquisitions.  Only batch-sweep records
@@ -925,7 +504,7 @@ impl ExperimentRecord {
             ("remote_steal_rate", JsonValue::Float(self.remote_steal_rate())),
             ("rq_backend", or_null(self.rq_backend, |name| JsonValue::Str(name.into()))),
             ("p99_sched_latency_us", or_null(self.p99_sched_latency_us, JsonValue::Float)),
-            ("steal_batch_k", or_null(self.steal_batch_k, |k| JsonValue::Str(k.into()))),
+            ("steal_batch_k", or_null(self.steal_batch_k.clone(), JsonValue::Str)),
             ("tasks_per_acquisition", or_null(self.tasks_per_acquisition, JsonValue::Float)),
             (
                 "per_node_violating_idle",
@@ -956,7 +535,7 @@ fn or_null<T>(value: Option<T>, some: impl FnOnce(T) -> JsonValue) -> JsonValue 
     value.map_or(JsonValue::Null, some)
 }
 
-/// One way of executing an [`ExperimentSpec`].
+/// One way of executing a [`Scenario`].
 pub trait Backend {
     /// Short name used in records (`"model"`, `"sim"`, `"rq"`, …).
     fn name(&self) -> &'static str;
@@ -964,7 +543,7 @@ pub trait Backend {
     /// Executes the spec — recording every scheduling decision into `sink`
     /// when one is attached — or returns `None` if this backend cannot run
     /// it.  The record does not depend on whether a sink was attached.
-    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord>;
+    fn run(&self, spec: &Scenario, sink: Option<&TraceSink>) -> Option<ExperimentRecord>;
 
     /// `false` for a backend with no decision points to record, which
     /// ignores the sink; [`ExperimentRunner::run_traced`] refuses it.
@@ -973,15 +552,15 @@ pub trait Backend {
     }
 }
 
-fn record_base(spec: &ExperimentSpec, backend: &'static str) -> ExperimentRecord {
+fn record_base(spec: &Scenario, backend: &'static str) -> ExperimentRecord {
     ExperimentRecord {
-        experiment: format!("{:?}", spec.id).to_ascii_lowercase(),
-        scenario: spec.scenario.clone(),
+        experiment: spec.experiment.to_ascii_lowercase(),
+        scenario: spec.name.clone(),
         backend,
-        policy: spec.policy.name(),
-        tracker: spec.policy.tracker_name(),
+        policy: policy_name(&spec.policy),
+        tracker: tracker_name(&spec.policy),
         cores: spec.loads.len(),
-        threads: spec.nr_threads(),
+        threads: spec.nr_threads() as u64,
         throughput: 0.0,
         throughput_unit: "migrations/s",
         violating_idle: 0.0,
@@ -993,7 +572,7 @@ fn record_base(spec: &ExperimentSpec, backend: &'static str) -> ExperimentRecord
         p99_sched_latency_us: None,
         e2e_p99_us: None,
         e2e_p999_us: None,
-        steal_batch_k: spec.batch.map(BatchK::name),
+        steal_batch_k: spec.batch.map(batch_label),
         tasks_per_acquisition: None,
         per_node_violating_idle: Vec::new(),
         sim_engine: None,
@@ -1065,7 +644,7 @@ fn absorb(record: &mut ExperimentRecord, topo: &MachineTopology, report: &RoundR
 
 /// Niceness of the `i`-th spawned task under a spec (uniform `nice 0`
 /// unless the spec asks for mixed importance).
-fn nice_of(spec: &ExperimentSpec, index: u64) -> Nice {
+fn nice_of(spec: &Scenario, index: u64) -> Nice {
     if spec.mixed_nice {
         Nice::new(MIXED_NICE[(index as usize) % MIXED_NICE.len()])
     } else {
@@ -1094,12 +673,12 @@ impl ModelBackend {
     /// sleepers return.  Counts the churn those blips induce.
     fn run_burst(
         &self,
-        spec: &ExperimentSpec,
-        burst: BurstSpec,
+        spec: &Scenario,
+        burst: Burst,
         mut system: SystemState,
         topo: &Arc<MachineTopology>,
     ) -> ExperimentRecord {
-        let balancer = Balancer::new(spec.policy.build(topo));
+        let balancer = Balancer::new(build_policy(&spec.policy, topo));
         let tracker = Arc::clone(&balancer.policy().tracker);
         let executor = ConcurrentRound::new(&balancer);
         let mut record = record_base(spec, "model");
@@ -1148,16 +727,15 @@ impl Backend for ModelBackend {
         false
     }
 
-    fn run(&self, spec: &ExperimentSpec, _sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+    fn run(&self, spec: &Scenario, _sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
         // Overflow storms probe ring-overflow handling; the model has no
         // ring, so there is nothing for it to measure.  Batch sweeps probe
         // how many queue acquisitions a transfer costs; the model moves one
         // abstract thread per steal with no queue to acquire.
-        if spec.driver.storm().is_some() || spec.driver.openloop().is_some() || spec.batch.is_some()
-        {
+        if matches!(spec.driver, Driver::Storm(_) | Driver::OpenLoop(_)) || spec.batch.is_some() {
             return None;
         }
-        let topo = Arc::new(spec.topo.build());
+        let topo = Arc::new(build_topology(spec.topology));
         if topo.nr_cpus() != spec.loads.len() {
             return None;
         }
@@ -1172,22 +750,20 @@ impl Backend for ModelBackend {
             }
         }
 
-        if let Some(burst) = spec.driver.burst() {
+        if let Driver::Burst(burst) = spec.driver {
             return Some(self.run_burst(spec, burst, system, &topo));
         }
 
-        let balancer = Balancer::new(spec.policy.build(&topo));
+        let balancer = Balancer::new(build_policy(&spec.policy, &topo));
         let tracker = Arc::clone(&balancer.policy().tracker);
-        let hierarchical = spec
-            .policy
-            .is_hierarchical()
+        let hierarchical = (spec.policy == PolicyRecipe::Hierarchical)
             .then(|| HierarchicalRound::new(&balancer, Arc::clone(&topo)));
         let executor = ConcurrentRound::new(&balancer);
         let mut record = record_base(spec, self.name());
         let mut samples = RoundSamples::new(&topo);
 
         let start = Instant::now();
-        for round in 0..=spec.budget_rounds {
+        for round in 0..=spec.budget {
             // One balancing period elapses per round; decayed criteria fold
             // it into every core's tracked load before selecting victims.
             system.tick((round as u64 + 1) * ROUND_NS, tracker.as_ref());
@@ -1195,7 +771,7 @@ impl Backend for ModelBackend {
                 record.convergence_rounds = Some(round);
                 break;
             }
-            if round == spec.budget_rounds {
+            if round == spec.budget {
                 break;
             }
             // Every idle core in a non-work-conserving state is a violation
@@ -1259,26 +835,29 @@ impl SimScenario {
     /// simulator cannot execute: like the model it has no fixed-capacity
     /// ring for a storm to overflow and no per-steal queue acquisition for
     /// a batch sweep to amortise, and it has no wall clock for an open loop.
-    fn build(engine: SimEngine, spec: &ExperimentSpec) -> Option<Self> {
+    fn build(engine: SimEngine, spec: &Scenario) -> Option<Self> {
         use sched_sim::{HierarchicalScheduler, OptimisticScheduler, OrderingPolicy, SimConfig};
 
-        if spec.driver.storm().is_some() || spec.driver.openloop().is_some() || spec.batch.is_some()
-        {
+        if matches!(spec.driver, Driver::Storm(_) | Driver::OpenLoop(_)) || spec.batch.is_some() {
             return None;
         }
-        let topo = Arc::new(spec.topo.build());
+        let topo = Arc::new(build_topology(spec.topology));
         if topo.nr_cpus() != spec.loads.len() {
             return None;
         }
-        let workload = spec.sim_workload(topo.nr_cpus());
-        let scheduler: Box<dyn sched_sim::SimScheduler> = if spec.policy.is_hierarchical() {
-            Box::new(HierarchicalScheduler::new(spec.policy.build(&topo), Arc::clone(&topo)))
-        } else {
-            Box::new(OptimisticScheduler::with_topology(
-                spec.policy.build(&topo),
-                Arc::clone(&topo),
-            ))
-        };
+        let workload = sim_workload(spec, topo.nr_cpus());
+        let scheduler: Box<dyn sched_sim::SimScheduler> =
+            if spec.policy == PolicyRecipe::Hierarchical {
+                Box::new(HierarchicalScheduler::new(
+                    build_policy(&spec.policy, &topo),
+                    Arc::clone(&topo),
+                ))
+            } else {
+                Box::new(OptimisticScheduler::with_topology(
+                    build_policy(&spec.policy, &topo),
+                    Arc::clone(&topo),
+                ))
+            };
         let mut config = SimConfig::default();
         if let Some(budget) = spec.events {
             config = config.with_event_budget(budget);
@@ -1318,7 +897,7 @@ impl SimScenario {
 /// (`finished`, `operations`, `makespan_ns`, …) that record stamping would
 /// discard.  Returns `None` for specs the simulator cannot execute (storms,
 /// batch sweeps, open loops, mis-sized load vectors).
-pub fn run_sim_result(engine: SimEngine, spec: &ExperimentSpec) -> Option<sched_sim::SimResult> {
+pub fn run_sim_result(engine: SimEngine, spec: &Scenario) -> Option<sched_sim::SimResult> {
     SimScenario::build(engine, spec).map(|scenario| scenario.run(None))
 }
 
@@ -1328,7 +907,7 @@ pub fn run_sim_result(engine: SimEngine, spec: &ExperimentSpec) -> Option<sched_
 fn run_sim(
     engine: SimEngine,
     backend: &'static str,
-    spec: &ExperimentSpec,
+    spec: &Scenario,
     sink: Option<&TraceSink>,
 ) -> Option<ExperimentRecord> {
     let scenario = SimScenario::build(engine, spec)?;
@@ -1368,7 +947,7 @@ impl Backend for SimBackend {
         "sim"
     }
 
-    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+    fn run(&self, spec: &Scenario, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
         run_sim(SimEngine::Tick, self.name(), spec, sink)
     }
 }
@@ -1378,7 +957,7 @@ impl Backend for SimEventBackend {
         "sim-event"
     }
 
-    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+    fn run(&self, spec: &Scenario, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
         run_sim(SimEngine::Event, self.name(), spec, sink)
     }
 }
@@ -1403,12 +982,12 @@ pub struct RqDequeBackend;
 /// against the blipped state, then respawn the sleepers on their core.
 fn run_rq_burst<B: sched_rq::RqBackend>(
     backend: &'static str,
-    spec: &ExperimentSpec,
-    burst: BurstSpec,
+    spec: &Scenario,
+    burst: Burst,
     mq: MultiQueue<B>,
     topo: &Arc<MachineTopology>,
 ) -> ExperimentRecord {
-    let policy = spec.policy.build(topo);
+    let policy = build_policy(&spec.policy, topo);
     let mut record = record_base(spec, backend);
     record.rq_backend = Some(B::backend_name());
     let nr_cores = spec.loads.len();
@@ -1444,7 +1023,7 @@ fn run_rq_burst<B: sched_rq::RqBackend>(
     record
 }
 
-/// The overflow-storm driver (see [`StormSpec`]): per epoch, a fan-out
+/// The overflow-storm driver (see [`Storm`]): per epoch, a fan-out
 /// burst lands on core 0, `rounds_per_epoch` genuinely concurrent rounds
 /// run against it with **no tick** in between, and the machine drains.
 /// After every round the settled state is sampled: a core still idle while
@@ -1454,15 +1033,15 @@ fn run_rq_burst<B: sched_rq::RqBackend>(
 /// overflow the stranded cores persist for the rest of the epoch.
 fn run_rq_storm<B: sched_rq::RqBackend>(
     backend: &'static str,
-    spec: &ExperimentSpec,
-    storm: StormSpec,
+    spec: &Scenario,
+    storm: Storm,
     mq: MultiQueue<B>,
     topo: &Arc<MachineTopology>,
 ) -> ExperimentRecord {
-    let policy = spec.policy.build(topo);
+    let policy = build_policy(&spec.policy, topo);
     let mut record = record_base(spec, backend);
     record.rq_backend = Some(B::backend_name());
-    let batch = spec.batch.map(BatchK::steal_batch).unwrap_or_default();
+    let batch = steal_batch(spec.batch);
     let mut successes = 0u64;
     let nr_cores = spec.loads.len();
     let mut samples = RoundSamples::new(topo);
@@ -1475,7 +1054,7 @@ fn run_rq_storm<B: sched_rq::RqBackend>(
         for _ in 0..storm.fanout {
             mq.spawn_on(CoreId(0));
         }
-        for _ in 0..storm.rounds_per_epoch {
+        for _ in 0..storm.rounds {
             let stats = mq.concurrent_round_batched(&policy, batch);
             record.migrations += stats.migrations();
             record.failures += stats.failures();
@@ -1509,19 +1088,19 @@ fn run_rq_storm<B: sched_rq::RqBackend>(
 /// record with `backend`.
 fn run_rq<B: sched_rq::RqBackend>(
     backend: &'static str,
-    spec: &ExperimentSpec,
+    spec: &Scenario,
     sink: Option<&TraceSink>,
 ) -> Option<ExperimentRecord> {
     // An open-loop stream needs real worker threads pulling work as it
     // arrives; the round-driven runqueue harness has none.
-    if spec.driver.openloop().is_some() {
+    if matches!(spec.driver, Driver::OpenLoop(_)) {
         return None;
     }
-    let topo = Arc::new(spec.topo.build());
+    let topo = Arc::new(build_topology(spec.topology));
     if topo.nr_cpus() != spec.loads.len() {
         return None;
     }
-    let policy = spec.policy.build(&topo);
+    let policy = build_policy(&spec.policy, &topo);
     let mut mq: MultiQueue<B> =
         MultiQueue::with_topology_and_tracker(&topo, Arc::clone(&policy.tracker));
     if let Some(sink) = sink {
@@ -1535,21 +1114,20 @@ fn run_rq<B: sched_rq::RqBackend>(
         }
     }
 
-    if let Some(storm) = spec.driver.storm() {
-        return Some(run_rq_storm(backend, spec, storm, mq, &topo));
-    }
-    if let Some(burst) = spec.driver.burst() {
-        return Some(run_rq_burst(backend, spec, burst, mq, &topo));
+    match spec.driver {
+        Driver::Storm(storm) => return Some(run_rq_storm(backend, spec, storm, mq, &topo)),
+        Driver::Burst(burst) => return Some(run_rq_burst(backend, spec, burst, mq, &topo)),
+        _ => {}
     }
 
     let mut record = record_base(spec, backend);
     record.rq_backend = Some(B::backend_name());
-    let batch = spec.batch.map(BatchK::steal_batch).unwrap_or_default();
+    let batch = steal_batch(spec.batch);
     let mut successes = 0u64;
     let mut samples = RoundSamples::new(&topo);
 
     let start = Instant::now();
-    for round in 0..=spec.budget_rounds {
+    for round in 0..=spec.budget {
         // One balancing period elapses per round (decayed criteria fold
         // it under each runqueue's lock).
         mq.tick((round as u64 + 1) * ROUND_NS);
@@ -1557,12 +1135,12 @@ fn run_rq<B: sched_rq::RqBackend>(
             record.convergence_rounds = Some(round);
             break;
         }
-        if round == spec.budget_rounds {
+        if round == spec.budget {
             break;
         }
         let snapshots = mq.snapshots();
         samples.sample(true, |c| snapshots[c].nr_threads == 0);
-        let stats = if spec.policy.is_hierarchical() {
+        let stats = if spec.policy == PolicyRecipe::Hierarchical {
             mq.hierarchical_round(&policy)
         } else {
             mq.concurrent_round_batched(&policy, batch)
@@ -1586,7 +1164,7 @@ impl Backend for RqBackend {
         "rq"
     }
 
-    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+    fn run(&self, spec: &Scenario, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
         run_rq::<sched_rq::PerCoreRq<sched_rq::FifoQueue>>(self.name(), spec, sink)
     }
 }
@@ -1596,7 +1174,7 @@ impl Backend for RqDequeBackend {
         "rq-deque"
     }
 
-    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+    fn run(&self, spec: &Scenario, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
         run_rq::<sched_rq::DequeRq>(self.name(), spec, sink)
     }
 }
@@ -1604,7 +1182,7 @@ impl Backend for RqDequeBackend {
 /// Overflow-storm flavour of the lock-free backend: tiny rings
 /// ([`sched_rq::TINY_RING_CAPACITY`]) with the shared-injector overflow
 /// discipline (record backend `"rq-deque-tiny"`).  Only executes specs
-/// carrying a [`StormSpec`] — on every other scenario its behaviour is the
+/// carrying a [`Storm`] driver — on every other scenario its behaviour is the
 /// regular `rq-deque` machine with a smaller ring, which would only
 /// duplicate rows.
 pub struct RqTinyDequeBackend;
@@ -1620,8 +1198,10 @@ impl Backend for RqTinyDequeBackend {
         "rq-deque-tiny"
     }
 
-    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
-        spec.driver.storm()?;
+    fn run(&self, spec: &Scenario, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+        if !matches!(spec.driver, Driver::Storm(_)) {
+            return None;
+        }
         run_rq::<sched_rq::TinyDequeRq>(self.name(), spec, sink)
     }
 }
@@ -1631,8 +1211,10 @@ impl Backend for RqSpillDequeBackend {
         "rq-deque-spill"
     }
 
-    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
-        spec.driver.storm()?;
+    fn run(&self, spec: &Scenario, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+        if !matches!(spec.driver, Driver::Storm(_)) {
+            return None;
+        }
         run_rq::<sched_rq::TinySpillDequeRq>(self.name(), spec, sink)
     }
 }
@@ -1642,7 +1224,7 @@ impl Backend for RqSpillDequeBackend {
 /// parking/unparking — driven by an open-loop request stream whose driver
 /// measures wall-clock end-to-end latency from each request's scheduled
 /// arrival into the schema-v8 `e2e_p99_us` / `e2e_p999_us` columns.  Only
-/// executes specs carrying an [`OpenLoopDriverSpec`]; every other driver
+/// executes specs carrying an [`OpenLoop`] driver; every other driver
 /// shape is round-paced and already covered by the runqueue backends.
 pub struct ExecBackend;
 
@@ -1656,13 +1238,13 @@ impl Backend for ExecBackend {
         "exec"
     }
 
-    fn run(&self, spec: &ExperimentSpec, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
-        let openloop = spec.driver.openloop()?;
-        let topo = Arc::new(spec.topo.build());
+    fn run(&self, spec: &Scenario, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
+        let Driver::OpenLoop(openloop) = spec.driver else { return None };
+        let topo = Arc::new(build_topology(spec.topology));
         if topo.nr_cpus() != spec.loads.len() {
             return None;
         }
-        let policy = spec.policy.build(&topo);
+        let policy = build_policy(&spec.policy, &topo);
         let mut config = sched_exec::ExecConfig::new(Arc::clone(&topo), policy)
             .with_ring_capacity(EXEC_RING_CAPACITY);
         if let Some(sink) = sink {
@@ -1671,7 +1253,7 @@ impl Backend for ExecBackend {
 
         let start = Instant::now();
         let exec = sched_exec::Executor::start(config);
-        let driven = sched_exec::drive(&exec, openloop.exec_spec());
+        let driven = sched_exec::drive(&exec, exec_openloop(openloop));
         exec.drain();
         let report = exec.shutdown();
         let wall = start.elapsed();
@@ -1701,7 +1283,7 @@ impl Backend for ExecBackend {
 
 /// Runs `spec` on `backend` with a recorder attached and returns the record
 /// with the drained trace — written out too, under `--trace DIR`.
-fn run_recorded(backend: &dyn Backend, spec: &ExperimentSpec) -> Option<(ExperimentRecord, Trace)> {
+fn run_recorded(backend: &dyn Backend, spec: &Scenario) -> Option<(ExperimentRecord, Trace)> {
     let sink = trace_sink(spec.loads.len());
     let record = backend.run(spec, Some(&sink))?;
     let trace = sink.drain();
@@ -1753,7 +1335,7 @@ impl ExperimentRunner {
     /// Runs one spec on every backend that supports it, honouring the
     /// spec's backend matrix.  Consumes the spec — a run is a terminal use;
     /// callers that reuse one clone it explicitly.
-    pub fn run(&self, spec: ExperimentSpec) -> Vec<ExperimentRecord> {
+    pub fn run(&self, spec: Scenario) -> Vec<ExperimentRecord> {
         let exporting = TRACE_DIR.get().is_some();
         self.backends
             .iter()
@@ -1784,7 +1366,7 @@ impl ExperimentRunner {
     pub fn run_traced(
         &self,
         backend: &str,
-        spec: &ExperimentSpec,
+        spec: &Scenario,
     ) -> Result<Option<(ExperimentRecord, Trace)>, String> {
         match self.backends.iter().find(|b| b.name() == backend && b.records_trace()) {
             Some(b) => Ok(run_recorded(b.as_ref(), spec)),
@@ -1796,7 +1378,7 @@ impl ExperimentRunner {
     }
 
     /// Runs every spec on every backend.
-    pub fn run_catalog(&self, specs: Vec<ExperimentSpec>) -> Vec<ExperimentRecord> {
+    pub fn run_catalog(&self, specs: Vec<Scenario>) -> Vec<ExperimentRecord> {
         specs.into_iter().flat_map(|spec| self.run(spec)).collect()
     }
 }
@@ -1877,133 +1459,168 @@ pub fn records_table(records: &[ExperimentRecord]) -> Table {
 mod tests {
     use super::*;
 
-    fn small_spec(policy: PolicySpec) -> ExperimentSpec {
-        ExperimentSpec::builder(ExperimentId::E2, "test: single hot of four")
-            .loads(vec![8, 0, 0, 0])
-            .topo(TopoSpec::Flat(4))
-            .policy(policy)
-            .budget_rounds(64)
-            .build()
-            .expect("a valid spec")
+    fn small_spec(policy: PolicyRecipe) -> Scenario {
+        Scenario {
+            name: "test: single hot of four".into(),
+            experiment: "e2".into(),
+            topology: Topology::Flat(4),
+            loads: vec![8, 0, 0, 0],
+            policy,
+            backends: None,
+            driver: Driver::Replay,
+            budget: 64,
+            events: None,
+            order: None,
+            batch: None,
+            mixed_nice: false,
+            expect: Vec::new(),
+        }
+    }
+
+    fn inline(source: &str) -> PolicyRecipe {
+        PolicyRecipe::Inline(sched_dsl::parse(source).expect("stdlib policies parse"))
     }
 
     #[test]
     fn tracker_names_match_the_built_policies() {
-        // `tracker_name` is a spec-level copy of what `build(..)` produces
-        // (records are stamped before policies are built); this pins the two
-        // together so a half-life or format change cannot silently
-        // desynchronise them.
-        let topo = Arc::new(TopoSpec::Flat(4).build());
-        for spec in [
-            PolicySpec::Listing1,
-            PolicySpec::Greedy,
-            PolicySpec::Weighted,
-            PolicySpec::StealHalf,
-            PolicySpec::NumaAware,
-            PolicySpec::TopoAware,
-            PolicySpec::Hierarchical,
-            PolicySpec::dsl_listing1(),
-            PolicySpec::Dsl(sched_dsl::parse(sched_dsl::stdlib::PELT).expect("stdlib PELT parses")),
-            PolicySpec::Pelt,
-            PolicySpec::PeltWeighted,
-            PolicySpec::PeltHalfLife(1),
-            PolicySpec::PeltHalfLife(4),
-            PolicySpec::PeltHalfLife(16),
-            PolicySpec::PeltHalfLife(64),
-            PolicySpec::PeltHalfLife(12),
+        // `tracker_name` is a recipe-level copy of what `build_policy`
+        // produces (records are stamped before policies are built); this
+        // pins the two together so a half-life or format change cannot
+        // silently desynchronise them.
+        let topo = Arc::new(build_topology(Topology::Flat(4)));
+        for recipe in [
+            PolicyRecipe::Listing1,
+            PolicyRecipe::Greedy,
+            PolicyRecipe::Weighted,
+            PolicyRecipe::StealHalf,
+            PolicyRecipe::NumaAware,
+            PolicyRecipe::TopoAware,
+            PolicyRecipe::Hierarchical,
+            inline(sched_dsl::stdlib::LISTING1),
+            inline(sched_dsl::stdlib::PELT),
+            PolicyRecipe::Pelt,
+            PolicyRecipe::PeltWeighted,
+            PolicyRecipe::PeltHalfLife(1),
+            PolicyRecipe::PeltHalfLife(4),
+            PolicyRecipe::PeltHalfLife(16),
+            PolicyRecipe::PeltHalfLife(64),
+            PolicyRecipe::PeltHalfLife(12),
         ] {
             assert_eq!(
-                spec.tracker_name(),
-                spec.build(&topo).tracker.name(),
-                "{spec:?}: tracker_name drifted from the built tracker"
+                tracker_name(&recipe),
+                build_policy(&recipe, &topo).tracker.name(),
+                "{recipe:?}: tracker_name drifted from the built tracker"
             );
         }
     }
 
     #[test]
-    fn builder_rejects_illegal_combinations() {
-        // Load vector sized to the wrong machine.
-        let err = ExperimentSpec::builder(ExperimentId::E2, "bad loads")
-            .loads(vec![1, 2, 3])
-            .topo(TopoSpec::Flat(4))
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("cores"), "{err}");
+    fn declared_core_counts_match_the_built_machines() {
+        for topology in
+            [Topology::Flat(1), Topology::Flat(12), Topology::DualSocket, Topology::EightNode]
+        {
+            assert_eq!(
+                declared_cores(topology),
+                build_topology(topology).nr_cpus(),
+                "{topology:?}"
+            );
+        }
+    }
 
-        // A steal batch under a burst driver used to be silently ignored;
-        // now it is a build error.
-        let err = ExperimentSpec::builder(ExperimentId::E23, "batch under burst")
-            .loads(vec![2; 4])
-            .topo(TopoSpec::Flat(4))
-            .driver(Driver::Burst(BurstSpec::new(8, 1_000_000, 8_000_000)))
-            .batch(BatchK::Fixed(2))
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("steal batch"), "{err}");
+    #[test]
+    fn validate_rejects_illegal_combinations() {
+        let base = small_spec(PolicyRecipe::Listing1);
+        assert_eq!(validate(&base), Ok(()));
+        let storm = Driver::Storm(Storm { epochs: 2, fanout: 8, rounds: 1 });
+        let burst = Driver::Burst(Burst {
+            epochs: 8,
+            epoch_ns: 1_000_000,
+            warmup_ns: 8_000_000,
+            seed: 17,
+            jitter_pct: 40,
+        });
+        let openloop = Driver::OpenLoop(OpenLoop {
+            rate_hz: 100,
+            duration_ms: 10,
+            service: Service::Fixed(10),
+            seed: 11,
+        });
+        let names = |backends: &[&str]| Some(backends.iter().map(|b| b.to_string()).collect());
 
-        // Batch + replay and batch + storm stay valid.
-        assert!(ExperimentSpec::builder(ExperimentId::E23, "batch replay")
-            .loads(vec![8, 0, 0, 0])
-            .topo(TopoSpec::Flat(4))
-            .batch(BatchK::HalfImbalance)
-            .build()
-            .is_ok());
-        assert!(ExperimentSpec::builder(ExperimentId::E23, "batch storm")
-            .loads(vec![1, 0, 0, 0])
-            .topo(TopoSpec::Flat(4))
-            .driver(Driver::Storm(StormSpec { epochs: 2, fanout: 8, rounds_per_epoch: 1 }))
-            .batch(BatchK::Fixed(2))
-            .build()
-            .is_ok());
+        // Batch + replay and batch + storm stay valid, and so does an open
+        // loop that names the executor alone.
+        for ok in [
+            Scenario { batch: Some(Batch::Half), ..base.clone() },
+            Scenario { driver: storm, batch: Some(Batch::Fixed(2)), ..base.clone() },
+            Scenario { driver: openloop, backends: names(&["exec"]), ..base.clone() },
+        ] {
+            assert_eq!(validate(&ok), Ok(()), "{ok:?}");
+        }
 
-        // A backend matrix naming a simulator backend on a storm or batch
-        // spec is rejected at build time (the sim engines cannot execute
-        // either), instead of silently producing no record.
-        let err = ExperimentSpec::builder(ExperimentId::E22, "sim-event storm")
-            .loads(vec![1, 0, 0, 0])
-            .topo(TopoSpec::Flat(4))
-            .driver(Driver::Storm(StormSpec { epochs: 2, fanout: 8, rounds_per_epoch: 1 }))
-            .backends(vec!["sim-event".into()])
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("simulator backends"), "{err}");
-        let err = ExperimentSpec::builder(ExperimentId::E23, "sim batch")
-            .loads(vec![8, 0, 0, 0])
-            .topo(TopoSpec::Flat(4))
-            .batch(BatchK::Fixed(2))
-            .backends(vec!["sim".into(), "rq".into()])
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("simulator backends"), "{err}");
-
-        // An event budget on a storm driver has no backend to apply to.
-        let err = ExperimentSpec::builder(ExperimentId::E22, "budget storm")
-            .loads(vec![1, 0, 0, 0])
-            .topo(TopoSpec::Flat(4))
-            .driver(Driver::Storm(StormSpec { epochs: 2, fanout: 8, rounds_per_epoch: 1 }))
-            .events(1_000)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("event budget"), "{err}");
-
-        // An inline policy that does not compile is rejected at build time.
         let bogus = sched_dsl::parse(
             "policy bogus { filter = victim.load + 1; choose = first; steal = 1; }",
-        );
-        if let Ok(def) = bogus {
-            let err = ExperimentSpec::builder(ExperimentId::E1, "bogus dsl")
-                .loads(vec![1, 0])
-                .topo(TopoSpec::Flat(2))
-                .policy(PolicySpec::Dsl(def))
-                .build()
-                .unwrap_err();
-            assert!(err.to_string().contains("compile"), "{err}");
+        )
+        .expect("ill-typed policies still parse");
+        for (bad, complaint) in [
+            // The experiment key must be a row of the EXPERIMENTS table.
+            (Scenario { experiment: "e99".into(), ..base.clone() }, "unknown experiment"),
+            (Scenario { loads: Vec::new(), ..base.clone() }, "load vector"),
+            // Load vector sized to the wrong machine.
+            (Scenario { loads: vec![1, 2, 3], ..base.clone() }, "4 cores"),
+            (Scenario { topology: Topology::DualSocket, ..base.clone() }, "16 cores"),
+            (Scenario { topology: Topology::EightNode, ..base.clone() }, "64 cores"),
+            // A steal batch under a burst driver would be silently ignored.
+            (
+                Scenario { driver: burst, batch: Some(Batch::Fixed(2)), ..base.clone() },
+                "steal batch",
+            ),
+            // A backend matrix naming a simulator backend on a storm or
+            // batch scenario would silently produce no record.
+            (
+                Scenario { driver: storm, backends: names(&["sim-event"]), ..base.clone() },
+                "simulator backends",
+            ),
+            (
+                Scenario {
+                    batch: Some(Batch::Fixed(2)),
+                    backends: names(&["sim", "rq"]),
+                    ..base.clone()
+                },
+                "simulator backends",
+            ),
+            // An open loop runs on the executor alone, and says so.
+            (Scenario { driver: openloop, ..base.clone() }, "must declare"),
+            (
+                Scenario { driver: openloop, backends: names(&[]), ..base.clone() },
+                "`exec` backend only",
+            ),
+            (
+                Scenario { driver: openloop, backends: names(&["exec", "rq"]), ..base.clone() },
+                "`exec` backend only",
+            ),
+            // An event budget on a storm or open loop has no backend to
+            // apply to.
+            (Scenario { driver: storm, events: Some(1_000), ..base.clone() }, "event budget"),
+            (
+                Scenario {
+                    driver: openloop,
+                    backends: names(&["exec"]),
+                    events: Some(1_000),
+                    ..base.clone()
+                },
+                "event budget",
+            ),
+            // An inline policy that does not compile.
+            (Scenario { policy: PolicyRecipe::Inline(bogus), ..base.clone() }, "compile"),
+        ] {
+            let err = validate(&bad).expect_err(complaint);
+            assert!(err.to_string().contains(complaint), "{complaint}: {err}");
         }
     }
 
     #[test]
     fn all_backends_run_the_same_spec() {
-        let spec = small_spec(PolicySpec::Listing1);
+        let spec = small_spec(PolicyRecipe::Listing1);
         let runner = ExperimentRunner::with_all_backends();
         let records = runner.run(spec);
         assert_eq!(records.len(), 5);
@@ -2057,7 +1674,7 @@ mod tests {
     #[test]
     fn run_traced_refuses_unknown_names_and_leaves_declining_to_the_backend() {
         let runner = ExperimentRunner::with_all_backends();
-        let replay = small_spec(PolicySpec::Listing1);
+        let replay = small_spec(PolicyRecipe::Listing1);
         assert!(runner.run_traced("qr-deque", &replay).is_err());
         assert!(runner.run_traced("model", &replay).is_err());
         for tiny in ["rq-deque-tiny", "rq-deque-spill"] {
@@ -2078,7 +1695,7 @@ mod tests {
         use sched_trace::FoldedStats;
 
         let runner = ExperimentRunner::with_all_backends();
-        let catalog = crate::catalog::catalog();
+        let catalog = crate::catalog::builtin();
         let names: Vec<&str> = runner.backends().iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), 8);
         assert_eq!(runner.traced_backends(), names[1..], "every backend but the model traces");
@@ -2097,7 +1714,7 @@ mod tests {
             let identity = |r: &ExperimentRecord| {
                 let ExperimentRecord { experiment, scenario, policy, tracker, .. } = r.clone();
                 let shape = (r.backend, r.cores, r.threads, r.throughput_unit);
-                let columns = (r.rq_backend, r.steal_batch_k, r.sim_engine);
+                let columns = (r.rq_backend, r.steal_batch_k.clone(), r.sim_engine);
                 (experiment, scenario, policy, tracker, shape, columns)
             };
             assert_eq!(identity(&traced), identity(&plain), "{name}");
@@ -2112,7 +1729,7 @@ mod tests {
                 assert_eq!(measured(&traced), measured(&plain), "{name}");
             }
 
-            assert_eq!(trace.dropped, 0, "{name}: the sink must hold `{}`", spec.scenario);
+            assert_eq!(trace.dropped, 0, "{name}: the sink must hold `{}`", spec.name);
             let folded = FoldedStats::from_trace(&trace);
             assert_eq!(folded.migrations, traced.migrations, "{name}: migrations == fold(trace)");
             assert_eq!(folded.failures(), traced.failures, "{name}: failures == fold(trace)");
@@ -2127,7 +1744,7 @@ mod tests {
         // engines against each other on richer scenarios; this pins the
         // runner's plumbing — config, workload construction, stamping.)
         let runner = ExperimentRunner::with_all_backends();
-        for policy in [PolicySpec::Listing1, PolicySpec::Pelt, PolicySpec::Hierarchical] {
+        for policy in [PolicyRecipe::Listing1, PolicyRecipe::Pelt, PolicyRecipe::Hierarchical] {
             let mut spec = small_spec(policy);
             spec.backends = Some(vec!["sim".into(), "sim-event".into()]);
             let records = runner.run(spec);
@@ -2159,7 +1776,7 @@ mod tests {
 
     #[test]
     fn an_event_budget_truncates_both_sim_engines() {
-        let mut spec = small_spec(PolicySpec::Listing1);
+        let mut spec = small_spec(PolicyRecipe::Listing1);
         spec.backends = Some(vec!["sim".into(), "sim-event".into()]);
         spec.events = Some(10);
         let runner = ExperimentRunner::with_all_backends();
@@ -2176,7 +1793,7 @@ mod tests {
         // engine; the tick engine ignores it.  Task conservation holds
         // under any order: all eight tasks finish either way.
         let runner = ExperimentRunner::with_all_backends();
-        let mut spec = small_spec(PolicySpec::Listing1);
+        let mut spec = small_spec(PolicyRecipe::Listing1);
         spec.backends = Some(vec!["sim".into(), "sim-event".into()]);
         let baseline = runner.run(spec.clone());
         spec.order = Some(7);
@@ -2191,7 +1808,7 @@ mod tests {
 
     #[test]
     fn the_backend_matrix_restricts_execution() {
-        let mut spec = small_spec(PolicySpec::Listing1);
+        let mut spec = small_spec(PolicyRecipe::Listing1);
         spec.backends = Some(vec!["model".into(), "rq-deque".into()]);
         let runner = ExperimentRunner::with_all_backends();
         let records = runner.run(spec);
@@ -2201,19 +1818,18 @@ mod tests {
 
     #[test]
     fn batch_specs_run_on_the_rq_backends_only_and_measure_tasks_per_acquisition() {
-        let spec = ExperimentSpec::builder(ExperimentId::E23, "test: batched fan-out")
-            .loads(vec![16, 0, 0, 0])
-            .topo(TopoSpec::Flat(4))
-            .budget_rounds(64)
-            .batch(BatchK::Fixed(1))
-            .build()
-            .expect("a valid batch spec");
+        let spec = Scenario {
+            experiment: "e23".into(),
+            loads: vec![16, 0, 0, 0],
+            batch: Some(Batch::Fixed(1)),
+            ..small_spec(PolicyRecipe::Listing1)
+        };
         let runner = ExperimentRunner::with_all_backends();
-        let records = runner.run(spec);
+        let records = runner.run(spec.clone());
         let backends: Vec<&str> = records.iter().map(|r| r.backend).collect();
         assert_eq!(backends, vec!["rq", "rq-deque"], "model/sim cannot execute a batch sweep");
         for r in &records {
-            assert_eq!(r.steal_batch_k, Some("1"));
+            assert_eq!(r.steal_batch_k.as_deref(), Some("1"));
             let tpa = r.tasks_per_acquisition.expect("batch records measure the amortisation");
             assert!(
                 (tpa - 1.0).abs() < 1e-9,
@@ -2221,8 +1837,17 @@ mod tests {
                 r.backend
             );
         }
+        // A batch size outside the swept ones is labelled by its own decimal.
+        for (batch, label) in [(Batch::Fixed(3), "3"), (Batch::Fixed(16), "16")] {
+            let records = runner.run(Scenario { batch: Some(batch), ..spec.clone() });
+            assert_eq!(records.len(), 2);
+            for r in &records {
+                assert_eq!(r.steal_batch_k.as_deref(), Some(label), "{}", r.backend);
+                assert!(r.tasks_per_acquisition.is_some_and(|tpa| tpa >= 1.0), "{}", r.backend);
+            }
+        }
         // Non-batch records keep the schema-v5 fields null.
-        let plain = runner.run(small_spec(PolicySpec::Listing1));
+        let plain = runner.run(small_spec(PolicyRecipe::Listing1));
         for r in &plain {
             assert_eq!(r.steal_batch_k, None);
             assert_eq!(r.tasks_per_acquisition, None);
@@ -2232,8 +1857,8 @@ mod tests {
     #[test]
     fn dsl_policy_behaves_like_handwritten_listing1_on_the_model() {
         let runner = ExperimentRunner::new(vec![Box::new(ModelBackend)]);
-        let handwritten = &runner.run(small_spec(PolicySpec::Listing1))[0];
-        let compiled = &runner.run(small_spec(PolicySpec::dsl_listing1()))[0];
+        let handwritten = &runner.run(small_spec(PolicyRecipe::Listing1))[0];
+        let compiled = &runner.run(small_spec(inline(sched_dsl::stdlib::LISTING1)))[0];
         assert_eq!(compiled.policy, "dsl(listing1)");
         assert_eq!(handwritten.convergence_rounds, compiled.convergence_rounds);
         assert_eq!(handwritten.migrations, compiled.migrations);
@@ -2243,7 +1868,7 @@ mod tests {
     #[test]
     fn json_document_has_the_required_fields() {
         let runner = ExperimentRunner::new(vec![Box::new(ModelBackend)]);
-        let records = runner.run(small_spec(PolicySpec::Listing1));
+        let records = runner.run(small_spec(PolicyRecipe::Listing1));
         let json = records_to_json(&records);
         for key in [
             "\"experiment\"",
@@ -2279,7 +1904,7 @@ mod tests {
     #[test]
     fn full_records_serialize_final_loads_and_round_trip() {
         let runner = ExperimentRunner::new(vec![Box::new(ModelBackend)]);
-        let records = runner.run(small_spec(PolicySpec::Listing1));
+        let records = runner.run(small_spec(PolicyRecipe::Listing1));
         assert!(records.iter().all(|r| !r.final_loads.is_empty()), "the model reports loads");
         let json = records_to_json_full(&records);
         assert!(json.contains("\"final_loads\""));
@@ -2305,8 +1930,10 @@ mod tests {
     #[test]
     fn records_table_has_one_row_per_record() {
         let runner = ExperimentRunner::new(vec![Box::new(ModelBackend)]);
-        let records = runner
-            .run_catalog(vec![small_spec(PolicySpec::Listing1), small_spec(PolicySpec::Weighted)]);
+        let records = runner.run_catalog(vec![
+            small_spec(PolicyRecipe::Listing1),
+            small_spec(PolicyRecipe::Weighted),
+        ]);
         assert_eq!(records_table(&records).nr_rows(), 2);
     }
 }

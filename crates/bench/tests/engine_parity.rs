@@ -20,17 +20,18 @@
 
 use proptest::prelude::*;
 
-use sched_bench::{run_sim_result, ExperimentId, ExperimentSpec, PolicySpec, SimEngine, TopoSpec};
+use sched_bench::{run_sim_result, SimEngine};
+use sched_dsl::{Driver, PolicyRecipe, Scenario, Topology};
 
 /// Runs `spec` on both engines and asserts exact result parity.  Returns
 /// `false` when the simulator declines the spec (storm or batch shapes).
-fn engines_agree(spec: &ExperimentSpec) -> bool {
+fn engines_agree(spec: &Scenario) -> bool {
     let Some(tick) = run_sim_result(SimEngine::Tick, spec) else {
         return false;
     };
     let event = run_sim_result(SimEngine::Event, spec).expect("engines decline the same specs");
     let mismatches = sched_bench::fuzz::engine_parity_mismatches(&tick, &event);
-    assert!(mismatches.is_empty(), "{}: {mismatches:#?}", spec.scenario);
+    assert!(mismatches.is_empty(), "{}: {mismatches:#?}", spec.name);
     true
 }
 
@@ -40,7 +41,7 @@ fn engines_agree(spec: &ExperimentSpec) -> bool {
 /// point.
 #[test]
 fn the_catalogued_sim_scenarios_agree_across_engines() {
-    let checked = sched_bench::catalog()
+    let checked = sched_bench::builtin()
         .iter()
         .filter(|spec| spec.events.is_none() && engines_agree(spec))
         .count();
@@ -59,14 +60,22 @@ proptest! {
         let slot = hot % loads.len();
         loads[slot] += 2 * loads.len(); // one hot core, so balancing has work to do
         let cores = loads.len();
-        let policy = if steal_half { PolicySpec::StealHalf } else { PolicySpec::Listing1 };
-        let spec = ExperimentSpec::builder(ExperimentId::E1, "random replay parity")
-            .loads(loads)
-            .topo(TopoSpec::Flat(cores))
-            .policy(policy)
-            .budget_rounds(8 * cores + 256)
-            .build()
-            .expect("random replay specs are valid");
+        let spec = Scenario {
+            name: "random replay parity".into(),
+            experiment: "e1".into(),
+            topology: Topology::Flat(cores),
+            budget: 8 * cores + 256,
+            loads,
+            policy: if steal_half { PolicyRecipe::StealHalf } else { PolicyRecipe::Listing1 },
+            backends: None,
+            driver: Driver::Replay,
+            events: None,
+            order: None,
+            batch: None,
+            mixed_nice: false,
+            expect: Vec::new(),
+        };
+        sched_bench::validate(&spec).expect("random replay scenarios are valid");
         prop_assert!(engines_agree(&spec));
     }
 }

@@ -26,6 +26,11 @@
 //! [`stdlib`] ships the paper's policies written in the DSL: Listing 1, the
 //! §4.3 greedy counterexample, the weighted variant and a batched variant.
 //!
+//! [`doc`] applies the same idea to *experiments*: a [`Scenario`] is written
+//! once, as a `*.scn` document, and that one type — parsed by
+//! [`parse_doc`], printed back by [`print_doc`] — is what the `sched-bench`
+//! harness loads, fuzzes and runs on every backend.
+//!
 //! # Example
 //!
 //! ```
@@ -52,8 +57,8 @@ pub mod verification;
 pub use ast::{Actor, BinOp, ChooseRule, Expr, Field, LoadSpec, MetricSpec, PolicyDef};
 pub use codegen::generate_rust;
 pub use doc::{
-    parse_doc, print_doc, print_scenario, DocBatch, DocDriver, DocInvariant, DocPolicy, DocService,
-    DocTopology, ScenarioDoc,
+    parse_doc, print_doc, print_scenario, Batch, Burst, Driver, Invariant, OpenLoop, PolicyRecipe,
+    Scenario, Service, Storm, Topology, WorkloadKind,
 };
 pub use error::DslError;
 pub use eval::{compile, compile_source, CompiledPolicy};

@@ -28,8 +28,8 @@ pub use write::{object, JsonValue};
 ///   lock-free `deque`) and `p99_sched_latency_us` (the reactivity SLO the
 ///   gate's absolute p99 ceiling applies to; `null` on backends without a
 ///   latency recorder).
-/// * v5: per-record `steal_batch_k` (the E23 batch-size sweep point:
-///   `"1"`, `"2"`, `"4"`, `"8"`, `"half"`) and `tasks_per_acquisition`
+/// * v5: per-record `steal_batch_k` (the batch size of the scenario: the
+///   decimal `k` or `half`) and `tasks_per_acquisition`
 ///   (threads migrated per successful steal acquisition — exactly 1.0 at
 ///   `k = 1`, above it when batching amortises; the gate compares it
 ///   relatively).  Both `null` outside the batch sweep.

@@ -22,10 +22,9 @@ fn the_experiments_directory_loads_and_matches_the_builtin_catalog() {
     for from_disk in &loaded {
         let compiled_in = builtin
             .iter()
-            .find(|s| s.doc.name == from_disk.doc.name)
-            .unwrap_or_else(|| panic!("`{}` is not in the builtin catalog", from_disk.doc.name));
-        assert_eq!(from_disk.doc, compiled_in.doc, "{} diverges", from_disk.doc.name);
-        assert_eq!(from_disk.spec, compiled_in.spec, "{} diverges", from_disk.doc.name);
+            .find(|s| s.name == from_disk.name)
+            .unwrap_or_else(|| panic!("`{}` is not in the builtin catalog", from_disk.name));
+        assert_eq!(from_disk, compiled_in, "{} diverges", from_disk.name);
     }
 }
 
@@ -58,14 +57,14 @@ scenario "authored: hot tail of four" {
     let scenarios = sched_bench::load_str(source, "inline").expect("document must load");
     assert_eq!(scenarios.len(), 1);
     let scenario = &scenarios[0];
-    assert_eq!(scenario.spec.loads, vec![0, 0, 0, 9]);
+    assert_eq!(scenario.loads, vec![0, 0, 0, 9]);
 
     let runner = sched_bench::ExperimentRunner::with_all_backends();
-    let records = runner.run(scenario.spec.clone());
+    let records = runner.run(scenario.clone());
     let backends: Vec<&str> = records.iter().map(|r| r.backend).collect();
     assert_eq!(backends, vec!["model", "rq-deque"], "the backend matrix must filter");
 
-    let violations = sched_bench::check_records(&scenario.spec, scenario.expectations(), &records);
+    let violations = sched_bench::check_records(scenario, &records);
     let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
     assert!(violations.is_empty(), "declared invariants must hold: {rendered:#?}");
 }
@@ -77,7 +76,7 @@ fn a_committed_scenario_satisfies_its_declared_invariants_on_every_backend() {
     let scenario = sched_bench::load_dir(&dir)
         .expect("experiments/*.scn must load")
         .into_iter()
-        .find(|s| s.spec.id == sched_bench::ExperimentId::E2)
+        .find(|s| s.experiment == "e2")
         .expect("e2 is committed");
     let (records, violations) = sched_bench::fuzz::check_scenario(&scenario);
     assert!(records > 0);

@@ -383,7 +383,7 @@ fn fuzz_scenarios_task(args: &[String]) -> Result<ExitCode, String> {
             let scenarios =
                 sched_bench::load_str(&text, path).map_err(|e| format!("{path}: {e}"))?;
             for scenario in &scenarios {
-                println!("replaying `{}` from {path}...", scenario.doc.name);
+                println!("replaying `{}` from {path}...", scenario.name);
                 let (n, mut v) = sched_bench::fuzz::check_scenario(scenario);
                 records += n;
                 violations.append(&mut v);
@@ -452,11 +452,8 @@ fn fuzz_scenarios_task(args: &[String]) -> Result<ExitCode, String> {
         // The diagnostic re-run: same document, but now with the trace
         // exporter armed, so each backend's `*.trace.json` lands in the
         // repro directory.
-        if let Ok(spec) = sched_bench::from_doc(&failure.doc) {
-            let _ = sched_bench::fuzz::check_scenario(&sched_bench::LoadedScenario {
-                doc: failure.doc.clone(),
-                spec,
-            });
+        if sched_bench::validate(&failure.doc).is_ok() {
+            let _ = sched_bench::fuzz::check_scenario(&failure.doc);
         }
         eprintln!("  wrote {path} (+ violations and *.trace.json exports)");
     }

@@ -164,6 +164,22 @@ impl Injector {
         self.len.fetch_add(1, Ordering::Release);
     }
 
+    /// Makes every element of `values` claimable, in order, under one lock
+    /// acquisition and one counter update — the batch form of
+    /// [`Injector::push`], for a caller returning a run of elements at once
+    /// (`sched-rq`'s trimmed batch steal).
+    pub fn push_many(&self, values: &[u64]) {
+        if values.is_empty() {
+            return;
+        }
+        let mut chain = self.lock();
+        for &value in values {
+            chain.push(value);
+        }
+        // Counted only once every element is reachable, as in `push`.
+        self.len.fetch_add(values.len() as u64, Ordering::Release);
+    }
+
     /// Attempts to claim one element.
     ///
     /// * [`Steal::Stolen`] — this caller, and nobody else, owns the element.
@@ -203,11 +219,6 @@ impl Injector {
     /// Claims up to `max` elements under one lock acquisition, feeding
     /// each to `sink` in FIFO order; returns how many were claimed.
     ///
-    /// This is the balancer-facing batch API (the ROADMAP's batched-claim
-    /// step 3 is its intended caller): a thief that found a victim's ring
-    /// empty can move a chunk of its overflow in one go instead of paying
-    /// a lock round-trip per element.
-    ///
     /// Unlike [`Injector::steal`], a lost race is absorbed *inside* the
     /// call: when residents were observed but concurrent claims drained
     /// the queue first, the attempt re-checks and retries rather than
@@ -216,6 +227,11 @@ impl Injector {
     /// misreported [`Steal::Retry`] that would read as "no work" to a
     /// backing-off balancer.  Callers that need the per-claim retry
     /// signal to re-evaluate a steal condition use [`Injector::steal`].
+    ///
+    /// The sink runs strictly outside the critical section: a caller whose
+    /// sink touches this (non-reentrant) injector again — re-enqueueing a
+    /// claimed element, say — must not deadlock, and rival claimants must
+    /// not wait on caller code.
     pub fn steal_batch(&self, max: usize, sink: impl FnMut(u64)) -> usize {
         self.steal_batch_with_probe(max, sink, || {})
     }
@@ -232,14 +248,32 @@ impl Injector {
     pub fn steal_batch_with_probe(
         &self,
         max: usize,
-        mut sink: impl FnMut(u64),
+        sink: impl FnMut(u64),
         probe: impl FnOnce(),
     ) -> usize {
+        let mut batch = Vec::new();
+        let claimed = self.claim_batch(max, &mut batch, probe);
+        batch.into_iter().for_each(sink);
+        claimed
+    }
+
+    /// [`Injector::steal_batch`] into the caller's buffer: the claimed
+    /// elements are appended to `out` in FIFO order.  This is the
+    /// balancer-facing form — a thief that found a victim's ring empty
+    /// moves a chunk of its overflow under one lock round-trip and one
+    /// counter update, into a buffer it reuses from one decision to the
+    /// next.
+    pub fn steal_batch_into(&self, max: usize, out: &mut Vec<u64>) -> usize {
+        self.claim_batch(max, out, || {})
+    }
+
+    /// The one batch claim behind [`Injector::steal_batch_into`] and
+    /// [`Injector::steal_batch_with_probe`].
+    fn claim_batch(&self, max: usize, out: &mut Vec<u64>, probe: impl FnOnce()) -> usize {
         if max == 0 {
             return 0;
         }
         let mut probe = Some(probe);
-        let mut batch = Vec::new();
         loop {
             if self.len.load(Ordering::Acquire) == 0 {
                 return 0;
@@ -248,26 +282,11 @@ impl Injector {
                 probe();
             }
             let mut chain = self.lock();
-            while batch.len() < max {
-                match chain.pop() {
-                    Some(value) => {
-                        self.len.fetch_sub(1, Ordering::Release);
-                        batch.push(value);
-                    }
-                    None => break,
-                }
-            }
-            drop(chain);
-            if !batch.is_empty() {
-                // The sink runs strictly outside the critical section: a
-                // caller whose sink touches this (non-reentrant) injector
-                // again — re-enqueueing a claimed element, say — must not
-                // deadlock, and rival claimants must not wait on caller
-                // code.
-                let claimed = batch.len();
-                for value in batch {
-                    sink(value);
-                }
+            let kept = out.len();
+            out.extend(std::iter::from_fn(|| chain.pop()).take(max));
+            let claimed = out.len() - kept;
+            if claimed > 0 {
+                self.len.fetch_sub(claimed as u64, Ordering::Release);
                 return claimed;
             }
             // Residents were observed but rivals drained them first: a

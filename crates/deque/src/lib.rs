@@ -127,8 +127,8 @@ use std::sync::Arc;
 const RESERVED_NONE: i64 = i64::MIN;
 
 /// Clears the batch reservation when dropped, so the bound is reset on
-/// *every* exit from [`Stealer::steal_many_with_probe`] — including an
-/// unwind out of the user-supplied probe or the batch allocation.  Owner
+/// *every* exit from a batch claim ([`Stealer::steal_many_into`]) — including
+/// an unwind out of the user-supplied probe or the buffer's growth.  Owner
 /// pops below a stale bound would otherwise back off forever.
 struct BatchReservation<'a> {
     reserved: &'a AtomicI64,
@@ -172,22 +172,28 @@ impl Inner {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Full(pub u64);
 
-/// Outcome of one [`Stealer::steal`] attempt.
+/// Outcome of one claim attempt: [`Stealer::steal`] and
+/// [`Injector::steal`] claim one element (`T = u64`),
+/// [`Stealer::steal_many`] a batch ([`StealMany`]), and
+/// [`Stealer::steal_many_into`] reports how many elements it appended to
+/// the caller's buffer (`T = usize`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Steal {
-    /// The deque had no elements to steal.
+pub enum Steal<T = u64> {
+    /// The deque had no elements to steal (or a batch of zero was asked
+    /// for — a zero-sized batch is claim-free by definition).
     Empty,
     /// The claiming CAS failed: a *concurrent* claim (another thief, or the
-    /// owner taking the last element) advanced `top` in between.  The
-    /// caller may retry against the fresh state.
+    /// owner taking the last element) advanced `top` in between.  Nothing
+    /// was claimed; the caller may retry against the fresh state.
     Retry,
-    /// Exactly this thief claimed the element.
-    Stolen(u64),
+    /// Exactly this thief claimed the element(s) — a batch oldest first,
+    /// with a single CAS on `top`.
+    Stolen(T),
 }
 
-impl Steal {
-    /// Returns the stolen element, if the attempt succeeded.
-    pub fn stolen(self) -> Option<u64> {
+impl<T> Steal<T> {
+    /// Returns what was stolen, if the attempt succeeded.
+    pub fn stolen(self) -> Option<T> {
         match self {
             Steal::Stolen(v) => Some(v),
             _ => None,
@@ -195,34 +201,15 @@ impl Steal {
     }
 }
 
-/// Outcome of one [`Stealer::steal_many`] attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StealMany {
-    /// The deque had no elements to steal (or `k` was zero — a zero-sized
-    /// batch is claim-free by definition).
-    Empty,
-    /// The claiming CAS failed: a concurrent claim advanced `top` in
-    /// between (P1, exactly as for [`Steal::Retry`]).  Nothing was claimed;
-    /// the values read are discarded together.
-    Retry,
-    /// Exactly this thief claimed these elements — oldest first — with a
-    /// single CAS on `top`.
-    Stolen(Vec<u64>),
-}
+/// Outcome of one [`Stealer::steal_many`] attempt: the claimed elements,
+/// oldest first.
+pub type StealMany = Steal<Vec<u64>>;
 
 impl StealMany {
-    /// Returns the stolen elements, if the attempt claimed any.
-    pub fn stolen(self) -> Option<Vec<u64>> {
-        match self {
-            StealMany::Stolen(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Number of elements claimed by this attempt.
     pub fn count(&self) -> usize {
         match self {
-            StealMany::Stolen(v) => v.len(),
+            Steal::Stolen(v) => v.len(),
             _ => 0,
         }
     }
@@ -429,16 +416,26 @@ impl Stealer {
 
     /// Attempts to claim up to `k` of the oldest elements with a **single**
     /// CAS on `top` — one acquisition amortized over the whole batch,
-    /// instead of one CAS race per element.
+    /// instead of one CAS race per element — appending them to `out`,
+    /// oldest first, and reporting how many.  `out` is the caller's to
+    /// reuse from one decision to the next: nothing is allocated here once
+    /// it has grown to the batch size, and whatever it held on entry is
+    /// left in place (a lost race appends nothing).
     ///
     /// The claim is protected against concurrent owner pops by the batch
     /// reservation described in the module docs; the per-slot reads happen
     /// before the CAS and are covered by the same overwrite-safety argument
     /// as the single-element steal.  `k == 0` returns
-    /// [`StealMany::Empty`] without touching the deque, and a contended
+    /// [`Steal::Empty`] without touching the deque, and a contended
     /// reservation falls back to the single-element path (claiming at most
-    /// one), so [`StealMany::Retry`] still means a concurrent claim
+    /// one), so [`Steal::Retry`] still means a concurrent claim
     /// advanced `top`.
+    pub fn steal_many_into(&self, k: usize, out: &mut Vec<u64>) -> Steal<usize> {
+        self.claim_many(k, out, || {})
+    }
+
+    /// [`Stealer::steal_many_into`] with a buffer of its own, for callers
+    /// that want the batch by value.
     pub fn steal_many(&self, k: usize) -> StealMany {
         self.steal_many_with_probe(k, || {})
     }
@@ -447,25 +444,39 @@ impl Stealer {
     /// the batched slot reads and the claiming CAS — the multi-claim
     /// window `sched-verify`'s batch lemmas force interleavings into.
     pub fn steal_many_with_probe(&self, k: usize, probe: impl FnOnce()) -> StealMany {
+        let mut values = Vec::new();
+        match self.claim_many(k, &mut values, probe) {
+            Steal::Stolen(_) => Steal::Stolen(values),
+            Steal::Empty => Steal::Empty,
+            Steal::Retry => Steal::Retry,
+        }
+    }
+
+    /// The one batch claim behind [`Stealer::steal_many_into`] and
+    /// [`Stealer::steal_many_with_probe`].
+    fn claim_many(&self, k: usize, out: &mut Vec<u64>, probe: impl FnOnce()) -> Steal<usize> {
         // A zero-sized batch claims nothing and must not touch the deque.
         if k == 0 {
-            return StealMany::Empty;
+            return Steal::Empty;
         }
-        let single = |outcome: Steal| match outcome {
-            Steal::Empty => StealMany::Empty,
-            Steal::Retry => StealMany::Retry,
-            Steal::Stolen(v) => StealMany::Stolen(vec![v]),
+        let single = |outcome: Steal, out: &mut Vec<u64>| match outcome {
+            Steal::Empty => Steal::Empty,
+            Steal::Retry => Steal::Retry,
+            Steal::Stolen(v) => {
+                out.push(v);
+                Steal::Stolen(1)
+            }
         };
         if k == 1 {
             // A batch of one is the plain CAS; no reservation needed.
-            return single(self.steal_with_probe(probe));
+            return single(self.steal_with_probe(probe), out);
         }
         let inner = &self.inner;
         let t = inner.top.load(Ordering::Acquire);
         fence(Ordering::SeqCst);
         let b = inner.bottom.load(Ordering::Acquire);
         if t >= b {
-            return StealMany::Empty;
+            return Steal::Empty;
         }
         let mut n = (b - t).min(i64::try_from(k).unwrap_or(i64::MAX));
         // Publish the reservation.  At most one batch claim is in flight
@@ -476,10 +487,10 @@ impl Stealer {
             .compare_exchange(RESERVED_NONE, t + n, Ordering::SeqCst, Ordering::SeqCst)
             .is_err()
         {
-            return single(self.steal_with_probe(probe));
+            return single(self.steal_with_probe(probe), out);
         }
         // Held from here to every exit — return, lost CAS, or an unwind
-        // out of the probe or the Vec allocation.  A leaked reservation
+        // out of the probe or the buffer's growth.  A leaked reservation
         // would pin owner pops below the stale bound in their back-off
         // loop forever, so clearing must not depend on reaching any
         // particular line below.
@@ -491,20 +502,20 @@ impl Stealer {
         fence(Ordering::SeqCst);
         let b2 = inner.bottom.load(Ordering::Acquire);
         if b2 <= t {
-            return StealMany::Empty;
+            return Steal::Empty;
         }
         n = n.min(b2 - t);
-        let mut values = Vec::with_capacity(usize::try_from(n).expect("positive batch"));
-        for i in 0..n {
-            values.push(inner.slots[((t + i) & inner.mask) as usize].load(Ordering::Relaxed));
-        }
+        let kept = out.len();
+        out.extend(
+            (t..t + n).map(|i| inner.slots[(i & inner.mask) as usize].load(Ordering::Relaxed)),
+        );
         probe();
-        let claimed =
-            inner.top.compare_exchange(t, t + n, Ordering::SeqCst, Ordering::Relaxed).is_ok();
-        if claimed {
-            StealMany::Stolen(values)
+        if inner.top.compare_exchange(t, t + n, Ordering::SeqCst, Ordering::Relaxed).is_ok() {
+            Steal::Stolen(usize::try_from(n).expect("positive batch"))
         } else {
-            StealMany::Retry
+            // The values read are discarded together.
+            out.truncate(kept);
+            Steal::Retry
         }
     }
 

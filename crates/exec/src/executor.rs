@@ -6,7 +6,9 @@
 //! [`DequeRq`] (Chase–Lev ring plus the shared overflow injector), and runs
 //! submitted jobs through exactly the machinery the rest of the repository
 //! verifies: wakeup placement via [`sched_core::ChoicePolicy::place_wakeup`],
-//! batched CAS stealing via [`DequeRq::try_steal_recorded`] with the same
+//! batched CAS stealing via [`DequeRq::try_steal_recorded`] — a decision
+//! claims half the imbalance it observed ([`StealBatch::HalfImbalance`]),
+//! the sizing rule `sched-verify` proves non-inverting — with the same
 //! [`StealRecorder`] program point the `stats == fold(trace)` parity proofs
 //! rely on, and per-decision tracing through [`sched_trace`].
 //!
@@ -21,8 +23,8 @@
 //!          ┌────────────────────────────────────────────────┐
 //!          ▼                                                │
 //!   run own core ──empty──▶ steal (searching++) ──stole──▶──┤
-//!   (current/ring/                  │                       │
-//!    injector)                   nothing                    │
+//!   (current/ring/                  │        (wake victim,  │
+//!    injector)                   nothing      next thief)   │
 //!          ▲                        ▼                       │
 //!          │              register on idle stack            │
 //!          │                        │                       │
@@ -90,24 +92,68 @@
 //! # Parking protocol
 //!
 //! Idle workers park on a per-worker token [`Parker`] and register on a
-//! shared [`IdleStack`] (last parked, first woken).  Producers wake the
-//! *specific* worker whose runqueue just received a task if it is parked;
-//! otherwise, if no worker is currently searching for work (the global
-//! `searching` counter), they pop one parked worker to go steal.  Bounding
-//! undirected wakeups by `searching == 0` is what prevents wakeup storms:
-//! one submission wakes at most one thief, and a thief that finds work
-//! will wake the next one through its own submissions' completions.  A
-//! short timed backstop on the park makes even a missed edge self-heal.
+//! shared [`IdleStack`] (last parked, first woken).  Whoever makes a queue
+//! *overloaded* — seats work on it that its worker may not know of — owes
+//! two wakes, and there are three such edges:
+//!
+//! 1. **A submission** wakes the *specific* worker whose runqueue just
+//!    received the task if it is parked; otherwise, if no worker is
+//!    currently searching for work (the global `searching` counter), it
+//!    pops one parked worker to go steal.
+//! 2. **A thief that hands losers back.**  A steal decision claims a batch
+//!    — half the imbalance — and what the delivery's re-check will not let
+//!    the thief keep goes back to the *victim's* injector.  The victim's
+//!    worker may have run dry and parked while the thief held those words:
+//!    the thief wakes it, directed, exactly as a submission to that queue
+//!    would.  Without this edge the losers wait for the sleeper's backstop.
+//! 3. **A thief that seats a batch.**  Two tasks or more on the thief's own
+//!    queue make *it* the overloaded core.  No submission follows a steal,
+//!    so the thief itself pops one parked worker, under the same
+//!    `searching == 0` bound, and that one — stealing half of a half — the
+//!    next.  Without this edge a third and a fourth worker learn of a batch
+//!    from their backstops.
+//!
+//! Bounding undirected wakeups by `searching == 0` is what prevents wakeup
+//! storms: one submission, or one successful steal decision, wakes at most
+//! one thief.  A short timed backstop on the park makes even a missed edge
+//! self-heal — and [`ExecReport::backstop_rescues`] and
+//! [`ExecReport::backstop_steals`] count how often it had to.
+//!
+//! **A futile wake buys a rest.**  A worker that a token woke, that found
+//! its own queue empty and then nothing to steal either, was woken for work
+//! that was gone before it arrived — and whoever woke it paid a system call
+//! for that.  It registers as *resting* for `FUTILE_WAKE_REST_NS`: undirected
+//! wakes pass it over until then; a wake aimed at its own queue does not.
+//! This is what batched steals need to be worth having under a producer of
+//! tiny jobs.  One-task steals kept a thief busy (and its victim slowed
+//! down) for as long as two jobs were queued anywhere; a thief that takes
+//! half a queue at once lets the victim's worker keep up with the producer,
+//! finds nothing on its next visit, parks — and the next submission onto
+//! the busy core woke it again, ten times in a burst of 250 empty closures,
+//! each time on the producer's bill: the benchmark's pinned warm-up ran a
+//! third slower for it.  The cost is bounded like every undirected edge's:
+//! work that turns up during the rest is announced by the first submission
+//! or batch after it, or found by the backstop.
 //!
 //! Two ordering arguments keep the lock-free fast paths from losing a
 //! wakeup; both are the same store → fence → load pair on each side.
 //!
-//! 1. **Producer vs parking worker.**  The worker registers, *then*
-//!    re-checks its queue; the producer enqueues, *then* reads the
-//!    published count of registered workers and takes the idle stack's
-//!    lock only when it is non-zero.  `SeqCst` fences between the two
-//!    steps on both sides guarantee that the worker sees the task or the
-//!    producer sees the registration (spelled out in [`crate::parker`]).
+//! 1. **Whoever seats work vs the parking worker.**  The worker registers,
+//!    *then* re-checks its queue — ring, running slot and injector; the
+//!    producer enqueues, *then* reads the published count of registered
+//!    workers and takes the idle stack's lock only when it is non-zero.
+//!    `SeqCst` fences between the two steps on both sides guarantee that
+//!    the worker sees the task or the producer sees the registration
+//!    (spelled out in [`crate::parker`]).  Edges 2 and 3 are the same
+//!    pair with the thief as the producer (`Shared::notify_after_steal`):
+//!    its stores are the injector push that returns the losers and the
+//!    owner-side push that seats its share, both before its fence; the
+//!    victim's re-check reads the injector's length after its own.  For
+//!    the directed wakes (edge 1's first half, edge 2) that is a guarantee:
+//!    a worker never sleeps on its own work.  For the undirected ones it
+//!    covers the workers registered by then; one that registers a moment
+//!    later re-checks only its own queue, and the backstop is what bounds
+//!    its wait.
 //! 2. **Completer vs `drain` / `shutdown`.**  The waiter raises its flag,
 //!    *then* sums the counters and blocks if jobs are in flight; a
 //!    completer bumps its `completed` count, *then* reads the flags and,
@@ -141,6 +187,11 @@ use crate::parker::{IdleStack, Parker};
 /// instead of a hang.
 const PARK_BACKSTOP: Duration = Duration::from_millis(2);
 
+/// How long a worker whose undirected wakeup found nothing stays out of
+/// reach of the next one, in nanoseconds — a few wake round trips (see "A
+/// futile wake buys a rest" in the module docs).
+const FUTILE_WAKE_REST_NS: u64 = 100_000;
+
 /// Low bits of a slab shard's job word that hold the slot index; the bits
 /// above hold the slot's generation.  A shard therefore holds at most 2^24
 /// jobs in flight from one submitter.
@@ -149,9 +200,11 @@ const SLOT_BITS: u32 = 24;
 /// Task ids must stay below this to fit the runqueue's packed word.
 const ID_LIMIT: u64 = 1 << 55;
 
-/// Claim size of one steal decision.  Sized in the selection phase from the
-/// thief's and the victim's snapshots, like every [`StealBatch`].
-const STEAL_BATCH: StealBatch = StealBatch::One;
+/// Claim size of one steal decision: half the imbalance the thief observed,
+/// the rule `sched-verify` proves non-inverting.  Sized in the selection
+/// phase from the thief's and the victim's snapshots, like every
+/// [`StealBatch`]; the runqueue caps it at the live counters when it claims.
+const STEAL_BATCH: StealBatch = StealBatch::HalfImbalance;
 
 /// How the executor is built: machine shape, policy, and knobs.
 #[derive(Debug)]
@@ -170,8 +223,8 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// A configuration with the default ring capacity, one-task steals and
-    /// no tracing.
+    /// A configuration with the default ring capacity and no tracing.  (A
+    /// steal moves half the imbalance; that is not a knob.)
     pub fn new(topo: Arc<MachineTopology>, policy: Policy) -> Self {
         ExecConfig { topo, policy, ring_capacity: 1024, trace: TraceSink::disabled() }
     }
@@ -269,13 +322,18 @@ impl JobSlab {
 }
 
 /// One submitter's share of the executor's counters.  A worker's cell is
-/// written by that worker alone (`submitted` as a producer, the other two
-/// as the runner), the last cell by every thread outside the executor.
+/// written by that worker alone (`submitted` as a producer, the others as
+/// the runner), the last cell by every thread outside the executor.
 #[derive(Debug, Default)]
 struct Counters {
     submitted: AtomicU64,
     completed: AtomicU64,
     panicked: AtomicU64,
+    /// Parks of this worker that only the backstop ended, with work on its
+    /// own queue ([`ExecReport::backstop_rescues`]) …
+    backstop_rescues: AtomicU64,
+    /// … or with work to steal ([`ExecReport::backstop_steals`]).
+    backstop_steals: AtomicU64,
 }
 
 /// `counter += 1` for a counter only the calling thread writes: a load and
@@ -414,10 +472,16 @@ struct Shared {
 }
 
 impl Shared {
+    /// Wall time in nanoseconds since `start`.  The logical clock stands
+    /// still while nothing runs; what must expire on its own reads this.
+    fn wall_ns(&self) -> u64 {
+        self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+    }
+
     /// Advances the logical clock to wall time and publishes it to the
     /// trace, so events across workers are stamped on one timeline.
     fn advance_clock(&self) -> u64 {
-        let now = self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let now = self.wall_ns();
         self.clock.fetch_max(now, Ordering::AcqRel);
         self.trace.set_now(now);
         now
@@ -474,9 +538,39 @@ impl Shared {
             return;
         }
         if self.searching.0.load(Ordering::Acquire) == 0 {
-            if let Some(worker) = self.idle.pop_any() {
-                self.parkers[worker].unpark();
-            }
+            self.wake_a_thief();
+        }
+    }
+
+    /// The undirected wake: the most recently parked worker that is not
+    /// resting after a futile one.  Callers have found `searching == 0`.
+    fn wake_a_thief(&self) {
+        if let Some(worker) = self.idle.pop_any(self.wall_ns()) {
+            self.parkers[worker].unpark();
+        }
+    }
+
+    /// The two wake edges a successful steal owes (edges 2 and 3 of the
+    /// module docs' parking protocol), called by the thief once its
+    /// `searching` count is down again.  A batch can leave *two* queues
+    /// with more than their workers know of: the victim's, when the
+    /// delivery handed losers back to its injector after its worker ran dry
+    /// and parked, and the thief's own, which now holds `seated` tasks for
+    /// one worker.  The first gets the directed wake a submission would,
+    /// the second — from two tasks up — the one undirected wake a
+    /// submission would, under the same `searching == 0` storm bound.  Like
+    /// [`Shared::notify`] it runs *after* the stores it announces and costs
+    /// one fence and one load while nobody is parked.
+    fn notify_after_steal(&self, victim: usize, seated: usize) {
+        fence(Ordering::SeqCst);
+        if !self.idle.any_parked() {
+            return;
+        }
+        if self.cores[victim].injected_len() > 0 && self.idle.pop_specific(victim) {
+            self.parkers[victim].unpark();
+        }
+        if seated >= 2 && self.searching.0.load(Ordering::Acquire) == 0 {
+            self.wake_a_thief();
         }
     }
 
@@ -556,7 +650,7 @@ impl Shared {
         );
         SNAPSHOTS.set(candidates);
         let recorder = |level| {
-            StealRecorder::new(&self.stats, level).with_trace(&self.trace, thief, self.now_ns())
+            StealRecorder::new(&self.stats, level).with_trace(&self.trace, thief, &self.clock)
         };
         let Some(victim) = victim else {
             recorder(None).record_attempt(&StealOutcome::NoCandidates, 1);
@@ -616,13 +710,18 @@ impl Shared {
         WORKER.set(Some(WorkerTag { executor: self.id, index: me }));
         let rq = &self.cores[me];
         self.advance_clock();
+        // How the last park ended: on its backstop, with no wake edge having
+        // reached this worker and its own queue empty — or on a token.
+        let (mut by_backstop, mut by_token) = (false, false);
         loop {
             rq.refresh();
             // Run everything reachable from the own core: the seated task
             // (a wakeup may have claimed the idle core directly), then
             // ring and injector via `pick_next`.  Each task advances the
             // clock as it completes.
+            let mut idle = true;
             while let Some(task) = rq.current_task().or_else(|| rq.pick_next()) {
+                idle = false;
                 self.execute(task, me);
             }
             // Own sources empty: go stealing.  The `searching` counter is
@@ -631,6 +730,18 @@ impl Shared {
             self.searching.0.fetch_add(1, Ordering::AcqRel);
             let outcome = self.balance_once(CoreId(me));
             self.searching.0.fetch_sub(1, Ordering::AcqRel);
+            if let StealOutcome::Stole { victim, tasks } = &outcome {
+                if by_backstop {
+                    bump_own(&self.counters[me].0.backstop_steals);
+                }
+                self.notify_after_steal(victim.0, tasks.len());
+            }
+            // Woken, and there was nothing on the own queue and nothing to
+            // steal: the wake was an undirected one that came to nothing,
+            // and whoever sent it paid for it.  Sit the next ones out.
+            let futile = by_token && idle && !outcome.is_success();
+            let rests_until = if futile { self.wall_ns() + FUTILE_WAKE_REST_NS } else { 0 };
+            (by_backstop, by_token) = (false, false);
             if outcome.is_success() {
                 continue;
             }
@@ -639,8 +750,9 @@ impl Shared {
             }
             // Register → re-check → block.  A producer enqueueing after
             // the re-check sees the registration and deposits the token.
-            self.idle.push(me);
-            if !rq.snapshot().is_idle() || rq.injected_len() > 0 || self.should_exit() {
+            self.idle.push(me, rests_until);
+            let has_work = || !rq.snapshot().is_idle() || rq.injected_len() > 0;
+            if has_work() || self.should_exit() {
                 if !self.idle.remove(me) {
                     // A producer popped us concurrently and deposited a
                     // token; consume it so it cannot ghost-wake a later
@@ -650,16 +762,25 @@ impl Shared {
                 continue;
             }
             self.trace.record(CoreId(me), self.now_ns(), &TraceEvent::Park);
-            let woken = self.parkers[me].park_timeout(PARK_BACKSTOP);
+            by_token = self.parkers[me].park_timeout(PARK_BACKSTOP);
+            // Work on the own queue of a worker that is still registered
+            // and holds no token: whoever seated it is yet to pop this
+            // worker — a matter of nanoseconds — or never will.
+            let sat_on_work = !by_token && has_work();
             // Leave the stack whatever ended the park.  A token does not
             // prove a producer popped us: shutdown unparks every worker
             // without touching the stack, and a token can land after the
             // zero-length park that was meant to eat it.
-            if !self.idle.remove(me) && !woken {
+            let registered = self.idle.remove(me);
+            if !registered && !by_token {
                 // Timed out, but a producer popped us in the window before
                 // the deregistration — its token is deposited; eat it.
                 self.parkers[me].park_timeout(Duration::ZERO);
             }
+            if registered && sat_on_work {
+                bump_own(&self.counters[me].0.backstop_rescues);
+            }
+            by_backstop = registered && !by_token && !sat_on_work;
             let now = self.advance_clock();
             self.trace.record(CoreId(me), now, &TraceEvent::Unpark);
         }
@@ -678,6 +799,23 @@ pub struct ExecReport {
     /// The balancing counters of the run (steals, failures, migrations,
     /// per-level attribution) — fold the drained trace to reproduce them.
     pub stats: BalanceStats,
+    /// Lost directed wakes, healed by the backstop: parks that ran into
+    /// the 2 ms park backstop with the worker still registered — nobody had
+    /// popped it — although work sat **on its own queue**.  Every path
+    /// that seats work on a queue wakes that queue's worker if it sleeps
+    /// (a submission, a thief handing losers back), so this stays at zero
+    /// but for a timeout that lands in the nanoseconds between a seat and
+    /// its wake.
+    pub backstop_rescues: u64,
+    /// Parks only the backstop ended, with the own queue empty, whose
+    /// first steal decision then moved tasks: another queue was overloaded
+    /// and no wake had reached this worker for it.  Undirected wakes are
+    /// bounded on purpose (one per submission or per seated batch, none
+    /// while a thief is out searching), so this is not zero on a busy
+    /// machine with more workers than it needs; it is how often the
+    /// backstop, not an edge, ended a core's idling next to an overloaded
+    /// one.
+    pub backstop_steals: u64,
 }
 
 /// The work-stealing executor (see the module docs).
@@ -808,10 +946,15 @@ impl Executor {
         drop(self);
         let stats = BalanceStats::new();
         stats.merge_from(&shared.stats);
+        let sum = |counter: fn(&Counters) -> &AtomicU64| {
+            shared.counters.iter().map(|c| counter(&c.0).load(Ordering::Relaxed)).sum()
+        };
         ExecReport {
             completed: shared.completed(),
-            panicked: shared.counters.iter().map(|c| c.0.panicked.load(Ordering::Relaxed)).sum(),
+            panicked: sum(|c| &c.panicked),
             stats,
+            backstop_rescues: sum(|c| &c.backstop_rescues),
+            backstop_steals: sum(|c| &c.backstop_steals),
         }
     }
 }
@@ -860,12 +1003,12 @@ impl std::fmt::Debug for Executor {
 mod tests {
     use super::*;
     use crate::openloop::{drive, spin_for, OpenLoopSpec, ServiceMix};
-    use sched_core::policy::TopologyAwareChoice;
-    use sched_core::ChoicePolicy;
+    use sched_core::policy::{DeltaFilter, TopologyAwareChoice};
     use sched_core::LoadMetric;
+    use sched_core::{ChoicePolicy, FilterPolicy};
     use sched_topology::TopologyBuilder;
     use sched_trace::sanity::{SanityChecker, SanityKind};
-    use sched_trace::FoldedStats;
+    use sched_trace::{FoldedStats, Trace};
     use std::collections::HashSet;
     use std::sync::mpsc;
 
@@ -996,12 +1139,25 @@ mod tests {
         exec.shutdown();
     }
 
+    /// Every steal decision the workers make is recorded through the same
+    /// `StealRecorder` program point the counters move through, so folding
+    /// the drained trace reproduces the stats exactly — on real OS threads,
+    /// not a simulator.
+    fn assert_stats_equal_folded_trace(report: &ExecReport, trace: &Trace) {
+        assert_eq!(trace.dropped, 0, "size the rings so the parity check sees everything");
+        let folded = FoldedStats::from_trace(trace);
+        assert_eq!(folded.successes, report.stats.successes());
+        assert_eq!(folded.recheck_failures, report.stats.recheck_failures());
+        assert_eq!(folded.nothing_to_steal, report.stats.nothing_to_steal());
+        assert_eq!(folded.no_candidates, report.stats.no_candidates());
+        assert_eq!(folded.migrations, report.stats.migrations());
+        assert_eq!(folded.level_migrations, report.stats.level_migration_counts());
+    }
+
     #[test]
     fn stats_equal_folded_trace() {
-        // The executor parity leg: every steal decision the workers make
-        // is recorded through the same StealRecorder program point the
-        // counters move through, so folding the drained trace reproduces
-        // the stats exactly — on real OS threads, not a simulator.
+        // The executor parity leg, on an open loop whose steals move a task
+        // or two…
         let sink = TraceSink::with_capacity(4, 1 << 16);
         let exec = start(sink.clone());
         let spec = OpenLoopSpec {
@@ -1013,15 +1169,34 @@ mod tests {
         drive(&exec, spec);
         exec.drain();
         let report = exec.shutdown();
-        let trace = sink.drain();
-        assert_eq!(trace.dropped, 0, "size the rings so the parity check sees everything");
-        let folded = FoldedStats::from_trace(&trace);
-        assert_eq!(folded.successes, report.stats.successes());
-        assert_eq!(folded.recheck_failures, report.stats.recheck_failures());
-        assert_eq!(folded.nothing_to_steal, report.stats.nothing_to_steal());
-        assert_eq!(folded.no_candidates, report.stats.no_candidates());
-        assert_eq!(folded.migrations, report.stats.migrations());
-        assert_eq!(folded.level_migrations, report.stats.level_migration_counts());
+        assert_stats_equal_folded_trace(&report, &sink.drain());
+
+        // …and on pinned bursts, where they move batches: every burst is
+        // queued up before anybody touches it and overflows core 0's ring,
+        // so the thief claims from the ring and from the injector; and it
+        // dawdles over each claim while the victim runs its closures, so
+        // what it observed is stale when it claims and some of it goes back.
+        // Batches, trims and injector claims all pass the one program point
+        // (`check` compares the counters, the per-level counts and the
+        // injector population with the trace).
+        let shape = PinnedBursts {
+            workers: 2,
+            bursts: 6,
+            burst: 1500,
+            service_ns: 3_000,
+            held: true,
+            dawdling: true,
+        };
+        let run = shape.run();
+        run.check();
+        let seen =
+            |wanted: fn(&TraceEvent) -> bool| run.trace.events.iter().any(|e| wanted(&e.event));
+        assert!(seen(|e| matches!(e, TraceEvent::BatchTrim { .. })), "no delivery was trimmed");
+        assert!(
+            seen(|e| matches!(e, TraceEvent::InjectorDrain { .. })),
+            "nothing left an injector"
+        );
+        assert!(run.batch_size() > 4.0, "the batches were batches: {:?}", run.report.stats);
     }
 
     #[test]
@@ -1544,6 +1719,466 @@ mod tests {
         shutdown_shared(exec);
     }
 
+    // ---- batched steals and their wake edges ----
+
+    /// `TopologyAwareChoice` for stealing, but every wakeup placed on core
+    /// 0 — the paper's overloaded core: the other workers get work only by
+    /// stealing it.
+    struct PinnedToCore0(TopologyAwareChoice);
+
+    impl ChoicePolicy for PinnedToCore0 {
+        fn choose(&self, thief: &CoreSnapshot, candidates: &[CoreSnapshot]) -> Option<CoreId> {
+            self.0.choose(thief, candidates)
+        }
+
+        fn observe(&self, thief: CoreId, victim: CoreId, success: bool) {
+            self.0.observe(thief, victim, success);
+        }
+
+        fn place_wakeup(&self, _prev: CoreId, _candidates: &[CoreSnapshot]) -> Option<CoreId> {
+            Some(CoreId(0))
+        }
+
+        fn name(&self) -> &'static str {
+            "pinned-to-core-0"
+        }
+    }
+
+    /// Listing 1's filter behind a switch — while it is closed nobody steals
+    /// — and, asked to, a thief's bad luck: the filter runs between a
+    /// thief's reading of the counters and its claim, and a dawdling one
+    /// sits on every approval until a few more closures have completed
+    /// somewhere (or a backstop's time has passed).  What the thief
+    /// observed is stale by the time it claims, on any box and in any
+    /// build.
+    struct GatedFilter {
+        open: Arc<AtomicBool>,
+        dawdle_over: Option<Arc<AtomicU64>>,
+        inner: DeltaFilter,
+    }
+
+    impl FilterPolicy for GatedFilter {
+        fn can_steal(&self, thief: &CoreSnapshot, victim: &CoreSnapshot) -> bool {
+            if !self.open.load(Ordering::Acquire) || !self.inner.can_steal(thief, victim) {
+                return false;
+            }
+            if let Some(completed) = &self.dawdle_over {
+                let (seen, since) = (completed.load(Ordering::Relaxed), Instant::now());
+                while completed.load(Ordering::Relaxed) < seen + 4
+                    && since.elapsed() < PARK_BACKSTOP
+                {
+                    std::hint::spin_loop();
+                }
+            }
+            true
+        }
+
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+    }
+
+    /// An executor of `workers` whose every submission lands on core 0.
+    fn start_pinned(
+        workers: usize,
+        ring: usize,
+        trace: TraceSink,
+        open: Arc<AtomicBool>,
+        dawdle_over: Option<Arc<AtomicU64>>,
+    ) -> Executor {
+        let topo = Arc::new(TopologyBuilder::new().sockets(1).cores_per_socket(workers).build());
+        let mut policy = Policy::simple().with_choice(Box::new(PinnedToCore0(
+            TopologyAwareChoice::new(Arc::clone(&topo), LoadMetric::NrThreads),
+        )));
+        policy.filter = Box::new(GatedFilter { open, dawdle_over, inner: DeltaFilter::listing1() });
+        Executor::start(ExecConfig::new(topo, policy).with_ring_capacity(ring).with_trace(trace))
+    }
+
+    /// Spins until `workers` of `exec`'s workers are registered as parked.
+    fn wait_until_parked(exec: &Executor, workers: usize) {
+        while exec.shared.idle.len() < workers {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A closed loop of bursts, all of them placed on core 0 and joined
+    /// before the next one starts: thieves empty core 0's queue in batches
+    /// while its worker runs on.
+    #[derive(Debug, Clone, Copy)]
+    struct PinnedBursts {
+        workers: usize,
+        bursts: usize,
+        burst: usize,
+        service_ns: u64,
+        /// Queue each burst up before anybody runs or steals it: core 0's
+        /// worker is held and stealing is closed while all but the last
+        /// closure are submitted, so the other workers are parked when the
+        /// last submission wakes one of them, to a full queue.
+        held: bool,
+        /// Thieves dawdle between observing and claiming (see
+        /// [`GatedFilter`]).
+        dawdling: bool,
+    }
+
+    /// What one [`PinnedBursts`] run left behind.
+    struct PinnedRun {
+        shape: PinnedBursts,
+        report: ExecReport,
+        trace: Trace,
+        /// The trace clock as each burst started, then `u64::MAX`.
+        started: Vec<u64>,
+    }
+
+    impl PinnedBursts {
+        fn tasks(&self) -> u64 {
+            (self.bursts * self.burst) as u64
+        }
+
+        fn run(self) -> PinnedRun {
+            // Wake, placement, overflow, injector exit, migration, done: a
+            // task leaves at most six events on one ring.
+            let sink = TraceSink::with_capacity(
+                self.workers,
+                (8 * self.tasks() as usize).next_power_of_two().max(1 << 12),
+            );
+            let open = Arc::new(AtomicBool::new(true));
+            let completed = Arc::new(AtomicU64::new(0));
+            let exec = Arc::new(start_pinned(
+                self.workers,
+                1024,
+                sink.clone(),
+                Arc::clone(&open),
+                self.dawdling.then(|| Arc::clone(&completed)),
+            ));
+            let ran: Arc<Vec<AtomicU64>> =
+                Arc::new((0..self.burst).map(|_| AtomicU64::new(0)).collect());
+            let submit = {
+                let (exec, ran) = (Arc::downgrade(&exec), Arc::clone(&ran));
+                move |i: usize| {
+                    let (ran, completed) = (Arc::clone(&ran), Arc::clone(&completed));
+                    exec.upgrade().expect("the run holds its executor").spawn(move || {
+                        if self.service_ns > 0 {
+                            spin_for(self.service_ns);
+                        }
+                        ran[i].fetch_add(1, Ordering::Relaxed);
+                        completed.fetch_add(1, Ordering::Relaxed);
+                    })
+                }
+            };
+            let mut started = Vec::new();
+            for _ in 0..self.bursts {
+                exec.drain();
+                started.push(exec.shared.advance_clock());
+                if !self.held {
+                    let handles: Vec<JoinHandle<()>> = (0..self.burst).map(&submit).collect();
+                    handles.into_iter().for_each(JoinHandle::join);
+                    continue;
+                }
+                open.store(false, Ordering::Release);
+                // The job that holds core 0's worker also ends the hold, on
+                // that worker: it opens the filter, makes the last
+                // submission — the one that wakes a thief — and returns
+                // into the queue.  Nothing then waits for this thread,
+                // which the woken thief may well have pushed off its CPU.
+                let (release, held) = mpsc::channel::<()>();
+                let gate = exec.spawn({
+                    let (open, submit) = (Arc::clone(&open), submit.clone());
+                    move || {
+                        held.recv().expect("the run releases the gate");
+                        open.store(true, Ordering::Release);
+                        submit(0)
+                    }
+                });
+                let handles: Vec<JoinHandle<()>> = (1..self.burst).map(&submit).collect();
+                // Each submission woke a thief; each was refused and went
+                // back to sleep, and is sitting its futile wake out.
+                wait_until_parked(&exec, self.workers - 1);
+                std::thread::sleep(Duration::from_nanos(2 * FUTILE_WAKE_REST_NS));
+                release.send(()).expect("the gate job is waiting");
+                gate.join().join();
+                handles.into_iter().for_each(JoinHandle::join);
+            }
+            started.push(u64::MAX);
+            drop(submit);
+            let report = shutdown_shared(exec);
+            let bursts = self.bursts as u64;
+            assert!(
+                ran.iter().all(|n| n.load(Ordering::Relaxed) == bursts),
+                "a closure did not run exactly once per burst: {ran:?}"
+            );
+            PinnedRun { shape: self, report, trace: sink.drain(), started }
+        }
+    }
+
+    impl PinnedRun {
+        /// What holds of every pinned-burst run, read from its report and
+        /// its trace.
+        fn check(&self) {
+            let (trace, workers) = (&self.trace, self.shape.workers);
+            let gates = if self.shape.held { self.shape.bursts as u64 } else { 0 };
+            assert_eq!(self.report.completed, self.shape.tasks() + gates);
+            assert_stats_equal_folded_trace(&self.report, trace);
+            assert_eq!(self.report.backstop_rescues, 0, "a worker slept on its own work");
+
+            // Every injector's population, from the trace alone: what
+            // overflowed into it or was trimmed back into it left it again.
+            for core in 0..workers {
+                let resident: i64 = trace
+                    .for_core(CoreId(core))
+                    .map(|e| match e.event {
+                        TraceEvent::InjectorPush { .. } => 1,
+                        TraceEvent::BatchTrim { returned } => returned as i64,
+                        TraceEvent::InjectorDrain { moved } => -(moved as i64),
+                        _ => 0,
+                    })
+                    .sum();
+                assert_eq!(resident, 0, "core {core}'s injector, as the trace tells it");
+            }
+
+            // Conservation only, for the reason `slab_conserves_tasks` gives.
+            let lost_or_duplicated: Vec<_> =
+                SanityChecker::check_trace(trace, false, Some(&vec![0; workers]))
+                    .into_iter()
+                    .filter(|v| matches!(v.kind, SanityKind::TaskLost | SanityKind::TaskDuplicated))
+                    .collect();
+            assert!(lost_or_duplicated.is_empty(), "{lost_or_duplicated:?}");
+
+            // The hole batches open (wake edge 2): a thief holds the words
+            // it claimed, their owner runs dry and parks, and the losers
+            // come back to the sleeper's injector.  Whoever trimmed them
+            // back wakes it, so its `Unpark` follows well inside the
+            // backstop — on a loaded box now and then late, but by the
+            // backstop it would be late every other time.
+            let mut lags = Vec::new();
+            for core in 0..workers {
+                let (mut parked, mut trimmed_at) = (false, None);
+                for e in trace.for_core(CoreId(core)) {
+                    match e.event {
+                        TraceEvent::Park => parked = true,
+                        TraceEvent::BatchTrim { .. } if parked => {
+                            trimmed_at.get_or_insert(e.ts);
+                        }
+                        TraceEvent::Unpark => {
+                            parked = false;
+                            lags.extend(trimmed_at.take().map(|at| e.ts.saturating_sub(at)));
+                        }
+                        _ => {}
+                    }
+                }
+                assert_eq!(trimmed_at, None, "core {core} slept on with losers in its injector");
+            }
+            let late = lags.iter().filter(|&&lag| u128::from(lag) * 2 >= PARK_BACKSTOP.as_nanos());
+            assert!(late.count() <= 1 + lags.len() / 4, "sleeping victims woke late: {lags:?} ns");
+        }
+
+        /// Tasks moved per successful steal decision.
+        fn batch_size(&self) -> f64 {
+            self.report.stats.migrations() as f64 / self.report.stats.successes().max(1) as f64
+        }
+    }
+
+    /// Satellite 1, as the benchmark's warm-up meets it: bursts of 250
+    /// empty closures on core 0, run as they arrive.  A thief that trims
+    /// losers back to a victim gone to sleep must wake it (`check` reads
+    /// that off the trace and the rescue counter).
+    #[test]
+    fn a_trimmed_loser_parked_in_a_sleeping_victims_injector_runs_without_the_backstop() {
+        let shape = PinnedBursts {
+            workers: 4,
+            bursts: 40,
+            burst: 250,
+            service_ns: 0,
+            held: false,
+            dawdling: false,
+        };
+        shape.run().check();
+    }
+
+    /// The same hole, built by hand so that it opens every round: core 0's
+    /// worker is asleep, and words arrive on its queue and in its injector
+    /// that no submission announced — what a trimmed batch leaves behind.
+    /// The thief's directed wake must start the sleeper; without it every
+    /// round ends on the backstop.
+    #[test]
+    fn a_thief_that_hands_losers_back_wakes_the_sleeping_victim() {
+        let rounds = 40;
+        let exec =
+            start_pinned(2, 1, TraceSink::disabled(), Arc::new(AtomicBool::new(false)), None);
+        let shared = &exec.shared;
+        let ran = Arc::new(AtomicU64::new(0));
+        for _ in 0..rounds {
+            wait_until_parked(&exec, 2);
+            // One word runs, one waits in the ring, one in the injector.
+            for _ in 0..3 {
+                let ran = Arc::clone(&ran);
+                let id = shared.jobs.insert(
+                    2,
+                    Box::new(move || {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                        false
+                    }),
+                );
+                shared.counters[2].0.submitted.fetch_add(1, Ordering::Relaxed);
+                shared.cores[0].enqueue(RqTask::new(id));
+            }
+            assert_eq!(shared.cores[0].injected_len(), 1);
+            shared.notify_after_steal(0, 1);
+            exec.drain();
+        }
+        let report = exec.shutdown();
+        assert_eq!(ran.load(Ordering::Relaxed), 3 * rounds);
+        // The sleeper's backstop may fire just before the wake does.
+        assert!(
+            report.backstop_rescues <= 2,
+            "{} of {rounds} rounds ended on the backstop",
+            report.backstop_rescues
+        );
+    }
+
+    /// Satellite 3, wake edge 3: 2048 × 20 µs closures queue on core 0
+    /// with the other three workers parked.  The thief the last submission
+    /// wakes seats a thousand tasks on its own queue and no submission
+    /// follows: it has to wake the next thief itself, and that one the
+    /// third.
+    #[test]
+    fn a_thief_that_seats_a_batch_wakes_the_next_thief() {
+        let shape = PinnedBursts {
+            workers: 4,
+            bursts: 8,
+            burst: 2048,
+            service_ns: 20_000,
+            held: true,
+            dawdling: false,
+        };
+        let run = shape.run();
+        run.check();
+        let (trace, rounds) = (&run.trace, shape.bursts as u64);
+
+        // From the trace: once the first task has migrated, every core runs
+        // tasks within one backstop (one round may have a hiccup) — where
+        // every thread has a CPU.  With fewer, the operating system decides
+        // when a woken worker runs, and takes its time.
+        let on_time = run
+            .started
+            .windows(2)
+            .filter(|round| {
+                let mut events =
+                    trace.events.iter().filter(|e| (round[0]..round[1]).contains(&e.ts)).peekable();
+                while events.next_if(|e| !matches!(e.event, TraceEvent::Migration { .. })).is_some()
+                {
+                }
+                let first_migration = events.peek().expect("every round migrates tasks").ts;
+                let mut first_done = [None; 4];
+                for e in events {
+                    if matches!(e.event, TraceEvent::TaskDone { .. }) {
+                        first_done[e.core.0].get_or_insert(e.ts);
+                    }
+                }
+                first_done.iter().all(|done| {
+                    done.is_some_and(|at| {
+                        u128::from(at - first_migration) <= PARK_BACKSTOP.as_nanos()
+                    })
+                })
+            })
+            .count() as u64;
+        if std::thread::available_parallelism().is_ok_and(|cpus| cpus.get() > shape.workers) {
+            assert!(
+                on_time + 1 >= rounds,
+                "four cores ran within the backstop in {on_time} rounds"
+            );
+        }
+
+        // Without the thief's wake the second and the third thief of every
+        // round come by their backstops — two such parks a round.  With it
+        // there is what a busy box leaves: a worker with a queue that is
+        // off its CPU for a backstop's time gets robbed by a sleeper.
+        let by_backstop = run.report.backstop_steals;
+        assert!(
+            4 * by_backstop <= 5 * rounds,
+            "{by_backstop} parks in {rounds} rounds ended on the backstop with work to steal"
+        );
+
+        // And the paper's invariant, as the checker reads it off the trace:
+        // no core idles next to an overloaded one for longer than that.
+        for window in SanityChecker::check_trace(trace, false, Some(&[0; 4]))
+            .iter()
+            .filter(|v| v.kind == SanityKind::IdleWhileOverloaded)
+        {
+            let lasted = trace.events[window.last_event].ts - trace.events[window.first_event].ts;
+            assert!(u128::from(lasted) <= PARK_BACKSTOP.as_nanos(), "{window}");
+        }
+    }
+
+    /// The producer of tiny jobs must not pay for a thief's every visit: a
+    /// worker whose undirected wake found nothing sits the next ones out
+    /// for `FUTILE_WAKE_REST_NS`.  Core 0's worker is held and nobody may
+    /// steal, so every wake of another worker is futile; each of the three
+    /// takes one per rest (and looks in on its backstop), however many
+    /// submissions land on the busy core meanwhile.
+    #[test]
+    fn a_worker_whose_undirected_wake_found_nothing_sits_the_next_ones_out() {
+        let open = Arc::new(AtomicBool::new(false));
+        let exec = start_pinned(4, 4096, TraceSink::disabled(), Arc::clone(&open), None);
+        wait_until_parked(&exec, 4);
+        let (release, held) = mpsc::channel::<()>();
+        let (running, gate_runs) = mpsc::channel::<()>();
+        let gate = exec.spawn(move || {
+            running.send(()).expect("the test waits for the gate");
+            held.recv().expect("the test releases the gate")
+        });
+        gate_runs.recv().expect("the gate job starts");
+        let before = exec.stats().no_candidates();
+        let began = Instant::now();
+        let handles: Vec<JoinHandle<()>> = (0..3000).map(|_| exec.spawn(|| ())).collect();
+        let took_ns = began.elapsed().as_nanos() as u64;
+        // Whoever is up on a visit finishes it.
+        wait_until_parked(&exec, 3);
+        let visits = exec.stats().no_candidates() - before;
+        open.store(true, Ordering::Release);
+        release.send(()).expect("the gate job is waiting");
+        gate.join();
+        handles.into_iter().for_each(JoinHandle::join);
+        exec.shutdown();
+
+        let thieves = 3;
+        let allowed = thieves
+            * (2 + took_ns / FUTILE_WAKE_REST_NS + took_ns / PARK_BACKSTOP.as_nanos() as u64);
+        assert!(visits >= 1, "the first submission onto the busy core wakes a thief");
+        assert!(
+            visits <= allowed,
+            "{visits} futile visits in {took_ns} ns of submissions; {allowed} is one per rest"
+        );
+    }
+
+    mod batches {
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Whatever the burst, the service time and the machine: each
+            /// closure runs once, the counters are the trace's, and a steal
+            /// moves a batch — fewer than one acquisition per four migrated
+            /// tasks.
+            #[test]
+            fn pinned_bursts_run_every_closure_once_and_move_them_in_batches(
+                workers in 2usize..5,
+                burst in 512usize..1024,
+                service_us in 5u64..40,
+            ) {
+                let shape = super::PinnedBursts {
+                    workers,
+                    bursts: 2,
+                    burst,
+                    service_ns: service_us * 1_000,
+                    held: true,
+                    dawdling: false,
+                };
+                let run = shape.run();
+                run.check();
+                prop_assert!(run.batch_size() > 4.0, "{:?}", run.report.stats);
+            }
+        }
+    }
+
     // ---- stress legs (CI `exec-stress` job; `--ignored`) ----
 
     /// Park/unpark race hammer: repeated idle → burst → drain cycles drive
@@ -1565,6 +2200,7 @@ mod tests {
         exec.drain();
         let report = exec.shutdown();
         assert_eq!(report.completed, 200 * 16);
+        assert_eq!(report.backstop_rescues, 0, "a worker slept on its own work");
     }
 
     /// Concurrent submitters race the parking protocol from multiple
@@ -1609,6 +2245,54 @@ mod tests {
         let summary = exec.shutdown();
         assert_eq!(summary.completed, driven.submitted);
         assert_eq!(latency.count(), driven.submitted);
+        // A timeout can land in the nanoseconds between a seat and its wake.
+        assert!(
+            summary.backstop_rescues * 10_000 <= driven.submitted,
+            "{} workers slept on their own work",
+            summary.backstop_rescues
+        );
+    }
+
+    /// The pinned-burst hammer: both of a batch's wake edges, at strength.
+    /// Empty closures as they arrive (thieves trim losers back to a victim
+    /// that runs dry under them), then queued-up bursts of real work (each
+    /// thief seats a batch and has to wake the next), over and over, each
+    /// run checked from its trace.  A run that fails leaves its timeline in
+    /// `target/exec-stress/`, where CI's failure leg picks it up.
+    #[test]
+    #[ignore]
+    fn pinned_bursts_hammer_both_wake_edges() {
+        let as_they_arrive = PinnedBursts {
+            workers: 4,
+            bursts: 80,
+            burst: 250,
+            service_ns: 0,
+            held: false,
+            dawdling: false,
+        };
+        let queued_up = PinnedBursts {
+            bursts: 8,
+            burst: 2048,
+            service_ns: 5_000,
+            held: true,
+            ..as_they_arrive
+        };
+        let trimmed = PinnedBursts { workers: 2, burst: 1500, dawdling: true, ..queued_up };
+        for round in 0..30 {
+            for shape in [as_they_arrive, queued_up, trimmed] {
+                let run = shape.run();
+                if let Err(failure) = catch_unwind(AssertUnwindSafe(|| run.check())) {
+                    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                        .join("../../target/exec-stress");
+                    std::fs::create_dir_all(&dir).expect("creating target/exec-stress");
+                    let file = dir.join("pinned-bursts.trace.json");
+                    std::fs::write(&file, sched_trace::to_chrome_json(&run.trace))
+                        .expect("writing the failed run's trace");
+                    eprintln!("round {round}, {shape:?}: trace exported to {}", file.display());
+                    resume_unwind(failure);
+                }
+            }
+        }
     }
 
     /// Satellite (b), at strength: more submitters, for longer.

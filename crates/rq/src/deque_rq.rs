@@ -84,6 +84,7 @@
 //! still a single CAS-claimed word thieves never read, so "never steal the
 //! running thread" holds by construction under either overflow policy.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -91,7 +92,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use sched_core::tracker::{LoadTracker, TrackedLoad};
 use sched_core::{CoreId, CoreSnapshot, FilterPolicy, Nice, StealOutcome, TaskId};
-use sched_deque::{deque, Injector, Steal, StealMany, Stealer, Worker};
+use sched_deque::{deque, Injector, Steal, Stealer, Worker};
 use sched_topology::NodeId;
 use sched_trace::{TraceEvent, TraceSink};
 
@@ -128,6 +129,13 @@ fn decode(word: u64) -> RqTask {
 /// Weight (in [`sched_core::Weight`] raw units) of an encoded word.
 fn weight_of(word: u64) -> u64 {
     Nice::new(word as u8 as i8).weight().raw()
+}
+
+thread_local! {
+    /// The words the last steal decision on this thread claimed, kept for
+    /// their allocation: a batch is claimed into this buffer, split into
+    /// the thief's share and the losers, and the buffer goes back.
+    static CLAIMED: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
 }
 
 /// The owner end of the deque, behind the producer-serialising mutex
@@ -280,7 +288,7 @@ impl DequeRq {
     /// keeping the counters in step.  Caller holds the owner mutex.
     fn pop_queued(&self, owner: &mut OwnerSide) -> Option<u64> {
         let word = owner.worker.pop().or_else(|| self.pop_overflow(owner))?;
-        self.retire_queued(word);
+        self.retire_queued(&[word]);
         Some(word)
     }
 
@@ -309,27 +317,34 @@ impl DequeRq {
         }
     }
 
-    /// Counter bookkeeping shared by every path that removes a waiting
-    /// task (owner pop and thief claim): decrement length and weight, and
-    /// retire the lightest-weight watermark when it can no longer be
-    /// trusted — the departing task's weight *was* the recorded minimum,
-    /// or the queue drained entirely.  `NO_MARK` reads as "unknown"
-    /// (snapshot reports `None`) until the next enqueue re-establishes a
-    /// bound.  Retirement eliminates the dangerous stale-*low* case (a
-    /// departed light task haunting later generations); the residual
-    /// imprecision is stale-*high* with equal-weight duplicates, which
-    /// only makes weighted filters more conservative (see the field doc).
-    fn retire_queued(&self, word: u64) {
-        self.queued.fetch_sub(1, Ordering::AcqRel);
-        let weight = weight_of(word);
+    /// Counter bookkeeping shared by every path that removes waiting tasks
+    /// (owner pop and thief claim), once per batch: decrement length and
+    /// weight, and retire the lightest-weight watermark when it can no
+    /// longer be trusted — a departing task's weight *was* the recorded
+    /// minimum, or the queue drained entirely.  `NO_MARK` reads as
+    /// "unknown" (snapshot reports `None`) until the next enqueue
+    /// re-establishes a bound.  Retirement eliminates the dangerous
+    /// stale-*low* case (a departed light task haunting later generations);
+    /// the residual imprecision is stale-*high* with equal-weight
+    /// duplicates, which only makes weighted filters more conservative (see
+    /// the field doc).
+    fn retire_queued(&self, words: &[u64]) {
+        let mark = self.lightest_mark.load(Ordering::Acquire);
+        let (mut weight, mut carries_mark) = (0, false);
+        for &word in words {
+            weight += weight_of(word);
+            carries_mark |= weight_of(word) == mark;
+        }
+        let departing = words.len() as u64;
+        let left = self.queued.fetch_sub(departing, Ordering::AcqRel) - departing;
         self.queued_weight.fetch_sub(weight, Ordering::AcqRel);
-        if self.queued.load(Ordering::Acquire) == 0 {
+        if left == 0 {
             self.lightest_mark.store(NO_MARK, Ordering::Release);
-        } else {
+        } else if carries_mark {
             // Ignore the result: if the mark moved concurrently it no
-            // longer equals this task's weight and keeps its own story.
+            // longer equals a departing weight and keeps its own story.
             let _ = self.lightest_mark.compare_exchange(
-                weight,
+                mark,
                 NO_MARK,
                 Ordering::AcqRel,
                 Ordering::Acquire,
@@ -337,7 +352,20 @@ impl DequeRq {
         }
     }
 
-    /// Pushes one task at the owner end (overflowing to the injector when
+    /// Counts `words` as waiting here: length, weight and the
+    /// lightest-weight watermark, one update each for the whole run.
+    fn count_queued(&self, words: &[u64]) {
+        let (mut weight, mut lightest) = (0, NO_MARK);
+        for &word in words {
+            weight += weight_of(word);
+            lightest = lightest.min(weight_of(word));
+        }
+        self.queued.fetch_add(words.len() as u64, Ordering::AcqRel);
+        self.queued_weight.fetch_add(weight, Ordering::AcqRel);
+        self.lightest_mark.fetch_min(lightest, Ordering::AcqRel);
+    }
+
+    /// Pushes `words` at the owner end (overflowing to the injector when
     /// the ring is full), keeping the counters in step.  Caller holds the
     /// owner mutex.
     ///
@@ -347,28 +375,57 @@ impl DequeRq {
     /// Under the injector discipline the counted set and the claimable
     /// set therefore agree up to the instruction-scale window of a push
     /// in flight: a thief probing between the counter bump and the
-    /// ring/injector placement can see the task counted but not yet
+    /// ring/injector placement can see the tasks counted but not yet
     /// claimable, which costs that thief one failed round — the same
     /// transient as a mid-migration task — and heals on its next attempt.
     /// What the injector eliminates is the *persistent* divergence of the
     /// legacy spill, where counted work stayed unclaimable until the next
     /// tick (which is why that discipline is quarantined to E22).
-    fn push_queued(&self, owner: &mut OwnerSide, word: u64) {
-        self.queued.fetch_add(1, Ordering::AcqRel);
-        self.queued_weight.fetch_add(weight_of(word), Ordering::AcqRel);
-        self.lightest_mark.fetch_min(weight_of(word), Ordering::AcqRel);
-        if let Err(sched_deque::Full(rejected)) = owner.worker.push(word) {
-            match self.overflow {
-                OverflowPolicy::SharedInjector => {
-                    self.injector.push(rejected);
-                    self.trace_event(&TraceEvent::InjectorPush { task: decode(rejected).id });
-                }
-                OverflowPolicy::PrivateSpill => {
-                    owner.spill.push_back(rejected);
-                    self.trace_event(&TraceEvent::OverflowSpill { task: decode(rejected).id });
+    fn push_queued(&self, owner: &mut OwnerSide, words: &[u64]) {
+        if words.is_empty() {
+            return;
+        }
+        self.count_queued(words);
+        for &word in words {
+            if let Err(sched_deque::Full(rejected)) = owner.worker.push(word) {
+                match self.overflow {
+                    OverflowPolicy::SharedInjector => {
+                        self.injector.push(rejected);
+                        self.trace_event(&TraceEvent::InjectorPush { task: decode(rejected).id });
+                    }
+                    OverflowPolicy::PrivateSpill => {
+                        owner.spill.push_back(rejected);
+                        self.trace_event(&TraceEvent::OverflowSpill { task: decode(rejected).id });
+                    }
                 }
             }
         }
+    }
+
+    /// Makes `words` runnable here, oldest first: the first one starts
+    /// running if the core is idle, the rest queue — under one owner-lock
+    /// acquisition and one counter update, however many there are.
+    fn seat(&self, words: &[u64]) {
+        let Some((&first, rest)) = words.split_first() else {
+            return;
+        };
+        let claim_idle = || {
+            self.current.compare_exchange(EMPTY, first, Ordering::AcqRel, Ordering::Acquire).is_ok()
+        };
+        // An idle core is claimed directly — the common wakeup fast path
+        // is one CAS, no lock, no publication step.
+        if claim_idle() {
+            if !rest.is_empty() {
+                self.push_queued(&mut self.owner.lock(), rest);
+            }
+        } else {
+            let mut owner = self.owner.lock();
+            // Re-try under the owner mutex: the running task may have
+            // completed between the failed CAS and the lock acquisition.
+            let waiting = if claim_idle() { rest } else { words };
+            self.push_queued(&mut owner, waiting);
+        }
+        self.fold_tracked();
     }
 
     /// Installs a waiting task as the running one if the core is idle.
@@ -381,7 +438,7 @@ impl DequeRq {
             Ok(_) => Some(decode(word).id),
             Err(_) => {
                 // A wakeup beat us to the core; the task goes back to wait.
-                self.push_queued(owner, word);
+                self.push_queued(owner, &[word]);
                 None
             }
         }
@@ -422,83 +479,129 @@ impl DequeRq {
 
     /// One *batch* claim at the victim — ring first (a multi-claim CAS that
     /// moves `top` by up to `want` in one acquisition), injector second (a
-    /// [`Injector::steal_batch`] that serves the whole decision under **one
-    /// lock round-trip** instead of one per element) — with the filter
-    /// re-checked against live state **inside the loop**: every retry (a
-    /// lost batch CAS that fell back to the single path and lost again)
-    /// re-evaluates the guard before the next attempt, so a claim never
-    /// commits on a condition older than its own race.
+    /// [`Injector::steal_batch_into`] that serves the whole decision under
+    /// **one lock round-trip** instead of one per element) — appended to
+    /// `share`, which holds what this decision has claimed for the thief so
+    /// far and not seated yet.  The filter is re-checked against live state
+    /// **inside the loop**: every retry (a lost batch CAS that fell back to
+    /// the single path and lost again) re-evaluates the guard before the
+    /// next attempt, so a claim never commits on a condition older than its
+    /// own race.  The thief it is shown is the thief as it will be with its
+    /// share seated.
+    ///
+    /// The same live observation sizes the claim.  The decision was sized
+    /// in the selection phase, from snapshots that may be stale by now; a
+    /// thief that claims more than half of what the live counters show
+    /// apart claims words [`DequeRq::trim`] can only hand back, so the
+    /// claim is capped there (where losers have a home to go back to — the
+    /// legacy spill delivers whatever it claims and keeps its sizing).
+    /// The trim stays: the counters move on between this read and its own.
     ///
     /// The injector check runs exactly when the ring claim finds the ring
     /// empty: a victim whose waiting work has overflowed is *still* a
     /// victim, and the work-conservation argument needs thieves to reach
-    /// that work without waiting for any owner-side drain.  `steal_batch`
+    /// that work without waiting for any owner-side drain.  The batch claim
     /// absorbs lost injector races internally (its `0` is a genuine empty,
     /// pinned claim-free by the injector's own tests), so the failure this
     /// returns only reaches the balancer when nothing was claimable at all.
+    ///
+    /// The departing words leave the victim's counters once per claim, not
+    /// once per word.
     fn claim_checked_many(
         &self,
         thief: &DequeRq,
         filter: &dyn FilterPolicy,
         want: usize,
-    ) -> Result<Vec<u64>, StealOutcome> {
-        let want = want.max(1);
+        share: &mut Vec<u64>,
+    ) -> Result<(), StealOutcome> {
+        let held = share.len();
         loop {
-            let thief_snap = thief.snapshot();
+            let mut thief_snap = thief.snapshot();
+            thief_snap.nr_threads += held as u64;
+            thief_snap.weighted_load += share.iter().map(|&word| weight_of(word)).sum::<u64>();
             let victim_snap = self.snapshot();
             if !filter.can_steal(&thief_snap, &victim_snap) {
                 return Err(StealOutcome::RecheckFailed { victim: self.id });
             }
-            match self.stealer.steal_many(want) {
-                StealMany::Stolen(words) => {
-                    for &word in &words {
-                        self.retire_queued(word);
-                    }
-                    self.fold_tracked();
-                    return Ok(words);
+            let want = match self.overflow {
+                OverflowPolicy::SharedInjector => {
+                    let apart = victim_snap.nr_threads.saturating_sub(thief_snap.nr_threads);
+                    want.min(usize::try_from(apart / 2).unwrap_or(usize::MAX)).max(1)
                 }
-                StealMany::Empty => match self.overflow {
+                OverflowPolicy::PrivateSpill => want,
+            };
+            match self.stealer.steal_many_into(want, share) {
+                Steal::Stolen(_) => break,
+                Steal::Empty => {
                     // Ring empty is not queue empty: overflow lives in the
                     // shared injector, claimable right now — and claimed as
                     // a batch, one lock acquisition per steal decision.
-                    OverflowPolicy::SharedInjector => {
-                        let mut words = Vec::new();
-                        let claimed = self.injector.steal_batch(want, |word| words.push(word));
-                        if claimed == 0 {
-                            return Err(StealOutcome::NothingToSteal { victim: self.id });
+                    let moved = match self.overflow {
+                        OverflowPolicy::SharedInjector => {
+                            self.injector.steal_batch_into(want, share)
                         }
-                        // Narrated on the victim's ring like every other
-                        // injector exit, so a trace-derived resident count
-                        // stays exact under thief batch claims.
-                        self.trace_event(&TraceEvent::InjectorDrain { moved: claimed as u64 });
-                        for &word in &words {
-                            self.retire_queued(word);
-                        }
-                        self.fold_tracked();
-                        return Ok(words);
-                    }
-                    OverflowPolicy::PrivateSpill => {
+                        OverflowPolicy::PrivateSpill => 0,
+                    };
+                    if moved == 0 {
                         return Err(StealOutcome::NothingToSteal { victim: self.id });
                     }
-                },
+                    // Narrated on the victim's ring like every other
+                    // injector exit, so a trace-derived resident count
+                    // stays exact under thief batch claims.
+                    self.trace_event(&TraceEvent::InjectorDrain { moved: moved as u64 });
+                    break;
+                }
                 // Lost the claim race: loop back through the filter — the
                 // double-check guard, now in the loop.
-                StealMany::Retry => {}
+                Steal::Retry => {}
             }
         }
+        self.retire_queued(&share[held..]);
+        self.fold_tracked();
+        Ok(())
     }
 
-    /// Returns a claimed-but-undelivered word to this (victim) queue's
-    /// stealable set — the batch path's "loser" loop-back.  The word is
-    /// re-counted exactly like an enqueue and parked in the shared
-    /// injector, where the owner and any claimant reach it without the
-    /// owner mutex (which thieves never take, by design).
-    fn requeue_overflow(&self, word: u64) {
-        self.queued.fetch_add(1, Ordering::AcqRel);
-        self.queued_weight.fetch_add(weight_of(word), Ordering::AcqRel);
-        self.lightest_mark.fetch_min(weight_of(word), Ordering::AcqRel);
-        self.injector.push(word);
+    /// Re-checks a fresh claim — `share[held..]`, on top of the `held`
+    /// words the decision already holds for the thief — against *live*
+    /// counters, and hands what the thief must not keep back to this
+    /// (victim) queue's injector.  Returns whether it handed anything back.
+    ///
+    /// A decision's first word is always kept — the filter approved it at
+    /// claim time.  Beyond it the thief keeps what still evens the pair
+    /// out: delivery stops where one more task would leave the thief more
+    /// loaded than the victim would be with the rest returned — the batch
+    /// must never *invert* the imbalance it was sized against (the P2
+    /// direction), however stale the sizing snapshot was.  Keeping `d` of
+    /// `n` fresh words leaves `thief + held + d` against `victim + n − d`,
+    /// so the largest split that does not invert is
+    /// `(victim + n − thief − held) / 2`.  Only the two thread counters are
+    /// consulted (the inversion test needs nothing else), once per claim.
+    /// The legacy spill discipline has no stealable home a thief may reach,
+    /// so it keeps the whole batch (it is E22's quarantined baseline either
+    /// way).
+    fn trim(&self, thief: &DequeRq, share: &mut Vec<u64>, held: usize) -> bool {
+        if self.overflow == OverflowPolicy::PrivateSpill {
+            return false;
+        }
+        let fresh = (share.len() - held) as u64;
+        let even = (self.nr_threads() + fresh).saturating_sub(thief.nr_threads() + held as u64) / 2;
+        let keep = usize::try_from(even.min(fresh))
+            .expect("at most the claim")
+            .max(usize::from(held == 0));
+        let losers = &share[held + keep..];
+        if losers.is_empty() {
+            return false;
+        }
+        // Re-counted exactly like an enqueue and parked in the shared
+        // injector, where the owner and any claimant reach them without
+        // the owner mutex (which thieves never take, by design).  The trim
+        // is the victim's story: its tasks came back, on its ring.
+        self.count_queued(losers);
+        self.injector.push_many(losers);
         self.fold_tracked();
+        self.trace_event(&TraceEvent::BatchTrim { returned: losers.len() as u64 });
+        share.truncate(held + keep);
+        true
     }
 }
 
@@ -550,22 +653,7 @@ impl RqBackend for DequeRq {
     }
 
     fn enqueue(&self, task: RqTask) {
-        let word = encode(&task);
-        // An idle core is claimed directly — the common wakeup fast path
-        // is one CAS, no lock, no publication step.
-        if self.current.compare_exchange(EMPTY, word, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-            self.fold_tracked();
-            return;
-        }
-        let mut owner = self.owner.lock();
-        // Re-try under the owner mutex: the running task may have completed
-        // between the failed CAS and the lock acquisition.
-        if self.current.compare_exchange(EMPTY, word, Ordering::AcqRel, Ordering::Acquire).is_err()
-        {
-            self.push_queued(&mut owner, word);
-        }
-        drop(owner);
-        self.fold_tracked();
+        self.seat(&[encode(&task)]);
     }
 
     fn pick_next(&self) -> Option<TaskId> {
@@ -676,80 +764,40 @@ impl RqBackend for DequeRq {
     ) -> StealOutcome {
         assert_ne!(thief.id(), victim.id(), "a core cannot steal from itself");
         let want = max_tasks.max(1);
-        let mut moved = Vec::new();
-        let mut failure = None;
-        let mut trimmed = false;
-        while moved.len() < want && !trimmed {
-            match victim.claim_checked_many(thief, filter, want - moved.len()) {
-                Ok(words) => {
-                    let total = words.len();
-                    let mut words = words.into_iter();
-                    let mut delivered = 0u64;
-                    // Whether losers have a stealable home to loop back to
-                    // is fixed at construction — hoisted out of the
-                    // per-word loop.
-                    let loop_back = victim.overflow == OverflowPolicy::SharedInjector;
-                    while let Some(word) = words.next() {
-                        // The first claim is always delivered — the filter
-                        // approved it at claim time.  After that, each task
-                        // gets a re-check against *live* counters before it
-                        // moves: stop once delivering one more would leave
-                        // the thief more loaded than the victim would be
-                        // with the rest returned — the batch must never
-                        // *invert* the imbalance it was sized against (the
-                        // P2 direction), however stale the sizing snapshot
-                        // was.  Only the two thread counters are consulted
-                        // (the inversion test needs nothing else); building
-                        // full snapshots here would pay several atomic
-                        // loads plus an injector-length walk per delivered
-                        // word.  Undelivered claims are losers, looped back
-                        // to the victim's injector where they are stealable
-                        // by anyone again.  The legacy spill discipline has
-                        // no stealable home a thief may reach, so it
-                        // delivers the whole batch (it is E22's quarantined
-                        // baseline either way).
-                        let undelivered = total as u64 - delivered;
-                        if delivered > 0
-                            && loop_back
-                            && thief.nr_threads() + 1 > victim.nr_threads() + undelivered - 1
-                        {
-                            let mut returned = 1u64;
-                            victim.requeue_overflow(word);
-                            for loser in words.by_ref() {
-                                victim.requeue_overflow(loser);
-                                returned += 1;
-                            }
-                            // The trim is the victim's story: its tasks
-                            // came back, on its ring.
-                            victim.trace_event(&TraceEvent::BatchTrim { returned });
-                            trimmed = true;
-                            break;
-                        }
-                        let task = decode(word);
-                        moved.push(task.id);
-                        // Deliver to the thief's own queue: an owner-side
-                        // push (the thief owns its bottom end), never a
-                        // lock shared with other thieves.
-                        thief.enqueue(task);
-                        delivered += 1;
-                    }
-                }
-                Err(outcome) => {
-                    failure = Some(outcome);
-                    break;
-                }
+        let mut share = CLAIMED.take();
+        share.clear();
+        // Claim until the decision's size is met, the victim has nothing
+        // (more) to give, or a claim had to hand losers back.
+        let failure = loop {
+            let held = share.len();
+            if let Err(outcome) = victim.claim_checked_many(thief, filter, want - held, &mut share)
+            {
+                break Some(outcome);
             }
-        }
-        let outcome = if moved.is_empty() {
-            failure.unwrap_or(StealOutcome::NothingToSteal { victim: victim.id() })
-        } else {
-            StealOutcome::Stole { victim: victim.id(), tasks: moved }
+            if victim.trim(thief, &mut share, held) || share.len() >= want {
+                break None;
+            }
+        };
+        // A partial batch is still a success.
+        let outcome = match failure {
+            Some(failure) if share.is_empty() => failure,
+            _ => StealOutcome::Stole {
+                victim: victim.id(),
+                tasks: share.iter().map(|&word| decode(word).id).collect(),
+            },
         };
         // The CAS claim is the linearization point; the counters move
-        // right after it, before the outcome is returned to the balancer.
+        // right after it — and before the thief's queue shows the tasks:
+        // whoever steals one of them on from there records that after this,
+        // so the trace has every task arrive before it leaves again.
         if let Some(rec) = recorder {
             rec.record_attempt(&outcome, want);
         }
+        // Deliver to the thief's own queue: an owner-side push (the thief
+        // owns its bottom end), never a lock shared with other thieves —
+        // and one push for the whole decision.
+        thief.seat(&share);
+        CLAIMED.set(share);
         outcome
     }
 
@@ -887,12 +935,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_steal_trims_to_the_balanced_split_and_loops_losers_back() {
-        // A greedy batch (ask for everything) against a victim with 1
-        // running + 5 waiting: the multi-claim CAS takes the whole ring,
-        // but the per-task non-inversion re-check delivers only up to the
-        // balanced split and loops the losers back to the victim's
-        // injector — where they are immediately stealable again.
+    fn a_batch_is_claimed_at_the_balanced_split_of_the_live_counters() {
+        // A greedy decision (ask for everything) against a victim with 1
+        // running + 5 waiting: the claim is sized from the live counters
+        // the filter was re-checked on, so it takes the three tasks an idle
+        // thief can be given and nothing has to be handed back.
         let thief = rq(0);
         let victim = rq(1);
         for i in 0..6 {
@@ -902,22 +949,87 @@ mod tests {
         let outcome = DequeRq::try_steal_recorded(&thief, &victim, &filter, 8, None);
         match outcome {
             StealOutcome::Stole { ref tasks, .. } => {
-                assert_eq!(tasks.len(), 3, "delivery stops at the balanced split")
+                assert_eq!(tasks.len(), 3, "the claim stops at the balanced split")
             }
             ref other => panic!("expected a batch steal, got {other:?}"),
         }
         assert_eq!(thief.nr_threads_exact(), 3);
-        assert_eq!(victim.nr_threads_exact(), 3, "losers are the victim's again");
-        assert_eq!(victim.injected_len(), 2, "looped back through the injector");
-        assert_eq!(victim.snapshot().injected, 2, "…and visible to injector-aware choices");
-        // Nothing lost, nothing duplicated, and the loop-backed tasks are
+        assert_eq!(thief.snapshot().lightest_ready_weight, Some(1024), "two of them wait");
+        assert_eq!(victim.nr_threads_exact(), 3);
+        assert_eq!(victim.injected_len(), 0, "no over-claim, no loop-back");
+    }
+
+    #[test]
+    fn batch_steal_trims_to_the_balanced_split_and_loops_losers_back() {
+        // The counters move on between a claim and its delivery: here two
+        // wakeups land on the thief while it holds three claimed tasks.
+        // The delivery's own re-check hands over what still evens the pair
+        // out and loops the loser back to the victim's injector — where it
+        // is immediately stealable again.
+        let thief = rq(0);
+        let victim = rq(1);
+        for i in 0..6 {
+            victim.enqueue(RqTask::new(TaskId(i)));
+        }
+        let filter = DeltaFilter::listing1();
+        let mut share = Vec::new();
+        victim.claim_checked_many(&thief, &filter, 8, &mut share).expect("the filter holds");
+        assert_eq!(share.len(), 3);
+        assert_eq!(victim.nr_threads_exact(), 3, "claimed words belong to neither side");
+        for i in 6..8 {
+            thief.enqueue(RqTask::new(TaskId(i)));
+        }
+        assert!(victim.trim(&thief, &mut share, 0), "3 + 3 against 2: two even it out");
+        thief.seat(&share);
+        assert_eq!(thief.nr_threads_exact(), 4);
+        assert_eq!(victim.nr_threads_exact(), 4, "the loser is the victim's again");
+        assert_eq!(victim.injected_len(), 1, "looped back through the injector");
+        assert_eq!(victim.snapshot().injected, 1, "…and visible to injector-aware choices");
+        // Nothing lost, nothing duplicated, and the loop-backed task is
         // claimable without any refresh.
         let mut drained = Vec::new();
         while let Some(task) = victim.complete_current() {
             drained.push(task.id);
         }
-        assert_eq!(drained.len(), 3);
+        assert_eq!(drained.len(), 4);
         assert_eq!(victim.injected_len(), 0);
+
+        // However stale the claim, the decision's first task is kept: the
+        // filter approved that one.
+        let (thief, victim) = (rq(2), rq(3));
+        for i in 8..12 {
+            victim.enqueue(RqTask::new(TaskId(i)));
+        }
+        share.clear();
+        victim.claim_checked_many(&thief, &filter, 8, &mut share).expect("the filter holds");
+        assert_eq!(share.len(), 2);
+        for i in 12..16 {
+            thief.enqueue(RqTask::new(TaskId(i)));
+        }
+        assert!(victim.trim(&thief, &mut share, 0));
+        assert_eq!(share.len(), 1, "2 + 2 against 4: one, never none");
+        assert_eq!(victim.injected_len(), 1);
+    }
+
+    #[test]
+    fn a_decision_s_later_claims_see_the_thief_with_its_share() {
+        // A decision holds its share back until the outcome is on record.
+        // What it asks the filter for a second claim, it asks for the thief
+        // as it will be: two held words even an idle thief out with a
+        // victim of two, although its queue still reads empty.
+        let (thief, victim) = (rq(0), rq(1));
+        for i in 0..4 {
+            victim.enqueue(RqTask::new(TaskId(i)));
+        }
+        let filter = DeltaFilter::listing1();
+        let mut share = Vec::new();
+        victim.claim_checked_many(&thief, &filter, 8, &mut share).expect("the filter holds");
+        assert_eq!((share.len(), thief.nr_threads_exact(), victim.nr_threads_exact()), (2, 0, 2));
+        assert_eq!(
+            victim.claim_checked_many(&thief, &filter, 6, &mut share),
+            Err(StealOutcome::RecheckFailed { victim: CoreId(1) })
+        );
+        assert_eq!(share.len(), 2, "a refused claim leaves the share as it was");
     }
 
     #[test]

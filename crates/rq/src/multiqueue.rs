@@ -35,7 +35,7 @@ use crate::TaskQueue;
 /// Sizing happens in the *selection* phase, from the same lock-less
 /// snapshots the filter and choice read: by the time the claim runs the
 /// observation may be stale, which is fine — the backend claims at most
-/// what the victim still has, the per-task re-check trims a batch that
+/// what the victim still has, the delivery's re-check trims a batch that
 /// would overshoot, and a partial batch is still a success (see
 /// [`sched_core::ChoicePolicy::observe`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -369,7 +369,7 @@ impl<B: RqBackend> MultiQueue<B> {
     ) -> StealOutcome {
         let recorder = |level| {
             stats.map(|stats| {
-                StealRecorder::new(stats, level).with_trace(&self.trace, thief, self.now_ns())
+                StealRecorder::new(stats, level).with_trace(&self.trace, thief, &self.clock)
             })
         };
         let Some((victim, max_tasks)) = selected else {

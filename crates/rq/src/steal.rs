@@ -6,6 +6,8 @@
 //! stealers is avoided by always acquiring the lower-numbered core's lock
 //! first — the same discipline Linux's `double_rq_lock` uses.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use sched_core::{CoreId, CoreSnapshot, FilterPolicy, StealOutcome};
 use sched_topology::StealLevel;
 use sched_trace::{TraceEvent, TraceSink};
@@ -30,8 +32,8 @@ pub struct StealRecorder<'a> {
     /// Distance class of the victim relative to the thief, if known.
     pub level: Option<StealLevel>,
     /// Trace context: the sink, the thief (recording) core, and the
-    /// logical timestamp to stamp events with.
-    trace: Option<(&'a TraceSink, CoreId, u64)>,
+    /// machine's logical clock.
+    trace: Option<(&'a TraceSink, CoreId, &'a AtomicU64)>,
 }
 
 impl<'a> StealRecorder<'a> {
@@ -42,9 +44,13 @@ impl<'a> StealRecorder<'a> {
     }
 
     /// Adds a trace context: recorded outcomes also land on `thief`'s ring
-    /// of `sink`, stamped `now`.  A disabled sink costs one branch.
-    pub fn with_trace(self, sink: &'a TraceSink, thief: CoreId, now: u64) -> Self {
-        StealRecorder { trace: Some((sink, thief, now)), ..self }
+    /// of `sink`, stamped with what `clock` reads **when they are
+    /// recorded** — after the claim.  A task can be placed on the victim
+    /// while a thief is already deciding, and be claimed by that decision;
+    /// stamped with the decision's start, its migration would sort before
+    /// its placement.  A disabled sink costs one branch.
+    pub fn with_trace(self, sink: &'a TraceSink, thief: CoreId, clock: &'a AtomicU64) -> Self {
+        StealRecorder { trace: Some((sink, thief, clock)), ..self }
     }
 
     /// Counts `outcome` into the stats **and** traces it, in one call —
@@ -53,9 +59,13 @@ impl<'a> StealRecorder<'a> {
     /// claim size the decision asked for.
     pub fn record_attempt(&self, outcome: &StealOutcome, k: usize) {
         self.stats.record_with_level(outcome, self.level);
-        let Some((sink, thief, now)) = self.trace else {
+        let Some((sink, thief, clock)) = self.trace else {
             return;
         };
+        if !sink.is_enabled() {
+            return;
+        }
+        let now = clock.load(Ordering::Acquire);
         sink.record(thief, now, &TraceEvent::steal_attempt(outcome, self.level, k));
         if let StealOutcome::Stole { victim, tasks } = outcome {
             for &task in tasks {

@@ -103,7 +103,7 @@ pub enum TraceEvent {
         /// The victim core it left.
         from: CoreId,
     },
-    /// A batch steal's per-task re-check stopped delivery early and looped
+    /// A batch steal's delivery re-check stopped short of the claim and looped
     /// `returned` claimed tasks back to the recording (victim) core.
     BatchTrim {
         /// Tasks returned to the victim's stealable set.

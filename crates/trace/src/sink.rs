@@ -193,11 +193,20 @@ mod tests {
     #[test]
     fn a_disabled_sink_records_nothing_and_counts_nothing() {
         let sink = TraceSink::disabled();
-        let before = write_ops();
-        sink.record(CoreId(0), 1, &TraceEvent::Park);
-        sink.set_now(5);
-        sink.record_now(CoreId(0), &TraceEvent::Unpark);
-        assert_eq!(write_ops(), before, "disabled sinks must not touch the probe");
+        // The probe is global, and the tests next to this one record into
+        // enabled sinks while it runs: look for one undisturbed reading.  A
+        // disabled sink that touched the probe would move it every time.
+        let undisturbed = (0..1000).any(|_| {
+            let before = write_ops();
+            sink.record(CoreId(0), 1, &TraceEvent::Park);
+            sink.set_now(5);
+            sink.record_now(CoreId(0), &TraceEvent::Unpark);
+            write_ops() == before || {
+                std::thread::yield_now();
+                false
+            }
+        });
+        assert!(undisturbed, "disabled sinks must not touch the probe");
         assert!(!sink.is_enabled());
         let trace = sink.drain();
         assert!(trace.events.is_empty());

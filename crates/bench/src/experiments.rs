@@ -396,7 +396,7 @@ fn e8_convergence() -> Vec<Table> {
         ("steal one thread (Listing 1)", Policy::simple()),
         (
             "steal half the imbalance (CFS-style batch)",
-            Policy::simple().with_steal(Box::new(StealHalfImbalance::new(LoadMetric::NrThreads))),
+            Policy::simple().with_steal(StealRule::HalfImbalance),
         ),
     ];
     for (name, policy) in steal_variants {
@@ -574,7 +574,7 @@ fn e12_hierarchical() -> Vec<Table> {
                 LoadMetric::NrThreads,
                 Box::new(NodeRestrictedFilter::new(DeltaFilter::listing1())),
                 Box::new(MaxLoadChoice::new(LoadMetric::NrThreads)),
-                Box::new(StealOne),
+                StealRule::One,
             ),
         ),
     ];
@@ -648,7 +648,7 @@ fn e12_hierarchical() -> Vec<Table> {
                 LoadMetric::NrThreads,
                 Box::new(NodeRestrictedFilter::new(DeltaFilter::listing1())),
                 Box::new(MaxLoadChoice::new(LoadMetric::NrThreads)),
-                Box::new(StealOne),
+                StealRule::One,
             ),
         ),
     ];

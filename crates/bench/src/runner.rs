@@ -157,16 +157,16 @@ pub(crate) fn tracker_name(recipe: &PolicyRecipe) -> String {
     }
 }
 
-/// Builds a fresh policy instance for one backend run.  An inline program
-/// that does not compile is a [`validate`] error, so it panics here.
-pub(crate) fn build_policy(recipe: &PolicyRecipe, topo: &Arc<MachineTopology>) -> Policy {
-    match recipe {
+/// Builds a fresh policy instance for one backend run: the recipe, with
+/// the scenario's `batch` clause (sugar for step 3) as its steal rule.  An
+/// inline program that does not compile is a [`validate`] error, so it
+/// panics here.
+pub(crate) fn build_policy(spec: &Scenario, topo: &Arc<MachineTopology>) -> Policy {
+    let policy = match &spec.policy {
         PolicyRecipe::Listing1 => Policy::simple(),
         PolicyRecipe::Greedy => Policy::greedy(),
         PolicyRecipe::Weighted => Policy::weighted(),
-        PolicyRecipe::StealHalf => {
-            Policy::simple().with_steal(Box::new(StealHalfImbalance::new(LoadMetric::NrThreads)))
-        }
+        PolicyRecipe::StealHalf => Policy::simple().with_steal(StealRule::HalfImbalance),
         PolicyRecipe::NumaAware => Policy::simple()
             .with_choice(Box::new(NumaAwareChoice::new(Arc::clone(topo), LoadMetric::NrThreads))),
         PolicyRecipe::TopoAware | PolicyRecipe::Hierarchical => Policy::simple().with_choice(
@@ -178,6 +178,11 @@ pub(crate) fn build_policy(recipe: &PolicyRecipe, topo: &Arc<MachineTopology>) -
         PolicyRecipe::Pelt => Policy::pelt(PELT_HALF_LIFE_NS),
         PolicyRecipe::PeltWeighted => Policy::pelt_weighted(PELT_HALF_LIFE_NS),
         PolicyRecipe::PeltHalfLife(ms) => Policy::pelt(u64::from(*ms) * 1_000_000),
+    };
+    match spec.batch {
+        None => policy,
+        Some(Batch::Fixed(k)) => policy.with_steal(StealRule::Fixed(k)),
+        Some(Batch::Half) => policy.with_steal(StealRule::HalfImbalance),
     }
 }
 
@@ -198,16 +203,6 @@ pub(crate) fn build_topology(topology: Topology) -> MachineTopology {
         Topology::Flat(cores) => TopologyBuilder::new().sockets(1).cores_per_socket(cores).build(),
         Topology::DualSocket => TopologyBuilder::new().sockets(2).cores_per_socket(8).build(),
         Topology::EightNode => TopologyBuilder::eight_node_numa(),
-    }
-}
-
-/// The runqueue-layer transfer sizing a scenario selects (one thread per
-/// steal where it names none).
-fn steal_batch(batch: Option<Batch>) -> sched_rq::StealBatch {
-    match batch {
-        None => sched_rq::StealBatch::default(),
-        Some(Batch::Fixed(k)) => sched_rq::StealBatch::Fixed(k),
-        Some(Batch::Half) => sched_rq::StealBatch::HalfImbalance,
     }
 }
 
@@ -678,7 +673,7 @@ impl ModelBackend {
         mut system: SystemState,
         topo: &Arc<MachineTopology>,
     ) -> ExperimentRecord {
-        let balancer = Balancer::new(build_policy(&spec.policy, topo));
+        let balancer = Balancer::new(build_policy(spec, topo));
         let tracker = Arc::clone(&balancer.policy().tracker);
         let executor = ConcurrentRound::new(&balancer);
         let mut record = record_base(spec, "model");
@@ -730,8 +725,8 @@ impl Backend for ModelBackend {
     fn run(&self, spec: &Scenario, _sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
         // Overflow storms probe ring-overflow handling; the model has no
         // ring, so there is nothing for it to measure.  Batch sweeps probe
-        // how many queue acquisitions a transfer costs; the model moves one
-        // abstract thread per steal with no queue to acquire.
+        // how many queue acquisitions a transfer costs; the model has no
+        // queue to acquire (a policy's own step 3 it runs like any other).
         if matches!(spec.driver, Driver::Storm(_) | Driver::OpenLoop(_)) || spec.batch.is_some() {
             return None;
         }
@@ -754,7 +749,7 @@ impl Backend for ModelBackend {
             return Some(self.run_burst(spec, burst, system, &topo));
         }
 
-        let balancer = Balancer::new(build_policy(&spec.policy, &topo));
+        let balancer = Balancer::new(build_policy(spec, &topo));
         let tracker = Arc::clone(&balancer.policy().tracker);
         let hierarchical = (spec.policy == PolicyRecipe::Hierarchical)
             .then(|| HierarchicalRound::new(&balancer, Arc::clone(&topo)));
@@ -848,13 +843,10 @@ impl SimScenario {
         let workload = sim_workload(spec, topo.nr_cpus());
         let scheduler: Box<dyn sched_sim::SimScheduler> =
             if spec.policy == PolicyRecipe::Hierarchical {
-                Box::new(HierarchicalScheduler::new(
-                    build_policy(&spec.policy, &topo),
-                    Arc::clone(&topo),
-                ))
+                Box::new(HierarchicalScheduler::new(build_policy(spec, &topo), Arc::clone(&topo)))
             } else {
                 Box::new(OptimisticScheduler::with_topology(
-                    build_policy(&spec.policy, &topo),
+                    build_policy(spec, &topo),
                     Arc::clone(&topo),
                 ))
             };
@@ -987,7 +979,7 @@ fn run_rq_burst<B: sched_rq::RqBackend>(
     mq: MultiQueue<B>,
     topo: &Arc<MachineTopology>,
 ) -> ExperimentRecord {
-    let policy = build_policy(&spec.policy, topo);
+    let policy = build_policy(spec, topo);
     let mut record = record_base(spec, backend);
     record.rq_backend = Some(B::backend_name());
     let nr_cores = spec.loads.len();
@@ -1038,10 +1030,9 @@ fn run_rq_storm<B: sched_rq::RqBackend>(
     mq: MultiQueue<B>,
     topo: &Arc<MachineTopology>,
 ) -> ExperimentRecord {
-    let policy = build_policy(&spec.policy, topo);
+    let policy = build_policy(spec, topo);
     let mut record = record_base(spec, backend);
     record.rq_backend = Some(B::backend_name());
-    let batch = steal_batch(spec.batch);
     let mut successes = 0u64;
     let nr_cores = spec.loads.len();
     let mut samples = RoundSamples::new(topo);
@@ -1055,7 +1046,7 @@ fn run_rq_storm<B: sched_rq::RqBackend>(
             mq.spawn_on(CoreId(0));
         }
         for _ in 0..storm.rounds {
-            let stats = mq.concurrent_round_batched(&policy, batch);
+            let stats = mq.concurrent_round(&policy);
             record.migrations += stats.migrations();
             record.failures += stats.failures();
             successes += stats.successes();
@@ -1100,7 +1091,7 @@ fn run_rq<B: sched_rq::RqBackend>(
     if topo.nr_cpus() != spec.loads.len() {
         return None;
     }
-    let policy = build_policy(&spec.policy, &topo);
+    let policy = build_policy(spec, &topo);
     let mut mq: MultiQueue<B> =
         MultiQueue::with_topology_and_tracker(&topo, Arc::clone(&policy.tracker));
     if let Some(sink) = sink {
@@ -1122,7 +1113,6 @@ fn run_rq<B: sched_rq::RqBackend>(
 
     let mut record = record_base(spec, backend);
     record.rq_backend = Some(B::backend_name());
-    let batch = steal_batch(spec.batch);
     let mut successes = 0u64;
     let mut samples = RoundSamples::new(&topo);
 
@@ -1143,7 +1133,7 @@ fn run_rq<B: sched_rq::RqBackend>(
         let stats = if spec.policy == PolicyRecipe::Hierarchical {
             mq.hierarchical_round(&policy)
         } else {
-            mq.concurrent_round_batched(&policy, batch)
+            mq.concurrent_round(&policy)
         };
         record.migrations += stats.migrations();
         record.failures += stats.failures();
@@ -1244,7 +1234,7 @@ impl Backend for ExecBackend {
         if topo.nr_cpus() != spec.loads.len() {
             return None;
         }
-        let policy = build_policy(&spec.policy, &topo);
+        let policy = build_policy(spec, &topo);
         let mut config = sched_exec::ExecConfig::new(Arc::clone(&topo), policy)
             .with_ring_capacity(EXEC_RING_CAPACITY);
         if let Some(sink) = sink {
@@ -1508,7 +1498,7 @@ mod tests {
         ] {
             assert_eq!(
                 tracker_name(&recipe),
-                build_policy(&recipe, &topo).tracker.name(),
+                build_policy(&small_spec(recipe.clone()), &topo).tracker.name(),
                 "{recipe:?}: tracker_name drifted from the built tracker"
             );
         }

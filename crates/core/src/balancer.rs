@@ -4,6 +4,7 @@ use crate::outcome::{BalanceAttempt, RoundReport, StealOutcome};
 use crate::policy::Policy;
 use crate::snapshot::{CoreSnapshot, SystemSnapshot};
 use crate::system::SystemState;
+use crate::task::{Task, TaskId};
 use crate::CoreId;
 
 /// The result of a selection phase: the filtered candidates (step 1) and the
@@ -90,7 +91,19 @@ impl Balancer {
         if !self.policy.filter.can_steal(&thief_snap, &victim_snap) {
             return StealOutcome::RecheckFailed { victim };
         }
-        let tasks = self.policy.steal.select_tasks(system.core(thief), system.core(victim));
+        // Step 3 picks the planned number of waiting threads, newest first
+        // or lightest first (newest among equals) as the rule asks, capped
+        // by the live queue (§4.2, "does not steal too much").
+        let plan = self.policy.steal.plan(&self.policy, &thief_snap, &victim_snap);
+        let live = system.core(victim);
+        let take = plan.take(live.ready.len(), live.current.is_some());
+        let tasks: Vec<TaskId> = if plan.lightest {
+            let mut waiting: Vec<&Task> = live.ready.iter().rev().collect();
+            waiting.sort_by_key(|t| t.weight());
+            waiting.into_iter().take(take).map(|t| t.id).collect()
+        } else {
+            live.ready.iter().rev().take(take).map(|t| t.id).collect()
+        };
         if tasks.is_empty() {
             return StealOutcome::NothingToSteal { victim };
         }

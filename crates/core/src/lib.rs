@@ -60,7 +60,7 @@ pub use core_state::CoreState;
 pub use hierarchy::{HierarchicalReport, HierarchicalRound, LevelPass};
 pub use load::LoadMetric;
 pub use outcome::{BalanceAttempt, RoundReport, StealOutcome};
-pub use policy::{ChoicePolicy, FilterPolicy, Policy, StealPolicy};
+pub use policy::{ChoicePolicy, FilterPolicy, Policy, StealPlan, StealRule};
 pub use potential::{potential, potential_between};
 pub use round::{ConcurrentRound, Phase, RoundSchedule, Step};
 pub use snapshot::{CoreSnapshot, SystemSnapshot};

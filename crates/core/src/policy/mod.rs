@@ -10,13 +10,14 @@
 //!    (step 2, `selectCore` in Listing 1; this is where all the complex
 //!    heuristics such as NUMA-aware placement live, and it is deliberately
 //!    irrelevant to the work-conservation proof),
-//! 3. a [`StealPolicy`] — *"the core steals thread(s) from the chosen
+//! 3. a [`StealRule`] — *"the core steals thread(s) from the chosen
 //!    core"* (step 3, `stealCore`/`stealOneThread` in Listing 1).
 //!
 //! The filter and the choice run in the lock-less selection phase and only
-//! see read-only [`CoreSnapshot`]s; the steal policy runs in the locked
-//! stealing phase and sees the live [`CoreState`]s of exactly the two cores
-//! involved.
+//! see read-only [`CoreSnapshot`]s.  The steal rule is a closed value whose
+//! one sizing function, [`StealRule::plan`], reads the thief's and the
+//! victim's snapshots too; each substrate then takes that many from the
+//! victim in its own stealing phase.
 
 pub mod choice;
 pub mod greedy;
@@ -28,10 +29,8 @@ pub mod weighted;
 
 use std::sync::Arc;
 
-use crate::core_state::CoreState;
 use crate::load::LoadMetric;
 use crate::snapshot::CoreSnapshot;
-use crate::task::TaskId;
 use crate::tracker::{LoadTracker, PeltTracker, TrackerSpec};
 use crate::CoreId;
 
@@ -41,7 +40,7 @@ pub use choice::{
 pub use greedy::GreedyFilter;
 pub use hierarchical::{GroupAwareChoice, NodeRestrictedFilter};
 pub use simple::DeltaFilter;
-pub use steal::{StealHalfImbalance, StealLightest, StealOne};
+pub use steal::{StealPlan, StealRule};
 pub use topology_aware::{LevelThresholds, TopologyAwareChoice};
 pub use weighted::WeightedDeltaFilter;
 
@@ -126,20 +125,6 @@ pub trait ChoicePolicy: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Step 3 of a balancing round: decides which waiting threads migrate.
-///
-/// Runs with both runqueues locked; it may inspect the live state of the
-/// thief and the victim but only ever selects threads from the victim's
-/// *runqueue* (the victim's current thread is never migrated, so a steal can
-/// never render the victim idle).
-pub trait StealPolicy: Send + Sync {
-    /// Returns the ids of the victim's waiting threads to migrate.
-    fn select_tasks(&self, thief: &CoreState, victim: &CoreState) -> Vec<TaskId>;
-
-    /// Human-readable name used in reports and experiment tables.
-    fn name(&self) -> &'static str;
-}
-
 /// A complete balancing policy: filter + choice + steal + the load
 /// criterion the three steps (and the potential function) are measured in.
 pub struct Policy {
@@ -153,8 +138,8 @@ pub struct Policy {
     pub filter: Box<dyn FilterPolicy>,
     /// Step 2.
     pub choice: Box<dyn ChoicePolicy>,
-    /// Step 3.
-    pub steal: Box<dyn StealPolicy>,
+    /// Step 3, sized by [`StealRule::plan`].
+    pub steal: StealRule,
 }
 
 impl Policy {
@@ -169,7 +154,7 @@ impl Policy {
         metric: LoadMetric,
         filter: Box<dyn FilterPolicy>,
         choice: Box<dyn ChoicePolicy>,
-        steal: Box<dyn StealPolicy>,
+        steal: StealRule,
     ) -> Self {
         Policy {
             metric,
@@ -186,7 +171,7 @@ impl Policy {
         tracker: Arc<dyn LoadTracker>,
         filter: Box<dyn FilterPolicy>,
         choice: Box<dyn ChoicePolicy>,
-        steal: Box<dyn StealPolicy>,
+        steal: StealRule,
     ) -> Self {
         Policy { metric: tracker.view(), tracker, filter, choice, steal }
     }
@@ -199,7 +184,7 @@ impl Policy {
             LoadMetric::NrThreads,
             Box::new(DeltaFilter::listing1()),
             Box::new(MaxLoadChoice::new(LoadMetric::NrThreads)),
-            Box::new(StealOne),
+            StealRule::One,
         )
     }
 
@@ -211,7 +196,7 @@ impl Policy {
             LoadMetric::NrThreads,
             Box::new(GreedyFilter::new()),
             Box::new(MaxLoadChoice::new(LoadMetric::NrThreads)),
-            Box::new(StealOne),
+            StealRule::One,
         )
     }
 
@@ -223,7 +208,7 @@ impl Policy {
             LoadMetric::Weighted,
             Box::new(WeightedDeltaFilter::new()),
             Box::new(MaxLoadChoice::new(LoadMetric::Weighted)),
-            Box::new(StealLightest),
+            StealRule::Lightest,
         )
     }
 
@@ -235,7 +220,7 @@ impl Policy {
             Arc::new(PeltTracker::new(LoadMetric::NrThreads, half_life_ns)),
             Box::new(DeltaFilter::new(LoadMetric::Tracked, 2)),
             Box::new(MaxLoadChoice::new(LoadMetric::Tracked)),
-            Box::new(StealOne),
+            StealRule::One,
         )
     }
 
@@ -247,7 +232,7 @@ impl Policy {
             Arc::new(PeltTracker::new(LoadMetric::Weighted, half_life_ns)),
             Box::new(DeltaFilter::new(LoadMetric::Tracked, 2048)),
             Box::new(MaxLoadChoice::new(LoadMetric::Tracked)),
-            Box::new(StealLightest),
+            StealRule::Lightest,
         )
     }
 
@@ -259,7 +244,7 @@ impl Policy {
     }
 
     /// Replaces the steal step.
-    pub fn with_steal(mut self, steal: Box<dyn StealPolicy>) -> Self {
+    pub fn with_steal(mut self, steal: StealRule) -> Self {
         self.steal = steal;
         self
     }
@@ -277,7 +262,8 @@ impl Policy {
     /// collected into `candidates`, the caller's buffer, which is cleared
     /// first and holds the candidate list afterwards.  Returns the chosen
     /// victim's snapshot, with [`ChoicePolicy::choose`]'s post-condition
-    /// enforced: `None` exactly when no candidate passed.
+    /// enforced: `None` exactly when no candidate passed.  How much the
+    /// thief then takes is step 3's one sizing, [`StealRule::plan`].
     pub fn select(
         &self,
         thief: &CoreSnapshot,
@@ -387,7 +373,7 @@ mod tests {
             LoadMetric::Tracked,
             Box::new(DeltaFilter::listing1()),
             Box::new(FirstChoice),
-            Box::new(StealOne),
+            StealRule::One,
         );
     }
 }

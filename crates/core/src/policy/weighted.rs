@@ -24,7 +24,7 @@ use crate::snapshot::CoreSnapshot;
 ///   thief (weighted load 0) always passes (Lemma 1, first conjunct);
 /// * the same margin is exactly what makes every successful steal (which
 ///   migrates that lightest waiting thread, see
-///   [`crate::policy::StealLightest`]) strictly decrease the weighted
+///   [`crate::StealRule::Lightest`]) strictly decrease the weighted
 ///   potential `d`, which is the §4.3 P2 termination argument.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WeightedDeltaFilter {

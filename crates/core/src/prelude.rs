@@ -17,8 +17,7 @@ pub use crate::outcome::{BalanceAttempt, RoundReport, StealOutcome};
 pub use crate::policy::{
     ChoicePolicy, DeltaFilter, FilterPolicy, FirstChoice, GreedyFilter, GroupAwareChoice,
     LevelThresholds, MaxLoadChoice, MinMigrationCostChoice, NodeRestrictedFilter, NumaAwareChoice,
-    Policy, RandomChoice, StealHalfImbalance, StealLightest, StealOne, StealPolicy,
-    TopologyAwareChoice, WeightedDeltaFilter,
+    Policy, RandomChoice, StealPlan, StealRule, TopologyAwareChoice, WeightedDeltaFilter,
 };
 pub use crate::potential::{
     level_potential, level_potential_of_system, potential, potential_between,

@@ -5,7 +5,7 @@
 //! be integrated as a scheduling class into the Linux kernel, and to Scala
 //! code that is verified by the Leon toolkit" (§1).  The DSL here follows
 //! the same three-step shape: a policy is a *filter* expression, a *choose*
-//! rule and a *steal* count, plus the load metric it balances.
+//! rule and a *steal* rule, plus the load metric it balances.
 //!
 //! Example source (the Listing 1 policy):
 //!
@@ -17,6 +17,8 @@
 //!     steal  = 1;
 //! }
 //! ```
+
+use sched_core::StealRule;
 
 /// The load metric a policy balances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,8 +237,9 @@ pub struct PolicyDef {
     pub filter: Expr,
     /// The step-2 choose rule.
     pub choose: ChooseRule,
-    /// The step-3 steal count (how many waiting threads to migrate).
-    pub steal_count: u32,
+    /// The step-3 rule: how many waiting threads migrate (`steal = k`,
+    /// `steal = half`).
+    pub steal: StealRule,
 }
 
 #[cfg(test)]

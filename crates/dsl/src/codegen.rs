@@ -1,8 +1,9 @@
 //! The Rust code generator — the analogue of the paper's "compiled to C
 //! code that can be integrated as a scheduling class into the Linux kernel".
 //!
-//! The generator emits a self-contained Rust module implementing the three
-//! `sched-core` policy traits for the given definition.  The output is plain
+//! The generator emits a self-contained Rust module implementing the two
+//! `sched-core` selection traits for the given definition and assembling
+//! them with its step-3 [`sched_core::StealRule`].  The output is plain
 //! text; it is not compiled by this crate (there is no `rustc` at run time),
 //! but the golden tests assert its shape and the emitted code mirrors the
 //! interpreter in [`crate::eval`] one-to-one, so behavioural equivalence is
@@ -45,7 +46,7 @@ pub fn generate_rust(def: &PolicyDef) -> String {
     format!(
         r#"//! Generated from the `{name}` policy definition — do not edit by hand.
 
-use sched_core::{{ChoicePolicy, CoreId, CoreSnapshot, CoreState, FilterPolicy, LoadMetric, Policy, StealPolicy, TaskId, TrackerSpec}};
+use sched_core::{{ChoicePolicy, CoreId, CoreSnapshot, FilterPolicy, LoadMetric, Policy, StealRule, TrackerSpec}};
 
 /// Step 1 of `{name}`: the filter.
 #[derive(Debug, Clone, Copy, Default)]
@@ -78,23 +79,9 @@ impl ChoicePolicy for {struct_name}Choice {{
     }}
 }}
 
-/// Step 3 of `{name}`: the steal.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct {struct_name}Steal;
-
-impl StealPolicy for {struct_name}Steal {{
-    fn select_tasks(&self, _thief: &CoreState, victim: &CoreState) -> Vec<TaskId> {{
-        victim.ready.iter().rev().take({steal_count}).map(|t| t.id).collect()
-    }}
-
-    fn name(&self) -> &'static str {{
-        "{name}_steal"
-    }}
-}}
-
-/// Assembles the `{name}` policy.
+/// Assembles the `{name}` policy; step 3 is a rule, not code.
 pub fn policy() -> Policy {{
-    Policy::with_tracker({tracker_expr}, Box::new({struct_name}Filter), Box::new({struct_name}Choice), Box::new({struct_name}Steal))
+    Policy::with_tracker({tracker_expr}, Box::new({struct_name}Filter), Box::new({struct_name}Choice), StealRule::{steal:?})
 }}
 "#,
         name = def.name,
@@ -103,7 +90,7 @@ pub fn policy() -> Policy {{
         tracker_expr = tracker_expr,
         filter_expr = filter_expr,
         choose_body = choose_body,
-        steal_count = def.steal_count,
+        steal = def.steal,
     )
 }
 
@@ -173,7 +160,7 @@ mod tests {
             code.contains("((victim.load(metric) as i128 - this.load(metric) as i128) >= 2i128)")
         );
         assert!(code.contains("impl ChoicePolicy for Listing1Choice"));
-        assert!(code.contains(".take(1)"));
+        assert!(code.contains("StealRule::One)"));
         assert!(code.contains("pub fn policy() -> Policy"));
     }
 
@@ -209,6 +196,15 @@ mod tests {
         assert_eq!(camel_case("simple_policy"), "SimplePolicy");
         assert_eq!(camel_case("a-b_c"), "ABC");
         assert_eq!(camel_case("x"), "X");
+    }
+
+    #[test]
+    fn the_steal_rule_is_assembled_into_the_policy() {
+        let def =
+            parse("policy p { filter = victim.load - self.load >= 2; steal = half; }").unwrap();
+        assert!(generate_rust(&def).contains("StealRule::HalfImbalance)"));
+        let def = parse("policy p { filter = victim.load - self.load >= 2; steal = 3; }").unwrap();
+        assert!(generate_rust(&def).contains("StealRule::Fixed(3))"));
     }
 
     #[test]

@@ -39,11 +39,10 @@
 //! ```
 
 use crate::ast::PolicyDef;
-use crate::ast::{ChooseRule, LoadSpec, MetricSpec};
 use crate::error::DslError;
 use crate::lexer::{lex, Token};
 use crate::parser::Parser;
-use crate::pretty::print_expr;
+use crate::pretty::print_policy;
 
 /// The machine a scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,9 +248,11 @@ pub enum Driver {
 }
 
 /// Steal-batch sizing for the runqueue backends: how many threads one
-/// successful steal decision may claim in a single queue acquisition.  The
-/// model and simulator balance one abstract thread per steal by
-/// construction, so a batched row there would measure nothing.
+/// successful steal decision may claim in a single queue acquisition.  It
+/// is sugar for the policy's step 3 (`Fixed(k)` is
+/// `sched_core::StealRule::Fixed(k)`, `Half` is `HalfImbalance`); the model
+/// and simulator have no queue acquisition for a batch to amortise, so a
+/// batched row there would measure nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Batch {
     /// A fixed batch of `k >= 1` per acquisition; `Fixed(1)` is the
@@ -323,7 +324,7 @@ pub struct Scenario {
     /// documents emitted by the fuzzer's ordering sweep carry it.
     pub order: Option<u64>,
     /// Steal-batch sizing for the E23 sweep, if any (runqueue backends
-    /// only; `None` keeps the one-thread-per-steal default).
+    /// only; `None` keeps the policy's own step 3).
     pub batch: Option<Batch>,
     /// Give the initial tasks mixed niceness (cycling −10 / 0 / 10:
     /// important, normal, background) instead of uniform `nice 0`.
@@ -919,30 +920,10 @@ fn print_driver(driver: &Driver) -> String {
     }
 }
 
-/// Renders an inline policy at scenario indent, mirroring
-/// [`crate::pretty::print_policy`]'s clause layout.
+/// Renders an inline policy at scenario indent:
+/// [`crate::pretty::print_policy`]'s canonical source, one level deeper.
 fn print_inline_policy(def: &PolicyDef) -> String {
-    let mut s = format!("    policy {} {{\n", def.name);
-    s.push_str(&format!(
-        "        metric {};\n",
-        match def.metric {
-            MetricSpec::Threads => "threads",
-            MetricSpec::Weighted => "weighted",
-        }
-    ));
-    if let Some(LoadSpec::Pelt { half_life_ms }) = def.load {
-        s.push_str(&format!("        load   pelt({half_life_ms});\n"));
-    }
-    s.push_str(&format!("        filter = {};\n", print_expr(&def.filter)));
-    let choose = match &def.choose {
-        ChooseRule::First => "first".to_string(),
-        ChooseRule::MaxBy(key) => format!("max {}", print_expr(key)),
-        ChooseRule::MinBy(key) => format!("min {}", print_expr(key)),
-    };
-    s.push_str(&format!("        choose = {choose};\n"));
-    s.push_str(&format!("        steal  = {};\n", def.steal_count));
-    s.push_str("    }\n");
-    s
+    print_policy(def).lines().map(|line| format!("    {line}\n")).collect()
 }
 
 fn escape(text: &str) -> String {

@@ -2,10 +2,7 @@
 //! objects (the analogue of the paper's "compiled to C" path).
 
 use sched_core::tracker::TrackerSpec;
-use sched_core::{
-    ChoicePolicy, CoreId, CoreSnapshot, CoreState, FilterPolicy, LoadMetric, Policy, StealPolicy,
-    TaskId,
-};
+use sched_core::{ChoicePolicy, CoreId, CoreSnapshot, FilterPolicy, LoadMetric, Policy};
 
 use crate::ast::{Actor, BinOp, ChooseRule, Expr, Field, LoadSpec, MetricSpec, PolicyDef};
 use crate::error::DslError;
@@ -44,7 +41,7 @@ pub fn compile(def: &PolicyDef) -> Result<CompiledPolicy, DslError> {
         built,
         Box::new(DslFilter { expr: def.filter.clone(), metric }),
         Box::new(DslChoice { rule: def.choose.clone(), metric }),
-        Box::new(DslSteal { count: def.steal_count as usize }),
+        def.steal,
     );
     Ok(CompiledPolicy { policy, warnings, def: def.clone() })
 }
@@ -159,27 +156,6 @@ impl ChoicePolicy for DslChoice {
     }
 }
 
-/// Step 3 compiled from a DSL steal count.
-#[derive(Debug, Clone)]
-pub struct DslSteal {
-    count: usize,
-}
-
-impl StealPolicy for DslSteal {
-    fn select_tasks(&self, _thief: &CoreState, victim: &CoreState) -> Vec<TaskId> {
-        // Never steal so much that the victim ends up idle (the §4.2 "does
-        // not steal too much" obligation): if the victim has no running
-        // thread, one waiting thread must stay behind.
-        let keep = usize::from(victim.current.is_none());
-        let take = self.count.min(victim.ready.len().saturating_sub(keep));
-        victim.ready.iter().rev().take(take).map(|t| t.id).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "dsl_steal"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +211,14 @@ mod tests {
         let balancer = Balancer::new(compiled.policy);
         let attempt = balancer.balance_core(&mut system, CoreId(0), 0);
         assert_eq!(attempt.outcome.nr_stolen(), 2);
+        // `steal = half` is the step the executor runs.
+        let compiled =
+            compile_source("policy half { filter = victim.load - self.load >= 2; steal = half; }")
+                .unwrap();
+        assert_eq!(compiled.policy.steal, StealRule::HalfImbalance);
+        let mut system = SystemState::from_loads(&[0, 7]);
+        let attempt = Balancer::new(compiled.policy).balance_core(&mut system, CoreId(0), 0);
+        assert_eq!(attempt.outcome.nr_stolen(), 3);
     }
 
     #[test]

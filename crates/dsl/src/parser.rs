@@ -1,5 +1,7 @@
 //! Recursive-descent parser for the policy DSL.
 
+use sched_core::StealRule;
+
 use crate::ast::{Actor, BinOp, ChooseRule, Expr, Field, LoadSpec, MetricSpec, PolicyDef};
 use crate::error::DslError;
 use crate::lexer::{lex, Token};
@@ -148,8 +150,10 @@ impl Parser {
                 }
                 "steal" => {
                     self.expect(Token::Assign)?;
-                    match self.next()? {
-                        Token::Int(v) if v > 0 => steal = Some(v as u32),
+                    steal = Some(match self.next()? {
+                        Token::Int(1) => StealRule::One,
+                        Token::Int(v) if v > 1 => StealRule::Fixed(v as usize),
+                        Token::Ident(word) if word == "half" => StealRule::HalfImbalance,
                         Token::Int(v) => {
                             return Err(DslError::parse(format!(
                                 "steal count must be positive, got {v}"
@@ -157,10 +161,10 @@ impl Parser {
                         }
                         other => {
                             return Err(DslError::parse(format!(
-                                "expected an integer steal count, found {other:?}"
+                                "expected a steal count or `half`, found {other:?}"
                             )))
                         }
-                    }
+                    });
                 }
                 other => return Err(DslError::parse(format!("unknown clause `{other}`"))),
             }
@@ -205,7 +209,7 @@ impl Parser {
             load,
             filter: filter.ok_or_else(|| DslError::parse("a policy needs a `filter` clause"))?,
             choose: choose.unwrap_or(ChooseRule::First),
-            steal_count: steal.unwrap_or(1),
+            steal: steal.unwrap_or_default(),
         })
     }
 
@@ -333,7 +337,7 @@ mod tests {
         .unwrap();
         assert_eq!(p.name, "listing1");
         assert_eq!(p.metric, MetricSpec::Threads);
-        assert_eq!(p.steal_count, 1);
+        assert_eq!(p.steal, StealRule::One);
         assert!(matches!(p.choose, ChooseRule::MaxBy(_)));
         assert_eq!(p.filter.to_source(), "((victim.load - self.load) >= 2)");
     }
@@ -353,7 +357,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.metric, MetricSpec::Weighted);
-        assert_eq!(p.steal_count, 2);
+        assert_eq!(p.steal, StealRule::Fixed(2));
         match &p.filter {
             Expr::Binary(BinOp::And, _, _) => {}
             other => panic!("expected a conjunction, got {other:?}"),
@@ -417,6 +421,7 @@ mod tests {
         assert!(parse("policy p { filter = nobody.load >= 2; }").is_err());
         assert!(parse("policy p { filter = victim.bogus >= 2; }").is_err());
         assert!(parse("policy p { filter = victim.load >= 2; steal = 0; }").is_err());
+        assert!(parse("policy p { filter = victim.load >= 2; steal = most; }").is_err());
         assert!(parse("policy p { frobnicate = 3; filter = victim.load >= 2; }").is_err());
         assert!(parse("policy p { metric bogus; filter = victim.load >= 2; }").is_err());
         assert!(parse("policy p { filter = victim.load >= ; }").is_err());

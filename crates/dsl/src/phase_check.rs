@@ -7,7 +7,8 @@
 //!   is true by construction (there is no write expression), and the phase
 //!   checker asserts it as an invariant over the AST;
 //! * the stealing phase must migrate at least one thread when it succeeds,
-//!   so a zero steal count is rejected;
+//!   so a zero steal count is rejected (`steal = half` sizes at least one
+//!   by construction);
 //! * a filter that never looks at the victim can never be sound, so it is
 //!   rejected outright.
 //!
@@ -15,6 +16,8 @@
 //! accepted but known-dangerous, the prime example being a filter that
 //! ignores `self` — exactly the §4.3 greedy counterexample, which is sound
 //! sequentially but not work-conserving under concurrency.
+
+use sched_core::StealRule;
 
 use crate::ast::{Actor, ChooseRule, PolicyDef};
 use crate::error::DslError;
@@ -28,7 +31,7 @@ pub struct PhaseWarning {
 
 /// Checks the structural constraints, returning warnings on success.
 pub fn phase_check(policy: &PolicyDef) -> Result<Vec<PhaseWarning>, DslError> {
-    if policy.steal_count == 0 {
+    if policy.steal == StealRule::Fixed(0) {
         return Err(DslError::phase("the stealing phase must migrate at least one thread"));
     }
     if !policy.filter.references(Actor::Victim) {

@@ -5,6 +5,8 @@
 //! assembled programmatically by tooling) storable in the same textual
 //! format that humans write.
 
+use sched_core::StealRule;
+
 use crate::ast::{ChooseRule, Expr, LoadSpec, MetricSpec, PolicyDef};
 
 /// Renders a policy definition as canonical DSL source.
@@ -26,6 +28,13 @@ pub fn print_policy(def: &PolicyDef) -> String {
         ChooseRule::MaxBy(key) => format!("max {}", print_expr(key)),
         ChooseRule::MinBy(key) => format!("min {}", print_expr(key)),
     };
+    // The grammar spells a count or `half`; `Lightest` (the weighted
+    // recipes' step) has no spelling, and prints as the one thread it takes.
+    let steal = match def.steal {
+        StealRule::One | StealRule::Lightest => "1".to_string(),
+        StealRule::Fixed(k) => k.to_string(),
+        StealRule::HalfImbalance => "half".to_string(),
+    };
     format!(
         "policy {name} {{\n    metric {metric};\n{load}    filter = {filter};\n    choose = {choose};\n    steal  = {steal};\n}}\n",
         name = def.name,
@@ -33,7 +42,7 @@ pub fn print_policy(def: &PolicyDef) -> String {
         load = load,
         filter = print_expr(&def.filter),
         choose = choose,
-        steal = def.steal_count,
+        steal = steal,
     )
 }
 
@@ -108,9 +117,13 @@ mod tests {
             .prop_map(|(threshold, op)| format!("victim.load - self.load {op} {threshold}"))
     }
 
+    fn arb_steal() -> impl Strategy<Value = String> {
+        prop_oneof![(1u32..4).prop_map(|k| k.to_string()), Just("half".into())]
+    }
+
     proptest! {
         #[test]
-        fn random_delta_filters_round_trip(filter in arb_simple_filter(), steal in 1u32..4) {
+        fn random_delta_filters_round_trip(filter in arb_simple_filter(), steal in arb_steal()) {
             let source = format!(
                 "policy generated {{ metric threads; filter = {filter}; choose = max victim.load; steal = {steal}; }}"
             );

@@ -6,11 +6,14 @@
 //! [`DequeRq`] (Chase–Lev ring plus the shared overflow injector), and runs
 //! submitted jobs through exactly the machinery the rest of the repository
 //! verifies: wakeup placement via [`sched_core::ChoicePolicy::place_wakeup`],
-//! batched CAS stealing via [`DequeRq::try_steal_recorded`] — a decision
-//! claims half the imbalance it observed ([`StealBatch::HalfImbalance`]),
-//! the sizing rule `sched-verify` proves non-inverting — with the same
+//! batched CAS stealing via [`DequeRq::try_steal_recorded`] with the same
 //! [`StealRecorder`] program point the `stats == fold(trace)` parity proofs
-//! rely on, and per-decision tracing through [`sched_trace`].
+//! rely on, and per-decision tracing through [`sched_trace`].  A steal
+//! decision claims half the imbalance it observed: [`Executor::start`] sets
+//! the policy's step 3 to [`StealRule::HalfImbalance`] whatever the policy
+//! named (so [`Executor::policy`]'s `describe()` ends in `steal_half`), and
+//! [`StealRule::plan`] — the sizing the model, the simulator and the
+//! runqueues run, and `sched-verify` proves non-inverting — sizes each claim.
 //!
 //! A job is a closure, and that is the only kind there is.  What a caller
 //! wants measured about its jobs — [`crate::openloop`]'s per-request
@@ -172,9 +175,9 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use sched_core::{CoreId, CoreSnapshot, Policy, StealOutcome, TaskId};
+use sched_core::{CoreId, CoreSnapshot, Policy, StealOutcome, StealRule, TaskId};
 use sched_rq::steal::StealRecorder;
-use sched_rq::{BalanceStats, DequeRq, RqBackend, RqTask, StealBatch};
+use sched_rq::{BalanceStats, DequeRq, RqBackend, RqTask};
 use sched_topology::MachineTopology;
 use sched_trace::{TraceEvent, TraceSink};
 
@@ -200,12 +203,6 @@ const SLOT_BITS: u32 = 24;
 /// Task ids must stay below this to fit the runqueue's packed word.
 const ID_LIMIT: u64 = 1 << 55;
 
-/// Claim size of one steal decision: half the imbalance the thief observed,
-/// the rule `sched-verify` proves non-inverting.  Sized in the selection
-/// phase from the thief's and the victim's snapshots, like every
-/// [`StealBatch`]; the runqueue caps it at the live counters when it claims.
-const STEAL_BATCH: StealBatch = StealBatch::HalfImbalance;
-
 /// How the executor is built: machine shape, policy, and knobs.
 #[derive(Debug)]
 pub struct ExecConfig {
@@ -213,7 +210,8 @@ pub struct ExecConfig {
     pub topo: Arc<MachineTopology>,
     /// The balancing policy: its filter/choice drive stealing, its
     /// [`sched_core::ChoicePolicy::place_wakeup`] drives submission placement, and its
-    /// tracker maintains the loads both read.
+    /// tracker maintains the loads both read.  Its step 3 is replaced by
+    /// [`StealRule::HalfImbalance`] when the executor starts.
     pub policy: Policy,
     /// Capacity of each worker's ring (overflow spills to the shared
     /// injector, so this bounds memory, not admission).
@@ -224,7 +222,9 @@ pub struct ExecConfig {
 
 impl ExecConfig {
     /// A configuration with the default ring capacity and no tracing.  (A
-    /// steal moves half the imbalance; that is not a knob.)
+    /// steal moves half the imbalance whatever step 3 `policy` names —
+    /// [`Executor::start`] sets it to [`StealRule::HalfImbalance`], and the
+    /// policy's `describe()` says so; that is not a knob.)
     pub fn new(topo: Arc<MachineTopology>, policy: Policy) -> Self {
         ExecConfig { topo, policy, ring_capacity: 1024, trace: TraceSink::disabled() }
     }
@@ -660,7 +660,7 @@ impl Shared {
             &self.cores[thief.0],
             &self.cores[victim.id.0],
             self.policy.filter.as_ref(),
-            STEAL_BATCH.size(&self.policy, &thief_snap, &victim),
+            self.policy.steal.plan(&self.policy, &thief_snap, &victim).count,
             Some(recorder(Some(self.topo.steal_level(thief, victim.id)))),
         );
         self.policy.choice.observe(thief, victim.id, outcome.is_success());
@@ -826,9 +826,12 @@ pub struct Executor {
 
 impl Executor {
     /// Builds the runqueues and spawns one worker thread per CPU of the
-    /// configured topology.
+    /// configured topology.  Step 3 of the configured policy becomes
+    /// [`StealRule::HalfImbalance`]: a decision claims half the imbalance
+    /// it observed, whatever the policy named.
     pub fn start(config: ExecConfig) -> Self {
         let ExecConfig { topo, policy, ring_capacity, trace } = config;
+        let policy = policy.with_steal(StealRule::HalfImbalance);
         let clock = Arc::new(AtomicU64::new(0));
         let cores: Vec<DequeRq> = topo
             .cpus()
@@ -881,6 +884,12 @@ impl Executor {
     /// Number of worker threads (= CPUs of the configured topology).
     pub fn nr_workers(&self) -> usize {
         self.shared.cores.len()
+    }
+
+    /// The policy the workers run — the configured one with step 3 set to
+    /// [`StealRule::HalfImbalance`], as its `describe()` shows.
+    pub fn policy(&self) -> &Policy {
+        &self.shared.policy
     }
 
     /// Submits a closure and returns a handle to its result.
@@ -1042,6 +1051,15 @@ mod tests {
         assert_eq!(sum, (0..64u64).map(|i| i * 2).sum());
         let report = exec.shutdown();
         assert_eq!(report.completed, 64);
+    }
+
+    #[test]
+    fn the_workers_steal_half_whatever_step_3_the_policy_names() {
+        let exec = start(TraceSink::disabled());
+        assert_eq!(exec_policy(&small_topo()).steal, StealRule::One);
+        assert_eq!(exec.policy().steal, StealRule::HalfImbalance);
+        assert_eq!(exec.policy().describe(), "delta_filter/topology_aware/steal_half");
+        exec.shutdown();
     }
 
     #[test]

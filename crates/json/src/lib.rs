@@ -48,7 +48,14 @@ pub use write::{object, JsonValue};
 ///   work-stealing executor under open-loop arrivals (the E26 ladder; the
 ///   gate's absolute `--p99-ceiling-us` applies to both).  `null` on
 ///   every backend except `exec`.
-pub const SCHEMA_VERSION: i64 = 8;
+/// * v9: no key added or removed — what changed is what the records of a
+///   policy whose step 3 moves more than one thread mean.  Every backend
+///   now sizes its steals with the policy's own `StealRule::plan`, so the
+///   e8 `listing1+steal_half` records on `sim`, `sim-event`, `rq` and
+///   `rq-deque` are half-imbalance runs (they were one-task runs before;
+///   the `model` record always was one), and the `.scn` `batch` clause is
+///   sugar for that step.
+pub const SCHEMA_VERSION: i64 = 9;
 
 /// The identity of one `BENCH_results.json` record.
 ///

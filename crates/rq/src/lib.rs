@@ -49,12 +49,18 @@ pub use backend::RqBackend;
 pub use deque_rq::DequeRq;
 pub use entity::RqTask;
 pub use fifo::FifoQueue;
-pub use multiqueue::{MultiQueue, StealBatch};
+pub use multiqueue::MultiQueue;
 pub use overflow::{OverflowPolicy, TinyDequeRq, TinySpillDequeRq, TINY_RING_CAPACITY};
 pub use percore::PerCoreRq;
 pub use published::PublishedLoad;
 pub use stats::BalanceStats;
 pub use vruntime::VruntimeQueue;
+
+/// Step 3 of Listing 1 — [`sched_core::StealRule`] itself, under the name
+/// the frozen repo benchmark imports (`benchmark/src/probes.rs` hands
+/// `StealBatch::HalfImbalance` to [`MultiQueue::concurrent_round_batched`]).
+/// It exists for that benchmark only; everything else names the core type.
+pub use sched_core::StealRule as StealBatch;
 
 /// A machine of lock-free (Chase–Lev) runqueues.
 pub type DequeMultiQueue = MultiQueue<DequeRq>;

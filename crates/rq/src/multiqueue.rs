@@ -1,13 +1,15 @@
 //! A machine's worth of concurrent runqueues and optimistic balancing over
 //! them.
 //!
-//! Every balancing operation here — flat, batched, hierarchical,
+//! Every balancing operation here — flat, hierarchical,
 //! barrier-synchronized, pessimistic — is the same two phases.  The
 //! selection is [`Policy::select`], the one `sched-verify` checks and the
 //! model, the executor and the simulator also run; the operations differ
 //! only in which observations they hand it (fresh lock-less snapshots, one
 //! set shared by the distance levels, snapshots taken under every lock) and
-//! which victims they admit.  The stealing phase is one private step, the
+//! which victims they admit.  How much the thief claims is the policy's
+//! step 3, [`StealRule::plan`] of the same observations.  The stealing
+//! phase is one private step, the
 //! only caller of [`RqBackend::try_steal_recorded`]: claim, count and trace
 //! through the [`StealRecorder`], tell the choice how it went.  Likewise
 //! there is one scoped-thread round (every core runs an operation from its
@@ -18,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sched_core::tracker::{LoadTracker, NrThreadsTracker};
-use sched_core::{CoreId, CoreSnapshot, LoadMetric, Nice, Policy, StealOutcome, TaskId, Weight};
+use sched_core::{CoreId, CoreSnapshot, Nice, Policy, StealOutcome, StealRule, TaskId};
 use sched_topology::{MachineTopology, NodeId, StealLevel};
 use sched_trace::{TraceEvent, TraceSink};
 
@@ -29,52 +31,6 @@ use crate::percore::PerCoreRq;
 use crate::stats::BalanceStats;
 use crate::steal::{snapshot_locked, StealRecorder};
 use crate::TaskQueue;
-
-/// How many tasks one steal decision asks the stealing phase for.
-///
-/// Sizing happens in the *selection* phase, from the same lock-less
-/// snapshots the filter and choice read: by the time the claim runs the
-/// observation may be stale, which is fine — the backend claims at most
-/// what the victim still has, the delivery's re-check trims a batch that
-/// would overshoot, and a partial batch is still a success (see
-/// [`sched_core::ChoicePolicy::observe`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealBatch {
-    /// One task per steal decision — Listing 1's `stealOneThread`, and the
-    /// default everywhere batching is not explicitly requested.
-    #[default]
-    One,
-    /// A fixed number of tasks per decision (clamped to at least one).
-    Fixed(usize),
-    /// Half the observed imbalance, in whole tasks of the policy's load
-    /// unit — the [`sched_core::policy::steal::StealHalfImbalance`] rule, applied to the
-    /// claim size instead of a locked task-by-task selection.  Moving half
-    /// the surplus converges like binary search while never inverting the
-    /// imbalance the filter approved (the P2 potential argument).
-    HalfImbalance,
-}
-
-impl StealBatch {
-    /// Sizes the claim for one (thief, victim) pair from their
-    /// selection-phase snapshots; always at least one.
-    pub fn size(self, policy: &Policy, thief: &CoreSnapshot, victim: &CoreSnapshot) -> usize {
-        match self {
-            StealBatch::One => 1,
-            StealBatch::Fixed(k) => k.max(1),
-            StealBatch::HalfImbalance => {
-                // One "task" of surplus is one load unit of the tracked
-                // base: a raw thread for thread counts, a `nice 0` weight
-                // for weighted loads (matching `StealHalfImbalance`).
-                let unit = match policy.tracker.base() {
-                    LoadMetric::Weighted => Weight::NICE_0.raw(),
-                    _ => 1,
-                };
-                let surplus = victim.load(policy.metric).saturating_sub(thief.load(policy.metric));
-                usize::try_from(surplus / unit / 2).unwrap_or(usize::MAX).max(1)
-            }
-        }
-    }
-}
 
 /// All the per-core runqueues of one machine.
 ///
@@ -311,7 +267,7 @@ impl<B: RqBackend> MultiQueue<B> {
     /// Steps 1 and 2 (filter + choice) read only the lock-less snapshots;
     /// step 3 locks exactly the two runqueues involved.
     pub fn balance_once(&self, thief: CoreId, policy: &Policy) -> StealOutcome {
-        self.steal(thief, self.select(thief, policy, StealBatch::One), policy, None)
+        self.steal(thief, self.select(thief, policy, policy.steal), policy, None)
     }
 
     /// Like [`MultiQueue::balance_once`], but records the outcome (with its
@@ -323,27 +279,19 @@ impl<B: RqBackend> MultiQueue<B> {
         policy: &Policy,
         stats: &BalanceStats,
     ) -> StealOutcome {
-        self.steal(thief, self.select(thief, policy, StealBatch::One), policy, Some(stats))
-    }
-
-    /// Like [`MultiQueue::balance_once_recorded`], with the stealing phase
-    /// sized by `batch` instead of fixed at one task: the thief claims up
-    /// to `batch.size(...)` threads in one decision (one multi-claim CAS on
-    /// the deque backend, one lock hold on the mutex backend).
-    pub fn balance_once_batched(
-        &self,
-        thief: CoreId,
-        policy: &Policy,
-        batch: StealBatch,
-        stats: &BalanceStats,
-    ) -> StealOutcome {
-        self.steal(thief, self.select(thief, policy, batch), policy, Some(stats))
+        self.steal(thief, self.select(thief, policy, policy.steal), policy, Some(stats))
     }
 
     /// Selection phase of one flat operation: [`Policy::select`] over fresh
-    /// lock-less snapshots of every core, plus the claim size, which is
-    /// taken from the same optimistic observations the choice just used.
-    fn select(&self, thief: CoreId, policy: &Policy, batch: StealBatch) -> Option<(CoreId, usize)> {
+    /// lock-less snapshots of every core, plus the claim size, which
+    /// `step`'s [`StealRule::plan`] takes from the same optimistic
+    /// observations the choice just used — one multi-claim CAS on the
+    /// deque backend, one lock hold on the mutex backend.  By the time the
+    /// claim runs the observation may be stale, which is fine: the backend
+    /// claims at most what the victim still has, the delivery's re-check
+    /// trims a batch that would overshoot, and a partial batch is still a
+    /// success (see [`sched_core::ChoicePolicy::observe`]).
+    fn select(&self, thief: CoreId, policy: &Policy, step: StealRule) -> Option<(CoreId, usize)> {
         let thief_snap = self.cores[thief.0].snapshot();
         let victim = policy.select(
             &thief_snap,
@@ -351,7 +299,7 @@ impl<B: RqBackend> MultiQueue<B> {
             |_| true,
             &mut Vec::new(),
         )?;
-        Some((victim.id, batch.size(policy, &thief_snap, &victim)))
+        Some((victim.id, step.plan(policy, &thief_snap, &victim).count))
     }
 
     /// Stealing phase of one operation, the only one there is: claims up to
@@ -427,7 +375,8 @@ impl<B: RqBackend> MultiQueue<B> {
             ) else {
                 continue;
             };
-            let outcome = self.steal(thief, Some((victim.id, 1)), policy, Some(stats));
+            let count = policy.steal.plan(policy, &snapshots[thief.0], &victim).count;
+            let outcome = self.steal(thief, Some((victim.id, count)), policy, Some(stats));
             if outcome.is_success() {
                 return outcome;
             }
@@ -455,19 +404,16 @@ impl<B: RqBackend> MultiQueue<B> {
     ///
     /// Returns the aggregated outcome counters.
     pub fn concurrent_round(&self, policy: &Policy) -> BalanceStats {
-        self.concurrent_round_batched(policy, StealBatch::One)
+        self.concurrent_round_batched(policy, policy.steal)
     }
 
-    /// Like [`MultiQueue::concurrent_round`], with every core's steal
-    /// decision sized by `batch`: one acquisition (multi-claim CAS, batched
-    /// injector lock, or one mutex hold) moves up to `batch.size(...)`
-    /// threads.  [`StealBatch::One`] makes this exactly
-    /// [`MultiQueue::concurrent_round`].
-    pub fn concurrent_round_batched(&self, policy: &Policy, batch: StealBatch) -> BalanceStats {
+    /// Like [`MultiQueue::concurrent_round`], with `step` in place of the
+    /// policy's own step 3.
+    pub fn concurrent_round_batched(&self, policy: &Policy, step: StealRule) -> BalanceStats {
         // The outcome is recorded inside the stealing phase's critical
         // section, atomically with the dequeue.
         self.round(|thief, stats| {
-            self.balance_once_batched(thief, policy, batch, stats);
+            self.steal(thief, self.select(thief, policy, step), policy, Some(stats));
         })
     }
 
@@ -494,7 +440,7 @@ impl<B: RqBackend> MultiQueue<B> {
     pub fn concurrent_round_synchronized(&self, policy: &Policy) -> BalanceStats {
         let barrier = std::sync::Barrier::new(self.cores.len());
         self.round(|thief, stats| {
-            let selected = self.select(thief, policy, StealBatch::One);
+            let selected = self.select(thief, policy, policy.steal);
             // Every core finishes selecting before anyone steals.
             barrier.wait();
             self.steal(thief, selected, policy, Some(stats));
@@ -568,7 +514,9 @@ impl<Q: TaskQueue + 'static> MultiQueue<PerCoreRq<Q>> {
         // selection was made under the global lock there is no staleness in a
         // single-threaded use, and under concurrency the re-check still
         // protects correctness.
-        self.steal(thief, victim.map(|victim| (victim.id, 1)), policy, None)
+        let sized =
+            victim.map(|v| (v.id, policy.steal.plan(policy, &snapshots[thief.0], &v).count));
+        self.steal(thief, sized, policy, None)
     }
 }
 
@@ -865,15 +813,19 @@ mod tests {
             injected: 0,
         };
         let idle = snap(0, 0);
-        assert_eq!(StealBatch::One.size(&policy, &idle, &snap(1, 9)), 1);
-        assert_eq!(StealBatch::Fixed(4).size(&policy, &idle, &snap(1, 9)), 4);
-        assert_eq!(StealBatch::Fixed(0).size(&policy, &idle, &snap(1, 9)), 1, "clamped");
-        assert_eq!(StealBatch::HalfImbalance.size(&policy, &idle, &snap(1, 9)), 4);
-        assert_eq!(StealBatch::HalfImbalance.size(&policy, &snap(0, 3), &snap(1, 9)), 3);
-        assert_eq!(StealBatch::HalfImbalance.size(&policy, &snap(0, 2), &snap(1, 3)), 1, "≥ 1");
-        // Weighted policies size in nice-0 units, like StealHalfImbalance.
+        assert_eq!(StealRule::One.plan(&policy, &idle, &snap(1, 9)).count, 1);
+        assert_eq!(StealRule::Fixed(4).plan(&policy, &idle, &snap(1, 9)).count, 4);
+        assert_eq!(StealRule::Fixed(0).plan(&policy, &idle, &snap(1, 9)).count, 1, "clamped");
+        assert_eq!(StealRule::HalfImbalance.plan(&policy, &idle, &snap(1, 9)).count, 4);
+        assert_eq!(StealRule::HalfImbalance.plan(&policy, &snap(0, 3), &snap(1, 9)).count, 3);
+        assert_eq!(
+            StealRule::HalfImbalance.plan(&policy, &snap(0, 2), &snap(1, 3)).count,
+            1,
+            "≥ 1"
+        );
+        // Weighted policies size in nice-0 units.
         let weighted = Policy::weighted();
-        assert_eq!(StealBatch::HalfImbalance.size(&weighted, &idle, &snap(1, 8)), 4);
+        assert_eq!(StealRule::HalfImbalance.plan(&weighted, &idle, &snap(1, 8)).count, 4);
     }
 
     #[test]
@@ -887,7 +839,7 @@ mod tests {
         let mut successes = 0u64;
         let mut rounds = 0;
         while !mq.is_work_conserving() && rounds < 64 {
-            let stats = mq.concurrent_round_batched(&policy, StealBatch::HalfImbalance);
+            let stats = mq.concurrent_round_batched(&policy, StealRule::HalfImbalance);
             successes += stats.successes();
             assert!(
                 stats.migrations() >= stats.successes(),
@@ -909,8 +861,8 @@ mod tests {
     fn a_partial_batch_is_observed_as_a_success() {
         use std::sync::atomic::AtomicBool;
 
-        // The backoff-feeding satellite: a thief that asked for eight and
-        // got three still migrated real work — `observe` must see success,
+        // The backoff-feeding satellite: a thief that asked for three and
+        // got fewer still migrated real work — `observe` must see success,
         // or the choice machinery would deprioritise its best victims.
         #[derive(Debug)]
         struct Recording {
@@ -936,13 +888,16 @@ mod tests {
         let observed_success = Arc::new(AtomicBool::new(false));
         let observed_failure = Arc::new(AtomicBool::new(false));
         let mq: DequeMq = MultiQueue::with_loads(&[0, 4]);
-        let policy = Policy::simple().with_choice(Box::new(Recording {
-            observed_success: Arc::clone(&observed_success),
-            observed_failure: Arc::clone(&observed_failure),
-        }));
+        let policy = Policy::simple()
+            .with_choice(Box::new(Recording {
+                observed_success: Arc::clone(&observed_success),
+                observed_failure: Arc::clone(&observed_failure),
+            }))
+            .with_steal(StealRule::Fixed(8));
         let stats = BalanceStats::new();
-        // The victim has 3 waiting tasks; ask for 8.
-        let outcome = mq.balance_once_batched(CoreId(0), &policy, StealBatch::Fixed(8), &stats);
+        // The victim has 3 waiting tasks: 8 is sized down to 3, and the
+        // claim's live-counter cap takes 2 of them.
+        let outcome = mq.balance_once_recorded(CoreId(0), &policy, &stats);
         match outcome {
             StealOutcome::Stole { ref tasks, .. } => assert!(tasks.len() >= 2, "a real batch"),
             ref other => panic!("expected a (partial) batch steal, got {other:?}"),
@@ -993,7 +948,7 @@ mod tests {
         assert_eq!(mq.total_threads(), 40, "8 initial + 32 woken, none lost or duplicated");
         // Every thread residing away from its spawn core got there through
         // a recorded migration (threads may migrate more than once, so the
-        // counter bounds the residents from above), and with `StealOne`
+        // counter bounds the residents from above), and with `StealRule::One`
         // each success accounts for exactly one migration — an entity can
         // never be double-counted by a steal racing a wakeup.
         let moved: u64 = (1..4).map(|c| mq.core(CoreId(c)).nr_threads_exact()).sum();

@@ -5,8 +5,8 @@
 //! concurrent rounds.  Parity is what certifies the trace as a *complete*
 //! record of the round's decisions rather than a lossy echo of them.
 
-use sched_core::{CoreId, Policy};
-use sched_rq::{BalanceStats, DequeRq, MultiQueue, RqBackend, StealBatch};
+use sched_core::{CoreId, Policy, StealRule};
+use sched_rq::{BalanceStats, DequeRq, MultiQueue, RqBackend};
 use sched_trace::{FoldedStats, SanityChecker, TraceSink};
 
 type DequeMq = MultiQueue<DequeRq>;
@@ -53,7 +53,7 @@ fn deque_backend_stats_equal_the_folded_trace() {
         // Batched rounds exercise the multi-claim path, whose partial
         // deliveries and trims are exactly where a lossy trace would
         // diverge from the counters.
-        total.merge_from(&mq.concurrent_round_batched(&policy, StealBatch::HalfImbalance));
+        total.merge_from(&mq.concurrent_round_batched(&policy, StealRule::HalfImbalance));
         rounds += 1;
     }
     assert!(mq.is_work_conserving());
@@ -132,7 +132,7 @@ fn injector_resident_count_equals_the_trace_derived_count() {
         // Batched rounds drive the multi-claim injector path, trims
         // included; the tick drives the aging drain; completes drive the
         // owner's pop-from-injector promotion.
-        let _ = mq.concurrent_round_batched(&policy, StealBatch::Fixed(4));
+        let _ = mq.concurrent_round_batched(&policy, StealRule::Fixed(4));
         mq.tick((epoch + 1) * 1_000_000);
         for core in 0..8 {
             let _ = mq.core(CoreId(core)).complete_current();

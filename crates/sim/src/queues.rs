@@ -191,8 +191,15 @@ impl CoreQueues {
     /// Steals the most recently queued waiting thread of `from` and appends
     /// it to `to`'s runqueue, returning its id.
     pub fn migrate_newest(&mut self, from: CoreId, to: CoreId) -> Option<SimThreadId> {
+        let newest = self.cores[from.0].ready.len().checked_sub(1)?;
+        self.migrate_at(from, to, newest)
+    }
+
+    /// Steals the waiting thread at `index` of `from`'s runqueue (oldest
+    /// first) and appends it to `to`'s runqueue, returning its id.
+    pub fn migrate_at(&mut self, from: CoreId, to: CoreId, index: usize) -> Option<SimThreadId> {
         assert_ne!(from, to, "a core cannot steal from itself");
-        let tid = self.cores[from.0].ready.pop_back()?;
+        let tid = self.cores[from.0].ready.remove(index)?;
         self.cores[to.0].ready.push_back(tid);
         self.log_mutation(from);
         self.log_mutation(to);

@@ -12,7 +12,8 @@
 //! Balancing is one pass function, `balance_pass`: every core plans through
 //! [`Policy::select`] — the selection `sched-verify` checks, shared with the
 //! model, the runqueues and the executor — against one shared snapshot, then
-//! the planned steals re-check against the live queues.
+//! the planned steals re-check against the live queues and move what step 3,
+//! [`sched_core::StealRule::plan`], sizes from the live observations.
 //! [`OptimisticScheduler`]'s round is that pass admitting every victim;
 //! [`HierarchicalScheduler`]'s is the same pass once per steal level,
 //! admitting only victims within the level's distance.
@@ -53,11 +54,12 @@ impl RoundStats {
         }
     }
 
-    /// Records one successful migration across `level`.
-    pub fn record_migration(&mut self, level: StealLevel) {
+    /// Records one successful steal that migrated `moved` threads across
+    /// `level`.
+    pub fn record_steal(&mut self, level: StealLevel, moved: u64) {
         self.successes += 1;
-        self.migrations += 1;
-        self.level_migrations[level.index()] += 1;
+        self.migrations += moved;
+        self.level_migrations[level.index()] += moved;
     }
 
     /// The per-level counts as a [`sched_metrics::StealLocality`], which
@@ -87,9 +89,10 @@ fn steal_level_of(
 }
 
 /// Records the outcome of one simulated steal attempt on the thief's ring,
-/// using the engine-published clock ([`TraceSink::record_now`]).  Success
-/// carries the per-task [`TraceEvent::Migration`] that parity folding and
-/// the sanity checker consume; every failure class in the simulator is a
+/// using the engine-published clock ([`TraceSink::record_now`]): the
+/// attempt with the rule's count `k` and the number actually moved, then
+/// one [`TraceEvent::Migration`] per moved thread, which parity folding and
+/// the sanity checker consume.  Every failure class in the simulator is a
 /// stale optimistic selection, so failures map to
 /// [`StealOutcomeKind::RecheckFailed`] (matching how [`RoundStats`] folds
 /// them into one `failures` counter).
@@ -97,38 +100,28 @@ fn trace_steal(
     trace: &TraceSink,
     thief: CoreId,
     victim: CoreId,
-    migrated: Option<(SimThreadId, StealLevel)>,
+    k: usize,
+    moved: &[SimThreadId],
+    level: Option<StealLevel>,
 ) {
     if !trace.is_enabled() {
         return;
     }
-    match migrated {
-        Some((tid, level)) => {
-            trace.record_now(
-                thief,
-                &TraceEvent::StealAttempt {
-                    victim: Some(victim),
-                    level: Some(level),
-                    outcome: StealOutcomeKind::Stole,
-                    k: 1,
-                    moved: 1,
-                },
-            );
-            trace.record_now(
-                thief,
-                &TraceEvent::Migration { task: TaskId(tid.0 as u64), from: victim },
-            );
-        }
-        None => trace.record_now(
-            thief,
-            &TraceEvent::StealAttempt {
-                victim: Some(victim),
-                level: None,
-                outcome: StealOutcomeKind::RecheckFailed,
-                k: 1,
-                moved: 0,
-            },
-        ),
+    let outcome =
+        if moved.is_empty() { StealOutcomeKind::RecheckFailed } else { StealOutcomeKind::Stole };
+    trace.record_now(
+        thief,
+        &TraceEvent::StealAttempt {
+            victim: Some(victim),
+            level,
+            outcome,
+            k: k as u32,
+            moved: moved.len() as u32,
+        },
+    );
+    for tid in moved {
+        trace
+            .record_now(thief, &TraceEvent::Migration { task: TaskId(tid.0 as u64), from: victim });
     }
 }
 
@@ -137,9 +130,11 @@ fn trace_steal(
 /// "all cores balance simultaneously" interleaving, so selections made by
 /// later cores can be stale and their steals can fail, exactly the optimism
 /// of the model — then each planned steal re-checks the filter against the
-/// live queues before migrating (Listing 1 line 12).  `admit` caps which
-/// `(thief, victim)` pairs the pass may plan: the flat round admits
-/// everyone, a hierarchical level only victims within its distance.
+/// live queues before migrating (Listing 1 line 12) as many threads as the
+/// policy's step 3 plans from the same live observations, as the model's
+/// balancer does.  `admit` caps which `(thief, victim)` pairs the pass may
+/// plan: the flat round admits everyone, a hierarchical level only victims
+/// within its distance.
 fn balance_pass(
     policy: &Policy,
     topo: Option<&MachineTopology>,
@@ -166,19 +161,35 @@ fn balance_pass(
     for (thief, victim) in plans {
         let live_thief = queues.snapshot(thief, threads);
         let live_victim = queues.snapshot(victim, threads);
-        let mut migrated = None;
+        let (mut k, mut moved) = (1, Vec::new());
         if policy.filter.can_steal(&live_thief, &live_victim) {
-            if let Some(tid) = queues.migrate_newest(victim, thief) {
-                let level = steal_level_of(topo, &live_thief, &live_victim);
-                stats.record_migration(level);
-                migrated = Some((tid, level));
+            // Step 3: the planned number of waiting threads, newest first or
+            // lightest first (newest among equals) as the rule asks, capped
+            // by the live queue (§4.2, "does not steal too much").
+            let plan = policy.steal.plan(policy, &live_thief, &live_victim);
+            let live = queues.core(victim);
+            let take = plan.take(live.ready.len(), live.current.is_some());
+            k = plan.count;
+            while moved.len() < take {
+                let ready = &queues.core(victim).ready;
+                let pick = if plan.lightest {
+                    (0..ready.len()).rev().min_by_key(|&i| threads[ready[i].0].weight())
+                } else {
+                    ready.len().checked_sub(1)
+                };
+                let Some(tid) = pick.and_then(|i| queues.migrate_at(victim, thief, i)) else {
+                    break;
+                };
+                moved.push(tid);
             }
         }
-        if migrated.is_none() {
-            stats.failures += 1;
+        let level = (!moved.is_empty()).then(|| steal_level_of(topo, &live_thief, &live_victim));
+        match level {
+            Some(level) => stats.record_steal(level, moved.len() as u64),
+            None => stats.failures += 1,
         }
-        trace_steal(trace, thief, victim, migrated);
-        policy.choice.observe(thief, victim, migrated.is_some());
+        trace_steal(trace, thief, victim, k, &moved, level);
+        policy.choice.observe(thief, victim, level.is_some());
     }
     stats
 }

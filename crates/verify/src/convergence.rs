@@ -318,7 +318,7 @@ mod tests {
             LoadMetric::NrThreads,
             Box::new(NodeRestrictedFilter::new(DeltaFilter::listing1())),
             Box::new(MaxLoadChoice::new(LoadMetric::NrThreads)),
-            Box::new(StealOne),
+            StealRule::One,
         );
         let balancer = Balancer::new(policy);
         let result =

@@ -1,6 +1,6 @@
 //! Exhaustive enumeration of scheduler configurations within a scope.
 
-use sched_core::SystemState;
+use sched_core::{CoreId, CoreSnapshot, Policy, SystemState};
 
 use crate::scope::Scope;
 
@@ -49,6 +49,27 @@ pub fn configurations(scope: &Scope) -> Vec<Vec<usize>> {
 /// the enumeration is complete for the lemmas phrased over loads.
 pub fn states(scope: &Scope) -> impl Iterator<Item = SystemState> {
     configurations(scope).into_iter().map(|loads| SystemState::from_loads(&loads))
+}
+
+/// Every steal the stealing-phase lemmas quantify over: each state within
+/// `scope`, once per (thief, victim) pair whose filter holds on that live
+/// state, handed out as a copy the lemma may steal on.
+pub fn admitted_steals<'a>(
+    policy: &'a Policy,
+    scope: &Scope,
+) -> impl Iterator<Item = (SystemState, CoreId, CoreId)> + 'a {
+    states(scope).flat_map(move |state| {
+        let ids = state.core_ids();
+        let admitted: Vec<(CoreId, CoreId)> = ids
+            .iter()
+            .flat_map(|&thief| ids.iter().map(move |&victim| (thief, victim)))
+            .filter(|&(thief, victim)| {
+                let snap = |core| CoreSnapshot::capture(state.core(core));
+                thief != victim && policy.filter.can_steal(&snap(thief), &snap(victim))
+            })
+            .collect();
+        admitted.into_iter().map(move |(thief, victim)| (state.clone(), thief, victim))
+    })
 }
 
 /// Number of configurations the scope will enumerate (used by progress

@@ -109,7 +109,7 @@ mod tests {
             LoadMetric::NrThreads,
             Box::new(DeltaFilter::new(LoadMetric::NrThreads, 1)),
             Box::new(MaxLoadChoice::new(LoadMetric::NrThreads)),
-            Box::new(StealOne),
+            StealRule::One,
         );
         let balancer = Balancer::new(policy);
         let report = check_lemma1(&balancer, &Scope::small());
@@ -130,7 +130,7 @@ mod tests {
             LoadMetric::NrThreads,
             Box::new(NodeRestrictedFilter::new(DeltaFilter::listing1())),
             Box::new(MaxLoadChoice::new(LoadMetric::NrThreads)),
-            Box::new(StealOne),
+            StealRule::One,
         );
         let balancer = Balancer::new(policy);
         let report = check_lemma1(&balancer, &Scope::small());

@@ -7,6 +7,7 @@
 //! | [`seq_wc`] | §4.2 | Under sequential (non-overlapping) rounds, the system becomes work-conserving within a bounded number of rounds. |
 //! | [`failure`] | §4.3, property P1 | A failed stealing attempt implies that a concurrent stealing attempt by another core succeeded in between, touching the failed attempt's victim or thief. |
 //! | [`potential`] | §4.3, property P2 | Every successful steal strictly decreases the pairwise absolute load difference `d`. |
+//! | [`steal_size`] | §4.2, §4.3 P2 | The one step-3 sizing every substrate calls sizes at least one thread, never the victim's last, and — for half the imbalance — never inverts the pair. |
 //! | [`hierarchy`] | §5 | A steal at one topology level leaves the per-level potential unchanged at that level and coarser, and hierarchical rounds stay work-conserving. |
 //! | [`decay`] | §3.1 ("no assumption on the criteria") | A steady tracked load converges geometrically to the instantaneous load, and balancing on any monotone tracker preserves work conservation given settling ticks. |
 //! | [`cas`] | §3.1, restated for the lock-free backend | On the Chase–Lev steal path, a successful CAS claims exclusively (no task duplicated or lost) and a failed CAS implies a concurrent claim (P1), checked on *forced* interleavings via probes and under scoped-thread stress — including the **multi-claim** `steal_many` path, where one CAS moves `top` by a whole batch racing owner pops and rival thieves. |
@@ -24,6 +25,7 @@ pub mod injector;
 pub mod lemma1;
 pub mod potential;
 pub mod seq_wc;
+pub mod steal_size;
 pub mod steal_sound;
 
 pub use cas::{
@@ -41,4 +43,5 @@ pub use injector::{
 pub use lemma1::check_lemma1;
 pub use potential::check_potential_decreases;
 pub use seq_wc::check_sequential_work_conservation;
+pub use steal_size::check_steal_sizing;
 pub use steal_sound::check_steal_soundness;

@@ -4,10 +4,10 @@
 //! with every successful stealing attempt. […] because d ≥ 0, the number of
 //! successful work-stealing operations is bounded."
 
-use sched_core::{potential, Balancer, CoreSnapshot, StealOutcome};
+use sched_core::{potential, Balancer, LoadMetric, StealOutcome};
 
 use crate::counterexample::Counterexample;
-use crate::enumerate::states;
+use crate::enumerate::admitted_steals;
 use crate::lemma::LemmaReport;
 use crate::scope::Scope;
 
@@ -17,44 +17,26 @@ use crate::scope::Scope;
 pub fn check_potential_decreases(balancer: &Balancer, scope: &Scope) -> LemmaReport {
     let metric = balancer.policy().metric;
     let mut instances = 0u64;
-    for state in states(scope) {
-        let loads = state.loads(sched_core::LoadMetric::NrThreads);
-        for thief in state.core_ids() {
-            for victim in state.core_ids() {
-                if thief == victim {
-                    continue;
-                }
-                let thief_snap = CoreSnapshot::capture(state.core(thief));
-                let victim_snap = CoreSnapshot::capture(state.core(victim));
-                if !balancer.policy().filter.can_steal(&thief_snap, &victim_snap) {
-                    continue;
-                }
-                instances += 1;
-
-                let mut working = state.clone();
-                let before = potential(&working, metric);
-                let outcome = balancer.steal(&mut working, thief, victim);
-                if !matches!(outcome, StealOutcome::Stole { .. }) {
-                    // Soundness violations are reported by the steal
-                    // soundness lemma; the potential lemma only constrains
-                    // successful steals.
-                    continue;
-                }
-                let after = potential(&working, metric);
-                if after >= before {
-                    let ce = Counterexample::new(
-                        "a successful steal did not strictly decrease the potential d",
-                        loads.clone(),
-                    )
-                    .step(format!("thief {thief}, victim {victim}, metric {metric}"))
-                    .step(format!("d before = {before}, d after = {after}"))
-                    .step(format!(
-                        "loads after: {}",
-                        working.load_vector_string(sched_core::LoadMetric::NrThreads)
-                    ));
-                    return LemmaReport::refuted("potential decrease (§4.3, P2)", instances, ce);
-                }
-            }
+    for (mut working, thief, victim) in admitted_steals(balancer.policy(), scope) {
+        instances += 1;
+        let loads = working.loads(LoadMetric::NrThreads);
+        let before = potential(&working, metric);
+        let outcome = balancer.steal(&mut working, thief, victim);
+        if !matches!(outcome, StealOutcome::Stole { .. }) {
+            // Soundness violations are reported by the steal soundness
+            // lemma; the potential lemma only constrains successful steals.
+            continue;
+        }
+        let after = potential(&working, metric);
+        if after >= before {
+            let ce = Counterexample::new(
+                "a successful steal did not strictly decrease the potential d",
+                loads,
+            )
+            .step(format!("thief {thief}, victim {victim}, metric {metric}"))
+            .step(format!("d before = {before}, d after = {after}"))
+            .step(format!("loads after: {}", working.load_vector_string(LoadMetric::NrThreads)));
+            return LemmaReport::refuted("potential decrease (§4.3, P2)", instances, ce);
         }
     }
     LemmaReport::proved("potential decrease (§4.3, P2)", instances)
@@ -95,8 +77,7 @@ mod tests {
 
     #[test]
     fn steal_half_also_decreases_the_potential() {
-        let policy =
-            Policy::simple().with_steal(Box::new(StealHalfImbalance::new(LoadMetric::NrThreads)));
+        let policy = Policy::simple().with_steal(StealRule::HalfImbalance);
         let balancer = Balancer::new(policy);
         let report = check_potential_decreases(&balancer, &Scope::small());
         assert!(report.is_proved(), "{report}");

@@ -6,10 +6,10 @@
 //! overloaded core should not end up idle after the load-balancing
 //! operation)."
 
-use sched_core::{Balancer, CoreSnapshot};
+use sched_core::{Balancer, LoadMetric};
 
 use crate::counterexample::Counterexample;
-use crate::enumerate::states;
+use crate::enumerate::admitted_steals;
 use crate::lemma::LemmaReport;
 use crate::scope::Scope;
 
@@ -22,65 +22,29 @@ use crate::scope::Scope;
 /// 4. conserves the total number of threads and their uniqueness.
 pub fn check_steal_soundness(balancer: &Balancer, scope: &Scope) -> LemmaReport {
     let mut instances = 0u64;
-    for state in states(scope) {
-        let loads = state.loads(sched_core::LoadMetric::NrThreads);
-        for thief in state.core_ids() {
-            for victim in state.core_ids() {
-                if thief == victim {
-                    continue;
-                }
-                let thief_snap = CoreSnapshot::capture(state.core(thief));
-                let victim_snap = CoreSnapshot::capture(state.core(victim));
-                if !balancer.policy().filter.can_steal(&thief_snap, &victim_snap) {
-                    continue;
-                }
-                instances += 1;
+    for (mut working, thief, victim) in admitted_steals(balancer.policy(), scope) {
+        instances += 1;
+        let loads = working.loads(LoadMetric::NrThreads);
+        let total_before = working.total_threads();
+        let thief_before = working.core(thief).nr_threads();
+        let outcome = balancer.steal(&mut working, thief, victim);
 
-                let mut working = state.clone();
-                let total_before = working.total_threads();
-                let thief_before = working.core(thief).nr_threads();
-                let outcome = balancer.steal(&mut working, thief, victim);
-
-                let fail = |what: &str| {
-                    Counterexample::new(what, loads.clone())
-                        .step(format!("thief {thief}, victim {victim}"))
-                        .step(format!("outcome: {outcome:?}"))
-                        .step(format!(
-                            "loads after: {}",
-                            working.load_vector_string(sched_core::LoadMetric::NrThreads)
-                        ))
-                };
-
-                if !outcome.is_success() {
-                    return LemmaReport::refuted(
-                        "steal soundness (§4.2)",
-                        instances,
-                        fail("a steal whose filter holds on the live state failed"),
-                    );
-                }
-                if working.core(thief).nr_threads() <= thief_before {
-                    return LemmaReport::refuted(
-                        "steal soundness (§4.2)",
-                        instances,
-                        fail("a successful steal did not increase the thief's load"),
-                    );
-                }
-                if working.core(victim).is_idle() {
-                    return LemmaReport::refuted(
-                        "steal soundness (§4.2)",
-                        instances,
-                        fail("the steal left the victim idle (stole too much)"),
-                    );
-                }
-                if working.total_threads() != total_before || !working.tasks_are_unique() {
-                    return LemmaReport::refuted(
-                        "steal soundness (§4.2)",
-                        instances,
-                        fail("threads were lost or duplicated by the steal"),
-                    );
-                }
-            }
-        }
+        let broken = if !outcome.is_success() {
+            "a steal whose filter holds on the live state failed"
+        } else if working.core(thief).nr_threads() <= thief_before {
+            "a successful steal did not increase the thief's load"
+        } else if working.core(victim).is_idle() {
+            "the steal left the victim idle (stole too much)"
+        } else if working.total_threads() != total_before || !working.tasks_are_unique() {
+            "threads were lost or duplicated by the steal"
+        } else {
+            continue;
+        };
+        let ce = Counterexample::new(broken, loads)
+            .step(format!("thief {thief}, victim {victim}"))
+            .step(format!("outcome: {outcome:?}"))
+            .step(format!("loads after: {}", working.load_vector_string(LoadMetric::NrThreads)));
+        return LemmaReport::refuted("steal soundness (§4.2)", instances, ce);
     }
     LemmaReport::proved("steal soundness (§4.2)", instances)
 }
@@ -123,7 +87,7 @@ mod tests {
             LoadMetric::NrThreads,
             Box::new(DeltaFilter::new(LoadMetric::NrThreads, 1)),
             Box::new(MaxLoadChoice::new(LoadMetric::NrThreads)),
-            Box::new(StealOne),
+            StealRule::One,
         );
         let balancer = Balancer::new(policy);
         let report = check_steal_soundness(&balancer, &Scope::small());

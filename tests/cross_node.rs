@@ -51,7 +51,7 @@ fn node_restricted_filter_violates_work_conservation_across_nodes() {
         LoadMetric::NrThreads,
         Box::new(NodeRestrictedFilter::new(DeltaFilter::listing1())),
         Box::new(MaxLoadChoice::new(LoadMetric::NrThreads)),
-        Box::new(StealOne),
+        StealRule::One,
     );
     let balancer = Balancer::new(policy);
     // All the work on node 1 (cores 4..8); node 0 is idle and stays idle.

@@ -20,13 +20,13 @@ use proptest::prelude::*;
 /// take from any core with at least one more thread, which is the weakest
 /// filter that still refuses to create a new imbalance.
 fn sweep_policy() -> Policy {
-    use optimistic_sched::core::policy::{DeltaFilter, MaxLoadChoice, StealOne};
+    use optimistic_sched::core::policy::{DeltaFilter, MaxLoadChoice, StealRule};
     use optimistic_sched::core::LoadMetric;
     Policy::new(
         LoadMetric::NrThreads,
         Box::new(DeltaFilter::new(LoadMetric::NrThreads, 1)),
         Box::new(MaxLoadChoice::new(LoadMetric::NrThreads)),
-        Box::new(StealOne),
+        StealRule::One,
     )
 }
 
@@ -110,7 +110,7 @@ fn steals_racing_wakeups_keep_stats_consistent() {
     assert_eq!(mq.total_threads(), 40, "8 initial + 32 woken, none lost or duplicated");
     let moved: u64 = (1..4).map(|c| mq.core(CoreId(c)).nr_threads_exact()).sum();
     assert!(moved <= stats.migrations(), "{moved} residents > {} counted", stats.migrations());
-    assert_eq!(stats.migrations(), stats.successes(), "StealOne: one migration per success");
+    assert_eq!(stats.migrations(), stats.successes(), "StealRule::One: one migration per success");
 }
 
 #[test]
@@ -292,7 +292,7 @@ proptest! {
         loads[0] = hot;
         let mq: DequeMultiQueue = MultiQueue::with_loads(&loads);
         let policy = Policy::simple();
-        let batch = optimistic_sched::rq::StealBatch::Fixed(k);
+        let batch = optimistic_sched::core::StealRule::Fixed(k);
         let mut converged = false;
         for _ in 0..(64 + hot) {
             if mq.is_work_conserving() {
@@ -314,7 +314,7 @@ proptest! {
         loads[0] = hot;
         let mq: DequeMultiQueue = MultiQueue::with_loads(&loads);
         let policy = Policy::simple();
-        let batch = optimistic_sched::rq::StealBatch::HalfImbalance;
+        let batch = optimistic_sched::core::StealRule::HalfImbalance;
         for _ in 0..(64 + hot) {
             if mq.is_work_conserving() {
                 break;
@@ -341,7 +341,7 @@ proptest! {
             Box::new(optimistic_sched::core::policy::MaxLoadChoice::new(
                 optimistic_sched::core::LoadMetric::NrThreads,
             )),
-            Box::new(optimistic_sched::core::policy::StealOne),
+            optimistic_sched::core::StealRule::One,
         );
         if owner_first {
             let _ = mq.core(CoreId(0)).complete_current();
@@ -384,14 +384,14 @@ fn stress_batched_steal_races_high_iteration() {
     // and batch policies: every round of every storm must conserve the
     // exact task count while multi-claim CASes, injector batches and the
     // non-inversion trim race each other.
-    use optimistic_sched::rq::StealBatch;
+    use optimistic_sched::core::StealRule;
     for round in 0..40 {
         let cores = 8 + (round % 9);
         let burst = 6 * cores;
         let batch = match round % 3 {
-            0 => StealBatch::Fixed(4),
-            1 => StealBatch::Fixed(8),
-            _ => StealBatch::HalfImbalance,
+            0 => StealRule::Fixed(4),
+            1 => StealRule::Fixed(8),
+            _ => StealRule::HalfImbalance,
         };
         let mq: TinyDequeMultiQueue = MultiQueue::new(cores);
         for _ in 0..burst {

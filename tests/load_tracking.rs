@@ -107,3 +107,54 @@ fn instantaneous_trackers_keep_tracked_equal_to_instantaneous() {
         }
     }
 }
+
+/// A half step on a tracked thread count moves half the tracked imbalance,
+/// in threads, on every substrate: the model, the lock-free runqueues and
+/// the simulator all size it with the one `StealRule::plan`.  (The model
+/// used to read a tracked imbalance in `nice 0` weights and steal one.)
+#[test]
+fn a_half_step_on_tracked_thread_counts_moves_the_same_number_everywhere() {
+    use optimistic_sched::rq::{DequeRq, MultiQueue};
+    use optimistic_sched::sim::{CoreQueues, OptimisticScheduler, SimScheduler, SimThread};
+    use optimistic_sched::workloads::{Phase, ThreadSpec};
+    use std::sync::Arc;
+
+    let half_life = 8_000_000;
+    let policy = || Policy::pelt(half_life).with_steal(StealRule::HalfImbalance);
+    let warm = 32 * half_life;
+
+    // The model: tracked loads [0, 7] after a long steady stretch.
+    let mut system = SystemState::from_loads(&[0, 7]);
+    system.tick(warm, policy().tracker.as_ref());
+    assert_eq!(system.loads(LoadMetric::Tracked), vec![0, 7]);
+    let model = Balancer::new(policy()).balance_core(&mut system, CoreId(0), 0);
+
+    // The lock-free runqueues, warmed the same way.
+    let mq: MultiQueue<DequeRq> = MultiQueue::with_tracker(2, Arc::clone(&policy().tracker));
+    for _ in 0..7 {
+        mq.spawn_on(CoreId(1));
+    }
+    mq.tick(warm);
+    let rq = mq.balance_once(CoreId(0), &policy());
+
+    // The simulator: one thread running on core 1, six waiting.
+    let threads: Vec<SimThread> = (0..7)
+        .map(|i| {
+            SimThread::new(
+                optimistic_sched::sim::SimThreadId(i),
+                ThreadSpec::new(vec![Phase::Compute(1)]),
+            )
+        })
+        .collect();
+    let mut queues = CoreQueues::new(2);
+    queues.core_mut(CoreId(1)).current = Some(threads[0].id);
+    for thread in &threads[1..] {
+        queues.enqueue(CoreId(1), thread.id);
+    }
+    queues.core_mut(CoreId(1)).tracked.scaled = 7 * TRACK_SCALE;
+    let sim = OptimisticScheduler::new(policy()).balance_round(&mut queues, &threads);
+
+    assert_eq!(model.outcome.nr_stolen(), 3, "model");
+    assert_eq!(rq.nr_stolen(), 3, "MultiQueue<DequeRq>");
+    assert_eq!((sim.successes, sim.migrations), (1, 3), "simulator");
+}

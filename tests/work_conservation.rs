@@ -75,8 +75,7 @@ fn exhaustive_bound_matches_executed_rounds() {
 
 #[test]
 fn batched_stealing_preserves_every_lemma() {
-    let policy =
-        Policy::simple().with_steal(Box::new(StealHalfImbalance::new(LoadMetric::NrThreads)));
+    let policy = Policy::simple().with_steal(StealRule::HalfImbalance);
     let balancer = Balancer::new(policy);
     let report = verify_policy(&balancer, &Scope::small(), false);
     assert!(report.is_work_conserving(), "{report}");

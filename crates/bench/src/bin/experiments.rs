@@ -1,5 +1,7 @@
-//! The experiment harness: prints the bespoke table of every experiment
-//! and writes the machine-readable `BENCH_results.json`.
+//! The experiment harness: prints every experiment — the view of its
+//! catalog records, after a bespoke table where the experiment has a claim
+//! no record can hold — and writes the machine-readable
+//! `BENCH_results.json`.
 //!
 //! Usage:
 //!
@@ -19,7 +21,9 @@
 //!
 //! `--json` runs the unified [`sched_bench::ExperimentRunner`] catalog —
 //! every experiment on every backend that executes it — prints the combined
-//! table, and writes the records to `BENCH_results.json` (or `--out PATH`).
+//! records view (the one renderer every experiment prints its own records
+//! through, [`sched_bench::records_table`]), and writes the records to
+//! `BENCH_results.json` (or `--out PATH`).
 
 use sched_bench::{all_experiments, run_experiment, ExperimentId};
 
@@ -116,7 +120,7 @@ fn run_unified_json(args: &[String]) {
             eprintln!("error: cannot load scenarios from {dir}: {e}");
             std::process::exit(2);
         }),
-        None => sched_bench::builtin(),
+        None => sched_bench::builtin().to_vec(),
     };
     let wanted: Vec<ExperimentId> = args
         .iter()
@@ -147,5 +151,6 @@ fn run_unified_json(args: &[String]) {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!("wrote {} records to {out_path}", records.len());
 
-    println!("{}", sched_bench::records_table(&records).to_text());
+    let title = "Unified runner: every experiment on every backend";
+    println!("{}", sched_bench::records_table(title, &records).to_text());
 }

@@ -13,8 +13,8 @@
 //! The loader API:
 //!
 //! * [`builtin`] parses the embedded copies of the workspace documents
-//!   (compiled in with `include_str!`, so the binary needs no filesystem)
-//!   — the catalog every harness entry point runs; [`spec`] and
+//!   (compiled in with `include_str!`, so the binary needs no filesystem),
+//!   once per process — the catalog every harness entry point runs; [`spec`] and
 //!   [`specs_of`] pick one experiment's scenarios out of it;
 //! * [`load_dir`]/[`load_str`] load *external* documents at runtime, which
 //!   is how `experiments --scenarios DIR` and the fuzzer's repro files
@@ -25,6 +25,7 @@
 //! what one call loads.
 
 use std::path::Path;
+use std::sync::OnceLock;
 
 use sched_dsl::Scenario;
 
@@ -48,39 +49,44 @@ fn builtin_sources() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// The builtin catalog, in index order — the unified runner's input.
-/// Panics if an embedded document is invalid: the workspace's own scenario
-/// files are part of the build, and a broken one is a build defect, not a
-/// runtime condition.
-pub fn builtin() -> Vec<Scenario> {
-    let mut loaded = Vec::new();
-    for (name, source) in builtin_sources() {
-        load_into(&mut loaded, source, name)
-            .unwrap_or_else(|e| panic!("builtin scenario {name}: {e}"));
-    }
-    loaded
+/// The builtin catalog, in index order — the unified runner's input,
+/// parsed once per process.  Panics if an embedded document is invalid:
+/// the workspace's own scenario files are part of the build, and a broken
+/// one is a build defect, not a runtime condition.
+pub fn builtin() -> &'static [Scenario] {
+    static BUILTIN: OnceLock<Vec<Scenario>> = OnceLock::new();
+    BUILTIN.get_or_init(|| {
+        let mut loaded = Vec::new();
+        for (name, source) in builtin_sources() {
+            load_into(&mut loaded, source, name)
+                .unwrap_or_else(|e| panic!("builtin scenario {name}: {e}"));
+        }
+        loaded
+    })
 }
 
-/// The first catalogued scenario of one experiment (E17/E21/E23 have
-/// several; use [`specs_of`] for the full sweep).
+/// The first catalogued scenario of one experiment (E14/E15/E17/E18/E21/E23
+/// have several; use [`specs_of`] for all of them).
 pub fn spec(id: ExperimentId) -> Scenario {
-    specs_of(id).into_iter().next().expect("catalogued experiment")
+    builtin().iter().find(|s| s.experiment == id.key()).cloned().expect("catalogued experiment")
 }
 
 /// Every catalogued scenario of one experiment, in catalog order.
 pub fn specs_of(id: ExperimentId) -> Vec<Scenario> {
-    builtin().into_iter().filter(|s| ExperimentId::parse(&s.experiment) == Some(id)).collect()
+    builtin().iter().filter(|s| s.experiment == id.key()).cloned().collect()
 }
 
 /// Parses and validates the scenarios of `source` onto the end of `loaded`.
+/// The experiment key is normalised here, once: a loaded scenario's
+/// `experiment` is lower-case, and so is every record it produces.
 fn load_into(loaded: &mut Vec<Scenario>, source: &str, origin: &str) -> Result<(), SpecError> {
     let located = |e: &dyn std::fmt::Display| SpecError::new(format!("{origin}: {e}"));
-    for scenario in sched_dsl::parse_doc(source).map_err(|e| located(&e))? {
+    for mut scenario in sched_dsl::parse_doc(source).map_err(|e| located(&e))? {
+        scenario.experiment.make_ascii_lowercase();
         validate(&scenario).map_err(|e| located(&e))?;
-        let duplicate = loaded.iter().any(|prior| {
-            prior.name == scenario.name
-                && prior.experiment.eq_ignore_ascii_case(&scenario.experiment)
-        });
+        let duplicate = loaded
+            .iter()
+            .any(|prior| prior.name == scenario.name && prior.experiment == scenario.experiment);
         if duplicate {
             // Records are keyed `experiment | scenario | backend`; two
             // scenarios with the same key would collide silently in the
@@ -152,9 +158,9 @@ mod tests {
     #[test]
     fn catalog_covers_every_experiment() {
         let specs = builtin();
-        assert_eq!(specs.len(), 41);
+        assert_eq!(specs.len(), 51);
         let mut seen = std::collections::BTreeSet::new();
-        for spec in &specs {
+        for spec in specs {
             assert!(
                 seen.insert(format!("{}|{}", spec.experiment, spec.name)),
                 "duplicate scenario {} `{}`",
@@ -184,8 +190,11 @@ mod tests {
             "every experiment is catalogued"
         );
         let count = |id| of(id).count();
+        assert_eq!(count(ExperimentId::E14), 4, "E14 compares four policies");
+        assert_eq!(count(ExperimentId::E15), 3, "E15 compares three policies");
         assert_eq!(count(ExperimentId::E17), 2, "E17 sweeps two criteria");
-        assert_eq!(count(ExperimentId::E21), 4, "E21 sweeps four half-lives");
+        assert_eq!(count(ExperimentId::E18), 2, "E18 compares two criteria");
+        assert_eq!(count(ExperimentId::E21), 8, "E21 sweeps four half-lives on two axes");
         assert_eq!(count(ExperimentId::E23), 10, "E23 sweeps five batch sizes on two shapes");
         assert_eq!(count(ExperimentId::E24), 1, "E24 is the event-engine scaling scenario");
         assert_eq!(count(ExperimentId::E25), 1, "E25 is the trace-only detection storm");
@@ -282,6 +291,13 @@ scenario "twin" { experiment e2; topology flat(2); loads [2, 0]; policy listing1
 "#;
         let err = load_str(duplicate, "test").unwrap_err();
         assert!(err.to_string().contains("duplicate"), "{err}");
+        // The loader lower-cases the experiment key, so a twin that only
+        // differs in its case is still a twin.
+        let shouting = duplicate.replacen("experiment e2", "experiment E2", 1);
+        let err = load_str(&shouting, "test").unwrap_err();
+        assert!(err.to_string().contains("duplicate"), "{err}");
+        let single = shouting.trim().lines().next().expect("the first twin");
+        assert_eq!(load_str(single, "test").expect("one scenario loads")[0].experiment, "e2");
 
         let unknown_policy =
             r#"scenario "x" { experiment e2; topology flat(2); loads [2, 0]; policy bogus; }"#;

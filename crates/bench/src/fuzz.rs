@@ -728,10 +728,10 @@ mod tests {
         // The declared expectations are not decorative: the catalogued e2
         // and e5 scenarios (fast, deterministic) must pass their own blocks.
         for scenario in crate::catalog::builtin()
-            .into_iter()
+            .iter()
             .filter(|s| matches!(s.experiment.as_str(), "e2" | "e5"))
         {
-            let (_, violations) = check_scenario(&scenario);
+            let (_, violations) = check_scenario(scenario);
             let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
             assert!(violations.is_empty(), "{}: {rendered:#?}", scenario.name);
         }

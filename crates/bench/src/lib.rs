@@ -20,9 +20,12 @@
 //! ([`ExperimentRunner::run_traced`]); [`report`] folds the drained trace
 //! into tables and [`fuzz`] feeds it to the sanity checker.
 //!
-//! Beside the catalog, [`experiments`] keeps one bespoke table function
-//! per experiment (e1–e26, the README's per-experiment index), printed by
-//! the `experiments` binary and built from [`scenarios`].
+//! [`experiments`] is the README's per-experiment index (e1–e26), printed
+//! by the `experiments` binary: every experiment shows its catalog records
+//! through [`records_table`], after a bespoke table only for a claim no
+//! record can hold (lemma verdicts, model and CFS comparisons — the
+//! latter swapping a baseline into the scenario's simulator run through
+//! [`scenarios`] — microbenchmarks and trace-checker windows).
 
 pub mod catalog;
 pub mod experiments;

@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use sched_core::prelude::*;
 use sched_dsl::{
-    Batch, Burst, Driver, OpenLoop, PolicyRecipe, Scenario, Service, Storm, Topology, WorkloadKind,
+    Batch, Driver, OpenLoop, PolicyRecipe, Scenario, Service, Storm, Topology, WorkloadKind,
 };
 use sched_metrics::{StealLocality, Table};
 use sched_rq::MultiQueue;
@@ -549,7 +549,7 @@ pub trait Backend {
 
 fn record_base(spec: &Scenario, backend: &'static str) -> ExperimentRecord {
     ExperimentRecord {
-        experiment: spec.experiment.to_ascii_lowercase(),
+        experiment: spec.experiment.clone(),
         scenario: spec.name.clone(),
         backend,
         policy: policy_name(&spec.policy),
@@ -579,11 +579,13 @@ fn record_base(spec: &Scenario, backend: &'static str) -> ExperimentRecord {
 
 /// What a round-driven run (model or runqueues, any driver) measures about
 /// itself besides its steal counters: how much of the machine — and of each
-/// NUMA node — sat idle per sampled round, and the wall time it took.
+/// NUMA node — sat idle per sampled round, how many steal attempts
+/// succeeded, and the wall time it took.
 struct RoundSamples<'a> {
     topo: &'a MachineTopology,
     exposure: sched_metrics::OverflowExposure,
     node_idle: Vec<f64>,
+    successes: u64,
 }
 
 impl<'a> RoundSamples<'a> {
@@ -592,25 +594,28 @@ impl<'a> RoundSamples<'a> {
             topo,
             exposure: sched_metrics::OverflowExposure::new(topo.nr_cpus()),
             node_idle: vec![0.0; topo.nr_nodes()],
+            successes: 0,
         }
     }
 
-    /// Samples one round.  The idle cores count against the run only while
-    /// they are `violating` — idle next to work they could have had.
-    fn sample(&mut self, violating: bool, is_idle: impl Fn(usize) -> bool) {
-        let idle = (0..self.topo.nr_cpus()).filter(|&c| is_idle(c)).count();
+    /// Samples one round from its per-core thread counts.  The idle cores
+    /// count against the run only while they are `violating` — idle next to
+    /// work they could have had.
+    fn sample(&mut self, violating: bool, loads: &[usize]) {
+        let idle = loads.iter().filter(|&&n| n == 0).count();
         self.exposure.record_round(idle, violating);
         if violating {
             for (node, slot) in self.node_idle.iter_mut().enumerate() {
                 let cpus = self.topo.cpus_of_node(NodeId(node));
-                let idle = cpus.iter().filter(|c| is_idle(c.0)).count();
+                let idle = cpus.iter().filter(|c| loads[c.0] == 0).count();
                 *slot += idle as f64 / cpus.len() as f64;
             }
         }
     }
 
-    /// Stamps the run's wall time, its migrations per wall-clock second and
-    /// the idle fractions averaged over the sampled rounds.
+    /// Stamps the run's wall time, its migrations per wall-clock second,
+    /// the idle fractions averaged over the sampled rounds and — on a batch
+    /// sweep — the threads moved per successful acquisition.
     fn stamp(self, record: &mut ExperimentRecord, wall: std::time::Duration) {
         record.wall_ms = wall.as_secs_f64() * 1e3;
         record.throughput = if wall.as_secs_f64() > 0.0 {
@@ -621,20 +626,207 @@ impl<'a> RoundSamples<'a> {
         record.violating_idle = self.exposure.violating_fraction();
         let rounds = self.exposure.sampled_rounds().max(1) as f64;
         record.per_node_violating_idle = self.node_idle.into_iter().map(|v| v / rounds).collect();
+        if record.steal_batch_k.is_some() {
+            record.tasks_per_acquisition = Some(if self.successes > 0 {
+                record.migrations as f64 / self.successes as f64
+            } else {
+                0.0
+            });
+        }
     }
 }
 
-/// Folds one model round's attempts into the record's counters, attributing
-/// every successful steal to its distance class.
-fn absorb(record: &mut ExperimentRecord, topo: &MachineTopology, report: &RoundReport) {
-    record.migrations += report.nr_stolen() as u64;
-    record.failures += report.nr_failures() as u64;
-    for attempt in report.successes() {
-        let victim = attempt.outcome.victim().expect("successes have victims");
-        record
-            .locality
-            .record(topo.steal_level(attempt.thief, victim), attempt.outcome.nr_stolen() as u64);
+/// What the round-paced drivers step: the model (a [`SystemState`] under
+/// a [`Balancer`]) and the threaded runqueues (a [`MultiQueue`] under a
+/// [`Policy`]) are both one, so the replay and burst drivers
+/// ([`run_rounds`]) are each written once for the two.
+trait RoundMachine {
+    /// What a sleeping core's threads leave behind until they wake.
+    type Sleepers;
+
+    /// Folds the logical time `now` into every core's tracked load.
+    fn tick(&mut self, now: u64);
+
+    /// No core is idle while another is overloaded.
+    fn is_work_conserving(&self) -> bool;
+
+    /// Thread count of every core, in core order.
+    fn loads(&self) -> Vec<usize>;
+
+    /// Runs one concurrent balancing round — one level-capped pass per
+    /// steal level when `hierarchical` — folds its steals into `record` and
+    /// returns how many attempts succeeded.
+    fn balance(
+        &mut self,
+        hierarchical: bool,
+        topo: &Arc<MachineTopology>,
+        record: &mut ExperimentRecord,
+    ) -> u64;
+
+    /// Takes every thread off `core`: they go to sleep.
+    fn sleep(&mut self, core: CoreId) -> Self::Sleepers;
+
+    /// Wakes `sleepers` on their own `core`.
+    fn wake(&mut self, core: CoreId, sleepers: Self::Sleepers);
+}
+
+impl RoundMachine for (SystemState, Balancer) {
+    type Sleepers = (Option<Task>, Vec<Task>);
+
+    fn tick(&mut self, now: u64) {
+        let (system, balancer) = self;
+        system.tick(now, balancer.policy().tracker.as_ref());
     }
+
+    fn is_work_conserving(&self) -> bool {
+        self.0.is_work_conserving()
+    }
+
+    fn loads(&self) -> Vec<usize> {
+        let system = &self.0;
+        (0..system.nr_cores()).map(|c| system.core(CoreId(c)).nr_threads() as usize).collect()
+    }
+
+    fn balance(
+        &mut self,
+        hierarchical: bool,
+        topo: &Arc<MachineTopology>,
+        record: &mut ExperimentRecord,
+    ) -> u64 {
+        let (system, balancer) = self;
+        let schedule = RoundSchedule::AllSelectThenSteal;
+        let reports = if hierarchical {
+            let round = HierarchicalRound::new(balancer, Arc::clone(topo));
+            round.execute(system, &schedule).passes.into_iter().map(|pass| pass.report).collect()
+        } else {
+            vec![ConcurrentRound::new(balancer).execute(system, &schedule)]
+        };
+        let mut successes = 0;
+        for report in &reports {
+            record.migrations += report.nr_stolen() as u64;
+            record.failures += report.nr_failures() as u64;
+            for attempt in report.successes() {
+                let victim = attempt.outcome.victim().expect("successes have victims");
+                let level = topo.steal_level(attempt.thief, victim);
+                record.locality.record(level, attempt.outcome.nr_stolen() as u64);
+                successes += 1;
+            }
+        }
+        successes
+    }
+
+    fn sleep(&mut self, core: CoreId) -> Self::Sleepers {
+        let state = self.0.core_mut(core);
+        (state.current.take(), std::mem::take(&mut state.ready))
+    }
+
+    fn wake(&mut self, core: CoreId, (current, ready): Self::Sleepers) {
+        let state = self.0.core_mut(core);
+        for task in current.into_iter().chain(ready) {
+            state.enqueue(task);
+        }
+    }
+}
+
+impl<B: sched_rq::RqBackend> RoundMachine for (MultiQueue<B>, Policy) {
+    type Sleepers = Vec<Nice>;
+
+    fn tick(&mut self, now: u64) {
+        // Decayed criteria fold the elapsed time under each runqueue's lock.
+        self.0.tick(now);
+    }
+
+    fn is_work_conserving(&self) -> bool {
+        self.0.is_work_conserving()
+    }
+
+    fn loads(&self) -> Vec<usize> {
+        self.0.snapshots().iter().map(|s| s.nr_threads as usize).collect()
+    }
+
+    fn balance(
+        &mut self,
+        hierarchical: bool,
+        _topo: &Arc<MachineTopology>,
+        record: &mut ExperimentRecord,
+    ) -> u64 {
+        let (mq, policy) = self;
+        let stats =
+            if hierarchical { mq.hierarchical_round(policy) } else { mq.concurrent_round(policy) };
+        record.migrations += stats.migrations();
+        record.failures += stats.failures();
+        record.locality.merge(&StealLocality::from_counts(stats.level_migration_counts()));
+        stats.successes()
+    }
+
+    fn sleep(&mut self, core: CoreId) -> Self::Sleepers {
+        let mut sleepers = Vec::new();
+        while let Some(task) = self.0.core(core).complete_current() {
+            sleepers.push(task.nice);
+        }
+        sleepers
+    }
+
+    fn wake(&mut self, core: CoreId, sleepers: Self::Sleepers) {
+        for nice in sleepers {
+            self.0.spawn_on_with_nice(core, nice);
+        }
+    }
+}
+
+/// Steps `machine` through the spec's round-paced driver into `record`:
+///
+/// * **replay** — one balancing period per round, until the machine is
+///   work-conserving or the budget runs out;
+/// * **burst** (see [`sched_dsl::Burst`]) — per epoch one core's threads sleep, a
+///   single concurrent round runs against the blipped state and the
+///   sleepers wake on their own core: the churn those blips induce.
+fn run_rounds<M: RoundMachine>(
+    mut machine: M,
+    spec: &Scenario,
+    topo: &Arc<MachineTopology>,
+    mut record: ExperimentRecord,
+) -> ExperimentRecord {
+    let mut samples = RoundSamples::new(topo);
+    let start = if let Driver::Burst(burst) = spec.driver {
+        // Warm up: let decayed trackers converge to the steady loads.
+        let mut now = burst.warmup_ns;
+        machine.tick(now);
+        let start = Instant::now();
+        for epoch in 0..burst.epochs {
+            let sleeper = CoreId(epoch % spec.loads.len());
+            let sleepers = machine.sleep(sleeper);
+            now += burst.epoch_ns;
+            machine.tick(now);
+            samples.sample(true, &machine.loads());
+            samples.successes += machine.balance(false, topo, &mut record);
+            machine.wake(sleeper, sleepers);
+        }
+        start
+    } else {
+        let hierarchical = spec.policy == PolicyRecipe::Hierarchical;
+        let start = Instant::now();
+        for round in 0..=spec.budget {
+            // One balancing period elapses per round; decayed criteria fold
+            // it into every core's tracked load before selecting victims.
+            machine.tick((round as u64 + 1) * ROUND_NS);
+            if machine.is_work_conserving() {
+                record.convergence_rounds = Some(round);
+                break;
+            }
+            if round == spec.budget {
+                break;
+            }
+            // Every idle core in a non-work-conserving state is a violation
+            // by definition.
+            samples.sample(true, &machine.loads());
+            samples.successes += machine.balance(hierarchical, topo, &mut record);
+        }
+        start
+    };
+    samples.stamp(&mut record, start.elapsed());
+    record.final_loads = machine.loads();
+    record
 }
 
 /// Niceness of the `i`-th spawned task under a spec (uniform `nice 0`
@@ -647,71 +839,10 @@ fn nice_of(spec: &Scenario, index: u64) -> Nice {
     }
 }
 
-/// Final per-core thread counts of a model system.
-fn model_final_loads(system: &SystemState) -> Vec<usize> {
-    (0..system.nr_cores()).map(|c| system.core(CoreId(c)).nr_threads() as usize).collect()
-}
-
-/// Final per-core thread counts of a runqueue machine.
-fn rq_final_loads(snapshots: &[sched_core::CoreSnapshot]) -> Vec<usize> {
-    snapshots.iter().map(|s| s.nr_threads as usize).collect()
-}
-
 /// Pure-model backend: concurrent balancing rounds on
 /// [`sched_core::SystemState`], no time, no threads — the altitude the
 /// proofs live at.
 pub struct ModelBackend;
-
-impl ModelBackend {
-    /// The bursty on/off driver: each epoch one core's tasks sleep, a
-    /// single balancing round runs against the blipped state, and the
-    /// sleepers return.  Counts the churn those blips induce.
-    fn run_burst(
-        &self,
-        spec: &Scenario,
-        burst: Burst,
-        mut system: SystemState,
-        topo: &Arc<MachineTopology>,
-    ) -> ExperimentRecord {
-        let balancer = Balancer::new(build_policy(spec, topo));
-        let tracker = Arc::clone(&balancer.policy().tracker);
-        let executor = ConcurrentRound::new(&balancer);
-        let mut record = record_base(spec, "model");
-        let nr_cores = system.nr_cores();
-        let mut samples = RoundSamples::new(topo);
-
-        // Warm up: let decayed trackers converge to the steady loads.
-        let mut now = burst.warmup_ns;
-        system.tick(now, tracker.as_ref());
-
-        let start = Instant::now();
-        for epoch in 0..burst.epochs {
-            // One core's tasks go to sleep: stash them away.
-            let sleeper = CoreId(epoch % nr_cores);
-            let parked_current = system.core_mut(sleeper).current.take();
-            let parked_ready = std::mem::take(&mut system.core_mut(sleeper).ready);
-
-            now += burst.epoch_ns;
-            system.tick(now, tracker.as_ref());
-            let idle = system.idle_cores();
-            samples.sample(true, |c| idle.contains(&CoreId(c)));
-
-            let report = executor.execute(&mut system, &RoundSchedule::AllSelectThenSteal);
-            absorb(&mut record, topo, &report);
-
-            // The sleepers wake on their own core.
-            if let Some(task) = parked_current {
-                system.core_mut(sleeper).enqueue(task);
-            }
-            for task in parked_ready {
-                system.core_mut(sleeper).enqueue(task);
-            }
-        }
-        samples.stamp(&mut record, start.elapsed());
-        record.final_loads = model_final_loads(&system);
-        record
-    }
-}
 
 impl Backend for ModelBackend {
     fn name(&self) -> &'static str {
@@ -744,51 +875,8 @@ impl Backend for ModelBackend {
                 next_task += 1;
             }
         }
-
-        if let Driver::Burst(burst) = spec.driver {
-            return Some(self.run_burst(spec, burst, system, &topo));
-        }
-
         let balancer = Balancer::new(build_policy(spec, &topo));
-        let tracker = Arc::clone(&balancer.policy().tracker);
-        let hierarchical = (spec.policy == PolicyRecipe::Hierarchical)
-            .then(|| HierarchicalRound::new(&balancer, Arc::clone(&topo)));
-        let executor = ConcurrentRound::new(&balancer);
-        let mut record = record_base(spec, self.name());
-        let mut samples = RoundSamples::new(&topo);
-
-        let start = Instant::now();
-        for round in 0..=spec.budget {
-            // One balancing period elapses per round; decayed criteria fold
-            // it into every core's tracked load before selecting victims.
-            system.tick((round as u64 + 1) * ROUND_NS, tracker.as_ref());
-            if system.is_work_conserving() {
-                record.convergence_rounds = Some(round);
-                break;
-            }
-            if round == spec.budget {
-                break;
-            }
-            // Every idle core in a non-work-conserving state is a violation
-            // by definition.
-            let idle = system.idle_cores();
-            samples.sample(true, |c| idle.contains(&CoreId(c)));
-            match &hierarchical {
-                Some(hier) => {
-                    let report = hier.execute(&mut system, &RoundSchedule::AllSelectThenSteal);
-                    for pass in &report.passes {
-                        absorb(&mut record, &topo, &pass.report);
-                    }
-                }
-                None => {
-                    let report = executor.execute(&mut system, &RoundSchedule::AllSelectThenSteal);
-                    absorb(&mut record, &topo, &report);
-                }
-            }
-        }
-        samples.stamp(&mut record, start.elapsed());
-        record.final_loads = model_final_loads(&system);
-        Some(record)
+        Some(run_rounds((system, balancer), spec, &topo, record_base(spec, self.name())))
     }
 }
 
@@ -816,11 +904,12 @@ pub enum SimEngine {
 
 /// Everything one simulator run is built from.  Both engines, traced or
 /// not, stamped into a record or not, start from this one construction.
-struct SimScenario {
+pub(crate) struct SimScenario {
     engine: SimEngine,
     topo: Arc<MachineTopology>,
     workload: Workload,
-    scheduler: Box<dyn sched_sim::SimScheduler>,
+    /// The spec's optimistic scheduler; E9/E10 swap a CFS-like baseline in.
+    pub(crate) scheduler: Box<dyn sched_sim::SimScheduler>,
     config: sched_sim::SimConfig,
 }
 
@@ -830,7 +919,7 @@ impl SimScenario {
     /// simulator cannot execute: like the model it has no fixed-capacity
     /// ring for a storm to overflow and no per-steal queue acquisition for
     /// a batch sweep to amortise, and it has no wall clock for an open loop.
-    fn build(engine: SimEngine, spec: &Scenario) -> Option<Self> {
+    pub(crate) fn build(engine: SimEngine, spec: &Scenario) -> Option<Self> {
         use sched_sim::{HierarchicalScheduler, OptimisticScheduler, OrderingPolicy, SimConfig};
 
         if matches!(spec.driver, Driver::Storm(_) | Driver::OpenLoop(_)) || spec.batch.is_some() {
@@ -862,7 +951,7 @@ impl SimScenario {
         Some(SimScenario { engine, topo, workload, scheduler, config })
     }
 
-    fn run(self, sink: Option<&TraceSink>) -> sched_sim::SimResult {
+    pub(crate) fn run(self, sink: Option<&TraceSink>) -> sched_sim::SimResult {
         match self.engine {
             SimEngine::Tick => self.run_on::<sched_sim::engine::Eager>(sink),
             SimEngine::Event => self.run_on::<sched_sim::event_engine::Lazy>(sink),
@@ -969,52 +1058,6 @@ pub struct RqBackend;
 /// The lock-free flavour of the real-thread backend (see [`RqBackend`]).
 pub struct RqDequeBackend;
 
-/// The threaded twin of [`ModelBackend::run_burst`]: per epoch, drain
-/// one core (its tasks "sleep"), run one genuinely concurrent round
-/// against the blipped state, then respawn the sleepers on their core.
-fn run_rq_burst<B: sched_rq::RqBackend>(
-    backend: &'static str,
-    spec: &Scenario,
-    burst: Burst,
-    mq: MultiQueue<B>,
-    topo: &Arc<MachineTopology>,
-) -> ExperimentRecord {
-    let policy = build_policy(spec, topo);
-    let mut record = record_base(spec, backend);
-    record.rq_backend = Some(B::backend_name());
-    let nr_cores = spec.loads.len();
-    let mut samples = RoundSamples::new(topo);
-
-    let mut now = burst.warmup_ns;
-    mq.tick(now);
-
-    let start = Instant::now();
-    for epoch in 0..burst.epochs {
-        let sleeper = CoreId(epoch % nr_cores);
-        let mut parked = Vec::new();
-        while let Some(task) = mq.core(sleeper).complete_current() {
-            parked.push(task.nice);
-        }
-
-        now += burst.epoch_ns;
-        mq.tick(now);
-        let snapshots = mq.snapshots();
-        samples.sample(true, |c| snapshots[c].nr_threads == 0);
-
-        let stats = mq.concurrent_round(&policy);
-        record.migrations += stats.migrations();
-        record.failures += stats.failures();
-        record.locality.merge(&StealLocality::from_counts(stats.level_migration_counts()));
-
-        for nice in parked {
-            mq.spawn_on_with_nice(sleeper, nice);
-        }
-    }
-    samples.stamp(&mut record, start.elapsed());
-    record.final_loads = rq_final_loads(&mq.snapshots());
-    record
-}
-
 /// The overflow-storm driver (see [`Storm`]): per epoch, a fan-out
 /// burst lands on core 0, `rounds_per_epoch` genuinely concurrent rounds
 /// run against it with **no tick** in between, and the machine drains.
@@ -1023,18 +1066,12 @@ fn run_rq_burst<B: sched_rq::RqBackend>(
 /// exists to measure — on a conserving overflow discipline the burst is
 /// fully reachable, so the post-round idle count is ~0; on one that hides
 /// overflow the stranded cores persist for the rest of the epoch.
-fn run_rq_storm<B: sched_rq::RqBackend>(
-    backend: &'static str,
-    spec: &Scenario,
+fn run_storm<B: sched_rq::RqBackend>(
+    mut machine: (MultiQueue<B>, Policy),
     storm: Storm,
-    mq: MultiQueue<B>,
     topo: &Arc<MachineTopology>,
+    mut record: ExperimentRecord,
 ) -> ExperimentRecord {
-    let policy = build_policy(spec, topo);
-    let mut record = record_base(spec, backend);
-    record.rq_backend = Some(B::backend_name());
-    let mut successes = 0u64;
-    let nr_cores = spec.loads.len();
     let mut samples = RoundSamples::new(topo);
     let mut now = 0u64;
 
@@ -1043,35 +1080,26 @@ fn run_rq_storm<B: sched_rq::RqBackend>(
         // The burst: far past the tiny flavours' ring capacity, so most of
         // it lands wherever the backend parks overflow.
         for _ in 0..storm.fanout {
-            mq.spawn_on(CoreId(0));
+            machine.0.spawn_on(CoreId(0));
         }
         for _ in 0..storm.rounds {
-            let stats = mq.concurrent_round(&policy);
-            record.migrations += stats.migrations();
-            record.failures += stats.failures();
-            successes += stats.successes();
-            record.locality.merge(&StealLocality::from_counts(stats.level_migration_counts()));
+            samples.successes += machine.balance(false, topo, &mut record);
             // Sample the *settled* state: idle-after-a-full-round while
             // work waits is exactly the conservation violation.
-            let snapshots = mq.snapshots();
-            let work_waiting = snapshots.iter().any(|s| s.nr_threads >= 2);
-            samples.sample(work_waiting, |c| snapshots[c].nr_threads == 0);
+            let loads = machine.loads();
+            samples.sample(loads.iter().any(|&n| n >= 2), &loads);
         }
         // Epoch boundary: the tick fires (this is where the legacy spill
         // finally re-exposes stranded work) and the machine drains for the
         // next burst.
         now += ROUND_NS;
-        mq.tick(now);
-        for core in 0..nr_cores {
-            while mq.core(CoreId(core)).complete_current().is_some() {}
+        machine.tick(now);
+        for core in 0..topo.nr_cpus() {
+            while machine.0.core(CoreId(core)).complete_current().is_some() {}
         }
     }
     samples.stamp(&mut record, start.elapsed());
-    if spec.batch.is_some() {
-        record.tasks_per_acquisition =
-            Some(if successes > 0 { record.migrations as f64 / successes as f64 } else { 0.0 });
-    }
-    record.final_loads = rq_final_loads(&mq.snapshots());
+    record.final_loads = machine.loads();
     record
 }
 
@@ -1105,48 +1133,12 @@ fn run_rq<B: sched_rq::RqBackend>(
         }
     }
 
-    match spec.driver {
-        Driver::Storm(storm) => return Some(run_rq_storm(backend, spec, storm, mq, &topo)),
-        Driver::Burst(burst) => return Some(run_rq_burst(backend, spec, burst, mq, &topo)),
-        _ => {}
-    }
-
     let mut record = record_base(spec, backend);
     record.rq_backend = Some(B::backend_name());
-    let mut successes = 0u64;
-    let mut samples = RoundSamples::new(&topo);
-
-    let start = Instant::now();
-    for round in 0..=spec.budget {
-        // One balancing period elapses per round (decayed criteria fold
-        // it under each runqueue's lock).
-        mq.tick((round as u64 + 1) * ROUND_NS);
-        if mq.is_work_conserving() {
-            record.convergence_rounds = Some(round);
-            break;
-        }
-        if round == spec.budget {
-            break;
-        }
-        let snapshots = mq.snapshots();
-        samples.sample(true, |c| snapshots[c].nr_threads == 0);
-        let stats = if spec.policy == PolicyRecipe::Hierarchical {
-            mq.hierarchical_round(&policy)
-        } else {
-            mq.concurrent_round(&policy)
-        };
-        record.migrations += stats.migrations();
-        record.failures += stats.failures();
-        successes += stats.successes();
-        record.locality.merge(&StealLocality::from_counts(stats.level_migration_counts()));
-    }
-    samples.stamp(&mut record, start.elapsed());
-    if spec.batch.is_some() {
-        record.tasks_per_acquisition =
-            Some(if successes > 0 { record.migrations as f64 / successes as f64 } else { 0.0 });
-    }
-    record.final_loads = rq_final_loads(&mq.snapshots());
-    Some(record)
+    Some(match spec.driver {
+        Driver::Storm(storm) => run_storm((mq, policy), storm, &topo, record),
+        _ => run_rounds((mq, policy), spec, &topo, record),
+    })
 }
 
 impl Backend for RqBackend {
@@ -1400,47 +1392,58 @@ fn records_to_json_opts(records: &[ExperimentRecord], full: bool) -> String {
     .render_pretty()
 }
 
-/// Renders records as one table for terminal display.
-pub fn records_table(records: &[ExperimentRecord]) -> Table {
-    let mut table = Table::new(
-        "Unified runner: every experiment on every backend",
-        &[
-            "experiment",
-            "scenario",
-            "backend",
-            "policy",
-            "tracker",
-            "cores",
-            "threads",
-            "throughput",
-            "violating idle %",
-            "rounds to WC",
-            "migrations",
-            "failures",
-            "steals smt/llc/node/remote",
-            "remote %",
-            "wall (ms)",
-        ],
-    );
-    for r in records {
+/// One column of [`records_table`]: its header, and the cell of a record
+/// that measured it (`None` for one that did not).
+type Column = (&'static str, fn(&ExperimentRecord) -> Option<String>);
+
+/// Every column a record can fill, in display order.
+const COLUMNS: [Column; 22] = [
+    ("experiment", |r| Some(r.experiment.clone())),
+    ("scenario", |r| Some(r.scenario.clone())),
+    ("backend", |r| Some(r.backend.into())),
+    ("policy", |r| Some(r.policy.clone())),
+    ("tracker", |r| Some(r.tracker.clone())),
+    ("k", |r| r.steal_batch_k.clone()),
+    ("cores", |r| Some(r.cores.to_string())),
+    ("threads", |r| Some(r.threads.to_string())),
+    ("throughput", |r| Some(format!("{:.0} {}", r.throughput, r.throughput_unit))),
+    ("violating idle %", |r| Some(format!("{:.1}%", r.violating_idle * 100.0))),
+    ("rounds to WC", |r| Some(r.convergence_rounds.map_or_else(|| "-".into(), |n| n.to_string()))),
+    ("migrations", |r| Some(r.migrations.to_string())),
+    ("failures", |r| Some(r.failures.to_string())),
+    ("tasks/acquisition", |r| r.tasks_per_acquisition.map(|t| format!("{t:.2}"))),
+    ("steals smt/llc/node/remote", |r| {
         let levels = r.locality.counts();
-        table.row(&[
-            r.experiment.clone(),
-            r.scenario.clone(),
-            r.backend.into(),
-            r.policy.clone(),
-            r.tracker.clone(),
-            r.cores.to_string(),
-            r.threads.to_string(),
-            format!("{:.0} {}", r.throughput, r.throughput_unit),
-            format!("{:.1}%", r.violating_idle * 100.0),
-            r.convergence_rounds.map(|r| r.to_string()).unwrap_or_else(|| "-".into()),
-            r.migrations.to_string(),
-            r.failures.to_string(),
-            format!("{}/{}/{}/{}", levels[0], levels[1], levels[2], levels[3]),
-            format!("{:.0}%", r.remote_steal_rate() * 100.0),
-            format!("{:.2}", r.wall_ms),
-        ]);
+        Some(format!("{}/{}/{}/{}", levels[0], levels[1], levels[2], levels[3]))
+    }),
+    ("remote %", |r| Some(format!("{:.0}%", r.remote_steal_rate() * 100.0))),
+    ("violating idle per node", |r| {
+        (r.per_node_violating_idle.len() > 1).then(|| {
+            let nodes: Vec<String> =
+                r.per_node_violating_idle.iter().map(|v| format!("{:.0}%", v * 100.0)).collect();
+            nodes.join(" ")
+        })
+    }),
+    ("p99 sched latency (us)", |r| r.p99_sched_latency_us.map(|p| format!("{p:.0}"))),
+    ("e2e p99 (us)", |r| r.e2e_p99_us.map(|p| format!("{p:.0}"))),
+    ("e2e p999 (us)", |r| r.e2e_p999_us.map(|p| format!("{p:.0}"))),
+    ("events processed", |r| r.events_processed.map(|n| n.to_string())),
+    ("wall (ms)", |r| Some(format!("{:.2}", r.wall_ms))),
+];
+
+/// Renders records as one table for terminal display — the view every
+/// experiment prints of its catalog records, and the one `experiments
+/// --json` prints of the whole catalog.  A column is shown only when some
+/// record in the table measured it.
+pub fn records_table(title: impl Into<String>, records: &[ExperimentRecord]) -> Table {
+    let shown: Vec<&Column> =
+        COLUMNS.iter().filter(|(_, cell)| records.iter().any(|r| cell(r).is_some())).collect();
+    let headers: Vec<&str> = shown.iter().map(|(header, _)| *header).collect();
+    let mut table = Table::new(title, &headers);
+    for r in records {
+        let cells: Vec<String> =
+            shown.iter().map(|(_, cell)| cell(r).unwrap_or_else(|| "-".into())).collect();
+        table.row(&cells);
     }
     table
 }
@@ -1448,6 +1451,7 @@ pub fn records_table(records: &[ExperimentRecord]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sched_dsl::Burst;
 
     fn small_spec(policy: PolicyRecipe) -> Scenario {
         Scenario {
@@ -1924,6 +1928,36 @@ mod tests {
             small_spec(PolicyRecipe::Listing1),
             small_spec(PolicyRecipe::Weighted),
         ]);
-        assert_eq!(records_table(&records).nr_rows(), 2);
+        assert_eq!(records_table("model", &records).nr_rows(), 2);
+    }
+
+    /// A column is shown only when some record in the table measured it:
+    /// the model measures no simulator column, and one simulator record
+    /// brings them in, with a `-` in the model's cell.
+    #[test]
+    fn records_table_shows_only_the_columns_some_record_measured() {
+        let header = |records: &[ExperimentRecord]| -> Vec<String> {
+            let csv = records_table("t", records).to_csv();
+            csv.lines().next().expect("a header").split(',').map(str::to_string).collect()
+        };
+        let model = ExperimentRunner::new(vec![Box::new(ModelBackend)])
+            .run(small_spec(PolicyRecipe::Listing1));
+        let sim = ExperimentRunner::new(vec![Box::new(SimEventBackend)])
+            .run(small_spec(PolicyRecipe::Listing1));
+        let sim_only = ["p99 sched latency (us)", "events processed"];
+        let shown = header(&model);
+        assert!(shown.iter().any(|h| h == "migrations"), "{shown:?}");
+        for column in sim_only.iter().chain(&["k", "tasks/acquisition", "e2e p99 (us)"]) {
+            assert!(!shown.iter().any(|h| h == column), "{column} in {shown:?}");
+        }
+        let both: Vec<ExperimentRecord> = model.into_iter().chain(sim).collect();
+        let shown = header(&both);
+        for column in sim_only {
+            let at = shown.iter().position(|h| h == column).expect("a simulator column");
+            let csv = records_table("t", &both).to_csv();
+            let model_row: Vec<&str> =
+                csv.lines().nth(1).expect("the model row").split(',').collect();
+            assert_eq!(model_row[at], "-", "{column}");
+        }
     }
 }

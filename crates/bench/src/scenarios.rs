@@ -1,77 +1,38 @@
-//! Scenario builders of the simulator experiments (E9, E10): the machines,
-//! the workloads and the schedulers they compare.
+//! What the bespoke simulator and choice tables swap into a catalogued
+//! scenario: the schedulers E9/E10 compare on their scenario's machine and
+//! workload, and the choice variants E1 runs through the lemma suite.
 
 use std::sync::Arc;
 
 use sched_core::prelude::*;
-use sched_sim::{
-    CfsBugs, CfsLikeScheduler, EventEngine, OptimisticScheduler, SimConfig, SimResult, SimScheduler,
-};
-use sched_topology::{MachineTopology, TopologyBuilder};
-use sched_workloads::{OltpWorkload, ScientificWorkload, Workload};
+use sched_dsl::Scenario;
+use sched_sim::{CfsBugs, CfsLikeScheduler, SimResult};
+use sched_topology::MachineTopology;
 
-/// The machine used by the simulator experiments: a dual-socket server of
-/// the kind the "wasted cores" study ran on.
-pub fn dual_socket() -> MachineTopology {
-    TopologyBuilder::new().sockets(2).cores_per_socket(8).build()
-}
+use crate::runner::{SimEngine, SimScenario};
 
-/// The larger machine used by the hierarchical experiment: eight NUMA nodes.
-pub fn eight_node() -> MachineTopology {
-    TopologyBuilder::eight_node_numa()
-}
-
-/// The fork-join workload of experiment E9, sized to the machine.
-pub fn scientific_workload(nr_cores: usize) -> Workload {
-    ScientificWorkload {
-        nr_threads: nr_cores,
-        iterations: 8,
-        phase_ns: 4_000_000,
-        jitter: 0.05,
-        seed: 42,
-        fork_on_core: Some(0),
-    }
-    .generate()
-}
-
-/// The OLTP workload of experiment E10, sized to the machine.
-pub fn oltp_workload(nr_cores: usize) -> Workload {
-    OltpWorkload {
-        nr_workers: nr_cores * 2,
-        transactions: 40,
-        service_ns: 500_000,
-        think_ns: 250_000,
-        jitter: 0.2,
-        seed: 7,
-        initial_spread: 4,
-    }
-    .generate()
-}
-
-/// Runs `workload` on `topo` under the named scheduler.
-pub fn run_sim(topo: &MachineTopology, workload: &Workload, scheduler: SchedulerKind) -> SimResult {
-    let boxed: Box<dyn SimScheduler> = match scheduler {
-        SchedulerKind::Optimistic => Box::new(OptimisticScheduler::new(Policy::simple())),
-        SchedulerKind::OptimisticNuma => {
-            let policy = Policy::simple().with_choice(Box::new(NumaAwareChoice::new(
-                Arc::new(topo.clone()),
-                LoadMetric::NrThreads,
-            )));
-            Box::new(OptimisticScheduler::new(policy))
-        }
-        SchedulerKind::CfsSane => Box::new(CfsLikeScheduler::new(CfsBugs::none())),
-        SchedulerKind::CfsBuggy => Box::new(CfsLikeScheduler::new(CfsBugs::all())),
+/// Runs `spec` on the event engine under the named scheduler: the
+/// optimistic one is exactly the `sim-event` backend's run, and a CFS-like
+/// baseline replaces it on the same machine and workload.
+pub fn run_sim(spec: &Scenario, scheduler: SchedulerKind) -> SimResult {
+    let mut scenario =
+        SimScenario::build(SimEngine::Event, spec).expect("the simulator executes the scenario");
+    let bugs = match scheduler {
+        SchedulerKind::Optimistic => None,
+        SchedulerKind::CfsSane => Some(CfsBugs::none()),
+        SchedulerKind::CfsBuggy => Some(CfsBugs::all()),
     };
-    EventEngine::new(SimConfig::default(), Some(topo), workload, boxed).run()
+    if let Some(bugs) = bugs {
+        scenario.scheduler = Box::new(CfsLikeScheduler::new(bugs));
+    }
+    scenario.run(None)
 }
 
 /// The schedulers compared by the simulator experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// The verified optimistic balancer (Listing 1 policy).
+    /// The verified optimistic balancer the scenario declares.
     Optimistic,
-    /// The verified balancer with a NUMA-aware choice step.
-    OptimisticNuma,
     /// The CFS-like baseline without injected bugs.
     CfsSane,
     /// The CFS-like baseline with both wasted-cores bugs.
@@ -83,7 +44,6 @@ impl SchedulerKind {
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::Optimistic => "optimistic (verified)",
-            SchedulerKind::OptimisticNuma => "optimistic + NUMA choice",
             SchedulerKind::CfsSane => "cfs-like (no bugs)",
             SchedulerKind::CfsBuggy => "cfs-like (wasted-cores bugs)",
         }
@@ -123,27 +83,29 @@ pub fn choice_variants(topo: &Arc<MachineTopology>) -> Vec<(&'static str, Policy
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::build_topology;
+    use crate::ExperimentId;
 
     #[test]
     fn scenario_builders_produce_valid_workloads() {
-        let topo = dual_socket();
+        for id in [ExperimentId::E9, ExperimentId::E10] {
+            let spec = crate::catalog::spec(id);
+            let result = run_sim(&spec, SchedulerKind::Optimistic);
+            assert!(result.finished, "{}: the catalogued workload runs to completion", spec.name);
+            assert!(result.operations > 0, "{}", spec.name);
+        }
+        let topo = build_topology(sched_dsl::Topology::DualSocket);
         assert_eq!(topo.nr_cpus(), 16);
-        assert!(scientific_workload(topo.nr_cpus()).validate().is_ok());
-        assert!(oltp_workload(topo.nr_cpus()).validate().is_ok());
         assert_eq!(choice_variants(&Arc::new(topo)).len(), 6);
     }
 
     #[test]
     fn scheduler_kinds_have_distinct_names() {
-        let names: std::collections::BTreeSet<_> = [
-            SchedulerKind::Optimistic,
-            SchedulerKind::OptimisticNuma,
-            SchedulerKind::CfsSane,
-            SchedulerKind::CfsBuggy,
-        ]
-        .iter()
-        .map(|k| k.name())
-        .collect();
-        assert_eq!(names.len(), 4);
+        let names: std::collections::BTreeSet<_> =
+            [SchedulerKind::Optimistic, SchedulerKind::CfsSane, SchedulerKind::CfsBuggy]
+                .iter()
+                .map(|k| k.name())
+                .collect();
+        assert_eq!(names.len(), 3);
     }
 }

@@ -45,7 +45,10 @@ fn the_catalogued_sim_scenarios_agree_across_engines() {
         .iter()
         .filter(|spec| spec.events.is_none() && engines_agree(spec))
         .count();
-    assert_eq!(checked, 25, "e1-e21 (e17 twice, e21 four times) are sim-compatible");
+    assert_eq!(
+        checked, 35,
+        "e1-e21 (e14 four times, e15 three, e17 and e18 twice, e21 eight) are sim-compatible"
+    );
 }
 
 proptest! {

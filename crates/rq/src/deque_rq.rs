@@ -119,9 +119,8 @@ fn encode(task: &RqTask) -> u64 {
     ((id + 1) << 8) | u64::from(task.nice.value() as u8)
 }
 
-/// Unpacks [`encode`]'s word.  The virtual runtime is not carried — the
-/// lock-free backend fixes the queue discipline to the work-stealing
-/// LIFO-owner/FIFO-thief order, which never consults vruntime.
+/// Unpacks [`encode`]'s word: the task's id and niceness, all an
+/// [`RqTask`] carries.
 fn decode(word: u64) -> RqTask {
     RqTask::with_nice(TaskId((word >> 8) - 1), Nice::new(word as u8 as i8))
 }

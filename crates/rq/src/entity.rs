@@ -2,29 +2,25 @@
 
 use sched_core::{Nice, Task, TaskId, Weight};
 
-/// A runnable task as stored in a concurrent runqueue.
-///
-/// Compared to the pure-model [`Task`], it additionally carries the virtual
-/// runtime used by the CFS-like queue discipline.
+/// A runnable task as stored in a concurrent runqueue: the identity and
+/// niceness of the pure-model [`Task`] it converts to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RqTask {
     /// Identity of the task.
     pub id: TaskId,
     /// Niceness (importance) of the task.
     pub nice: Nice,
-    /// Virtual runtime in nanoseconds, weighted by the task's share.
-    pub vruntime: u64,
 }
 
 impl RqTask {
-    /// Creates a `nice 0` task with zero virtual runtime.
+    /// Creates a `nice 0` task.
     pub fn new(id: TaskId) -> Self {
-        RqTask { id, nice: Nice::NORMAL, vruntime: 0 }
+        RqTask { id, nice: Nice::NORMAL }
     }
 
     /// Creates a task with the given niceness.
     pub fn with_nice(id: TaskId, nice: Nice) -> Self {
-        RqTask { id, nice, vruntime: 0 }
+        RqTask { id, nice }
     }
 
     /// Load weight of the task.
@@ -32,15 +28,7 @@ impl RqTask {
         self.nice.weight()
     }
 
-    /// Advances the virtual runtime by `delta_ns` of real execution,
-    /// scaled inversely to the task's weight (heavier tasks age slower),
-    /// exactly as CFS does.
-    pub fn charge(&mut self, delta_ns: u64) {
-        let scaled = delta_ns.saturating_mul(Weight::NICE_0.raw()) / self.weight().raw().max(1);
-        self.vruntime = self.vruntime.saturating_add(scaled);
-    }
-
-    /// Converts to the pure-model task (dropping the vruntime).
+    /// Converts to the pure-model task.
     pub fn to_model(&self) -> Task {
         Task::with_nice(self.id, self.nice)
     }
@@ -49,19 +37,6 @@ impl RqTask {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn charge_scales_with_weight() {
-        let mut normal = RqTask::new(TaskId(1));
-        let mut heavy = RqTask::with_nice(TaskId(2), Nice::new(-20));
-        let mut light = RqTask::with_nice(TaskId(3), Nice::new(19));
-        normal.charge(1_000_000);
-        heavy.charge(1_000_000);
-        light.charge(1_000_000);
-        assert_eq!(normal.vruntime, 1_000_000);
-        assert!(heavy.vruntime < normal.vruntime, "important tasks age slower");
-        assert!(light.vruntime > normal.vruntime, "nice tasks age faster");
-    }
 
     #[test]
     fn conversion_to_model_preserves_identity_and_nice() {

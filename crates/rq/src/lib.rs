@@ -28,10 +28,9 @@
 //!   ("locking the runqueue of the third core prevents that core from
 //!   scheduling work").
 //!
-//! Two queue disciplines are provided for the mutex backend: FIFO
-//! ([`fifo::FifoQueue`]) and a CFS-like virtual-runtime order
-//! ([`vruntime::VruntimeQueue`]).  The lock-free backend fixes the
-//! work-stealing order (owner LIFO, thieves FIFO).
+//! The mutex backend is generic over its queue discipline ([`TaskQueue`];
+//! the workspace runs FIFO, [`fifo::FifoQueue`]).  The lock-free backend
+//! fixes the work-stealing order (owner LIFO, thieves FIFO).
 
 pub mod backend;
 pub mod deque_rq;
@@ -43,7 +42,6 @@ pub mod percore;
 pub mod published;
 pub mod stats;
 pub mod steal;
-pub mod vruntime;
 
 pub use backend::RqBackend;
 pub use deque_rq::DequeRq;
@@ -54,7 +52,6 @@ pub use overflow::{OverflowPolicy, TinyDequeRq, TinySpillDequeRq, TINY_RING_CAPA
 pub use percore::PerCoreRq;
 pub use published::PublishedLoad;
 pub use stats::BalanceStats;
-pub use vruntime::VruntimeQueue;
 
 /// Step 3 of Listing 1 — [`sched_core::StealRule`] itself, under the name
 /// the frozen repo benchmark imports (`benchmark/src/probes.rs` hands
@@ -78,8 +75,8 @@ pub trait TaskQueue: Default + Send {
     fn pop_next(&mut self) -> Option<RqTask>;
     /// Removes and returns the task the balancer should migrate, if any.
     ///
-    /// Migration candidates and execution candidates may differ (CFS steals
-    /// from the opposite end of the timeline it runs from).
+    /// Migration candidates and execution candidates may differ (a
+    /// discipline may steal from the opposite end of the one it runs from).
     fn pop_steal_candidate(&mut self) -> Option<RqTask>;
     /// Number of queued tasks.
     fn len(&self) -> usize;

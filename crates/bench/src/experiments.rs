@@ -861,15 +861,16 @@ fn traced_with_windows(
     (record, trace, windows)
 }
 
-/// E25: the conservation hole found from a trace alone.  Both tiny-ring
-/// flavours run the identical overflow storm with a recording sink
-/// attached; the sanity checker then reads nothing but the drained
-/// decision stream — no counters, no snapshots, no knowledge of which
-/// overflow discipline produced it.  On the private-spill baseline the
-/// overflowed tasks are invisible to thieves, so idle cores rack up
-/// consecutive empty-handed steal attempts against a victim whose derived
-/// occupancy shows plenty of waiting work, and the checker flags
-/// idle-while-overloaded windows with the offending event span.  On the
+/// E25: the conservation hole found from a trace alone.  The tiny-ring
+/// injector flavour and the private-spill fixture run the identical
+/// overflow storm with a recording sink attached; the sanity checker then
+/// reads nothing but the drained decision stream — no counters, no
+/// snapshots, no knowledge of which overflow discipline produced it.  On
+/// the private-spill baseline the overflowed tasks are invisible to
+/// thieves, so idle cores rack up consecutive empty-handed steal attempts
+/// against a victim whose derived occupancy shows plenty of waiting work,
+/// and the checker flags idle-while-overloaded windows with the offending
+/// event span.  On the
 /// injector flavour every overflowed task stays reachable — the storm is
 /// sized so the injector never runs dry mid-epoch — and the same checker
 /// stays silent.
@@ -996,17 +997,23 @@ mod tests {
         let spec = crate::catalog::spec(ExperimentId::E22);
         let runner = crate::runner::ExperimentRunner::with_all_backends();
         let records = runner.run(spec);
-        let flavours: Vec<Option<&str>> = records.iter().map(|r| r.rq_backend).collect();
+        let flavours: Vec<(&str, Option<&str>)> =
+            records.iter().map(|r| (r.backend, r.rq_backend)).collect();
         assert_eq!(
             flavours,
-            vec![Some("mutex"), Some("deque"), Some("deque-tiny"), Some("deque-spill")],
-            "the storm runs on the rq backends only (model/sim have no ring)"
+            vec![
+                ("rq", Some("mutex")),
+                ("rq-deque", Some("deque")),
+                ("rq-deque-tiny", Some("deque-tiny")),
+                ("rq-deque-spill", Some("mutex")),
+            ],
+            "the storm runs on the rq backends only (model/sim have no ring); the spill \
+             baseline is a queue fixture on the mutex backend"
         );
-        let find = |flavour: &str| {
-            records.iter().find(|r| r.rq_backend == Some(flavour)).expect("flavour present")
-        };
-        let injector = find("deque-tiny");
-        let spill = find("deque-spill");
+        let find =
+            |backend: &str| records.iter().find(|r| r.backend == backend).expect("backend present");
+        let injector = find("rq-deque-tiny");
+        let spill = find("rq-deque-spill");
         assert!(
             injector.violating_idle < 0.02,
             "injector-backed overflow must keep idle-while-spilled at ~0, got {:.3}",
@@ -1025,11 +1032,57 @@ mod tests {
         );
         // The no-overflow controls agree with the injector row: hiding
         // overflow is the only thing that opens the gap.
-        for control in ["mutex", "deque"] {
+        for control in ["rq", "rq-deque"] {
             assert!(
                 find(control).violating_idle < 0.02,
-                "{control}: a ring that never overflows has nothing to hide"
+                "{control}: a queue that never overflows has nothing to hide"
             );
+        }
+    }
+
+    /// The spill baseline is a queue fixture on the mutex backend, and it
+    /// is the same negative control the lock-free backend's private spill
+    /// used to be: on every storm scenario (E22, E23's five storm specs,
+    /// E25) its deterministic counts equal the committed records exactly.
+    #[test]
+    fn the_spill_fixture_reproduces_the_committed_storm_records() {
+        use crate::runner::Backend as _;
+
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_results.json");
+        let text = std::fs::read_to_string(path).expect("committed BENCH_results.json");
+        let json = sched_json::parse(&text).expect("valid JSON");
+        let committed = json.get("records").and_then(|r| r.as_array()).expect("records array");
+        let storms: Vec<&Scenario> = crate::catalog::builtin()
+            .iter()
+            .filter(|spec| matches!(spec.driver, Driver::Storm(_)))
+            .collect();
+        assert_eq!(storms.len(), 7, "e22, e23's five storm specs and e25");
+        for spec in storms {
+            let record = crate::runner::RqSpillDequeBackend.run(spec, None).expect("a storm");
+            assert_eq!(record.rq_backend, Some("mutex"));
+            let key = sched_json::record_key(&spec.experiment, &spec.name, "rq-deque-spill");
+            let baseline = committed
+                .iter()
+                .find(|r| {
+                    let field = |k: &str| r.get(k).and_then(|v| v.as_str()).unwrap_or_default();
+                    sched_json::record_key(field("experiment"), field("scenario"), field("backend"))
+                        == key
+                })
+                .unwrap_or_else(|| panic!("{key} is committed"));
+            let number = |k: &str| baseline.get(k).and_then(|v| v.as_f64());
+            let levels = record.locality.counts();
+            for (field, got) in [
+                ("migrations", Some(record.migrations as f64)),
+                ("failures", Some(record.failures as f64)),
+                ("violating_idle", Some(record.violating_idle)),
+                ("steals_smt", Some(levels[0] as f64)),
+                ("steals_llc", Some(levels[1] as f64)),
+                ("steals_node", Some(levels[2] as f64)),
+                ("steals_remote", Some(levels[3] as f64)),
+                ("tasks_per_acquisition", record.tasks_per_acquisition),
+            ] {
+                assert_eq!(got, number(field), "{key}: {field}");
+            }
         }
     }
 

@@ -469,11 +469,6 @@ impl ExperimentRecord {
         self.locality.remote_rate()
     }
 
-    /// The record as a JSON object (the default, v6-shaped record).
-    pub fn to_json(&self) -> JsonValue {
-        self.to_json_opts(false)
-    }
-
     /// The record as a JSON object; `full` additionally serializes the
     /// `final_loads` vector (schema v7, the `--full-records` flag).
     pub fn to_json_opts(&self, full: bool) -> JsonValue {
@@ -1089,7 +1084,7 @@ fn run_storm<B: sched_rq::RqBackend>(
             let loads = machine.loads();
             samples.sample(loads.iter().any(|&n| n >= 2), &loads);
         }
-        // Epoch boundary: the tick fires (this is where the legacy spill
+        // Epoch boundary: the tick fires (this is where the private spill
         // finally re-exposes stranded work) and the machine drains for the
         // next burst.
         now += ROUND_NS;
@@ -1169,10 +1164,11 @@ impl Backend for RqDequeBackend {
 /// duplicate rows.
 pub struct RqTinyDequeBackend;
 
-/// The storm *baseline*: tiny rings with the legacy owner-private spill
-/// (record backend `"rq-deque-spill"`).  This is the work-conservation
-/// hole kept measurable; E22's headline is the gap between this row's
-/// idle-while-spilled and `rq-deque-tiny`'s ~0.
+/// The storm *baseline*: mutex runqueues whose tasks past a tiny window
+/// wait in an owner-private spill ([`sched_rq::SpillQueue`]; record
+/// backend `"rq-deque-spill"`, runqueue discipline `"mutex"`).  This is
+/// the work-conservation hole kept measurable; E22's headline is the gap
+/// between this row's idle-while-spilled and `rq-deque-tiny`'s ~0.
 pub struct RqSpillDequeBackend;
 
 impl Backend for RqTinyDequeBackend {
@@ -1197,7 +1193,7 @@ impl Backend for RqSpillDequeBackend {
         if !matches!(spec.driver, Driver::Storm(_)) {
             return None;
         }
-        run_rq::<sched_rq::TinySpillDequeRq>(self.name(), spec, sink)
+        run_rq::<sched_rq::PerCoreRq<sched_rq::SpillQueue>>(self.name(), spec, sink)
     }
 }
 

@@ -90,11 +90,6 @@ impl SystemState {
         &self.cores
     }
 
-    /// Mutable access to all cores.
-    pub fn cores_mut(&mut self) -> &mut [CoreState] {
-        &mut self.cores
-    }
-
     /// Ids of all cores.
     pub fn core_ids(&self) -> Vec<CoreId> {
         self.cores.iter().map(|c| c.id).collect()

@@ -31,8 +31,8 @@
 //! slot access is an atomic operation, so the "racy" reads of the classic
 //! algorithm are well-defined here and the claim argument carries over
 //! unchanged.  [`Worker::push`] reports overflow as [`Full`] instead of
-//! growing; callers spill (see `sched-rq`'s `DequeRq`) or size the ring for
-//! their workload.
+//! growing; callers overflow into an [`Injector`] (see `sched-rq`'s
+//! `DequeRq`) or size the ring for their workload.
 //!
 //! Elements are bare `u64` words.  Schedulers pack their task descriptors
 //! into a word (id + niceness fits comfortably); keeping the deque

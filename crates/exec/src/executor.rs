@@ -2092,9 +2092,11 @@ mod tests {
                         first_done[e.core.0].get_or_insert(e.ts);
                     }
                 }
+                // The merge keeps each core's record order, so a completion
+                // stamped just before the migration can follow it.
                 first_done.iter().all(|done| {
                     done.is_some_and(|at| {
-                        u128::from(at - first_migration) <= PARK_BACKSTOP.as_nanos()
+                        u128::from(at.saturating_sub(first_migration)) <= PARK_BACKSTOP.as_nanos()
                     })
                 })
             })

@@ -38,15 +38,6 @@ impl Histogram {
         (64 - value.leading_zeros()).saturating_sub(1) as usize
     }
 
-    /// Lower bound (exclusive, except for bucket 0) of bucket `i`.
-    pub fn bucket_floor(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            1u64 << i
-        }
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -120,8 +111,6 @@ mod tests {
         assert_eq!(Histogram::bucket_of(3), 1);
         assert_eq!(Histogram::bucket_of(4), 2);
         assert_eq!(Histogram::bucket_of(1024), 10);
-        assert_eq!(Histogram::bucket_floor(0), 0);
-        assert_eq!(Histogram::bucket_floor(3), 8);
     }
 
     #[test]

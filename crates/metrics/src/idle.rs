@@ -105,16 +105,6 @@ impl IdleAccounting {
             violating as f64 / total as f64
         }
     }
-
-    /// Average CPU utilisation in `[0, 1]` (busy over total).
-    pub fn utilization(&self) -> f64 {
-        let total = self.total_busy() + self.total_idle_benign() + self.total_idle_violating();
-        if total == 0 {
-            0.0
-        } else {
-            self.total_busy() as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +130,7 @@ mod tests {
         acc.account(0, 75, false, true);
         acc.account(0, 25, true, true);
         assert!((acc.violation_fraction() - 0.25).abs() < 1e-9);
-        assert!((acc.utilization() - 0.75).abs() < 1e-9);
+        assert_eq!(acc.total_busy(), 75);
     }
 
     #[test]
@@ -162,7 +152,6 @@ mod tests {
         let acc = IdleAccounting::new(4);
         assert_eq!(acc.nr_cores(), 4);
         assert_eq!(acc.violation_fraction(), 0.0);
-        assert_eq!(acc.utilization(), 0.0);
     }
 
     #[test]

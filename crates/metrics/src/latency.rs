@@ -31,11 +31,6 @@ impl LatencyRecorder {
         self.histogram.record(scheduled_at - ready_at);
     }
 
-    /// Records an already computed latency value.
-    pub fn record_value(&mut self, latency: u64) {
-        self.histogram.record(latency);
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.histogram.count()
@@ -91,9 +86,9 @@ mod tests {
     #[test]
     fn merge_combines_recorders() {
         let mut a = LatencyRecorder::new();
-        a.record_value(10);
+        a.record(0, 10);
         let mut b = LatencyRecorder::new();
-        b.record_value(1000);
+        b.record(0, 1000);
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.max(), 1000);

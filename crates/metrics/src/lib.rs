@@ -11,7 +11,6 @@
 //!   time (no work anywhere) and *violating* idle time (idle while some core
 //!   is overloaded), which is the quantity a work-conserving scheduler drives
 //!   to zero,
-//! * [`convergence::ConvergenceTracker`] — rounds-until-work-conservation,
 //! * [`throughput::ThroughputMeter`] and [`latency`]/[`histogram`] — the
 //!   workload-level metrics of experiments E9/E10,
 //! * [`churn::MigrationChurn`] — migrations per epoch and churn ratios,
@@ -25,7 +24,6 @@
 //!   experiment harness to print the rows recorded in `EXPERIMENTS.md`.
 
 pub mod churn;
-pub mod convergence;
 pub mod histogram;
 pub mod idle;
 pub mod latency;
@@ -36,7 +34,6 @@ pub mod table;
 pub mod throughput;
 
 pub use churn::MigrationChurn;
-pub use convergence::ConvergenceTracker;
 pub use histogram::Histogram;
 pub use idle::IdleAccounting;
 pub use latency::LatencyRecorder;

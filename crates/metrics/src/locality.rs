@@ -56,18 +56,6 @@ impl StealLocality {
         }
     }
 
-    /// Fraction of migrations that stayed within the thief's LLC (SMT
-    /// sibling or cache neighbour), in `[0, 1]`.
-    pub fn cache_local_rate(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            (self.count(StealLevel::SmtSibling) + self.count(StealLevel::SameLlc)) as f64
-                / total as f64
-        }
-    }
-
     /// Folds another accounting into this one.
     pub fn merge(&mut self, other: &StealLocality) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
@@ -98,7 +86,6 @@ mod tests {
         loc.record(StealLevel::Remote, 1);
         assert_eq!(loc.total(), 4);
         assert!((loc.remote_rate() - 0.25).abs() < 1e-9);
-        assert!((loc.cache_local_rate() - 0.75).abs() < 1e-9);
         assert_eq!(loc.counts(), [2, 1, 0, 1]);
     }
 
@@ -106,7 +93,6 @@ mod tests {
     fn empty_accounting_has_zero_rates() {
         let loc = StealLocality::new();
         assert_eq!(loc.remote_rate(), 0.0);
-        assert_eq!(loc.cache_local_rate(), 0.0);
         assert_eq!(loc.total(), 0);
     }
 

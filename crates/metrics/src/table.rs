@@ -32,12 +32,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of displayable cells.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn nr_rows(&self) -> usize {
         self.rows.len()
@@ -148,14 +142,5 @@ mod tests {
     fn mismatched_row_width_panics() {
         let mut t = Table::new("t", &["a", "b"]);
         t.row(&["1".into()]);
-    }
-
-    #[test]
-    fn row_display_converts_values() {
-        let mut t = Table::new("t", &["a", "b"]);
-        t.row_display(&[&1u64, &2.5f64]);
-        assert_eq!(t.nr_rows(), 1);
-        assert!(t.to_csv().contains("1,2.5"));
-        assert_eq!(t.title(), "t");
     }
 }

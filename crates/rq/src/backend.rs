@@ -85,8 +85,8 @@ pub trait RqBackend: Send + Sync + 'static {
     /// read — the runqueue substrate's per-core scheduler tick.
     fn refresh(&self);
 
-    /// Attaches a trace sink for backend-internal decisions (overflow
-    /// spills, injector drains, batch trims).  The default keeps the
+    /// Attaches a trace sink for backend-internal decisions (injector
+    /// pushes and drains, batch trims).  The default keeps the
     /// backend silent: the generic balancing machinery still traces steal
     /// attempts through the [`StealRecorder`], so backends only override
     /// this when they have private structure worth narrating.

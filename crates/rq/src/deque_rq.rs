@@ -76,16 +76,10 @@
 //! on ring-empty).  The old spill needed its drain for reachability; the
 //! new one needs it only for fairness.
 //!
-//! The pre-injector discipline survives behind
-//! [`crate::OverflowPolicy::PrivateSpill`] purely as the measurable
-//! baseline: experiment E22 reproduces the idle-while-spilled gap against
-//! it, and the conservation tests document the hole instead of specifying
-//! it.  The running-task claim is untouched by all of this: `current` is
-//! still a single CAS-claimed word thieves never read, so "never steal the
-//! running thread" holds by construction under either overflow policy.
+//! The pre-injector discipline is now a mutex-backend queue fixture,
+//! [`crate::overflow::SpillQueue`], kept as E22/E25's negative control.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -98,7 +92,6 @@ use sched_trace::{TraceEvent, TraceSink};
 
 use crate::backend::RqBackend;
 use crate::entity::RqTask;
-use crate::overflow::OverflowPolicy;
 use crate::steal::StealRecorder;
 
 /// Default ring capacity per core; large enough for every catalogued
@@ -137,17 +130,6 @@ thread_local! {
     static CLAIMED: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
 }
 
-/// The owner end of the deque, behind the producer-serialising mutex
-/// (never taken by thieves).
-#[derive(Debug)]
-struct OwnerSide {
-    worker: Worker,
-    /// Legacy owner-private overflow, used **only** under
-    /// [`OverflowPolicy::PrivateSpill`] (E22's measurable baseline for the
-    /// work-conservation hole); the injector discipline never touches it.
-    spill: VecDeque<u64>,
-}
-
 /// One core's lock-free runqueue (see the module docs).
 #[derive(Debug)]
 pub struct DequeRq {
@@ -156,19 +138,17 @@ pub struct DequeRq {
     tracker: Arc<dyn LoadTracker>,
     /// The machine's logical clock (shared with every sibling runqueue).
     clock: Arc<AtomicU64>,
-    owner: Mutex<OwnerSide>,
+    /// The owner end of the deque, behind the producer-serialising mutex
+    /// (never taken by thieves).
+    owner: Mutex<Worker>,
     stealer: Stealer,
-    /// Where ring overflow goes (see the module docs); fixed at
-    /// construction.
-    overflow: OverflowPolicy,
-    /// Shared MPMC home for ring overflow under
-    /// [`OverflowPolicy::SharedInjector`]: pushed by the owner when the
+    /// Shared MPMC home for ring overflow: pushed by the owner when the
     /// ring is full, claimed by the owner (ring first, injector second)
     /// and by thieves (whenever the ring CAS finds the ring empty).
     injector: Injector,
     /// Encoded running task, or [`EMPTY`].
     current: AtomicU64,
-    /// Number of waiting tasks (ring + spill).
+    /// Number of waiting tasks (ring + injector).
     queued: AtomicU64,
     /// Total weight of the waiting tasks.
     queued_weight: AtomicU64,
@@ -202,8 +182,8 @@ pub struct DequeRq {
 
 impl DequeRq {
     /// Creates an empty lock-free runqueue with a custom ring capacity
-    /// (rounded up to a power of two) and the work-conserving
-    /// shared-injector overflow discipline.
+    /// (rounded up to a power of two); ring overflow goes to the shared
+    /// injector.
     pub fn with_queue_capacity(
         id: CoreId,
         node: NodeId,
@@ -211,29 +191,14 @@ impl DequeRq {
         clock: Arc<AtomicU64>,
         capacity: usize,
     ) -> Self {
-        Self::with_overflow_policy(id, node, tracker, clock, capacity, OverflowPolicy::default())
-    }
-
-    /// Creates an empty lock-free runqueue with an explicit ring capacity
-    /// **and** overflow discipline.  [`OverflowPolicy::PrivateSpill`]
-    /// exists only as E22's baseline; use the default elsewhere.
-    pub fn with_overflow_policy(
-        id: CoreId,
-        node: NodeId,
-        tracker: Arc<dyn LoadTracker>,
-        clock: Arc<AtomicU64>,
-        capacity: usize,
-        overflow: OverflowPolicy,
-    ) -> Self {
         let (worker, stealer) = deque(capacity);
         DequeRq {
             id,
             node,
             tracker,
             clock,
-            owner: Mutex::new(OwnerSide { worker, spill: VecDeque::new() }),
+            owner: Mutex::new(worker),
             stealer,
-            overflow,
             injector: Injector::new(),
             current: AtomicU64::new(EMPTY),
             queued: AtomicU64::new(0),
@@ -254,15 +219,9 @@ impl DequeRq {
         }
     }
 
-    /// The overflow discipline this runqueue was built with.
-    pub fn overflow_policy(&self) -> OverflowPolicy {
-        self.overflow
-    }
-
-    /// Number of tasks currently parked in the shared injector (zero under
-    /// the legacy spill discipline).  Exact between operations; callers
-    /// that need "is any overflow pending" get a race-free answer the same
-    /// way thieves do — by trying to claim.
+    /// Number of tasks currently parked in the shared injector.  Exact
+    /// between operations; callers that need "is any overflow pending" get
+    /// a race-free answer the same way thieves do — by trying to claim.
     pub fn injected_len(&self) -> usize {
         self.injector.len()
     }
@@ -283,36 +242,31 @@ impl DequeRq {
         (word != EMPTY).then(|| decode(word).id)
     }
 
-    /// Pops one waiting task at the owner end (ring first, then overflow),
-    /// keeping the counters in step.  Caller holds the owner mutex.
-    fn pop_queued(&self, owner: &mut OwnerSide) -> Option<u64> {
-        let word = owner.worker.pop().or_else(|| self.pop_overflow(owner))?;
+    /// Pops one waiting task at the owner end (ring first, then the
+    /// injector), keeping the counters in step.  Caller holds the owner
+    /// mutex.
+    fn pop_queued(&self, owner: &mut Worker) -> Option<u64> {
+        let word = owner.pop().or_else(|| self.pop_injected())?;
         self.retire_queued(&[word]);
         Some(word)
     }
 
-    /// Claims one task from wherever this queue parks overflow.  Under the
-    /// injector discipline the owner simply joins the thieves' claim race
-    /// (a lost race means someone else got that task — loop for the next);
-    /// under the legacy spill it pops the private list.  Caller holds the
-    /// owner mutex (which the injector does not require, but every caller
-    /// already does).
-    fn pop_overflow(&self, owner: &mut OwnerSide) -> Option<u64> {
-        match self.overflow {
-            OverflowPolicy::SharedInjector => loop {
-                match self.injector.steal() {
-                    Steal::Stolen(word) => {
-                        // Every injector exit is narrated: the trace-derived
-                        // injector population (pushes + trim loop-backs −
-                        // drains) must match the live resident count.
-                        self.trace_event(&TraceEvent::InjectorDrain { moved: 1 });
-                        return Some(word);
-                    }
-                    Steal::Empty => return None,
-                    Steal::Retry => {}
+    /// Claims one task from the injector: the owner simply joins the
+    /// thieves' claim race (a lost race means someone else got that task —
+    /// loop for the next).
+    fn pop_injected(&self) -> Option<u64> {
+        loop {
+            match self.injector.steal() {
+                Steal::Stolen(word) => {
+                    // Every injector exit is narrated: the trace-derived
+                    // injector population (pushes + trim loop-backs −
+                    // drains) must match the live resident count.
+                    self.trace_event(&TraceEvent::InjectorDrain { moved: 1 });
+                    return Some(word);
                 }
-            },
-            OverflowPolicy::PrivateSpill => owner.spill.pop_front(),
+                Steal::Empty => return None,
+                Steal::Retry => {}
+            }
         }
     }
 
@@ -371,32 +325,24 @@ impl DequeRq {
     /// The counters — including the lightest-weight watermark — move
     /// *before* the ring/injector placement is decided, so an overflowed
     /// task is counted and watermarked identically to a ring resident.
-    /// Under the injector discipline the counted set and the claimable
-    /// set therefore agree up to the instruction-scale window of a push
-    /// in flight: a thief probing between the counter bump and the
-    /// ring/injector placement can see the tasks counted but not yet
-    /// claimable, which costs that thief one failed round — the same
-    /// transient as a mid-migration task — and heals on its next attempt.
-    /// What the injector eliminates is the *persistent* divergence of the
-    /// legacy spill, where counted work stayed unclaimable until the next
-    /// tick (which is why that discipline is quarantined to E22).
-    fn push_queued(&self, owner: &mut OwnerSide, words: &[u64]) {
+    /// The counted set and the claimable set therefore agree up to the
+    /// instruction-scale window of a push in flight: a thief probing
+    /// between the counter bump and the ring/injector placement can see
+    /// the tasks counted but not yet claimable, which costs that thief one
+    /// failed round — the same transient as a mid-migration task — and
+    /// heals on its next attempt.  What the injector eliminates is the
+    /// *persistent* divergence of a private spill, where counted work stays
+    /// unclaimable until the next tick (E22's negative control,
+    /// [`crate::overflow::SpillQueue`]).
+    fn push_queued(&self, owner: &mut Worker, words: &[u64]) {
         if words.is_empty() {
             return;
         }
         self.count_queued(words);
         for &word in words {
-            if let Err(sched_deque::Full(rejected)) = owner.worker.push(word) {
-                match self.overflow {
-                    OverflowPolicy::SharedInjector => {
-                        self.injector.push(rejected);
-                        self.trace_event(&TraceEvent::InjectorPush { task: decode(rejected).id });
-                    }
-                    OverflowPolicy::PrivateSpill => {
-                        owner.spill.push_back(rejected);
-                        self.trace_event(&TraceEvent::OverflowSpill { task: decode(rejected).id });
-                    }
-                }
+            if let Err(sched_deque::Full(rejected)) = owner.push(word) {
+                self.injector.push(rejected);
+                self.trace_event(&TraceEvent::InjectorPush { task: decode(rejected).id });
             }
         }
     }
@@ -431,7 +377,7 @@ impl DequeRq {
     /// Caller holds the owner mutex (so promotions cannot race each
     /// other); the CAS protects against a concurrent wakeup claiming the
     /// core directly.
-    fn promote(&self, owner: &mut OwnerSide) -> Option<TaskId> {
+    fn promote(&self, owner: &mut Worker) -> Option<TaskId> {
         let word = self.pop_queued(owner)?;
         match self.current.compare_exchange(EMPTY, word, Ordering::AcqRel, Ordering::Acquire) {
             Ok(_) => Some(decode(word).id),
@@ -492,9 +438,8 @@ impl DequeRq {
     /// in the selection phase, from snapshots that may be stale by now; a
     /// thief that claims more than half of what the live counters show
     /// apart claims words [`DequeRq::trim`] can only hand back, so the
-    /// claim is capped there (where losers have a home to go back to — the
-    /// legacy spill delivers whatever it claims and keeps its sizing).
-    /// The trim stays: the counters move on between this read and its own.
+    /// claim is capped there.  The trim stays: the counters move on between
+    /// this read and its own.
     ///
     /// The injector check runs exactly when the ring claim finds the ring
     /// empty: a victim whose waiting work has overflowed is *still* a
@@ -522,25 +467,15 @@ impl DequeRq {
             if !filter.can_steal(&thief_snap, &victim_snap) {
                 return Err(StealOutcome::RecheckFailed { victim: self.id });
             }
-            let want = match self.overflow {
-                OverflowPolicy::SharedInjector => {
-                    let apart = victim_snap.nr_threads.saturating_sub(thief_snap.nr_threads);
-                    want.min(usize::try_from(apart / 2).unwrap_or(usize::MAX)).max(1)
-                }
-                OverflowPolicy::PrivateSpill => want,
-            };
+            let apart = victim_snap.nr_threads.saturating_sub(thief_snap.nr_threads);
+            let want = want.min(usize::try_from(apart / 2).unwrap_or(usize::MAX)).max(1);
             match self.stealer.steal_many_into(want, share) {
                 Steal::Stolen(_) => break,
                 Steal::Empty => {
                     // Ring empty is not queue empty: overflow lives in the
                     // shared injector, claimable right now — and claimed as
                     // a batch, one lock acquisition per steal decision.
-                    let moved = match self.overflow {
-                        OverflowPolicy::SharedInjector => {
-                            self.injector.steal_batch_into(want, share)
-                        }
-                        OverflowPolicy::PrivateSpill => 0,
-                    };
+                    let moved = self.injector.steal_batch_into(want, share);
                     if moved == 0 {
                         return Err(StealOutcome::NothingToSteal { victim: self.id });
                     }
@@ -575,13 +510,7 @@ impl DequeRq {
     /// so the largest split that does not invert is
     /// `(victim + n − thief − held) / 2`.  Only the two thread counters are
     /// consulted (the inversion test needs nothing else), once per claim.
-    /// The legacy spill discipline has no stealable home a thief may reach,
-    /// so it keeps the whole batch (it is E22's quarantined baseline either
-    /// way).
     fn trim(&self, thief: &DequeRq, share: &mut Vec<u64>, held: usize) -> bool {
-        if self.overflow == OverflowPolicy::PrivateSpill {
-            return false;
-        }
         let fresh = (share.len() - held) as u64;
         let even = (self.nr_threads() + fresh).saturating_sub(thief.nr_threads() + held as u64) / 2;
         let keep = usize::try_from(even.min(fresh))
@@ -681,75 +610,46 @@ impl RqBackend for DequeRq {
         // Exact when quiescent; under concurrency a task mid-migration
         // (claimed from this victim, not yet delivered to its thief) is
         // momentarily attributed to neither side.  Injector residents are
-        // included — and, under the injector discipline, everything
-        // included is also stealable, so the count balancing acts on and
-        // the set thieves can claim from are the same.
+        // included — and everything included is also stealable, so the
+        // count balancing acts on and the set thieves can claim from are
+        // the same.
         self.nr_threads()
     }
 
     fn refresh(&self) {
-        match self.overflow {
-            OverflowPolicy::PrivateSpill => {
-                // The legacy discipline's correctness-critical drain:
-                // spilled tasks are unstealable until they re-enter the
-                // ring, so the tick is the only thing standing between an
-                // overflow and a starved idle core.  This — the bug E22
-                // measures — is the whole reason the spill path is
-                // quarantined.
-                let mut owner = self.owner.lock();
-                let mut moved = 0u64;
-                while let Some(&front) = owner.spill.front() {
-                    match owner.worker.push(front) {
-                        Ok(()) => {
-                            owner.spill.pop_front();
-                            moved += 1;
-                        }
-                        Err(_) => break,
+        // The *fairness* drain — deliberately not correctness-critical:
+        // injector residents are stealable the whole time, and every
+        // conservation property holds with no tick at all (the storm tests
+        // converge without one).  What the drain restores is a tick-scale
+        // *aging* bound: owner and thieves otherwise reach the injector
+        // only when the ring is empty, so on a core whose ring never drains
+        // (steady arrivals, no admitted steals) an overflowed task's wait
+        // would be unbounded.  Folding residents into the ring's free slots
+        // once per tick bounds that wait; the instruction-scale window in
+        // which a moving word is reachable by neither structure is the
+        // same transient as a push in flight.
+        let mut owner = self.owner.lock();
+        let mut moved = 0u64;
+        while owner.len() < owner.capacity() {
+            match self.injector.steal() {
+                Steal::Stolen(word) => {
+                    if let Err(sched_deque::Full(rejected)) = owner.push(word) {
+                        // Unreachable while the owner mutex is held
+                        // (thieves only shrink the ring), but if it ever
+                        // fired the word must go back where it is
+                        // stealable.
+                        self.injector.push(rejected);
+                        break;
                     }
+                    moved += 1;
                 }
-                drop(owner);
-                if moved > 0 {
-                    self.trace_event(&TraceEvent::InjectorDrain { moved });
-                }
+                Steal::Empty => break,
+                Steal::Retry => {}
             }
-            OverflowPolicy::SharedInjector => {
-                // The *fairness* drain — deliberately not correctness-
-                // critical: injector residents are stealable the whole
-                // time, and every conservation property holds with no
-                // tick at all (the storm tests converge without one).
-                // What the drain restores is the tick-scale *aging* bound
-                // the old spill had: owner and thieves otherwise reach
-                // the injector only when the ring is empty, so on a core
-                // whose ring never drains (steady arrivals, no admitted
-                // steals) an overflowed task's wait would be unbounded.
-                // Folding residents into the ring's free slots once per
-                // tick bounds that wait; the instruction-scale window in
-                // which a moving word is reachable by neither structure
-                // is the same transient as a push in flight.
-                let mut owner = self.owner.lock();
-                let mut moved = 0u64;
-                while owner.worker.len() < owner.worker.capacity() {
-                    match self.injector.steal() {
-                        Steal::Stolen(word) => {
-                            if let Err(sched_deque::Full(rejected)) = owner.worker.push(word) {
-                                // Unreachable while the owner mutex is
-                                // held (thieves only shrink the ring),
-                                // but if it ever fired the word must go
-                                // back where it is stealable.
-                                self.injector.push(rejected);
-                                break;
-                            }
-                            moved += 1;
-                        }
-                        Steal::Empty => break,
-                        Steal::Retry => {}
-                    }
-                }
-                drop(owner);
-                if moved > 0 {
-                    self.trace_event(&TraceEvent::InjectorDrain { moved });
-                }
-            }
+        }
+        drop(owner);
+        if moved > 0 {
+            self.trace_event(&TraceEvent::InjectorDrain { moved });
         }
         self.fold_tracked();
     }
@@ -1037,8 +937,8 @@ mod tests {
         // no room for is claimable by thieves from the instant the enqueue
         // returns — no refresh, no owner assistance.  (The old contract,
         // "the spill is invisible to thieves until a refresh", is the bug
-        // this backend used to have; `OverflowPolicy::PrivateSpill` keeps
-        // it reproducible as E22's baseline.)
+        // this backend used to have; `SpillQueue` keeps it reproducible as
+        // E22's baseline, see the next test.)
         let clock = Arc::new(AtomicU64::new(0));
         let q = DequeRq::with_queue_capacity(
             CoreId(0),
@@ -1175,40 +1075,42 @@ mod tests {
 
     #[test]
     fn legacy_private_spill_reproduces_the_conservation_hole() {
-        // The old discipline, preserved as E22's measurable baseline: the
+        // The discipline this backend used to have, kept as E22's
+        // measurable baseline on the mutex substrate: past the window the
         // spill is counted but unstealable until a refresh.  This test
-        // *documents the bug* — it is what the shared injector fixes.
-        let clock = Arc::new(AtomicU64::new(0));
-        let q = DequeRq::with_overflow_policy(
-            CoreId(0),
-            NodeId(0),
-            Arc::new(NrThreadsTracker),
-            clock,
-            4,
-            crate::OverflowPolicy::PrivateSpill,
-        );
-        for i in 0..8 {
-            q.enqueue(RqTask::new(TaskId(i)));
+        // *documents the bug* — it is what the shared injector above fixes.
+        use crate::overflow::SpillQueue;
+        use crate::{PerCoreRq, TINY_RING_CAPACITY};
+        type Spilling = PerCoreRq<SpillQueue>;
+        let core = |id| Spilling::new(CoreId(id), NodeId(0));
+        let storm = 1 + TINY_RING_CAPACITY + 4;
+        let q = core(0);
+        for i in 0..storm {
+            q.enqueue(RqTask::new(TaskId(i as u64)));
         }
-        assert_eq!(q.nr_threads_exact(), 8, "the spill is visible to load observers…");
-        assert_eq!(q.injected_len(), 0, "nothing reaches the injector in spill mode");
+        assert_eq!(q.nr_threads_exact(), storm as u64, "the spill is visible to load observers…");
         let filter = sched_core::policy::DeltaFilter::new(sched_core::LoadMetric::NrThreads, 1);
-        let thieves: Vec<DequeRq> = (1..=6).map(rq).collect();
-        for thief in thieves.iter().take(4) {
-            assert!(DequeRq::try_steal_recorded(thief, &q, &filter, 1, None).is_success());
+        let thieves: Vec<Spilling> = (1..=TINY_RING_CAPACITY + 2).map(core).collect();
+        for thief in thieves.iter().take(TINY_RING_CAPACITY) {
+            assert!(Spilling::try_steal_recorded(thief, &q, &filter, 1, None).is_success());
         }
         assert_eq!(
-            DequeRq::try_steal_recorded(&thieves[4], &q, &filter, 1, None),
+            Spilling::try_steal_recorded(&thieves[TINY_RING_CAPACITY], &q, &filter, 1, None),
             StealOutcome::NothingToSteal { victim: CoreId(0) },
             "…but unstealable: an idle core starves against visibly waiting work"
         );
         q.refresh();
         assert!(
-            DequeRq::try_steal_recorded(&thieves[5], &q, &filter, 1, None).is_success(),
+            Spilling::try_steal_recorded(&thieves[TINY_RING_CAPACITY + 1], &q, &filter, 1, None)
+                .is_success(),
             "only the tick's drain re-exposes the stranded work"
         );
-        let resident: u64 = thieves.iter().map(DequeRq::nr_threads_exact).sum();
-        assert_eq!(q.nr_threads_exact() + resident, 8, "the hole delays work; it never loses it");
+        let resident: u64 = thieves.iter().map(Spilling::nr_threads_exact).sum();
+        assert_eq!(
+            q.nr_threads_exact() + resident,
+            storm as u64,
+            "the hole delays work; it never loses it"
+        );
     }
 
     #[test]

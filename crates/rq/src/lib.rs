@@ -20,17 +20,20 @@
 //!   pushes and pops at the bottom without contending with thieves, thieves
 //!   claim at the top with a CAS, and the double-check steal guard runs
 //!   inside the CAS loop ([`deque_rq`]); ring overflow goes to a shared
-//!   MPMC injector that thieves check when the ring is empty, so spilled
-//!   work is never invisible to idle cores ([`overflow`]),
+//!   MPMC injector that thieves check when the ring is empty, so
+//!   overflowed work is never invisible to idle cores ([`overflow`]),
 //! * a deliberately pessimistic variant that holds *every* runqueue lock
 //!   during selection is provided (mutex backend only) as the baseline for
 //!   the E11 overhead experiment — it is what the paper refuses to do
 //!   ("locking the runqueue of the third core prevents that core from
 //!   scheduling work").
 //!
-//! The mutex backend is generic over its queue discipline ([`TaskQueue`];
-//! the workspace runs FIFO, [`fifo::FifoQueue`]).  The lock-free backend
-//! fixes the work-stealing order (owner LIFO, thieves FIFO).
+//! The mutex backend is generic over its queue discipline ([`TaskQueue`]):
+//! the workspace runs FIFO ([`fifo::FifoQueue`]), and the overflow
+//! experiments' negative control runs [`SpillQueue`], whose tasks past a
+//! small window are counted but hidden from thieves until a tick.  The
+//! lock-free backend fixes the work-stealing order (owner LIFO, thieves
+//! FIFO) and has one overflow home, the shared injector.
 
 pub mod backend;
 pub mod deque_rq;
@@ -48,7 +51,7 @@ pub use deque_rq::DequeRq;
 pub use entity::RqTask;
 pub use fifo::FifoQueue;
 pub use multiqueue::MultiQueue;
-pub use overflow::{OverflowPolicy, TinyDequeRq, TinySpillDequeRq, TINY_RING_CAPACITY};
+pub use overflow::{SpillQueue, TinyDequeRq, TINY_RING_CAPACITY};
 pub use percore::PerCoreRq;
 pub use published::PublishedLoad;
 pub use stats::BalanceStats;
@@ -88,4 +91,7 @@ pub trait TaskQueue: Default + Send {
     fn total_weight(&self) -> u64;
     /// Weight of the lightest queued task, if any.
     fn lightest_weight(&self) -> Option<u64>;
+    /// The scheduler tick, under the runqueue lock: a discipline with
+    /// internal structure may rearrange it here.  A no-op by default.
+    fn refresh(&mut self) {}
 }

@@ -123,7 +123,7 @@ impl<B: RqBackend> MultiQueue<B> {
     /// Attaches a trace sink: balancing decisions (steal attempts with
     /// their level attribution, migrations, no-candidate rounds) and task
     /// placements are recorded from here on, and each backend gets a clone
-    /// for its internal events (overflow spills, injector drains, batch
+    /// for its internal events (injector pushes and drains, batch
     /// trims).  Recording happens at exactly the program points where
     /// [`BalanceStats`] counters move, so a drained trace folds back to
     /// the stats (`sched_trace::FoldedStats`) bit for bit.

@@ -227,6 +227,7 @@ impl<Q: TaskQueue + 'static> crate::backend::RqBackend for PerCoreRq<Q> {
 
     fn refresh(&self) {
         let mut inner = self.lock();
+        inner.queue.refresh();
         self.republish(&mut inner);
     }
 

@@ -68,11 +68,6 @@ impl DistanceMatrix {
         self.distances[b.0 * self.nr_nodes + a.0] = distance;
     }
 
-    /// Returns `true` if `a` and `b` are the same node.
-    pub fn is_local(&self, a: NodeId, b: NodeId) -> bool {
-        a == b
-    }
-
     /// Nodes sorted by distance from `from`, nearest first (excluding `from`).
     pub fn nodes_by_distance(&self, from: NodeId) -> Vec<NodeId> {
         let mut nodes: Vec<NodeId> =

@@ -115,13 +115,6 @@ pub enum TraceEvent {
         /// The overflowed task.
         task: TaskId,
     },
-    /// Ring overflow parked a task in the recording core's *private* spill
-    /// list (the quarantined [`sched_core`]-conservation hole of E22/E25):
-    /// counted by load observers, unstealable until the next tick.
-    OverflowSpill {
-        /// The spilled task.
-        task: TaskId,
-    },
     /// A tick folded `moved` injector residents back into the recording
     /// core's ring (the aging drain).
     InjectorDrain {
@@ -163,13 +156,12 @@ const TAG_STEAL_ATTEMPT: u64 = 2;
 const TAG_MIGRATION: u64 = 3;
 const TAG_BATCH_TRIM: u64 = 4;
 const TAG_INJECTOR_PUSH: u64 = 5;
-const TAG_OVERFLOW_SPILL: u64 = 6;
-const TAG_INJECTOR_DRAIN: u64 = 7;
-const TAG_BALANCE_ROUND: u64 = 8;
-const TAG_PARK: u64 = 9;
-const TAG_UNPARK: u64 = 10;
-const TAG_TASK_DONE: u64 = 11;
-const TAG_TASK_SLEEP: u64 = 12;
+const TAG_INJECTOR_DRAIN: u64 = 6;
+const TAG_BALANCE_ROUND: u64 = 7;
+const TAG_PARK: u64 = 8;
+const TAG_UNPARK: u64 = 9;
+const TAG_TASK_DONE: u64 = 10;
+const TAG_TASK_SLEEP: u64 = 11;
 
 impl TraceEvent {
     /// Builds the [`TraceEvent::StealAttempt`] describing a concrete
@@ -205,7 +197,6 @@ impl TraceEvent {
             TraceEvent::Migration { task, from } => (TAG_MIGRATION, task.0, from.0 as u64),
             TraceEvent::BatchTrim { returned } => (TAG_BATCH_TRIM, returned, 0),
             TraceEvent::InjectorPush { task } => (TAG_INJECTOR_PUSH, task.0, 0),
-            TraceEvent::OverflowSpill { task } => (TAG_OVERFLOW_SPILL, task.0, 0),
             TraceEvent::InjectorDrain { moved } => (TAG_INJECTOR_DRAIN, moved, 0),
             TraceEvent::BalanceRound { round } => (TAG_BALANCE_ROUND, round, 0),
             TraceEvent::Park => (TAG_PARK, 0, 0),
@@ -244,7 +235,6 @@ impl TraceEvent {
             }
             TAG_BATCH_TRIM => Some(TraceEvent::BatchTrim { returned: a }),
             TAG_INJECTOR_PUSH => Some(TraceEvent::InjectorPush { task: TaskId(a) }),
-            TAG_OVERFLOW_SPILL => Some(TraceEvent::OverflowSpill { task: TaskId(a) }),
             TAG_INJECTOR_DRAIN => Some(TraceEvent::InjectorDrain { moved: a }),
             TAG_BALANCE_ROUND => Some(TraceEvent::BalanceRound { round: a }),
             TAG_PARK => Some(TraceEvent::Park),
@@ -264,7 +254,6 @@ impl TraceEvent {
             TraceEvent::Migration { .. } => "migration",
             TraceEvent::BatchTrim { .. } => "batch-trim",
             TraceEvent::InjectorPush { .. } => "injector-push",
-            TraceEvent::OverflowSpill { .. } => "overflow-spill",
             TraceEvent::InjectorDrain { .. } => "injector-drain",
             TraceEvent::BalanceRound { .. } => "balance-round",
             TraceEvent::Park => "park",
@@ -286,7 +275,6 @@ mod tests {
             TraceEvent::Migration { task: TaskId(9), from: CoreId(5) },
             TraceEvent::BatchTrim { returned: 4 },
             TraceEvent::InjectorPush { task: TaskId(11) },
-            TraceEvent::OverflowSpill { task: TaskId(12) },
             TraceEvent::InjectorDrain { moved: 3 },
             TraceEvent::BalanceRound { round: 42 },
             TraceEvent::Park,

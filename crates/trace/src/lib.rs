@@ -6,9 +6,9 @@
 //! fact.  This crate is the remedy at the decision granularity: every
 //! substrate (the pure model, both simulator engines, and both concurrent
 //! runqueue backends) records its scheduling *decisions* — wakeup
-//! placements, steal attempts with their outcome and level, overflow
-//! spills, injector traffic, batch trims — into per-core, fixed-capacity,
-//! lock-free ring recorders.
+//! placements, steal attempts with their outcome and level, injector
+//! traffic, batch trims — into per-core, fixed-capacity, lock-free ring
+//! recorders.
 //!
 //! Three consumers read the stream:
 //!

@@ -109,7 +109,6 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 let args = match event {
                     TraceEvent::TaskWake { task }
                     | TraceEvent::InjectorPush { task }
-                    | TraceEvent::OverflowSpill { task }
                     | TraceEvent::TaskDone { task }
                     | TraceEvent::TaskSleep { task } => format!("{{\"task\": {}}}", task.0),
                     TraceEvent::PlaceDecision { task, core } => {

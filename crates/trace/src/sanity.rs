@@ -11,7 +11,7 @@
 //!   whose derived occupancy says it has waiting work.  One such failure
 //!   is a benign race; a *window* of them against an unchanged victim is
 //!   exactly the work-conservation hole the paper describes (and exactly
-//!   what the `PrivateSpill` overflow discipline reproduces in E25);
+//!   what the mutex backend's `SpillQueue` fixture reproduces in E25);
 //! * **non-inversion** — a migration must never leave the thief strictly
 //!   more loaded than it left the victim (beyond the one-task slack any
 //!   single move has), or the steal inverted the imbalance it was sized
@@ -214,7 +214,6 @@ impl SanityChecker {
             TraceEvent::TaskWake { .. }
             | TraceEvent::BatchTrim { .. }
             | TraceEvent::InjectorPush { .. }
-            | TraceEvent::OverflowSpill { .. }
             | TraceEvent::InjectorDrain { .. }
             | TraceEvent::BalanceRound { .. }
             | TraceEvent::Park

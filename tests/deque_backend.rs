@@ -10,7 +10,7 @@
 
 use optimistic_sched::core::{CoreId, Policy};
 use optimistic_sched::rq::{
-    DequeMultiQueue, MultiQueue, RqBackend as _, TinyDequeMultiQueue, TinySpillDequeRq,
+    DequeMultiQueue, MultiQueue, PerCoreRq, RqBackend as _, SpillQueue, TinyDequeMultiQueue,
     TINY_RING_CAPACITY,
 };
 use optimistic_sched::verify::lemmas;
@@ -188,10 +188,11 @@ fn overflow_storm_converges_without_any_tick_on_the_injector_backend() {
 #[test]
 fn the_legacy_spill_discipline_stalls_the_same_storm() {
     // The documented hole, demonstrated end to end: same burst, same
-    // budget, but overflow parked in the owner-private spill.  Thieves
-    // drain the ring and then starve against work that every load observer
-    // can see — the machine never becomes work-conserving without a tick.
-    let mq: MultiQueue<TinySpillDequeRq> = MultiQueue::new(16);
+    // budget, but overflow parked in the owner-private spill of the mutex
+    // backend's `SpillQueue` fixture.  Thieves drain the window and then
+    // starve against work that every load observer can see — the machine
+    // never becomes work-conserving without a tick.
+    let mq: MultiQueue<PerCoreRq<SpillQueue>> = MultiQueue::new(16);
     for _ in 0..40 {
         mq.spawn_on(CoreId(0));
     }
@@ -200,9 +201,9 @@ fn the_legacy_spill_discipline_stalls_the_same_storm() {
     assert!(rounds.is_none(), "hidden overflow must stall convergence — that is the bug");
     assert!(!mq.is_work_conserving(), "idle cores starve against counted work");
     assert_eq!(mq.total_threads(), 40, "the hole delays work; it never loses it");
-    // Only the visible ring's worth of waiting tasks could move: the
-    // running task plus one ring of stealable waiters left core 0's count
-    // at burst - ring everywhere the spill stayed hidden.
+    // Only the visible window's worth of waiting tasks could move: one
+    // window of stealable waiters left core 0's count at burst - window
+    // everywhere the spill stayed hidden.
     assert_eq!(
         mq.core(CoreId(0)).nr_threads_exact(),
         40 - TINY_RING_CAPACITY as u64,

@@ -19,7 +19,6 @@
 //! * [`overflow::OverflowExposure`] — idle-while-spilled accounting: the
 //!   fraction of the machine stranded idle while a runqueue's overflow
 //!   handling hid runnable work (experiment E22),
-//! * [`summary::Summary`] — mean/percentile aggregation,
 //! * [`table::Table`] — fixed-width/markdown table rendering used by the
 //!   experiment harness to print the rows recorded in `EXPERIMENTS.md`.
 
@@ -29,7 +28,6 @@ pub mod idle;
 pub mod latency;
 pub mod locality;
 pub mod overflow;
-pub mod summary;
 pub mod table;
 pub mod throughput;
 
@@ -39,6 +37,5 @@ pub use idle::IdleAccounting;
 pub use latency::LatencyRecorder;
 pub use locality::StealLocality;
 pub use overflow::OverflowExposure;
-pub use summary::Summary;
 pub use table::Table;
 pub use throughput::ThroughputMeter;

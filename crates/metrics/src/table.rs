@@ -37,11 +37,6 @@ impl Table {
         self.rows.len()
     }
 
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {

@@ -197,7 +197,7 @@ mod tests {
             CfsLikeScheduler::new(CfsBugs { overload_on_wakeup: true, ..CfsBugs::none() });
         let mut queues = CoreQueues::new(4);
         let table = threads(3);
-        queues.core_mut(CoreId(1)).current = Some(SimThreadId(0));
+        queues.set_current(CoreId(1), Some(SimThreadId(0)));
         queues.enqueue(CoreId(1), SimThreadId(1));
         // Despite cores 0, 2 and 3 being idle, the waking thread lands on
         // its busy previous core.
@@ -211,7 +211,7 @@ mod tests {
         let mut sched = CfsLikeScheduler::new(CfsBugs::none());
         let mut queues = CoreQueues::new(4);
         let table = threads(3);
-        queues.core_mut(CoreId(1)).current = Some(SimThreadId(0));
+        queues.set_current(CoreId(1), Some(SimThreadId(0)));
         let core = sched.place_wakeup(&queues, &table, SimThreadId(2), Some(CoreId(1)));
         assert_eq!(core, CoreId(0));
     }
@@ -223,7 +223,7 @@ mod tests {
         let table = threads(4);
         // Node 1 (cores 4..8): one core holds 4 threads, the rest are idle,
         // so the node average is only 1.0 — the bug hides the overload.
-        queues.core_mut(CoreId(4)).current = Some(SimThreadId(0));
+        queues.set_current(CoreId(4), Some(SimThreadId(0)));
         for i in 1..4 {
             queues.enqueue(CoreId(4), SimThreadId(i));
         }
@@ -240,7 +240,7 @@ mod tests {
         let mut sched = CfsLikeScheduler::new(CfsBugs::none());
         let mut queues = two_node_queues();
         let table = threads(5);
-        queues.core_mut(CoreId(4)).current = Some(SimThreadId(0));
+        queues.set_current(CoreId(4), Some(SimThreadId(0)));
         for i in 1..5 {
             queues.enqueue(CoreId(4), SimThreadId(i));
         }

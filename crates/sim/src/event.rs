@@ -1,6 +1,25 @@
-//! The discrete-event queue.
+//! The discrete-event calendar both upkeeps share.
+//!
+//! One binary min-heap of 32-byte entries: a `u128` key and the 16-byte
+//! [`EventKind`].  The key is `time << 64 | tie`, so a single integer
+//! comparison orders events by time and then by the same-time tie-break the
+//! queue's [`OrderingPolicy`] packs into `tie` (`seq` is the push's sequence
+//! number):
+//!
+//! * `Fifo`: `tie = seq`.
+//! * `Priority`: `tie = class << 62 | core << 40 | seq`, with class 0 for
+//!   the balance tick, 1 for wakeups (arrival, sleep-done, phase-done) and 2
+//!   for per-core timers, whose core fills the middle field.  A push asserts
+//!   `seq < 2^40` and `core < 2^22`, so the three fields never overlap.
+//! * `Seeded(s)`: `tie = splitmix64(s ^ splitmix64(seq))`.  `splitmix64` is
+//!   a bijection of `u64` and so is `x ↦ s ^ x`, so for a fixed seed the tie
+//!   is injective in `seq`: no two pushes share one, and ordering by the tie
+//!   alone is a seeded permutation of same-time events.
+//!
+//! So under every policy the tie is unique per push; [`EventQueue::push`]
+//! returns it, and [`crate::machine`] uses it to spot stale completions.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use sched_core::CoreId;
@@ -14,15 +33,10 @@ pub enum EventKind {
     Arrival(SimThreadId),
     /// A sleeping thread wakes up.
     SleepDone(SimThreadId),
-    /// The running thread's current compute phase completes.
-    ///
-    /// The token invalidates completions scheduled before a preemption.
-    PhaseDone {
-        /// The thread whose phase completes.
-        tid: SimThreadId,
-        /// Run token captured when the completion was scheduled.
-        token: u64,
-    },
+    /// The running thread's current compute phase completes.  Stale once the
+    /// thread is preempted: the event's tie is no longer the thread's live
+    /// one.
+    PhaseDone(SimThreadId),
     /// Per-core preemption timer.
     Timer(CoreId),
     /// The machine-wide load-balancing tick (all cores balance together,
@@ -32,12 +46,13 @@ pub enum EventKind {
 
 /// How simultaneous events are ordered relative to each other.
 ///
-/// Both engines drain events in `(time, rank, seq)` order; the policy decides
-/// the rank. `Priority` is the default and the only policy under which the
-/// tick engine and the event engine are tie-for-tie identical (FIFO ties
-/// depend on *push* order, which differs once the event engine elides idle
-/// timer ticks). `Seeded` turns the tie-break into a seeded permutation and
-/// is the verification mode: sweeping seeds explores same-time schedules.
+/// Both engines drain events in `(time, tie)` order; the policy decides the
+/// tie (module docs).  `Priority` is the default and the only policy under
+/// which the tick engine and the event engine are tie-for-tie identical
+/// (FIFO ties depend on *push* order, which differs once the event engine
+/// elides idle timer ticks).  `Seeded` turns the tie-break into a seeded
+/// permutation and is the verification mode: sweeping seeds explores
+/// same-time schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderingPolicy {
     /// First pushed fires first (the legacy tick-engine tie-break).
@@ -58,51 +73,71 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 impl OrderingPolicy {
-    /// Rank of `kind` for a push carrying sequence number `seq`.
-    fn rank(self, kind: EventKind, seq: u64) -> u64 {
+    /// Same-time tie-break of `kind` pushed with sequence number `seq`.
+    fn tie(self, kind: EventKind, seq: u64) -> u64 {
         match self {
-            OrderingPolicy::Fifo => 0,
-            OrderingPolicy::Priority => match kind {
-                EventKind::Balance => 0,
-                EventKind::Arrival(_) | EventKind::SleepDone(_) | EventKind::PhaseDone { .. } => {
-                    1 << 32
-                }
-                EventKind::Timer(core) => (1 << 33) + core.0 as u64,
-            },
+            OrderingPolicy::Fifo => seq,
+            OrderingPolicy::Priority => {
+                assert!(seq < 1 << 40, "priority ordering holds fewer than 2^40 pushes");
+                let (class, core) = match kind {
+                    EventKind::Balance => (0, 0),
+                    EventKind::Timer(core) => (2, core.0 as u64),
+                    _ => (1, 0), // wakeups: arrival, sleep-done, phase-done
+                };
+                assert!(core < 1 << 22, "priority ordering holds fewer than 2^22 cores");
+                class << 62 | core << 40 | seq
+            }
             OrderingPolicy::Seeded(seed) => splitmix64(seed ^ splitmix64(seq)),
         }
     }
 }
 
-/// A scheduled event.
+/// A scheduled event, as the calendar hands it out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Absolute simulation time the event fires at, in nanoseconds.
     pub time: u64,
-    /// Same-time ordering rank assigned by the queue's [`OrderingPolicy`].
-    pub rank: u64,
-    /// Tie-break sequence number (FIFO among simultaneous equal-rank events).
-    pub seq: u64,
+    /// Same-time tie-break assigned by the queue's [`OrderingPolicy`];
+    /// unique per push.
+    pub tie: u64,
     /// The event payload.
     pub kind: EventKind,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.rank, self.seq).cmp(&(other.time, other.rank, other.seq))
+/// One calendar entry, ordered by its key `time << 64 | tie` alone (keys
+/// are unique; a derived order that also compares the payload is slower).
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: u128,
+    kind: EventKind,
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
     }
 }
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl Eq for Entry {}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// A min-heap of events ordered by `(time, rank, seq)`.
+const _: () = assert!(std::mem::size_of::<Entry>() == 32);
+
+/// A min-heap of events ordered by `(time, tie)`.
 #[derive(Debug)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<Event>>,
+    heap: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
     ordering: OrderingPolicy,
 }
@@ -124,22 +159,29 @@ impl EventQueue {
         EventQueue { heap: BinaryHeap::new(), next_seq: 0, ordering }
     }
 
-    /// Schedules `kind` at absolute time `time`.
-    pub fn push(&mut self, time: u64, kind: EventKind) {
+    /// Schedules `kind` at absolute time `time` and returns the push's tie,
+    /// which no other push of this queue shares.  Panics past the
+    /// `Priority` bounds (module docs).
+    pub fn push(&mut self, time: u64, kind: EventKind) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let rank = self.ordering.rank(kind, seq);
-        self.heap.push(Reverse(Event { time, rank, seq, kind }));
+        let tie = self.ordering.tie(kind, seq);
+        self.heap.push(Reverse(Entry { key: u128::from(time) << 64 | u128::from(tie), kind }));
+        tie
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|Reverse(e)| e)
+        self.heap.pop().map(|Reverse(e)| Event {
+            time: (e.key >> 64) as u64,
+            tie: e.key as u64,
+            kind: e.kind,
+        })
     }
 
     /// Time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.heap.peek().map(|Reverse(e)| (e.key >> 64) as u64)
     }
 
     /// Number of pending events.
@@ -155,6 +197,10 @@ impl EventQueue {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -219,16 +265,123 @@ mod tests {
         assert_ne!(a, drain(8), "different seeds should usually disagree");
     }
 
+    /// The tie `push` returns is what makes a completion stale-checkable:
+    /// the popped event carries it, and no other push shares it.
     #[test]
     fn phase_done_tokens_are_part_of_the_event() {
-        let mut q = EventQueue::new();
-        q.push(5, EventKind::PhaseDone { tid: SimThreadId(0), token: 3 });
-        match q.pop().unwrap().kind {
-            EventKind::PhaseDone { tid, token } => {
-                assert_eq!(tid, SimThreadId(0));
-                assert_eq!(token, 3);
+        for ordering in [OrderingPolicy::Fifo, OrderingPolicy::Priority, OrderingPolicy::Seeded(3)]
+        {
+            let mut q = EventQueue::with_ordering(ordering);
+            let stale = q.push(5, EventKind::PhaseDone(SimThreadId(0)));
+            let live = q.push(5, EventKind::PhaseDone(SimThreadId(0)));
+            assert_ne!(stale, live, "{ordering:?}");
+            let mut popped = [q.pop().unwrap(), q.pop().unwrap()];
+            popped.sort_by_key(|e| e.tie == live);
+            assert_eq!(
+                popped.map(|e| (e.tie, e.kind)),
+                [
+                    (stale, EventKind::PhaseDone(SimThreadId(0))),
+                    (live, EventKind::PhaseDone(SimThreadId(0))),
+                ]
+            );
+        }
+    }
+
+    fn panic_message(push: impl FnOnce(&mut EventQueue)) -> String {
+        let mut q = EventQueue::with_ordering(OrderingPolicy::Priority);
+        let payload = catch_unwind(AssertUnwindSafe(|| push(&mut q))).expect_err("must panic");
+        payload.downcast_ref::<&str>().map_or_else(|| format!("{payload:?}"), |m| m.to_string())
+    }
+
+    #[test]
+    fn priority_pushes_past_the_packed_field_bounds_panic_and_name_them() {
+        let mut q = EventQueue::with_ordering(OrderingPolicy::Priority);
+        q.next_seq = (1 << 40) - 1;
+        q.push(0, EventKind::Timer(CoreId((1 << 22) - 1)));
+        let seq = panic_message(|q| {
+            q.next_seq = 1 << 40;
+            q.push(0, EventKind::Balance);
+        });
+        assert!(seq.contains("2^40"), "{seq}");
+        let core = panic_message(|q| {
+            q.push(0, EventKind::Timer(CoreId(1 << 22)));
+        });
+        assert!(core.contains("2^22"), "{core}");
+    }
+
+    /// The comparator the calendar replaced: `(time, rank, seq)`, with the
+    /// rank each policy assigned.  The packed key must pop in its order.
+    fn oracle_rank(ordering: OrderingPolicy, kind: EventKind, seq: u64) -> u64 {
+        match ordering {
+            OrderingPolicy::Fifo => 0,
+            OrderingPolicy::Priority => match kind {
+                EventKind::Balance => 0,
+                EventKind::Arrival(_) | EventKind::SleepDone(_) | EventKind::PhaseDone(_) => {
+                    1 << 32
+                }
+                EventKind::Timer(core) => (1 << 33) + core.0 as u64,
+            },
+            OrderingPolicy::Seeded(seed) => splitmix64(seed ^ splitmix64(seq)),
+        }
+    }
+
+    /// A pending push: `(time, oracle rank, seq, tie, kind)`.
+    type Pending = (u64, u64, u64, u64, EventKind);
+
+    /// Pops the calendar and the oracle once each and demands the same
+    /// event; returns the popped time.
+    fn pop_both(
+        q: &mut EventQueue,
+        pending: &mut Vec<Pending>,
+    ) -> Result<Option<u64>, TestCaseError> {
+        let want = pending.iter().enumerate().min_by_key(|(_, e)| (e.0, e.1, e.2)).map(|(i, _)| i);
+        let want = want.map(|i| pending.swap_remove(i));
+        let got = q.pop();
+        prop_assert_eq!(got.map(|e| (e.time, e.tie, e.kind)), want.map(|w| (w.0, w.3, w.4)));
+        Ok(got.map(|e| e.time))
+    }
+
+    fn kind_of(selector: usize, id: usize) -> EventKind {
+        match selector {
+            0 => EventKind::Arrival(SimThreadId(id)),
+            1 => EventKind::SleepDone(SimThreadId(id)),
+            2 => EventKind::PhaseDone(SimThreadId(id)),
+            3 => EventKind::Timer(CoreId(id)),
+            _ => EventKind::Balance,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn pops_in_the_order_of_the_time_rank_seq_comparator(
+            policy in 0usize..3,
+            seed in any::<u64>(),
+            ops in prop::collection::vec((0usize..8, 0u64..3, 0usize..5, 0usize..4), 1..160),
+        ) {
+            let ordering = [
+                OrderingPolicy::Fifo,
+                OrderingPolicy::Priority,
+                OrderingPolicy::Seeded(seed),
+            ][policy];
+            let mut q = EventQueue::with_ordering(ordering);
+            let mut pending: Vec<Pending> = Vec::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            for (op, dt, selector, id) in ops {
+                if op < 3 {
+                    // Pushes after a pop land at or after the popped time.
+                    now = pop_both(&mut q, &mut pending)?.unwrap_or(now);
+                } else {
+                    let kind = kind_of(selector, id);
+                    let tie = q.push(now + dt, kind);
+                    pending.push((now + dt, oracle_rank(ordering, kind, seq), seq, tie, kind));
+                    seq += 1;
+                }
+                prop_assert_eq!(q.len(), pending.len());
             }
-            other => panic!("unexpected event {other:?}"),
+            while !pending.is_empty() {
+                pop_both(&mut q, &mut pending)?;
+            }
+            prop_assert!(q.is_empty());
         }
     }
 }

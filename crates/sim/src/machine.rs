@@ -22,6 +22,12 @@
 //! copy of the handlers below with its hooks inlined; nothing on the
 //! per-event path is selected at run time.
 //!
+//! A preempted thread leaves its phase completion on the calendar: the heap
+//! cannot delete.  Instead every push returns a tie unique to it
+//! ([`EventQueue::push`]), a running thread records the tie of its one live
+//! completion, and a completion whose tie is not the live one is stale and
+//! ignored.  The check is exact: ties never repeat within a run.
+//!
 //! [`OrderingPolicy`]: crate::event::OrderingPolicy
 
 use std::sync::Arc;
@@ -262,7 +268,7 @@ impl<U: Upkeep> Machine<U> {
                 self.threads[tid.0].phase_idx += 1;
                 self.enter_phase(tid);
             }
-            EventKind::PhaseDone { tid, token } => self.on_phase_done(tid, token),
+            EventKind::PhaseDone(tid) => self.on_phase_done(tid, event.tie),
             EventKind::Timer(core) => U::on_timer(self, core),
             EventKind::Balance => U::on_balance(self),
         }
@@ -357,19 +363,16 @@ impl<U: Upkeep> Machine<U> {
     /// phase.
     fn start_running(&mut self, core: CoreId, tid: SimThreadId) {
         debug_assert!(self.queues.core(core).current.is_none());
-        self.queues.core_mut(core).current = Some(tid);
+        self.queues.set_current(core, Some(tid));
         let thread = &mut self.threads[tid.0];
         thread.state = ThreadState::Running;
         thread.running_since = Some(self.now);
         thread.last_core = Some(core);
-        thread.run_token += 1;
         if let Some(ready_since) = thread.ready_since.take() {
             self.latency.record(ready_since, self.now);
         }
-        self.events.push(
-            self.now + thread.remaining_ns,
-            EventKind::PhaseDone { tid, token: thread.run_token },
-        );
+        let tie = self.events.push(self.now + thread.remaining_ns, EventKind::PhaseDone(tid));
+        thread.completion = Some(tie);
     }
 
     /// Elects the oldest waiting thread of `core` if the core is idle, and
@@ -384,22 +387,21 @@ impl<U: Upkeep> Machine<U> {
         self.trace_core_state(core);
     }
 
-    fn on_phase_done(&mut self, tid: SimThreadId, token: u64) {
-        if self.threads[tid.0].run_token != token {
-            // The thread was preempted or migrated since this completion was
-            // scheduled; a fresh completion event exists.
+    fn on_phase_done(&mut self, tid: SimThreadId, tie: u64) {
+        if self.threads[tid.0].completion != Some(tie) {
+            // The thread was preempted since this completion was scheduled.
             return;
         }
         debug_assert_eq!(self.threads[tid.0].state, ThreadState::Running);
         let core = self.threads[tid.0].last_core.expect("a running thread has a core");
         debug_assert_eq!(self.queues.core(core).current, Some(tid));
         U::before_change(self, core);
-        self.queues.core_mut(core).current = None;
+        self.queues.set_current(core, None);
         {
             let thread = &mut self.threads[tid.0];
             thread.ops_completed += 1;
             thread.remaining_ns = 0;
-            thread.run_token += 1;
+            thread.completion = None;
             thread.phase_idx += 1;
         }
         self.enter_phase(tid);
@@ -417,10 +419,10 @@ impl<U: Upkeep> Machine<U> {
                 let ran_for =
                     self.now - thread.running_since.expect("running thread has a start time");
                 thread.remaining_ns = thread.remaining_ns.saturating_sub(ran_for);
-                thread.run_token += 1;
+                thread.completion = None;
                 thread.state = ThreadState::Runnable;
                 thread.ready_since = Some(self.now);
-                self.queues.core_mut(core).current = None;
+                self.queues.set_current(core, None);
                 self.queues.enqueue(core, running);
                 self.elect_next(core);
                 U::after_change(self, core);
@@ -464,6 +466,27 @@ mod tests {
         };
         let payload = catch_unwind(AssertUnwindSafe(build)).err().expect("must be rejected");
         payload.downcast_ref::<&str>().expect("an assert! message").to_string()
+    }
+
+    #[test]
+    fn a_preempted_threads_stale_completion_is_ignored() {
+        // Two 10 ms phases on one core: the timer preempts each thread every
+        // timeslice, so the completion scheduled when a thread first ran is
+        // stale when it fires.  Honouring it would retire a phase early and
+        // end the run before the 20 ms of work are done.
+        let mut workload = Workload::new("preempted");
+        for _ in 0..2 {
+            workload.push(sched_workloads::ThreadSpec::new(vec![Phase::Compute(10_000_000)]));
+        }
+        let scheduler = || Box::new(OptimisticScheduler::new(Policy::simple()));
+        let config = SimConfig::with_cores(1);
+        for result in [
+            Machine::<Eager>::new(config.clone(), None, &workload, scheduler()).run(),
+            Machine::<Lazy>::new(config.clone(), None, &workload, scheduler()).run(),
+        ] {
+            assert!(result.finished);
+            assert_eq!((result.operations, result.makespan_ns), (2, 20_000_000));
+        }
     }
 
     #[test]

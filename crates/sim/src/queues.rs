@@ -1,4 +1,9 @@
 //! Per-core runqueues as seen by the simulator.
+//!
+//! [`CoreQueues`] is the only writer of a core's `current` and `ready` (a
+//! core is handed out by shared reference only), so its dense count array
+//! stays equal to every core's [`SimCore::nr_threads`], and the wakeup
+//! placement scan ([`CoreQueues::idlest`]) reads one `u32` per core.
 
 use std::collections::VecDeque;
 
@@ -16,7 +21,8 @@ pub struct SimCore {
     pub id: CoreId,
     /// NUMA node of the core.
     pub node: NodeId,
-    /// The thread currently running, if any.
+    /// The thread currently running, if any (written through
+    /// [`CoreQueues::set_current`]).
     pub current: Option<SimThreadId>,
     /// Threads waiting to run, oldest first.
     pub ready: VecDeque<SimThreadId>,
@@ -46,6 +52,8 @@ impl SimCore {
 #[derive(Debug, Clone)]
 pub struct CoreQueues {
     cores: Vec<SimCore>,
+    /// `nr_threads()` of every core, kept by every mutation.
+    counts: Vec<u32>,
     /// When enabled, records every core whose runqueue a mutation touched.
     /// The event engine wraps `balance_round` in it so only cores the
     /// scheduler actually moved work between need settling afterwards.
@@ -64,7 +72,7 @@ impl CoreQueues {
                 tracked: TrackedLoad::default(),
             })
             .collect();
-        CoreQueues { cores, mutation_log: None }
+        CoreQueues { cores, counts: vec![0; nr_cores], mutation_log: None }
     }
 
     /// Creates one idle core per CPU of `topo`, with matching nodes.
@@ -80,7 +88,7 @@ impl CoreQueues {
                 tracked: TrackedLoad::default(),
             })
             .collect();
-        CoreQueues { cores, mutation_log: None }
+        CoreQueues { cores, counts: vec![0; topo.nr_cpus()], mutation_log: None }
     }
 
     /// Starts recording the cores mutated by subsequent queue operations.
@@ -113,9 +121,12 @@ impl CoreQueues {
         &self.cores[id.0]
     }
 
-    /// Mutable access to one core.
-    pub fn core_mut(&mut self, id: CoreId) -> &mut SimCore {
-        &mut self.cores[id.0]
+    /// Puts `tid` on `core` as its running thread, or clears it.
+    pub fn set_current(&mut self, core: CoreId, tid: Option<SimThreadId>) {
+        let current = &mut self.cores[core.0].current;
+        self.counts[core.0] =
+            self.counts[core.0] + u32::from(tid.is_some()) - u32::from(current.is_some());
+        *current = tid;
     }
 
     /// All cores in id order.
@@ -130,17 +141,9 @@ impl CoreQueues {
     ///
     /// Panics if there are no cores.
     pub fn idlest(&self) -> CoreId {
-        let mut best = self.cores[0].id;
-        let mut least = self.cores[0].nr_threads();
-        for core in &self.cores[1..] {
-            if least == 0 {
-                break;
-            }
-            if core.nr_threads() < least {
-                (best, least) = (core.id, core.nr_threads());
-            }
-        }
-        best
+        let least = self.counts.iter().copied().min().expect("a machine has cores");
+        let first = self.counts.iter().position(|&n| n == least).expect("the minimum is present");
+        self.cores[first].id
     }
 
     /// Per-core thread counts.
@@ -163,6 +166,7 @@ impl CoreQueues {
     /// engine elects runnable threads explicitly).
     pub fn enqueue(&mut self, core: CoreId, tid: SimThreadId) {
         self.cores[core.0].ready.push_back(tid);
+        self.counts[core.0] += 1;
         self.log_mutation(core);
     }
 
@@ -172,6 +176,7 @@ impl CoreQueues {
         let q = &mut self.cores[core.0].ready;
         if let Some(pos) = q.iter().position(|&t| t == tid) {
             q.remove(pos);
+            self.counts[core.0] -= 1;
             self.log_mutation(core);
             true
         } else {
@@ -183,6 +188,7 @@ impl CoreQueues {
     pub fn pop_ready(&mut self, core: CoreId) -> Option<SimThreadId> {
         let popped = self.cores[core.0].ready.pop_front();
         if popped.is_some() {
+            self.counts[core.0] -= 1;
             self.log_mutation(core);
         }
         popped
@@ -201,6 +207,8 @@ impl CoreQueues {
         assert_ne!(from, to, "a core cannot steal from itself");
         let tid = self.cores[from.0].ready.remove(index)?;
         self.cores[to.0].ready.push_back(tid);
+        self.counts[from.0] -= 1;
+        self.counts[to.0] += 1;
         self.log_mutation(from);
         self.log_mutation(to);
         Some(tid)
@@ -323,6 +331,8 @@ impl CoreQueues {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use sched_workloads::{Phase, ThreadSpec};
 
@@ -351,29 +361,76 @@ mod tests {
         q.enqueue(CoreId(1), SimThreadId(0));
         q.enqueue(CoreId(1), SimThreadId(1));
         assert!(!q.is_work_conserving());
-        q.core_mut(CoreId(0)).current = Some(SimThreadId(2));
+        q.set_current(CoreId(0), Some(SimThreadId(2)));
         assert!(q.is_work_conserving());
     }
 
     #[test]
     fn idlest_is_the_first_idle_core_else_the_first_least_loaded() {
         let mut q = CoreQueues::new(3);
-        q.core_mut(CoreId(0)).current = Some(SimThreadId(0));
+        q.set_current(CoreId(0), Some(SimThreadId(0)));
         assert_eq!(q.idlest(), CoreId(1), "the lowest-numbered idle core");
-        q.core_mut(CoreId(1)).current = Some(SimThreadId(1));
+        q.set_current(CoreId(1), Some(SimThreadId(1)));
         q.enqueue(CoreId(1), SimThreadId(2));
-        q.core_mut(CoreId(2)).current = Some(SimThreadId(3));
+        q.set_current(CoreId(2), Some(SimThreadId(3)));
         assert_eq!(q.idlest(), CoreId(0), "no idle core: the first of the least loaded");
         q.enqueue(CoreId(0), SimThreadId(4));
         q.enqueue(CoreId(0), SimThreadId(5));
         assert_eq!(q.idlest(), CoreId(2));
     }
 
+    /// The placement scan the count array replaced: the first least-loaded
+    /// core, read off the cores' own structs.
+    fn oracle_idlest(q: &CoreQueues) -> CoreId {
+        let mut best = q.cores()[0].id;
+        let mut least = q.cores()[0].nr_threads();
+        for core in &q.cores()[1..] {
+            if core.nr_threads() < least {
+                (best, least) = (core.id, core.nr_threads());
+            }
+        }
+        best
+    }
+
+    proptest! {
+        #[test]
+        fn the_count_array_follows_every_mutation(
+            nr_cores in 1usize..6,
+            ops in prop::collection::vec((0usize..5, 0usize..6, 0usize..6, 0usize..6), 1..120),
+        ) {
+            let mut q = CoreQueues::new(nr_cores);
+            let mut fresh = (0..).map(SimThreadId);
+            for (op, a, b, i) in ops {
+                let (a, b) = (CoreId(a % nr_cores), CoreId(b % nr_cores));
+                match op {
+                    0 => q.enqueue(a, fresh.next().unwrap()),
+                    1 => {
+                        q.pop_ready(a);
+                    }
+                    2 => {
+                        if a != b {
+                            q.migrate_at(a, b, i);
+                        }
+                    }
+                    3 => {
+                        let tid = q.core(a).ready.get(i).copied();
+                        q.remove_ready(a, tid.unwrap_or_else(|| fresh.next().unwrap()));
+                    }
+                    _ => q.set_current(a, (i % 3 != 0).then(|| fresh.next().unwrap())),
+                }
+                for core in q.cores() {
+                    prop_assert_eq!(u64::from(q.counts[core.id.0]), core.nr_threads());
+                }
+                prop_assert_eq!(q.idlest(), oracle_idlest(&q));
+            }
+        }
+    }
+
     #[test]
     fn snapshots_reflect_weights() {
         let mut q = CoreQueues::new(2);
         let table = threads(3);
-        q.core_mut(CoreId(0)).current = Some(SimThreadId(0));
+        q.set_current(CoreId(0), Some(SimThreadId(0)));
         q.enqueue(CoreId(0), SimThreadId(1));
         let snaps = q.snapshots(&table);
         assert_eq!(snaps[0].nr_threads, 2);
@@ -419,9 +476,9 @@ mod tests {
         for wakeup in [30 * period + 1_234_567, 30 * period] {
             let mut eager = CoreQueues::new(1);
             // Seed a non-zero tracked value, then let the queue sit idle.
-            eager.core_mut(CoreId(0)).current = Some(SimThreadId(0));
+            eager.set_current(CoreId(0), Some(SimThreadId(0)));
             eager.touch(CoreId(0), 1_000_000, &tracker, &table);
-            eager.core_mut(CoreId(0)).current = None;
+            eager.set_current(CoreId(0), None);
             eager.touch(CoreId(0), 1_500_000, &tracker, &table);
             let mut lazy = eager.clone();
 

@@ -394,8 +394,8 @@ mod tests {
         let mut sched = OptimisticScheduler::new(Policy::simple());
         let mut queues = CoreQueues::new(4);
         let table = threads(4);
-        queues.core_mut(CoreId(0)).current = Some(SimThreadId(0));
-        queues.core_mut(CoreId(1)).current = Some(SimThreadId(1));
+        queues.set_current(CoreId(0), Some(SimThreadId(0)));
+        queues.set_current(CoreId(1), Some(SimThreadId(1)));
         let core = sched.place_wakeup(&queues, &table, SimThreadId(2), Some(CoreId(0)));
         assert_eq!(core, CoreId(2), "the first idle core wins when the previous core is busy");
         let back_home = sched.place_wakeup(&queues, &table, SimThreadId(3), Some(CoreId(3)));
@@ -407,9 +407,9 @@ mod tests {
         let mut sched = OptimisticScheduler::new(Policy::simple());
         let mut queues = CoreQueues::new(2);
         let table = threads(4);
-        queues.core_mut(CoreId(0)).current = Some(SimThreadId(0));
+        queues.set_current(CoreId(0), Some(SimThreadId(0)));
         queues.enqueue(CoreId(0), SimThreadId(1));
-        queues.core_mut(CoreId(1)).current = Some(SimThreadId(2));
+        queues.set_current(CoreId(1), Some(SimThreadId(2)));
         let core = sched.place_wakeup(&queues, &table, SimThreadId(3), None);
         assert_eq!(core, CoreId(1));
     }
@@ -420,7 +420,7 @@ mod tests {
         let mut queues = CoreQueues::new(4);
         let table = threads(5);
         // Core 3 runs one thread and queues four; everyone else is idle.
-        queues.core_mut(CoreId(3)).current = Some(SimThreadId(0));
+        queues.set_current(CoreId(3), Some(SimThreadId(0)));
         for i in 1..5 {
             queues.enqueue(CoreId(3), SimThreadId(i));
         }
@@ -436,7 +436,7 @@ mod tests {
         let mut queues = CoreQueues::new(3);
         let table = threads(2);
         // One victim with exactly two threads, two idle thieves: one must fail.
-        queues.core_mut(CoreId(2)).current = Some(SimThreadId(0));
+        queues.set_current(CoreId(2), Some(SimThreadId(0)));
         queues.enqueue(CoreId(2), SimThreadId(1));
         let stats = sched.balance_round(&mut queues, &table);
         assert_eq!(stats.successes, 1);
@@ -456,7 +456,7 @@ mod tests {
         let mut sched = OptimisticScheduler::with_topology(Policy::simple(), Arc::clone(&topo));
         let mut queues = CoreQueues::with_topology(&topo);
         let table = threads(4);
-        queues.core_mut(CoreId(0)).current = Some(SimThreadId(0));
+        queues.set_current(CoreId(0), Some(SimThreadId(0)));
         for i in 1..4 {
             queues.enqueue(CoreId(0), SimThreadId(i));
         }
@@ -473,7 +473,7 @@ mod tests {
         let table = threads(2);
         // cpu0 runs one thread and queues one; its SMT sibling must take it
         // without any cross-node traffic.
-        queues.core_mut(CoreId(0)).current = Some(SimThreadId(0));
+        queues.set_current(CoreId(0), Some(SimThreadId(0)));
         queues.enqueue(CoreId(0), SimThreadId(1));
         let stats = sched.balance_round(&mut queues, &table);
         assert_eq!(stats.migrations, 1);
@@ -490,7 +490,7 @@ mod tests {
         let table = threads(12);
         // All 12 threads on node 0's cpu0: node 1 can only be fed by
         // cross-node steals, but local passes still run first.
-        queues.core_mut(CoreId(0)).current = Some(SimThreadId(0));
+        queues.set_current(CoreId(0), Some(SimThreadId(0)));
         for i in 1..12 {
             queues.enqueue(CoreId(0), SimThreadId(i));
         }
@@ -518,7 +518,7 @@ mod tests {
         let table = threads(4);
         // cpu0 busy; its SMT sibling cpu1 idle; remote cpus idle too: the
         // wakeup that last ran on cpu0 must land on cpu1, not on cpu4.
-        queues.core_mut(CoreId(0)).current = Some(SimThreadId(0));
+        queues.set_current(CoreId(0), Some(SimThreadId(0)));
         let core = sched.place_wakeup(&queues, &table, SimThreadId(1), Some(CoreId(0)));
         assert_eq!(core, CoreId(1));
         // An idle previous core still wins outright.

@@ -49,8 +49,9 @@ pub struct SimThread {
     pub ready_since: Option<u64>,
     /// Time the thread last started running (for preemption accounting).
     pub running_since: Option<u64>,
-    /// Invalidation token for in-flight phase-completion events.
-    pub run_token: u64,
+    /// Calendar tie of the thread's one live phase completion, while it
+    /// runs; any other completion of the thread is stale.
+    pub completion: Option<u64>,
     /// Number of completed compute phases ("operations").
     pub ops_completed: u64,
     /// Completion time, once finished.
@@ -69,7 +70,7 @@ impl SimThread {
             last_core: None,
             ready_since: None,
             running_since: None,
-            run_token: 0,
+            completion: None,
             ops_completed: 0,
             finish_time: None,
         }

@@ -105,10 +105,10 @@ fn on_the_simulator(policy: Policy) {
         .map(|i| SimThread::new(SimThreadId(i), ThreadSpec::new(vec![Phase::Compute(1)])))
         .collect();
     let mut queues = CoreQueues::new(LOADS.len());
-    queues.core_mut(CoreId(1)).current = Some(SimThreadId(0));
+    queues.set_current(CoreId(1), Some(SimThreadId(0)));
     queues.enqueue(CoreId(1), SimThreadId(1));
     queues.enqueue(CoreId(1), SimThreadId(2));
-    queues.core_mut(CoreId(3)).current = Some(SimThreadId(3));
+    queues.set_current(CoreId(3), Some(SimThreadId(3)));
     // Cores 0, 2 and 3 all plan to steal from core 1, which has two to give.
     let stats = OptimisticScheduler::new(policy).balance_round(&mut queues, &table);
     assert_eq!((stats.successes, stats.failures), (2, 1));

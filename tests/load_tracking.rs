@@ -147,11 +147,13 @@ fn a_half_step_on_tracked_thread_counts_moves_the_same_number_everywhere() {
         })
         .collect();
     let mut queues = CoreQueues::new(2);
-    queues.core_mut(CoreId(1)).current = Some(threads[0].id);
+    queues.set_current(CoreId(1), Some(threads[0].id));
     for thread in &threads[1..] {
         queues.enqueue(CoreId(1), thread.id);
     }
-    queues.core_mut(CoreId(1)).tracked.scaled = 7 * TRACK_SCALE;
+    // A long steady stretch leaves the PELT average at the thread count,
+    // which is what one instantaneous fold writes.
+    queues.touch(CoreId(1), 0, &NrThreadsTracker, &threads);
     let sim = OptimisticScheduler::new(policy()).balance_round(&mut queues, &threads);
 
     assert_eq!(model.outcome.nr_stolen(), 3, "model");

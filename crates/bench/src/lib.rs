@@ -21,18 +21,16 @@
 //! into tables and [`fuzz`] feeds it to the sanity checker.
 //!
 //! [`experiments`] is the README's per-experiment index (e1–e26), printed
-//! by the `experiments` binary: every experiment shows its catalog records
-//! through [`records_table`], after a bespoke table only for a claim no
-//! record can hold (lemma verdicts, model and CFS comparisons — the
-//! latter swapping a baseline into the scenario's simulator run through
-//! [`scenarios`] — microbenchmarks and trace-checker windows).
+//! by the `experiments` binary: an experiment is its catalog records,
+//! shown through [`records_table`].  A claim no record holds — a lemma
+//! verdict, a model sweep, the CFS comparison, a trace checker's windows
+//! — is a pinned test, not a printed table.
 
 pub mod catalog;
 pub mod experiments;
 pub mod fuzz;
 pub mod report;
 pub mod runner;
-pub mod scenarios;
 
 /// The shared JSON codec (re-exported from `sched-json`, which also backs
 /// the `xtask bench-diff` gate so writer and reader can never disagree).

@@ -20,7 +20,7 @@
 //!   fraction of the machine stranded idle while a runqueue's overflow
 //!   handling hid runnable work (experiment E22),
 //! * [`table::Table`] — fixed-width/markdown table rendering used by the
-//!   experiment harness to print the rows recorded in `EXPERIMENTS.md`.
+//!   experiment harness to print its catalog records and trace reports.
 
 pub mod churn;
 pub mod histogram;

@@ -3,7 +3,7 @@
 /// A simple column-aligned table.
 ///
 /// The experiment harness (`sched-bench`, binary `experiments`) prints one
-/// table per experiment; `EXPERIMENTS.md` records the same rows.
+/// table per experiment, the view of its catalog records.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Table {
     title: String,

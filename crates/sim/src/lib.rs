@@ -3,7 +3,7 @@
 //! The paper's authors evaluate scheduling policies by generating a Linux
 //! scheduling class and running real applications on real multicore
 //! hardware.  Neither is available here, so this crate provides the
-//! substitute substrate (DESIGN.md §2): a simulator of a multicore machine
+//! substitute substrate: a simulator of a multicore machine
 //! with per-core runqueues, preemption, sleeping, barriers and periodic
 //! machine-wide load-balancing rounds.
 //!

@@ -5,7 +5,7 @@
 //! Scala and discharging `.holds` obligations with the Leon verification
 //! system.  That toolchain is not available here, so this crate discharges
 //! the *same lemmas* by exhaustive small-scope model checking plus
-//! property-based testing (see DESIGN.md §2 for the substitution argument):
+//! property-based testing:
 //!
 //! * every initial core configuration within a [`Scope`] (bounded number of
 //!   cores and threads) is enumerated by [`enumerate`],

@@ -5,8 +5,8 @@
 //! applications, and up to 25% decrease in throughput for realistic database
 //! workloads" (§1), both symptoms of the Linux "wasted cores" bugs.  Those
 //! applications and machines are not available here, so this crate generates
-//! synthetic workloads that exercise the same failure modes (see DESIGN.md
-//! §2 for the substitution argument):
+//! synthetic workloads that exercise the same failure modes, for the
+//! simulator to run in place of the paper's applications:
 //!
 //! * [`scientific`] — a fork-join kernel with barriers, whose makespan is
 //!   dominated by the slowest thread: stacking two threads on one core while

@@ -3,7 +3,7 @@
 //! The exhaustive checker covers every configuration within a small scope;
 //! these properties push the same invariants to much larger random
 //! configurations, random interleavings and random policies, which is the
-//! second half of the Leon substitution described in DESIGN.md §2.
+//! second half of the Leon substitution (README § Workspace map).
 
 use optimistic_sched::core::prelude::*;
 use proptest::prelude::*;

@@ -141,18 +141,11 @@ pub(crate) fn tracker_name(recipe: &PolicyRecipe) -> String {
         PolicyRecipe::Pelt => "pelt(nr_threads, 8ms)".into(),
         PolicyRecipe::PeltWeighted => "pelt(weighted, 8ms)".into(),
         PolicyRecipe::PeltHalfLife(ms) => format!("pelt(nr_threads, {ms}ms)"),
-        PolicyRecipe::Inline(def) => {
-            let base = match def.metric {
-                sched_dsl::MetricSpec::Threads => "nr_threads",
-                sched_dsl::MetricSpec::Weighted => "weighted",
-            };
-            match def.load {
-                Some(sched_dsl::LoadSpec::Pelt { half_life_ms }) => {
-                    format!("pelt({base}, {half_life_ms}ms)")
-                }
-                _ => base.into(),
-            }
-        }
+        PolicyRecipe::Inline(def) => sched_dsl::compile(def)
+            .expect("validated inline policies compile")
+            .policy
+            .tracker
+            .name(),
         _ => "nr_threads".into(),
     }
 }

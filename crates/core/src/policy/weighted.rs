@@ -93,6 +93,18 @@ mod tests {
     }
 
     #[test]
+    fn a_torn_snapshot_never_admits_a_lone_thread() {
+        // A lock-free runqueue reads its counters and its lightest-waiting
+        // hint separately, so a snapshot can pair one thread with a hint that
+        // outlived its waiter.  Only the `nr_threads >= 2` conjunct keeps the
+        // filter off that victim; on a consistent snapshot it is implied.
+        let f = WeightedDeltaFilter::new();
+        let thief = snap(0, 0, 0, None);
+        let torn = snap(1, 1, Weight::NICE_0.raw(), Some(Weight::MIN.raw()));
+        assert!(!f.can_steal(&thief, &torn));
+    }
+
+    #[test]
     fn requires_more_imbalance_than_the_lightest_waiting_thread() {
         let f = WeightedDeltaFilter::new();
         // Thief and victim both hold nice-0 threads; the victim is only one

@@ -238,7 +238,7 @@ pub struct PolicyDef {
     /// The step-2 choose rule.
     pub choose: ChooseRule,
     /// The step-3 rule: how many waiting threads migrate (`steal = k`,
-    /// `steal = half`).
+    /// `steal = half`, `steal = lightest`).
     pub steal: StealRule,
 }
 

@@ -52,8 +52,10 @@ pub fn compile_source(source: &str) -> Result<CompiledPolicy, DslError> {
     compile(&def)
 }
 
-/// Evaluates an integer expression over the two observations.
-fn eval_int(expr: &Expr, this: &CoreSnapshot, victim: &CoreSnapshot, metric: LoadMetric) -> i128 {
+/// Evaluates an expression over the two observations.  A boolean is 0 or
+/// 1: the type checker keeps integer and boolean operands apart, so one
+/// evaluator serves the filter and the choose key.
+fn eval(expr: &Expr, this: &CoreSnapshot, victim: &CoreSnapshot, metric: LoadMetric) -> i128 {
     match expr {
         Expr::Int(v) => i128::from(*v),
         Expr::Field(actor, field) => {
@@ -71,44 +73,22 @@ fn eval_int(expr: &Expr, this: &CoreSnapshot, victim: &CoreSnapshot, metric: Loa
             i128::from(value)
         }
         Expr::Binary(op, lhs, rhs) => {
-            let l = eval_int(lhs, this, victim, metric);
-            let r = eval_int(rhs, this, victim, metric);
+            let l = eval(lhs, this, victim, metric);
+            let r = eval(rhs, this, victim, metric);
             match op {
                 BinOp::Add => l + r,
                 BinOp::Sub => l - r,
                 BinOp::Mul => l * r,
-                _ => unreachable!("type checker guarantees integer operators here"),
+                BinOp::Ge => i128::from(l >= r),
+                BinOp::Gt => i128::from(l > r),
+                BinOp::Le => i128::from(l <= r),
+                BinOp::Lt => i128::from(l < r),
+                BinOp::Eq => i128::from(l == r),
+                BinOp::Ne => i128::from(l != r),
+                BinOp::And => l & r,
+                BinOp::Or => l | r,
             }
         }
-    }
-}
-
-/// Evaluates a boolean expression over the two observations.
-fn eval_bool(expr: &Expr, this: &CoreSnapshot, victim: &CoreSnapshot, metric: LoadMetric) -> bool {
-    match expr {
-        Expr::Binary(op, lhs, rhs) if op.takes_booleans() => {
-            let l = eval_bool(lhs, this, victim, metric);
-            let r = eval_bool(rhs, this, victim, metric);
-            match op {
-                BinOp::And => l && r,
-                BinOp::Or => l || r,
-                _ => unreachable!(),
-            }
-        }
-        Expr::Binary(op, lhs, rhs) if op.is_boolean() => {
-            let l = eval_int(lhs, this, victim, metric);
-            let r = eval_int(rhs, this, victim, metric);
-            match op {
-                BinOp::Ge => l >= r,
-                BinOp::Gt => l > r,
-                BinOp::Le => l <= r,
-                BinOp::Lt => l < r,
-                BinOp::Eq => l == r,
-                BinOp::Ne => l != r,
-                _ => unreachable!(),
-            }
-        }
-        _ => unreachable!("type checker guarantees the filter is boolean"),
     }
 }
 
@@ -121,7 +101,7 @@ pub struct DslFilter {
 
 impl FilterPolicy for DslFilter {
     fn can_steal(&self, thief: &CoreSnapshot, victim: &CoreSnapshot) -> bool {
-        eval_bool(&self.expr, thief, victim, self.metric)
+        eval(&self.expr, thief, victim, self.metric) != 0
     }
 
     fn name(&self) -> &'static str {
@@ -142,11 +122,11 @@ impl ChoicePolicy for DslChoice {
             ChooseRule::First => candidates.first().map(|c| c.id),
             ChooseRule::MaxBy(key) => candidates
                 .iter()
-                .max_by_key(|c| (eval_int(key, thief, c, self.metric), std::cmp::Reverse(c.id)))
+                .max_by_key(|c| (eval(key, thief, c, self.metric), std::cmp::Reverse(c.id)))
                 .map(|c| c.id),
             ChooseRule::MinBy(key) => candidates
                 .iter()
-                .min_by_key(|c| (eval_int(key, thief, c, self.metric), c.id))
+                .min_by_key(|c| (eval(key, thief, c, self.metric), c.id))
                 .map(|c| c.id),
         }
     }

@@ -18,13 +18,15 @@
 //!   filters;
 //! * **executable backend** — [`eval`] compiles a definition into
 //!   `sched-core` policy objects runnable by the balancer, the simulator and
-//!   the concurrent runqueues (the "C backend" analogue), and [`codegen`]
-//!   emits the equivalent stand-alone Rust source text;
+//!   the concurrent runqueues (the "C backend" analogue);
 //! * **verification backend** — [`verification`] feeds the compiled policy
 //!   to the `sched-verify` lemma suite (the "Leon backend" analogue).
 //!
 //! [`stdlib`] ships the paper's policies written in the DSL: Listing 1, the
-//! §4.3 greedy counterexample, the weighted variant and a batched variant.
+//! §4.3 greedy counterexample, the weighted variant, a batched variant and
+//! the decayed variants.  Each named `sched-core` recipe the substrates run
+//! is proven to be its stdlib text by `sched-verify`'s exhaustive
+//! equivalence lemma, so both backends stand for the same policy.
 //!
 //! [`doc`] applies the same idea to *experiments*: a [`Scenario`] is written
 //! once, as a `*.scn` document, and that one type — parsed by
@@ -42,7 +44,6 @@
 //! ```
 
 pub mod ast;
-pub mod codegen;
 pub mod doc;
 pub mod error;
 pub mod eval;
@@ -55,7 +56,6 @@ pub mod typecheck;
 pub mod verification;
 
 pub use ast::{Actor, BinOp, ChooseRule, Expr, Field, LoadSpec, MetricSpec, PolicyDef};
-pub use codegen::generate_rust;
 pub use doc::{
     parse_doc, print_doc, print_scenario, Batch, Burst, Driver, Invariant, OpenLoop, PolicyRecipe,
     Scenario, Service, Storm, Topology, WorkloadKind,

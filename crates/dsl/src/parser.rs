@@ -154,6 +154,7 @@ impl Parser {
                         Token::Int(1) => StealRule::One,
                         Token::Int(v) if v > 1 => StealRule::Fixed(v as usize),
                         Token::Ident(word) if word == "half" => StealRule::HalfImbalance,
+                        Token::Ident(word) if word == "lightest" => StealRule::Lightest,
                         Token::Int(v) => {
                             return Err(DslError::parse(format!(
                                 "steal count must be positive, got {v}"
@@ -161,7 +162,7 @@ impl Parser {
                         }
                         other => {
                             return Err(DslError::parse(format!(
-                                "expected a steal count or `half`, found {other:?}"
+                                "expected a steal count, `half` or `lightest`, found {other:?}"
                             )))
                         }
                     });

@@ -28,10 +28,9 @@ pub fn print_policy(def: &PolicyDef) -> String {
         ChooseRule::MaxBy(key) => format!("max {}", print_expr(key)),
         ChooseRule::MinBy(key) => format!("min {}", print_expr(key)),
     };
-    // The grammar spells a count or `half`; `Lightest` (the weighted
-    // recipes' step) has no spelling, and prints as the one thread it takes.
     let steal = match def.steal {
-        StealRule::One | StealRule::Lightest => "1".to_string(),
+        StealRule::One => "1".to_string(),
+        StealRule::Lightest => "lightest".to_string(),
         StealRule::Fixed(k) => k.to_string(),
         StealRule::HalfImbalance => "half".to_string(),
     };
@@ -50,19 +49,9 @@ pub fn print_policy(def: &PolicyDef) -> String {
 pub fn print_expr(expr: &Expr) -> String {
     match expr {
         Expr::Binary(op, lhs, rhs) => {
-            format!("{} {} {}", print_operand(lhs), op.symbol(), print_operand(rhs))
+            format!("{} {} {}", lhs.to_source(), op.symbol(), rhs.to_source())
         }
-        other => print_operand(other),
-    }
-}
-
-fn print_operand(expr: &Expr) -> String {
-    match expr {
-        Expr::Int(v) => v.to_string(),
-        Expr::Field(actor, field) => format!("{actor}.{field}"),
-        Expr::Binary(op, lhs, rhs) => {
-            format!("({} {} {})", print_operand(lhs), op.symbol(), print_operand(rhs))
-        }
+        other => other.to_source(),
     }
 }
 
@@ -106,7 +95,7 @@ mod tests {
         let printed = print_policy(&def);
         assert!(printed.starts_with("policy weighted {"));
         assert!(printed.contains("metric weighted;"));
-        assert!(printed.contains("steal  = 1;"));
+        assert!(printed.contains("steal  = lightest;"));
         assert!(printed.ends_with("}\n"));
     }
 
@@ -118,7 +107,11 @@ mod tests {
     }
 
     fn arb_steal() -> impl Strategy<Value = String> {
-        prop_oneof![(1u32..4).prop_map(|k| k.to_string()), Just("half".into())]
+        prop_oneof![
+            (1u32..4).prop_map(|k| k.to_string()),
+            Just("half".into()),
+            Just("lightest".into())
+        ]
     }
 
     proptest! {

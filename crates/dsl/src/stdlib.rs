@@ -1,4 +1,10 @@
 //! The built-in policy library, written in the DSL itself.
+//!
+//! Each named [`sched_core::Policy`] recipe the substrates run is proven to
+//! be its text here by [`sched_verify::lemmas::check_equivalence`]:
+//! [`LISTING1`] is `Policy::simple`, [`GREEDY`] `greedy`, [`WEIGHTED`]
+//! `weighted`, and [`PELT`] and [`PELT_WEIGHTED`] are `pelt` and
+//! `pelt_weighted` at 8 ms.
 
 /// The paper's Listing 1 policy: steal one thread from a core at least two
 /// threads ahead, choosing the most loaded candidate.
@@ -24,7 +30,8 @@ policy greedy {
 }
 ";
 
-/// A niceness-aware policy balancing weighted load (the §4.2 variant).
+/// A niceness-aware policy balancing weighted load (the §4.2 variant); it
+/// steals the lightest waiting thread, the one its filter's margin counts.
 pub const WEIGHTED: &str = "\
 # Balance weighted load; steal only when moving the lightest waiting thread
 # still strictly reduces the imbalance.
@@ -32,7 +39,7 @@ policy weighted {
     metric weighted;
     filter = victim.nr_threads >= 2 && victim.weighted_load > self.weighted_load + victim.lightest_ready;
     choose = max victim.weighted_load;
-    steal  = 1;
+    steal  = lightest;
 }
 ";
 
@@ -48,12 +55,8 @@ policy batched {
 
 /// Listing 1 over a PELT-style decayed thread count: `.load` reads the
 /// tracked (half-life 8 ms) average instead of the instantaneous queue
-/// length, so brief bursts no longer trigger migrations.
-///
-/// Decayed policies are *time-coupled*: their correctness argument needs
-/// settling ticks between rounds (see `sched-verify`'s decay lemmas), so
-/// this policy is exercised by experiment E17 and the decay lemmas rather
-/// than by the untimed exhaustive verifier that covers [`all`].
+/// length, so brief bursts no longer trigger migrations.  Time-coupled:
+/// see [`all`].
 pub const PELT: &str = "\
 # Listing 1 rebased onto a decayed load average (half-life 8 ms).
 policy pelt {
@@ -62,6 +65,20 @@ policy pelt {
     filter = victim.load - self.load >= 2;
     choose = max victim.load;
     steal  = 1;
+}
+";
+
+/// The weighted balancer over a decayed weighted load (half-life 8 ms):
+/// steal the lightest waiting thread once the decayed loads differ by two
+/// `nice 0` units.  Time-coupled like [`PELT`].
+pub const PELT_WEIGHTED: &str = "\
+# The weighted balancer rebased onto a decayed weighted load (half-life 8 ms).
+policy pelt_weighted {
+    metric weighted;
+    load   pelt(8);
+    filter = victim.load - self.load >= 2048;
+    choose = max victim.load;
+    steal  = lightest;
 }
 ";
 
@@ -82,9 +99,10 @@ policy pelt_hybrid {
 }
 ";
 
-/// All built-in *instantaneous* policies with their names (the set the
-/// untimed verifier checks; [`PELT`] and [`PELT_HYBRID`] are time-coupled
-/// and verified by the decay lemmas plus E17/E21 instead).
+/// All built-in *instantaneous* policies with their names, the set the
+/// untimed verifier checks.  [`PELT`], [`PELT_WEIGHTED`] and [`PELT_HYBRID`]
+/// are time-coupled: their correctness argument needs settling ticks between
+/// rounds, so `sched-verify`'s decay lemmas and E17/E21 check them instead.
 pub fn all() -> Vec<(&'static str, &'static str)> {
     vec![("listing1", LISTING1), ("greedy", GREEDY), ("weighted", WEIGHTED), ("batched", BATCHED)]
 }

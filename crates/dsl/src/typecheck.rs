@@ -38,8 +38,8 @@ pub fn type_of(expr: &Expr) -> Result<ExprType, DslError> {
 /// Type-checks a whole policy: the filter must be boolean, the choose key
 /// must be an integer, and `.tracked_load` may only appear when the policy
 /// configures a decayed tracker — this rule lives here, in the checker
-/// every back-end (interpreter *and* code generator) runs through, rather
-/// than in any single back-end.
+/// both back-ends (the executable and the verification one) run through,
+/// rather than in either back-end.
 pub fn typecheck(policy: &PolicyDef) -> Result<(), DslError> {
     if type_of(&policy.filter)? != ExprType::Bool {
         return Err(DslError::type_error(format!(
@@ -102,8 +102,8 @@ mod tests {
 
     #[test]
     fn tracked_load_requires_a_decayed_tracker_in_the_shared_checker() {
-        // The rule guards both back-ends (interpreter and codegen), so it
-        // lives here rather than in either one.
+        // The rule guards both back-ends (executable and verification), so
+        // it lives here rather than in either one.
         let p = parse("policy p { filter = victim.tracked_load >= 2; }").unwrap();
         let err = typecheck(&p).unwrap_err();
         assert!(err.to_string().contains("pelt"), "{err}");

@@ -23,8 +23,8 @@
 //!   MPMC injector that thieves check when the ring is empty, so
 //!   overflowed work is never invisible to idle cores ([`overflow`]),
 //! * a deliberately pessimistic variant that holds *every* runqueue lock
-//!   during selection is provided (mutex backend only) as the baseline for
-//!   the E11 overhead experiment — it is what the paper refuses to do
+//!   during selection is provided (mutex backend only) as the baseline the
+//!   tests hold optimistic balancing to — it is what the paper refuses to do
 //!   ("locking the runqueue of the third core prevents that core from
 //!   scheduling work").
 //!

@@ -435,8 +435,8 @@ impl<B: RqBackend> MultiQueue<B> {
     /// This is the threaded equivalent of the model's
     /// `RoundSchedule::AllSelectThenSteal` — the maximally stale
     /// interleaving, in which conflicting optimistic selections (and hence
-    /// failed steals) are guaranteed rather than merely possible.  E11 uses
-    /// it to measure the failure rate the paper's P1/P2 lemmas are about.
+    /// failed steals) are guaranteed rather than merely possible.  The tests
+    /// use it to force the failures the paper's P1/P2 lemmas are about.
     pub fn concurrent_round_synchronized(&self, policy: &Policy) -> BalanceStats {
         let barrier = std::sync::Barrier::new(self.cores.len());
         self.round(|thief, stats| {
@@ -495,8 +495,8 @@ impl<Q: TaskQueue + 'static> MultiQueue<PerCoreRq<Q>> {
     /// selecting, so selections can never be stale and steals never fail —
     /// at the cost of stalling every core of the machine for the duration.
     ///
-    /// This is the design the paper rejects in §1; E11 measures how much it
-    /// costs relative to [`MultiQueue::balance_once`].
+    /// This is the design the paper rejects in §1; the tests check it ends
+    /// at the same fixed point as [`MultiQueue::balance_once`].
     pub fn balance_once_pessimistic(&self, thief: CoreId, policy: &Policy) -> StealOutcome {
         // Lock all runqueues in id order (a global order, so concurrent
         // pessimistic balancers cannot deadlock).

@@ -8,6 +8,7 @@
 //! | [`failure`] | §4.3, property P1 | A failed stealing attempt implies that a concurrent stealing attempt by another core succeeded in between, touching the failed attempt's victim or thief. |
 //! | [`potential`] | §4.3, property P2 | Every successful steal strictly decreases the pairwise absolute load difference `d`. |
 //! | [`steal_size`] | §4.2, §4.3 P2 | The one step-3 sizing every substrate calls sizes at least one thread, never the victim's last, and — for half the imbalance — never inverts the pair. |
+//! | [`equivalence`] | §1 (one DSL text, compiled to proof and code) | Two policies balance the same load view, build the same candidate list, choose the same victim and size the same steal from every state of the scope, for every thief. |
 //! | [`hierarchy`] | §5 | A steal at one topology level leaves the per-level potential unchanged at that level and coarser, and hierarchical rounds stay work-conserving. |
 //! | [`decay`] | §3.1 ("no assumption on the criteria") | A steady tracked load converges geometrically to the instantaneous load, and balancing on any monotone tracker preserves work conservation given settling ticks. |
 //! | [`cas`] | §3.1, restated for the lock-free backend | On the Chase–Lev steal path, a successful CAS claims exclusively (no task duplicated or lost) and a failed CAS implies a concurrent claim (P1), checked on *forced* interleavings via probes and under scoped-thread stress — including the **multi-claim** `steal_many` path, where one CAS moves `top` by a whole batch racing owner pops and rival thieves. |
@@ -19,6 +20,7 @@
 
 pub mod cas;
 pub mod decay;
+pub mod equivalence;
 pub mod failure;
 pub mod hierarchy;
 pub mod injector;
@@ -34,6 +36,7 @@ pub use cas::{
     check_multi_claim_failure_implies_concurrent_success, check_pop_straddling_batch_commit,
 };
 pub use decay::{check_decay_convergence, check_tracked_work_conservation};
+pub use equivalence::{check_equivalence, equivalence_states};
 pub use failure::check_failure_implies_concurrent_success;
 pub use hierarchy::{check_hierarchical_work_conservation, check_level_potential_invariance};
 pub use injector::{

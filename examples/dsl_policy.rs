@@ -3,13 +3,13 @@
 //! The paper's architecture: one policy source, compiled both to an
 //! executable scheduler and to a verifiable artefact.  This example parses a
 //! policy written in the DSL, runs it in the simulator-free pure model,
-//! verifies it, and prints the generated Rust module.
+//! verifies it, and proves a hand-tuned policy is that DSL spec.
 //!
 //! Run with: `cargo run --release --example dsl_policy`
 
 use optimistic_sched::core::prelude::*;
 use optimistic_sched::dsl;
-use optimistic_sched::verify::Scope;
+use optimistic_sched::verify::{lemmas, Scope};
 
 const MY_POLICY: &str = "\
 # Steal one thread from any core at least three threads ahead of us,
@@ -44,13 +44,16 @@ fn run() {
     let verified = dsl::verify_source(MY_POLICY, &Scope::small()).expect("verification runs");
     println!("\n{}", verified.report);
 
-    // Code generator: the standalone Rust module (the "C backend" analogue).
-    println!("--- generated Rust (excerpt) ---");
-    let generated = dsl::generate_rust(&compiled.def);
-    for line in generated.lines().take(24) {
-        println!("{line}");
-    }
-    println!("... ({} lines total)", generated.lines().count());
+    // A hand-tuned spelling proven equal to the spec inherits its verdict.
+    let hand_written = Policy::new(
+        LoadMetric::NrThreads,
+        Box::new(DeltaFilter::new(LoadMetric::NrThreads, 3)),
+        Box::new(MaxLoadChoice::new(LoadMetric::NrThreads)),
+        StealRule::One,
+    );
+    let equivalence = lemmas::check_equivalence(balancer.policy(), &hand_written, &Scope::small());
+    println!("{equivalence}");
+    assert!(equivalence.is_proved(), "the hand-written policy is not its DSL spec");
 
     // The greedy counterexample from the standard library, for contrast.
     let greedy =

@@ -45,9 +45,14 @@
 //! property or it costs more than the work it schedules.  When nobody is
 //! parked, nobody drains and nobody joins, a task makes no system call and
 //! writes only lines that belong to the worker that submitted it and the
-//! worker that ran it — plus one `fetch_max` per executed task on the
-//! machine's logical clock, which the load trackers and the trace read:
+//! worker that ran it:
 //!
+//! * **The clock moves only when something reads it.**  The machine's
+//!   logical clock has two readers: a trace sink, which stamps its events
+//!   with it, and a decayed load tracker, which folds at its readings.
+//!   With neither, [`Executor::start`] leaves it at 0 for good and a task
+//!   reads no wall clock; with either, each executed task advances it with
+//!   one `fetch_max`.
 //! * **The payload rides in a slab, its slot in the task word.**  Runqueues
 //!   carry task *words*; the closure waits in a `JobSlab` with one shard
 //!   per submitting worker plus one for threads outside the executor.
@@ -70,10 +75,11 @@
 //!   executor's id and their own index in a thread-local.  A spawn made
 //!   from a worker uses that worker's slab shard and counter cell, passes
 //!   its core as `prev` to `place_wakeup` (the paper's previous-core rule)
-//!   and does not read the clock — its worker advanced it when the running
-//!   task was picked.  Workers read the wall clock once per executed task.
-//!   A spawn from outside passes the core the last outside spawn was placed
-//!   on: a producer's run of submissions stays with one worker for as long
+//!   and does not read the clock — its worker advanced it when the last
+//!   task completed.  Workers read the wall clock once per executed task,
+//!   if the clock has a reader.  A spawn from outside passes the core the
+//!   last outside spawn was placed on: a producer's run of submissions
+//!   stays with one worker for as long
 //!   as that worker keeps up, and moves on when the policy finds it busy.
 //!   Spreading the hint over the workers would wake each of them in turn:
 //!   a producer of tiny jobs then keeps every worker thread busy and runs
@@ -447,8 +453,12 @@ struct Shared {
     topo: Arc<MachineTopology>,
     /// Logical machine clock in nanoseconds since `start`; workers and
     /// outside producers advance it with `fetch_max` so it never goes
-    /// backwards.
+    /// backwards — if `clocked`.
     clock: Arc<AtomicU64>,
+    /// Whether anything reads `clock`: a trace sink stamps its events with
+    /// it, and a decayed load tracker folds at its readings.  Without
+    /// either it stays at 0 and no task pays for moving it.
+    clocked: bool,
     start: Instant,
     stats: BalanceStats,
     trace: TraceSink,
@@ -479,8 +489,13 @@ impl Shared {
     }
 
     /// Advances the logical clock to wall time and publishes it to the
-    /// trace, so events across workers are stamped on one timeline.
+    /// trace, so events across workers are stamped on one timeline, and
+    /// returns the reading.  With nobody to read it (`clocked` is down) it
+    /// reads no wall clock, writes nothing and returns 0.
     fn advance_clock(&self) -> u64 {
+        if !self.clocked {
+            return 0;
+        }
         let now = self.wall_ns();
         self.clock.fetch_max(now, Ordering::AcqRel);
         self.trace.set_now(now);
@@ -675,8 +690,9 @@ impl Shared {
         // the worker.
         debug_assert!(job.is_some(), "task {task:?} has no job");
         let panicked = job.is_some_and(|run| run());
-        // The one wall-clock read per task: it stamps this task's
-        // completion and is the reading the next task's spawns go by.
+        // The one wall-clock read per task, taken only for a clock that
+        // has a reader: it stamps this task's completion and is the
+        // reading the next task's spawns go by.
         let now = self.advance_clock();
         if self.trace.is_enabled() {
             self.trace.record(CoreId(me), now, &TraceEvent::TaskDone { task });
@@ -833,6 +849,7 @@ impl Executor {
         let ExecConfig { topo, policy, ring_capacity, trace } = config;
         let policy = policy.with_steal(StealRule::HalfImbalance);
         let clock = Arc::new(AtomicU64::new(0));
+        let clocked = trace.is_enabled() || policy.tracker.is_decayed();
         let cores: Vec<DequeRq> = topo
             .cpus()
             .iter()
@@ -855,6 +872,7 @@ impl Executor {
             policy,
             topo,
             clock,
+            clocked,
             start: Instant::now(),
             stats: BalanceStats::new(),
             trace,
@@ -1215,6 +1233,68 @@ mod tests {
             "nothing left an injector"
         );
         assert!(run.batch_size() > 4.0, "the batches were batches: {:?}", run.report.stats);
+    }
+
+    /// Spawns `n` empty closures and joins them all.
+    fn run_empty_closures(exec: &Executor, n: usize) {
+        let handles: Vec<JoinHandle<()>> = (0..n).map(|_| exec.spawn(|| {})).collect();
+        handles.into_iter().for_each(JoinHandle::join);
+    }
+
+    /// The logical clock has two readers, a trace sink and a decayed
+    /// tracker.  Without either nobody moves it: it reads 0 after a
+    /// thousand tasks.
+    #[test]
+    fn an_untraced_instantaneous_executor_leaves_the_clock_at_0() {
+        let exec = start(TraceSink::disabled());
+        assert!(!exec.policy().tracker.is_decayed());
+        run_empty_closures(&exec, 1000);
+        assert_eq!(exec.shared.clock.load(Ordering::Acquire), 0);
+        assert_eq!(exec.shutdown().completed, 1000);
+    }
+
+    #[test]
+    fn a_traced_executor_advances_the_clock() {
+        let exec = start(TraceSink::with_capacity(4, 1 << 12));
+        run_empty_closures(&exec, 100);
+        assert!(exec.shared.clock.load(Ordering::Acquire) > 0);
+        exec.shutdown();
+    }
+
+    /// A decayed tracker folds at the clock's readings, so an untraced
+    /// executor under one still moves the clock — and a core that went
+    /// idle sees its tracked load decay, folded by its worker's ticks.
+    #[test]
+    fn a_decayed_tracker_advances_the_clock_and_an_idle_core_decays() {
+        let topo = small_topo();
+        let exec = Executor::start(ExecConfig::new(topo, Policy::pelt(1_000_000)));
+        // Hold every worker, so the next tasks wait and raise some core's
+        // tracked load, folded when they are seated.
+        let held = Arc::new(std::sync::Barrier::new(exec.nr_workers() + 1));
+        let gates: Vec<JoinHandle<()>> = (0..exec.nr_workers())
+            .map(|_| {
+                let held = Arc::clone(&held);
+                exec.spawn(move || {
+                    held.wait();
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(5));
+        let waiting: Vec<JoinHandle<()>> = (0..8).map(|_| exec.spawn(|| {})).collect();
+        let tracked = |exec: &Executor| exec.snapshots().iter().map(|s| s.tracked_scaled).max();
+        assert!(tracked(&exec) > Some(0), "waiting tasks raised no tracked load");
+        held.wait();
+        gates.into_iter().chain(waiting).for_each(JoinHandle::join);
+        exec.drain();
+        assert!(exec.shared.clock.load(Ordering::Acquire) > 0);
+        // Idle, each worker folds on its backstop's tick; a 1 ms half-life
+        // takes any load to 0 within a few dozen of those.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while tracked(&exec) != Some(0) {
+            assert!(Instant::now() < deadline, "tracked loads stuck at {:?}", exec.snapshots());
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        exec.shutdown();
     }
 
     #[test]
@@ -1883,6 +1963,9 @@ mod tests {
                     })
                 }
             };
+            // The bursts' start stamps are clock readings: the traced run
+            // keeps the clock moving.
+            assert!(exec.shared.clocked, "an untraced run's clock stands at 0");
             let mut started = Vec::new();
             for _ in 0..self.bursts {
                 exec.drain();

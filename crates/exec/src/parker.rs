@@ -89,10 +89,13 @@ impl Parker {
         woken
     }
 
-    /// Deposits the wakeup token and wakes the parked worker, if any.
+    /// Deposits the wakeup token and wakes the parked worker, if any.  The
+    /// notification follows the unlock, so the woken worker does not wake
+    /// straight into a lock its waker still holds; a park consumes the
+    /// token under the lock and waits in a loop, so no wake is lost and a
+    /// late notification only makes a later park look again.
     pub fn unpark(&self) {
-        let mut token = self.token.lock().expect("parker lock poisoned");
-        *token = true;
+        *self.token.lock().expect("parker lock poisoned") = true;
         self.cv.notify_one();
     }
 }

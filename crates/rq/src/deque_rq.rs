@@ -14,9 +14,17 @@
 //!   enforces the same rule by convention inside the lock.
 //! * **Published load** is not a separate copy: where [`crate::PerCoreRq`]
 //!   re-publishes a consistent snapshot after every locked mutation, the
-//!   deque backend's counters (queue length, queued weight, tracked
-//!   average) *are* the live atomics, so the owner's hot path has no
-//!   publication step at all.
+//!   deque backend's counters *are* the live atomics, so the owner's hot
+//!   path has no publication step at all — and it writes only the counters
+//!   some reader needs.  A `nice 0` task is counted by the queue length
+//!   alone: weight sum and lightest-weight watermark cover the other
+//!   niceness values, next to a count of them, and [`DequeRq::snapshot`]
+//!   derives the weighted load and the lightest waiting weight from the
+//!   four.  The tracked average is folded only for a tracker that decays;
+//!   an instantaneous tracker's value is the instantaneous load times
+//!   [`TRACK_SCALE`], which the snapshot derives from the same counters.
+//!   A queue of `nice 0` tasks under an instantaneous tracker therefore
+//!   pays one counter update per enqueue and one per departure.
 //!
 //! ## Where the double-check went
 //!
@@ -63,8 +71,8 @@
 //! owner's [`DequeRq::pick_next`] checks ring first, injector second;
 //! thieves check the victim's injector whenever the ring CAS finds it
 //! empty — an injector loss ([`Steal::Retry`]) loops back through the
-//! filter exactly like a lost ring CAS.  Every counter (`queued`,
-//! `queued_weight`, the lightest-weight watermark, the tracked average)
+//! filter exactly like a lost ring CAS.  Every counter (`queued`, the
+//! weighted counters, the lightest-weight watermark, the tracked average)
 //! includes injector residents, so what balancing *sees* and what thieves
 //! *can take* are the same set again.  [`DequeRq::refresh`] performs **no
 //! correctness-critical drain**: conservation and convergence hold with
@@ -84,8 +92,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sched_core::tracker::{LoadTracker, TrackedLoad};
-use sched_core::{CoreId, CoreSnapshot, FilterPolicy, Nice, StealOutcome, TaskId};
+use sched_core::tracker::{LoadTracker, TrackedLoad, TRACK_SCALE};
+use sched_core::{
+    CoreId, CoreSnapshot, FilterPolicy, LoadMetric, Nice, StealOutcome, TaskId, Weight,
+};
 use sched_deque::{deque, Injector, Steal, Stealer, Worker};
 use sched_topology::NodeId;
 use sched_trace::{TraceEvent, TraceSink};
@@ -123,6 +133,24 @@ fn weight_of(word: u64) -> u64 {
     Nice::new(word as u8 as i8).weight().raw()
 }
 
+/// Whether an encoded word is a `nice 0` task: its niceness byte is zero.
+fn is_nice_0(word: u64) -> bool {
+    word as u8 == 0
+}
+
+/// What a run of words adds to (or takes from) the weighted counters: how
+/// many of them are not `nice 0`, their total weight and the lightest one
+/// ([`NO_MARK`] when all are `nice 0`).
+fn weigh_others(words: &[u64]) -> (u64, u64, u64) {
+    let (mut count, mut weight, mut lightest) = (0, 0, NO_MARK);
+    for &word in words.iter().filter(|&&word| !is_nice_0(word)) {
+        count += 1;
+        weight += weight_of(word);
+        lightest = lightest.min(weight_of(word));
+    }
+    (count, weight, lightest)
+}
+
 thread_local! {
     /// The words the last steal decision on this thread claimed, kept for
     /// their allocation: a batch is claimed into this buffer, split into
@@ -136,6 +164,13 @@ pub struct DequeRq {
     id: CoreId,
     node: NodeId,
     tracker: Arc<dyn LoadTracker>,
+    /// The tracker's base metric, read once: what the tracked load folds
+    /// or, for an instantaneous tracker, what it is derived from.
+    base: LoadMetric,
+    /// Whether the tracker decays.  Only then is `tracked_scaled` folded
+    /// (and the clock read); an instantaneous tracker's value is derived
+    /// in [`DequeRq::snapshot`].
+    decayed: bool,
     /// The machine's logical clock (shared with every sibling runqueue).
     clock: Arc<AtomicU64>,
     /// The owner end of the deque, behind the producer-serialising mutex
@@ -148,24 +183,29 @@ pub struct DequeRq {
     injector: Injector,
     /// Encoded running task, or [`EMPTY`].
     current: AtomicU64,
-    /// Number of waiting tasks (ring + injector).
+    /// Number of waiting tasks (ring + injector), `nice 0` or not.
     queued: AtomicU64,
-    /// Total weight of the waiting tasks.
+    /// How many of the waiting tasks are not `nice 0`: the tasks the two
+    /// fields below cover.  The rest weigh [`Weight::NICE_0`] each.
+    others: AtomicU64,
+    /// Total weight of the waiting tasks that are not `nice 0`.
     queued_weight: AtomicU64,
-    /// Low watermark of waiting-task weights ([`NO_MARK`] = unknown).
-    /// Lowered by enqueues, retired (back to unknown) when a departing
-    /// task's weight matches it or the queue drains.  This is an advisory
-    /// bound, not an exact order statistic: after one of several
-    /// equal-weight waiters departs, later enqueues can re-bound the mark
-    /// *above* the true minimum.  Over-statement is the safe direction —
-    /// a too-large `lightest_ready` makes weighted filters demand a
-    /// larger margin (more conservative steals, P2 preserved) — whereas
-    /// the dangerous stale-low direction is what retirement eliminates.
-    /// The mutex backend remains the exact-values discipline; a lock-free
-    /// exact statistic is a ROADMAP item.
+    /// Low watermark of the weights of waiting tasks that are not `nice 0`
+    /// ([`NO_MARK`] = unknown).  Lowered by enqueues, retired (back to
+    /// unknown) when a departing task's weight matches it or the last such
+    /// task leaves.  This is an advisory bound, not an exact order
+    /// statistic: after one of several equal-weight waiters departs, later
+    /// enqueues can re-bound the mark *above* the true minimum.
+    /// Over-statement is the safe direction — a too-large `lightest_ready`
+    /// makes weighted filters demand a larger margin (more conservative
+    /// steals, P2 preserved) — whereas the dangerous stale-low direction
+    /// is what retirement eliminates.  The snapshot's lightest weight is
+    /// exact whenever only `nice 0` tasks wait, since those never touch
+    /// the mark; the mutex backend remains the exact-values discipline for
+    /// mixed niceness.
     lightest_mark: AtomicU64,
     /// Tracked (decayed) load, scaled — the lock-free twin of
-    /// [`TrackedLoad::scaled`].
+    /// [`TrackedLoad::scaled`].  Folded only when the tracker decays.
     tracked_scaled: AtomicU64,
     /// Timestamp of the last tracked fold.
     tracked_ns: AtomicU64,
@@ -195,6 +235,8 @@ impl DequeRq {
         DequeRq {
             id,
             node,
+            base: tracker.base(),
+            decayed: tracker.is_decayed(),
             tracker,
             clock,
             owner: Mutex::new(worker),
@@ -202,6 +244,7 @@ impl DequeRq {
             injector: Injector::new(),
             current: AtomicU64::new(EMPTY),
             queued: AtomicU64::new(0),
+            others: AtomicU64::new(0),
             queued_weight: AtomicU64::new(0),
             lightest_mark: AtomicU64::new(NO_MARK),
             tracked_scaled: AtomicU64::new(0),
@@ -271,29 +314,31 @@ impl DequeRq {
     }
 
     /// Counter bookkeeping shared by every path that removes waiting tasks
-    /// (owner pop and thief claim), once per batch: decrement length and
-    /// weight, and retire the lightest-weight watermark when it can no
-    /// longer be trusted — a departing task's weight *was* the recorded
-    /// minimum, or the queue drained entirely.  `NO_MARK` reads as
-    /// "unknown" (snapshot reports `None`) until the next enqueue
+    /// (owner pop and thief claim), once per batch: decrement the length
+    /// and — for the departing tasks that are not `nice 0`, if any — their
+    /// count and weight, and retire the lightest-weight watermark when it
+    /// can no longer be trusted: a departing task's weight *was* the
+    /// recorded minimum, or the last task that is not `nice 0` left.
+    /// `NO_MARK` reads as "unknown" until the next such enqueue
     /// re-establishes a bound.  Retirement eliminates the dangerous
     /// stale-*low* case (a departed light task haunting later generations);
     /// the residual imprecision is stale-*high* with equal-weight
     /// duplicates, which only makes weighted filters more conservative (see
     /// the field doc).
     fn retire_queued(&self, words: &[u64]) {
-        let mark = self.lightest_mark.load(Ordering::Acquire);
-        let (mut weight, mut carries_mark) = (0, false);
-        for &word in words {
-            weight += weight_of(word);
-            carries_mark |= weight_of(word) == mark;
+        self.queued.fetch_sub(words.len() as u64, Ordering::AcqRel);
+        let (count, weight, _) = weigh_others(words);
+        if count == 0 {
+            return;
         }
-        let departing = words.len() as u64;
-        let left = self.queued.fetch_sub(departing, Ordering::AcqRel) - departing;
+        let left = self.others.fetch_sub(count, Ordering::AcqRel) - count;
         self.queued_weight.fetch_sub(weight, Ordering::AcqRel);
         if left == 0 {
             self.lightest_mark.store(NO_MARK, Ordering::Release);
-        } else if carries_mark {
+            return;
+        }
+        let mark = self.lightest_mark.load(Ordering::Acquire);
+        if words.iter().any(|&word| !is_nice_0(word) && weight_of(word) == mark) {
             // Ignore the result: if the mark moved concurrently it no
             // longer equals a departing weight and keeps its own story.
             let _ = self.lightest_mark.compare_exchange(
@@ -305,17 +350,17 @@ impl DequeRq {
         }
     }
 
-    /// Counts `words` as waiting here: length, weight and the
-    /// lightest-weight watermark, one update each for the whole run.
+    /// Counts `words` as waiting here, one update per counter for the
+    /// whole run: the length, and only if some of them are not `nice 0`,
+    /// their count, weight and watermark.
     fn count_queued(&self, words: &[u64]) {
-        let (mut weight, mut lightest) = (0, NO_MARK);
-        for &word in words {
-            weight += weight_of(word);
-            lightest = lightest.min(weight_of(word));
+        let (count, weight, lightest) = weigh_others(words);
+        if count > 0 {
+            self.others.fetch_add(count, Ordering::AcqRel);
+            self.queued_weight.fetch_add(weight, Ordering::AcqRel);
+            self.lightest_mark.fetch_min(lightest, Ordering::AcqRel);
         }
         self.queued.fetch_add(words.len() as u64, Ordering::AcqRel);
-        self.queued_weight.fetch_add(weight, Ordering::AcqRel);
-        self.lightest_mark.fetch_min(lightest, Ordering::AcqRel);
     }
 
     /// Pushes `words` at the owner end (overflowing to the injector when
@@ -354,8 +399,14 @@ impl DequeRq {
         let Some((&first, rest)) = words.split_first() else {
             return;
         };
+        // A busy core is told apart by a load, not by a failed CAS: a
+        // spawn from the running task finds its own core busy every time.
         let claim_idle = || {
-            self.current.compare_exchange(EMPTY, first, Ordering::AcqRel, Ordering::Acquire).is_ok()
+            self.current.load(Ordering::Acquire) == EMPTY
+                && self
+                    .current
+                    .compare_exchange(EMPTY, first, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
         };
         // An idle core is claimed directly — the common wakeup fast path
         // is one CAS, no lock, no publication step.
@@ -366,7 +417,9 @@ impl DequeRq {
         } else {
             let mut owner = self.owner.lock();
             // Re-try under the owner mutex: the running task may have
-            // completed between the failed CAS and the lock acquisition.
+            // completed between the load and the lock acquisition.  Its
+            // completion emptied the core under this mutex, so the load
+            // here sees that.
             let waiting = if claim_idle() { rest } else { words };
             self.push_queued(&mut owner, waiting);
         }
@@ -390,17 +443,16 @@ impl DequeRq {
     }
 
     /// Folds the instantaneous load into the tracked average at the
-    /// clock's current time.  Lock-free: a concurrent fold makes this one
-    /// a no-op rather than a wait.
+    /// clock's current time — for a decayed tracker; an instantaneous one
+    /// has nothing to fold (see [`DequeRq::snapshot`]).  Lock-free: a
+    /// concurrent fold makes this one a no-op rather than a wait.
     fn fold_tracked(&self) {
-        if self.tracked_busy.swap(true, Ordering::Acquire) {
+        if !self.decayed || self.tracked_busy.swap(true, Ordering::Acquire) {
             return;
         }
         let now = self.clock.load(Ordering::Acquire);
-        let inst = match self.tracker.base() {
-            sched_core::LoadMetric::Weighted => self.weighted_load(),
-            _ => self.nr_threads(),
-        };
+        let snap = self.snapshot();
+        let inst = self.base_load(snap.nr_threads, snap.weighted_load);
         let mut state = TrackedLoad {
             scaled: self.tracked_scaled.load(Ordering::Relaxed),
             last_update_ns: self.tracked_ns.load(Ordering::Relaxed),
@@ -411,15 +463,17 @@ impl DequeRq {
         self.tracked_busy.store(false, Ordering::Release);
     }
 
+    /// The instantaneous load in the tracker's base metric.
+    fn base_load(&self, nr_threads: u64, weighted_load: u64) -> u64 {
+        match self.base {
+            LoadMetric::Weighted => weighted_load,
+            _ => nr_threads,
+        }
+    }
+
     fn nr_threads(&self) -> u64 {
         self.queued.load(Ordering::Acquire)
             + u64::from(self.current.load(Ordering::Acquire) != EMPTY)
-    }
-
-    fn weighted_load(&self) -> u64 {
-        let current = self.current.load(Ordering::Acquire);
-        let current_weight = if current == EMPTY { 0 } else { weight_of(current) };
-        self.queued_weight.load(Ordering::Acquire) + current_weight
     }
 
     /// One *batch* claim at the victim — ring first (a multi-claim CAS that
@@ -559,23 +613,38 @@ impl RqBackend for DequeRq {
         &self.tracker
     }
 
+    /// Derives what the counters leave implicit: the waiting `nice 0`
+    /// tasks weigh [`Weight::NICE_0`] each and are the lightest waiting
+    /// weight unless the watermark of the others is lower, and an
+    /// instantaneous tracker's value is the load times [`TRACK_SCALE`].
     fn snapshot(&self) -> CoreSnapshot {
         let queued = self.queued.load(Ordering::Acquire);
-        let lightest = if queued == 0 {
-            None
+        // A concurrent update can be half seen; it never makes a count
+        // negative.
+        let others = self.others.load(Ordering::Acquire).min(queued);
+        let current = self.current.load(Ordering::Acquire);
+        let nice_0 = Weight::NICE_0.raw();
+        let (others_weight, mark) = if others == 0 {
+            (0, NO_MARK)
         } else {
-            match self.lightest_mark.load(Ordering::Acquire) {
-                NO_MARK => None,
-                mark => Some(mark),
-            }
+            (self.queued_weight.load(Ordering::Acquire), self.lightest_mark.load(Ordering::Acquire))
+        };
+        let nr_threads = queued + u64::from(current != EMPTY);
+        let current_weight = if current == EMPTY { 0 } else { weight_of(current) };
+        let weighted_load = (queued - others) * nice_0 + others_weight + current_weight;
+        let lightest = if queued > others { mark.min(nice_0) } else { mark };
+        let tracked_scaled = if self.decayed {
+            self.tracked_scaled.load(Ordering::Acquire)
+        } else {
+            self.base_load(nr_threads, weighted_load) * TRACK_SCALE
         };
         CoreSnapshot {
             id: self.id,
             node: self.node,
-            nr_threads: self.nr_threads(),
-            weighted_load: self.weighted_load(),
-            lightest_ready_weight: lightest,
-            tracked_scaled: self.tracked_scaled.load(Ordering::Acquire),
+            nr_threads,
+            weighted_load,
+            lightest_ready_weight: (lightest != NO_MARK).then_some(lightest),
+            tracked_scaled,
             injected: self.injected_len() as u64,
         }
     }
@@ -708,6 +777,7 @@ impl RqBackend for DequeRq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sched_core::policy::DeltaFilter;
     use sched_core::tracker::NrThreadsTracker;
 
@@ -778,6 +848,25 @@ mod tests {
         // A fresh generation of heavy tasks must not inherit the old 15.
         victim.enqueue(RqTask::new(TaskId(3)));
         assert_eq!(victim.snapshot().lightest_ready_weight, Some(1024));
+    }
+
+    #[test]
+    fn a_nice_0_queue_stays_stealable_by_weight_after_a_departure() {
+        // Five `nice 0` tasks, one completion: three wait.  A departure
+        // must not leave the lightest waiting weight "unknown" while tasks
+        // wait, or the weighted filter refuses an idle thief — a
+        // work-conservation hole.  `nice 0` tasks never touch the
+        // watermark, so their lightest weight stays exact.
+        let victim = rq(1);
+        for i in 0..5 {
+            victim.enqueue(RqTask::new(TaskId(i)));
+        }
+        assert_eq!(victim.complete_current().map(|task| task.id), Some(TaskId(0)));
+        let snap = victim.snapshot();
+        assert_eq!((snap.nr_threads, snap.weighted_load), (4, 4 * 1024));
+        assert_eq!(snap.lightest_ready_weight, Some(1024));
+        let filter = sched_core::policy::WeightedDeltaFilter::new();
+        assert!(DequeRq::try_steal_recorded(&rq(0), &victim, &filter, 1, None).is_success());
     }
 
     #[test]
@@ -1199,5 +1288,114 @@ mod tests {
                 "completions, residents and migrants must account for every task"
             );
         });
+    }
+
+    /// What one queue holds, kept by hand: the running task and the
+    /// waiting ones, each with its weight.
+    #[derive(Debug, Default)]
+    struct Oracle {
+        current: Option<(TaskId, u64)>,
+        waiting: Vec<(TaskId, u64)>,
+    }
+
+    impl Oracle {
+        /// Follows a promotion the queue made on its own: a core that
+        /// runs a task the oracle still has waiting took it from there.
+        fn follow(&mut self, q: &DequeRq) {
+            let live = q.current_task();
+            if self.current.map(|(id, _)| id) != live {
+                let id = live.expect("a core is emptied only by complete_current");
+                let at = self.waiting.iter().position(|&(w, _)| w == id).expect("it waited here");
+                self.current = Some(self.waiting.swap_remove(at));
+            }
+        }
+
+        fn check(&self, q: &DequeRq, weighted_tracker: bool) -> Result<(), TestCaseError> {
+            let snap = q.snapshot();
+            let nr_threads = self.waiting.len() as u64 + u64::from(self.current.is_some());
+            let weighted: u64 = self.waiting.iter().chain(&self.current).map(|&(_, w)| w).sum();
+            prop_assert_eq!(snap.nr_threads, nr_threads);
+            prop_assert_eq!(snap.weighted_load, weighted);
+            let inst = if weighted_tracker { weighted } else { nr_threads };
+            prop_assert_eq!(snap.tracked_scaled, inst * TRACK_SCALE);
+            let lightest = self.waiting.iter().map(|&(_, w)| w).min();
+            if self.waiting.iter().all(|&(_, w)| w == Weight::NICE_0.raw()) {
+                prop_assert_eq!(snap.lightest_ready_weight, lightest);
+            } else if let Some(reported) = snap.lightest_ready_weight {
+                prop_assert!(Some(reported) >= lightest, "{reported} below {lightest:?}");
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        /// Mixed-niceness enqueue / pick / complete / steal / tick
+        /// sequences on two queues, against the oracle after every step:
+        /// thread count and weighted load are exact, an instantaneous
+        /// tracker reads the load times `TRACK_SCALE`, the lightest
+        /// waiting weight is exact while only `nice 0` tasks wait and never
+        /// below the true minimum otherwise.
+        #[test]
+        fn the_counters_agree_with_an_exact_oracle(
+            weighted_tracker in 0u8..2,
+            ring in 0usize..3,
+            ops in prop::collection::vec((0u8..6, 0usize..2, 0usize..8, 1usize..5), 1..120),
+        ) {
+            let weighted_tracker = weighted_tracker == 1;
+            let tracker: Arc<dyn LoadTracker> = if weighted_tracker {
+                Arc::new(sched_core::tracker::WeightedTracker)
+            } else {
+                Arc::new(NrThreadsTracker)
+            };
+            let clock = Arc::new(AtomicU64::new(0));
+            let capacity = [2, 4, DEFAULT_QUEUE_CAPACITY][ring];
+            let queues: Vec<DequeRq> = (0..2)
+                .map(|i| {
+                    let tracker = Arc::clone(&tracker);
+                    DequeRq::with_queue_capacity(CoreId(i), NodeId(0), tracker, Arc::clone(&clock), capacity)
+                })
+                .collect();
+            let mut oracles = [Oracle::default(), Oracle::default()];
+            let nices = [0i8, 0, 0, 0, -5, 5, 19, 0];
+            let filters: [&dyn FilterPolicy; 2] =
+                [&DeltaFilter::listing1(), &sched_core::policy::WeightedDeltaFilter::new()];
+            let mut next_id = 0;
+            for (op, at, pick, k) in ops {
+                let (q, other) = (&queues[at], &queues[1 - at]);
+                match op {
+                    0 | 1 => {
+                        let task = RqTask::with_nice(TaskId(next_id), Nice::new(nices[pick]));
+                        next_id += 1;
+                        oracles[at].waiting.push((task.id, task.weight().raw()));
+                        q.enqueue(task);
+                    }
+                    2 => {
+                        q.pick_next();
+                    }
+                    3 => {
+                        let done = q.complete_current().map(|task| task.id);
+                        prop_assert_eq!(done, oracles[at].current.take().map(|(id, _)| id));
+                    }
+                    4 => {
+                        let filter = filters[pick % 2];
+                        if let StealOutcome::Stole { tasks, .. } =
+                            DequeRq::try_steal_recorded(other, q, filter, k, None)
+                        {
+                            for id in tasks {
+                                let from = &mut oracles[at].waiting;
+                                let i = from.iter().position(|&(w, _)| w == id);
+                                let moved = from.swap_remove(i.expect("a thief takes a waiting task"));
+                                oracles[1 - at].waiting.push(moved);
+                            }
+                        }
+                    }
+                    _ => q.refresh(),
+                }
+                for (oracle, q) in oracles.iter_mut().zip(&queues) {
+                    oracle.follow(q);
+                    oracle.check(q, weighted_tracker)?;
+                }
+            }
+        }
     }
 }

@@ -129,7 +129,7 @@ pub fn load_dir(dir: &Path) -> Result<Vec<Scenario>, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{batch_label, build_topology, policy_name, tracker_name};
+    use crate::runner::{batch_label, build_policy, build_topology, policy_name};
     use sched_dsl::Driver;
 
     /// The committed files are the only copy of the catalog, so what pins
@@ -250,13 +250,15 @@ mod tests {
                     .collect()
             };
             let batch = spec.batch.map(batch_label);
+            let topo = std::sync::Arc::new(build_topology(spec.topology));
+            let tracker = build_policy(spec, &topo).tracker.name();
             for backend in backends {
                 predicted.push((
                     spec.experiment.clone(),
                     spec.name.clone(),
                     backend,
                     policy_name(&spec.policy),
-                    tracker_name(&spec.policy),
+                    tracker.clone(),
                     spec.loads.len(),
                     batch.clone(),
                 ));

@@ -223,10 +223,10 @@ mod tests {
             spill.violating_idle
         );
         assert!(
-            injector.migrations > spill.migrations,
+            injector.steals.migrations > spill.steals.migrations,
             "stealable overflow must turn stranded idling into migrations ({} vs {})",
-            injector.migrations,
-            spill.migrations
+            injector.steals.migrations,
+            spill.steals.migrations
         );
         // The no-overflow controls agree with the injector row: hiding
         // overflow is the only thing that opens the gap.
@@ -268,10 +268,10 @@ mod tests {
                 })
                 .unwrap_or_else(|| panic!("{key} is committed"));
             let number = |k: &str| baseline.get(k).and_then(|v| v.as_f64());
-            let levels = record.locality.counts();
+            let levels = record.steals.level_migrations;
             for (field, got) in [
-                ("migrations", Some(record.migrations as f64)),
-                ("failures", Some(record.failures as f64)),
+                ("migrations", Some(record.steals.migrations as f64)),
+                ("failures", Some(record.steals.failures() as f64)),
                 ("violating_idle", Some(record.violating_idle)),
                 ("steals_smt", Some(levels[0] as f64)),
                 ("steals_llc", Some(levels[1] as f64)),
@@ -431,10 +431,10 @@ mod tests {
             let inst = find("nr_threads");
             let pelt = find("pelt(nr_threads, 8ms)");
             assert!(
-                pelt.migrations * 2 < inst.migrations,
+                pelt.steals.migrations * 2 < inst.steals.migrations,
                 "{backend}: PELT must at least halve the churn ({} vs {})",
-                pelt.migrations,
-                inst.migrations
+                pelt.steals.migrations,
+                inst.steals.migrations
             );
             assert!(
                 pelt.violating_idle <= inst.violating_idle + 0.02,
@@ -586,8 +586,8 @@ mod tests {
         };
         // The churn axis: a 1ms half-life forgets a 4ms blip and churns;
         // 16ms holds still.
-        assert!(at(&churn, 1).migrations > 0, "1ms half-life must churn");
-        assert_eq!(at(&churn, 16).migrations, 0, "16ms half-life must hold still");
+        assert!(at(&churn, 1).steals.migrations > 0, "1ms half-life must churn");
+        assert_eq!(at(&churn, 16).steals.migrations, 0, "16ms half-life must hold still");
         // The responsiveness axis: the warm-up lag never shrinks as the
         // half-life grows, and 64ms pays more of it than 1ms.
         let lags: Vec<usize> = [1, 4, 16, 64]
@@ -605,7 +605,14 @@ mod tests {
             let records = model_records(id);
             records
                 .into_iter()
-                .map(|r| (r.policy, r.convergence_rounds, r.migrations, r.locality.counts()[3]))
+                .map(|r| {
+                    (
+                        r.policy,
+                        r.convergence_rounds,
+                        r.steals.migrations,
+                        r.steals.level_migrations[3],
+                    )
+                })
                 .collect()
         };
         let row = |policy: &str, rounds, migrations, remote| {
@@ -636,8 +643,8 @@ mod tests {
         // pick up a rare race-induced remote fallback steal.
         let records = model_records(ExperimentId::E16);
         assert_eq!(records.len(), 1);
-        assert!(records[0].migrations > 0, "the hot cores drain");
-        assert_eq!(records[0].locality.counts()[3], 0, "no steal crosses a node");
+        assert!(records[0].steals.migrations > 0, "the hot cores drain");
+        assert_eq!(records[0].steals.level_migrations[3], 0, "no steal crosses a node");
     }
 
     /// An experiment prints its catalog records and nothing else: one row
@@ -663,7 +670,7 @@ mod tests {
         for id in [ExperimentId::E9, ExperimentId::E10] {
             let [optimistic, ..] = scheduler_rows(id);
             let record = runner.run(crate::catalog::spec(id)).remove(0);
-            assert_eq!(optimistic.balance.failures, record.failures, "{}", id.title());
+            assert_eq!(optimistic.balance, record.steals, "{}", id.title());
             assert_eq!(
                 optimistic.violating_idle_fraction(),
                 record.violating_idle,
@@ -690,7 +697,7 @@ mod tests {
                     r.makespan_ms(),
                     r.slowdown_vs(&e9[0]),
                     r.violating_idle_fraction() * 100.0,
-                    r.balance.failures
+                    r.balance.failures()
                 )
             })
             .collect();

@@ -285,12 +285,6 @@ fn pick_batch(rng: &mut Rng) -> Batch {
     }
 }
 
-/// Is `loads` a work-conserving final state — no core idle while another
-/// holds more than one thread?
-fn is_work_conserving(loads: &[usize]) -> bool {
-    !(loads.contains(&0) && loads.iter().any(|&l| l >= 2))
-}
-
 /// Checks one scenario's records against its invariant block.  Records
 /// without final-load residency (the simulator's: its tasks run to
 /// completion) are skipped where residency is what's checked.
@@ -319,7 +313,9 @@ pub fn check_records(spec: &Scenario, records: &[ExperimentRecord]) -> Vec<Viola
                         }
                         let converged = record.convergence_rounds.is_some();
                         let settled = !record.final_loads.is_empty()
-                            && is_work_conserving(&record.final_loads);
+                            && sched_core::is_work_conserving(
+                                record.final_loads.iter().map(|&n| n as u64),
+                            );
                         if !converged && !settled {
                             violate(
                                 record.backend,

@@ -30,8 +30,8 @@ fn the_model_record_moves_more_than_one_task_per_successful_steal() {
     let balancer = Balancer::new(Policy::simple().with_steal(StealRule::HalfImbalance));
     let run = converge(&mut system, &balancer, RoundSchedule::AllSelectThenSteal, spec.budget);
     assert_eq!(run.rounds, record.convergence_rounds, "the recount is the record's run");
-    assert_eq!(run.total_migrations() as u64, record.migrations);
-    assert_eq!(run.total_failures() as u64, record.failures);
+    assert_eq!(run.total_migrations() as u64, record.steals.migrations);
+    assert_eq!(run.total_failures() as u64, record.steals.failures());
     assert!(
         run.total_migrations() > run.total_successes(),
         "{} tasks in {} steals",
@@ -53,9 +53,7 @@ fn the_traced_records_move_more_than_one_task_per_successful_steal() {
             runner.run_traced(backend, &spec).expect("a known backend").expect("e8 runs");
         assert_eq!(trace.dropped, 0, "{backend}");
         let folded = FoldedStats::from_trace(&trace);
-        assert_eq!(folded.migrations, record.migrations, "{backend}: migrations == fold(trace)");
-        assert_eq!(folded.failures(), record.failures, "{backend}: failures == fold(trace)");
-        assert_eq!(folded.level_migrations, record.locality.counts(), "{backend}");
+        assert_eq!(record.steals, folded, "{backend}: steals == fold(trace)");
         assert!(
             folded.migrations > folded.successes,
             "{backend}: {} tasks in {} successful steals",
@@ -67,9 +65,7 @@ fn the_traced_records_move_more_than_one_task_per_successful_steal() {
         }
     }
     // Tick and event engines: the same schedule, record for record.
-    let measured = |r: &ExperimentRecord| {
-        let counts = (r.migrations, r.failures, r.locality.counts());
-        (counts, r.violating_idle, r.throughput, r.p99_sched_latency_us)
-    };
+    let measured =
+        |r: &ExperimentRecord| (r.steals, r.violating_idle, r.throughput, r.p99_sched_latency_us);
     assert_eq!(measured(&sims[0]), measured(&sims[1]));
 }

@@ -70,7 +70,7 @@ pub use tracker::{
     decay_scaled, LoadTracker, NrThreadsTracker, PeltTracker, TrackedLoad, TrackerSpec,
     WeightedTracker, TRACK_SCALE,
 };
-pub use work_conservation::{converge, ConvergenceResult};
+pub use work_conservation::{converge, is_work_conserving, ConvergenceResult};
 
 /// Identifier of a core.
 ///

@@ -31,5 +31,5 @@ pub use crate::tracker::{
     decay_scaled, LoadTracker, NrThreadsTracker, PeltTracker, TrackedLoad, TrackerSpec,
     WeightedTracker, TRACK_SCALE,
 };
-pub use crate::work_conservation::{converge, ConvergenceResult};
+pub use crate::work_conservation::{converge, is_work_conserving, ConvergenceResult};
 pub use crate::CoreId;

@@ -115,14 +115,10 @@ impl SystemState {
         self.cores.iter().filter(|c| c.is_overloaded()).map(|c| c.id).collect()
     }
 
-    /// Returns `true` if the system is in a work-conserving state.
-    ///
-    /// "No core is idle while a core is overloaded" — the per-state
-    /// predicate of the §3.2 definition (`idle(c'ᵢ) ⇒ ¬overloaded(c'ⱼ)`).
+    /// Returns `true` if the system is in a work-conserving state
+    /// ([`crate::is_work_conserving`] over the per-core thread counts).
     pub fn is_work_conserving(&self) -> bool {
-        let any_idle = self.cores.iter().any(CoreState::is_idle);
-        let any_overloaded = self.cores.iter().any(CoreState::is_overloaded);
-        !(any_idle && any_overloaded)
+        crate::is_work_conserving(self.cores.iter().map(CoreState::nr_threads))
     }
 
     /// Atomically migrates the waiting thread `task` from `from` to `to`.

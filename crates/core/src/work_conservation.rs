@@ -4,9 +4,11 @@
 //! after N load balancing rounds no core is idle while a core is
 //! overloaded." (§3.2)
 //!
-//! [`converge`] runs rounds of a concrete balancer under a concrete
-//! interleaving policy until the system reaches a work-conserving state (or
-//! a round budget is exhausted), reporting the `N` it found.  The exhaustive
+//! [`is_work_conserving`] is that per-state predicate over a load sequence,
+//! the one every altitude judges a state with.  [`converge`] runs rounds of
+//! a concrete balancer under a concrete interleaving policy until the
+//! system reaches a work-conserving state (or a round budget is
+//! exhausted), reporting the `N` it found.  The exhaustive
 //! quantification over initial states and interleavings — the actual proof
 //! obligation — lives in `sched-verify`; this module provides the executable
 //! core both the verifier and the simulator share.
@@ -15,6 +17,22 @@ use crate::balancer::Balancer;
 use crate::outcome::RoundReport;
 use crate::round::{ConcurrentRound, RoundSchedule};
 use crate::system::SystemState;
+
+/// "No core is idle while a core is overloaded" over one thread count per
+/// core: `false` exactly when some core is at 0 while another is at 2 or
+/// more — the per-state predicate of the §3.2 definition
+/// (`idle(c'ᵢ) ⇒ ¬overloaded(c'ⱼ)`).  One pass, no allocation.
+pub fn is_work_conserving(loads: impl IntoIterator<Item = u64>) -> bool {
+    let (mut idle, mut overloaded) = (false, false);
+    for load in loads {
+        idle |= load == 0;
+        overloaded |= load >= 2;
+        if idle && overloaded {
+            return false;
+        }
+    }
+    true
+}
 
 /// The result of running load-balancing rounds until work conservation.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -813,7 +813,8 @@ pub struct ExecReport {
     /// handle was kept.
     pub panicked: u64,
     /// The balancing counters of the run (steals, failures, migrations,
-    /// per-level attribution) — fold the drained trace to reproduce them.
+    /// per-level attribution); their `tally()` equals the drained trace's
+    /// [`sched_trace::FoldedStats::from_trace`].
     pub stats: BalanceStats,
     /// Lost directed wakes, healed by the backstop: parks that ran into
     /// the 2 ms park backstop with the worker still registered — nobody had
@@ -972,7 +973,7 @@ impl Executor {
         let shared = Arc::clone(&self.shared);
         drop(self);
         let stats = BalanceStats::new();
-        stats.merge_from(&shared.stats);
+        stats.add(&shared.stats.tally());
         let sum = |counter: fn(&Counters) -> &AtomicU64| {
             shared.counters.iter().map(|c| counter(&c.0).load(Ordering::Relaxed)).sum()
         };
@@ -1181,13 +1182,7 @@ mod tests {
     /// not a simulator.
     fn assert_stats_equal_folded_trace(report: &ExecReport, trace: &Trace) {
         assert_eq!(trace.dropped, 0, "size the rings so the parity check sees everything");
-        let folded = FoldedStats::from_trace(trace);
-        assert_eq!(folded.successes, report.stats.successes());
-        assert_eq!(folded.recheck_failures, report.stats.recheck_failures());
-        assert_eq!(folded.nothing_to_steal, report.stats.nothing_to_steal());
-        assert_eq!(folded.no_candidates, report.stats.no_candidates());
-        assert_eq!(folded.migrations, report.stats.migrations());
-        assert_eq!(folded.level_migrations, report.stats.level_migration_counts());
+        assert_eq!(report.stats.tally(), FoldedStats::from_trace(trace));
     }
 
     #[test]

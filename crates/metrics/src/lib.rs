@@ -11,31 +11,22 @@
 //!   time (no work anywhere) and *violating* idle time (idle while some core
 //!   is overloaded), which is the quantity a work-conserving scheduler drives
 //!   to zero,
-//! * [`throughput::ThroughputMeter`] and [`latency`]/[`histogram`] — the
-//!   workload-level metrics of experiments E9/E10,
-//! * [`churn::MigrationChurn`] — migrations per epoch and churn ratios,
-//!   comparing how much balancing *work* two criteria spend to resolve the
-//!   same imbalance (experiment E17),
+//! * [`latency`]/[`histogram`] — scheduling and end-to-end latency
+//!   distributions,
 //! * [`overflow::OverflowExposure`] — idle-while-spilled accounting: the
 //!   fraction of the machine stranded idle while a runqueue's overflow
 //!   handling hid runnable work (experiment E22),
 //! * [`table::Table`] — fixed-width/markdown table rendering used by the
 //!   experiment harness to print its catalog records and trace reports.
 
-pub mod churn;
 pub mod histogram;
 pub mod idle;
 pub mod latency;
-pub mod locality;
 pub mod overflow;
 pub mod table;
-pub mod throughput;
 
-pub use churn::MigrationChurn;
 pub use histogram::Histogram;
 pub use idle::IdleAccounting;
 pub use latency::LatencyRecorder;
-pub use locality::StealLocality;
 pub use overflow::OverflowExposure;
 pub use table::Table;
-pub use throughput::ThroughputMeter;

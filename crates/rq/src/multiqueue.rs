@@ -253,13 +253,10 @@ impl<B: RqBackend> MultiQueue<B> {
         self.cores.iter().map(B::nr_threads_exact).sum()
     }
 
-    /// Returns `true` if no core is idle while another is overloaded,
-    /// judged on exact (locked) loads.
+    /// Returns `true` if no core is idle while another is overloaded
+    /// ([`sched_core::is_work_conserving`]), judged on exact (locked) loads.
     pub fn is_work_conserving(&self) -> bool {
-        let loads: Vec<u64> = self.cores.iter().map(B::nr_threads_exact).collect();
-        let any_idle = loads.contains(&0);
-        let any_overloaded = loads.iter().any(|&l| l >= 2);
-        !(any_idle && any_overloaded)
+        sched_core::is_work_conserving(self.cores.iter().map(B::nr_threads_exact))
     }
 
     /// Runs the three-step optimistic balancing operation for one core.
@@ -463,7 +460,7 @@ impl<B: RqBackend> MultiQueue<B> {
             if rounds == max_rounds {
                 break;
             }
-            total.merge_from(&round());
+            total.add(&round().tally());
         }
         (None, total)
     }
@@ -570,10 +567,13 @@ mod tests {
         assert_eq!(mq.total_threads(), 4);
         assert!(stats.successes() >= 1);
         assert!(
-            stats.successes() + stats.recheck_failures() >= 7,
+            stats.successes() + stats.tally().recheck_failures >= 7,
             "every idle core chose the hot core as its victim"
         );
-        assert!(stats.recheck_failures() >= 1, "conflicting selections must produce failures");
+        assert!(
+            stats.tally().recheck_failures >= 1,
+            "conflicting selections must produce failures"
+        );
     }
 
     #[test]
@@ -604,10 +604,10 @@ mod tests {
         assert_eq!(mq.total_threads(), 4);
         assert!(stats.successes() >= 1);
         assert!(
-            stats.successes() + stats.recheck_failures() + stats.nothing_to_steal() >= 7,
+            stats.successes() + stats.tally().failures() >= 7,
             "every idle core chose the hot core as its victim"
         );
-        assert!(stats.failures() >= 1, "conflicting selections must produce failures");
+        assert!(stats.tally().failures() >= 1, "conflicting selections must produce failures");
     }
 
     #[test]
@@ -623,8 +623,7 @@ mod tests {
         let stats = BalanceStats::new();
         let outcome = mq.balance_once_hierarchical(CoreId(0), &policy, &stats);
         assert!(outcome.is_success());
-        assert_eq!(stats.level_migrations(sched_topology::StealLevel::SmtSibling), 1);
-        assert_eq!(stats.level_migrations(sched_topology::StealLevel::Remote), 0);
+        assert_eq!(stats.tally().level_migrations, [1, 0, 0, 0], "one SMT-sibling steal");
     }
 
     #[test]
@@ -734,12 +733,11 @@ mod tests {
         // The SMT sibling of the hot core steals: a level-0 migration.
         let outcome = mq.balance_once_recorded(CoreId(1), &policy, &stats);
         assert!(outcome.is_success());
-        assert_eq!(stats.level_migrations(sched_topology::StealLevel::SmtSibling), 1);
+        assert_eq!(stats.tally().level_migrations, [1, 0, 0, 0]);
         // A remote core steals: attributed to the remote level.
         let outcome = mq.balance_once_recorded(CoreId(4), &policy, &stats);
         assert!(outcome.is_success());
-        assert_eq!(stats.level_migrations(sched_topology::StealLevel::Remote), 1);
-        assert_eq!(stats.level_migration_counts(), [1, 0, 0, 1]);
+        assert_eq!(stats.tally().level_migrations, [1, 0, 0, 1]);
     }
 
     #[test]
@@ -755,8 +753,7 @@ mod tests {
         let stats = BalanceStats::new();
         let outcome = mq.balance_once_hierarchical(CoreId(0), &policy, &stats);
         assert!(outcome.is_success());
-        assert_eq!(stats.level_migrations(sched_topology::StealLevel::SmtSibling), 1);
-        assert_eq!(stats.level_migrations(sched_topology::StealLevel::Remote), 0);
+        assert_eq!(stats.tally().level_migrations, [1, 0, 0, 0], "one SMT-sibling steal");
     }
 
     #[test]
@@ -777,7 +774,7 @@ mod tests {
         let outcome = mq.balance_once_hierarchical(CoreId(2), &policy, &stats);
         assert!(outcome.is_success());
         assert!(
-            stats.level_migrations(sched_topology::StealLevel::Remote) >= 1,
+            stats.tally().level_migrations[sched_topology::StealLevel::Remote.index()] >= 1,
             "the second thief had to escalate to the remote level"
         );
     }
@@ -795,7 +792,7 @@ mod tests {
         assert_eq!(mq.total_threads(), 16);
         assert!(stats.migrations() >= 7, "seven idle cores had to obtain work");
         assert!(
-            stats.level_migrations(sched_topology::StealLevel::Remote) >= 1,
+            stats.tally().level_migrations[sched_topology::StealLevel::Remote.index()] >= 1,
             "work had to cross the node boundary"
         );
     }

@@ -2,11 +2,17 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sched_core::StealOutcome;
-use sched_topology::StealLevel;
+use sched_trace::{FoldedStats, TraceEvent};
 
-/// Atomic counters of the outcomes of balancing attempts, shared by all the
-/// threads participating in a concurrent round.
+/// The atomic store of a [`FoldedStats`] tally, shared by all the threads
+/// participating in a concurrent round (and by every worker of an
+/// executor).
+///
+/// What an attempt counts as is decided in one place,
+/// [`FoldedStats::of`]: [`BalanceStats::record`] adds exactly that to the
+/// counters, and [`BalanceStats::tally`] reads them back as the same type a
+/// drained trace folds to, so `stats.tally() == FoldedStats::from_trace(..)`
+/// is one comparison.
 ///
 /// Counter transitions for locked outcomes happen **inside** the stealing
 /// phase, while both runqueue locks are still held (see
@@ -21,7 +27,8 @@ pub struct BalanceStats {
     nothing_to_steal: AtomicU64,
     no_candidates: AtomicU64,
     migrations: AtomicU64,
-    /// Threads migrated per steal level, indexed by [`StealLevel::index`].
+    /// Threads migrated per steal level, indexed by
+    /// [`sched_topology::StealLevel::index`].
     level_migrations: [AtomicU64; 4],
 }
 
@@ -31,61 +38,45 @@ impl BalanceStats {
         Self::default()
     }
 
-    /// Records one balancing attempt outcome with no level attribution.
-    pub fn record(&self, outcome: &StealOutcome) {
-        self.record_with_level(outcome, None);
+    /// Counts one balancing attempt, described by its
+    /// [`TraceEvent::StealAttempt`] (any other event counts nothing).
+    pub fn record(&self, event: &TraceEvent) {
+        self.add(&FoldedStats::of(event));
     }
 
-    /// Records one balancing attempt outcome, attributing migrated threads
-    /// to the steal level the victim was found at (if known).
-    pub fn record_with_level(&self, outcome: &StealOutcome, level: Option<StealLevel>) {
-        match outcome {
-            StealOutcome::Stole { tasks, .. } => {
-                self.successes.fetch_add(1, Ordering::Relaxed);
-                self.migrations.fetch_add(tasks.len() as u64, Ordering::Relaxed);
-                if let Some(level) = level {
-                    self.level_migrations[level.index()]
-                        .fetch_add(tasks.len() as u64, Ordering::Relaxed);
-                }
+    /// Adds a whole tally into the counters.
+    pub fn add(&self, tally: &FoldedStats) {
+        let add = |counter: &AtomicU64, n: u64| {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
             }
-            StealOutcome::RecheckFailed { .. } => {
-                self.recheck_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            StealOutcome::NothingToSteal { .. } => {
-                self.nothing_to_steal.fetch_add(1, Ordering::Relaxed);
-            }
-            StealOutcome::NoCandidates => {
-                self.no_candidates.fetch_add(1, Ordering::Relaxed);
-            }
+        };
+        add(&self.successes, tally.successes);
+        add(&self.recheck_failures, tally.recheck_failures);
+        add(&self.nothing_to_steal, tally.nothing_to_steal);
+        add(&self.no_candidates, tally.no_candidates);
+        add(&self.migrations, tally.migrations);
+        for (counter, &n) in self.level_migrations.iter().zip(&tally.level_migrations) {
+            add(counter, n);
         }
     }
 
-    /// Folds another set of counters into this one.
-    pub fn merge_from(&self, other: &BalanceStats) {
-        self.successes.fetch_add(other.successes(), Ordering::Relaxed);
-        self.recheck_failures.fetch_add(other.recheck_failures(), Ordering::Relaxed);
-        self.nothing_to_steal.fetch_add(other.nothing_to_steal(), Ordering::Relaxed);
-        self.no_candidates.fetch_add(other.no_candidates(), Ordering::Relaxed);
-        self.migrations.fetch_add(other.migrations(), Ordering::Relaxed);
-        for level in StealLevel::ALL {
-            self.level_migrations[level.index()]
-                .fetch_add(other.level_migrations(level), Ordering::Relaxed);
+    /// The counters as a tally.
+    pub fn tally(&self) -> FoldedStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        FoldedStats {
+            successes: load(&self.successes),
+            recheck_failures: load(&self.recheck_failures),
+            nothing_to_steal: load(&self.nothing_to_steal),
+            no_candidates: load(&self.no_candidates),
+            migrations: load(&self.migrations),
+            level_migrations: self.level_migrations.each_ref().map(load),
         }
     }
 
     /// Number of successful steals.
     pub fn successes(&self) -> u64 {
         self.successes.load(Ordering::Relaxed)
-    }
-
-    /// Number of attempts whose filter re-check failed (stale selection).
-    pub fn recheck_failures(&self) -> u64 {
-        self.recheck_failures.load(Ordering::Relaxed)
-    }
-
-    /// Number of attempts that found nothing migratable under the locks.
-    pub fn nothing_to_steal(&self) -> u64 {
-        self.nothing_to_steal.load(Ordering::Relaxed)
     }
 
     /// Number of attempts that filtered out every core.
@@ -98,92 +89,69 @@ impl BalanceStats {
         self.migrations.load(Ordering::Relaxed)
     }
 
-    /// Number of threads migrated across the given steal level.
-    pub fn level_migrations(&self, level: StealLevel) -> u64 {
-        self.level_migrations[level.index()].load(Ordering::Relaxed)
-    }
-
-    /// Per-level migration counts, innermost level first.
-    ///
-    /// Rate arithmetic (remote/cache-local fractions) deliberately lives in
-    /// one place — `sched_metrics::StealLocality::from_counts(counts)` —
-    /// rather than being re-derived per backend.
-    pub fn level_migration_counts(&self) -> [u64; 4] {
-        StealLevel::ALL.map(|l| self.level_migrations(l))
-    }
-
-    /// Failed attempts, in the paper's sense (a victim was chosen, nothing
-    /// was stolen).
-    pub fn failures(&self) -> u64 {
-        self.recheck_failures() + self.nothing_to_steal()
-    }
-
     /// Attempts that chose a victim (successes plus failures).
     pub fn attempts(&self) -> u64 {
-        self.successes() + self.failures()
+        self.tally().attempts()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sched_core::{CoreId, TaskId};
+    use sched_core::{CoreId, StealOutcome, TaskId};
+    use sched_topology::StealLevel;
+
+    fn attempt(outcome: StealOutcome, level: Option<StealLevel>) -> TraceEvent {
+        TraceEvent::steal_attempt(&outcome, level, 1)
+    }
+
+    fn stole(victim: usize, n: u64) -> StealOutcome {
+        StealOutcome::Stole { victim: CoreId(victim), tasks: (0..n).map(TaskId).collect() }
+    }
 
     #[test]
     fn records_each_outcome_kind() {
         let stats = BalanceStats::new();
-        stats.record(&StealOutcome::Stole { victim: CoreId(1), tasks: vec![TaskId(0), TaskId(1)] });
-        stats.record(&StealOutcome::RecheckFailed { victim: CoreId(1) });
-        stats.record(&StealOutcome::NothingToSteal { victim: CoreId(1) });
-        stats.record(&StealOutcome::NoCandidates);
-        assert_eq!(stats.successes(), 1);
-        assert_eq!(stats.migrations(), 2);
-        assert_eq!(stats.recheck_failures(), 1);
-        assert_eq!(stats.nothing_to_steal(), 1);
+        stats.record(&attempt(stole(1, 2), None));
+        stats.record(&attempt(StealOutcome::RecheckFailed { victim: CoreId(1) }, None));
+        stats.record(&attempt(StealOutcome::NothingToSteal { victim: CoreId(1) }, None));
+        stats.record(&attempt(StealOutcome::NoCandidates, None));
+        let tally = stats.tally();
+        assert_eq!(
+            (tally.successes, tally.migrations, tally.recheck_failures, tally.nothing_to_steal),
+            (1, 2, 1, 1)
+        );
         assert_eq!(stats.no_candidates(), 1);
-        assert_eq!(stats.failures(), 2);
+        assert_eq!(tally.failures(), 2);
         assert_eq!(stats.attempts(), 3);
     }
 
     #[test]
     fn level_attribution_buckets_migrations() {
         let stats = BalanceStats::new();
-        let steal = |victim: usize, n: u64| StealOutcome::Stole {
-            victim: CoreId(victim),
-            tasks: (0..n).map(TaskId).collect(),
-        };
-        stats.record_with_level(&steal(1, 3), Some(StealLevel::SameLlc));
-        stats.record_with_level(&steal(2, 1), Some(StealLevel::Remote));
-        assert_eq!(stats.level_migrations(StealLevel::SameLlc), 3);
-        assert_eq!(stats.level_migrations(StealLevel::Remote), 1);
-        assert_eq!(stats.level_migration_counts(), [0, 3, 0, 1]);
-        assert_eq!(stats.level_migration_counts().iter().sum::<u64>(), 4);
+        stats.record(&attempt(stole(1, 3), Some(StealLevel::SameLlc)));
+        stats.record(&attempt(stole(2, 1), Some(StealLevel::Remote)));
+        assert_eq!(stats.tally().level_migrations, [0, 3, 0, 1]);
+        assert_eq!(stats.migrations(), 4);
     }
 
     #[test]
     fn unattributed_steals_have_no_level_counts() {
         let stats = BalanceStats::new();
-        stats.record(&StealOutcome::Stole { victim: CoreId(1), tasks: vec![TaskId(0)] });
-        assert_eq!(stats.level_migration_counts(), [0, 0, 0, 0]);
+        stats.record(&attempt(stole(1, 1), None));
+        assert_eq!(stats.tally().level_migrations, [0, 0, 0, 0]);
     }
 
     #[test]
     fn merge_from_folds_every_counter() {
         let a = BalanceStats::new();
         let b = BalanceStats::new();
-        a.record_with_level(
-            &StealOutcome::Stole { victim: CoreId(1), tasks: vec![TaskId(0)] },
-            Some(StealLevel::SmtSibling),
-        );
-        b.record_with_level(
-            &StealOutcome::Stole { victim: CoreId(2), tasks: vec![TaskId(1)] },
-            Some(StealLevel::Remote),
-        );
-        b.record(&StealOutcome::RecheckFailed { victim: CoreId(2) });
-        a.merge_from(&b);
-        assert_eq!(a.successes(), 2);
-        assert_eq!(a.migrations(), 2);
-        assert_eq!(a.recheck_failures(), 1);
-        assert_eq!(a.level_migration_counts(), [1, 0, 0, 1]);
+        a.record(&attempt(stole(1, 1), Some(StealLevel::SmtSibling)));
+        b.record(&attempt(stole(2, 1), Some(StealLevel::Remote)));
+        b.record(&attempt(StealOutcome::RecheckFailed { victim: CoreId(2) }, None));
+        a.add(&b.tally());
+        let tally = a.tally();
+        assert_eq!((tally.successes, tally.migrations, tally.recheck_failures), (2, 2, 1));
+        assert_eq!(tally.level_migrations, [1, 0, 0, 1]);
     }
 }

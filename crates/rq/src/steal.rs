@@ -55,10 +55,12 @@ impl<'a> StealRecorder<'a> {
 
     /// Counts `outcome` into the stats **and** traces it, in one call —
     /// the single program point every backend's stealing phase funnels
-    /// through, so counters and trace can never disagree.  `k` is the
+    /// through.  The [`TraceEvent::StealAttempt`] is built once and handed
+    /// to both, so counters and trace can never disagree.  `k` is the
     /// claim size the decision asked for.
     pub fn record_attempt(&self, outcome: &StealOutcome, k: usize) {
-        self.stats.record_with_level(outcome, self.level);
+        let attempt = TraceEvent::steal_attempt(outcome, self.level, k);
+        self.stats.record(&attempt);
         let Some((sink, thief, clock)) = self.trace else {
             return;
         };
@@ -66,7 +68,7 @@ impl<'a> StealRecorder<'a> {
             return;
         }
         let now = clock.load(Ordering::Acquire);
-        sink.record(thief, now, &TraceEvent::steal_attempt(outcome, self.level, k));
+        sink.record(thief, now, &attempt);
         if let StealOutcome::Stole { victim, tasks } = outcome {
             for &task in tasks {
                 sink.record(thief, now, &TraceEvent::Migration { task, from: *victim });
@@ -264,7 +266,7 @@ mod tests {
         assert!(outcome.is_success());
         assert_eq!(stats.successes(), 1);
         assert_eq!(stats.migrations(), 1);
-        assert_eq!(stats.level_migrations(StealLevel::SameNode), 1);
+        assert_eq!(stats.tally().level_migrations, [0, 0, 1, 0]);
 
         // Draining the victim makes the next recorded attempt a re-check
         // failure, also counted through the recorder.
@@ -278,7 +280,7 @@ mod tests {
             Some(StealRecorder::new(&stats, Some(StealLevel::SameNode))),
         );
         assert!(outcome.is_failure());
-        assert_eq!(stats.recheck_failures(), 1);
+        assert_eq!(stats.tally().recheck_failures, 1);
         assert_eq!(stats.migrations(), 1, "failures must not count migrations");
     }
 }

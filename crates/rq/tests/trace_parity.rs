@@ -1,27 +1,15 @@
 //! The `stats == fold(trace)` parity contract on the runqueue substrate:
-//! a drained decision trace, folded back into aggregate counters, must
-//! reproduce the `BalanceStats` the same run recorded — on both the mutex
-//! and the lock-free backend, under single-threaded and genuinely
+//! a drained decision trace, folded back into a tally, must equal the
+//! tally the same run's `BalanceStats` recorded — whole struct, on both the
+//! mutex and the lock-free backend, under single-threaded and genuinely
 //! concurrent rounds.  Parity is what certifies the trace as a *complete*
 //! record of the round's decisions rather than a lossy echo of them.
 
 use sched_core::{CoreId, Policy, StealRule};
-use sched_rq::{BalanceStats, DequeRq, MultiQueue, RqBackend};
+use sched_rq::{DequeRq, MultiQueue, RqBackend};
 use sched_trace::{FoldedStats, SanityChecker, TraceSink};
 
 type DequeMq = MultiQueue<DequeRq>;
-
-/// Asserts every counter the two shapes share agrees.
-fn assert_parity(stats: &BalanceStats, fold: &FoldedStats) {
-    assert_eq!(fold.successes, stats.successes(), "successes");
-    assert_eq!(fold.recheck_failures, stats.recheck_failures(), "recheck failures");
-    assert_eq!(fold.nothing_to_steal, stats.nothing_to_steal(), "nothing-to-steal");
-    assert_eq!(fold.no_candidates, stats.no_candidates(), "no-candidates");
-    assert_eq!(fold.migrations, stats.migrations(), "migrations");
-    assert_eq!(fold.level_migrations, stats.level_migration_counts(), "level attribution");
-    assert_eq!(fold.failures(), stats.failures(), "failure aggregate");
-    assert_eq!(fold.attempts(), stats.attempts(), "attempt aggregate");
-}
 
 #[test]
 fn mutex_backend_stats_equal_the_folded_trace() {
@@ -36,7 +24,7 @@ fn mutex_backend_stats_equal_the_folded_trace() {
     let trace = mq.trace_sink().drain();
     assert_eq!(trace.dropped, 0, "this run fits the default rings");
     assert!(stats.successes() >= 7, "the trace has real content to fold");
-    assert_parity(&stats, &FoldedStats::from_trace(&trace));
+    assert_eq!(stats.tally(), FoldedStats::from_trace(&trace));
 }
 
 #[test]
@@ -47,20 +35,20 @@ fn deque_backend_stats_equal_the_folded_trace() {
         mq.spawn_on(CoreId(3));
     }
     let policy = Policy::simple();
-    let total = BalanceStats::new();
+    let mut total = FoldedStats::default();
     let mut rounds = 0;
     while !mq.is_work_conserving() && rounds < 64 {
         // Batched rounds exercise the multi-claim path, whose partial
         // deliveries and trims are exactly where a lossy trace would
         // diverge from the counters.
-        total.merge_from(&mq.concurrent_round_batched(&policy, StealRule::HalfImbalance));
+        total.merge(&mq.concurrent_round_batched(&policy, StealRule::HalfImbalance).tally());
         rounds += 1;
     }
     assert!(mq.is_work_conserving());
     let trace = mq.trace_sink().drain();
     assert_eq!(trace.dropped, 0);
-    assert!(total.successes() >= 1);
-    assert_parity(&total, &FoldedStats::from_trace(&trace));
+    assert!(total.successes >= 1);
+    assert_eq!(total, FoldedStats::from_trace(&trace));
 }
 
 #[test]
@@ -75,7 +63,7 @@ fn hierarchical_rounds_keep_parity_with_level_attribution() {
     let (rounds, stats) = mq.converge_hierarchical(&policy, 64);
     assert!(rounds.is_some(), "hierarchical balancing must converge");
     let fold = FoldedStats::from_trace(&mq.trace_sink().drain());
-    assert_parity(&stats, &fold);
+    assert_eq!(stats.tally(), fold);
     assert!(
         fold.level_migrations.iter().sum::<u64>() >= 1,
         "level attribution must survive the trace round-trip"

@@ -18,9 +18,10 @@
 
 use sched_core::CoreId;
 use sched_topology::NodeId;
+use sched_trace::{FoldedStats, StealOutcomeKind, TraceEvent};
 
 use crate::queues::CoreQueues;
-use crate::scheduler::{RoundStats, SimScheduler};
+use crate::scheduler::SimScheduler;
 use crate::thread::{SimThread, SimThreadId};
 
 /// Which of the documented CFS bugs are injected.
@@ -74,6 +75,20 @@ impl CfsLikeScheduler {
     }
 }
 
+/// Moves `victim`'s newest waiting thread to `thief`, counting the attempt
+/// into `stats`: a success with no level, or — when nothing was waiting — a
+/// failure.
+fn steal_newest(queues: &mut CoreQueues, victim: CoreId, thief: CoreId, stats: &mut FoldedStats) {
+    let stole = queues.migrate_newest(victim, thief).is_some();
+    stats.observe(&TraceEvent::StealAttempt {
+        victim: Some(victim),
+        level: None,
+        outcome: if stole { StealOutcomeKind::Stole } else { StealOutcomeKind::RecheckFailed },
+        k: 1,
+        moved: u32::from(stole),
+    });
+}
+
 impl SimScheduler for CfsLikeScheduler {
     fn name(&self) -> &'static str {
         match (self.bugs.overload_on_wakeup, self.bugs.group_imbalance) {
@@ -107,9 +122,9 @@ impl SimScheduler for CfsLikeScheduler {
         queues.idlest()
     }
 
-    fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> RoundStats {
+    fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> FoldedStats {
         let _ = threads;
-        let mut stats = RoundStats::default();
+        let mut stats = FoldedStats::default();
         let core_ids: Vec<CoreId> = queues.cores().iter().map(|c| c.id).collect();
         for thief in core_ids {
             // Find the busiest core (optionally filtered through the buggy
@@ -142,12 +157,7 @@ impl SimScheduler for CfsLikeScheduler {
                         .map(|c| (c.id, c.nr_threads()));
                     if let Some((victim, load)) = local_busiest {
                         if load >= thief_load + self.imbalance_threshold {
-                            if queues.migrate_newest(victim, thief).is_some() {
-                                stats.successes += 1;
-                                stats.migrations += 1;
-                            } else {
-                                stats.failures += 1;
-                            }
+                            steal_newest(queues, victim, thief, &mut stats);
                         }
                     }
                     continue;
@@ -162,12 +172,7 @@ impl SimScheduler for CfsLikeScheduler {
                 .map(|c| (c.id, c.nr_threads()));
             if let Some((victim, load)) = busiest {
                 if load >= thief_load + self.imbalance_threshold {
-                    if queues.migrate_newest(victim, thief).is_some() {
-                        stats.successes += 1;
-                        stats.migrations += 1;
-                    } else {
-                        stats.failures += 1;
-                    }
+                    steal_newest(queues, victim, thief, &mut stats);
                 }
             }
         }

@@ -36,7 +36,7 @@ use sched_core::tracker::LoadTracker;
 use sched_core::{CoreId, TaskId};
 use sched_metrics::{IdleAccounting, LatencyRecorder};
 use sched_topology::MachineTopology;
-use sched_trace::{TraceEvent, TraceSink};
+use sched_trace::{FoldedStats, TraceEvent, TraceSink};
 use sched_workloads::{Phase, Workload};
 
 use crate::barrier::SimBarrier;
@@ -44,7 +44,7 @@ use crate::config::SimConfig;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::queues::CoreQueues;
 use crate::result::SimResult;
-use crate::scheduler::{RoundStats, SimScheduler};
+use crate::scheduler::SimScheduler;
 use crate::thread::{SimThread, SimThreadId, ThreadState};
 
 /// What the two engines disagree on: how a [`Machine`] keeps its calendar,
@@ -104,7 +104,7 @@ pub struct Machine<U: Upkeep> {
     pub(crate) now: u64,
     pub(crate) idle: IdleAccounting,
     latency: LatencyRecorder,
-    balance_stats: RoundStats,
+    balance_stats: FoldedStats,
     finished_count: usize,
     events_processed: u64,
     trace: TraceSink,
@@ -159,7 +159,7 @@ impl<U: Upkeep> Machine<U> {
         Machine {
             idle: IdleAccounting::new(nr_cores),
             latency: LatencyRecorder::new(),
-            balance_stats: RoundStats::default(),
+            balance_stats: FoldedStats::default(),
             queues,
             threads,
             barriers,
@@ -432,14 +432,14 @@ impl<U: Upkeep> Machine<U> {
 
     /// One machine-wide balancing round of the scheduler over the queues as
     /// they are.  Moves waiting threads only: the caller elects afterwards.
-    pub(crate) fn balance_round(&mut self) -> RoundStats {
+    pub(crate) fn balance_round(&mut self) -> FoldedStats {
         if self.trace.is_enabled() {
             self.trace
                 .record_now(CoreId(0), &TraceEvent::BalanceRound { round: self.balance_rounds });
         }
         self.balance_rounds += 1;
         let stats = self.scheduler.balance_round(&mut self.queues, &self.threads);
-        self.balance_stats.merge(stats);
+        self.balance_stats.merge(&stats);
         stats
     }
 }

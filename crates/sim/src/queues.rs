@@ -156,10 +156,10 @@ impl CoreQueues {
         self.cores.iter().any(SimCore::is_overloaded)
     }
 
-    /// Returns `true` if no core is idle while another is overloaded.
+    /// Returns `true` if no core is idle while another is overloaded
+    /// ([`sched_core::is_work_conserving`]).
     pub fn is_work_conserving(&self) -> bool {
-        let any_idle = self.cores.iter().any(SimCore::is_idle);
-        !(any_idle && self.any_overloaded())
+        sched_core::is_work_conserving(self.cores.iter().map(SimCore::nr_threads))
     }
 
     /// Appends `tid` to `core`'s runqueue (it does not start running; the

@@ -1,8 +1,7 @@
 //! Results of one simulation run.
 
 use sched_metrics::{IdleAccounting, LatencyRecorder};
-
-use crate::scheduler::RoundStats;
+use sched_trace::FoldedStats;
 
 /// Everything measured during one simulation run.
 #[derive(Debug, Clone)]
@@ -25,7 +24,7 @@ pub struct SimResult {
     /// Scheduling latency (runnable → running) distribution.
     pub latency: LatencyRecorder,
     /// Aggregated balancing outcomes.
-    pub balance: RoundStats,
+    pub balance: FoldedStats,
 }
 
 impl SimResult {
@@ -81,7 +80,7 @@ mod tests {
             events_processed: 0,
             idle: IdleAccounting::new(1),
             latency: LatencyRecorder::new(),
-            balance: RoundStats::default(),
+            balance: FoldedStats::default(),
         }
     }
 

@@ -23,51 +23,10 @@ use std::sync::Arc;
 use sched_core::tracker::{LoadTracker, NrThreadsTracker};
 use sched_core::{CoreId, CoreSnapshot, Policy, TaskId};
 use sched_topology::{MachineTopology, StealLevel};
-use sched_trace::{StealOutcomeKind, TraceEvent, TraceSink};
+use sched_trace::{FoldedStats, StealOutcomeKind, TraceEvent, TraceSink};
 
 use crate::queues::CoreQueues;
 use crate::thread::{SimThread, SimThreadId};
-
-/// Aggregate outcome of one machine-wide balancing round inside the
-/// simulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundStats {
-    /// Steal attempts that migrated a thread.
-    pub successes: u64,
-    /// Steal attempts that chose a victim but migrated nothing (stale
-    /// optimistic selection).
-    pub failures: u64,
-    /// Threads migrated.
-    pub migrations: u64,
-    /// Threads migrated per steal level, indexed by [`StealLevel::index`].
-    pub level_migrations: [u64; 4],
-}
-
-impl RoundStats {
-    /// Adds another round's counters into this one.
-    pub fn merge(&mut self, other: RoundStats) {
-        self.successes += other.successes;
-        self.failures += other.failures;
-        self.migrations += other.migrations;
-        for (mine, theirs) in self.level_migrations.iter_mut().zip(other.level_migrations) {
-            *mine += theirs;
-        }
-    }
-
-    /// Records one successful steal that migrated `moved` threads across
-    /// `level`.
-    pub fn record_steal(&mut self, level: StealLevel, moved: u64) {
-        self.successes += 1;
-        self.migrations += moved;
-        self.level_migrations[level.index()] += moved;
-    }
-
-    /// The per-level counts as a [`sched_metrics::StealLocality`], which
-    /// owns the locality-rate arithmetic (one definition for all backends).
-    pub fn locality(&self) -> sched_metrics::StealLocality {
-        sched_metrics::StealLocality::from_counts(self.level_migrations)
-    }
-}
 
 /// Distance class between two distinct cores: exact when a topology is
 /// known, node-based (same node vs remote) otherwise.
@@ -88,37 +47,21 @@ fn steal_level_of(
     }
 }
 
-/// Records the outcome of one simulated steal attempt on the thief's ring,
-/// using the engine-published clock ([`TraceSink::record_now`]): the
-/// attempt with the rule's count `k` and the number actually moved, then
-/// one [`TraceEvent::Migration`] per moved thread, which parity folding and
-/// the sanity checker consume.  Every failure class in the simulator is a
-/// stale optimistic selection, so failures map to
-/// [`StealOutcomeKind::RecheckFailed`] (matching how [`RoundStats`] folds
-/// them into one `failures` counter).
+/// Records one simulated steal attempt on the thief's ring, using the
+/// engine-published clock ([`TraceSink::record_now`]): the attempt the
+/// pass counted, then one [`TraceEvent::Migration`] per moved thread, which
+/// parity folding and the sanity checker consume.
 fn trace_steal(
     trace: &TraceSink,
     thief: CoreId,
     victim: CoreId,
-    k: usize,
+    attempt: &TraceEvent,
     moved: &[SimThreadId],
-    level: Option<StealLevel>,
 ) {
     if !trace.is_enabled() {
         return;
     }
-    let outcome =
-        if moved.is_empty() { StealOutcomeKind::RecheckFailed } else { StealOutcomeKind::Stole };
-    trace.record_now(
-        thief,
-        &TraceEvent::StealAttempt {
-            victim: Some(victim),
-            level,
-            outcome,
-            k: k as u32,
-            moved: moved.len() as u32,
-        },
-    );
+    trace.record_now(thief, attempt);
     for tid in moved {
         trace
             .record_now(thief, &TraceEvent::Migration { task: TaskId(tid.0 as u64), from: victim });
@@ -142,7 +85,7 @@ fn balance_pass(
     queues: &mut CoreQueues,
     threads: &[SimThread],
     admit: impl Fn(CoreId, CoreId) -> bool,
-) -> RoundStats {
+) -> FoldedStats {
     let snapshots = queues.snapshots(threads);
     let mut candidates = Vec::new();
     let mut plans: Vec<(CoreId, CoreId)> = Vec::new();
@@ -157,7 +100,7 @@ fn balance_pass(
             plans.push((thief.id, victim.id));
         }
     }
-    let mut stats = RoundStats::default();
+    let mut stats = FoldedStats::default();
     for (thief, victim) in plans {
         let live_thief = queues.snapshot(thief, threads);
         let live_victim = queues.snapshot(victim, threads);
@@ -183,13 +126,19 @@ fn balance_pass(
                 moved.push(tid);
             }
         }
-        let level = (!moved.is_empty()).then(|| steal_level_of(topo, &live_thief, &live_victim));
-        match level {
-            Some(level) => stats.record_steal(level, moved.len() as u64),
-            None => stats.failures += 1,
-        }
-        trace_steal(trace, thief, victim, k, &moved, level);
-        policy.choice.observe(thief, victim, level.is_some());
+        // Every failure class in the simulator is a stale optimistic
+        // selection, so a failed attempt is a re-check failure.
+        let stole = !moved.is_empty();
+        let attempt = TraceEvent::StealAttempt {
+            victim: Some(victim),
+            level: stole.then(|| steal_level_of(topo, &live_thief, &live_victim)),
+            outcome: if stole { StealOutcomeKind::Stole } else { StealOutcomeKind::RecheckFailed },
+            k: k as u32,
+            moved: moved.len() as u32,
+        };
+        stats.observe(&attempt);
+        trace_steal(trace, thief, victim, &attempt, &moved);
+        policy.choice.observe(thief, victim, stole);
     }
     stats
 }
@@ -224,7 +173,7 @@ pub trait SimScheduler: Send {
     /// Runs one machine-wide load-balancing round ("load balancing
     /// operations are performed simultaneously on all cores", §3.1),
     /// migrating waiting threads between runqueues.
-    fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> RoundStats;
+    fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> FoldedStats;
 
     /// Attaches a trace sink so the scheduler narrates its steal decisions
     /// ([`TraceEvent::StealAttempt`] / [`TraceEvent::Migration`]).  The
@@ -287,7 +236,7 @@ impl SimScheduler for OptimisticScheduler {
         queues.idlest()
     }
 
-    fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> RoundStats {
+    fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> FoldedStats {
         balance_pass(&self.policy, self.topo.as_deref(), &self.trace, queues, threads, |_, _| true)
     }
 
@@ -353,15 +302,15 @@ impl SimScheduler for HierarchicalScheduler {
         queues.idlest()
     }
 
-    fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> RoundStats {
-        let mut stats = RoundStats::default();
+    fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> FoldedStats {
+        let mut stats = FoldedStats::default();
         for level in StealLevel::ALL {
             if queues.is_work_conserving() {
                 break;
             }
             // One level-capped pass: the flat pass, admitting only victims
             // within `level` of their thief.
-            stats.merge(balance_pass(
+            stats.merge(&balance_pass(
                 &self.policy,
                 Some(&self.topo),
                 &self.trace,
@@ -440,7 +389,7 @@ mod tests {
         queues.enqueue(CoreId(2), SimThreadId(1));
         let stats = sched.balance_round(&mut queues, &table);
         assert_eq!(stats.successes, 1);
-        assert_eq!(stats.failures, 1);
+        assert_eq!(stats.failures(), 1);
     }
 
     /// 2 sockets × 2 cores × SMT-2 = 8 CPUs; cpu0's sibling is cpu1.
@@ -478,7 +427,7 @@ mod tests {
         let stats = sched.balance_round(&mut queues, &table);
         assert_eq!(stats.migrations, 1);
         assert_eq!(stats.level_migrations[StealLevel::SmtSibling.index()], 1);
-        assert_eq!(stats.locality().remote_rate(), 0.0);
+        assert_eq!(stats.remote_rate(), 0.0);
         assert!(queues.is_work_conserving());
     }
 
@@ -494,12 +443,12 @@ mod tests {
         for i in 1..12 {
             queues.enqueue(CoreId(0), SimThreadId(i));
         }
-        let mut total = RoundStats::default();
+        let mut total = FoldedStats::default();
         for _ in 0..16 {
             if queues.is_work_conserving() {
                 break;
             }
-            total.merge(sched.balance_round(&mut queues, &table));
+            total.merge(&sched.balance_round(&mut queues, &table));
         }
         assert!(queues.is_work_conserving());
         assert_eq!(queues.total_threads(), 12);

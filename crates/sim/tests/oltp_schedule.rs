@@ -35,7 +35,7 @@ impl Pinned {
             events_processed: result.events_processed,
             makespan_ns: result.makespan_ns,
             successes: result.balance.successes,
-            failures: result.balance.failures,
+            failures: result.balance.failures(),
             migrations: result.balance.migrations,
             latency_samples: result.latency.count(),
         }

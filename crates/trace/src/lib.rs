@@ -12,10 +12,12 @@
 //!
 //! Three consumers read the stream:
 //!
-//! * [`fold`] re-derives the aggregate counters (`BalanceStats` /
-//!   `RoundStats`) from the events alone, so a parity test can pin
-//!   `stats == fold(trace)` and the counters stop being a second source of
-//!   truth;
+//! * [`fold`] re-derives the steal tally, [`FoldedStats`], from the events
+//!   alone.  It is also the type every substrate's live counters hold, and
+//!   [`FoldedStats::of`] decides for both sides which counter an attempt
+//!   moves, so a parity test pins `stats == fold(trace)` as one whole-struct
+//!   comparison and the counters stop being a second source of truth;
+//!   [`locality`] reads its per-level migrations as a remote-steal rate;
 //! * [`sanity`] folds the stream *incrementally* and flags invariant
 //!   violations — idle-while-overloaded windows, steals that invert the
 //!   imbalance they were sized against, lost or duplicated task ids —
@@ -34,6 +36,7 @@
 
 pub mod event;
 pub mod fold;
+pub mod locality;
 pub mod perfetto;
 pub mod ring;
 pub mod sanity;

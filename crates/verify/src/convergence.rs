@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sched_core::{Balancer, ConcurrentRound, LoadMetric, SystemState};
+use sched_core::{is_work_conserving, Balancer, ConcurrentRound, LoadMetric, SystemState};
 
 use crate::counterexample::Counterexample;
 use crate::enumerate::configurations;
@@ -73,12 +73,6 @@ pub struct ConvergenceAnalysis {
 
 fn loads_of(system: &SystemState) -> Vec<u64> {
     system.loads(LoadMetric::NrThreads)
-}
-
-fn is_wc(loads: &[u64]) -> bool {
-    let any_idle = loads.contains(&0);
-    let any_overloaded = loads.iter().any(|&l| l >= 2);
-    !(any_idle && any_overloaded)
 }
 
 /// Computes every state reachable from `loads` after exactly one concurrent
@@ -173,7 +167,7 @@ enum SearchOutcome {
 
 impl<'a> Search<'a> {
     fn dfs(&mut self, loads: Vec<u64>) -> SearchOutcome {
-        if is_wc(&loads) {
+        if is_work_conserving(loads.iter().copied()) {
             return SearchOutcome::Depth(0);
         }
         match self.marks.get(&loads) {
@@ -232,7 +226,7 @@ pub fn analyze_convergence(
     let mut max_rounds = 0usize;
     for loads in configurations(scope) {
         let loads: Vec<u64> = loads.iter().map(|&l| l as u64).collect();
-        if is_wc(&loads) {
+        if is_work_conserving(loads.iter().copied()) {
             continue;
         }
         match search.dfs(loads.clone()) {
@@ -304,7 +298,10 @@ mod tests {
         // Every state along the cycle keeps an idle core next to an
         // overloaded core.
         for state in &witness.cycle {
-            assert!(!is_wc(state), "cycle state {state:?} should violate work conservation");
+            assert!(
+                !is_work_conserving(state.iter().copied()),
+                "cycle state {state:?} should violate work conservation"
+            );
         }
         assert!(witness.cycle.len() >= 2);
     }
@@ -328,9 +325,9 @@ mod tests {
 
     #[test]
     fn wc_predicate_on_load_vectors() {
-        assert!(is_wc(&[1, 1]));
-        assert!(is_wc(&[0, 1]));
-        assert!(is_wc(&[5, 3]));
-        assert!(!is_wc(&[0, 2]));
+        assert!(is_work_conserving([1, 1]));
+        assert!(is_work_conserving([0, 1]));
+        assert!(is_work_conserving([5, 3]));
+        assert!(!is_work_conserving([0, 2]));
     }
 }

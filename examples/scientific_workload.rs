@@ -47,7 +47,7 @@ fn run() {
             result.makespan_ms(),
             result.violating_idle_fraction() * 100.0,
             result.balance.successes,
-            result.balance.failures,
+            result.balance.failures(),
         );
     }
     println!(

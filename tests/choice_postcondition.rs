@@ -111,7 +111,7 @@ fn on_the_simulator(policy: Policy) {
     queues.set_current(CoreId(3), Some(SimThreadId(3)));
     // Cores 0, 2 and 3 all plan to steal from core 1, which has two to give.
     let stats = OptimisticScheduler::new(policy).balance_round(&mut queues, &table);
-    assert_eq!((stats.successes, stats.failures), (2, 1));
+    assert_eq!((stats.successes, stats.failures()), (2, 1));
     assert!(queues.is_work_conserving());
     assert_eq!(queues.total_threads(), 4);
 }

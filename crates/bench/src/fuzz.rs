@@ -30,6 +30,7 @@ use sched_dsl::{
     Batch, Burst, Driver, Invariant, PolicyRecipe, Scenario, Storm, Topology, WorkloadKind,
 };
 
+use sched_core::{splitmix64, SPLITMIX64_GAMMA};
 use sched_trace::{SanityChecker, SanityKind, SanityViolation, Trace};
 
 use crate::runner::{
@@ -106,8 +107,8 @@ impl FuzzReport {
     }
 }
 
-/// splitmix64: tiny, seedable, statistically fine for scenario generation,
-/// and dependency-free.
+/// A [`splitmix64`] stream: tiny, seedable, statistically fine for scenario
+/// generation, and dependency-free.
 struct Rng(u64);
 
 impl Rng {
@@ -116,11 +117,9 @@ impl Rng {
     }
 
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let state = self.0;
+        self.0 = state.wrapping_add(SPLITMIX64_GAMMA);
+        splitmix64(state)
     }
 
     /// Uniform-ish value in `0..n` (`n > 0`).

@@ -1163,8 +1163,11 @@ impl Backend for RqSpillDequeBackend {
 pub struct ExecBackend;
 
 /// Ring capacity of the executor backend's per-worker runqueues: far past
-/// any queue depth the catalogued open-loop rungs can build, so `dropped`
-/// overflow never pollutes a latency measurement.
+/// any queue depth the catalogued open-loop rungs can build, so every
+/// request stays on the lock-free ring.  Overflow is never lost — it goes to
+/// the shared injector — but an injector resident waits behind newer ring
+/// arrivals until the ring drains, and its push takes the injector's lock;
+/// neither belongs in the latency e26's rungs measure.
 const EXEC_RING_CAPACITY: usize = 1 << 16;
 
 impl Backend for ExecBackend {

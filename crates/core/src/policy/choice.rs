@@ -66,9 +66,9 @@ impl ChoicePolicy for MaxLoadChoice {
 
 /// Picks a pseudo-random candidate from a deterministic internal stream.
 ///
-/// The stream is a splitmix64 generator seeded at construction, so runs are
-/// reproducible; randomness models policies that deliberately spread stealing
-/// pressure across victims.
+/// The stream is a [`crate::splitmix64`] generator seeded at construction, so
+/// runs are reproducible; randomness models policies that deliberately spread
+/// stealing pressure across victims.
 #[derive(Debug)]
 pub struct RandomChoice {
     state: AtomicU64,
@@ -77,16 +77,11 @@ pub struct RandomChoice {
 impl RandomChoice {
     /// Creates the policy with the given seed.
     pub fn new(seed: u64) -> Self {
-        RandomChoice { state: AtomicU64::new(seed.wrapping_add(0x9E37_79B9_7F4A_7C15)) }
+        RandomChoice { state: AtomicU64::new(seed) }
     }
 
     fn next(&self) -> u64 {
-        // splitmix64: a full-period 64-bit mixer; good enough to spread
-        // victim selection, not meant to be cryptographic.
-        let mut z = self.state.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        crate::splitmix64(self.state.fetch_add(crate::SPLITMIX64_GAMMA, Ordering::Relaxed))
     }
 }
 

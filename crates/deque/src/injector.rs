@@ -40,7 +40,7 @@
 //! removes it, so a thief that observed residents but found the queue empty
 //! under the lock lost a race to a **concurrent successful claim** — that
 //! attempt returns [`Steal::Retry`], never a false [`Steal::Empty`].
-//! `sched-verify`'s injector lemmas pin this deterministically through the
+//! This module's tests pin this deterministically through the
 //! probe hooks ([`Injector::steal_with_probe`], [`Injector::push_with_probe`],
 //! [`Injector::steal_batch_with_probe`]), which force the adversarial
 //! interleaving instead of hoping the OS preempts between the counter read
@@ -151,9 +151,8 @@ impl Injector {
     ///
     /// Whatever the probe does (steal, push, read `len`), the element being
     /// pushed is not yet counted and not yet claimable: publication is
-    /// atomic from every observer's point of view.  The injector lemmas in
-    /// `sched-verify` use this to check the push linearization point
-    /// deterministically.
+    /// atomic from every observer's point of view.  This module's tests use
+    /// it to check the push linearization point deterministically.
     pub fn push_with_probe(&self, value: u64, probe: impl FnOnce()) {
         probe();
         let mut chain = self.lock();
@@ -197,8 +196,8 @@ impl Injector {
     /// window the `Retry` contract is about.
     ///
     /// A probe that performs a rival claim forces this attempt to observe
-    /// the loss and report [`Steal::Retry`]; `sched-verify` uses the hook to
-    /// check "retry implies concurrent success" on forced interleavings.
+    /// the loss and report [`Steal::Retry`]; this module's tests use the hook
+    /// to check "retry implies concurrent success" on forced interleavings.
     pub fn steal_with_probe(&self, probe: impl FnOnce()) -> Steal {
         if self.len.load(Ordering::Acquire) == 0 {
             return Steal::Empty;
@@ -449,27 +448,39 @@ mod tests {
         assert_eq!(inj.steal(), Steal::Stolen(7));
     }
 
+    /// `producers` threads push `per_producer` elements each while
+    /// `thieves` claim.  Producer 0 owns a 4-slot ring and overflows into
+    /// the injector, the way `sched-rq`'s `DequeRq` does; the others push
+    /// to the injector directly.  Thieves claim from the ring first and
+    /// the injector when the ring is empty, the runqueue's claim order.
     fn storm(producers: usize, thieves: usize, per_producer: u64) {
         let inj = Injector::new();
+        let (mut ring, stealer) = crate::deque(4);
         let start = AtomicBool::new(false);
         let total_claimed = AtomicU64::new(0);
         let mut claims: Vec<u64> = Vec::new();
         std::thread::scope(|scope| {
+            let mut owner = Some(&mut ring);
             for p in 0..producers {
                 let inj = &inj;
                 let start = &start;
+                let mut ring = owner.take();
                 scope.spawn(move || {
                     while !start.load(Ordering::Acquire) {
                         std::hint::spin_loop();
                     }
                     for i in 0..per_producer {
-                        inj.push(p as u64 * per_producer + i);
+                        let v = p as u64 * per_producer + i;
+                        if ring.as_mut().is_none_or(|ring| ring.push(v).is_err()) {
+                            inj.push(v);
+                        }
                     }
                 });
             }
             let handles: Vec<_> = (0..thieves)
                 .map(|_| {
                     let inj = &inj;
+                    let stealer = stealer.clone();
                     let start = &start;
                     let total_claimed = &total_claimed;
                     let target = producers as u64 * per_producer;
@@ -483,7 +494,11 @@ mod tests {
                         // so thieves run until the *global* claim count says
                         // every pushed element found an owner.
                         while total_claimed.load(Ordering::Acquire) < target {
-                            if let Steal::Stolen(v) = inj.steal() {
+                            let outcome = match stealer.steal() {
+                                Steal::Empty => inj.steal(),
+                                other => other,
+                            };
+                            if let Steal::Stolen(v) = outcome {
                                 got.push(v);
                                 total_claimed.fetch_add(1, Ordering::AcqRel);
                             }
@@ -500,7 +515,7 @@ mod tests {
         claims.sort_unstable();
         let expected: Vec<u64> = (0..producers as u64 * per_producer).collect();
         assert_eq!(claims, expected, "every element claimed exactly once");
-        assert!(inj.is_empty());
+        assert!(inj.is_empty() && stealer.is_empty());
     }
 
     #[test]

@@ -13,13 +13,37 @@
 //!   the thieves' CAS race on `top`.
 //! * **Thieves** claim elements at the *top* with a single
 //!   compare-and-swap.  A successful CAS *is* the steal's linearization
-//!   point: `top` only ever grows, each value of `top` is CASed away at
-//!   most once, so every element is claimed by exactly one party — no task
-//!   duplicated, no task lost.
-//! * A **failed** CAS means another CAS on `top` succeeded in between —
-//!   i.e. a concurrent steal (or the owner's last-element take) claimed an
-//!   element.  This is the paper's property P1, reproduced at the
-//!   instruction level: failures imply concurrent successes.
+//!   point.
+//!
+//! # The atomicity argument
+//!
+//! The mutex backend's argument is "both runqueue locks are held, so the
+//! re-check and the dequeue are one critical section".  Here one CAS on
+//! `top` replaces the locks, and the argument becomes four points:
+//!
+//! 1. **Exclusivity** — `top` only grows, through successful CASes, and
+//!    each value of `top` is CASed away at most once, so every element is
+//!    claimed by exactly one party: *no task is duplicated*.
+//! 2. **Conservation** — a claim removes exactly the element(s) at the old
+//!    `top` and hands them to exactly one claimant, so pushes = claims +
+//!    residue: *no task is lost*.
+//! 3. **P1 for CASes** — a failed CAS means `top` moved, and `top` only
+//!    moves through someone else's successful claim (another thief, or the
+//!    owner's last-element take): *failures imply concurrent successes*,
+//!    the paper's §4.3 property P1 at the instruction level.
+//! 4. **Work conservation** — because claims neither lose nor duplicate
+//!    tasks, the balancing layer's work-conservation reasoning (which only
+//!    needs a steal to move real tasks from victim to thief) carries over
+//!    unchanged; `MultiQueue<DequeRq>`'s convergence tests pin the
+//!    end-to-end statement.
+//!
+//! This crate's tests are where each point is checked.  The probe hooks
+//! ([`Stealer::steal_with_probe`], [`Stealer::steal_many_with_probe`],
+//! [`Worker::pop_with_probe`], [`Worker::pop_with_window_probe`] and the
+//! injector's) force an adversarial interleaving deterministically, so a
+//! check does not depend on the OS preempting at the right instruction —
+//! essential on single-CPU runners; `tests/steal_races.rs` hammers the
+//! same windows with real threads and exact accounting.
 //!
 //! # Design choices
 //!
@@ -96,8 +120,9 @@
 //! Either way no element is claimed by both parties.  The load order is
 //! load-bearing: reading `top` before `reserved` re-opens a window where
 //! an entire batch (reserve → CAS → clear) commits between the two loads
-//! and the pop sees both a stale `top` and a cleared reservation —
-//! `lemmas::cas` forces exactly that straddle deterministically via
+//! and the pop sees both a stale `top` and a cleared reservation — the
+//! `a_pop_straddled_by_a_committed_batch_stays_exclusive` test forces
+//! exactly that straddle deterministically via
 //! [`Worker::pop_with_window_probe`].
 //!
 //! The reservation bound is cleared through a drop guard, so it cannot
@@ -292,8 +317,8 @@ impl Worker {
     /// pop's `reserved` load and its `top` load — the window in which a
     /// batch claim can run to completion (reserve → CAS → clear) entirely
     /// inside one pop.  The pop must still observe the batch's advanced
-    /// `top` (the load-order argument in the module docs); `lemmas::cas`
-    /// uses this hook to force that straddle deterministically.
+    /// `top` (the load-order argument in the module docs); the straddle
+    /// test in this crate uses this hook to force that interleaving.
     ///
     /// The probe may fire once per retry of the pop's back-off loop, hence
     /// `FnMut`.
@@ -395,9 +420,9 @@ impl Stealer {
     /// steal-atomicity argument is about.
     ///
     /// Whatever the probe does concurrently (steal, pop, push), the CAS
-    /// still claims exclusively or fails: `sched-verify`'s CAS lemmas use
-    /// this to check the race *deterministically* instead of hoping the
-    /// OS scheduler preempts at the right instruction.
+    /// still claims exclusively or fails: this crate's race tests use it
+    /// to check the race *deterministically* instead of hoping the OS
+    /// scheduler preempts at the right instruction.
     pub fn steal_with_probe(&self, probe: impl FnOnce()) -> Steal {
         let inner = &self.inner;
         let t = inner.top.load(Ordering::Acquire);
@@ -442,7 +467,7 @@ impl Stealer {
 
     /// [`Stealer::steal_many`] with a verification probe injected between
     /// the batched slot reads and the claiming CAS — the multi-claim
-    /// window `sched-verify`'s batch lemmas force interleavings into.
+    /// window this crate's batch race tests force interleavings into.
     pub fn steal_many_with_probe(&self, k: usize, probe: impl FnOnce()) -> StealMany {
         let mut values = Vec::new();
         match self.claim_many(k, &mut values, probe) {
@@ -533,6 +558,7 @@ impl Stealer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn lifo_for_the_owner_fifo_for_thieves() {
@@ -726,8 +752,10 @@ mod tests {
         // A whole batch (reserve -> CAS -> clear) runs between the pop's
         // `reserved` load and its `top` load: the pop's later `top` load
         // must see the batch's claim, so the parties partition the deque.
-        // (With the loads in the reverse order the pop would see a stale
-        // `top` and a cleared reservation and double-claim.)
+        // The batch starts after the pop lowered `bottom`, so it shrinks
+        // below the popped index (case 1 of the module docs) and this test
+        // passes under either load order; the straddle that needs
+        // `reserved` before `top` is the next test.
         let (mut w, s) = deque(8);
         for v in 0..3 {
             w.push(v).unwrap();
@@ -743,6 +771,54 @@ mod tests {
         // pop then won the last-element race on 2.
         assert_eq!(batch, Some(StealMany::Stolen(vec![0, 1])));
         assert_eq!(got, Some(2));
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn a_pop_straddled_by_a_committed_batch_stays_exclusive() {
+        // The interleaving the batch reservation's case analysis turns on:
+        // the batch reserves and reads its slots against `bottom = 3`
+        // *before* the pop lowers `bottom`, then commits (CAS -> clear)
+        // entirely inside the pop's `reserved`-to-`top` window.  Neither
+        // the shrink (the batch never re-reads `bottom`) nor the back-off
+        // (the reservation is cleared by the time it matters) protects
+        // index 2; only the pop's load order does.  Loading `top` first,
+        // the pop would see a stale `top` and a cleared reservation and
+        // hand out element 2 a second time.
+        let (mut w, s) = deque(8);
+        for v in 0..3 {
+            w.push(v).unwrap();
+        }
+        let thief_staged = AtomicBool::new(false);
+        let owner_in_window = AtomicBool::new(false);
+        let batch_done = AtomicBool::new(false);
+        let wait = |flag: &AtomicBool| {
+            while !flag.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+        };
+        let (batch, popped) = std::thread::scope(|scope| {
+            let thief = scope.spawn(|| {
+                // Parked one step short of its CAS until the owner sits
+                // inside its window.
+                let out = s.steal_many_with_probe(3, || {
+                    thief_staged.store(true, Ordering::Release);
+                    wait(&owner_in_window);
+                });
+                batch_done.store(true, Ordering::Release);
+                out
+            });
+            wait(&thief_staged);
+            // Parked inside the window until the batch has committed and
+            // cleared its reservation.
+            let popped = w.pop_with_window_probe(|| {
+                owner_in_window.store(true, Ordering::Release);
+                wait(&batch_done);
+            });
+            (thief.join().unwrap(), popped)
+        });
+        assert_eq!(batch, StealMany::Stolen(vec![0, 1, 2]));
+        assert_eq!(popped, None, "the pop must observe the batch's advanced `top`");
         assert!(s.is_empty());
     }
 

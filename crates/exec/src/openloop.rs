@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sched_core::{splitmix64, SPLITMIX64_GAMMA};
 use sched_metrics::Histogram;
 
 use crate::executor::Executor;
@@ -112,7 +113,7 @@ impl OpenLoopSpec {
     /// The deterministic arrival schedule this spec describes.
     pub fn arrivals(&self) -> ArrivalStream {
         ArrivalStream {
-            state: self.seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
+            state: self.seed,
             next_at_ns: 0.0,
             gap_ns: 1e9 / (self.rate_hz.max(1) as f64),
             horizon_ns: self.duration_ms.saturating_mul(1_000_000),
@@ -157,13 +158,11 @@ pub struct ArrivalStream {
 }
 
 impl ArrivalStream {
-    /// splitmix64, matching the repo's other seeded streams.
+    /// The next [`splitmix64`] draw, the workspace's one seeded stream.
     fn next_u64(&mut self) -> u64 {
-        let mut z = self.state;
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let state = self.state;
+        self.state = state.wrapping_add(SPLITMIX64_GAMMA);
+        splitmix64(state)
     }
 }
 

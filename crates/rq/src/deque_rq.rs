@@ -1027,34 +1027,38 @@ mod tests {
         // returns — no refresh, no owner assistance.  (The old contract,
         // "the spill is invisible to thieves until a refresh", is the bug
         // this backend used to have; `SpillQueue` keeps it reproducible as
-        // E22's baseline, see the next test.)
-        let clock = Arc::new(AtomicU64::new(0));
-        let q = DequeRq::with_queue_capacity(
-            CoreId(0),
-            NodeId(0),
-            Arc::new(NrThreadsTracker),
-            clock,
-            4,
-        );
-        // 1 running + 4 in the ring + 3 in the injector.
-        for i in 0..8 {
-            q.enqueue(RqTask::new(TaskId(i)));
-        }
-        assert_eq!(q.nr_threads_exact(), 8, "overflowed tasks are still counted");
-        assert_eq!(q.injected_len(), 3, "the ring held 4; the rest overflowed");
-        // Every waiting task — ring or injector — is stealable right now.
+        // E22's baseline, see the next test.)  Every storm size, from a ring
+        // that just fits to one that overflows sixteenfold.
         let filter = sched_core::policy::DeltaFilter::new(sched_core::LoadMetric::NrThreads, 1);
-        let thieves: Vec<DequeRq> = (1..=7).map(rq).collect();
-        for thief in thieves.iter().take(7) {
-            assert!(
-                DequeRq::try_steal_recorded(thief, &q, &filter, 1, None).is_success(),
-                "no waiting task may hide from thieves, wherever it is parked"
+        for overflow in [0u64, 1, 3, 64] {
+            let clock = Arc::new(AtomicU64::new(0));
+            let q = DequeRq::with_queue_capacity(
+                CoreId(0),
+                NodeId(0),
+                Arc::new(NrThreadsTracker),
+                clock,
+                4,
             );
+            // 1 running + 4 in the ring + `overflow` in the injector.
+            let total = 5 + overflow;
+            for i in 0..total {
+                q.enqueue(RqTask::new(TaskId(i)));
+            }
+            assert_eq!(q.nr_threads_exact(), total, "overflowed tasks are still counted");
+            assert_eq!(q.injected_len() as u64, overflow, "the ring held 4; the rest overflowed");
+            // Every waiting task — ring or injector — is stealable right now.
+            let thieves: Vec<DequeRq> = (1..total as usize).map(rq).collect();
+            for thief in &thieves {
+                assert!(
+                    DequeRq::try_steal_recorded(thief, &q, &filter, 1, None).is_success(),
+                    "no waiting task may hide from thieves, wherever it is parked"
+                );
+            }
+            assert_eq!(q.injected_len(), 0);
+            assert_eq!(q.nr_threads_exact(), 1, "only the (unstealable) running task remains");
+            let resident: u64 = thieves.iter().map(DequeRq::nr_threads_exact).sum();
+            assert_eq!(q.nr_threads_exact() + resident, total, "nothing lost");
         }
-        assert_eq!(q.injected_len(), 0);
-        assert_eq!(q.nr_threads_exact(), 1, "only the (unstealable) running task remains");
-        let resident: u64 = thieves.iter().map(DequeRq::nr_threads_exact).sum();
-        assert_eq!(q.nr_threads_exact() + resident, 8, "nothing lost");
     }
 
     #[test]

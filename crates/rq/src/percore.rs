@@ -8,6 +8,7 @@ use sched_core::tracker::{LoadTracker, NrThreadsTracker, TrackedLoad};
 use sched_core::{CoreId, CoreSnapshot, TaskId};
 use sched_topology::NodeId;
 
+use crate::backend::RqBackend;
 use crate::entity::RqTask;
 use crate::fifo::FifoQueue;
 use crate::published::PublishedLoad;
@@ -57,44 +58,11 @@ pub struct PerCoreRq<Q: TaskQueue = FifoQueue> {
     clock: Arc<AtomicU64>,
 }
 
-impl<Q: TaskQueue> PerCoreRq<Q> {
+impl<Q: TaskQueue + 'static> PerCoreRq<Q> {
     /// Creates an empty runqueue for core `id` on `node`, tracking
     /// instantaneous thread counts.
     pub fn new(id: CoreId, node: NodeId) -> Self {
         Self::with_tracker(id, node, Arc::new(NrThreadsTracker), Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Creates an empty runqueue maintaining its load under `tracker`,
-    /// reading elapsed time from the shared `clock`.
-    pub fn with_tracker(
-        id: CoreId,
-        node: NodeId,
-        tracker: Arc<dyn LoadTracker>,
-        clock: Arc<AtomicU64>,
-    ) -> Self {
-        PerCoreRq {
-            id,
-            node,
-            inner: Mutex::new(RqInner::default()),
-            published: PublishedLoad::new(),
-            tracker,
-            clock,
-        }
-    }
-
-    /// The core this runqueue belongs to.
-    pub fn id(&self) -> CoreId {
-        self.id
-    }
-
-    /// The NUMA node of the core.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The load criterion this runqueue is maintained under.
-    pub fn tracker(&self) -> &Arc<dyn LoadTracker> {
-        &self.tracker
     }
 
     /// Takes the runqueue lock.  Callers that mutate the state through the
@@ -125,16 +93,49 @@ impl<Q: TaskQueue> PerCoreRq<Q> {
             inner.tracked.scaled,
         );
     }
+}
 
-    /// Lock-less, possibly stale observation of this runqueue: the only
-    /// thing the selection phase is allowed to read.
-    pub fn snapshot(&self) -> CoreSnapshot {
+/// The mutex discipline, as a [`RqBackend`]: every mutation under the
+/// per-core lock, stealing via the ordered double-lock of
+/// [`crate::steal::try_steal_recorded`].
+impl<Q: TaskQueue + 'static> RqBackend for PerCoreRq<Q> {
+    fn with_tracker(
+        id: CoreId,
+        node: NodeId,
+        tracker: Arc<dyn LoadTracker>,
+        clock: Arc<AtomicU64>,
+    ) -> Self {
+        PerCoreRq {
+            id,
+            node,
+            inner: Mutex::new(RqInner::default()),
+            published: PublishedLoad::new(),
+            tracker,
+            clock,
+        }
+    }
+
+    fn backend_name() -> &'static str {
+        "mutex"
+    }
+
+    fn id(&self) -> CoreId {
+        self.id
+    }
+
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn tracker(&self) -> &Arc<dyn LoadTracker> {
+        &self.tracker
+    }
+
+    fn snapshot(&self) -> CoreSnapshot {
         self.published.snapshot(self.id, self.node)
     }
 
-    /// Makes `task` runnable on this core: it starts running immediately if
-    /// the core was idle, otherwise it queues.
-    pub fn enqueue(&self, task: RqTask) {
+    fn enqueue(&self, task: RqTask) {
         let mut inner = self.lock();
         if inner.current.is_none() {
             inner.current = Some(task);
@@ -144,8 +145,7 @@ impl<Q: TaskQueue> PerCoreRq<Q> {
         self.republish(&mut inner);
     }
 
-    /// Elects the next task to run if the core has none, returning its id.
-    pub fn pick_next(&self) -> Option<TaskId> {
+    fn pick_next(&self) -> Option<TaskId> {
         let mut inner = self.lock();
         if inner.current.is_none() {
             if let Some(next) = inner.queue.pop_next() {
@@ -158,9 +158,7 @@ impl<Q: TaskQueue> PerCoreRq<Q> {
         None
     }
 
-    /// Removes the running task (e.g. it exited or blocked), electing a
-    /// successor from the queue if one is waiting.  Returns the removed task.
-    pub fn complete_current(&self) -> Option<RqTask> {
+    fn complete_current(&self) -> Option<RqTask> {
         let mut inner = self.lock();
         let done = inner.current.take();
         if let Some(next) = inner.queue.pop_next() {
@@ -170,59 +168,9 @@ impl<Q: TaskQueue> PerCoreRq<Q> {
         done
     }
 
-    /// Number of threads currently on the core (taken under the lock, exact).
-    pub fn nr_threads_exact(&self) -> u64 {
-        self.lock().nr_threads()
-    }
-}
-
-/// The mutex discipline, as a [`crate::RqBackend`]: every mutation under
-/// the per-core lock, stealing via the ordered double-lock of
-/// [`crate::steal::try_steal_recorded`].
-impl<Q: TaskQueue + 'static> crate::backend::RqBackend for PerCoreRq<Q> {
-    fn with_tracker(
-        id: CoreId,
-        node: NodeId,
-        tracker: Arc<dyn LoadTracker>,
-        clock: Arc<AtomicU64>,
-    ) -> Self {
-        PerCoreRq::with_tracker(id, node, tracker, clock)
-    }
-
-    fn backend_name() -> &'static str {
-        "mutex"
-    }
-
-    fn id(&self) -> CoreId {
-        PerCoreRq::id(self)
-    }
-
-    fn node(&self) -> NodeId {
-        PerCoreRq::node(self)
-    }
-
-    fn tracker(&self) -> &Arc<dyn LoadTracker> {
-        PerCoreRq::tracker(self)
-    }
-
-    fn snapshot(&self) -> CoreSnapshot {
-        PerCoreRq::snapshot(self)
-    }
-
-    fn enqueue(&self, task: RqTask) {
-        PerCoreRq::enqueue(self, task);
-    }
-
-    fn pick_next(&self) -> Option<TaskId> {
-        PerCoreRq::pick_next(self)
-    }
-
-    fn complete_current(&self) -> Option<RqTask> {
-        PerCoreRq::complete_current(self)
-    }
-
+    /// Taken under the lock: exact.
     fn nr_threads_exact(&self) -> u64 {
-        PerCoreRq::nr_threads_exact(self)
+        self.lock().nr_threads()
     }
 
     fn refresh(&self) {

@@ -12,6 +12,7 @@ use sched_core::{CoreId, CoreSnapshot, FilterPolicy, StealOutcome};
 use sched_topology::StealLevel;
 use sched_trace::{TraceEvent, TraceSink};
 
+use crate::backend::RqBackend;
 use crate::percore::{PerCoreRq, RqInner};
 use crate::stats::BalanceStats;
 use crate::TaskQueue;
@@ -78,7 +79,10 @@ impl<'a> StealRecorder<'a> {
 }
 
 /// Builds a live snapshot of a locked runqueue.
-pub(crate) fn snapshot_locked<Q: TaskQueue>(rq: &PerCoreRq<Q>, inner: &RqInner<Q>) -> CoreSnapshot {
+pub(crate) fn snapshot_locked<Q: TaskQueue + 'static>(
+    rq: &PerCoreRq<Q>,
+    inner: &RqInner<Q>,
+) -> CoreSnapshot {
     CoreSnapshot {
         id: rq.id(),
         node: rq.node(),
@@ -110,7 +114,7 @@ pub(crate) fn snapshot_locked<Q: TaskQueue>(rq: &PerCoreRq<Q>, inner: &RqInner<Q
 ///
 /// Panics if `thief` and `victim` are the same core, which would be a
 /// balancer bug (the filter never selects the thief itself).
-pub fn try_steal_recorded<Q: TaskQueue>(
+pub fn try_steal_recorded<Q: TaskQueue + 'static>(
     thief: &PerCoreRq<Q>,
     victim: &PerCoreRq<Q>,
     filter: &dyn FilterPolicy,

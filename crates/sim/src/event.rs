@@ -22,7 +22,7 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use sched_core::CoreId;
+use sched_core::{splitmix64, CoreId};
 
 use crate::thread::SimThreadId;
 
@@ -63,13 +63,6 @@ pub enum OrderingPolicy {
     Priority,
     /// Seeded pseudo-random permutation of simultaneous events.
     Seeded(u64),
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl OrderingPolicy {

@@ -11,38 +11,25 @@
 //! | [`equivalence`] | §1 (one DSL text, compiled to proof and code) | Two policies balance the same load view, build the same candidate list, choose the same victim and size the same steal from every state of the scope, for every thief. |
 //! | [`hierarchy`] | §5 | A steal at one topology level leaves the per-level potential unchanged at that level and coarser, and hierarchical rounds stay work-conserving. |
 //! | [`decay`] | §3.1 ("no assumption on the criteria") | A steady tracked load converges geometrically to the instantaneous load, and balancing on any monotone tracker preserves work conservation given settling ticks. |
-//! | [`cas`] | §3.1, restated for the lock-free backend | On the Chase–Lev steal path, a successful CAS claims exclusively (no task duplicated or lost) and a failed CAS implies a concurrent claim (P1), checked on *forced* interleavings via probes and under scoped-thread stress — including the **multi-claim** `steal_many` path, where one CAS moves `top` by a whole batch racing owner pops and rival thieves. |
-//! | [`injector`] | work conservation across ring overflow | Overflowed work routed to the shared injector is counted **and** stealable (never simultaneously visible to balancing and invisible to thieves), an injector `Retry` implies a concurrent successful claim (P1 on the overflow path, via probes), and overflow storms neither lose nor duplicate work under scoped-thread stress. |
 //!
 //! The concurrent convergence check (bounded failures + the §3.2 `∃N`) is in
 //! [`crate::convergence`], since it explores multi-round executions rather
 //! than a single round.
 
-pub mod cas;
 pub mod decay;
 pub mod equivalence;
 pub mod failure;
 pub mod hierarchy;
-pub mod injector;
 pub mod lemma1;
 pub mod potential;
 pub mod seq_wc;
 pub mod steal_size;
 pub mod steal_sound;
 
-pub use cas::{
-    check_cas_failure_implies_concurrent_success, check_cas_single_element_winner,
-    check_cas_steal_exclusivity, check_multi_claim_exclusivity,
-    check_multi_claim_failure_implies_concurrent_success, check_pop_straddling_batch_commit,
-};
 pub use decay::{check_decay_convergence, check_tracked_work_conservation};
 pub use equivalence::{check_equivalence, equivalence_states};
 pub use failure::check_failure_implies_concurrent_success;
 pub use hierarchy::{check_hierarchical_work_conservation, check_level_potential_invariance};
-pub use injector::{
-    check_injector_conservation_under_storm, check_injector_retry_implies_concurrent_claim,
-    check_injector_visibility,
-};
 pub use lemma1::check_lemma1;
 pub use potential::check_potential_decreases;
 pub use seq_wc::check_sequential_work_conservation;

@@ -13,7 +13,6 @@ use optimistic_sched::rq::{
     DequeMultiQueue, MultiQueue, PerCoreRq, RqBackend as _, SpillQueue, TinyDequeMultiQueue,
     TINY_RING_CAPACITY,
 };
-use optimistic_sched::verify::lemmas;
 use proptest::prelude::*;
 
 /// The `delta >= 1` sweep policy of the e22 invariant: an idle core may
@@ -122,44 +121,6 @@ fn empty_steal_reports_failure_not_phantom_work() {
     let outcome = mq.balance_once(CoreId(0), &policy);
     assert!(!outcome.is_success());
     assert_eq!(mq.total_threads(), 0);
-}
-
-#[test]
-fn cas_lemmas_hold_at_the_integration_level() {
-    // The sched-verify CAS lemmas, exercised from the facade: the
-    // deque-level steal-atomicity argument behind this whole suite.
-    let report = lemmas::check_cas_steal_exclusivity(10, 128, 4);
-    assert!(report.is_proved(), "{report}");
-    let report = lemmas::check_cas_failure_implies_concurrent_success(25);
-    assert!(report.is_proved(), "{report}");
-    let report = lemmas::check_cas_single_element_winner(50);
-    assert!(report.is_proved(), "{report}");
-}
-
-#[test]
-fn multi_claim_lemmas_hold_at_the_integration_level() {
-    // The batched half of the atomicity story: `steal_many(k)` claims are
-    // pairwise disjoint across racing thieves and the owner, and a batch
-    // that observes interference only fails when a rival actually won.
-    let report = lemmas::check_multi_claim_exclusivity(10, 96, 4);
-    assert!(report.is_proved(), "{report}");
-    let report = lemmas::check_multi_claim_failure_implies_concurrent_success(25);
-    assert!(report.is_proved(), "{report}");
-    let report = lemmas::check_pop_straddling_batch_commit(25);
-    assert!(report.is_proved(), "{report}");
-}
-
-#[test]
-fn injector_lemmas_hold_at_the_integration_level() {
-    // The overflow half of the atomicity story: overflowed work is counted
-    // AND stealable, an injector retry implies a concurrent claim (forced
-    // interleavings via the probe hooks), and storms conserve every task.
-    let report = lemmas::check_injector_visibility(10, 4, 16);
-    assert!(report.is_proved(), "{report}");
-    let report = lemmas::check_injector_retry_implies_concurrent_claim(25);
-    assert!(report.is_proved(), "{report}");
-    let report = lemmas::check_injector_conservation_under_storm(5, 4, 256, 3);
-    assert!(report.is_proved(), "{report}");
 }
 
 #[test]

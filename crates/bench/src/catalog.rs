@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn catalog_covers_every_experiment() {
         let specs = builtin();
-        assert_eq!(specs.len(), 51);
+        assert_eq!(specs.len(), 49);
         let mut seen = std::collections::BTreeSet::new();
         for spec in specs {
             assert!(
@@ -190,8 +190,8 @@ mod tests {
             "every experiment is catalogued"
         );
         let count = |id| of(id).count();
-        assert_eq!(count(ExperimentId::E14), 4, "E14 compares four policies");
-        assert_eq!(count(ExperimentId::E15), 3, "E15 compares three policies");
+        assert_eq!(count(ExperimentId::E14), 3, "E14 compares three policies");
+        assert_eq!(count(ExperimentId::E15), 2, "E15 compares two policies");
         assert_eq!(count(ExperimentId::E17), 2, "E17 sweeps two criteria");
         assert_eq!(count(ExperimentId::E18), 2, "E18 compares two criteria");
         assert_eq!(count(ExperimentId::E21), 8, "E21 sweeps four half-lives on two axes");
@@ -251,7 +251,7 @@ mod tests {
             };
             let batch = spec.batch.map(batch_label);
             let topo = std::sync::Arc::new(build_topology(spec.topology));
-            let tracker = build_policy(spec, &topo).tracker.name();
+            let tracker = build_policy(spec, &topo).expect("catalog policies build").tracker.name();
             for backend in backends {
                 predicted.push((
                     spec.experiment.clone(),

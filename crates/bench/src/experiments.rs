@@ -66,7 +66,7 @@ const EXPERIMENTS: [Row; 26] = {
         (E13, "e13", "E13 §1/§5: the DSL front-end and its two backends"),
         (E14, "e14", "E14 §5: NUMA imbalance — distance-ordered stealing drains a saturated node"),
         (E15, "e15", "E15 §5: cross-node ping-pong bait — locality of the victim search"),
-        (E16, "e16", "E16 §5: hierarchical convergence — per-level balancing stays node-local"),
+        (E16, "e16", "E16 §5: hierarchy in step 2 — each node drains locally"),
         (E17, "e17", "E17 §3.1: bursty on/off load — instantaneous balancing thrashes, PELT converges"),
         (E18, "e18", "E18 §4.2: mixed niceness — instantaneous weighted vs PELT-decayed weighted"),
         (E19, "e19", "E19 §3.1: load-tracker overhead on the balancing hot path"),
@@ -600,7 +600,7 @@ mod tests {
     /// The locality numbers the E14/E15 policy variants are catalogued to
     /// show on the model: (policy, rounds to WC, migrations, remote steals).
     #[test]
-    fn e14_compares_four_policies() {
+    fn e14_and_e15_pin_the_model_locality_of_each_policy() {
         let pinned = |id| -> Vec<(String, Option<usize>, u64, u64)> {
             let records = model_records(id);
             records
@@ -624,16 +624,11 @@ mod tests {
                 row("listing1+topo_choice", 6, 18, 9),
                 row("listing1", 6, 18, 9),
                 row("listing1+numa_choice", 6, 18, 9),
-                row("hierarchical(topo)", 4, 17, 9),
             ]
         );
         assert_eq!(
             pinned(ExperimentId::E15),
-            vec![
-                row("listing1+topo_choice", 9, 37, 23),
-                row("listing1", 16, 44, 37),
-                row("hierarchical(topo)", 16, 50, 16),
-            ]
+            vec![row("listing1+topo_choice", 9, 37, 23), row("listing1", 16, 44, 37),]
         );
     }
 

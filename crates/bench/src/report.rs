@@ -362,9 +362,9 @@ mod tests {
 
     #[test]
     fn a_real_hierarchical_sim_run_fills_all_three_reports() {
-        // E16 (hierarchical convergence on the eight-node topology) is
-        // the report's showcase: leveled steals, real park/unpark spans,
-        // and a draining backlog.
+        // E16 (one hot core per node of the eight-node topology, drained
+        // by the topology-aware choice) is the report's showcase: leveled
+        // steals, real park/unpark spans, and a draining backlog.
         let spec = crate::catalog::spec(crate::ExperimentId::E16);
         let (_, trace) = crate::ExperimentRunner::with_all_backends()
             .run_traced("sim", &spec)

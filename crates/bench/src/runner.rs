@@ -125,7 +125,6 @@ pub(crate) fn policy_name(recipe: &PolicyRecipe) -> String {
         PolicyRecipe::StealHalf => "listing1+steal_half".into(),
         PolicyRecipe::NumaAware => "listing1+numa_choice".into(),
         PolicyRecipe::TopoAware => "listing1+topo_choice".into(),
-        PolicyRecipe::Hierarchical => "hierarchical(topo)".into(),
         PolicyRecipe::Inline(def) => format!("dsl({})", def.name),
         PolicyRecipe::Pelt => "listing1+pelt".into(),
         PolicyRecipe::PeltWeighted => "weighted+pelt".into(),
@@ -133,11 +132,22 @@ pub(crate) fn policy_name(recipe: &PolicyRecipe) -> String {
     }
 }
 
+/// Compiles an inline policy program: the one compile that [`validate`]
+/// checks and [`build_policy`] runs.
+fn compile_inline(def: &sched_dsl::PolicyDef) -> Result<Policy, SpecError> {
+    sched_dsl::compile(def)
+        .map(|compiled| compiled.policy)
+        .map_err(|e| SpecError::new(format!("inline policy does not compile: {e}")))
+}
+
 /// Builds a fresh policy instance for one backend run: the recipe, with
 /// the scenario's `batch` clause (sugar for step 3) as its steal rule.  An
-/// inline program that does not compile is a [`validate`] error, so it
-/// panics here.
-pub(crate) fn build_policy(spec: &Scenario, topo: &Arc<MachineTopology>) -> Policy {
+/// inline program that does not compile is the error; [`validate`] rejects
+/// such a scenario before any backend runs it.
+pub(crate) fn build_policy(
+    spec: &Scenario,
+    topo: &Arc<MachineTopology>,
+) -> Result<Policy, SpecError> {
     let policy = match &spec.policy {
         PolicyRecipe::Listing1 => Policy::simple(),
         PolicyRecipe::Greedy => Policy::greedy(),
@@ -145,21 +155,19 @@ pub(crate) fn build_policy(spec: &Scenario, topo: &Arc<MachineTopology>) -> Poli
         PolicyRecipe::StealHalf => Policy::simple().with_steal(StealRule::HalfImbalance),
         PolicyRecipe::NumaAware => Policy::simple()
             .with_choice(Box::new(NumaAwareChoice::new(Arc::clone(topo), LoadMetric::NrThreads))),
-        PolicyRecipe::TopoAware | PolicyRecipe::Hierarchical => Policy::simple().with_choice(
-            Box::new(TopologyAwareChoice::new(Arc::clone(topo), LoadMetric::NrThreads)),
-        ),
-        PolicyRecipe::Inline(def) => {
-            sched_dsl::compile(def).expect("validated inline policies compile").policy
-        }
+        PolicyRecipe::TopoAware => Policy::simple().with_choice(Box::new(
+            TopologyAwareChoice::new(Arc::clone(topo), LoadMetric::NrThreads),
+        )),
+        PolicyRecipe::Inline(def) => compile_inline(def)?,
         PolicyRecipe::Pelt => Policy::pelt(PELT_HALF_LIFE_NS),
         PolicyRecipe::PeltWeighted => Policy::pelt_weighted(PELT_HALF_LIFE_NS),
         PolicyRecipe::PeltHalfLife(ms) => Policy::pelt(u64::from(*ms) * 1_000_000),
     };
-    match spec.batch {
+    Ok(match spec.batch {
         None => policy,
         Some(Batch::Fixed(k)) => policy.with_steal(StealRule::Fixed(k)),
         Some(Batch::Half) => policy.with_steal(StealRule::HalfImbalance),
-    }
+    })
 }
 
 /// How many cores a topology clause declares — known without building the
@@ -332,8 +340,8 @@ pub fn validate(spec: &Scenario) -> Result<(), SpecError> {
         return fail("a steal batch applies to replay and storm drivers only".into());
     }
     if let PolicyRecipe::Inline(def) = &spec.policy {
-        if let Err(e) = sched_dsl::compile(def) {
-            return fail(format!("inline policy does not compile: {e}"));
+        if let Err(e) = compile_inline(def) {
+            return fail(e.0);
         }
     }
     // The simulator backends have no ring to overflow and no per-steal
@@ -615,15 +623,9 @@ trait RoundMachine {
     /// Thread count of every core, in core order.
     fn loads(&self) -> Vec<usize>;
 
-    /// Runs one concurrent balancing round — one level-capped pass per
-    /// steal level when `hierarchical` — and folds its steals into
+    /// Runs one concurrent balancing round and folds its steals into
     /// `steals`.
-    fn balance(
-        &mut self,
-        hierarchical: bool,
-        topo: &Arc<MachineTopology>,
-        steals: &mut FoldedStats,
-    );
+    fn balance(&mut self, topo: &Arc<MachineTopology>, steals: &mut FoldedStats);
 
     /// Takes every thread off `core`: they go to sleep.
     fn sleep(&mut self, core: CoreId) -> Self::Sleepers;
@@ -649,21 +651,11 @@ impl RoundMachine for (SystemState, Balancer) {
         (0..system.nr_cores()).map(|c| system.core(CoreId(c)).nr_threads() as usize).collect()
     }
 
-    fn balance(
-        &mut self,
-        hierarchical: bool,
-        topo: &Arc<MachineTopology>,
-        steals: &mut FoldedStats,
-    ) {
+    fn balance(&mut self, topo: &Arc<MachineTopology>, steals: &mut FoldedStats) {
         let (system, balancer) = self;
-        let schedule = RoundSchedule::AllSelectThenSteal;
-        let reports = if hierarchical {
-            let round = HierarchicalRound::new(balancer, Arc::clone(topo));
-            round.execute(system, &schedule).passes.into_iter().map(|pass| pass.report).collect()
-        } else {
-            vec![ConcurrentRound::new(balancer).execute(system, &schedule)]
-        };
-        for attempt in reports.iter().flat_map(|report| &report.attempts) {
+        let report =
+            ConcurrentRound::new(balancer).execute(system, &RoundSchedule::AllSelectThenSteal);
+        for attempt in &report.attempts {
             let level =
                 attempt.outcome.victim().map(|victim| topo.steal_level(attempt.thief, victim));
             // The report keeps no claim size, and the tally does not read one.
@@ -700,16 +692,9 @@ impl<B: sched_rq::RqBackend> RoundMachine for (MultiQueue<B>, Policy) {
         self.0.snapshots().iter().map(|s| s.nr_threads as usize).collect()
     }
 
-    fn balance(
-        &mut self,
-        hierarchical: bool,
-        _topo: &Arc<MachineTopology>,
-        steals: &mut FoldedStats,
-    ) {
+    fn balance(&mut self, _topo: &Arc<MachineTopology>, steals: &mut FoldedStats) {
         let (mq, policy) = self;
-        let stats =
-            if hierarchical { mq.hierarchical_round(policy) } else { mq.concurrent_round(policy) };
-        steals.merge(&stats.tally());
+        steals.merge(&mq.concurrent_round(policy).tally());
     }
 
     fn sleep(&mut self, core: CoreId) -> Self::Sleepers {
@@ -752,12 +737,11 @@ fn run_rounds<M: RoundMachine>(
             now += burst.epoch_ns;
             machine.tick(now);
             samples.sample(true, &machine.loads());
-            machine.balance(false, topo, &mut record.steals);
+            machine.balance(topo, &mut record.steals);
             machine.wake(sleeper, sleepers);
         }
         start
     } else {
-        let hierarchical = spec.policy == PolicyRecipe::Hierarchical;
         let start = Instant::now();
         for round in 0..=spec.budget {
             // One balancing period elapses per round; decayed criteria fold
@@ -773,7 +757,7 @@ fn run_rounds<M: RoundMachine>(
             // Every idle core in a non-work-conserving state is a violation
             // by definition.
             samples.sample(true, &machine.loads());
-            machine.balance(hierarchical, topo, &mut record.steals);
+            machine.balance(topo, &mut record.steals);
         }
         start
     };
@@ -828,7 +812,7 @@ impl Backend for ModelBackend {
                 next_task += 1;
             }
         }
-        let policy = build_policy(spec, &topo);
+        let policy = build_policy(spec, &topo).ok()?;
         let record = record_base(spec, self.name(), policy.tracker.as_ref());
         Some(run_rounds((system, Balancer::new(policy)), spec, &topo, record))
     }
@@ -874,7 +858,7 @@ impl SimScenario {
     /// ring for a storm to overflow and no per-steal queue acquisition for
     /// a batch sweep to amortise, and it has no wall clock for an open loop.
     pub(crate) fn build(engine: SimEngine, spec: &Scenario) -> Option<Self> {
-        use sched_sim::{HierarchicalScheduler, OptimisticScheduler, OrderingPolicy, SimConfig};
+        use sched_sim::{OptimisticScheduler, OrderingPolicy, SimConfig};
 
         if matches!(spec.driver, Driver::Storm(_) | Driver::OpenLoop(_)) || spec.batch.is_some() {
             return None;
@@ -884,15 +868,9 @@ impl SimScenario {
             return None;
         }
         let workload = sim_workload(spec, topo.nr_cpus());
-        let scheduler: Box<dyn sched_sim::SimScheduler> =
-            if spec.policy == PolicyRecipe::Hierarchical {
-                Box::new(HierarchicalScheduler::new(build_policy(spec, &topo), Arc::clone(&topo)))
-            } else {
-                Box::new(OptimisticScheduler::with_topology(
-                    build_policy(spec, &topo),
-                    Arc::clone(&topo),
-                ))
-            };
+        let scheduler: Box<dyn sched_sim::SimScheduler> = Box::new(
+            OptimisticScheduler::with_topology(build_policy(spec, &topo).ok()?, Arc::clone(&topo)),
+        );
         let mut config = SimConfig::default();
         if let Some(budget) = spec.events {
             config = config.with_event_budget(budget);
@@ -931,7 +909,8 @@ impl SimScenario {
 /// sweep and the engine-parity tests drive: they compare result quantities
 /// (`finished`, `operations`, `makespan_ns`, …) that record stamping would
 /// discard.  Returns `None` for specs the simulator cannot execute (storms,
-/// batch sweeps, open loops, mis-sized load vectors).
+/// batch sweeps, open loops, mis-sized load vectors, inline policies that
+/// do not compile).
 pub fn run_sim_result(engine: SimEngine, spec: &Scenario) -> Option<sched_sim::SimResult> {
     SimScenario::build(engine, spec).map(|scenario| scenario.run(None))
 }
@@ -1034,7 +1013,7 @@ fn run_storm<B: sched_rq::RqBackend>(
             machine.0.spawn_on(CoreId(0));
         }
         for _ in 0..storm.rounds {
-            machine.balance(false, topo, &mut record.steals);
+            machine.balance(topo, &mut record.steals);
             // Sample the *settled* state: idle-after-a-full-round while
             // work waits is exactly the conservation violation.
             let loads = machine.loads();
@@ -1070,7 +1049,7 @@ fn run_rq<B: sched_rq::RqBackend>(
     if topo.nr_cpus() != spec.loads.len() {
         return None;
     }
-    let policy = build_policy(spec, &topo);
+    let policy = build_policy(spec, &topo).ok()?;
     let mut mq: MultiQueue<B> =
         MultiQueue::with_topology_and_tracker(&topo, Arc::clone(&policy.tracker));
     if let Some(sink) = sink {
@@ -1181,7 +1160,7 @@ impl Backend for ExecBackend {
         if topo.nr_cpus() != spec.loads.len() {
             return None;
         }
-        let policy = build_policy(spec, &topo);
+        let policy = build_policy(spec, &topo).ok()?;
         let mut record = record_base(spec, self.name(), policy.tracker.as_ref());
         let mut config = sched_exec::ExecConfig::new(Arc::clone(&topo), policy)
             .with_ring_capacity(EXEC_RING_CAPACITY);
@@ -1656,7 +1635,7 @@ mod tests {
         // engines against each other on richer scenarios; this pins the
         // runner's plumbing — config, workload construction, stamping.)
         let runner = ExperimentRunner::with_all_backends();
-        for policy in [PolicyRecipe::Listing1, PolicyRecipe::Pelt, PolicyRecipe::Hierarchical] {
+        for policy in [PolicyRecipe::Listing1, PolicyRecipe::Pelt] {
             let mut spec = small_spec(policy);
             spec.backends = Some(vec!["sim".into(), "sim-event".into()]);
             let records = runner.run(spec);

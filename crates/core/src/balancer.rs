@@ -43,27 +43,10 @@ impl Balancer {
     /// Consumes only the snapshot — by construction it cannot modify any
     /// runqueue, which is the concurrency model restriction of §3.1.
     pub fn select(&self, snapshot: &SystemSnapshot, thief: CoreId) -> Selection {
-        self.select_within(snapshot, thief, |_| true)
-    }
-
-    /// Selection phase restricted to victims for which `admit` holds.
-    ///
-    /// Used by hierarchical balancing to cap one pass at a topology level
-    /// (balance within a domain before across it).  The restriction narrows
-    /// only this pass's candidate list, never the policy's filter itself, so
-    /// an unrestricted final pass retains the full work-conservation
-    /// guarantees.
-    pub fn select_within(
-        &self,
-        snapshot: &SystemSnapshot,
-        thief: CoreId,
-        admit: impl Fn(CoreId) -> bool,
-    ) -> Selection {
         let mut candidates = Vec::new();
         let chosen = self.policy.select(
             snapshot.core(thief),
             snapshot.cores().iter().copied(),
-            admit,
             &mut candidates,
         );
         Selection {

@@ -42,7 +42,6 @@
 
 pub mod balancer;
 pub mod core_state;
-pub mod hierarchy;
 pub mod load;
 pub mod outcome;
 pub mod policy;
@@ -57,7 +56,6 @@ pub mod work_conservation;
 
 pub use balancer::Balancer;
 pub use core_state::CoreState;
-pub use hierarchy::{HierarchicalReport, HierarchicalRound, LevelPass};
 pub use load::LoadMetric;
 pub use outcome::{BalanceAttempt, RoundReport, StealOutcome};
 pub use policy::{ChoicePolicy, FilterPolicy, Policy, StealPlan, StealRule};

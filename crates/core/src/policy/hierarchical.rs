@@ -1,20 +1,30 @@
-//! Hierarchical (group-aware) balancing, expressed purely in step 2.
+//! Hierarchical balancing lives in step 2: the one home of the §5 argument.
 //!
 //! §5: "We aim to extend these abstractions to include hierarchical load
 //! balancing, for instance to allow balancing load between groups of cores,
 //! and then inside groups, instead of balancing load directly between
 //! individual cores."
 //!
-//! Two designs are provided:
+//! A choice policy only ever returns a member of the filtered candidate
+//! list, so a hierarchy expressed as a choice leaves the filter — and with
+//! it every work-conservation lemma and the §4.3 potential bound — exactly
+//! as the flat balancer has them.  One flat round then balances inside
+//! groups first simply because each thief prefers its nearest loaded group:
+//! on experiment E16's input (one hot core per node) every node drains
+//! locally, with no cross-node steal, in one round.  The step-2 designs are:
 //!
-//! * [`GroupAwareChoice`] keeps the hierarchy entirely inside the *choice*
-//!   step: the filter is untouched, so every work-conservation lemma carries
-//!   over unchanged — this is the design the paper advocates.
-//! * [`NodeRestrictedFilter`] instead pushes the hierarchy into the *filter*
-//!   step by refusing to steal across NUMA nodes.  It is intentionally
-//!   **not** work-conserving (an idle node can starve next to an overloaded
-//!   one); `sched-verify` finds the violation, which is exactly why the
-//!   paper insists hierarchy should live in step 2.
+//! * [`crate::policy::TopologyAwareChoice`]: victims searched in distance
+//!   order (SMT sibling → LLC → node → remote) with per-level thresholds
+//!   and backoff — the choice every substrate, the executor included, runs;
+//! * [`crate::policy::NumaAwareChoice`]: same-node candidates first;
+//! * [`GroupAwareChoice`]: the most loaded group (NUMA node) first, then
+//!   the most loaded core inside it.
+//!
+//! [`NodeRestrictedFilter`] is the refuted control: it pushes the hierarchy
+//! into the *filter* step by refusing to steal across NUMA nodes, and is
+//! therefore **not** work-conserving (an idle node can starve next to an
+//! overloaded one); `sched-verify` finds the violation, which is exactly
+//! why the paper insists hierarchy should live in step 2.
 
 use std::sync::Arc;
 

@@ -257,24 +257,25 @@ impl Policy {
     ///
     /// `snapshots` are the observations to pick from, in the order the
     /// choice should see them (the thief's own, if present, is skipped);
-    /// those that `admit` lets through (hierarchical passes cap the distance
-    /// there; flat callers admit everyone) and the filter accepts are
-    /// collected into `candidates`, the caller's buffer, which is cleared
-    /// first and holds the candidate list afterwards.  Returns the chosen
-    /// victim's snapshot, with [`ChoicePolicy::choose`]'s post-condition
-    /// enforced: `None` exactly when no candidate passed.  How much the
-    /// thief then takes is step 3's one sizing, [`StealRule::plan`].
+    /// those the filter accepts are collected into `candidates`, the
+    /// caller's buffer, which is cleared first and holds the candidate list
+    /// afterwards.  Returns the chosen victim's snapshot, with
+    /// [`ChoicePolicy::choose`]'s post-condition enforced: `None` exactly
+    /// when no candidate passed.  How much the thief then takes is step 3's
+    /// one sizing, [`StealRule::plan`].  A hierarchy is a choice here, never
+    /// a narrower candidate list: see [`hierarchical`].
     pub fn select(
         &self,
         thief: &CoreSnapshot,
         snapshots: impl IntoIterator<Item = CoreSnapshot>,
-        admit: impl Fn(CoreId) -> bool,
         candidates: &mut Vec<CoreSnapshot>,
     ) -> Option<CoreSnapshot> {
         candidates.clear();
-        candidates.extend(snapshots.into_iter().filter(|victim| {
-            victim.id != thief.id && admit(victim.id) && self.filter.can_steal(thief, victim)
-        }));
+        candidates.extend(
+            snapshots
+                .into_iter()
+                .filter(|victim| victim.id != thief.id && self.filter.can_steal(thief, victim)),
+        );
         let answer = self.choice.choose(thief, candidates);
         candidates.iter().find(|c| Some(c.id) == answer).or(candidates.first()).copied()
     }
@@ -316,7 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn select_filters_through_admit_into_the_callers_buffer() {
+    fn select_filters_into_the_callers_buffer() {
         use crate::snapshot::SystemSnapshot;
         use crate::system::SystemState;
 
@@ -328,14 +329,14 @@ mod tests {
         // Whatever the buffer held is gone; the thief and the core the
         // filter refuses (core 3, one thread) never enter it.
         let mut candidates = vec![*thief];
-        let victim = policy.select(thief, all(), |_| true, &mut candidates);
+        let victim = policy.select(thief, all(), &mut candidates);
         assert_eq!(victim, Some(*snapshot.core(CoreId(2))), "the most loaded candidate");
         assert_eq!(ids(&candidates), [1, 2]);
-        // `admit` narrows the list the choice sees.
-        let victim = policy.select(thief, all(), |core| core != CoreId(2), &mut candidates);
+        // The snapshots passed in are the list the choice sees.
+        let victim = policy.select(thief, all().filter(|c| c.id != CoreId(2)), &mut candidates);
         assert_eq!(victim.map(|v| v.id), Some(CoreId(1)));
         assert_eq!(ids(&candidates), [1]);
-        assert_eq!(policy.select(thief, all(), |_| false, &mut candidates), None);
+        assert_eq!(policy.select(thief, std::iter::empty(), &mut candidates), None);
         assert!(candidates.is_empty());
     }
 

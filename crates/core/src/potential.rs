@@ -10,8 +10,6 @@
 //! ("a failure implies a concurrent success") it bounds the number of
 //! failures and hence yields work conservation.
 
-use sched_topology::{MachineTopology, StealLevel};
-
 use crate::load::LoadMetric;
 use crate::system::SystemState;
 
@@ -37,41 +35,6 @@ pub fn potential_of_loads(loads: &[u64]) -> u64 {
 /// The contribution of one pair of cores to the potential (counted once).
 pub fn potential_between(a: u64, b: u64) -> u64 {
     a.abs_diff(b)
-}
-
-/// Aggregate load of each region of the machine at `level` (see
-/// [`MachineTopology::level_regions`]), in region order.
-///
-/// # Panics
-///
-/// Panics if `loads` is shorter than the machine.
-pub fn region_loads(loads: &[u64], topo: &MachineTopology, level: StealLevel) -> Vec<u64> {
-    topo.level_regions(level)
-        .iter()
-        .map(|region| region.iter().map(|cpu| loads[cpu.0]).sum())
-        .collect()
-}
-
-/// The paper's potential `d`, computed over the aggregate loads of the
-/// regions at `level` instead of over individual cores.
-///
-/// This is the per-level potential of the hierarchical convergence
-/// argument: a steal classified at or below `level` moves load *within* one
-/// region, so it leaves this potential unchanged — inner balancing passes
-/// can never disturb the balance already achieved at coarser levels, and
-/// the §4.3 termination argument therefore applies independently per level.
-pub fn level_potential(loads: &[u64], topo: &MachineTopology, level: StealLevel) -> u64 {
-    potential_of_loads(&region_loads(loads, topo, level))
-}
-
-/// Convenience wrapper over [`level_potential`] for a live system.
-pub fn level_potential_of_system(
-    system: &SystemState,
-    topo: &MachineTopology,
-    level: StealLevel,
-    metric: LoadMetric,
-) -> u64 {
-    level_potential(&system.loads(metric), topo, level)
 }
 
 /// The change in potential caused by moving `delta` units of load from a
@@ -153,30 +116,5 @@ mod tests {
     #[should_panic(expected = "more load than the victim has")]
     fn overdraft_is_rejected() {
         let _ = potential_delta_of_steal(&[0, 1], 0, 1, 2);
-    }
-
-    #[test]
-    fn level_potential_aggregates_per_region() {
-        // 2 sockets × 2 cores: nodes are {0,1} and {2,3}.
-        let topo = sched_topology::TopologyBuilder::new().sockets(2).cores_per_socket(2).build();
-        let loads = [4u64, 0, 1, 1];
-        // Node loads [4, 2]: ordered-pair potential 2·|4−2| = 4.
-        assert_eq!(level_potential(&loads, &topo, StealLevel::SameNode), 4);
-        // The machine level has a single region: always perfectly balanced.
-        assert_eq!(level_potential(&loads, &topo, StealLevel::Remote), 0);
-    }
-
-    #[test]
-    fn intra_region_steals_preserve_coarser_potentials() {
-        let topo = sched_topology::TopologyBuilder::new().sockets(2).cores_per_socket(2).build();
-        let before = [4u64, 0, 1, 1];
-        // Steal within node 0 (core 0 → core 1): node loads unchanged.
-        let after = [3u64, 1, 1, 1];
-        assert_eq!(
-            level_potential(&before, &topo, StealLevel::SameNode),
-            level_potential(&after, &topo, StealLevel::SameNode),
-        );
-        // The per-core potential still strictly decreased.
-        assert!(potential_of_loads(&after) < potential_of_loads(&before));
     }
 }

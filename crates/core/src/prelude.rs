@@ -11,7 +11,6 @@
 
 pub use crate::balancer::{Balancer, Selection};
 pub use crate::core_state::CoreState;
-pub use crate::hierarchy::{HierarchicalReport, HierarchicalRound, LevelPass};
 pub use crate::load::LoadMetric;
 pub use crate::outcome::{BalanceAttempt, RoundReport, StealOutcome};
 pub use crate::policy::{
@@ -20,8 +19,7 @@ pub use crate::policy::{
     Policy, RandomChoice, StealPlan, StealRule, TopologyAwareChoice, WeightedDeltaFilter,
 };
 pub use crate::potential::{
-    level_potential, level_potential_of_system, potential, potential_between,
-    potential_delta_of_steal, potential_of_loads, region_loads,
+    potential, potential_between, potential_delta_of_steal, potential_of_loads,
 };
 pub use crate::round::{ConcurrentRound, Phase, RoundSchedule, Step};
 pub use crate::snapshot::{CoreSnapshot, SystemSnapshot};

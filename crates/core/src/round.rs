@@ -192,40 +192,19 @@ impl<'a> ConcurrentRound<'a> {
     /// Panics if the materialised schedule is not a valid round (see
     /// [`RoundSchedule::validate`]).
     pub fn execute(&self, system: &mut SystemState, schedule: &RoundSchedule) -> RoundReport {
-        self.execute_within(system, schedule, |_, _| true)
-    }
-
-    /// Like [`ConcurrentRound::execute`], with every selection restricted to
-    /// the `(thief, victim)` pairs `admit` lets through — the level-capped
-    /// pass [`crate::HierarchicalRound`] stacks, one per steal level.
-    pub fn execute_within(
-        &self,
-        system: &mut SystemState,
-        schedule: &RoundSchedule,
-        admit: impl Fn(CoreId, CoreId) -> bool,
-    ) -> RoundReport {
         let steps = schedule.steps(system.nr_cores());
         RoundSchedule::validate(&steps, system.nr_cores())
             .unwrap_or_else(|e| panic!("invalid round schedule: {e}"));
-        self.pass(system, &steps, admit)
+        self.execute_steps(system, &steps)
     }
 
     /// Executes one round described by an explicit, already validated list of
     /// steps.  Exposed separately for the model checker, which generates and
     /// validates interleavings itself.
+    ///
+    /// Each core's Select step plans against the state of that moment, its
+    /// Steal step acts on the plan against whatever the state has become.
     pub fn execute_steps(&self, system: &mut SystemState, steps: &[Step]) -> RoundReport {
-        self.pass(system, steps, |_, _| true)
-    }
-
-    /// The one pass every round — flat or level-capped — is: each core's
-    /// Select step plans against the state of that moment, its Steal step
-    /// acts on the plan against whatever the state has become.
-    fn pass(
-        &self,
-        system: &mut SystemState,
-        steps: &[Step],
-        admit: impl Fn(CoreId, CoreId) -> bool,
-    ) -> RoundReport {
         let mut pending: Vec<Option<(Selection, usize)>> = vec![None; system.nr_cores()];
         let mut report = RoundReport::default();
         for (time, step) in steps.iter().enumerate() {
@@ -234,9 +213,7 @@ impl<'a> ConcurrentRound<'a> {
                     // The snapshot is taken *now*: every later mutation makes
                     // it stale, which is exactly the optimism of the model.
                     let snapshot = SystemSnapshot::capture(system);
-                    let selection = self
-                        .balancer
-                        .select_within(&snapshot, step.core, |victim| admit(step.core, victim));
+                    let selection = self.balancer.select(&snapshot, step.core);
                     pending[step.core.0] = Some((selection, time));
                 }
                 Phase::Steal => {

@@ -57,7 +57,7 @@ pub enum Topology {
 
 /// How a scenario's policy is built.  Policies are not `Clone` and each
 /// backend needs its own instance, so the *recipe* is what a scenario
-/// holds: one of ten names the grammar knows, or an inline program.
+/// holds: one of nine names the grammar knows, or an inline program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicyRecipe {
     /// The paper's Listing 1: `delta >= 2` filter, max-load choice, steal one.
@@ -71,12 +71,8 @@ pub enum PolicyRecipe {
     /// Listing 1 with a NUMA-aware step-2 choice over the scenario topology.
     NumaAware,
     /// Listing 1 with the distance-ordered topology-aware step 2 (per-level
-    /// thresholds and failure backoff), executed as flat rounds.
+    /// thresholds and failure backoff): the hierarchy, in the choice.
     TopoAware,
-    /// The same topology-aware policy, but executed as *hierarchical*
-    /// rounds: one level-capped pass per steal level, innermost first, on
-    /// every backend.
-    Hierarchical,
     /// Listing 1 over a PELT-style decayed thread count (8 ms half-life).
     Pelt,
     /// The weighted balancer over a PELT-style decayed weighted load.
@@ -92,7 +88,7 @@ pub enum PolicyRecipe {
 }
 
 /// The argument-less recipes and the names the grammar knows them by.
-fn named_recipes() -> [(&'static str, PolicyRecipe); 9] {
+fn named_recipes() -> [(&'static str, PolicyRecipe); 8] {
     use PolicyRecipe::*;
     [
         ("listing1", Listing1),
@@ -101,7 +97,6 @@ fn named_recipes() -> [(&'static str, PolicyRecipe); 9] {
         ("steal_half", StealHalf),
         ("numa_aware", NumaAware),
         ("topo_aware", TopoAware),
-        ("hierarchical", Hierarchical),
         ("pelt", Pelt),
         ("pelt_weighted", PeltWeighted),
     ]
@@ -1226,7 +1221,7 @@ mod tests {
             Just(Topology::EightNode),
         ];
         let policy = prop_oneof![
-            (0usize..9).prop_map(|i| named_recipes()[i].1.clone()),
+            (0..named_recipes().len()).prop_map(|i| named_recipes()[i].1.clone()),
             (1u32..64).prop_map(PolicyRecipe::PeltHalfLife),
         ];
         let batch = prop_oneof![

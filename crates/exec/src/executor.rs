@@ -660,7 +660,6 @@ impl Shared {
         let victim = self.policy.select(
             &thief_snap,
             self.cores.iter().map(DequeRq::snapshot),
-            |_| true,
             &mut candidates,
         );
         SNAPSHOTS.set(candidates);

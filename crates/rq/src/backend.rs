@@ -2,8 +2,8 @@
 //!
 //! [`crate::MultiQueue`] is generic over how a single core's runqueue is
 //! implemented.  Everything above this trait — tracker republish, flat and
-//! topology-aware balancing, hierarchical rounds, [`crate::BalanceStats`]
-//! recording — is written once against it and behaves identically on every
+//! topology-aware balancing, [`crate::BalanceStats`] recording — is
+//! written once against it and behaves identically on every
 //! backend; only the synchronization of the stealing phase differs:
 //!
 //! * [`crate::PerCoreRq`] — the **mutex backend**: every mutation takes the

@@ -1,20 +1,18 @@
 //! A machine's worth of concurrent runqueues and optimistic balancing over
 //! them.
 //!
-//! Every balancing operation here — flat, hierarchical,
-//! barrier-synchronized, pessimistic — is the same two phases.  The
-//! selection is [`Policy::select`], the one `sched-verify` checks and the
-//! model, the executor and the simulator also run; the operations differ
-//! only in which observations they hand it (fresh lock-less snapshots, one
-//! set shared by the distance levels, snapshots taken under every lock) and
-//! which victims they admit.  How much the thief claims is the policy's
+//! Every balancing operation here — flat, barrier-synchronized,
+//! pessimistic — is the same two phases.  The selection is
+//! [`Policy::select`], the one `sched-verify` checks and the model, the
+//! executor and the simulator also run; the operations differ only in which
+//! observations they hand it (fresh lock-less snapshots, or snapshots taken
+//! under every lock).  How much the thief claims is the policy's
 //! step 3, [`StealRule::plan`] of the same observations.  The stealing
 //! phase is one private step, the
 //! only caller of [`RqBackend::try_steal_recorded`]: claim, count and trace
 //! through the [`StealRecorder`], tell the choice how it went.  Likewise
 //! there is one scoped-thread round (every core runs an operation from its
-//! own OS thread) under the three public rounds, and one convergence loop
-//! under the two public ones.
+//! own OS thread) under the two public rounds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,14 +41,14 @@ use crate::TaskQueue;
 /// runqueues: the mutex backend ([`PerCoreRq`], the default) double-locks
 /// the stealing phase, the lock-free backend ([`crate::DequeRq`]) claims
 /// with a CAS at the top of a Chase–Lev deque.  All the balancing
-/// machinery — flat and hierarchical rounds, stats recording, tracker
-/// ticks — is this one generic implementation.
+/// machinery — rounds, stats recording, tracker ticks — is this one generic
+/// implementation.
 ///
 /// When built over a [`MachineTopology`] the queue knows the distance class
 /// of every (thief, victim) pair: successful steals are attributed to their
-/// [`StealLevel`] in the round's [`BalanceStats`], and
-/// [`MultiQueue::hierarchical_round`] runs the domain-ordered balancing
-/// passes (SMT → LLC → node → machine) on real OS threads.
+/// [`StealLevel`] in the round's [`BalanceStats`]; balancing is
+/// hierarchical when the policy's step-2 choice is (see
+/// [`sched_core::policy::TopologyAwareChoice`]).
 #[derive(Debug)]
 pub struct MultiQueue<B: RqBackend = PerCoreRq<FifoQueue>> {
     cores: Vec<B>,
@@ -290,12 +288,8 @@ impl<B: RqBackend> MultiQueue<B> {
     /// success (see [`sched_core::ChoicePolicy::observe`]).
     fn select(&self, thief: CoreId, policy: &Policy, step: StealRule) -> Option<(CoreId, usize)> {
         let thief_snap = self.cores[thief.0].snapshot();
-        let victim = policy.select(
-            &thief_snap,
-            self.cores.iter().map(B::snapshot),
-            |_| true,
-            &mut Vec::new(),
-        )?;
+        let victim =
+            policy.select(&thief_snap, self.cores.iter().map(B::snapshot), &mut Vec::new())?;
         Some((victim.id, step.plan(policy, &thief_snap, &victim).count))
     }
 
@@ -337,51 +331,6 @@ impl<B: RqBackend> MultiQueue<B> {
         outcome
     }
 
-    /// Runs the distance-ordered balancing operation for one core: victims
-    /// are searched innermost level first (SMT sibling → same LLC → same
-    /// node → remote), and a steal that fails its re-check at one level
-    /// falls back to the next level **within the same operation** — the
-    /// retry a pure step-2 choice policy cannot express, because by the
-    /// time the failure is known the selection phase is over.
-    ///
-    /// Requires a topology ([`MultiQueue::with_topology`]); without one this
-    /// is [`MultiQueue::balance_once_recorded`].
-    pub fn balance_once_hierarchical(
-        &self,
-        thief: CoreId,
-        policy: &Policy,
-        stats: &BalanceStats,
-    ) -> StealOutcome {
-        let Some(topo) = &self.topo else {
-            return self.balance_once_recorded(thief, policy, stats);
-        };
-        // One set of lock-less observations serves every level: each level
-        // is the flat selection with "exactly this far away" as its admit
-        // predicate, so the policy's choice picks within the level.
-        let snapshots = self.snapshots();
-        let mut candidates = Vec::new();
-        // Walk the levels outwards; only the final (farthest populated)
-        // level's failure is the operation's outcome.
-        let mut last = None;
-        for level in StealLevel::ALL {
-            let Some(victim) = policy.select(
-                &snapshots[thief.0],
-                snapshots.iter().copied(),
-                |victim| topo.steal_level(thief, victim) == level,
-                &mut candidates,
-            ) else {
-                continue;
-            };
-            let count = policy.steal.plan(policy, &snapshots[thief.0], &victim).count;
-            let outcome = self.steal(thief, Some((victim.id, count)), policy, Some(stats));
-            if outcome.is_success() {
-                return outcome;
-            }
-            last = Some(outcome);
-        }
-        last.unwrap_or_else(|| self.steal(thief, None, policy, Some(stats)))
-    }
-
     /// One concurrent round: every core runs `op` from its own OS thread
     /// simultaneously, all counting into the returned stats.
     fn round(&self, op: impl Fn(CoreId, &BalanceStats) + Sync) -> BalanceStats {
@@ -414,17 +363,6 @@ impl<B: RqBackend> MultiQueue<B> {
         })
     }
 
-    /// Runs one *hierarchical* concurrent round: every core executes the
-    /// distance-ordered [`MultiQueue::balance_once_hierarchical`] operation
-    /// from its own OS thread simultaneously — the threaded mirror of
-    /// [`sched_core::HierarchicalRound`], so the same domain-ordered policy
-    /// runs at all three altitudes.
-    pub fn hierarchical_round(&self, policy: &Policy) -> BalanceStats {
-        self.round(|thief, stats| {
-            self.balance_once_hierarchical(thief, policy, stats);
-        })
-    }
-
     /// Like [`MultiQueue::concurrent_round`], but every thread performs its
     /// selection phase against the *initial* state of the round: all threads
     /// rendezvous on a barrier between selecting and stealing.
@@ -444,14 +382,11 @@ impl<B: RqBackend> MultiQueue<B> {
         })
     }
 
-    /// Runs `round` until the machine is work-conserving or the round
-    /// budget is exhausted, folding the per-round counters (including the
-    /// per-level attribution) into the total.
-    fn converge_by(
-        &self,
-        max_rounds: usize,
-        round: impl Fn() -> BalanceStats,
-    ) -> (Option<usize>, BalanceStats) {
+    /// Runs concurrent rounds until the machine is work-conserving or the
+    /// round budget is exhausted; returns the number of rounds used, if it
+    /// converged, and the per-round counters (including the per-level
+    /// attribution) folded into one total.
+    pub fn converge(&self, policy: &Policy, max_rounds: usize) -> (Option<usize>, BalanceStats) {
         let total = BalanceStats::new();
         for rounds in 0..=max_rounds {
             if self.is_work_conserving() {
@@ -460,27 +395,9 @@ impl<B: RqBackend> MultiQueue<B> {
             if rounds == max_rounds {
                 break;
             }
-            total.add(&round().tally());
+            total.add(&self.concurrent_round(policy).tally());
         }
         (None, total)
-    }
-
-    /// Runs concurrent rounds until the machine is work-conserving or the
-    /// round budget is exhausted; returns the number of rounds used, if it
-    /// converged.
-    pub fn converge(&self, policy: &Policy, max_rounds: usize) -> (Option<usize>, BalanceStats) {
-        self.converge_by(max_rounds, || self.concurrent_round(policy))
-    }
-
-    /// Runs hierarchical rounds until the machine is work-conserving or the
-    /// round budget is exhausted; returns the number of rounds used, if it
-    /// converged, plus the folded outcome counters.
-    pub fn converge_hierarchical(
-        &self,
-        policy: &Policy,
-        max_rounds: usize,
-    ) -> (Option<usize>, BalanceStats) {
-        self.converge_by(max_rounds, || self.hierarchical_round(policy))
     }
 }
 
@@ -500,12 +417,7 @@ impl<Q: TaskQueue + 'static> MultiQueue<PerCoreRq<Q>> {
         let guards: Vec<_> = self.cores.iter().map(|c| c.lock()).collect();
         let snapshots: Vec<CoreSnapshot> =
             self.cores.iter().zip(&guards).map(|(rq, inner)| snapshot_locked(rq, inner)).collect();
-        let victim = policy.select(
-            &snapshots[thief.0],
-            snapshots.iter().copied(),
-            |_| true,
-            &mut Vec::new(),
-        );
+        let victim = policy.select(&snapshots[thief.0], snapshots.iter().copied(), &mut Vec::new());
         drop(guards);
         // Re-acquire just the two locks to perform the migration; because the
         // selection was made under the global lock there is no staleness in a
@@ -611,22 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn deque_backend_hierarchical_round_attributes_levels() {
-        let topo =
-            sched_topology::TopologyBuilder::new().sockets(2).cores_per_socket(2).smt(2).build();
-        let mq: DequeMq = MultiQueue::with_topology(&topo);
-        for _ in 0..3 {
-            mq.spawn_on(CoreId(1));
-            mq.spawn_on(CoreId(4));
-        }
-        let policy = Policy::simple();
-        let stats = BalanceStats::new();
-        let outcome = mq.balance_once_hierarchical(CoreId(0), &policy, &stats);
-        assert!(outcome.is_success());
-        assert_eq!(stats.tally().level_migrations, [1, 0, 0, 0], "one SMT-sibling steal");
-    }
-
-    #[test]
     fn deque_backend_pelt_loads_decay_and_gate_the_filter() {
         use sched_core::{LoadMetric, PeltTracker};
 
@@ -715,16 +611,25 @@ mod tests {
         assert_eq!(mq.now_ns(), 0);
     }
 
-    fn numa_mq() -> MultiQueue {
+    fn numa_mq<B: RqBackend>() -> MultiQueue<B> {
         // 2 sockets × 2 cores × SMT-2 = 8 CPUs; cpu0's sibling is cpu1.
         let topo =
             sched_topology::TopologyBuilder::new().sockets(2).cores_per_socket(2).smt(2).build();
         MultiQueue::with_topology(&topo)
     }
 
+    /// Listing 1 with the hierarchy in step 2: the distance-ordered choice.
+    fn topology_aware<B: RqBackend>(mq: &MultiQueue<B>) -> Policy {
+        let topo = Arc::clone(mq.topology().expect("built over a topology"));
+        Policy::simple().with_choice(Box::new(sched_core::policy::TopologyAwareChoice::new(
+            topo,
+            sched_core::LoadMetric::NrThreads,
+        )))
+    }
+
     #[test]
     fn recorded_rounds_attribute_steal_levels() {
-        let mq = numa_mq();
+        let mq: MultiQueue = numa_mq();
         for _ in 0..4 {
             mq.spawn_on(CoreId(0));
         }
@@ -742,36 +647,40 @@ mod tests {
 
     #[test]
     fn hierarchical_operation_prefers_the_nearest_victim() {
-        let mq = numa_mq();
-        // Both the SMT sibling (cpu1) and a remote core (cpu4) are
-        // overloaded; the hierarchical search must take the sibling.
-        for _ in 0..3 {
-            mq.spawn_on(CoreId(1));
-            mq.spawn_on(CoreId(4));
+        fn on<B: RqBackend>() {
+            let mq: MultiQueue<B> = numa_mq();
+            // Both the SMT sibling (cpu1) and a remote core (cpu4) are
+            // overloaded; the distance-ordered choice must take the sibling.
+            for _ in 0..3 {
+                mq.spawn_on(CoreId(1));
+                mq.spawn_on(CoreId(4));
+            }
+            let stats = BalanceStats::new();
+            let outcome = mq.balance_once_recorded(CoreId(0), &topology_aware(&mq), &stats);
+            assert!(outcome.is_success());
+            assert_eq!(stats.tally().level_migrations, [1, 0, 0, 0], "one SMT-sibling steal");
         }
-        let policy = Policy::simple();
-        let stats = BalanceStats::new();
-        let outcome = mq.balance_once_hierarchical(CoreId(0), &policy, &stats);
-        assert!(outcome.is_success());
-        assert_eq!(stats.tally().level_migrations, [1, 0, 0, 0], "one SMT-sibling steal");
+        on::<PerCoreRq<FifoQueue>>();
+        on::<crate::DequeRq>();
     }
 
     #[test]
     fn hierarchical_operation_falls_back_outwards_after_a_failed_level() {
-        let mq = numa_mq();
+        let mq: MultiQueue = numa_mq();
         // The sibling has exactly 2 threads; a first steal drains it below
-        // the filter threshold, so a second hierarchical thief must fall
-        // back to the loaded remote core within one operation.
+        // the filter threshold, so a second thief's choice must fall back
+        // to the loaded remote core.
         mq.spawn_on(CoreId(1));
         mq.spawn_on(CoreId(1));
         for _ in 0..4 {
             mq.spawn_on(CoreId(4));
         }
-        let policy = Policy::simple();
+        let policy = topology_aware(&mq);
         let stats = BalanceStats::new();
-        assert!(mq.balance_once_hierarchical(CoreId(0), &policy, &stats).is_success());
+        assert!(mq.balance_once_recorded(CoreId(0), &policy, &stats).is_success());
+        assert_eq!(stats.tally().level_migrations, [1, 0, 0, 0], "the sibling first");
         // cpu0 now has 1 thread, sibling has 1: the SMT level is exhausted.
-        let outcome = mq.balance_once_hierarchical(CoreId(2), &policy, &stats);
+        let outcome = mq.balance_once_recorded(CoreId(2), &policy, &stats);
         assert!(outcome.is_success());
         assert!(
             stats.tally().level_migrations[sched_topology::StealLevel::Remote.index()] >= 1,
@@ -781,12 +690,11 @@ mod tests {
 
     #[test]
     fn hierarchical_convergence_reaches_work_conservation() {
-        let mq = numa_mq();
+        let mq: MultiQueue = numa_mq();
         for _ in 0..16 {
             mq.spawn_on(CoreId(0));
         }
-        let policy = Policy::simple();
-        let (rounds, stats) = mq.converge_hierarchical(&policy, 64);
+        let (rounds, stats) = mq.converge(&topology_aware(&mq), 64);
         assert!(rounds.is_some(), "hierarchical balancing must converge");
         assert!(mq.is_work_conserving());
         assert_eq!(mq.total_threads(), 16);

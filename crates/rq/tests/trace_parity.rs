@@ -5,7 +5,10 @@
 //! concurrent rounds.  Parity is what certifies the trace as a *complete*
 //! record of the round's decisions rather than a lossy echo of them.
 
-use sched_core::{CoreId, Policy, StealRule};
+use std::sync::Arc;
+
+use sched_core::policy::TopologyAwareChoice;
+use sched_core::{CoreId, LoadMetric, Policy, StealRule};
 use sched_rq::{DequeRq, MultiQueue, RqBackend};
 use sched_trace::{FoldedStats, SanityChecker, TraceSink};
 
@@ -52,16 +55,17 @@ fn deque_backend_stats_equal_the_folded_trace() {
 }
 
 #[test]
-fn hierarchical_rounds_keep_parity_with_level_attribution() {
+fn topology_aware_rounds_keep_parity_with_level_attribution() {
     let topo = sched_topology::TopologyBuilder::new().sockets(2).cores_per_socket(2).smt(2).build();
     let mut mq: DequeMq = MultiQueue::with_topology(&topo);
     mq.set_trace_sink(TraceSink::recording(mq.nr_cores()));
     for _ in 0..16 {
         mq.spawn_on(CoreId(0));
     }
-    let policy = Policy::simple();
-    let (rounds, stats) = mq.converge_hierarchical(&policy, 64);
-    assert!(rounds.is_some(), "hierarchical balancing must converge");
+    let choice = TopologyAwareChoice::new(Arc::new(topo), LoadMetric::NrThreads);
+    let policy = Policy::simple().with_choice(Box::new(choice));
+    let (rounds, stats) = mq.converge(&policy, 64);
+    assert!(rounds.is_some(), "topology-aware balancing must converge");
     let fold = FoldedStats::from_trace(&mq.trace_sink().drain());
     assert_eq!(stats.tally(), fold);
     assert!(

@@ -283,8 +283,9 @@ mod tests {
     use crate::cfs::{CfsBugs, CfsLikeScheduler};
     use crate::engine::Engine;
     use crate::result::SimResult;
-    use crate::scheduler::{HierarchicalScheduler, OptimisticScheduler, SimScheduler};
-    use sched_core::Policy;
+    use crate::scheduler::{OptimisticScheduler, SimScheduler};
+    use sched_core::policy::TopologyAwareChoice;
+    use sched_core::{LoadMetric, Policy};
     use sched_workloads::{Phase, ScientificWorkload, ThreadSpec, Workload};
 
     fn assert_parity(tick: &SimResult, event: &SimResult) {
@@ -381,9 +382,10 @@ mod tests {
         let schedulers: Vec<Box<dyn Fn() -> Box<dyn SimScheduler>>> = vec![
             Box::new(|| Box::new(OptimisticScheduler::new(Policy::simple()))),
             Box::new(|| Box::new(CfsLikeScheduler::new(CfsBugs::all()))),
-            Box::new({
-                let arc = Arc::clone(&arc);
-                move || Box::new(HierarchicalScheduler::new(Policy::simple(), Arc::clone(&arc)))
+            Box::new(move || {
+                let choice = TopologyAwareChoice::new(Arc::clone(&arc), LoadMetric::NrThreads);
+                let policy = Policy::simple().with_choice(Box::new(choice));
+                Box::new(OptimisticScheduler::with_topology(policy, Arc::clone(&arc)))
             }),
         ];
         for make in schedulers {

@@ -86,5 +86,5 @@ pub use event_engine::EventEngine;
 pub use machine::{Machine, Upkeep};
 pub use queues::{CoreQueues, SimCore};
 pub use result::SimResult;
-pub use scheduler::{HierarchicalScheduler, OptimisticScheduler, SimScheduler};
+pub use scheduler::{OptimisticScheduler, SimScheduler};
 pub use thread::{SimThread, SimThreadId, ThreadState};

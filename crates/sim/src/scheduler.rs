@@ -14,9 +14,8 @@
 //! model, the runqueues and the executor — against one shared snapshot, then
 //! the planned steals re-check against the live queues and move what step 3,
 //! [`sched_core::StealRule::plan`], sizes from the live observations.
-//! [`OptimisticScheduler`]'s round is that pass admitting every victim;
-//! [`HierarchicalScheduler`]'s is the same pass once per steal level,
-//! admitting only victims within the level's distance.
+//! [`OptimisticScheduler`]'s round is that pass; a topology-aware policy
+//! makes it hierarchical through its step-2 choice alone.
 
 use std::sync::Arc;
 
@@ -75,28 +74,19 @@ fn trace_steal(
 /// of the model — then each planned steal re-checks the filter against the
 /// live queues before migrating (Listing 1 line 12) as many threads as the
 /// policy's step 3 plans from the same live observations, as the model's
-/// balancer does.  `admit` caps which `(thief, victim)` pairs the pass may
-/// plan: the flat round admits everyone, a hierarchical level only victims
-/// within its distance.
+/// balancer does.
 fn balance_pass(
     policy: &Policy,
     topo: Option<&MachineTopology>,
     trace: &TraceSink,
     queues: &mut CoreQueues,
     threads: &[SimThread],
-    admit: impl Fn(CoreId, CoreId) -> bool,
 ) -> FoldedStats {
     let snapshots = queues.snapshots(threads);
     let mut candidates = Vec::new();
     let mut plans: Vec<(CoreId, CoreId)> = Vec::new();
     for thief in &snapshots {
-        let victim = policy.select(
-            thief,
-            snapshots.iter().copied(),
-            |victim| admit(thief.id, victim),
-            &mut candidates,
-        );
-        if let Some(victim) = victim {
+        if let Some(victim) = policy.select(thief, snapshots.iter().copied(), &mut candidates) {
             plans.push((thief.id, victim.id));
         }
     }
@@ -237,89 +227,7 @@ impl SimScheduler for OptimisticScheduler {
     }
 
     fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> FoldedStats {
-        balance_pass(&self.policy, self.topo.as_deref(), &self.trace, queues, threads, |_, _| true)
-    }
-
-    fn set_trace_sink(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-}
-
-/// Domain-ordered balancing inside the simulator: the discrete-event mirror
-/// of [`sched_core::HierarchicalRound`] and of
-/// `sched_rq::MultiQueue::hierarchical_round`, so all three altitudes run
-/// the identical domain-ordered stealing.
-///
-/// Each balancing round runs up to one level-capped pass per [`StealLevel`],
-/// innermost first; a pass only admits victims within that distance of
-/// their thief, and the round escalates to the next level only while some
-/// core is still idle next to an overloaded one.  The final pass is
-/// unrestricted, so work conservation is inherited from the flat round.
-pub struct HierarchicalScheduler {
-    policy: Policy,
-    topo: Arc<MachineTopology>,
-    trace: TraceSink,
-}
-
-impl HierarchicalScheduler {
-    /// Creates the scheduler around `policy` for the given machine.
-    pub fn new(policy: Policy, topo: Arc<MachineTopology>) -> Self {
-        HierarchicalScheduler { policy, topo, trace: TraceSink::disabled() }
-    }
-}
-
-impl SimScheduler for HierarchicalScheduler {
-    fn name(&self) -> &'static str {
-        "hierarchical"
-    }
-
-    fn tracker(&self) -> Arc<dyn LoadTracker> {
-        Arc::clone(&self.policy.tracker)
-    }
-
-    fn place_wakeup(
-        &mut self,
-        queues: &CoreQueues,
-        _threads: &[SimThread],
-        _tid: SimThreadId,
-        prev: Option<CoreId>,
-    ) -> CoreId {
-        // Prefer the previous core if idle, then the topologically nearest
-        // idle core (cache/NUMA affinity), then the least loaded core.
-        if let Some(prev) = prev {
-            if queues.core(prev).is_idle() {
-                return prev;
-            }
-            if let Some(nearest) = queues
-                .cores()
-                .iter()
-                .filter(|c| c.is_idle() && c.id != prev)
-                .min_by_key(|c| (self.topo.steal_level(prev, c.id), c.id))
-            {
-                return nearest.id;
-            }
-        }
-        queues.idlest()
-    }
-
-    fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> FoldedStats {
-        let mut stats = FoldedStats::default();
-        for level in StealLevel::ALL {
-            if queues.is_work_conserving() {
-                break;
-            }
-            // One level-capped pass: the flat pass, admitting only victims
-            // within `level` of their thief.
-            stats.merge(&balance_pass(
-                &self.policy,
-                Some(&self.topo),
-                &self.trace,
-                queues,
-                threads,
-                |thief, victim| self.topo.steal_level(thief, victim) <= level,
-            ));
-        }
-        stats
+        balance_pass(&self.policy, self.topo.as_deref(), &self.trace, queues, threads)
     }
 
     fn set_trace_sink(&mut self, sink: TraceSink) {
@@ -412,66 +320,5 @@ mod tests {
         let stats = sched.balance_round(&mut queues, &table);
         assert!(stats.migrations >= 1);
         assert_eq!(stats.level_migrations.iter().sum::<u64>(), stats.migrations);
-    }
-
-    #[test]
-    fn hierarchical_round_keeps_local_imbalances_local() {
-        let topo = numa_topo();
-        let mut sched = HierarchicalScheduler::new(Policy::simple(), Arc::clone(&topo));
-        let mut queues = CoreQueues::with_topology(&topo);
-        let table = threads(2);
-        // cpu0 runs one thread and queues one; its SMT sibling must take it
-        // without any cross-node traffic.
-        queues.set_current(CoreId(0), Some(SimThreadId(0)));
-        queues.enqueue(CoreId(0), SimThreadId(1));
-        let stats = sched.balance_round(&mut queues, &table);
-        assert_eq!(stats.migrations, 1);
-        assert_eq!(stats.level_migrations[StealLevel::SmtSibling.index()], 1);
-        assert_eq!(stats.remote_rate(), 0.0);
-        assert!(queues.is_work_conserving());
-    }
-
-    #[test]
-    fn hierarchical_round_escalates_across_nodes_when_needed() {
-        let topo = numa_topo();
-        let mut sched = HierarchicalScheduler::new(Policy::simple(), Arc::clone(&topo));
-        let mut queues = CoreQueues::with_topology(&topo);
-        let table = threads(12);
-        // All 12 threads on node 0's cpu0: node 1 can only be fed by
-        // cross-node steals, but local passes still run first.
-        queues.set_current(CoreId(0), Some(SimThreadId(0)));
-        for i in 1..12 {
-            queues.enqueue(CoreId(0), SimThreadId(i));
-        }
-        let mut total = FoldedStats::default();
-        for _ in 0..16 {
-            if queues.is_work_conserving() {
-                break;
-            }
-            total.merge(&sched.balance_round(&mut queues, &table));
-        }
-        assert!(queues.is_work_conserving());
-        assert_eq!(queues.total_threads(), 12);
-        assert!(total.level_migrations[StealLevel::Remote.index()] >= 1);
-        assert!(
-            total.level_migrations[StealLevel::SmtSibling.index()] >= 1,
-            "the sibling pass must have contributed before escalation"
-        );
-    }
-
-    #[test]
-    fn hierarchical_wakeups_prefer_topologically_near_cores() {
-        let topo = numa_topo();
-        let mut sched = HierarchicalScheduler::new(Policy::simple(), Arc::clone(&topo));
-        let mut queues = CoreQueues::with_topology(&topo);
-        let table = threads(4);
-        // cpu0 busy; its SMT sibling cpu1 idle; remote cpus idle too: the
-        // wakeup that last ran on cpu0 must land on cpu1, not on cpu4.
-        queues.set_current(CoreId(0), Some(SimThreadId(0)));
-        let core = sched.place_wakeup(&queues, &table, SimThreadId(1), Some(CoreId(0)));
-        assert_eq!(core, CoreId(1));
-        // An idle previous core still wins outright.
-        let back = sched.place_wakeup(&queues, &table, SimThreadId(2), Some(CoreId(6)));
-        assert_eq!(back, CoreId(6));
     }
 }

@@ -6,8 +6,9 @@
 
 use std::sync::Arc;
 
-use sched_core::Policy;
-use sched_sim::{Engine, EventEngine, HierarchicalScheduler, OptimisticScheduler, SimConfig};
+use sched_core::policy::TopologyAwareChoice;
+use sched_core::{LoadMetric, Policy};
+use sched_sim::{Engine, EventEngine, OptimisticScheduler, SimConfig};
 use sched_trace::{FoldedStats, SanityChecker, TraceEvent, TraceSink};
 use sched_workloads::{ScientificWorkload, Workload};
 
@@ -61,13 +62,15 @@ fn event_engine_stats_equal_the_folded_trace() {
 }
 
 #[test]
-fn hierarchical_trace_keeps_level_attribution_on_both_engines() {
+fn topology_aware_trace_keeps_level_attribution_on_both_engines() {
     let topo = sched_topology::TopologyBuilder::new().sockets(2).cores_per_socket(2).smt(2).build();
     let arc = Arc::new(topo.clone());
     let workload = scientific(topo.nr_cpus());
     for event_driven in [false, true] {
         let sink = TraceSink::recording(topo.nr_cpus());
-        let sched = Box::new(HierarchicalScheduler::new(Policy::simple(), Arc::clone(&arc)));
+        let choice = TopologyAwareChoice::new(Arc::clone(&arc), LoadMetric::NrThreads);
+        let policy = Policy::simple().with_choice(Box::new(choice));
+        let sched = Box::new(OptimisticScheduler::with_topology(policy, Arc::clone(&arc)));
         let result = if event_driven {
             let mut engine = EventEngine::new(SimConfig::default(), Some(&topo), &workload, sched);
             engine.set_trace_sink(sink.clone());

@@ -90,34 +90,6 @@ impl MachineTopology {
             StealLevel::Remote
         }
     }
-
-    /// Partitions the machine's CPUs into the regions that steals **at or
-    /// below** `level` stay inside: physical cores for
-    /// [`StealLevel::SmtSibling`], LLCs for [`StealLevel::SameLlc`], NUMA
-    /// nodes for [`StealLevel::SameNode`] and the whole machine for
-    /// [`StealLevel::Remote`].
-    ///
-    /// This is the partition the per-level potential (hierarchical
-    /// convergence) is computed over: a steal classified at `level` moves
-    /// load *within* one region of every partition at `level` or coarser,
-    /// so it cannot disturb the balance already achieved at those levels.
-    pub fn level_regions(&self, level: StealLevel) -> Vec<Vec<CpuId>> {
-        let mut regions: Vec<(usize, Vec<CpuId>)> = Vec::new();
-        for cpu in self.cpus() {
-            // A dense sort key identifying the cpu's region at this level.
-            let key = match level {
-                StealLevel::SmtSibling => cpu.physical_core,
-                StealLevel::SameLlc => cpu.socket * (self.nr_cpus() + 1) + cpu.llc,
-                StealLevel::SameNode => cpu.node.0,
-                StealLevel::Remote => 0,
-            };
-            match regions.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(cpu.id),
-                None => regions.push((key, vec![cpu.id])),
-            }
-        }
-        regions.into_iter().map(|(_, members)| members).collect()
-    }
 }
 
 #[cfg(test)]
@@ -192,45 +164,18 @@ mod tests {
     }
 
     #[test]
-    fn level_regions_partition_the_machine() {
-        let topo =
-            TopologyBuilder::new().sockets(2).cores_per_socket(4).llcs_per_socket(2).smt(2).build();
-        for level in StealLevel::ALL {
-            let regions = topo.level_regions(level);
-            let mut seen = vec![false; topo.nr_cpus()];
-            for region in &regions {
-                for cpu in region {
-                    assert!(!seen[cpu.0], "cpu in two regions at {level}");
-                    seen[cpu.0] = true;
-                }
-            }
-            assert!(seen.into_iter().all(|s| s), "regions must cover the machine at {level}");
-        }
-        assert_eq!(topo.level_regions(StealLevel::SmtSibling).len(), 8);
-        assert_eq!(topo.level_regions(StealLevel::SameLlc).len(), 4);
-        assert_eq!(topo.level_regions(StealLevel::SameNode).len(), 2);
-        assert_eq!(topo.level_regions(StealLevel::Remote).len(), 1);
-    }
-
-    #[test]
     fn same_level_cpus_share_a_region() {
+        // "Within `level`" is an equivalence: the regions a steal at or below
+        // a level stays inside nest, so the steal levels form an ultrametric.
         let topo =
             TopologyBuilder::new().sockets(2).cores_per_socket(4).llcs_per_socket(2).smt(2).build();
-        for level in StealLevel::ALL {
-            let regions = topo.level_regions(level);
-            let region_of = |cpu: CpuId| regions.iter().position(|r| r.contains(&cpu)).unwrap();
-            for a in 0..topo.nr_cpus() {
-                for b in 0..topo.nr_cpus() {
-                    if a == b {
-                        continue;
-                    }
-                    let (a, b) = (CpuId(a), CpuId(b));
-                    // Steals at or below `level` stay inside one region.
-                    if topo.steal_level(a, b) <= level {
-                        assert_eq!(region_of(a), region_of(b));
-                    } else {
-                        assert_ne!(region_of(a), region_of(b));
-                    }
+        let n = topo.nr_cpus();
+        let level = |a: usize, b: usize| topo.steal_level(CpuId(a), CpuId(b));
+        for a in 0..n {
+            for b in (0..n).filter(|&b| b != a) {
+                assert_eq!(level(a, b), level(b, a));
+                for c in (0..n).filter(|&c| c != a && c != b) {
+                    assert!(level(a, c) <= level(a, b).max(level(b, c)), "cpus {a}, {b}, {c}");
                 }
             }
         }

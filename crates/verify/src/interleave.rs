@@ -58,29 +58,6 @@ fn rec(remaining: &mut Vec<u8>, current: &mut Vec<Step>, out: &mut Vec<Vec<Step>
     }
 }
 
-/// Enumerates a bounded pseudo-random sample of interleavings when the full
-/// enumeration would be too large; falls back to the full enumeration when
-/// it is small enough.
-pub fn sampled_interleavings(nr_cores: usize, max: usize, seed: u64) -> Vec<Vec<Step>> {
-    if nr_cores <= 6 {
-        let all = all_interleavings(nr_cores);
-        if all.len() <= max {
-            return all;
-        }
-        // Deterministic thinning.
-        let stride = (all.len() / max).max(1);
-        return all.into_iter().step_by(stride).take(max).collect();
-    }
-    (0..max)
-        .map(|i| {
-            sched_core::RoundSchedule::Seeded(
-                seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
-            )
-            .steps(nr_cores)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,19 +97,5 @@ mod tests {
     #[should_panic(expected = "limited to 6 cores")]
     fn oversized_enumeration_is_refused() {
         let _ = all_interleavings(7);
-    }
-
-    #[test]
-    fn sampling_thins_large_enumerations_and_stays_valid() {
-        let sample = sampled_interleavings(4, 100, 42);
-        assert!(sample.len() <= 100);
-        for steps in &sample {
-            RoundSchedule::validate(steps, 4).unwrap();
-        }
-        let big = sampled_interleavings(8, 10, 7);
-        assert_eq!(big.len(), 10);
-        for steps in &big {
-            RoundSchedule::validate(steps, 8).unwrap();
-        }
     }
 }

@@ -61,8 +61,8 @@ pub fn check_equivalence(spec: &Policy, imp: &Policy, scope: &Scope) -> LemmaRep
         let all = || snapshot.cores().iter().copied();
         for thief in snapshot.cores() {
             instances += 1;
-            let spec_victim = spec.select(thief, all(), |_| true, &mut spec_candidates);
-            let imp_victim = imp.select(thief, all(), |_| true, &mut imp_candidates);
+            let spec_victim = spec.select(thief, all(), &mut spec_candidates);
+            let imp_victim = imp.select(thief, all(), &mut imp_candidates);
             let (step, spec_says, imp_says) = if views[0] != views[1] {
                 ("the load view", format!("{:?}", views[0]), format!("{:?}", views[1]))
             } else if spec_candidates != imp_candidates {

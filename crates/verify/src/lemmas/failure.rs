@@ -26,8 +26,9 @@ use crate::scope::Scope;
 ///
 /// # Panics
 ///
-/// Panics if `scope.max_cores > 6` (the interleaving enumeration refuses
-/// larger rounds; use the sampled checks in `sched-bench` beyond that).
+/// Panics if `scope.max_cores > 6`: the interleaving enumeration refuses
+/// larger rounds, which only seeded schedules
+/// ([`sched_core::RoundSchedule::Seeded`]) sample.
 pub fn check_failure_implies_concurrent_success(balancer: &Balancer, scope: &Scope) -> LemmaReport {
     let executor = ConcurrentRound::new(balancer);
     let mut instances = 0u64;

@@ -9,7 +9,6 @@
 //! | [`potential`] | §4.3, property P2 | Every successful steal strictly decreases the pairwise absolute load difference `d`. |
 //! | [`steal_size`] | §4.2, §4.3 P2 | The one step-3 sizing every substrate calls sizes at least one thread, never the victim's last, and — for half the imbalance — never inverts the pair. |
 //! | [`equivalence`] | §1 (one DSL text, compiled to proof and code) | Two policies balance the same load view, build the same candidate list, choose the same victim and size the same steal from every state of the scope, for every thief. |
-//! | [`hierarchy`] | §5 | A steal at one topology level leaves the per-level potential unchanged at that level and coarser, and hierarchical rounds stay work-conserving. |
 //! | [`decay`] | §3.1 ("no assumption on the criteria") | A steady tracked load converges geometrically to the instantaneous load, and balancing on any monotone tracker preserves work conservation given settling ticks. |
 //!
 //! The concurrent convergence check (bounded failures + the §3.2 `∃N`) is in
@@ -19,7 +18,6 @@
 pub mod decay;
 pub mod equivalence;
 pub mod failure;
-pub mod hierarchy;
 pub mod lemma1;
 pub mod potential;
 pub mod seq_wc;
@@ -29,7 +27,6 @@ pub mod steal_sound;
 pub use decay::{check_decay_convergence, check_tracked_work_conservation};
 pub use equivalence::{check_equivalence, equivalence_states};
 pub use failure::check_failure_implies_concurrent_success;
-pub use hierarchy::{check_hierarchical_work_conservation, check_level_potential_invariance};
 pub use lemma1::check_lemma1;
 pub use potential::check_potential_decreases;
 pub use seq_wc::check_sequential_work_conservation;

@@ -56,15 +56,19 @@ fn concurrent_balancing_converges_to_work_conservation() {
 }
 
 #[test]
-fn hierarchical_rounds_work_identically_on_the_lock_free_backend() {
+fn topology_aware_rounds_drain_a_numa_machine_on_the_lock_free_backend() {
+    use optimistic_sched::core::policy::TopologyAwareChoice;
+    use optimistic_sched::core::LoadMetric;
+
     let topo = optimistic_sched::topology::TopologyBuilder::eight_node_numa();
     let mq: DequeMultiQueue = MultiQueue::with_topology(&topo);
     for _ in 0..16 {
         mq.spawn_on(CoreId(0));
     }
-    let policy = Policy::simple();
-    let (rounds, stats) = mq.converge_hierarchical(&policy, 128);
-    assert!(rounds.is_some(), "hierarchical balancing must converge on the deque backend");
+    let choice = TopologyAwareChoice::new(std::sync::Arc::new(topo), LoadMetric::NrThreads);
+    let policy = Policy::simple().with_choice(Box::new(choice));
+    let (rounds, stats) = mq.converge(&policy, 128);
+    assert!(rounds.is_some(), "topology-aware balancing must converge on the deque backend");
     assert!(mq.is_work_conserving());
     assert_eq!(mq.total_threads(), 16);
     assert!(stats.migrations() >= 7);

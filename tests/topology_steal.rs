@@ -1,14 +1,11 @@
-//! Property-based tests of topology-aware stealing and hierarchical
-//! balancing on random machine shapes.
-//!
-//! The exhaustive hierarchy lemmas (`sched-verify`) cover one small NUMA
-//! machine; these properties push the same invariants to random topologies
-//! (sockets × cores × LLC splits × SMT) and random load vectors.
+//! Property-based tests of topology-aware stealing — the hierarchy in step
+//! 2 — on random machine shapes (sockets × cores × LLC splits × SMT) and
+//! random load vectors.
 
 use std::sync::Arc;
 
 use optimistic_sched::core::prelude::*;
-use optimistic_sched::topology::{MachineTopology, StealLevel, TopologyBuilder};
+use optimistic_sched::topology::{MachineTopology, TopologyBuilder};
 use proptest::prelude::*;
 
 /// A random regular machine: 1–3 sockets, 1–3 cores per socket, 1–2 LLC
@@ -104,9 +101,10 @@ proptest! {
         }
     }
 
-    /// Hierarchical balancing preserves work conservation on random
-    /// topologies: it converges within a linear budget, conserves every
-    /// thread, and stays work-conserving afterwards.
+    /// Hierarchical balancing — flat rounds under the topology-aware choice
+    /// — preserves work conservation on random topologies: it converges
+    /// within a linear budget, conserves every thread, and stays
+    /// work-conserving afterwards.
     #[test]
     fn hierarchical_balancing_preserves_work_conservation(
         topo in arbitrary_topology(),
@@ -116,60 +114,17 @@ proptest! {
         let mut system = system_with(&topo, &loads);
         let total = system.total_threads();
         let balancer = Balancer::new(topo_policy(&topo));
-        let hier = HierarchicalRound::new(&balancer, Arc::clone(&topo));
         let budget = 8 * (total as usize + 1);
-        let (rounds, _) = hier.converge(&mut system, &RoundSchedule::Seeded(seed), budget);
-        prop_assert!(rounds.is_some(), "loads {loads:?} did not converge hierarchically");
+        let result = converge(&mut system, &balancer, RoundSchedule::Seeded(seed), budget);
+        prop_assert!(result.converged(), "loads {loads:?} did not converge");
         prop_assert!(system.is_work_conserving());
         prop_assert_eq!(system.total_threads(), total);
         prop_assert!(system.tasks_are_unique());
-        // Absorbing: further hierarchical rounds never reintroduce a
-        // violation.
+        // Absorbing: further rounds never reintroduce a violation.
         for round in 0..3usize {
-            hier.execute(&mut system, &RoundSchedule::Seeded(seed ^ round as u64));
+            ConcurrentRound::new(&balancer)
+                .execute(&mut system, &RoundSchedule::Seeded(seed ^ round as u64));
             prop_assert!(system.is_work_conserving());
-        }
-    }
-
-    /// Steals admitted at an inner level never change the region balance at
-    /// that level or coarser, on random topologies (the hierarchy lemma at
-    /// proptest scale).
-    #[test]
-    fn inner_steals_preserve_coarser_region_balance(
-        topo in arbitrary_topology(),
-        seed in any::<u64>(),
-    ) {
-        let loads = derive_loads(&topo, seed);
-        let system = system_with(&topo, &loads);
-        let balancer = Balancer::new(Policy::simple());
-        let snapshot = SystemSnapshot::capture(&system);
-        for thief in system.core_ids() {
-            for victim in system.core_ids() {
-                if thief == victim
-                    || !balancer
-                        .policy()
-                        .filter
-                        .can_steal(snapshot.core(thief), snapshot.core(victim))
-                {
-                    continue;
-                }
-                let steal_level = topo.steal_level(thief, victim);
-                let before = system.loads(LoadMetric::NrThreads);
-                let mut working = system.clone();
-                if !balancer.steal(&mut working, thief, victim).is_success() {
-                    continue;
-                }
-                let after = working.loads(LoadMetric::NrThreads);
-                for level in StealLevel::ALL {
-                    if level >= steal_level {
-                        prop_assert!(
-                            level_potential(&before, &topo, level)
-                                == level_potential(&after, &topo, level),
-                            "steal {victim} -> {thief} at {steal_level} changed the {level} potential"
-                        );
-                    }
-                }
-            }
         }
     }
 }

@@ -465,8 +465,9 @@ fn fuzz_scenarios_task(args: &[String]) -> Result<ExitCode, String> {
 /// the drained trace into the three offline reports
 /// ([`sched_bench::trace_report`]): per-level steal-latency histograms,
 /// the idle-interval attribution table, and tasks-per-acquisition over
-/// time.  Defaults to E16 (hierarchical convergence on the eight-node
-/// topology) on the tick simulator — the one catalog entry that exercises
+/// time.  Defaults to E16 (one hot core per node of the eight-node
+/// topology, each node drained locally by the topology-aware choice) on
+/// the tick simulator — the one catalog entry that exercises
 /// every report column: leveled steals, real park/unpark spans, and a
 /// draining backlog.
 fn trace_report_task(args: &[String]) -> Result<ExitCode, String> {

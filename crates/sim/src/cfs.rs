@@ -183,12 +183,10 @@ impl SimScheduler for CfsLikeScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sched_workloads::{Phase, ThreadSpec};
+    use sched_core::Weight;
 
     fn threads(n: usize) -> Vec<SimThread> {
-        (0..n)
-            .map(|i| SimThread::new(SimThreadId(i), ThreadSpec::new(vec![Phase::Compute(1)])))
-            .collect()
+        (0..n).map(|i| SimThread::new(SimThreadId(i), Weight::NICE_0)).collect()
     }
 
     fn two_node_queues() -> CoreQueues {

@@ -22,7 +22,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::machine::{Machine, Upkeep};
 
 /// The tick-driven simulator: a [`Machine`] kept up to date eagerly.
-pub type Engine = Machine<Eager>;
+pub type Engine<'w> = Machine<'w, Eager>;
 
 /// The eager upkeep: everything about every core, at every event.
 #[derive(Debug)]
@@ -40,7 +40,7 @@ impl Upkeep for Eager {
         Eager { last_account: 0 }
     }
 
-    fn advance(m: &mut Engine, to: u64) {
+    fn advance(m: &mut Engine<'_>, to: u64) {
         let span = to.saturating_sub(m.upkeep.last_account);
         if span == 0 {
             return;
@@ -52,14 +52,14 @@ impl Upkeep for Eager {
         m.upkeep.last_account = to;
     }
 
-    fn on_timer(m: &mut Engine, core: CoreId) {
+    fn on_timer(m: &mut Engine<'_>, core: CoreId) {
         m.preempt(core);
         if m.unfinished() {
             m.events.push(m.now + m.config.timeslice_ns, EventKind::Timer(core));
         }
     }
 
-    fn on_balance(m: &mut Engine) {
+    fn on_balance(m: &mut Engine<'_>) {
         // Decay every tracked load to the present before the selection
         // phase reads it, and refresh after the migrations settle.
         m.queues.touch_all(m.now, m.tracker.as_ref(), &m.threads);
@@ -74,7 +74,7 @@ impl Upkeep for Eager {
         }
     }
 
-    fn finish(m: &mut Engine, _budget_exhausted: bool) {
+    fn finish(m: &mut Engine<'_>, _budget_exhausted: bool) {
         Self::advance(m, m.now);
     }
 }

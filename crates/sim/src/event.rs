@@ -172,11 +172,6 @@ impl EventQueue {
         })
     }
 
-    /// Time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| (e.key >> 64) as u64)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -203,7 +198,6 @@ mod tests {
         q.push(10, EventKind::Timer(CoreId(0)));
         q.push(10, EventKind::Arrival(SimThreadId(1)));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(10));
         let first = q.pop().unwrap();
         let second = q.pop().unwrap();
         let third = q.pop().unwrap();

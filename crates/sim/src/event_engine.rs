@@ -56,7 +56,7 @@ use crate::machine::{Machine, Upkeep};
 /// The event-driven simulator: a [`Machine`] kept up to date lazily.
 /// Construction and results are drop-in compatible with
 /// [`crate::engine::Engine`].
-pub type EventEngine = Machine<Lazy>;
+pub type EventEngine<'w> = Machine<'w, Lazy>;
 
 /// Per-core bookkeeping the lazy upkeep keeps off the calendar.
 #[derive(Debug, Clone)]
@@ -117,7 +117,7 @@ impl Upkeep for Lazy {
 
     /// Advances the machine-wide violation integral to `to` using the state
     /// that held since the previous event.
-    fn advance(m: &mut EventEngine, to: u64) {
+    fn advance(m: &mut EventEngine<'_>, to: u64) {
         let up = &mut m.upkeep;
         let span = to.saturating_sub(up.v_last_ns);
         if span > 0 && up.nr_overloaded > 0 {
@@ -128,11 +128,11 @@ impl Upkeep for Lazy {
 
     /// Replays the balance-grid tracker folds `core` missed while it was off
     /// the calendar.
-    fn before_change(m: &mut EventEngine, core: CoreId) {
+    fn before_change(m: &mut EventEngine<'_>, core: CoreId) {
         m.queues.catch_up(core, m.now, m.config.balance_period_ns, m.tracker.as_ref(), &m.threads);
     }
 
-    fn after_change(m: &mut EventEngine, core: CoreId) {
+    fn after_change(m: &mut EventEngine<'_>, core: CoreId) {
         m.settle(core);
         m.refresh(core);
         m.maybe_arm_timer(core);
@@ -140,7 +140,7 @@ impl Upkeep for Lazy {
 
     /// Puts the machine-wide balance event back on its grid after a wakeup
     /// ended a fully-asleep episode.
-    fn on_wakeup(m: &mut EventEngine) {
+    fn on_wakeup(m: &mut EventEngine<'_>) {
         if !m.upkeep.balance_parked {
             return;
         }
@@ -149,7 +149,7 @@ impl Upkeep for Lazy {
         m.events.push((m.now / bp + 1) * bp, EventKind::Balance);
     }
 
-    fn on_timer(m: &mut EventEngine, core: CoreId) {
+    fn on_timer(m: &mut EventEngine<'_>, core: CoreId) {
         m.upkeep.meta[core.0].timer_armed = false;
         m.upkeep.meta[core.0].last_timer_fired_ns = m.now;
         // A timer that went stale while on the calendar fires as a no-op; a
@@ -157,7 +157,7 @@ impl Upkeep for Lazy {
         m.preempt(core);
     }
 
-    fn on_balance(m: &mut EventEngine) {
+    fn on_balance(m: &mut EventEngine<'_>) {
         // Bring every core to the present before the selection phase reads
         // it: replay missed grid folds, fold at the present (the tick
         // engine's `touch_all`), and flush idle accounting so the round's
@@ -194,7 +194,7 @@ impl Upkeep for Lazy {
         }
     }
 
-    fn finish(m: &mut EventEngine, budget_exhausted: bool) {
+    fn finish(m: &mut EventEngine<'_>, budget_exhausted: bool) {
         if m.unfinished() && !budget_exhausted {
             // The tick engine keeps every timer and the balance tick on the
             // calendar until the horizon, so its truncated makespan is the
@@ -211,7 +211,7 @@ impl Upkeep for Lazy {
     }
 }
 
-impl Machine<Lazy> {
+impl Machine<'_, Lazy> {
     /// Flushes `core`'s idle accounting up to the present using the status
     /// flags stored at its last change (the violation integral must already
     /// be advanced to `self.now`).

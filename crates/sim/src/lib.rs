@@ -8,10 +8,11 @@
 //! machine-wide load-balancing rounds.
 //!
 //! There is one simulated machine, [`machine::Machine`]: one set of phase,
-//! wakeup, election, completion and preemption handlers, one run loop.  It
-//! is generic over its [`machine::Upkeep`] — which timers and balance ticks
-//! are on the calendar, when a core's tracked load is folded, when idle time
-//! is charged, which cores are re-elected after a balancing round — and the
+//! wakeup, election, completion and preemption handlers, one run loop,
+//! reading the workload it borrows in place.  It is generic over its
+//! [`machine::Upkeep`] — which timers and balance ticks are on the
+//! calendar, when a core's tracked load is folded, when idle time is
+//! charged, which cores are re-elected after a balancing round — and the
 //! two upkeeps are the two engines:
 //!
 //! * [`engine::Engine`] — the tick-driven engine, the machine under its

@@ -7,6 +7,11 @@
 //! balanced every balancing period.  Runs are fully deterministic given the
 //! workload, the scheduler and the configured [`OrderingPolicy`].
 //!
+//! The machine borrows the [`Workload`] it runs for its whole life and
+//! copies none of it: each thread's phase program, arrival time and origin
+//! core are read in place, and a [`SimThread`] holds only the thread's run
+//! state and its load weight.
+//!
 //! What the machine does *not* decide is its own upkeep, the [`Upkeep`]
 //! parameter: which timers and balance ticks are on the calendar, when a
 //! core's tracked load is folded, when idle time is charged, and which
@@ -33,7 +38,7 @@
 use std::sync::Arc;
 
 use sched_core::tracker::LoadTracker;
-use sched_core::{CoreId, TaskId};
+use sched_core::{CoreId, Nice, TaskId};
 use sched_metrics::{IdleAccounting, LatencyRecorder};
 use sched_topology::MachineTopology;
 use sched_trace::{FoldedStats, TraceEvent, TraceSink};
@@ -61,37 +66,40 @@ pub trait Upkeep: Sized {
 
     /// Time is about to move to `to`: the machine stayed as it is since the
     /// previous event.
-    fn advance(m: &mut Machine<Self>, to: u64);
+    fn advance(m: &mut Machine<'_, Self>, to: u64);
 
     /// `core`'s runqueue is about to change.  Nothing to do for an upkeep
     /// that keeps every core current anyway.
-    fn before_change(_m: &mut Machine<Self>, _core: CoreId) {}
+    fn before_change(_m: &mut Machine<'_, Self>, _core: CoreId) {}
 
     /// `core`'s runqueue changed and its tracked load has been folded.
-    fn after_change(_m: &mut Machine<Self>, _core: CoreId) {}
+    fn after_change(_m: &mut Machine<'_, Self>, _core: CoreId) {}
 
     /// A thread woke up and was placed on a runqueue.
-    fn on_wakeup(_m: &mut Machine<Self>) {}
+    fn on_wakeup(_m: &mut Machine<'_, Self>) {}
 
     /// `core`'s preemption timer fired: run the machine's `preempt` and
     /// decide whether a next timer goes on the calendar.
-    fn on_timer(m: &mut Machine<Self>, core: CoreId);
+    fn on_timer(m: &mut Machine<'_, Self>, core: CoreId);
 
     /// The machine-wide balance tick fired: bring the tracked loads to the
     /// present, run the machine's `balance_round`, `elect_next` on the cores
     /// that received work and decide whether a next tick goes on the
     /// calendar.
-    fn on_balance(m: &mut Machine<Self>);
+    fn on_balance(m: &mut Machine<'_, Self>);
 
     /// The run is over (`budget_exhausted`: it hit the event budget): fix
     /// the final time and flush the idle accounting up to it.
-    fn finish(m: &mut Machine<Self>, budget_exhausted: bool);
+    fn finish(m: &mut Machine<'_, Self>, budget_exhausted: bool);
 }
 
 /// The discrete-event simulator, generic over its [`Upkeep`].  Use it
 /// through [`crate::Engine`] or [`crate::EventEngine`].
-pub struct Machine<U: Upkeep> {
+pub struct Machine<'w, U: Upkeep> {
     pub(crate) config: SimConfig,
+    /// What runs: each thread's phase program, arrival and origin core are
+    /// read here in place, never copied.
+    workload: &'w Workload,
     pub(crate) queues: CoreQueues,
     pub(crate) threads: Vec<SimThread>,
     barriers: Vec<SimBarrier>,
@@ -100,7 +108,6 @@ pub struct Machine<U: Upkeep> {
     /// The scheduler's load criterion: every run, sleep and wakeup event is
     /// folded into the per-core tracked averages under it.
     pub(crate) tracker: Arc<dyn LoadTracker>,
-    workload_name: String,
     pub(crate) now: u64,
     pub(crate) idle: IdleAccounting,
     latency: LatencyRecorder,
@@ -115,7 +122,7 @@ pub struct Machine<U: Upkeep> {
     pub(crate) upkeep: U,
 }
 
-impl<U: Upkeep> Machine<U> {
+impl<'w, U: Upkeep> Machine<'w, U> {
     /// Builds a machine for `workload` under `scheduler`.
     ///
     /// If `topo` is given the core count and NUMA layout come from it,
@@ -128,7 +135,7 @@ impl<U: Upkeep> Machine<U> {
     pub fn new(
         config: SimConfig,
         topo: Option<&MachineTopology>,
-        workload: &Workload,
+        workload: &'w Workload,
         scheduler: Box<dyn SimScheduler>,
     ) -> Self {
         workload.validate().unwrap_or_else(|e| panic!("invalid workload: {e}"));
@@ -146,13 +153,13 @@ impl<U: Upkeep> Machine<U> {
             .threads
             .iter()
             .enumerate()
-            .map(|(i, spec)| SimThread::new(SimThreadId(i), spec.clone()))
+            .map(|(i, spec)| SimThread::new(SimThreadId(i), Nice::new(spec.nice).weight()))
             .collect();
         let barriers = workload.barriers.iter().map(|&(id, n)| SimBarrier::new(id, n)).collect();
 
         let mut events = EventQueue::with_ordering(config.ordering);
-        for thread in &threads {
-            events.push(thread.spec.arrival_ns, EventKind::Arrival(thread.id));
+        for (i, spec) in workload.threads.iter().enumerate() {
+            events.push(spec.arrival_ns, EventKind::Arrival(SimThreadId(i)));
         }
         let upkeep = U::new(nr_cores, &config, &mut events);
 
@@ -160,13 +167,13 @@ impl<U: Upkeep> Machine<U> {
             idle: IdleAccounting::new(nr_cores),
             latency: LatencyRecorder::new(),
             balance_stats: FoldedStats::default(),
+            workload,
             queues,
             threads,
             barriers,
             events,
             tracker: scheduler.tracker(),
             scheduler,
-            workload_name: workload.name.clone(),
             now: 0,
             finished_count: 0,
             events_processed: 0,
@@ -221,7 +228,7 @@ impl<U: Upkeep> Machine<U> {
         U::finish(&mut self, budget_exhausted);
         SimResult {
             scheduler: self.scheduler.name(),
-            workload: self.workload_name,
+            workload: self.workload.name.clone(),
             makespan_ns: self.now,
             finished: self.finished_count == self.threads.len(),
             operations: self.threads.iter().map(|t| t.ops_completed).sum(),
@@ -287,7 +294,8 @@ impl<U: Upkeep> Machine<U> {
     /// Starts the thread's current phase (compute, sleep, barrier) or
     /// finishes the thread if no phase remains.
     fn enter_phase(&mut self, tid: SimThreadId) {
-        match self.threads[tid.0].current_phase() {
+        let phase = self.threads[tid.0].current_phase(&self.workload.threads[tid.0]);
+        match phase {
             None => {
                 let thread = &mut self.threads[tid.0];
                 thread.state = ThreadState::Finished;
@@ -332,7 +340,7 @@ impl<U: Upkeep> Machine<U> {
     /// core is idle.
     fn make_runnable(&mut self, tid: SimThreadId) {
         let prev = self.threads[tid.0].last_core;
-        let target = match (prev, self.threads[tid.0].spec.origin_core) {
+        let target = match (prev, self.workload.threads[tid.0].origin_core) {
             // First placement of a pinned thread: honour the workload's
             // origin core (e.g. "all workers forked on core 0").
             (None, Some(origin)) => CoreId(origin % self.queues.nr_cores()),
@@ -456,11 +464,12 @@ mod tests {
     use crate::scheduler::OptimisticScheduler;
 
     fn construction_panic<U: Upkeep>(config: &SimConfig) -> String {
+        let workload = Workload::new("empty");
         let build = || {
             Machine::<U>::new(
                 config.clone(),
                 None,
-                &Workload::new("empty"),
+                &workload,
                 Box::new(OptimisticScheduler::new(Policy::simple())),
             )
         };

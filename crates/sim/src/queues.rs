@@ -170,20 +170,6 @@ impl CoreQueues {
         self.log_mutation(core);
     }
 
-    /// Removes `tid` from `core`'s runqueue, returning `true` if it was
-    /// there.
-    pub fn remove_ready(&mut self, core: CoreId, tid: SimThreadId) -> bool {
-        let q = &mut self.cores[core.0].ready;
-        if let Some(pos) = q.iter().position(|&t| t == tid) {
-            q.remove(pos);
-            self.counts[core.0] -= 1;
-            self.log_mutation(core);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Pops the oldest waiting thread of `core`.
     pub fn pop_ready(&mut self, core: CoreId) -> Option<SimThreadId> {
         let popped = self.cores[core.0].ready.pop_front();
@@ -334,12 +320,10 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use sched_workloads::{Phase, ThreadSpec};
+    use sched_core::Weight;
 
     fn threads(n: usize) -> Vec<SimThread> {
-        (0..n)
-            .map(|i| SimThread::new(SimThreadId(i), ThreadSpec::new(vec![Phase::Compute(1)])))
-            .collect()
+        (0..n).map(|i| SimThread::new(SimThreadId(i), Weight::NICE_0)).collect()
     }
 
     #[test]
@@ -396,7 +380,7 @@ mod tests {
         #[test]
         fn the_count_array_follows_every_mutation(
             nr_cores in 1usize..6,
-            ops in prop::collection::vec((0usize..5, 0usize..6, 0usize..6, 0usize..6), 1..120),
+            ops in prop::collection::vec((0usize..4, 0usize..6, 0usize..6, 0usize..6), 1..120),
         ) {
             let mut q = CoreQueues::new(nr_cores);
             let mut fresh = (0..).map(SimThreadId);
@@ -411,10 +395,6 @@ mod tests {
                         if a != b {
                             q.migrate_at(a, b, i);
                         }
-                    }
-                    3 => {
-                        let tid = q.core(a).ready.get(i).copied();
-                        q.remove_ready(a, tid.unwrap_or_else(|| fresh.next().unwrap()));
                     }
                     _ => q.set_current(a, (i % 3 != 0).then(|| fresh.next().unwrap())),
                 }
@@ -440,12 +420,11 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_pop_ready() {
+    fn pop_ready_takes_the_oldest_first() {
         let mut q = CoreQueues::new(1);
         q.enqueue(CoreId(0), SimThreadId(0));
         q.enqueue(CoreId(0), SimThreadId(1));
-        assert!(q.remove_ready(CoreId(0), SimThreadId(0)));
-        assert!(!q.remove_ready(CoreId(0), SimThreadId(0)));
+        assert_eq!(q.pop_ready(CoreId(0)), Some(SimThreadId(0)));
         assert_eq!(q.pop_ready(CoreId(0)), Some(SimThreadId(1)));
         assert_eq!(q.pop_ready(CoreId(0)), None);
     }

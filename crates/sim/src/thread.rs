@@ -1,6 +1,6 @@
 //! Simulated threads and their lifecycle.
 
-use sched_core::{CoreId, Nice, Weight};
+use sched_core::{CoreId, Weight};
 use sched_workloads::{Phase, ThreadSpec};
 
 /// Identifier of a simulated thread.
@@ -30,13 +30,14 @@ pub enum ThreadState {
     Finished,
 }
 
-/// One simulated thread.
+/// One simulated thread: its run state only.  Its phase program, arrival
+/// time and origin core stay in the workload the machine borrows.
 #[derive(Debug, Clone)]
 pub struct SimThread {
     /// Identity of the thread.
     pub id: SimThreadId,
-    /// The workload description of the thread.
-    pub spec: ThreadSpec,
+    /// Load weight of the thread, from its niceness.
+    weight: Weight,
     /// Lifecycle state.
     pub state: ThreadState,
     /// Index of the phase currently being executed (or about to be).
@@ -59,11 +60,11 @@ pub struct SimThread {
 }
 
 impl SimThread {
-    /// Creates a thread from its workload spec.
-    pub fn new(id: SimThreadId, spec: ThreadSpec) -> Self {
+    /// Creates a thread of load `weight` that has not arrived yet.
+    pub fn new(id: SimThreadId, weight: Weight) -> Self {
         SimThread {
             id,
-            spec,
+            weight,
             state: ThreadState::NotArrived,
             phase_idx: 0,
             remaining_ns: 0,
@@ -76,32 +77,21 @@ impl SimThread {
         }
     }
 
-    /// Niceness of the thread.
-    pub fn nice(&self) -> Nice {
-        Nice::new(self.spec.nice)
-    }
-
     /// Load weight of the thread.
     pub fn weight(&self) -> Weight {
-        self.nice().weight()
+        self.weight
     }
 
-    /// The phase the thread is currently executing, if any remain.
-    pub fn current_phase(&self) -> Option<Phase> {
-        self.spec.phases.get(self.phase_idx).copied()
-    }
-
-    /// Returns `true` if the thread contributes to a core's load (it is
-    /// either running or waiting on a runqueue).
-    pub fn is_on_a_runqueue(&self) -> bool {
-        matches!(self.state, ThreadState::Runnable | ThreadState::Running)
-    }
-
-    /// Returns `true` if the thread has completed all its phases.
-    pub fn is_finished(&self) -> bool {
-        matches!(self.state, ThreadState::Finished)
+    /// The phase of `spec`, the thread's program, that the thread is
+    /// executing (or about to), if any remain.
+    pub fn current_phase(&self, spec: &ThreadSpec) -> Option<Phase> {
+        spec.phases.get(self.phase_idx).copied()
     }
 }
+
+// One per simulated thread, and read on every event: a field that grows it,
+// or a copy of the thread's spec moving back in, fails the build.
+const _: () = assert!(std::mem::size_of::<SimThread>() <= 128);
 
 #[cfg(test)]
 mod tests {
@@ -109,24 +99,21 @@ mod tests {
 
     #[test]
     fn lifecycle_starts_before_arrival() {
-        let t = SimThread::new(SimThreadId(0), ThreadSpec::new(vec![Phase::Compute(100)]));
+        let t = SimThread::new(SimThreadId(0), Weight::NICE_0);
         assert_eq!(t.state, ThreadState::NotArrived);
-        assert!(!t.is_on_a_runqueue());
-        assert!(!t.is_finished());
-        assert_eq!(t.current_phase(), Some(Phase::Compute(100)));
+        assert_eq!(t.phase_idx, 0);
         assert_eq!(t.weight(), Weight::NICE_0);
     }
 
     #[test]
     fn display_and_phase_iteration() {
-        let mut t = SimThread::new(
-            SimThreadId(3),
-            ThreadSpec::new(vec![Phase::Compute(100), Phase::Sleep(50)]),
-        );
+        let spec = ThreadSpec::new(vec![Phase::Compute(100), Phase::Sleep(50)]);
+        let mut t = SimThread::new(SimThreadId(3), Weight::NICE_0);
         assert_eq!(t.id.to_string(), "thread3");
+        assert_eq!(t.current_phase(&spec), Some(Phase::Compute(100)));
         t.phase_idx = 1;
-        assert_eq!(t.current_phase(), Some(Phase::Sleep(50)));
+        assert_eq!(t.current_phase(&spec), Some(Phase::Sleep(50)));
         t.phase_idx = 2;
-        assert_eq!(t.current_phase(), None);
+        assert_eq!(t.current_phase(&spec), None);
     }
 }

@@ -25,6 +25,11 @@ struct Pinned {
     failures: u64,
     migrations: u64,
     latency_samples: u64,
+    latency_max_ns: u64,
+    latency_p99_ns: u64,
+    busy_ns: u64,
+    benign_idle_ns: u64,
+    violating_idle_ns: u64,
 }
 
 impl Pinned {
@@ -38,6 +43,11 @@ impl Pinned {
             failures: result.balance.failures(),
             migrations: result.balance.migrations,
             latency_samples: result.latency.count(),
+            latency_max_ns: result.latency.max(),
+            latency_p99_ns: result.latency.quantile(0.99),
+            busy_ns: result.idle.total_busy(),
+            benign_idle_ns: result.idle.total_idle_benign(),
+            violating_idle_ns: result.idle.total_idle_violating(),
         }
     }
 }
@@ -69,9 +79,12 @@ fn the_benchmark_shaped_oltp_schedule_is_pinned_on_both_engines() {
     let tick = Engine::new(config.clone(), Some(&topo), &workload, scheduler(&topo)).run();
     let event = EventEngine::new(config, Some(&topo), &workload, scheduler(&topo)).run();
     // Recorded before the packed-key calendar and the counted placement
-    // scan replaced the tuple-compared heap and the per-core struct walk.
-    // The engines agree on everything but the event count: the event
-    // engine elides timers that could not preempt.
+    // scan replaced the tuple-compared heap and the per-core struct walk;
+    // the latency and idle totals, which the threads' ready and running
+    // timestamps feed, before the machine borrowed its workload instead of
+    // copying each thread's spec.  The engines agree on everything but the
+    // event count: the event engine elides timers that could not preempt.
+    // The three idle totals sum to 64 cores × the makespan.
     let pinned = |events_processed| Pinned {
         events_processed,
         makespan_ns: 89_328_818,
@@ -79,6 +92,11 @@ fn the_benchmark_shaped_oltp_schedule_is_pinned_on_both_engines() {
         failures: 93,
         migrations: 204,
         latency_samples: 14_858,
+        latency_max_ns: 15_240_000,
+        latency_p99_ns: 8_388_608,
+        busy_ns: 5_103_314_882,
+        benign_idle_ns: 355_746_688,
+        violating_idle_ns: 257_982_782,
     };
     assert_eq!(Pinned::of(&tick), pinned(31_072), "tick engine");
     assert_eq!(Pinned::of(&event), pinned(30_148), "event engine");

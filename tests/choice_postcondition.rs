@@ -8,14 +8,13 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use optimistic_sched::core::{
-    Balancer, ChoicePolicy, CoreId, CoreSnapshot, Policy, StealOutcome, SystemState,
+    Balancer, ChoicePolicy, CoreId, CoreSnapshot, Policy, StealOutcome, SystemState, Weight,
 };
 use optimistic_sched::rq::{BalanceStats, DequeRq, FifoQueue, MultiQueue, PerCoreRq, RqBackend};
 use optimistic_sched::sim::{
     CoreQueues, OptimisticScheduler, SimScheduler, SimThread, SimThreadId,
 };
 use optimistic_sched::topology::TopologyBuilder;
-use optimistic_sched::workloads::{Phase, ThreadSpec};
 use sched_exec::{ExecConfig, Executor, JoinHandle};
 
 /// Core 1 is the only core Listing 1's filter lets anybody steal from, so
@@ -101,9 +100,8 @@ fn on_the_executor(policy: Policy) {
 }
 
 fn on_the_simulator(policy: Policy) {
-    let table: Vec<SimThread> = (0..4)
-        .map(|i| SimThread::new(SimThreadId(i), ThreadSpec::new(vec![Phase::Compute(1)])))
-        .collect();
+    let table: Vec<SimThread> =
+        (0..4).map(|i| SimThread::new(SimThreadId(i), Weight::NICE_0)).collect();
     let mut queues = CoreQueues::new(LOADS.len());
     queues.set_current(CoreId(1), Some(SimThreadId(0)));
     queues.enqueue(CoreId(1), SimThreadId(1));

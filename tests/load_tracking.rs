@@ -116,7 +116,6 @@ fn instantaneous_trackers_keep_tracked_equal_to_instantaneous() {
 fn a_half_step_on_tracked_thread_counts_moves_the_same_number_everywhere() {
     use optimistic_sched::rq::{DequeRq, MultiQueue};
     use optimistic_sched::sim::{CoreQueues, OptimisticScheduler, SimScheduler, SimThread};
-    use optimistic_sched::workloads::{Phase, ThreadSpec};
     use std::sync::Arc;
 
     let half_life = 8_000_000;
@@ -139,12 +138,7 @@ fn a_half_step_on_tracked_thread_counts_moves_the_same_number_everywhere() {
 
     // The simulator: one thread running on core 1, six waiting.
     let threads: Vec<SimThread> = (0..7)
-        .map(|i| {
-            SimThread::new(
-                optimistic_sched::sim::SimThreadId(i),
-                ThreadSpec::new(vec![Phase::Compute(1)]),
-            )
-        })
+        .map(|i| SimThread::new(optimistic_sched::sim::SimThreadId(i), Weight::NICE_0))
         .collect();
     let mut queues = CoreQueues::new(2);
     queues.set_current(CoreId(1), Some(threads[0].id));

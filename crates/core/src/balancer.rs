@@ -61,14 +61,6 @@ impl Balancer {
     /// Listing 1 line 12 — this is where optimistic selections are detected
     /// to have gone stale.
     pub fn steal(&self, system: &mut SystemState, thief: CoreId, victim: CoreId) -> StealOutcome {
-        let outcome = self.steal_inner(system, thief, victim);
-        // Adaptive choice policies (topology-aware backoff) learn from the
-        // outcome; the default observe is a no-op.
-        self.policy.choice.observe(thief, victim, outcome.is_success());
-        outcome
-    }
-
-    fn steal_inner(&self, system: &mut SystemState, thief: CoreId, victim: CoreId) -> StealOutcome {
         let thief_snap = CoreSnapshot::capture(system.core(thief));
         let victim_snap = CoreSnapshot::capture(system.core(victim));
         if !self.policy.filter.can_steal(&thief_snap, &victim_snap) {

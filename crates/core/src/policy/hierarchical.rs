@@ -14,8 +14,9 @@
 //! locally, with no cross-node steal, in one round.  The step-2 designs are:
 //!
 //! * [`crate::policy::TopologyAwareChoice`]: victims searched in distance
-//!   order (SMT sibling → LLC → node → remote) with per-level thresholds
-//!   and backoff — the choice every substrate, the executor included, runs;
+//!   order (SMT sibling → LLC → node → remote) with per-level thresholds,
+//!   and no memory between choices — the choice every substrate, the
+//!   executor included, runs;
 //! * [`crate::policy::NumaAwareChoice`]: same-node candidates first;
 //! * [`GroupAwareChoice`]: the most loaded group (NUMA node) first, then
 //!   the most loaded core inside it.
@@ -26,9 +27,7 @@
 //! overloaded one); `sched-verify` finds the violation, which is exactly
 //! why the paper insists hierarchy should live in step 2.
 
-use std::sync::Arc;
-
-use sched_topology::{MachineTopology, NodeId};
+use sched_topology::NodeId;
 
 use crate::load::LoadMetric;
 use crate::policy::{ChoicePolicy, FilterPolicy};
@@ -40,16 +39,17 @@ use crate::CoreId;
 ///
 /// Because this is only a choice policy, it returns a member of the filtered
 /// candidate list and therefore inherits the Listing 1 proof untouched.
+/// The groups are the nodes the candidates' snapshots name, so the policy
+/// needs no topology of its own.
 #[derive(Debug, Clone)]
 pub struct GroupAwareChoice {
-    topo: Arc<MachineTopology>,
     metric: LoadMetric,
 }
 
 impl GroupAwareChoice {
-    /// Creates the policy for the given machine topology.
-    pub fn new(topo: Arc<MachineTopology>, metric: LoadMetric) -> Self {
-        GroupAwareChoice { topo, metric }
+    /// Creates the policy, measuring loads in `metric`.
+    pub fn new(metric: LoadMetric) -> Self {
+        GroupAwareChoice { metric }
     }
 
     fn group_load(&self, node: NodeId, candidates: &[CoreSnapshot]) -> u64 {
@@ -59,7 +59,6 @@ impl GroupAwareChoice {
 
 impl ChoicePolicy for GroupAwareChoice {
     fn choose(&self, _thief: &CoreSnapshot, candidates: &[CoreSnapshot]) -> Option<CoreId> {
-        let _ = &self.topo; // The topology defines the grouping granularity.
         candidates
             .iter()
             .max_by(|a, b| {
@@ -114,15 +113,13 @@ mod tests {
     use crate::task::{Task, TaskId};
     use sched_topology::TopologyBuilder;
 
-    fn two_node_system() -> (Arc<MachineTopology>, SystemState) {
-        let topo = Arc::new(TopologyBuilder::new().sockets(2).cores_per_socket(2).build());
-        let system = SystemState::with_topology(&topo);
-        (topo, system)
+    fn two_node_system() -> SystemState {
+        SystemState::with_topology(&TopologyBuilder::new().sockets(2).cores_per_socket(2).build())
     }
 
     #[test]
     fn group_aware_prefers_the_most_loaded_node() {
-        let (topo, mut system) = two_node_system();
+        let mut system = two_node_system();
         // Node 0 (cores 0,1): thief plus a core with 2 threads.
         // Node 1 (cores 2,3): two cores with 2 and 3 threads — the heavier group.
         let mut next = 0u64;
@@ -136,22 +133,22 @@ mod tests {
         add(&mut system, 2, 2);
         add(&mut system, 3, 3);
         let snap = SystemSnapshot::capture(&system);
-        let choice = GroupAwareChoice::new(topo, LoadMetric::NrThreads);
+        let choice = GroupAwareChoice::new(LoadMetric::NrThreads);
         let chosen = choice.choose(snap.core(CoreId(0)), &snap.others(CoreId(0))).unwrap();
         assert_eq!(chosen, CoreId(3), "heaviest core of the heaviest group");
     }
 
     #[test]
     fn group_aware_returns_none_for_no_candidates() {
-        let (topo, system) = two_node_system();
+        let system = two_node_system();
         let snap = SystemSnapshot::capture(&system);
-        let choice = GroupAwareChoice::new(topo, LoadMetric::NrThreads);
+        let choice = GroupAwareChoice::new(LoadMetric::NrThreads);
         assert_eq!(choice.choose(snap.core(CoreId(0)), &[]), None);
     }
 
     #[test]
     fn node_restricted_filter_blocks_cross_node_steals() {
-        let (_topo, mut system) = two_node_system();
+        let mut system = two_node_system();
         for i in 0..3 {
             system.core_mut(CoreId(3)).enqueue(Task::new(TaskId(i)));
         }

@@ -41,7 +41,7 @@ pub use greedy::GreedyFilter;
 pub use hierarchical::{GroupAwareChoice, NodeRestrictedFilter};
 pub use simple::DeltaFilter;
 pub use steal::{StealPlan, StealRule};
-pub use topology_aware::{LevelThresholds, TopologyAwareChoice};
+pub use topology_aware::TopologyAwareChoice;
 pub use weighted::WeightedDeltaFilter;
 
 /// Step 1 of a balancing round: decides which cores may be stolen from.
@@ -78,21 +78,12 @@ pub trait ChoicePolicy: Send + Sync {
     /// panic, a steal from a core the filter refused, or a skipped steal.
     fn choose(&self, thief: &CoreSnapshot, candidates: &[CoreSnapshot]) -> Option<CoreId>;
 
-    /// Feedback from the stealing phase: the attempt `thief` made against
-    /// `victim` either migrated threads (`success`) or failed its re-check.
-    ///
-    /// `success` means **any nonzero claim**: a batched steal that asked
-    /// for `k` threads and got fewer — because the victim ran short or the
-    /// per-task re-check trimmed the batch — migrated real work and must
-    /// be reported `true`.  Treating a partial batch as a failure would
-    /// feed the backoff machinery exactly backwards, deprioritising the
-    /// victims that are actually yielding work.
-    ///
-    /// Purely advisory — policies may use it to adapt future choices (e.g.
-    /// [`TopologyAwareChoice`] backs off distance levels whose steals keep
-    /// failing); the default implementation ignores it, and nothing in the
-    /// work-conservation proofs depends on it because it only ever
-    /// influences step 2.
+    /// A no-op that no substrate calls.  Step 2 keeps no memory: every
+    /// choice is a function of the thief and the candidate list alone, so
+    /// the outcome of a steal has nowhere to go.  The method survives only
+    /// because the frozen repo benchmark (`benchmark/src/harness.rs`)
+    /// implements it, forwarding to this default.  Add no new callers or
+    /// implementations.
     fn observe(&self, thief: CoreId, victim: CoreId, success: bool) {
         let _ = (thief, victim, success);
     }

@@ -8,24 +8,21 @@
 //! the **choice** step, so every work-conservation lemma carries over
 //! unchanged, while victims are searched in distance order —
 //! SMT sibling → same LLC → same node → remote node — with a per-level
-//! steal threshold and a per-level failure backoff.
+//! steal threshold.
 //!
-//! Two properties keep the proofs intact:
-//!
-//! * **Thresholds bias, they never block.**  A level's threshold demands a
-//!   bigger imbalance before stealing across that boundary, but if *no*
-//!   level meets its threshold the search falls back to the nearest
-//!   candidate anyway: the choice returns `Some` whenever the candidate
-//!   list is non-empty, which is all the proofs require of step 2.
-//! * **Backoff deprioritises, it never excludes.**  A level whose steals
-//!   keep failing their re-check (contended victims) is pushed to the back
-//!   of the search order for a few rounds, but its candidates remain
-//!   eligible through the fallback.
+//! The choice is a pure function of the thief and the candidate list: it
+//! keeps no memory between calls, so the same snapshot always yields the
+//! same victim on every substrate.  **Thresholds bias, they never block.**
+//! A level's threshold demands a bigger imbalance before stealing across
+//! that boundary, but if *no* level meets its threshold the search falls
+//! back to the nearest candidate anyway: the choice returns `Some` whenever
+//! the candidate list is non-empty, which is all the proofs require of
+//! step 2.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::cmp::Reverse;
 use std::sync::Arc;
 
-use sched_topology::{MachineTopology, StealLevel};
+use sched_topology::MachineTopology;
 
 use crate::load::LoadMetric;
 use crate::policy::ChoicePolicy;
@@ -33,176 +30,63 @@ use crate::snapshot::CoreSnapshot;
 use crate::CoreId;
 
 /// Minimum load surplus (`victim − thief`) demanded before stealing across
-/// each boundary, indexed by [`StealLevel`].
+/// each boundary, indexed by [`sched_topology::StealLevel::index`]:
+/// Listing 1's `delta >= 2` at every local level, and twice that before
+/// paying a cross-node migration.
+const LEVEL_DELTAS: [u64; 4] = [2, 2, 2, 4];
+
+/// The distance-ordered, threshold-gated choice policy.
 ///
-/// The defaults mirror Listing 1's `delta >= 2` for every local level and
-/// demand twice that before paying a cross-node migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelThresholds {
-    deltas: [u64; 4],
-}
-
-impl Default for LevelThresholds {
-    fn default() -> Self {
-        LevelThresholds { deltas: [2, 2, 2, 4] }
-    }
-}
-
-impl LevelThresholds {
-    /// Explicit per-level thresholds, innermost first.
-    pub fn new(smt: u64, llc: u64, node: u64, remote: u64) -> Self {
-        LevelThresholds { deltas: [smt, llc, node, remote] }
-    }
-
-    /// A uniform threshold: every level behaves like Listing 1.
-    pub fn uniform(delta: u64) -> Self {
-        LevelThresholds { deltas: [delta; 4] }
-    }
-
-    /// The surplus demanded at `level`.
-    pub fn delta(&self, level: StealLevel) -> u64 {
-        self.deltas[level.index()]
-    }
-}
-
-/// How many consecutive failed steals at one level push that level to the
-/// back of the search order.
-const BACKOFF_AFTER: u32 = 3;
-
-/// The distance-ordered, threshold-gated, backoff-aware choice policy.
-///
-/// Shared by all three backends: the pure model executes it inside
+/// Shared by every substrate: the pure model executes it inside
 /// [`crate::round::ConcurrentRound`], the simulator inside its balance
-/// rounds, and the real-thread runqueues inside `MultiQueue::balance_once` —
-/// the identical policy object at every altitude.
+/// pass, the real-thread runqueues inside `MultiQueue::balance_once` and
+/// the executor in its workers' steal path — the identical policy object
+/// at every altitude.
 #[derive(Debug)]
 pub struct TopologyAwareChoice {
     topo: Arc<MachineTopology>,
     metric: LoadMetric,
-    thresholds: LevelThresholds,
-    /// Consecutive re-check failures per level, fed by
-    /// [`ChoicePolicy::observe`]; reset on any success at that level.
-    failure_streaks: [AtomicU32; 4],
 }
 
 impl TopologyAwareChoice {
-    /// Creates the policy with default thresholds.
+    /// Creates the policy for `topo`, measuring loads in `metric`.
     pub fn new(topo: Arc<MachineTopology>, metric: LoadMetric) -> Self {
-        Self::with_thresholds(topo, metric, LevelThresholds::default())
-    }
-
-    /// Creates the policy with explicit per-level thresholds.
-    pub fn with_thresholds(
-        topo: Arc<MachineTopology>,
-        metric: LoadMetric,
-        thresholds: LevelThresholds,
-    ) -> Self {
-        TopologyAwareChoice {
-            topo,
-            metric,
-            thresholds,
-            failure_streaks: [const { AtomicU32::new(0) }; 4],
-        }
-    }
-
-    /// The machine this policy searches over.
-    pub fn topology(&self) -> &Arc<MachineTopology> {
-        &self.topo
-    }
-
-    /// Current consecutive-failure streak of `level` (for tests and stats).
-    pub fn failure_streak(&self, level: StealLevel) -> u32 {
-        self.failure_streaks[level.index()].load(Ordering::Relaxed)
-    }
-
-    /// Returns `true` if `level` is currently deprioritised.
-    fn backed_off(&self, level: StealLevel) -> bool {
-        self.failure_streak(level) >= BACKOFF_AFTER
-    }
-
-    /// The best candidate of one level: deepest injector first, then most
-    /// loaded, ties to the lowest id.
-    ///
-    /// The injector key makes the choice **injector-aware**: a victim whose
-    /// waiting work sits in its shared overflow injector is the cheapest
-    /// steal there is — a thief claims a whole batch under one uncontended
-    /// lock round-trip — while a victim whose work sits in a hot ring makes
-    /// every thief race CASes against the owner and each other.  Preferring
-    /// depth over raw load routes thieves away from those CAS storms.  On
-    /// substrates without injectors every snapshot reports `injected == 0`,
-    /// and the ordering degenerates to the original most-loaded rule, so
-    /// the model and the mutex backends are unaffected.  Like every step-2
-    /// refinement, this is proof-preserving: the returned core is still a
-    /// member of the filtered candidate list.
-    fn best_of<'c>(&self, group: &[&'c CoreSnapshot]) -> Option<&'c CoreSnapshot> {
-        group
-            .iter()
-            .max_by(|a, b| {
-                a.injected
-                    .cmp(&b.injected)
-                    .then(a.load(self.metric).cmp(&b.load(self.metric)))
-                    .then(b.id.cmp(&a.id))
-            })
-            .copied()
+        TopologyAwareChoice { topo, metric }
     }
 }
 
 impl ChoicePolicy for TopologyAwareChoice {
+    /// One pass, no allocation: the best candidate of each distance level,
+    /// then the nearest level whose best meets its threshold — or, if none
+    /// does, the nearest level's best (thresholds never block a steal the
+    /// proofs count on).
+    ///
+    /// A level's best is the deepest injector first, then the most loaded,
+    /// ties to the lowest id.  The injector key makes the choice
+    /// **injector-aware**: a victim whose waiting work sits in its shared
+    /// overflow injector is the cheapest steal there is — a thief claims a
+    /// whole batch under one uncontended lock round-trip — while a victim
+    /// whose work sits in a hot ring makes every thief race CASes against
+    /// the owner and each other.  On substrates without injectors every
+    /// snapshot reports `injected == 0`, and the ordering degenerates to the
+    /// most-loaded rule, so the model and the mutex backends are unaffected.
+    /// Like every step-2 refinement, this is proof-preserving: the returned
+    /// core is still a member of the filtered candidate list.
     fn choose(&self, thief: &CoreSnapshot, candidates: &[CoreSnapshot]) -> Option<CoreId> {
-        if candidates.is_empty() {
-            return None;
-        }
-        // Bucket the filtered candidates by distance class.
-        let mut by_level: [Vec<&CoreSnapshot>; 4] = [vec![], vec![], vec![], vec![]];
+        let rank = |c: &CoreSnapshot| (c.injected, c.load(self.metric), Reverse(c.id));
+        let mut best: [Option<&CoreSnapshot>; 4] = [None; 4];
         for c in candidates {
-            by_level[self.topo.steal_level(thief.id, c.id).index()].push(c);
+            let slot = &mut best[self.topo.steal_level(thief.id, c.id).index()];
+            if slot.is_none_or(|b| rank(c) > rank(b)) {
+                *slot = Some(c);
+            }
         }
-
-        // Preferred walk: innermost level first, skipping levels that are
-        // backed off; a skipped level's streak decays by one so it rejoins
-        // the walk after a few rounds even without an intervening success.
         let thief_load = thief.load(self.metric);
-        let mut deferred: Vec<StealLevel> = Vec::new();
-        for level in StealLevel::ALL {
-            let group = &by_level[level.index()];
-            if group.is_empty() {
-                continue;
-            }
-            if self.backed_off(level) {
-                // Saturating decay: concurrent thieves may race this, and a
-                // plain fetch_sub could underflow past zero, pinning the
-                // level in back-off forever.
-                let _ = self.failure_streaks[level.index()].fetch_update(
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                    |s| Some(s.saturating_sub(1)),
-                );
-                deferred.push(level);
-                continue;
-            }
-            if let Some(best) = self.best_of(group) {
-                if best.load(self.metric) >= thief_load + self.thresholds.delta(level) {
-                    return Some(best.id);
-                }
-            }
-        }
-        // Second chance for the backed-off levels, still in distance order.
-        for level in deferred {
-            if let Some(best) = self.best_of(&by_level[level.index()]) {
-                if best.load(self.metric) >= thief_load + self.thresholds.delta(level) {
-                    return Some(best.id);
-                }
-            }
-        }
-        // Fallback: no level met its threshold, but the filter admitted the
-        // candidates — pick the nearest one so the choice never blocks a
-        // steal the proofs count on.
-        for level in StealLevel::ALL {
-            if let Some(best) = self.best_of(&by_level[level.index()]) {
-                return Some(best.id);
-            }
-        }
-        unreachable!("candidates is non-empty, so some level has a best candidate")
+        best.iter()
+            .zip(LEVEL_DELTAS)
+            .find_map(|(b, delta)| b.filter(|b| b.load(self.metric) >= thief_load + delta))
+            .or_else(|| best.into_iter().flatten().next())
+            .map(|b| b.id)
     }
 
     /// Topology-aware wakeup placement: the previous core while it is idle
@@ -241,18 +125,6 @@ impl ChoicePolicy for TopologyAwareChoice {
         idle_at.into_iter().flatten().next().or(quietest).map(|(_, id)| CoreId(id))
     }
 
-    fn observe(&self, thief: CoreId, victim: CoreId, success: bool) {
-        if thief == victim {
-            return;
-        }
-        let idx = self.topo.steal_level(thief, victim).index();
-        if success {
-            self.failure_streaks[idx].store(0, Ordering::Relaxed);
-        } else {
-            self.failure_streaks[idx].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     fn name(&self) -> &'static str {
         "topology_aware"
     }
@@ -264,7 +136,7 @@ mod tests {
     use crate::snapshot::SystemSnapshot;
     use crate::system::SystemState;
     use crate::task::{Task, TaskId};
-    use sched_topology::TopologyBuilder;
+    use sched_topology::{StealLevel, TopologyBuilder};
 
     /// 2 sockets × 4 cores × 2 LLCs × SMT-2 = 16 CPUs; cpu0's sibling is
     /// cpu1, its LLC is cpus 0..4, its node cpus 0..8.
@@ -343,42 +215,56 @@ mod tests {
         assert_eq!(choice.choose(snap.core(CoreId(0)), &[]), None);
     }
 
+    /// The one-pass choice against the walk it replaced, written the
+    /// obvious way: bucket the candidates by level, take each bucket's
+    /// best, return the nearest best that meets its threshold, else the
+    /// nearest best.  Seeded candidate lists over every thief of the
+    /// 16-CPU machine, injector depths included.
     #[test]
-    fn repeated_failures_back_a_level_off() {
+    fn one_pass_matches_the_bucketed_walk() {
         let topo = rich_topo();
-        // Sibling cpu1 and LLC-mate cpu2 both overloaded.
-        let system = loaded_system(&topo, &[(1, 3), (2, 3)]);
         let choice = TopologyAwareChoice::new(Arc::clone(&topo), LoadMetric::NrThreads);
-        assert_eq!(choose_for(&choice, &system, 0), CoreId(1), "sibling wins at first");
-        for _ in 0..BACKOFF_AFTER {
-            choice.observe(CoreId(0), CoreId(1), false);
+        let walk = |thief: &CoreSnapshot, candidates: &[CoreSnapshot]| {
+            let by_level = StealLevel::ALL.map(|level| {
+                candidates
+                    .iter()
+                    .filter(|c| topo.steal_level(thief.id, c.id) == level)
+                    .max_by_key(|c| (c.injected, c.nr_threads, std::cmp::Reverse(c.id)))
+            });
+            let meeting = (0..4).find(|&i| {
+                by_level[i].is_some_and(|b| b.nr_threads >= thief.nr_threads + LEVEL_DELTAS[i])
+            });
+            match meeting {
+                Some(i) => by_level[i].map(|b| b.id),
+                None => by_level.into_iter().flatten().next().map(|b| b.id),
+            }
+        };
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % bound
+        };
+        let snap = |id: usize, nr_threads: u64, injected: u64| CoreSnapshot {
+            id: CoreId(id),
+            node: topo.cpus()[id].node,
+            nr_threads,
+            weighted_load: nr_threads * 1024,
+            lightest_ready_weight: None,
+            tracked_scaled: 0,
+            injected,
+        };
+        for _ in 0..2_000 {
+            let thief = snap(next(16) as usize, next(3), 0);
+            let mut candidates = Vec::new();
+            for id in (0..16).filter(|&id| id != thief.id.0) {
+                if next(2) == 0 {
+                    candidates.push(snap(id, next(8), next(3).saturating_sub(1)));
+                }
+            }
+            assert_eq!(choice.choose(&thief, &candidates), walk(&thief, &candidates));
         }
-        assert!(choice.backed_off(StealLevel::SmtSibling));
-        assert_eq!(
-            choose_for(&choice, &system, 0),
-            CoreId(2),
-            "a backed-off SMT level yields to the LLC level"
-        );
-        // A success at the SMT level clears the streak immediately.
-        choice.observe(CoreId(0), CoreId(1), true);
-        assert_eq!(choice.failure_streak(StealLevel::SmtSibling), 0);
-        assert_eq!(choose_for(&choice, &system, 0), CoreId(1));
-    }
-
-    #[test]
-    fn backoff_decays_without_successes() {
-        let topo = rich_topo();
-        let system = loaded_system(&topo, &[(1, 3), (2, 3)]);
-        let choice = TopologyAwareChoice::new(Arc::clone(&topo), LoadMetric::NrThreads);
-        for _ in 0..BACKOFF_AFTER {
-            choice.observe(CoreId(0), CoreId(1), false);
-        }
-        // Each skipped walk decays the streak by one; after BACKOFF_AFTER
-        // choices the level is eligible again.
-        for _ in 0..BACKOFF_AFTER {
-            let _ = choose_for(&choice, &system, 0);
-        }
-        assert_eq!(choose_for(&choice, &system, 0), CoreId(1));
     }
 
     #[test]
@@ -464,13 +350,10 @@ mod tests {
     fn uniform_thresholds_match_numa_aware_preference() {
         let topo = rich_topo();
         let system = loaded_system(&topo, &[(4, 2), (8, 5)]);
-        let choice = TopologyAwareChoice::with_thresholds(
-            Arc::clone(&topo),
-            LoadMetric::NrThreads,
-            LevelThresholds::uniform(2),
-        );
-        // With a uniform threshold the node-local victim still wins: the
-        // search is distance-ordered, not load-ordered.
+        let choice = TopologyAwareChoice::new(Arc::clone(&topo), LoadMetric::NrThreads);
+        // The remote cpu8 meets even the remote threshold, as it would under
+        // a uniform one, and the node-local victim still wins: the search is
+        // distance-ordered, not load-ordered.
         assert_eq!(choose_for(&choice, &system, 0), CoreId(4));
     }
 }

@@ -15,8 +15,8 @@ pub use crate::load::LoadMetric;
 pub use crate::outcome::{BalanceAttempt, RoundReport, StealOutcome};
 pub use crate::policy::{
     ChoicePolicy, DeltaFilter, FilterPolicy, FirstChoice, GreedyFilter, GroupAwareChoice,
-    LevelThresholds, MaxLoadChoice, MinMigrationCostChoice, NodeRestrictedFilter, NumaAwareChoice,
-    Policy, RandomChoice, StealPlan, StealRule, TopologyAwareChoice, WeightedDeltaFilter,
+    MaxLoadChoice, MinMigrationCostChoice, NodeRestrictedFilter, NumaAwareChoice, Policy,
+    RandomChoice, StealPlan, StealRule, TopologyAwareChoice, WeightedDeltaFilter,
 };
 pub use crate::potential::{
     potential, potential_between, potential_delta_of_steal, potential_of_loads,

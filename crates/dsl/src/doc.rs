@@ -71,7 +71,8 @@ pub enum PolicyRecipe {
     /// Listing 1 with a NUMA-aware step-2 choice over the scenario topology.
     NumaAware,
     /// Listing 1 with the distance-ordered topology-aware step 2 (per-level
-    /// thresholds and failure backoff): the hierarchy, in the choice.
+    /// thresholds, no memory between choices): the hierarchy, in the
+    /// choice.
     TopoAware,
     /// Listing 1 over a PELT-style decayed thread count (8 ms half-life).
     Pelt,

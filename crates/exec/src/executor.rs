@@ -670,15 +670,13 @@ impl Shared {
             recorder(None).record_attempt(&StealOutcome::NoCandidates, 1);
             return StealOutcome::NoCandidates;
         };
-        let outcome = DequeRq::try_steal_recorded(
+        DequeRq::try_steal_recorded(
             &self.cores[thief.0],
             &self.cores[victim.id.0],
             self.policy.filter.as_ref(),
             self.policy.steal.plan(&self.policy, &thief_snap, &victim).count,
             Some(recorder(Some(self.topo.steal_level(thief, victim.id)))),
-        );
-        self.policy.choice.observe(thief, victim.id, outcome.is_success());
-        outcome
+        )
     }
 
     /// Runs one claimed task to completion on worker `me`.
@@ -1676,10 +1674,6 @@ mod tests {
             self.inner.choose(thief, candidates)
         }
 
-        fn observe(&self, thief: CoreId, victim: CoreId, success: bool) {
-            self.inner.observe(thief, victim, success);
-        }
-
         fn place_wakeup(&self, prev: CoreId, candidates: &[CoreSnapshot]) -> Option<CoreId> {
             let chosen = self.inner.place_wakeup(prev, candidates);
             self.calls.lock().unwrap().push(Placement {
@@ -1821,10 +1815,6 @@ mod tests {
     impl ChoicePolicy for PinnedToCore0 {
         fn choose(&self, thief: &CoreSnapshot, candidates: &[CoreSnapshot]) -> Option<CoreId> {
             self.0.choose(thief, candidates)
-        }
-
-        fn observe(&self, thief: CoreId, victim: CoreId, success: bool) {
-            self.0.observe(thief, victim, success);
         }
 
         fn place_wakeup(&self, _prev: CoreId, _candidates: &[CoreSnapshot]) -> Option<CoreId> {

@@ -62,8 +62,8 @@
 //! tick — idle cores starved against visibly waiting work, which is
 //! exactly the bug class the paper targets.  Worse, the half-visibility
 //! self-oscillates: balancing keeps selecting the victim whose load it can
-//! see, thieves keep coming back empty-handed, and the failure backoff
-//! punishes a victim that genuinely had work to give.
+//! see, and thieves keep coming back empty-handed from a victim that
+//! genuinely had work to give.
 //!
 //! Overflow now goes to a **shared MPMC injector**
 //! ([`sched_deque::Injector`], one per core): the owner overflows into it,

@@ -285,7 +285,7 @@ impl<B: RqBackend> MultiQueue<B> {
     /// claim runs the observation may be stale, which is fine: the backend
     /// claims at most what the victim still has, the delivery's re-check
     /// trims a batch that would overshoot, and a partial batch is still a
-    /// success (see [`sched_core::ChoicePolicy::observe`]).
+    /// success ([`StealOutcome::is_success`]).
     fn select(&self, thief: CoreId, policy: &Policy, step: StealRule) -> Option<(CoreId, usize)> {
         let thief_snap = self.cores[thief.0].snapshot();
         let victim =
@@ -317,18 +317,13 @@ impl<B: RqBackend> MultiQueue<B> {
             }
             return StealOutcome::NoCandidates;
         };
-        let outcome = B::try_steal_recorded(
+        B::try_steal_recorded(
             &self.cores[thief.0],
             &self.cores[victim.0],
             policy.filter.as_ref(),
             max_tasks,
             recorder(Some(self.steal_level_of(thief, victim))),
-        );
-        // Adaptive choices (topology-aware backoff) learn from the outcome.
-        // `is_success()` is true for *any* nonzero claim: a partial batch
-        // migrated real work and must not feed the failure backoff.
-        policy.choice.observe(thief, victim, outcome.is_success());
-        outcome
+        )
     }
 
     /// One concurrent round: every core runs `op` from its own OS thread
@@ -763,42 +758,11 @@ mod tests {
     }
 
     #[test]
-    fn a_partial_batch_is_observed_as_a_success() {
-        use std::sync::atomic::AtomicBool;
-
-        // The backoff-feeding satellite: a thief that asked for three and
-        // got fewer still migrated real work — `observe` must see success,
-        // or the choice machinery would deprioritise its best victims.
-        #[derive(Debug)]
-        struct Recording {
-            observed_success: Arc<AtomicBool>,
-            observed_failure: Arc<AtomicBool>,
-        }
-        impl sched_core::ChoicePolicy for Recording {
-            fn choose(&self, _thief: &CoreSnapshot, candidates: &[CoreSnapshot]) -> Option<CoreId> {
-                candidates.first().map(|c| c.id)
-            }
-            fn observe(&self, _thief: CoreId, _victim: CoreId, success: bool) {
-                if success {
-                    self.observed_success.store(true, Ordering::Release);
-                } else {
-                    self.observed_failure.store(true, Ordering::Release);
-                }
-            }
-            fn name(&self) -> &'static str {
-                "recording"
-            }
-        }
-
-        let observed_success = Arc::new(AtomicBool::new(false));
-        let observed_failure = Arc::new(AtomicBool::new(false));
+    fn a_partial_batch_is_a_success() {
+        // A thief that asked for more and got fewer still migrated real
+        // work: the outcome is `Stole`, never a failure.
         let mq: DequeMq = MultiQueue::with_loads(&[0, 4]);
-        let policy = Policy::simple()
-            .with_choice(Box::new(Recording {
-                observed_success: Arc::clone(&observed_success),
-                observed_failure: Arc::clone(&observed_failure),
-            }))
-            .with_steal(StealRule::Fixed(8));
+        let policy = Policy::simple().with_steal(StealRule::Fixed(8));
         let stats = BalanceStats::new();
         // The victim has 3 waiting tasks: 8 is sized down to 3, and the
         // claim's live-counter cap takes 2 of them.
@@ -808,8 +772,6 @@ mod tests {
             ref other => panic!("expected a (partial) batch steal, got {other:?}"),
         }
         assert!(outcome.is_success(), "partial batch ≠ failure");
-        assert!(observed_success.load(Ordering::Acquire), "the choice saw the partial success");
-        assert!(!observed_failure.load(Ordering::Acquire), "…and no spurious failure");
         assert_eq!(mq.total_threads(), 4);
     }
 

@@ -128,7 +128,6 @@ fn balance_pass(
         };
         stats.observe(&attempt);
         trace_steal(trace, thief, victim, &attempt, &moved);
-        policy.choice.observe(thief, victim, stole);
     }
     stats
 }

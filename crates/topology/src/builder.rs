@@ -2,7 +2,6 @@
 
 use crate::cpu::{CpuId, CpuInfo};
 use crate::distance::DistanceMatrix;
-use crate::domain::{DomainKind, DomainTree, SchedDomain};
 use crate::machine::MachineTopology;
 use crate::node::{NodeId, NodeInfo};
 
@@ -154,69 +153,8 @@ impl TopologyBuilder {
             DistanceMatrix::flat(self.sockets)
         };
 
-        let domains = build_domains(&self, &cpus, &nodes);
-        MachineTopology::new(cpus, nodes, distances, domains)
+        MachineTopology::new(cpus, nodes, distances)
     }
-}
-
-fn build_domains(builder: &TopologyBuilder, cpus: &[CpuInfo], nodes: &[NodeInfo]) -> DomainTree {
-    let all: Vec<CpuId> = cpus.iter().map(|c| c.id).collect();
-    let mut levels = Vec::new();
-
-    // SMT level: groups are individual hardware threads within a core.
-    if builder.smt > 1 {
-        levels.push(SchedDomain {
-            kind: DomainKind::Smt,
-            span: all.clone(),
-            groups: group_by(cpus, |c| c.physical_core),
-        });
-    }
-
-    // LLC level: groups are physical cores (or SMT sibling sets).
-    levels.push(SchedDomain {
-        kind: DomainKind::Llc,
-        span: all.clone(),
-        groups: group_by(cpus, |c| (c.socket, c.llc)),
-    });
-
-    // Node level: groups are LLCs within a node (only meaningful with >1 LLC).
-    if builder.llcs_per_socket > 1 {
-        levels.push(SchedDomain {
-            kind: DomainKind::Node,
-            span: all.clone(),
-            groups: group_by(cpus, |c| c.node),
-        });
-    }
-
-    // Machine level: groups are NUMA nodes.
-    if nodes.len() > 1 {
-        levels.push(SchedDomain {
-            kind: DomainKind::Machine,
-            span: all,
-            groups: nodes.iter().map(|n| n.cpus.clone()).collect(),
-        });
-    }
-
-    DomainTree::new(levels)
-}
-
-fn group_by<K: PartialEq + Copy>(cpus: &[CpuInfo], key: impl Fn(&CpuInfo) -> K) -> Vec<Vec<CpuId>> {
-    let mut groups: Vec<(K, Vec<CpuId>)> = Vec::new();
-    for cpu in cpus {
-        let k = key(cpu);
-        if let Some((_, g)) = groups.iter_mut().find(|(gk, _)| *gk == k) {
-            g.push(cpu.id);
-        } else {
-            groups.push((k, vec![cpu.id]));
-        }
-    }
-    groups
-        .into_iter()
-        .map(|(_, mut g)| {
-            g.sort();
-            g
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -241,38 +179,11 @@ mod tests {
     }
 
     #[test]
-    fn domain_tree_has_machine_level_for_multi_socket() {
-        let topo = TopologyBuilder::dual_socket_server();
-        let top = topo.domains().top().unwrap();
-        assert_eq!(top.kind, DomainKind::Machine);
-        assert_eq!(top.groups.len(), 2);
-        assert_eq!(top.weight(), topo.nr_cpus());
-    }
-
-    #[test]
-    fn single_socket_no_smt_has_only_llc_level() {
-        let topo = TopologyBuilder::new().sockets(1).cores_per_socket(4).build();
-        assert_eq!(topo.domains().nr_levels(), 1);
-        assert_eq!(topo.domains().levels()[0].kind, DomainKind::Llc);
-    }
-
-    #[test]
     fn eight_node_preset_uses_ring_distances() {
         let topo = TopologyBuilder::eight_node_numa();
         assert_eq!(topo.nr_nodes(), 8);
         let d1 = topo.distances().distance(NodeId(0), NodeId(1));
         let d4 = topo.distances().distance(NodeId(0), NodeId(4));
         assert!(d4 > d1);
-    }
-
-    #[test]
-    fn groups_cover_span_exactly() {
-        let topo =
-            TopologyBuilder::new().sockets(2).cores_per_socket(4).llcs_per_socket(2).smt(2).build();
-        for dom in topo.domains().levels() {
-            let mut covered: Vec<CpuId> = dom.groups.iter().flatten().copied().collect();
-            covered.sort();
-            assert_eq!(covered, dom.span, "groups must partition the span at {}", dom.kind);
-        }
     }
 }

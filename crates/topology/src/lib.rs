@@ -9,9 +9,10 @@
 //! * a [`MachineTopology`] describing sockets, NUMA nodes, last-level-cache
 //!   (LLC) groups and SMT siblings,
 //! * a NUMA [`DistanceMatrix`] in the style of the ACPI SLIT table,
-//! * a hierarchy of [`SchedDomain`]s (SMT → LLC → NUMA node → machine),
-//!   mirroring the Linux scheduling-domain tree that hierarchical balancing
-//!   (the paper's §5 future work) iterates over.
+//! * the [`StealLevel`] of every thief/victim pair (SMT sibling → LLC →
+//!   NUMA node → remote), the distance classes a topology-aware step-2
+//!   choice searches in — the paper's §5 hierarchy, with no separate tree
+//!   to walk.
 //!
 //! The topology is *pure data*: it never changes at run time, so the
 //! lock-less selection phase of the balancer may consult it freely.
@@ -19,7 +20,6 @@
 pub mod builder;
 pub mod cpu;
 pub mod distance;
-pub mod domain;
 pub mod level;
 pub mod machine;
 pub mod node;
@@ -27,7 +27,6 @@ pub mod node;
 pub use builder::TopologyBuilder;
 pub use cpu::{CpuId, CpuInfo};
 pub use distance::DistanceMatrix;
-pub use domain::{DomainKind, DomainTree, SchedDomain};
 pub use level::StealLevel;
 pub use machine::MachineTopology;
 pub use node::{NodeId, NodeInfo};

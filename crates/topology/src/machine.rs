@@ -2,20 +2,18 @@
 
 use crate::cpu::{CpuId, CpuInfo};
 use crate::distance::DistanceMatrix;
-use crate::domain::DomainTree;
 use crate::node::{NodeId, NodeInfo};
 
 /// Immutable description of the machine the scheduler runs on.
 ///
-/// Built by [`crate::TopologyBuilder`]; consumed by NUMA-aware choice
-/// policies (step 2 of the balancing round) and by hierarchical balancing
-/// over the [`DomainTree`].
+/// Built by [`crate::TopologyBuilder`]; consumed by the topology-aware
+/// choice policies (step 2 of the balancing round), which walk it in
+/// [`crate::StealLevel`]s.
 #[derive(Debug, Clone)]
 pub struct MachineTopology {
     cpus: Vec<CpuInfo>,
     nodes: Vec<NodeInfo>,
     distances: DistanceMatrix,
-    domains: DomainTree,
 }
 
 impl MachineTopology {
@@ -24,13 +22,8 @@ impl MachineTopology {
     /// Callers normally go through [`crate::TopologyBuilder`]; this
     /// constructor is public so tests and simulators can craft irregular
     /// topologies.
-    pub fn new(
-        cpus: Vec<CpuInfo>,
-        nodes: Vec<NodeInfo>,
-        distances: DistanceMatrix,
-        domains: DomainTree,
-    ) -> Self {
-        Self { cpus, nodes, distances, domains }
+    pub fn new(cpus: Vec<CpuInfo>, nodes: Vec<NodeInfo>, distances: DistanceMatrix) -> Self {
+        Self { cpus, nodes, distances }
     }
 
     /// Number of logical CPUs.
@@ -79,11 +72,6 @@ impl MachineTopology {
     /// NUMA distance matrix.
     pub fn distances(&self) -> &DistanceMatrix {
         &self.distances
-    }
-
-    /// The scheduling-domain hierarchy.
-    pub fn domains(&self) -> &DomainTree {
-        &self.domains
     }
 
     /// Relative cost of migrating a thread from `from` to `to`.

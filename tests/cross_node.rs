@@ -47,8 +47,8 @@ fn numa_aware_choice_preserves_work_conservation() {
 #[test]
 fn group_aware_choice_preserves_work_conservation() {
     let topo = Arc::new(TopologyBuilder::eight_node_numa());
-    let policy = Policy::simple()
-        .with_choice(Box::new(GroupAwareChoice::new(Arc::clone(&topo), LoadMetric::NrThreads)));
+    let policy =
+        Policy::simple().with_choice(Box::new(GroupAwareChoice::new(LoadMetric::NrThreads)));
     let balancer = Balancer::new(policy);
     let mut system = hot_core_on_node0(&topo, 2 * topo.nr_cpus() as u64);
     let result =
@@ -108,8 +108,7 @@ fn the_hierarchy_belongs_in_the_choice_one_hot_core_per_node() {
         ),
         (
             "group-aware choice",
-            Policy::simple()
-                .with_choice(Box::new(GroupAwareChoice::new(Arc::clone(&topo), metric))),
+            Policy::simple().with_choice(Box::new(GroupAwareChoice::new(metric))),
             31,
             202,
             64,

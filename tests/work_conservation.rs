@@ -16,7 +16,7 @@ use optimistic_sched::verify::{
 use optimistic_sched::workloads::{ImbalancePattern, StaticImbalance};
 
 /// The choice policies e1 swaps into Listing 1's step 2, on the
-/// dual-socket machine.
+/// dual-socket machine; the last is the one every substrate runs.
 fn choice_variants() -> Vec<(&'static str, Policy)> {
     let topo = Arc::new(TopologyBuilder::new().sockets(2).cores_per_socket(8).build());
     let metric = LoadMetric::NrThreads;
@@ -33,10 +33,11 @@ fn choice_variants() -> Vec<(&'static str, Policy)> {
             Policy::simple()
                 .with_choice(Box::new(MinMigrationCostChoice::new(Arc::clone(&topo), metric))),
         ),
+        ("group_aware", Policy::simple().with_choice(Box::new(GroupAwareChoice::new(metric)))),
         (
-            "group_aware",
+            "topology_aware",
             Policy::simple()
-                .with_choice(Box::new(GroupAwareChoice::new(Arc::clone(&topo), metric))),
+                .with_choice(Box::new(TopologyAwareChoice::new(Arc::clone(&topo), metric))),
         ),
     ]
 }

@@ -88,11 +88,10 @@ fn main() {
     }
 }
 
-/// `--json [--out PATH] [--scenarios DIR] [--full-records] [e<N>...]`:
-/// the unified runner over every backend, optionally restricted to the
-/// named experiments.  `--scenarios DIR` runs the `.scn` documents found
-/// in `DIR` instead of the builtin catalog; `--full-records` additionally
-/// serializes each record's `final_loads` vector (schema v7).
+/// `--json [--out PATH] [--scenarios DIR] [e<N>...]`: the unified runner
+/// over every backend, optionally restricted to the named experiments.
+/// `--scenarios DIR` runs the `.scn` documents found in `DIR` instead of
+/// the builtin catalog.
 fn run_unified_json(args: &[String]) {
     let flag_value = |flag: &str| -> Option<String> {
         match args.iter().position(|a| a == flag) {
@@ -140,11 +139,7 @@ fn run_unified_json(args: &[String]) {
     // Write the artifact before printing the table: if stdout is a pipe
     // that closes early (`... | head`), the records must already be on
     // disk.
-    let json = if args.iter().any(|a| a == "--full-records") {
-        sched_bench::records_to_json_full(&records)
-    } else {
-        sched_bench::records_to_json(&records)
-    };
+    let json = sched_bench::records_to_json(&records);
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!("wrote {} records to {out_path}", records.len());
 

@@ -129,7 +129,7 @@ pub fn load_dir(dir: &Path) -> Result<Vec<Scenario>, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{batch_label, build_policy, build_topology, policy_name};
+    use crate::runner::build_topology;
     use sched_dsl::Driver;
 
     /// The committed files are the only copy of the catalog, so what pins
@@ -216,72 +216,6 @@ mod tests {
         }
         for spec in of(ExperimentId::E23) {
             assert!(spec.batch.is_some(), "E23 specs carry a batch size");
-        }
-    }
-
-    #[test]
-    fn committed_results_match_the_declarative_catalog() {
-        // The parity pin against the *records*: every identity field of
-        // every committed BENCH_results.json record must be exactly what
-        // the documents predict, record for record, in order.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_results.json");
-        let text = std::fs::read_to_string(path).expect("committed BENCH_results.json");
-        let json = sched_json::parse(&text).expect("valid JSON");
-        let records = json.get("records").and_then(|r| r.as_array()).expect("records array");
-
-        type Identity = (String, String, String, String, String, usize, Option<String>);
-        let mut predicted: Vec<Identity> = Vec::new();
-        for spec in builtin() {
-            // A declared backend matrix (E24: the sim engines only) wins;
-            // otherwise the driver shape picks the default matrix.
-            let backends: Vec<String> = if let Some(named) = &spec.backends {
-                named.clone()
-            } else if matches!(spec.driver, Driver::Storm(_)) {
-                ["rq", "rq-deque", "rq-deque-tiny", "rq-deque-spill"]
-                    .map(String::from)
-                    .into_iter()
-                    .collect()
-            } else if spec.batch.is_some() {
-                ["rq", "rq-deque"].map(String::from).into_iter().collect()
-            } else {
-                ["model", "sim", "sim-event", "rq", "rq-deque"]
-                    .map(String::from)
-                    .into_iter()
-                    .collect()
-            };
-            let batch = spec.batch.map(batch_label);
-            let topo = std::sync::Arc::new(build_topology(spec.topology));
-            let tracker = build_policy(spec, &topo).expect("catalog policies build").tracker.name();
-            for backend in backends {
-                predicted.push((
-                    spec.experiment.clone(),
-                    spec.name.clone(),
-                    backend,
-                    policy_name(&spec.policy),
-                    tracker.clone(),
-                    spec.loads.len(),
-                    batch.clone(),
-                ));
-            }
-        }
-        assert_eq!(records.len(), predicted.len(), "record count must match the catalog");
-        for (record, want) in records.iter().zip(&predicted) {
-            let field = |k: &str| record.get(k).and_then(|v| v.as_str()).unwrap_or_default();
-            let got = (
-                field("experiment").to_string(),
-                field("scenario").to_string(),
-                field("backend").to_string(),
-                field("policy").to_string(),
-                field("tracker").to_string(),
-                record.get("cores").and_then(|v| v.as_f64()).unwrap_or_default() as usize,
-                record.get("steal_batch_k").and_then(|v| v.as_str()).map(str::to_string),
-            );
-            assert_eq!(
-                &got,
-                want,
-                "committed record {} diverges from the declarative catalog",
-                sched_json::record_key(&want.0, &want.1, &want.2)
-            );
         }
     }
 

@@ -18,7 +18,7 @@
 //!
 //! Every sim-compatible scenario additionally serves as an **engine-parity**
 //! input: its event-engine result must equal the reference (tick) engine's
-//! in every measured quantity ([`engine_parity_mismatches`]).
+//! in every measured quantity ([`sched_sim::SimResult::parity_mismatches`]).
 //!
 //! Each generated document is also round-tripped through the printer and
 //! parser, so the fuzzer doubles as a grammar fuzzer for
@@ -418,46 +418,14 @@ pub fn check_ordering(
     violations
 }
 
-/// Every measured quantity in which the event engine's result differs from
-/// the reference (tick) engine's on the same spec: the two are one machine
-/// under two upkeeps and must agree exactly, so an empty list is the only
-/// acceptable answer.  Covers completion, operations, makespan, the
-/// balancing counters (successes, failures, migrations, per-level
-/// migrations), the scheduling-latency distribution and the per-core busy /
-/// benign-idle / violating-idle times.
-pub fn engine_parity_mismatches(
-    reference: &sched_sim::SimResult,
-    event: &sched_sim::SimResult,
-) -> Vec<String> {
-    type Quantity = fn(&sched_sim::SimResult) -> String;
-    let quantities: [(&str, Quantity); 6] = [
-        ("finished", |r| r.finished.to_string()),
-        ("operations", |r| r.operations.to_string()),
-        ("makespan_ns", |r| r.makespan_ns.to_string()),
-        ("balancing", |r| format!("{:?}", r.balance)),
-        ("scheduling latency", |r| {
-            let [p50, p99, max] = [0.5, 0.99, 1.0].map(|q| r.latency.quantile(q));
-            format!("{} samples, p50 {p50} p99 {p99} max {max}", r.latency.count())
-        }),
-        ("per-core idle accounting", |r| format!("{:?}", r.idle)),
-    ];
-    quantities
-        .iter()
-        .map(|(what, of)| (what, of(reference), of(event)))
-        .filter(|(_, reference, event)| reference != event)
-        .map(|(what, reference, event)| {
-            format!("{what}: the event engine says {event}, the reference engine {reference}")
-        })
-        .collect()
-}
-
 /// The engine-parity oracle: re-runs the scenario on the reference engine
 /// and reports every quantity in which `baseline` — the priority-ordered
 /// event-engine result of the same spec — differs from it.
 fn check_engine_parity(spec: &Scenario, baseline: &sched_sim::SimResult) -> Vec<Violation> {
     let reference =
         run_sim_result(SimEngine::Tick, spec).expect("the engines decline the same specs");
-    engine_parity_mismatches(&reference, baseline)
+    baseline
+        .parity_mismatches(&reference)
         .into_iter()
         .map(|detail| Violation {
             scenario: spec.name.clone(),
@@ -527,7 +495,7 @@ pub fn check_sanity(spec: &Scenario) -> Vec<Violation> {
 
 /// Runs one scenario through the runner and its invariant block.
 /// A sim-compatible scenario's event-engine result is held against the
-/// reference engine's ([`engine_parity_mismatches`]), and a document
+/// reference engine's ([`sched_sim::SimResult::parity_mismatches`]), and a document
 /// carrying an `order` seed (an ordering-sweep repro) is additionally
 /// re-checked against that priority-ordered baseline.
 pub fn check_scenario(scenario: &Scenario) -> (usize, Vec<Violation>) {
@@ -693,8 +661,8 @@ mod tests {
     fn the_parity_oracle_names_the_quantities_that_diverged() {
         let run = |id| run_sim_result(SimEngine::Event, &crate::catalog::spec(id)).unwrap();
         let (e2, e5) = (run(crate::ExperimentId::E2), run(crate::ExperimentId::E5));
-        assert_eq!(engine_parity_mismatches(&e2, &e2), Vec::<String>::new());
-        let mismatches = engine_parity_mismatches(&e2, &e5);
+        assert_eq!(e2.parity_mismatches(&e2), Vec::<String>::new());
+        let mismatches = e5.parity_mismatches(&e2);
         assert!(mismatches.iter().any(|m| m.starts_with("balancing: ")), "{mismatches:#?}");
         assert!(mismatches.iter().any(|m| m.starts_with("per-core idle")), "{mismatches:#?}");
     }

@@ -14,7 +14,8 @@
 //! tiny-ring flavours), and the real executor.  `experiments --json`
 //! serializes the resulting [`ExperimentRecord`]s to `BENCH_results.json`,
 //! the workspace's machine-readable perf trajectory, which `xtask
-//! bench-diff` gates.
+//! bench-diff` gates and `tests/records.rs` pins: a fresh run must
+//! reproduce every record of a [`Backend::reproducible`] backend.
 //!
 //! A traced run is the same run with a recorder attached
 //! ([`ExperimentRunner::run_traced`]); [`report`] folds the drained trace
@@ -43,7 +44,7 @@ pub use fuzz::{
 };
 pub use report::trace_report;
 pub use runner::{
-    records_table, records_to_json, records_to_json_full, run_sim_result, set_trace_dir, validate,
-    Backend, ExecBackend, ExperimentRecord, ExperimentRunner, ModelBackend, RqBackend, SimBackend,
-    SimEngine, SimEventBackend, SpecError,
+    records_table, records_to_json, run_sim_result, set_trace_dir, validate, Backend, ExecBackend,
+    ExperimentRecord, ExperimentRunner, ModelBackend, RqBackend, SimBackend, SimEngine,
+    SimEventBackend, SpecError,
 };

@@ -6,18 +6,18 @@
 //! the aggregate counters cannot:
 //!
 //! * **How long does a thief hunt before it eats, per distance class?**
-//!   [`steal_latency_table`] measures each successful steal's *hunt
+//!   `steal_latency_table` measures each successful steal's *hunt
 //!   latency* — the span from the moment the thief parked or first failed
 //!   an attempt to the success — and buckets it into one power-of-two
 //!   [`Histogram`] per [`StealLevel`].  A remote-level histogram whose
 //!   p99 dwarfs the SMT-level one is the locality tax made visible.
-//! * **Why was each core idle, and what woke it?** [`idle_attribution_table`]
+//! * **Why was each core idle, and what woke it?** `idle_attribution_table`
 //!   pairs `Park`/`Unpark` events into idle intervals and attributes each
 //!   interval to the decision that ended it — a steal by the idle core, a
 //!   placement onto it, or an injector drain — so "X% idle" decomposes
 //!   into *who* fixed it and *how*.
 //! * **Does batching keep amortising as the run drains?**
-//!   [`acquisition_timeline_table`] slices the trace span into equal
+//!   `acquisition_timeline_table` slices the trace span into equal
 //!   windows and reports tasks-per-acquisition in each, the over-time
 //!   view of E23's end-of-run aggregate.
 //!
@@ -53,7 +53,7 @@ const UNLEVELLED: &str = "(unlevelled)";
 /// next successful attempt; the success's latency is the span between the
 /// two, attributed to the level the winning attempt stole at.  A success
 /// with no preceding failure or park hunted for zero time.
-pub fn steal_latency_table(trace: &Trace) -> Table {
+fn steal_latency_table(trace: &Trace) -> Table {
     let mut table = Table::new(
         "steal latency by level (ns from park/first failure to the successful claim)",
         &["level", "acquisitions", "min", "mean", "p50", "p99", "max"],
@@ -141,7 +141,7 @@ impl IdleCause {
 /// (their duration runs to the last event's timestamp), and a `Park`
 /// with nothing after it contributes a zero-length still-idle interval
 /// rather than disappearing.
-pub fn idle_attribution_table(trace: &Trace) -> Table {
+fn idle_attribution_table(trace: &Trace) -> Table {
     let mut table = Table::new(
         "idle intervals by ending cause (from park/unpark spans)",
         &["cause", "intervals", "total idle ns", "mean ns", "longest ns"],
@@ -231,7 +231,7 @@ const TIMELINE_WINDOWS: u64 = 8;
 /// the backlog drains; a run that sits at 1.0 throughout never amortised
 /// anything.  Windows with no acquisitions print `-` rather than 0.0 —
 /// "nothing was stolen" and "batching collapsed" are different findings.
-pub fn acquisition_timeline_table(trace: &Trace) -> Table {
+fn acquisition_timeline_table(trace: &Trace) -> Table {
     let mut table = Table::new(
         "tasks per acquisition over time",
         &["window", "span ns", "acquisitions", "tasks moved", "tasks/acq"],

@@ -434,9 +434,8 @@ pub struct ExperimentRecord {
     /// `None` on non-simulator backends.
     pub events_processed: Option<u64>,
     /// Final per-core thread counts when the backend finished, for
-    /// invariant checking (conservation of tasks, non-inversion).
-    /// Serialized only by [`records_to_json_full`] (`--full-records`,
-    /// schema v7); default documents omit the key entirely.  The simulator
+    /// invariant checking (conservation of tasks, non-inversion).  Not
+    /// serialized: the fuzzer reads it in memory.  The simulator
     /// leaves it empty (its tasks run to completion, so there is no final
     /// residency to conserve).
     pub final_loads: Vec<usize>,
@@ -445,11 +444,10 @@ pub struct ExperimentRecord {
 }
 
 impl ExperimentRecord {
-    /// The record as a JSON object; `full` additionally serializes the
-    /// `final_loads` vector (schema v7, the `--full-records` flag).
-    pub fn to_json_opts(&self, full: bool) -> JsonValue {
+    /// The record as a JSON object.
+    fn to_json(&self) -> JsonValue {
         let levels = self.steals.level_migrations;
-        let mut fields = vec![
+        object(vec![
             ("experiment", JsonValue::Str(self.experiment.clone())),
             ("scenario", JsonValue::Str(self.scenario.clone())),
             ("backend", JsonValue::Str(self.backend.into())),
@@ -483,16 +481,7 @@ impl ExperimentRecord {
             ("e2e_p99_us", or_null(self.e2e_p99_us, JsonValue::Float)),
             ("e2e_p999_us", or_null(self.e2e_p999_us, JsonValue::Float)),
             ("wall_ms", JsonValue::Float(self.wall_ms)),
-        ];
-        if full {
-            fields.push((
-                "final_loads",
-                JsonValue::Array(
-                    self.final_loads.iter().map(|&n| JsonValue::Int(n as i64)).collect(),
-                ),
-            ));
-        }
-        object(fields)
+        ])
     }
 }
 
@@ -515,6 +504,16 @@ pub trait Backend {
     /// ignores the sink; [`ExperimentRunner::run_traced`] refuses it.
     fn records_trace(&self) -> bool {
         true
+    }
+
+    /// `true` for a backend that runs no OS thread: its schedule is a
+    /// function of the spec alone, so a re-run reproduces every field of
+    /// its records but the wall-clock ones (`wall_ms`, and a `throughput`
+    /// not counted in simulated `ops/s`).  `tests/records.rs` pins such
+    /// records to `BENCH_results.json` field by field.  A backend whose
+    /// interleaving the OS decides keeps the default.
+    fn reproducible(&self) -> bool {
+        false
     }
 }
 
@@ -790,6 +789,10 @@ impl Backend for ModelBackend {
         false
     }
 
+    fn reproducible(&self) -> bool {
+        true
+    }
+
     fn run(&self, spec: &Scenario, _sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
         // Overflow storms probe ring-overflow handling; the model has no
         // ring, so there is nothing for it to measure.  Batch sweeps probe
@@ -958,6 +961,10 @@ impl Backend for SimBackend {
         "sim"
     }
 
+    fn reproducible(&self) -> bool {
+        true
+    }
+
     fn run(&self, spec: &Scenario, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
         run_sim(SimEngine::Tick, self.name(), spec, sink)
     }
@@ -966,6 +973,10 @@ impl Backend for SimBackend {
 impl Backend for SimEventBackend {
     fn name(&self) -> &'static str {
         "sim-event"
+    }
+
+    fn reproducible(&self) -> bool {
+        true
     }
 
     fn run(&self, spec: &Scenario, sink: Option<&TraceSink>) -> Option<ExperimentRecord> {
@@ -1300,26 +1311,15 @@ impl ExperimentRunner {
 /// Serializes records (plus a small header) to the `BENCH_results.json`
 /// document.
 pub fn records_to_json(records: &[ExperimentRecord]) -> String {
-    records_to_json_opts(records, false)
-}
-
-/// Like [`records_to_json`], but each record also carries its
-/// `final_loads` vector — the `--full-records` document (schema v7).
-pub fn records_to_json_full(records: &[ExperimentRecord]) -> String {
-    records_to_json_opts(records, true)
-}
-
-fn records_to_json_opts(records: &[ExperimentRecord], full: bool) -> String {
     object(vec![
         (
             "paper",
             JsonValue::Str("Towards Proving Optimistic Multicore Schedulers (HotOS 2017)".into()),
         ),
         ("harness", JsonValue::Str("sched-bench experiments --json".into())),
-        // The version's meaning is documented on `sched_json::SCHEMA_VERSION`
-        // (v7: optional final_loads behind --full-records).
+        // The version's meaning is documented on `sched_json::SCHEMA_VERSION`.
         ("schema_version", JsonValue::Int(sched_json::SCHEMA_VERSION)),
-        ("records", JsonValue::Array(records.iter().map(|r| r.to_json_opts(full)).collect())),
+        ("records", JsonValue::Array(records.iter().map(ExperimentRecord::to_json).collect())),
     ])
     .render_pretty()
 }
@@ -1781,38 +1781,10 @@ mod tests {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
         // `final_loads` is runner-internal state for invariant checks, not
-        // part of the schema-v5 record.
+        // part of the record.
         assert!(!json.contains("final_loads"), "final_loads must not be serialized");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    /// The `--full-records` document (schema v7) serializes `final_loads`
-    /// and round-trips through the workspace JSON parser exactly.
-    #[test]
-    fn full_records_serialize_final_loads_and_round_trip() {
-        let runner = ExperimentRunner::new(vec![Box::new(ModelBackend)]);
-        let records = runner.run(small_spec(PolicyRecipe::Listing1));
-        assert!(records.iter().all(|r| !r.final_loads.is_empty()), "the model reports loads");
-        let json = records_to_json_full(&records);
-        assert!(json.contains("\"final_loads\""));
-        let parsed = sched_json::parse(&json).expect("valid JSON");
-        assert_eq!(
-            parsed.get("schema_version").and_then(|v| v.as_f64()),
-            Some(sched_json::SCHEMA_VERSION as f64)
-        );
-        let rows = parsed.get("records").and_then(|r| r.as_array()).expect("records array");
-        assert_eq!(rows.len(), records.len());
-        for (row, record) in rows.iter().zip(&records) {
-            let loads: Vec<usize> = row
-                .get("final_loads")
-                .and_then(|l| l.as_array())
-                .expect("final_loads array")
-                .iter()
-                .map(|v| v.as_f64().expect("numeric load") as usize)
-                .collect();
-            assert_eq!(&loads, &record.final_loads, "final loads round-trip");
-        }
     }
 
     #[test]

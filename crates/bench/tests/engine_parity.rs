@@ -13,7 +13,7 @@
 //!   not silently hold only on the hand-picked catalog shapes.
 //!
 //! Equality here is exact, not a tolerance
-//! ([`sched_bench::fuzz::engine_parity_mismatches`], the comparison the
+//! ([`sched_sim::SimResult::parity_mismatches`], the comparison the
 //! scenario fuzzer's parity oracle makes too): both engines are
 //! deterministic, so any divergence is an ordering or decay bug in one
 //! upkeep, found at the exact scenario that triggers it.
@@ -30,7 +30,7 @@ fn engines_agree(spec: &Scenario) -> bool {
         return false;
     };
     let event = run_sim_result(SimEngine::Event, spec).expect("engines decline the same specs");
-    let mismatches = sched_bench::fuzz::engine_parity_mismatches(&tick, &event);
+    let mismatches = event.parity_mismatches(&tick);
     assert!(mismatches.is_empty(), "{}: {mismatches:#?}", spec.name);
     true
 }

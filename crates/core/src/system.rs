@@ -4,7 +4,7 @@ use sched_topology::MachineTopology;
 
 use crate::core_state::CoreState;
 use crate::load::LoadMetric;
-use crate::task::{Nice, Task, TaskId};
+use crate::task::{Task, TaskId};
 use crate::tracker::LoadTracker;
 use crate::CoreId;
 
@@ -46,16 +46,11 @@ impl SystemState {
     /// assert_eq!(s.total_threads(), 4);
     /// ```
     pub fn from_loads(loads: &[usize]) -> Self {
-        Self::from_loads_with_nice(loads, Nice::NORMAL)
-    }
-
-    /// Like [`SystemState::from_loads`] but every thread gets niceness `nice`.
-    pub fn from_loads_with_nice(loads: &[usize], nice: Nice) -> Self {
         let mut system = SystemState::new(loads.len());
         let mut next_id = 0u64;
         for (i, &n) in loads.iter().enumerate() {
             for _ in 0..n {
-                system.cores[i].enqueue(Task::with_nice(TaskId(next_id), nice));
+                system.cores[i].enqueue(Task::new(TaskId(next_id)));
                 next_id += 1;
             }
         }

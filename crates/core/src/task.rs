@@ -1,7 +1,5 @@
 //! Tasks (threads), their niceness and their load weights.
 
-use sched_topology::NodeId;
-
 /// Globally unique identifier of a task (a schedulable thread).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u64);
@@ -99,34 +97,25 @@ impl Default for Weight {
 
 /// A schedulable thread in the scheduler model.
 ///
-/// The model only tracks the properties load balancing consumes: identity,
-/// importance (niceness/weight) and an optional preferred NUMA node used by
-/// the NUMA-aware choice policy of step 2.
+/// The model only tracks the properties load balancing consumes: identity
+/// and importance (niceness/weight).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Task {
     /// Unique identity of the task.
     pub id: TaskId,
     /// Niceness (importance) of the task.
     pub nice: Nice,
-    /// Node the task would prefer to run on (e.g. where its memory lives).
-    pub preferred_node: Option<NodeId>,
 }
 
 impl Task {
-    /// Creates a `nice 0` task with no NUMA preference.
+    /// Creates a `nice 0` task.
     pub fn new(id: TaskId) -> Self {
-        Task { id, nice: Nice::NORMAL, preferred_node: None }
+        Task { id, nice: Nice::NORMAL }
     }
 
     /// Creates a task with the given niceness.
     pub fn with_nice(id: TaskId, nice: Nice) -> Self {
-        Task { id, nice, preferred_node: None }
-    }
-
-    /// Sets the preferred NUMA node.
-    pub fn with_preferred_node(mut self, node: NodeId) -> Self {
-        self.preferred_node = Some(node);
-        self
+        Task { id, nice }
     }
 
     /// Load weight of this task.
@@ -175,10 +164,10 @@ mod tests {
 
     #[test]
     fn task_builders() {
-        let t = Task::with_nice(TaskId(7), Nice::new(-5)).with_preferred_node(NodeId(1));
+        let t = Task::with_nice(TaskId(7), Nice::new(-5));
         assert_eq!(t.id.raw(), 7);
         assert_eq!(t.weight(), Weight::from_nice(Nice::new(-5)));
-        assert_eq!(t.preferred_node, Some(NodeId(1)));
+        assert_eq!(Task::new(TaskId(7)).nice, Nice::NORMAL);
         assert_eq!(t.id.to_string(), "task7");
     }
 }

@@ -1826,16 +1826,45 @@ mod tests {
         }
     }
 
+    /// Closures a pinned-burst run has submitted and completed, and the
+    /// completion count a dawdling thief waits for (0 while none waits).
+    #[derive(Default)]
+    struct Progress {
+        submitted: AtomicU64,
+        completed: AtomicU64,
+        awaited: AtomicU64,
+    }
+
+    impl Progress {
+        /// Counts one completed closure.  A completion at or past the count
+        /// a dawdling thief waits for holds its worker until the thief has
+        /// left the filter, so the thief claims from a queue that has moved
+        /// on since its observation but has not run dry.
+        fn complete(&self) {
+            let done = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
+            while (1..=done).contains(&self.awaited.load(Ordering::SeqCst)) {
+                std::thread::yield_now();
+            }
+        }
+    }
+
     /// Listing 1's filter behind a switch — while it is closed nobody steals
     /// — and, asked to, a thief's bad luck: the filter runs between a
     /// thief's reading of the counters and its claim, and a dawdling one
-    /// sits on every approval until a few more closures have completed
-    /// somewhere (or a backstop's time has passed).  What the thief
-    /// observed is stale by the time it claims, on any box and in any
-    /// build.
+    /// sits on every approval until four more closures have completed, or
+    /// every submitted one has if fewer are left.  What the thief observed
+    /// is stale by the time it claims, on any box and in any build.
+    ///
+    /// The wait is a handshake, not a timeout.  With two workers the
+    /// dawdling thief is the only other one, so every closure not yet
+    /// completed is the victim's worker's to run, and it runs them however
+    /// long the OS keeps either thread off a CPU; and it holds still at the
+    /// awaited completion ([`Progress::complete`]) until the thief is back
+    /// from the filter, however long the thief was away.  Closing the
+    /// switch ends the wait and refuses the steal.
     struct GatedFilter {
         open: Arc<AtomicBool>,
-        dawdle_over: Option<Arc<AtomicU64>>,
+        dawdle_over: Option<Arc<Progress>>,
         inner: DeltaFilter,
     }
 
@@ -1844,15 +1873,25 @@ mod tests {
             if !self.open.load(Ordering::Acquire) || !self.inner.can_steal(thief, victim) {
                 return false;
             }
-            if let Some(completed) = &self.dawdle_over {
-                let (seen, since) = (completed.load(Ordering::Relaxed), Instant::now());
-                while completed.load(Ordering::Relaxed) < seen + 4
-                    && since.elapsed() < PARK_BACKSTOP
-                {
-                    std::hint::spin_loop();
-                }
+            let Some(progress) = &self.dawdle_over else {
+                return true;
+            };
+            let owed = (progress.completed.load(Ordering::SeqCst) + 4)
+                .min(progress.submitted.load(Ordering::SeqCst));
+            if progress
+                .awaited
+                .compare_exchange(0, owed, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+            {
+                return true; // another thief is dawdling
             }
-            true
+            while progress.completed.load(Ordering::SeqCst) < owed
+                && self.open.load(Ordering::Acquire)
+            {
+                std::thread::yield_now();
+            }
+            progress.awaited.store(0, Ordering::SeqCst);
+            self.open.load(Ordering::Acquire)
         }
 
         fn name(&self) -> &'static str {
@@ -1866,7 +1905,7 @@ mod tests {
         ring: usize,
         trace: TraceSink,
         open: Arc<AtomicBool>,
-        dawdle_over: Option<Arc<AtomicU64>>,
+        dawdle_over: Option<Arc<Progress>>,
     ) -> Executor {
         let topo = Arc::new(TopologyBuilder::new().sockets(1).cores_per_socket(workers).build());
         let mut policy = Policy::simple().with_choice(Box::new(PinnedToCore0(
@@ -1924,26 +1963,27 @@ mod tests {
                 (8 * self.tasks() as usize).next_power_of_two().max(1 << 12),
             );
             let open = Arc::new(AtomicBool::new(true));
-            let completed = Arc::new(AtomicU64::new(0));
+            let progress = Arc::new(Progress::default());
             let exec = Arc::new(start_pinned(
                 self.workers,
                 1024,
                 sink.clone(),
                 Arc::clone(&open),
-                self.dawdling.then(|| Arc::clone(&completed)),
+                self.dawdling.then(|| Arc::clone(&progress)),
             ));
             let ran: Arc<Vec<AtomicU64>> =
                 Arc::new((0..self.burst).map(|_| AtomicU64::new(0)).collect());
             let submit = {
                 let (exec, ran) = (Arc::downgrade(&exec), Arc::clone(&ran));
                 move |i: usize| {
-                    let (ran, completed) = (Arc::clone(&ran), Arc::clone(&completed));
+                    let (ran, progress) = (Arc::clone(&ran), Arc::clone(&progress));
+                    progress.submitted.fetch_add(1, Ordering::SeqCst);
                     exec.upgrade().expect("the run holds its executor").spawn(move || {
                         if self.service_ns > 0 {
                             spin_for(self.service_ns);
                         }
                         ran[i].fetch_add(1, Ordering::Relaxed);
-                        completed.fetch_add(1, Ordering::Relaxed);
+                        progress.complete();
                     })
                 }
             };

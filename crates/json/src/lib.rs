@@ -38,11 +38,9 @@ pub use write::{object, JsonValue};
 ///   `events_processed` (events the engine handled before finishing or
 ///   exhausting the scenario's event budget; the gate compares it
 ///   relatively).  Both `null` on non-simulator backends.
-/// * v7: optional per-record `final_loads` (the final per-core thread
-///   counts the invariant checks run against), emitted only when the
-///   harness is invoked with `--full-records`; the key is omitted
-///   entirely — not `null` — on default runs, so default documents keep
-///   their v6 shape byte for byte.
+/// * v7: an optional per-record `final_loads`, behind a flag that has since
+///   gone.  No document carries the key: the fuzzer reads the final
+///   per-core thread counts in memory, so documents keep their v6 shape.
 /// * v8: per-record `e2e_p99_us` and `e2e_p999_us` — measured wall-clock
 ///   end-to-end request latency (submit to completion) on the real
 ///   work-stealing executor under open-loop arrivals (the E26 ladder; the
@@ -60,8 +58,7 @@ pub const SCHEMA_VERSION: i64 = 9;
 /// The identity of one `BENCH_results.json` record.
 ///
 /// Both sides of the pipeline key records the same way: the `sched-bench`
-/// catalog-parity tests match committed records against declarative
-/// scenario documents with it, and the `xtask bench-diff` gate pairs
+/// tests name committed records with it, and the `xtask bench-diff` gate pairs
 /// baseline and current runs (and rejects duplicate keys) with it.  Living
 /// here, next to the codec, the two ends can never drift apart on what
 /// makes a record unique.

@@ -11,8 +11,7 @@
 //!   time (no work anywhere) and *violating* idle time (idle while some core
 //!   is overloaded), which is the quantity a work-conserving scheduler drives
 //!   to zero,
-//! * [`latency`]/[`histogram`] — scheduling and end-to-end latency
-//!   distributions,
+//! * [`histogram`] — scheduling and end-to-end latency distributions,
 //! * [`overflow::OverflowExposure`] — idle-while-spilled accounting: the
 //!   fraction of the machine stranded idle while a runqueue's overflow
 //!   handling hid runnable work (experiment E22),
@@ -21,12 +20,10 @@
 
 pub mod histogram;
 pub mod idle;
-pub mod latency;
 pub mod overflow;
 pub mod table;
 
 pub use histogram::Histogram;
 pub use idle::IdleAccounting;
-pub use latency::LatencyRecorder;
 pub use overflow::OverflowExposure;
 pub use table::Table;

@@ -1,9 +1,9 @@
 //! Runnable entities carried by the concurrent runqueues.
 
-use sched_core::{Nice, Task, TaskId, Weight};
+use sched_core::{Nice, TaskId, Weight};
 
 /// A runnable task as stored in a concurrent runqueue: the identity and
-/// niceness of the pure-model [`Task`] it converts to.
+/// niceness of a pure-model [`sched_core::Task`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RqTask {
     /// Identity of the task.
@@ -27,11 +27,6 @@ impl RqTask {
     pub fn weight(&self) -> Weight {
         self.nice.weight()
     }
-
-    /// Converts to the pure-model task.
-    pub fn to_model(&self) -> Task {
-        Task::with_nice(self.id, self.nice)
-    }
 }
 
 #[cfg(test)]
@@ -39,11 +34,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn conversion_to_model_preserves_identity_and_nice() {
+    fn an_rq_task_weighs_what_the_model_task_weighs() {
         let t = RqTask::with_nice(TaskId(9), Nice::new(5));
-        let m = t.to_model();
-        assert_eq!(m.id, TaskId(9));
-        assert_eq!(m.nice, Nice::new(5));
+        let m = sched_core::Task::with_nice(TaskId(9), Nice::new(5));
+        assert_eq!((t.id, t.nice), (m.id, m.nice));
         assert_eq!(t.weight(), m.weight());
+        assert_eq!(RqTask::new(TaskId(9)).nice, Nice::NORMAL);
     }
 }

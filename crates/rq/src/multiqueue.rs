@@ -367,7 +367,8 @@ impl<B: RqBackend> MultiQueue<B> {
     /// interleaving, in which conflicting optimistic selections (and hence
     /// failed steals) are guaranteed rather than merely possible.  The tests
     /// use it to force the failures the paper's P1/P2 lemmas are about.
-    pub fn concurrent_round_synchronized(&self, policy: &Policy) -> BalanceStats {
+    #[cfg(test)]
+    fn concurrent_round_synchronized(&self, policy: &Policy) -> BalanceStats {
         let barrier = std::sync::Barrier::new(self.cores.len());
         self.round(|thief, stats| {
             let selected = self.select(thief, policy, policy.steal);

@@ -19,10 +19,9 @@ pub struct SimConfig {
     pub horizon_ns: u64,
     /// Tie-break policy among simultaneous events.
     ///
-    /// [`OrderingPolicy::Priority`] is the default: it is the only policy
-    /// under which the tick engine and the event engine agree tie-for-tie
-    /// (FIFO ties depend on push order, which differs once idle timer ticks
-    /// are elided). [`OrderingPolicy::Seeded`] is the verification mode.
+    /// [`OrderingPolicy::Priority`] is the default: under it the tick engine
+    /// and the event engine agree tie-for-tie.
+    /// [`OrderingPolicy::Seeded`] is the verification mode.
     pub ordering: OrderingPolicy,
     /// Optional hard cap on processed events; runs hitting the cap stop and
     /// are reported as unfinished. `None` means unbounded.

@@ -6,7 +6,6 @@
 //! queue's [`OrderingPolicy`] packs into `tie` (`seq` is the push's sequence
 //! number):
 //!
-//! * `Fifo`: `tie = seq`.
 //! * `Priority`: `tie = class << 62 | core << 40 | seq`, with class 0 for
 //!   the balance tick, 1 for wakeups (arrival, sleep-done, phase-done) and 2
 //!   for per-core timers, whose core fills the middle field.  A push asserts
@@ -47,16 +46,14 @@ pub enum EventKind {
 /// How simultaneous events are ordered relative to each other.
 ///
 /// Both engines drain events in `(time, tie)` order; the policy decides the
-/// tie (module docs).  `Priority` is the default and the only policy under
-/// which the tick engine and the event engine are tie-for-tie identical
-/// (FIFO ties depend on *push* order, which differs once the event engine
-/// elides idle timer ticks).  `Seeded` turns the tie-break into a seeded
+/// tie (module docs).  `Priority` is the default, and the tick engine and
+/// the event engine are tie-for-tie identical under it: its ties rank by
+/// event class and core, not by *push* order, which differs once the event
+/// engine elides idle timer ticks.  `Seeded` turns the tie-break into a seeded
 /// permutation and is the verification mode: sweeping seeds explores
 /// same-time schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderingPolicy {
-    /// First pushed fires first (the legacy tick-engine tie-break).
-    Fifo,
     /// Balance first, then wakeups (arrival / sleep-done / phase-done) in
     /// push order, then per-core timers in core order.
     #[default]
@@ -69,7 +66,6 @@ impl OrderingPolicy {
     /// Same-time tie-break of `kind` pushed with sequence number `seq`.
     fn tie(self, kind: EventKind, seq: u64) -> u64 {
         match self {
-            OrderingPolicy::Fifo => seq,
             OrderingPolicy::Priority => {
                 assert!(seq < 1 << 40, "priority ordering holds fewer than 2^40 pushes");
                 let (class, core) = match kind {
@@ -135,18 +131,7 @@ pub struct EventQueue {
     ordering: OrderingPolicy,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl EventQueue {
-    /// Creates an empty queue with the legacy FIFO tie-break.
-    pub fn new() -> Self {
-        Self::with_ordering(OrderingPolicy::Fifo)
-    }
-
     /// Creates an empty queue resolving same-time ties with `ordering`.
     pub fn with_ordering(ordering: OrderingPolicy) -> Self {
         EventQueue { heap: BinaryHeap::new(), next_seq: 0, ordering }
@@ -192,8 +177,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pops_in_time_order_with_fifo_ties() {
-        let mut q = EventQueue::with_ordering(OrderingPolicy::Fifo);
+    fn pops_in_time_order() {
+        let mut q = EventQueue::with_ordering(OrderingPolicy::Priority);
         q.push(20, EventKind::Balance);
         q.push(10, EventKind::Timer(CoreId(0)));
         q.push(10, EventKind::Arrival(SimThreadId(1)));
@@ -201,9 +186,9 @@ mod tests {
         let first = q.pop().unwrap();
         let second = q.pop().unwrap();
         let third = q.pop().unwrap();
-        assert_eq!(first.kind, EventKind::Timer(CoreId(0)));
-        assert_eq!(second.kind, EventKind::Arrival(SimThreadId(1)));
-        assert_eq!(third.time, 20);
+        assert_eq!((first.time, first.kind), (10, EventKind::Arrival(SimThreadId(1))));
+        assert_eq!((second.time, second.kind), (10, EventKind::Timer(CoreId(0))));
+        assert_eq!((third.time, third.kind), (20, EventKind::Balance));
         assert!(q.pop().is_none());
         assert!(q.is_empty());
     }
@@ -256,8 +241,7 @@ mod tests {
     /// the popped event carries it, and no other push shares it.
     #[test]
     fn phase_done_tokens_are_part_of_the_event() {
-        for ordering in [OrderingPolicy::Fifo, OrderingPolicy::Priority, OrderingPolicy::Seeded(3)]
-        {
+        for ordering in [OrderingPolicy::Priority, OrderingPolicy::Seeded(3)] {
             let mut q = EventQueue::with_ordering(ordering);
             let stale = q.push(5, EventKind::PhaseDone(SimThreadId(0)));
             let live = q.push(5, EventKind::PhaseDone(SimThreadId(0)));
@@ -300,7 +284,6 @@ mod tests {
     /// rank each policy assigned.  The packed key must pop in its order.
     fn oracle_rank(ordering: OrderingPolicy, kind: EventKind, seq: u64) -> u64 {
         match ordering {
-            OrderingPolicy::Fifo => 0,
             OrderingPolicy::Priority => match kind {
                 EventKind::Balance => 0,
                 EventKind::Arrival(_) | EventKind::SleepDone(_) | EventKind::PhaseDone(_) => {
@@ -341,15 +324,11 @@ mod tests {
     proptest! {
         #[test]
         fn pops_in_the_order_of_the_time_rank_seq_comparator(
-            policy in 0usize..3,
+            policy in 0usize..2,
             seed in any::<u64>(),
             ops in prop::collection::vec((0usize..8, 0u64..3, 0usize..5, 0usize..4), 1..160),
         ) {
-            let ordering = [
-                OrderingPolicy::Fifo,
-                OrderingPolicy::Priority,
-                OrderingPolicy::Seeded(seed),
-            ][policy];
+            let ordering = [OrderingPolicy::Priority, OrderingPolicy::Seeded(seed)][policy];
             let mut q = EventQueue::with_ordering(ordering);
             let mut pending: Vec<Pending> = Vec::new();
             let (mut now, mut seq) = (0u64, 0u64);

@@ -36,9 +36,9 @@
 //! Under the default [`OrderingPolicy::Priority`] the two engines produce
 //! bit-identical results (pinned by the parity suites): ranks
 //! order simultaneous events as balance, then wakeups in push order, then
-//! timers in core order, which is engine-independent.  Exact FIFO parity is
-//! impossible by construction — FIFO ties depend on push order, and eliding
-//! a timer push renumbers every later event.  [`OrderingPolicy::Seeded`]
+//! timers in core order, which is engine-independent.  A tie-break by push
+//! order alone could not be: eliding a timer push renumbers every later
+//! event.  [`OrderingPolicy::Seeded`]
 //! permutes same-time events instead and is the verification mode: sweeping
 //! seeds explores alternative same-time schedules, with every run replayable
 //! from its seed.
@@ -282,34 +282,10 @@ mod tests {
     use super::*;
     use crate::cfs::{CfsBugs, CfsLikeScheduler};
     use crate::engine::Engine;
-    use crate::result::SimResult;
     use crate::scheduler::{OptimisticScheduler, SimScheduler};
     use sched_core::policy::TopologyAwareChoice;
     use sched_core::{LoadMetric, Policy};
     use sched_workloads::{Phase, ScientificWorkload, ThreadSpec, Workload};
-
-    fn assert_parity(tick: &SimResult, event: &SimResult) {
-        assert_eq!(event.makespan_ns, tick.makespan_ns, "makespan");
-        assert_eq!(event.finished, tick.finished, "finished");
-        assert_eq!(event.operations, tick.operations, "operations");
-        assert_eq!(event.balance, tick.balance, "steal tally");
-        assert_eq!(event.latency.count(), tick.latency.count(), "latency samples");
-        assert_eq!(event.idle.total_busy(), tick.idle.total_busy(), "busy time");
-        assert_eq!(event.idle.total_idle_benign(), tick.idle.total_idle_benign(), "benign idle");
-        assert_eq!(
-            event.idle.total_idle_violating(),
-            tick.idle.total_idle_violating(),
-            "violating idle"
-        );
-        for core in 0..tick.idle.nr_cores() {
-            assert_eq!(event.idle.busy(core), tick.idle.busy(core), "busy of core {core}");
-            assert_eq!(
-                event.idle.idle_violating(core),
-                tick.idle.idle_violating(core),
-                "violating idle of core {core}"
-            );
-        }
-    }
 
     fn scientific(nr_threads: usize) -> Workload {
         ScientificWorkload {
@@ -340,7 +316,7 @@ mod tests {
             Box::new(OptimisticScheduler::new(Policy::simple())),
         )
         .run();
-        assert_parity(&tick, &event);
+        assert_eq!(event.parity_mismatches(&tick), Vec::<String>::new());
         assert!(
             event.events_processed < tick.events_processed,
             "timer elision must shrink the event count ({} vs {})",
@@ -370,8 +346,10 @@ mod tests {
             )
             .run()
         };
-        assert_parity(&run_tick(Policy::simple()), &run_event(Policy::simple()));
-        assert_parity(&run_tick(Policy::pelt(8_000_000)), &run_event(Policy::pelt(8_000_000)));
+        for policy in [Policy::simple, || Policy::pelt(8_000_000)] {
+            let (tick, event) = (run_tick(policy()), run_event(policy()));
+            assert_eq!(event.parity_mismatches(&tick), Vec::<String>::new());
+        }
     }
 
     #[test]
@@ -392,7 +370,7 @@ mod tests {
             let tick = Engine::new(SimConfig::default(), Some(&topo), &workload, make()).run();
             let event =
                 EventEngine::new(SimConfig::default(), Some(&topo), &workload, make()).run();
-            assert_parity(&tick, &event);
+            assert_eq!(event.parity_mismatches(&tick), Vec::<String>::new());
         }
     }
 
@@ -426,7 +404,7 @@ mod tests {
             Box::new(OptimisticScheduler::new(Policy::simple())),
         )
         .run();
-        assert_parity(&tick, &event);
+        assert_eq!(event.parity_mismatches(&tick), Vec::<String>::new());
         assert!(
             event.events_processed * 20 < tick.events_processed,
             "a sleeping machine must cost events proportional to work, not cores × time \
@@ -450,28 +428,50 @@ mod tests {
         assert_eq!(result.events_processed, 10);
     }
 
+    /// `loads[i]` fixed-length compute tasks pinned to core `i`: the replay
+    /// shape the convergence lemmas bound.
+    fn replay(loads: &[usize]) -> Workload {
+        let mut workload = Workload::new("replay");
+        for (core, &n) in loads.iter().enumerate() {
+            for _ in 0..n {
+                let mut spec = ThreadSpec::new(vec![Phase::Compute(4_000_000)]);
+                spec.origin_core = Some(core);
+                workload.push(spec);
+            }
+        }
+        workload
+    }
+
     #[test]
     fn seeded_ordering_still_satisfies_conservation() {
         // Same-time permutations change the schedule but never lose or
-        // duplicate work: every seed completes all operations.
-        let workload = scientific(8);
-        let baseline = EventEngine::new(
-            SimConfig::with_cores(8),
-            None,
-            &workload,
-            Box::new(OptimisticScheduler::new(Policy::simple())),
-        )
-        .run();
-        for seed in 0..8u64 {
-            let result = EventEngine::new(
-                SimConfig::with_cores(8).with_ordering(crate::event::OrderingPolicy::Seeded(seed)),
-                None,
-                &workload,
-                Box::new(OptimisticScheduler::new(Policy::simple())),
-            )
-            .run();
-            assert!(result.finished, "seed {seed} must still finish");
-            assert_eq!(result.operations, baseline.operations, "seed {seed}");
+        // duplicate work: every seed reproduces the priority-ordered
+        // baseline's completion and operation count — on a fork-join
+        // workload, on one hot core of four, and under a budget that cuts
+        // every ordering off at the same event count.
+        let cases = [
+            (scientific(8), SimConfig::with_cores(8), (0..8).collect::<Vec<u64>>()),
+            (replay(&[12, 0, 0, 0]), SimConfig::with_cores(4), vec![1, 2, 3, 0xDEAD_BEEF]),
+            (replay(&[8, 0]), SimConfig::with_cores(2).with_event_budget(10_000), vec![7, 11, 13]),
+        ];
+        for (workload, config, seeds) in cases {
+            let run = |config: SimConfig| {
+                let scheduler = Box::new(OptimisticScheduler::new(Policy::simple()));
+                EventEngine::new(config, None, &workload, scheduler).run()
+            };
+            let baseline = run(config.clone());
+            assert!(baseline.finished || config.event_budget.is_some(), "{}", workload.name);
+            for seed in seeds {
+                let seeded =
+                    config.clone().with_ordering(crate::event::OrderingPolicy::Seeded(seed));
+                let result = run(seeded);
+                assert_eq!(result.finished, baseline.finished, "{}: seed {seed}", workload.name);
+                assert_eq!(
+                    result.operations, baseline.operations,
+                    "{}: seed {seed}",
+                    workload.name
+                );
+            }
         }
     }
 
@@ -495,6 +495,6 @@ mod tests {
         )
         .run();
         assert!(!tick.finished && !event.finished);
-        assert_parity(&tick, &event);
+        assert_eq!(event.parity_mismatches(&tick), Vec::<String>::new());
     }
 }

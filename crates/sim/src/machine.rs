@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use sched_core::tracker::LoadTracker;
 use sched_core::{CoreId, Nice, TaskId};
-use sched_metrics::{IdleAccounting, LatencyRecorder};
+use sched_metrics::{Histogram, IdleAccounting};
 use sched_topology::MachineTopology;
 use sched_trace::{FoldedStats, TraceEvent, TraceSink};
 use sched_workloads::{Phase, Workload};
@@ -110,7 +110,7 @@ pub struct Machine<'w, U: Upkeep> {
     pub(crate) tracker: Arc<dyn LoadTracker>,
     pub(crate) now: u64,
     pub(crate) idle: IdleAccounting,
-    latency: LatencyRecorder,
+    latency: Histogram,
     balance_stats: FoldedStats,
     finished_count: usize,
     events_processed: u64,
@@ -165,7 +165,7 @@ impl<'w, U: Upkeep> Machine<'w, U> {
 
         Machine {
             idle: IdleAccounting::new(nr_cores),
-            latency: LatencyRecorder::new(),
+            latency: Histogram::new(),
             balance_stats: FoldedStats::default(),
             workload,
             queues,
@@ -377,7 +377,8 @@ impl<'w, U: Upkeep> Machine<'w, U> {
         thread.running_since = Some(self.now);
         thread.last_core = Some(core);
         if let Some(ready_since) = thread.ready_since.take() {
-            self.latency.record(ready_since, self.now);
+            assert!(self.now >= ready_since, "a thread cannot run before it is ready");
+            self.latency.record(self.now - ready_since);
         }
         let tie = self.events.push(self.now + thread.remaining_ns, EventKind::PhaseDone(tid));
         thread.completion = Some(tie);
@@ -496,6 +497,20 @@ mod tests {
             assert!(result.finished);
             assert_eq!((result.operations, result.makespan_ns), (2, 20_000_000));
         }
+    }
+
+    /// A scheduling latency is the time from runnable to running; a thread
+    /// started before it became runnable is a simulator bug.
+    #[test]
+    #[should_panic(expected = "cannot run before it is ready")]
+    fn negative_latency_is_a_bug() {
+        let mut workload = Workload::new("one thread");
+        workload.push(sched_workloads::ThreadSpec::new(vec![Phase::Compute(1_000)]));
+        let scheduler = Box::new(OptimisticScheduler::new(Policy::simple()));
+        let mut machine =
+            Machine::<Eager>::new(SimConfig::with_cores(1), None, &workload, scheduler);
+        machine.threads[0].ready_since = Some(machine.now + 1);
+        machine.start_running(CoreId(0), SimThreadId(0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Results of one simulation run.
 
-use sched_metrics::{IdleAccounting, LatencyRecorder};
+use sched_metrics::{Histogram, IdleAccounting};
 use sched_trace::FoldedStats;
 
 /// Everything measured during one simulation run.
@@ -21,8 +21,9 @@ pub struct SimResult {
     pub events_processed: u64,
     /// Per-core busy / benign-idle / violating-idle accounting.
     pub idle: IdleAccounting,
-    /// Scheduling latency (runnable → running) distribution.
-    pub latency: LatencyRecorder,
+    /// Scheduling latency (runnable → running) distribution, in
+    /// nanoseconds.
+    pub latency: Histogram,
     /// Aggregated balancing outcomes.
     pub balance: FoldedStats,
 }
@@ -56,6 +57,37 @@ impl SimResult {
         self.makespan_ns as f64 / baseline.makespan_ns as f64
     }
 
+    /// Every measured quantity in which this run differs from `reference`,
+    /// the same spec on the other engine.  The tick and event engines are
+    /// one machine under two upkeeps and must agree exactly, so an empty
+    /// list is the only acceptable answer.  Covers completion, operations,
+    /// makespan, the steal tally, the scheduling-latency distribution
+    /// (sample count, p50, p99, max) and the per-core busy / benign-idle /
+    /// violating-idle times; not `events_processed`, which is what the
+    /// event engine saves.
+    pub fn parity_mismatches(&self, reference: &SimResult) -> Vec<String> {
+        type Quantity = fn(&SimResult) -> String;
+        let quantities: [(&str, Quantity); 6] = [
+            ("finished", |r| r.finished.to_string()),
+            ("operations", |r| r.operations.to_string()),
+            ("makespan_ns", |r| r.makespan_ns.to_string()),
+            ("balancing", |r| format!("{:?}", r.balance)),
+            ("scheduling latency", |r| {
+                let [p50, p99, max] = [0.5, 0.99, 1.0].map(|q| r.latency.quantile(q));
+                format!("{} samples, p50 {p50} p99 {p99} max {max}", r.latency.count())
+            }),
+            ("per-core idle accounting", |r| format!("{:?}", r.idle)),
+        ];
+        quantities
+            .iter()
+            .map(|(what, of)| (what, of(self), of(reference)))
+            .filter(|(_, this, reference)| this != reference)
+            .map(|(what, this, reference)| {
+                format!("{what}: this run says {this}, the reference engine {reference}")
+            })
+            .collect()
+    }
+
     /// Throughput of this run relative to another run (1.0 = equal).
     pub fn relative_throughput(&self, baseline: &SimResult) -> f64 {
         let base = baseline.throughput_ops_per_sec();
@@ -79,7 +111,7 @@ mod tests {
             operations,
             events_processed: 0,
             idle: IdleAccounting::new(1),
-            latency: LatencyRecorder::new(),
+            latency: Histogram::new(),
             balance: FoldedStats::default(),
         }
     }

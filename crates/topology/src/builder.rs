@@ -26,7 +26,6 @@ pub struct TopologyBuilder {
     cores_per_socket: usize,
     llcs_per_socket: usize,
     smt: usize,
-    memory_per_node_mib: u64,
     ring_interconnect: bool,
 }
 
@@ -44,7 +43,6 @@ impl TopologyBuilder {
             cores_per_socket: 4,
             llcs_per_socket: 1,
             smt: 1,
-            memory_per_node_mib: 32 * 1024,
             ring_interconnect: false,
         }
     }
@@ -74,12 +72,6 @@ impl TopologyBuilder {
     pub fn smt(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "at least one thread per core");
         self.smt = threads;
-        self
-    }
-
-    /// Memory per NUMA node in MiB.
-    pub fn memory_per_node_mib(mut self, mib: u64) -> Self {
-        self.memory_per_node_mib = mib;
         self
     }
 
@@ -139,11 +131,7 @@ impl TopologyBuilder {
                 }
             }
             node_cpus.sort();
-            nodes.push(NodeInfo {
-                id: NodeId(socket),
-                cpus: node_cpus,
-                memory_mib: self.memory_per_node_mib,
-            });
+            nodes.push(NodeInfo { id: NodeId(socket), cpus: node_cpus });
         }
         cpus.sort_by_key(|c| c.id);
 

@@ -26,9 +26,6 @@ pub struct NodeInfo {
     pub id: NodeId,
     /// CPUs local to this node, in ascending order.
     pub cpus: Vec<CpuId>,
-    /// Amount of local memory, in MiB (informational; the scheduler model
-    /// does not track memory placement, only thread placement).
-    pub memory_mib: u64,
 }
 
 impl NodeInfo {
@@ -49,11 +46,7 @@ mod tests {
 
     #[test]
     fn contains_uses_sorted_cpu_list() {
-        let node = NodeInfo {
-            id: NodeId(0),
-            cpus: vec![CpuId(0), CpuId(1), CpuId(2), CpuId(3)],
-            memory_mib: 1024,
-        };
+        let node = NodeInfo { id: NodeId(0), cpus: vec![CpuId(0), CpuId(1), CpuId(2), CpuId(3)] };
         assert!(node.contains(CpuId(2)));
         assert!(!node.contains(CpuId(4)));
         assert_eq!(node.nr_cpus(), 4);

@@ -32,25 +32,16 @@
 //! when the question is "how did it behave" rather than "was it wrong".
 //!
 //! `bench-diff` compares two `experiments --json` documents per
-//! `(experiment, scenario, backend)` key — [`sched_json::record_key`], the
-//! same identity the writer's parity tests use, and duplicate keys in
-//! either document are an error — and exits non-zero when the
-//! current run differs from what a re-run reproduces, or regressed beyond
-//! tolerance where a re-run does not reproduce:
+//! `(experiment, scenario, backend)` key — [`sched_json::record_key`];
+//! duplicate keys in either document are an error — and exits non-zero
+//! when the current run regressed beyond `--tolerance` or busts the
+//! absolute latency ceiling.  Every record passes the same rules.  A record that a re-run reproduces
+//! (the model and simulator backends) passes them trivially: tier-1's
+//! `crates/bench/tests/records.rs` already pins it to the committed file,
+//! field by field.
 //!
-//! * the **deterministic backends** (`model`, `sim`, `sim-event`) — exact:
-//!   `migrations`, `failures`, `violating_idle`, `events_processed`,
-//!   `p99_sched_latency_us`, and `throughput` when its unit is `ops/s`
-//!   (simulated time) must be `==` the baseline's, in both directions.  A
-//!   re-run reproduces them bit for bit, so any difference is a schedule
-//!   change; an intended one regenerates `BENCH_results.json` in the same
-//!   PR.  The model's `migrations/s` is wall-clock speed and is not
-//!   compared.
-//!
-//! `--tolerance` governs the other records (`rq*`, `exec`):
-//!
-//! * `throughput` — relative, for the units a re-run roughly reproduces
-//!   (`reqs/s`): fails when `current < baseline × (1 − tolerance)`.
+//! * `throughput` — relative, for the executor's `reqs/s` and the
+//!   simulator's `ops/s`: fails when `current < baseline × (1 − tolerance)`.
 //!   `migrations/s` is
 //!   wall-clock speed — it breathes with the machine, with 64 OS threads on
 //!   2 vCPUs by more than any tolerance worth having — and is **not gated
@@ -79,8 +70,7 @@
 //! * a key present in the baseline but missing from the current run fails;
 //!   keys only in the current run are reported as re-baseline hints.
 //!
-//! On the tolerance-gated records improvements never fail the gate; refresh
-//! the committed baseline with
+//! Improvements never fail the gate; refresh the committed baseline with
 //! `cargo run --release -p sched-bench --bin experiments -- --json`.
 
 use std::process::ExitCode;
@@ -93,38 +83,14 @@ use json::Json;
 #[derive(Debug, Clone)]
 struct Record {
     key: String,
-    backend: String,
     throughput: f64,
     throughput_unit: String,
     violating_idle: f64,
-    migrations: Option<f64>,
-    failures: Option<f64>,
     p99_sched_latency_us: Option<f64>,
     e2e_p99_us: Option<f64>,
     e2e_p999_us: Option<f64>,
     steal_batch_k: Option<String>,
     tasks_per_acquisition: Option<f64>,
-    events_processed: Option<f64>,
-}
-
-impl Record {
-    /// The backend is deterministic: a re-run reproduces its counts.
-    fn is_deterministic(&self) -> bool {
-        matches!(self.backend.as_str(), "model" | "sim" | "sim-event")
-    }
-
-    /// The fields a re-run of a deterministic backend reproduces bit for
-    /// bit.  Simulated-time throughput is one; wall-clock throughput is not.
-    fn reproducible_fields(&self) -> [(&'static str, Option<f64>); 6] {
-        [
-            ("migrations", self.migrations),
-            ("failures", self.failures),
-            ("violating_idle", Some(self.violating_idle)),
-            ("events_processed", self.events_processed),
-            ("p99_sched_latency_us", self.p99_sched_latency_us),
-            ("throughput", (self.throughput_unit == "ops/s").then_some(self.throughput)),
-        ]
-    }
 }
 
 fn records_of(doc: &Json, path: &str) -> Result<Vec<Record>, String> {
@@ -147,18 +113,14 @@ fn records_of(doc: &Json, path: &str) -> Result<Vec<Record>, String> {
         };
         out.push(Record {
             key: json::record_key(&field("experiment")?, &field("scenario")?, &field("backend")?),
-            backend: field("backend")?,
             throughput: number("throughput")?,
             throughput_unit: field("throughput_unit")?,
             violating_idle: number("violating_idle")?,
-            migrations: r.get("migrations").and_then(Json::as_f64),
-            failures: r.get("failures").and_then(Json::as_f64),
             p99_sched_latency_us: r.get("p99_sched_latency_us").and_then(Json::as_f64),
             e2e_p99_us: r.get("e2e_p99_us").and_then(Json::as_f64),
             e2e_p999_us: r.get("e2e_p999_us").and_then(Json::as_f64),
             steal_batch_k: r.get("steal_batch_k").and_then(Json::as_str).map(str::to_string),
             tasks_per_acquisition: r.get("tasks_per_acquisition").and_then(Json::as_f64),
-            events_processed: r.get("events_processed").and_then(Json::as_f64),
         });
     }
     // A duplicate key would make the gate compare against whichever record
@@ -216,22 +178,6 @@ fn bench_diff(args: &[String]) -> Result<ExitCode, String> {
             continue;
         };
         compared += 1;
-        if base.is_deterministic() {
-            // A re-run reproduces these bit for bit, so any difference — in
-            // either direction — is a schedule change, not noise.
-            for ((field, was), (_, is)) in
-                base.reproducible_fields().into_iter().zip(cur.reproducible_fields())
-            {
-                if was != is {
-                    regressions.push(format!(
-                        "EXACT     {}: {field} {is:?} != baseline {was:?} (deterministic backend; \
-                         regenerate the baseline if the schedule change is intended)",
-                        base.key
-                    ));
-                }
-            }
-            continue;
-        }
         // The executor's `reqs/s` is gated; wall-clock `migrations/s` is
         // `benchmark/`'s to judge.
         let floor = base.throughput * (1.0 - tolerance);
@@ -341,7 +287,7 @@ fn bench_diff(args: &[String]) -> Result<ExitCode, String> {
         println!("  note: {note}");
     }
     if regressions.is_empty() {
-        println!("bench-diff: OK — deterministic records exact, no regression beyond tolerance");
+        println!("bench-diff: OK — no regression beyond tolerance");
         Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("bench-diff: {} regression(s):", regressions.len());
@@ -599,38 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn model_migration_drift_is_gated_although_wall_clock_throughput_is_not() {
-        let dir = std::env::temp_dir().join("xtask-bench-diff-migrations");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        let cur = dir.join("cur.json");
-        let model = |throughput: f64, migrations: u64| {
-            format!(
-                "{{\"experiment\": \"e2\", \"scenario\": \"s\", \"backend\": \"model\", \
-                 \"throughput\": {throughput}, \"throughput_unit\": \"migrations/s\", \
-                 \"violating_idle\": 0.1, \"migrations\": {migrations}}}"
-            )
-        };
-        let run = |current: String| {
-            std::fs::write(&base, doc(&model(1_500_000.0, 20))).unwrap();
-            std::fs::write(&cur, doc(&current)).unwrap();
-            bench_diff(&[
-                "--baseline".into(),
-                base.to_str().unwrap().into(),
-                "--current".into(),
-                cur.to_str().unwrap().into(),
-            ])
-            .unwrap()
-        };
-        // A 3x drop in wall-clock speed is the machine's business.
-        assert_eq!(run(model(500_000.0, 20)), ExitCode::SUCCESS);
-        // One migration more or fewer from a deterministic backend is a
-        // behaviour change, whatever the wall clock said.
-        assert_eq!(run(model(1_500_000.0, 21)), ExitCode::FAILURE);
-        assert_eq!(run(model(1_500_000.0, 15)), ExitCode::FAILURE);
-    }
-
-    #[test]
     fn p99_ceiling_gates_absolutely_and_only_when_measured() {
         let dir = std::env::temp_dir().join("xtask-bench-diff-p99");
         std::fs::create_dir_all(&dir).unwrap();
@@ -753,43 +667,6 @@ mod tests {
         assert_eq!(run(&batch("3.0"), &batch("1.1")), ExitCode::FAILURE);
         // ...and rows that never measured it (schema v5 null) are not gated.
         assert_eq!(run(&batch("null"), &batch("null")), ExitCode::SUCCESS);
-    }
-
-    #[test]
-    fn event_count_drift_is_gated_exactly_in_both_directions() {
-        let dir = std::env::temp_dir().join("xtask-bench-diff-events");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        let cur = dir.join("cur.json");
-        // A wall-clock unit, so only the event count can differ.
-        let sim = |events: &str| {
-            format!(
-                "{{\"experiment\": \"e24\", \"scenario\": \"s\", \"backend\": \"sim-event\", \
-                 \"throughput\": 100000.0, \"throughput_unit\": \"migrations/s\", \
-                 \"violating_idle\": 0.0, \"sim_engine\": \"event\", \
-                 \"events_processed\": {events}}}"
-            )
-        };
-        let run = |baseline: &str, current: &str| {
-            std::fs::write(&base, doc(baseline)).unwrap();
-            std::fs::write(&cur, doc(current)).unwrap();
-            bench_diff(&[
-                "--baseline".into(),
-                base.to_str().unwrap().into(),
-                "--current".into(),
-                cur.to_str().unwrap().into(),
-            ])
-            .unwrap()
-        };
-        // The simulator reproduces its event count exactly...
-        assert_eq!(run(&sim("2000000"), &sim("2000000")), ExitCode::SUCCESS);
-        // ...so one event more fails...
-        assert_eq!(run(&sim("2000000"), &sim("2000001")), ExitCode::FAILURE);
-        // ...and so do fewer: a cheaper schedule is still a changed one, and
-        // lands with a regenerated baseline...
-        assert_eq!(run(&sim("6000000"), &sim("2000000")), ExitCode::FAILURE);
-        // ...while rows that never measured it (schema v6 null) agree.
-        assert_eq!(run(&sim("null"), &sim("null")), ExitCode::SUCCESS);
     }
 
     #[test]

@@ -442,37 +442,49 @@ mod tests {
         workload
     }
 
+    /// Same-time permutations change the schedule but never lose or
+    /// duplicate work: every seed reproduces the priority-ordered
+    /// baseline's completion and operation count.
+    fn assert_seeded_orderings_conserve(workload: &Workload, config: SimConfig, seeds: &[u64]) {
+        let run = |config: SimConfig| {
+            let scheduler = Box::new(OptimisticScheduler::new(Policy::simple()));
+            EventEngine::new(config, None, workload, scheduler).run()
+        };
+        let baseline = run(config.clone());
+        assert!(baseline.finished || config.event_budget.is_some(), "{}", workload.name);
+        for &seed in seeds {
+            let seeded = config.clone().with_ordering(crate::event::OrderingPolicy::Seeded(seed));
+            let result = run(seeded);
+            assert_eq!(result.finished, baseline.finished, "{}: seed {seed}", workload.name);
+            assert_eq!(result.operations, baseline.operations, "{}: seed {seed}", workload.name);
+        }
+    }
+
     #[test]
     fn seeded_ordering_still_satisfies_conservation() {
-        // Same-time permutations change the schedule but never lose or
-        // duplicate work: every seed reproduces the priority-ordered
-        // baseline's completion and operation count — on a fork-join
-        // workload, on one hot core of four, and under a budget that cuts
-        // every ordering off at the same event count.
-        let cases = [
-            (scientific(8), SimConfig::with_cores(8), (0..8).collect::<Vec<u64>>()),
-            (replay(&[12, 0, 0, 0]), SimConfig::with_cores(4), vec![1, 2, 3, 0xDEAD_BEEF]),
-            (replay(&[8, 0]), SimConfig::with_cores(2).with_event_budget(10_000), vec![7, 11, 13]),
-        ];
-        for (workload, config, seeds) in cases {
-            let run = |config: SimConfig| {
-                let scheduler = Box::new(OptimisticScheduler::new(Policy::simple()));
-                EventEngine::new(config, None, &workload, scheduler).run()
-            };
-            let baseline = run(config.clone());
-            assert!(baseline.finished || config.event_budget.is_some(), "{}", workload.name);
-            for seed in seeds {
-                let seeded =
-                    config.clone().with_ordering(crate::event::OrderingPolicy::Seeded(seed));
-                let result = run(seeded);
-                assert_eq!(result.finished, baseline.finished, "{}: seed {seed}", workload.name);
-                assert_eq!(
-                    result.operations, baseline.operations,
-                    "{}: seed {seed}",
-                    workload.name
-                );
-            }
-        }
+        let seeds: Vec<u64> = (0..8).collect();
+        assert_seeded_orderings_conserve(&scientific(8), SimConfig::with_cores(8), &seeds);
+    }
+
+    #[test]
+    fn the_ordering_lemma_holds_on_the_single_hot_core_shape() {
+        assert_seeded_orderings_conserve(
+            &replay(&[12, 0, 0, 0]),
+            SimConfig::with_cores(4),
+            &[1, 2, 3, 0xDEAD_BEEF],
+        );
+    }
+
+    #[test]
+    fn a_truncating_budget_still_satisfies_the_lemma_vacuously_or_fails_loudly() {
+        // Under a budget every ordering stops at exactly the same event
+        // count; whether each permutation finishes the same way is exactly
+        // what the lemma asks.
+        assert_seeded_orderings_conserve(
+            &replay(&[8, 0]),
+            SimConfig::with_cores(2).with_event_budget(10_000),
+            &[7, 11, 13],
+        );
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! copy of the handlers below with its hooks inlined; nothing on the
 //! per-event path is selected at run time.
 //!
-//! A preempted thread leaves its phase completion on the calendar: the heap
-//! cannot delete.  Instead every push returns a tie unique to it
+//! A preempted thread leaves its phase completion on the calendar: the
+//! calendar cannot delete.  Instead every push returns a tie unique to it
 //! ([`EventQueue::push`]), a running thread records the tie of its one live
 //! completion, and a completion whose tie is not the live one is stale and
 //! ignored.  The check is exact: ties never repeat within a run.
@@ -157,7 +157,7 @@ impl<'w, U: Upkeep> Machine<'w, U> {
             .collect();
         let barriers = workload.barriers.iter().map(|&(id, n)| SimBarrier::new(id, n)).collect();
 
-        let mut events = EventQueue::with_ordering(config.ordering);
+        let mut events = EventQueue::new(&config);
         for (i, spec) in workload.threads.iter().enumerate() {
             events.push(spec.arrival_ns, EventKind::Arrival(SimThreadId(i)));
         }
@@ -268,11 +268,11 @@ impl<'w, U: Upkeep> Machine<'w, U> {
         match event.kind {
             EventKind::Arrival(tid) => {
                 debug_assert_eq!(self.threads[tid.0].state, ThreadState::NotArrived);
+                self.threads[tid.0].arrive(&self.workload.threads[tid.0]);
                 self.enter_phase(tid);
             }
             EventKind::SleepDone(tid) => {
                 debug_assert_eq!(self.threads[tid.0].state, ThreadState::Sleeping);
-                self.threads[tid.0].phase_idx += 1;
                 self.enter_phase(tid);
             }
             EventKind::PhaseDone(tid) => self.on_phase_done(tid, event.tie),
@@ -291,15 +291,14 @@ impl<'w, U: Upkeep> Machine<'w, U> {
         }
     }
 
-    /// Starts the thread's current phase (compute, sleep, barrier) or
+    /// Starts the thread's next phase (compute, sleep, barrier) or
     /// finishes the thread if no phase remains.
     fn enter_phase(&mut self, tid: SimThreadId) {
-        let phase = self.threads[tid.0].current_phase(&self.workload.threads[tid.0]);
+        let phase = self.threads[tid.0].enter_next_phase(&self.workload.threads[tid.0]);
         match phase {
             None => {
                 let thread = &mut self.threads[tid.0];
                 thread.state = ThreadState::Finished;
-                thread.finish_time = Some(self.now);
                 let last = thread.last_core;
                 self.finished_count += 1;
                 if self.trace.is_enabled() {
@@ -328,7 +327,6 @@ impl<'w, U: Upkeep> Machine<'w, U> {
                     .expect("validated workloads declare every barrier");
                 if let Some(released) = barrier.arrive(tid) {
                     for freed in released {
-                        self.threads[freed.0].phase_idx += 1;
                         self.enter_phase(freed);
                     }
                 }
@@ -340,11 +338,13 @@ impl<'w, U: Upkeep> Machine<'w, U> {
     /// core is idle.
     fn make_runnable(&mut self, tid: SimThreadId) {
         let prev = self.threads[tid.0].last_core;
-        let target = match (prev, self.workload.threads[tid.0].origin_core) {
-            // First placement of a pinned thread: honour the workload's
-            // origin core (e.g. "all workers forked on core 0").
-            (None, Some(origin)) => CoreId(origin % self.queues.nr_cores()),
-            _ => self.scheduler.place_wakeup(&self.queues, &self.threads, tid, prev),
+        // First placement of a pinned thread: honour the workload's origin
+        // core (e.g. "all workers forked on core 0").  Only a first
+        // placement reads the workload.
+        let origin = if prev.is_none() { self.workload.threads[tid.0].origin_core } else { None };
+        let target = match origin {
+            Some(origin) => CoreId(origin % self.queues.nr_cores()),
+            None => self.scheduler.place_wakeup(&self.queues, &self.threads, tid, prev),
         };
         U::before_change(self, target);
         if self.trace.is_enabled() {
@@ -411,7 +411,6 @@ impl<'w, U: Upkeep> Machine<'w, U> {
             thread.ops_completed += 1;
             thread.remaining_ns = 0;
             thread.completion = None;
-            thread.phase_idx += 1;
         }
         self.enter_phase(tid);
         self.elect_next(core);

@@ -2,9 +2,13 @@
 //!
 //! [`CoreQueues`] is the only writer of a core's `current` and `ready` (a
 //! core is handed out by shared reference only), so its dense count array
-//! stays equal to every core's [`SimCore::nr_threads`], and the wakeup
-//! placement scan ([`CoreQueues::idlest`]) reads one `u32` per core.
+//! stays equal to every core's [`SimCore::nr_threads`].  Beside the counts
+//! it keeps, for every count, the set of cores holding it as a bitmap, and
+//! a lower bound of the least count held: wakeup placement
+//! ([`CoreQueues::idlest`]) reads the first core of the least count's set,
+//! ⌈cores / 64⌉ words, instead of scanning every core's count twice.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use sched_core::tracker::{LoadTracker, TrackedLoad};
@@ -54,6 +58,14 @@ pub struct CoreQueues {
     cores: Vec<SimCore>,
     /// `nr_threads()` of every core, kept by every mutation.
     counts: Vec<u32>,
+    /// For each count `n`, the bitmap of the cores holding `n` threads:
+    /// `words` words from `n * words`.  Grows with the largest count held.
+    by_count: Vec<u64>,
+    /// Words per bitmap in `by_count`: ⌈cores / 64⌉.
+    words: usize,
+    /// A lower bound of the least count any core holds, raised to it by
+    /// [`CoreQueues::idlest`].
+    least: Cell<u32>,
     /// When enabled, records every core whose runqueue a mutation touched.
     /// The event engine wraps `balance_round` in it so only cores the
     /// scheduler actually moved work between need settling afterwards.
@@ -63,32 +75,58 @@ pub struct CoreQueues {
 impl CoreQueues {
     /// Creates `nr_cores` idle cores on node 0.
     pub fn new(nr_cores: usize) -> Self {
-        let cores = (0..nr_cores)
-            .map(|i| SimCore {
-                id: CoreId(i),
-                node: NodeId(0),
-                current: None,
-                ready: VecDeque::new(),
-                tracked: TrackedLoad::default(),
-            })
-            .collect();
-        CoreQueues { cores, counts: vec![0; nr_cores], mutation_log: None }
+        Self::idle((0..nr_cores).map(|i| (CoreId(i), NodeId(0))))
     }
 
     /// Creates one idle core per CPU of `topo`, with matching nodes.
     pub fn with_topology(topo: &MachineTopology) -> Self {
-        let cores = topo
-            .cpus()
-            .iter()
-            .map(|c| SimCore {
-                id: c.id,
-                node: c.node,
+        Self::idle(topo.cpus().iter().map(|c| (c.id, c.node)))
+    }
+
+    fn idle(cores: impl Iterator<Item = (CoreId, NodeId)>) -> Self {
+        let cores: Vec<SimCore> = cores
+            .map(|(id, node)| SimCore {
+                id,
+                node,
                 current: None,
                 ready: VecDeque::new(),
                 tracked: TrackedLoad::default(),
             })
             .collect();
-        CoreQueues { cores, counts: vec![0; topo.nr_cpus()], mutation_log: None }
+        let nr_cores = cores.len();
+        let words = nr_cores.div_ceil(64);
+        // Every core holds 0 threads.
+        let mut by_count = vec![0u64; words];
+        for core in 0..nr_cores {
+            by_count[core / 64] |= 1 << (core % 64);
+        }
+        CoreQueues {
+            cores,
+            counts: vec![0; nr_cores],
+            by_count,
+            words,
+            least: Cell::new(0),
+            mutation_log: None,
+        }
+    }
+
+    /// The bitmap of the cores holding `count` threads.
+    fn holding(&self, count: u32) -> &[u64] {
+        &self.by_count[count as usize * self.words..][..self.words]
+    }
+
+    /// Moves `core` from its count to `count` in `counts` and `by_count`,
+    /// and lowers `least` to `count` if it is below.
+    fn recount(&mut self, core: usize, count: u32) {
+        let from = std::mem::replace(&mut self.counts[core], count);
+        let (word, bit) = (core / 64, 1u64 << (core % 64));
+        self.by_count[from as usize * self.words + word] &= !bit;
+        let at = count as usize * self.words + word;
+        if at >= self.by_count.len() {
+            self.by_count.resize((count as usize + 1) * self.words, 0);
+        }
+        self.by_count[at] |= bit;
+        self.least.set(self.least.get().min(count));
     }
 
     /// Starts recording the cores mutated by subsequent queue operations.
@@ -124,9 +162,9 @@ impl CoreQueues {
     /// Puts `tid` on `core` as its running thread, or clears it.
     pub fn set_current(&mut self, core: CoreId, tid: Option<SimThreadId>) {
         let current = &mut self.cores[core.0].current;
-        self.counts[core.0] =
-            self.counts[core.0] + u32::from(tid.is_some()) - u32::from(current.is_some());
+        let count = self.counts[core.0] + u32::from(tid.is_some()) - u32::from(current.is_some());
         *current = tid;
+        self.recount(core.0, count);
     }
 
     /// All cores in id order.
@@ -137,13 +175,24 @@ impl CoreQueues {
     /// The least loaded core, the lowest id among equals: the first idle
     /// core when there is one.
     ///
+    /// Reads the set of the cores at the least count, raising the kept
+    /// bound past counts no core holds any more: O(1) amortised, as every
+    /// step up was an earlier mutation's step.
+    ///
     /// # Panics
     ///
     /// Panics if there are no cores.
     pub fn idlest(&self) -> CoreId {
-        let least = self.counts.iter().copied().min().expect("a machine has cores");
-        let first = self.counts.iter().position(|&n| n == least).expect("the minimum is present");
-        self.cores[first].id
+        assert!(!self.cores.is_empty(), "a machine has cores");
+        loop {
+            let least = self.least.get();
+            if let Some((word, bits)) =
+                self.holding(least).iter().enumerate().find(|(_, &bits)| bits != 0)
+            {
+                return self.cores[word * 64 + bits.trailing_zeros() as usize].id;
+            }
+            self.least.set(least + 1);
+        }
     }
 
     /// Per-core thread counts.
@@ -166,7 +215,7 @@ impl CoreQueues {
     /// engine elects runnable threads explicitly).
     pub fn enqueue(&mut self, core: CoreId, tid: SimThreadId) {
         self.cores[core.0].ready.push_back(tid);
-        self.counts[core.0] += 1;
+        self.recount(core.0, self.counts[core.0] + 1);
         self.log_mutation(core);
     }
 
@@ -174,7 +223,7 @@ impl CoreQueues {
     pub fn pop_ready(&mut self, core: CoreId) -> Option<SimThreadId> {
         let popped = self.cores[core.0].ready.pop_front();
         if popped.is_some() {
-            self.counts[core.0] -= 1;
+            self.recount(core.0, self.counts[core.0] - 1);
             self.log_mutation(core);
         }
         popped
@@ -193,8 +242,8 @@ impl CoreQueues {
         assert_ne!(from, to, "a core cannot steal from itself");
         let tid = self.cores[from.0].ready.remove(index)?;
         self.cores[to.0].ready.push_back(tid);
-        self.counts[from.0] -= 1;
-        self.counts[to.0] += 1;
+        self.recount(from.0, self.counts[from.0] - 1);
+        self.recount(to.0, self.counts[to.0] + 1);
         self.log_mutation(from);
         self.log_mutation(to);
         Some(tid)
@@ -363,29 +412,58 @@ mod tests {
         assert_eq!(q.idlest(), CoreId(2));
     }
 
-    /// The placement scan the count array replaced: the first least-loaded
-    /// core, read off the cores' own structs.
+    /// The placement scan the count sets replaced: the least count, then
+    /// the first core holding it, read off the cores' own structs.
     fn oracle_idlest(q: &CoreQueues) -> CoreId {
-        let mut best = q.cores()[0].id;
-        let mut least = q.cores()[0].nr_threads();
-        for core in &q.cores()[1..] {
-            if core.nr_threads() < least {
-                (best, least) = (core.id, core.nr_threads());
+        let counts: Vec<u64> = q.cores().iter().map(SimCore::nr_threads).collect();
+        let least = counts.iter().copied().min().expect("a machine has cores");
+        q.cores()[counts.iter().position(|&n| n == least).expect("the minimum is present")].id
+    }
+
+    /// The cores the ops below act on on machines of more than 8 cores:
+    /// the ends of every bitmap word of up to 130 cores, so that the least
+    /// count moves on machines of 64 and 130 cores too.  Smaller machines
+    /// take ops on every core.
+    const EDGES: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 129];
+
+    /// Each count's set holds exactly the cores at that count, no bit past
+    /// the last core, and `least` is no more than the least count.
+    fn assert_count_sets(q: &CoreQueues) {
+        let levels = q.by_count.len() / q.words;
+        assert_eq!(q.by_count.len(), levels * q.words);
+        for level in 0..levels {
+            let mut expected = vec![0u64; q.words];
+            for (core, &count) in q.counts.iter().enumerate() {
+                assert!((count as usize) < levels, "core {core}'s count {count} has no set");
+                if count as usize == level {
+                    expected[core / 64] |= 1 << (core % 64);
+                }
             }
+            assert_eq!(q.holding(level as u32), &expected[..], "the set of count {level}");
         }
-        best
+        assert!(q.least.get() <= *q.counts.iter().min().expect("a machine has cores"));
     }
 
     proptest! {
         #[test]
         fn the_count_array_follows_every_mutation(
-            nr_cores in 1usize..6,
-            ops in prop::collection::vec((0usize..4, 0usize..6, 0usize..6, 0usize..6), 1..120),
+            size in 0usize..6,
+            fill in 0usize..3,
+            ops in prop::collection::vec((0usize..4, 0usize..8, 0usize..8, 0usize..6), 1..120),
         ) {
+            let nr_cores = [1, 2, 3, 5, 64, 130][size];
+            let on = |k: usize| CoreId(if nr_cores <= EDGES.len() { k } else { EDGES[k] } % nr_cores);
             let mut q = CoreQueues::new(nr_cores);
             let mut fresh = (0..).map(SimThreadId);
+            for core in 0..nr_cores {
+                for _ in 0..fill {
+                    q.enqueue(CoreId(core), fresh.next().unwrap());
+                }
+            }
+            assert_count_sets(&q);
+            prop_assert_eq!(q.idlest(), oracle_idlest(&q));
             for (op, a, b, i) in ops {
-                let (a, b) = (CoreId(a % nr_cores), CoreId(b % nr_cores));
+                let (a, b) = (on(a), on(b));
                 match op {
                     0 => q.enqueue(a, fresh.next().unwrap()),
                     1 => {
@@ -401,7 +479,9 @@ mod tests {
                 for core in q.cores() {
                     prop_assert_eq!(u64::from(q.counts[core.id.0]), core.nr_threads());
                 }
+                assert_count_sets(&q);
                 prop_assert_eq!(q.idlest(), oracle_idlest(&q));
+                assert_count_sets(&q);
             }
         }
     }

@@ -40,8 +40,15 @@ pub struct SimThread {
     weight: Weight,
     /// Lifecycle state.
     pub state: ThreadState,
-    /// Index of the phase currently being executed (or about to be).
-    pub phase_idx: usize,
+    /// Index in the thread's program of `next_phase`: the number of
+    /// phases entered since arrival.  Private, so that only
+    /// [`SimThread::enter_next_phase`] moves it and the read-ahead stays in
+    /// step.
+    phase_idx: usize,
+    /// The phase the thread enters next (`None` once none remain), read
+    /// ahead when the previous one was entered, so that a phase change
+    /// finds it here instead of in the program's memory.
+    next_phase: Option<Phase>,
     /// Remaining CPU time of the current compute phase, in nanoseconds.
     pub remaining_ns: u64,
     /// Core the thread last ran (or is running) on.
@@ -55,8 +62,6 @@ pub struct SimThread {
     pub completion: Option<u64>,
     /// Number of completed compute phases ("operations").
     pub ops_completed: u64,
-    /// Completion time, once finished.
-    pub finish_time: Option<u64>,
 }
 
 impl SimThread {
@@ -67,13 +72,13 @@ impl SimThread {
             weight,
             state: ThreadState::NotArrived,
             phase_idx: 0,
+            next_phase: None,
             remaining_ns: 0,
             last_core: None,
             ready_since: None,
             running_since: None,
             completion: None,
             ops_completed: 0,
-            finish_time: None,
         }
     }
 
@@ -82,10 +87,20 @@ impl SimThread {
         self.weight
     }
 
-    /// The phase of `spec`, the thread's program, that the thread is
-    /// executing (or about to), if any remain.
-    pub fn current_phase(&self, spec: &ThreadSpec) -> Option<Phase> {
-        spec.phases.get(self.phase_idx).copied()
+    /// The thread arrives: reads the first phase of `spec`, its program.
+    pub fn arrive(&mut self, spec: &ThreadSpec) {
+        self.phase_idx = 0;
+        self.next_phase = spec.phases.first().copied();
+    }
+
+    /// Enters the thread's next phase: returns it, or `None` once its
+    /// program `spec` is done, and reads the one after it ahead.  Nothing
+    /// waits on that read until the thread's next phase change.
+    pub fn enter_next_phase(&mut self, spec: &ThreadSpec) -> Option<Phase> {
+        let phase = self.next_phase;
+        self.phase_idx += 1;
+        self.next_phase = spec.phases.get(self.phase_idx).copied();
+        phase
     }
 }
 
@@ -110,10 +125,11 @@ mod tests {
         let spec = ThreadSpec::new(vec![Phase::Compute(100), Phase::Sleep(50)]);
         let mut t = SimThread::new(SimThreadId(3), Weight::NICE_0);
         assert_eq!(t.id.to_string(), "thread3");
-        assert_eq!(t.current_phase(&spec), Some(Phase::Compute(100)));
-        t.phase_idx = 1;
-        assert_eq!(t.current_phase(&spec), Some(Phase::Sleep(50)));
-        t.phase_idx = 2;
-        assert_eq!(t.current_phase(&spec), None);
+        t.arrive(&spec);
+        assert_eq!(t.enter_next_phase(&spec), Some(Phase::Compute(100)));
+        assert_eq!(t.phase_idx, 1);
+        assert_eq!(t.enter_next_phase(&spec), Some(Phase::Sleep(50)));
+        assert_eq!(t.enter_next_phase(&spec), None);
+        assert_eq!(t.enter_next_phase(&spec), None);
     }
 }

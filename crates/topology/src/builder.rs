@@ -77,7 +77,7 @@ impl TopologyBuilder {
 
     /// Uses a ring interconnect (distance grows with hop count) instead of a
     /// flat all-to-all distance matrix.
-    pub fn ring_interconnect(mut self, ring: bool) -> Self {
+    fn ring_interconnect(mut self, ring: bool) -> Self {
         self.ring_interconnect = ring;
         self
     }

@@ -47,11 +47,6 @@ impl Default for OltpWorkload {
 }
 
 impl OltpWorkload {
-    /// Creates the default configuration with `nr_workers` workers.
-    pub fn with_workers(nr_workers: usize) -> Self {
-        OltpWorkload { nr_workers, ..Default::default() }
-    }
-
     /// Generates the workload description.
     pub fn generate(&self) -> Workload {
         let mut rng = SmallRng::seed_from_u64(self.seed);
@@ -89,7 +84,7 @@ mod tests {
 
     #[test]
     fn generates_a_valid_workload() {
-        let w = OltpWorkload::with_workers(8).generate();
+        let w = OltpWorkload { nr_workers: 8, ..Default::default() }.generate();
         assert_eq!(w.nr_threads(), 8);
         assert!(w.validate().is_ok());
         assert_eq!(w.total_operations(), 8 * 50);
@@ -97,7 +92,7 @@ mod tests {
 
     #[test]
     fn workers_arrive_staggered_on_a_subset_of_cores() {
-        let w = OltpWorkload { initial_spread: 2, ..OltpWorkload::with_workers(6) }.generate();
+        let w = OltpWorkload { nr_workers: 6, initial_spread: 2, ..Default::default() }.generate();
         assert!(w.threads.iter().all(|t| t.origin_core.unwrap() < 2));
         let arrivals: Vec<u64> = w.threads.iter().map(|t| t.arrival_ns).collect();
         let mut sorted = arrivals.clone();

@@ -46,11 +46,6 @@ impl Default for ScientificWorkload {
 }
 
 impl ScientificWorkload {
-    /// Creates the default configuration scaled to `nr_threads` workers.
-    pub fn with_threads(nr_threads: usize) -> Self {
-        ScientificWorkload { nr_threads, ..Default::default() }
-    }
-
     /// Generates the workload description.
     pub fn generate(&self) -> Workload {
         let mut rng = SmallRng::seed_from_u64(self.seed);
@@ -88,7 +83,7 @@ mod tests {
 
     #[test]
     fn generates_a_valid_workload() {
-        let w = ScientificWorkload::with_threads(8).generate();
+        let w = ScientificWorkload { nr_threads: 8, ..Default::default() }.generate();
         assert_eq!(w.nr_threads(), 8);
         assert!(w.validate().is_ok());
         assert_eq!(w.barriers.len(), 10);
@@ -97,7 +92,7 @@ mod tests {
 
     #[test]
     fn jitter_keeps_phases_close_to_nominal() {
-        let gen = ScientificWorkload { jitter: 0.1, ..ScientificWorkload::with_threads(4) };
+        let gen = ScientificWorkload { nr_threads: 4, jitter: 0.1, ..Default::default() };
         let w = gen.generate();
         for t in &w.threads {
             for p in &t.phases {
@@ -111,8 +106,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_per_seed() {
-        let a = ScientificWorkload::with_threads(4).generate();
-        let b = ScientificWorkload::with_threads(4).generate();
+        let a = ScientificWorkload { nr_threads: 4, ..Default::default() }.generate();
+        let b = ScientificWorkload { nr_threads: 4, ..Default::default() }.generate();
         assert_eq!(a, b);
     }
 

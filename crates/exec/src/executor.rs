@@ -23,15 +23,16 @@
 //! # The worker loop
 //!
 //! ```text
-//!          ┌────────────────────────────────────────────────┐
-//!          ▼                                                │
-//!   run own core ──empty──▶ steal (searching++) ──stole──▶──┤
-//!   (current/ring/                  │        (wake victim,  │
-//!    injector)                   nothing      next thief)   │
-//!          ▲                        ▼                       │
-//!          │              register on idle stack            │
-//!          │                        │                       │
-//!          │               re-check own queue ──work──▶─────┘
+//!          ┌──────────────────────────────────────────────────────┐
+//!          ▼                                                      │
+//!   run own core ──empty──▶ search (searching++) ──work──────▶────┤
+//!   (current/ring/          look, yield, look … ≤ window          │
+//!    injector)                      │   (stole: wake victim,      │
+//!          ▲                       dry          next thief)       │
+//!          │                        ▼                             │
+//!          │              register on idle stack                  │
+//!          │                        │                             │
+//!          │              re-check every queue ──work──▶──────────┘
 //!          │                        │
 //!          │                      empty
 //!          │                        ▼
@@ -53,16 +54,26 @@
 //!   With neither, [`Executor::start`] leaves it at 0 for good and a task
 //!   reads no wall clock; with either, each executed task advances it with
 //!   one `fetch_max`.
+//! * **A spawn is one allocation.**  The closure and the cell its result
+//!   goes to share one `Arc`: the slab holds it as a job, the
+//!   [`JoinHandle`] as a typed view of the same cell.  The worker that runs
+//!   it drops its reference as it completes, so the joiner, which holds the
+//!   last one, frees it — as a rule on the thread that allocated it, not on
+//!   the worker's.
 //! * **The payload rides in a slab, its slot in the task word.**  Runqueues
-//!   carry task *words*; the closure waits in a `JobSlab` with one shard
-//!   per submitting worker plus one for threads outside the executor.
-//!   A task id is `(generation << 24 | slot) * shards + shard`: the
-//!   claiming worker decodes shard and slot and takes the job with one
-//!   uncontended lock, no hashing.  A slot's generation is bumped every
-//!   time it is vacated, so ids are **unique for the run** although slots
-//!   are recycled, and a slot whose generation space is spent is retired,
-//!   so ids stay below the `2^55` the runqueue word can pack.  Shards grow
-//!   on demand; nothing is pre-sized.
+//!   carry task *words*; the job waits in a `JobSlab` with one shard per
+//!   submitting worker plus one for threads outside the executor.  A task
+//!   id is `(generation << 24 | slot) * shards + shard`: the claiming
+//!   worker decodes shard and slot, no hashing, and takes the job under
+//!   the slot's own lock, which nobody else holds by then.  Slots live in
+//!   doubling segments that never move, so a taker reaches its slot
+//!   without the lock submitters take; it hands the vacated slot back
+//!   through a push-only stack the submitter swaps out whole when its free
+//!   list runs dry.  A slot's generation is bumped every time it is
+//!   vacated, so ids are **unique for the run** although slots are
+//!   recycled, and a slot whose generation space is spent is retired, so
+//!   ids stay below the `2^55` the runqueue word can pack.  Shards grow on
+//!   demand; nothing is pre-sized.
 //! * **Counters are per worker.**  Each worker owns one cache-line-padded
 //!   cell holding what it `submitted`, `completed` and saw `panicked`;
 //!   threads outside the executor share one more.  The number of jobs in
@@ -128,41 +139,50 @@
 //! self-heal — and [`ExecReport::backstop_rescues`] and
 //! [`ExecReport::backstop_steals`] count how often it had to.
 //!
-//! **A futile wake buys a rest.**  A worker that a token woke, that found
-//! its own queue empty and then nothing to steal either, was woken for work
-//! that was gone before it arrived — and whoever woke it paid a system call
-//! for that.  It registers as *resting* for `FUTILE_WAKE_REST_NS`: undirected
-//! wakes pass it over until then; a wake aimed at its own queue does not.
-//! This is what batched steals need to be worth having under a producer of
-//! tiny jobs.  One-task steals kept a thief busy (and its victim slowed
-//! down) for as long as two jobs were queued anywhere; a thief that takes
-//! half a queue at once lets the victim's worker keep up with the producer,
-//! finds nothing on its next visit, parks — and the next submission onto
-//! the busy core woke it again, ten times in a burst of 250 empty closures,
-//! each time on the producer's bill: the benchmark's pinned warm-up ran a
-//! third slower for it.  The cost is bounded like every undirected edge's:
-//! work that turns up during the rest is announced by the first submission
-//! or batch after it, or found by the backstop.
+//! **A dry worker searches before it parks.**  The paper's idle core keeps
+//! running its three steps until work turns up; a worker that parks as
+//! soon as one steal decision finds nothing makes whoever seats the next
+//! task pay a park → unpark round trip for it — a system call on the
+//! producer's own critical path, every few dozen tiny tasks.  So a worker
+//! whose own sources ran dry first *searches*: it looks — own sources,
+//! then one [`Policy::select`] over fresh snapshots — yields its CPU, and
+//! looks again, for `SEARCH_WINDOW`, about as long as blocking would cost
+//! (two-phase waiting: Ousterhout, ICDCS 1982; polling for one blocking
+//! cost is 2-competitive, Karlin et al., SOSP 1991).  It yields rather
+//! than spins: on a machine with fewer CPUs than threads a spinning worker
+//! takes the producer's CPU.  The search counts in `searching` for its
+//! whole length, so a producer that finds a searcher makes no undirected
+//! wake, and a worker woken for work that was gone before it arrived sits
+//! the next wakes out while it searches.  A look that finds no victim
+//! records nothing — the recorder is reached only for a chosen victim —
+//! and the search ends at once on shutdown.
 //!
 //! Two ordering arguments keep the lock-free fast paths from losing a
 //! wakeup; both are the same store → fence → load pair on each side.
 //!
-//! 1. **Whoever seats work vs the parking worker.**  The worker registers,
-//!    *then* re-checks its queue — ring, running slot and injector; the
-//!    producer enqueues, *then* reads the published count of registered
-//!    workers and takes the idle stack's lock only when it is non-zero.
-//!    `SeqCst` fences between the two steps on both sides guarantee that
-//!    the worker sees the task or the producer sees the registration
-//!    (spelled out in [`crate::parker`]).  Edges 2 and 3 are the same
-//!    pair with the thief as the producer (`Shared::notify_after_steal`):
-//!    its stores are the injector push that returns the losers and the
+//! 1. **Whoever seats work vs the parking worker.**  The worker leaves
+//!    `searching`, registers, *then* re-checks **every** queue — its own
+//!    ring, running slot and injector, and every queue the policy would
+//!    let it steal from; the producer enqueues, *then* reads the published
+//!    count of registered workers and takes the idle stack's lock only
+//!    when it is non-zero.  `SeqCst` fences between the two steps on both
+//!    sides guarantee that the worker sees the task or the producer sees
+//!    the registration — and, since the worker left `searching` before its
+//!    fence, the producer's read of `searching` no longer counts it
+//!    (spelled out in [`crate::parker`]).  Edges 2 and 3 are the same pair
+//!    with the thief as the producer (`Shared::notify_after_steal`): its
+//!    stores are the injector push that returns the losers and the
 //!    owner-side push that seats its share, both before its fence; the
 //!    victim's re-check reads the injector's length after its own.  For
-//!    the directed wakes (edge 1's first half, edge 2) that is a guarantee:
-//!    a worker never sleeps on its own work.  For the undirected ones it
-//!    covers the workers registered by then; one that registers a moment
-//!    later re-checks only its own queue, and the backstop is what bounds
-//!    its wait.
+//!    the directed wakes (edge 1's first half, edge 2) that is a
+//!    guarantee: a worker never sleeps on its own work.  For the
+//!    undirected ones it is one too, by induction on the searchers: a
+//!    producer that skipped its wake because `searching` was non-zero
+//!    counted a searcher that had not yet fenced its registration, and
+//!    that searcher's re-check sees the task; the last searcher to park
+//!    re-checks every queue.  What is left to the backstop is a verdict
+//!    that changes with no store to announce it: a queue the filter
+//!    refused at the re-check and accepts once decayed loads have moved.
 //! 2. **Completer vs `drain` / `shutdown`.**  The waiter raises its flag,
 //!    *then* sums the counters and blocks if jobs are in flight; a
 //!    completer bumps its `completed` count, *then* reads the flags and,
@@ -177,8 +197,8 @@
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use sched_core::{CoreId, CoreSnapshot, Policy, StealOutcome, StealRule, TaskId};
@@ -196,10 +216,16 @@ use crate::parker::{IdleStack, Parker};
 /// instead of a hang.
 const PARK_BACKSTOP: Duration = Duration::from_millis(2);
 
-/// How long a worker whose undirected wakeup found nothing stays out of
-/// reach of the next one, in nanoseconds — a few wake round trips (see "A
-/// futile wake buys a rest" in the module docs).
-const FUTILE_WAKE_REST_NS: u64 = 100_000;
+/// How long a worker whose own sources ran dry keeps looking for work
+/// before it parks: about one park → unpark round trip, the cost that
+/// blocking would put on whoever wakes it again.  Polling for one blocking
+/// cost and then blocking is 2-competitive with the best offline choice
+/// (Karlin et al., SOSP 1991).  The benchmark's `exec.parker_handoff_ns`
+/// probe reads 8–9 µs on a 2-vCPU KVM guest (Xeon, Sapphire Rapids);
+/// there, windows of 2, 5, 10, 20 and 50 µs all ran `burst_tiny` within 5%
+/// of each other and about a quarter faster than a single look before the
+/// park (see "A dry worker searches before it parks" in the module docs).
+const SEARCH_WINDOW: Duration = Duration::from_micros(10);
 
 /// Low bits of a slab shard's job word that hold the slot index; the bits
 /// above hold the slot's generation.  A shard therefore holds at most 2^24
@@ -254,28 +280,152 @@ impl ExecConfig {
 #[repr(align(128))]
 struct Padded<T>(T);
 
-/// A submitted task's payload: runs the caller's closure, hands its result
-/// to the join cell and returns whether it panicked.
-type Job = Box<dyn FnOnce() -> bool + Send + 'static>;
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
 
-/// One slab slot: the waiting job and how often the slot has been vacated.
-struct Slot {
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// A submitted task's payload as the slab holds it: the spawn's one
+/// allocation, shared with the [`JoinHandle`] (see [`JoinCell`]).
+type Job = Arc<dyn Run>;
+
+/// The slab's view of a spawned job.
+trait Run: Send + Sync {
+    /// Runs the closure, hands its outcome to the join handle and returns
+    /// whether it panicked.
+    fn run(self: Arc<Self>) -> bool;
+}
+
+/// Slots in a shard's first segment, as a power of two; segment `k` holds
+/// `2^(FIRST_SEGMENT_BITS + k)` slots.
+const FIRST_SEGMENT_BITS: u32 = 6;
+
+/// Segments enough for `2^SLOT_BITS` slots: the first `n` hold
+/// `2^FIRST_SEGMENT_BITS · (2^n − 1)`.
+const SEGMENTS: usize = (SLOT_BITS - FIRST_SEGMENT_BITS + 1) as usize;
+
+/// Where slot `slot` of a shard lives: its segment and its index there.
+fn segment_of(slot: usize) -> (usize, usize) {
+    let segment = ((slot >> FIRST_SEGMENT_BITS) + 1).ilog2() as usize;
+    (segment, slot - (((1 << segment) - 1) << FIRST_SEGMENT_BITS))
+}
+
+/// What a slab slot holds: the waiting job and how often the slot has been
+/// vacated.
+#[derive(Default)]
+struct Held {
     generation: u64,
     job: Option<Job>,
 }
 
-/// One submitter's slots, grown on demand and recycled through `free`.
+/// One slab slot.  Its lock is taken only by the slot's current holder:
+/// the submitter while it stores a job, then the worker that claimed the
+/// job's id, which the submitter enqueued after unlocking.
 #[derive(Default)]
-struct SlabShard {
-    slots: Vec<Slot>,
+struct Slot {
+    held: Mutex<Held>,
+    /// The next slot down the shard's vacated stack, plus one (0: none).
+    next_vacated: AtomicU32,
+}
+
+/// The submitters' side of a shard: recycled slots and how many slots the
+/// shard has handed out.
+#[derive(Default)]
+struct FreeSlots {
     free: Vec<u32>,
+    grown: u32,
+}
+
+/// One submitter's slots.  They live in doubling segments that never move,
+/// so a taker reaches its slot without the submitters' lock; takers hand
+/// vacated slots back through a push-only stack that the submitter swaps
+/// out whole when its free list runs dry.  A stack that is only ever pushed
+/// onto or emptied whole has no ABA problem.
+///
+/// The submitters' lock and the takers' stack top sit on lines of their
+/// own: a taker pushes for every task it runs, a submitter locks for every
+/// task it inserts.
+struct SlabShard {
+    segments: [OnceLock<Box<[Slot]>>; SEGMENTS],
+    /// Taken by submitters only: contended only among outside threads,
+    /// which share one shard.
+    free: Padded<Mutex<FreeSlots>>,
+    /// Top of the stack of slots takers vacated, plus one (0: empty).
+    vacated: Padded<AtomicU32>,
+}
+
+impl Default for SlabShard {
+    fn default() -> Self {
+        SlabShard {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            free: Padded::default(),
+            vacated: Padded::default(),
+        }
+    }
+}
+
+impl SlabShard {
+    /// Slot `slot`, if its segment exists.
+    fn slot(&self, slot: usize) -> Option<&Slot> {
+        let (segment, at) = segment_of(slot);
+        self.segments.get(segment)?.get()?.get(at)
+    }
+
+    /// A vacant slot for a submitter: a recycled one if there is any, else
+    /// the next new one.
+    fn claim(&self) -> usize {
+        let mut slots = self.free.lock().expect("job slab poisoned");
+        if slots.free.is_empty() {
+            // Everything the takers vacated since the last swap, in one
+            // exchange: the acquire pairs with each push's release, which
+            // published its link.
+            let mut top = self.vacated.swap(0, Ordering::Acquire);
+            while let Some(slot) = top.checked_sub(1) {
+                slots.free.push(slot);
+                let vacated = self.slot(slot as usize).expect("a vacated slot exists");
+                top = vacated.next_vacated.load(Ordering::Relaxed);
+            }
+        }
+        if let Some(slot) = slots.free.pop() {
+            return slot as usize;
+        }
+        let slot = slots.grown as usize;
+        assert!(slot < 1 << SLOT_BITS, "more than 2^{SLOT_BITS} jobs in flight from one submitter");
+        slots.grown += 1;
+        let (segment, _) = segment_of(slot);
+        self.segments[segment].get_or_init(|| {
+            (0..1 << (FIRST_SEGMENT_BITS as usize + segment)).map(|_| Slot::default()).collect()
+        });
+        slot
+    }
+
+    /// Puts `slot`, which the caller has just vacated, on the stack the
+    /// next [`SlabShard::claim`] swaps out.
+    fn vacate(&self, slot: usize, entry: &Slot) {
+        let mut top = self.vacated.load(Ordering::Relaxed);
+        loop {
+            entry.next_vacated.store(top, Ordering::Relaxed);
+            match self.vacated.compare_exchange_weak(
+                top,
+                slot as u32 + 1,
+                Ordering::Release,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(now) => top = now,
+            }
+        }
+    }
 }
 
 /// The id → job side table (see the module docs for the id layout).  A job
 /// is inserted before its id is enqueued, so a worker that claims the id
 /// always finds it.
 struct JobSlab {
-    shards: Vec<Padded<Mutex<SlabShard>>>,
+    shards: Vec<Padded<SlabShard>>,
     /// Generations a slot may hand out before its ids would reach
     /// [`ID_LIMIT`]; a slot that has used them all is not recycled.
     generations: u64,
@@ -291,37 +441,34 @@ impl JobSlab {
 
     /// Stores `job` in `shard` and returns the id that resolves to it.
     fn insert(&self, shard: usize, job: Job) -> TaskId {
-        let mut slab = self.shards[shard].0.lock().expect("job slab poisoned");
-        let slot = match slab.free.pop() {
-            Some(slot) => slot as usize,
-            None => {
-                let slot = slab.slots.len();
-                assert!(
-                    slot < 1 << SLOT_BITS,
-                    "more than 2^{SLOT_BITS} jobs in flight from one submitter"
-                );
-                slab.slots.push(Slot { generation: 0, job: None });
-                slot
-            }
-        };
-        let entry = &mut slab.slots[slot];
-        entry.job = Some(job);
-        let word = entry.generation << SLOT_BITS | slot as u64;
+        let slab = &self.shards[shard].0;
+        let slot = slab.claim();
+        let entry = slab.slot(slot).expect("a claimed slot's segment exists");
+        let mut held = entry.held.lock().expect("job slab poisoned");
+        held.job = Some(job);
+        let word = held.generation << SLOT_BITS | slot as u64;
         TaskId(word * self.shards.len() as u64 + shard as u64)
     }
 
     /// Removes and returns the job `id` resolves to; `None` for an id that
-    /// was never handed out or has been taken already.
+    /// was never handed out or has been taken already.  Takes no lock but
+    /// the slot's own.
     fn take(&self, id: TaskId) -> Option<Job> {
         let nr_shards = self.shards.len() as u64;
         let (word, shard) = (id.0 / nr_shards, (id.0 % nr_shards) as usize);
         let (generation, slot) = (word >> SLOT_BITS, (word & ((1 << SLOT_BITS) - 1)) as usize);
-        let mut slab = self.shards[shard].0.lock().expect("job slab poisoned");
-        let entry = slab.slots.get_mut(slot).filter(|entry| entry.generation == generation)?;
-        let job = entry.job.take()?;
-        entry.generation += 1;
-        if entry.generation < self.generations {
-            slab.free.push(slot as u32);
+        let slab = &self.shards[shard].0;
+        let entry = slab.slot(slot)?;
+        let mut held = entry.held.lock().expect("job slab poisoned");
+        if held.generation != generation {
+            return None;
+        }
+        let job = held.job.take()?;
+        held.generation += 1;
+        let retired = held.generation >= self.generations;
+        drop(held);
+        if !retired {
+            slab.vacate(slot, entry);
         }
         Some(job)
     }
@@ -350,8 +497,10 @@ fn bump_own(counter: &AtomicU64) {
     counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
-/// What a spawned job's result cell holds.
-struct JoinState<T> {
+/// What a spawned job's cell holds.
+struct JoinState<F, T> {
+    /// The closure, until a worker takes it to run it.
+    closure: Option<F>,
     /// The closure's return value, or the payload it panicked with.
     result: Option<std::thread::Result<T>>,
     /// Set by [`JoinHandle::join`] before it blocks; a completion notifies
@@ -359,16 +508,20 @@ struct JoinState<T> {
     waiting: bool,
 }
 
-/// One spawned job's result slot (see [`Executor::spawn`]).
-struct JoinCell<T> {
-    state: Mutex<JoinState<T>>,
+/// One spawned job: its closure until it runs, then its result.  It is the
+/// one allocation a spawn makes — the slab holds it as a [`Job`], the
+/// [`JoinHandle`] as an [`Outcome`] — and whoever drops the last reference
+/// frees it: the joiner, unless it took the result before the worker
+/// dropped its own.
+struct JoinCell<F, T> {
+    state: Mutex<JoinState<F, T>>,
     done: Condvar,
 }
 
-impl<T> JoinCell<T> {
-    fn new() -> Self {
+impl<F, T> JoinCell<F, T> {
+    fn new(closure: F) -> Self {
         JoinCell {
-            state: Mutex::new(JoinState { result: None, waiting: false }),
+            state: Mutex::new(JoinState { closure: Some(closure), result: None, waiting: false }),
             done: Condvar::new(),
         }
     }
@@ -377,8 +530,8 @@ impl<T> JoinCell<T> {
     /// returns whether that took a condition-variable wake.  It does only
     /// for a joiner that is already waiting: one that arrives later finds
     /// the result under the lock and never blocks, and a dropped handle
-    /// (the handle is not `Clone`, so a reference count of one means it is
-    /// gone for good) gets no store at all.
+    /// (the handle is not `Clone`, so a reference count of one — the
+    /// caller's — means it is gone for good) gets no store at all.
     fn complete(self: &Arc<Self>, result: std::thread::Result<T>) -> bool {
         if Arc::strong_count(self) == 1 {
             return false;
@@ -394,9 +547,43 @@ impl<T> JoinCell<T> {
     }
 }
 
+impl<F, T> Run for JoinCell<F, T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    fn run(self: Arc<Self>) -> bool {
+        let closure = self.state.lock().expect("join cell poisoned").closure.take();
+        let closure = closure.expect("the slab hands a job out once");
+        let result = catch_unwind(AssertUnwindSafe(closure));
+        let panicked = result.is_err();
+        self.complete(result);
+        panicked
+    }
+}
+
+/// A [`JoinHandle`]'s view of a spawned job.
+trait Outcome<T>: Send + Sync {
+    /// Blocks until the job has run and takes its outcome.
+    fn wait(&self) -> std::thread::Result<T>;
+}
+
+impl<F: Send, T: Send> Outcome<T> for JoinCell<F, T> {
+    fn wait(&self) -> std::thread::Result<T> {
+        let mut state = self.state.lock().expect("join cell poisoned");
+        loop {
+            if let Some(result) = state.result.take() {
+                return result;
+            }
+            state.waiting = true;
+            state = self.done.wait(state).expect("join cell poisoned");
+        }
+    }
+}
+
 /// Waits for one spawned closure's result.
 pub struct JoinHandle<T> {
-    cell: Arc<JoinCell<T>>,
+    cell: Arc<dyn Outcome<T>>,
 }
 
 impl<T> JoinHandle<T> {
@@ -406,21 +593,7 @@ impl<T> JoinHandle<T> {
     ///
     /// If the job panicked, the panic resumes here, with the job's payload.
     pub fn join(self) -> T {
-        let mut state = self.cell.state.lock().expect("join cell poisoned");
-        let result = loop {
-            if let Some(result) = state.result.take() {
-                break result;
-            }
-            state.waiting = true;
-            state = self.cell.done.wait(state).expect("join cell poisoned");
-        };
-        drop(state);
-        result.unwrap_or_else(|payload| resume_unwind(payload))
-    }
-
-    /// `true` once the job has completed (non-blocking).
-    pub fn is_finished(&self) -> bool {
-        self.cell.state.lock().expect("join cell poisoned").result.is_some()
+        self.cell.wait().unwrap_or_else(|payload| resume_unwind(payload))
     }
 }
 
@@ -448,7 +621,9 @@ struct Shared {
     /// Distinguishes this executor's workers from another's (see
     /// [`WorkerTag`]).
     id: u64,
-    cores: Vec<DequeRq>,
+    /// One runqueue per worker, each on lines of its own: a worker writes
+    /// its queue's counters for every task.
+    cores: Vec<Padded<DequeRq>>,
     policy: Policy,
     topo: Arc<MachineTopology>,
     /// Logical machine clock in nanoseconds since `start`; workers and
@@ -467,8 +642,8 @@ struct Shared {
     counters: Vec<Padded<Counters>>,
     parkers: Vec<Parker>,
     idle: IdleStack,
-    /// Workers currently in their stealing phase; producers skip the
-    /// undirected wakeup while this is nonzero (storm bound).
+    /// Workers currently searching for work; producers skip the undirected
+    /// wakeup while this is nonzero (storm bound).
     searching: Padded<AtomicUsize>,
     /// Previous-core hint for submissions from outside the executor: the
     /// core the last one was placed on.  Written only when that changes.
@@ -557,10 +732,10 @@ impl Shared {
         }
     }
 
-    /// The undirected wake: the most recently parked worker that is not
-    /// resting after a futile one.  Callers have found `searching == 0`.
+    /// The undirected wake: the most recently parked worker.  Callers have
+    /// found `searching == 0`.
     fn wake_a_thief(&self) {
-        if let Some(worker) = self.idle.pop_any(self.wall_ns()) {
+        if let Some(worker) = self.idle.pop_any() {
             self.parkers[worker].unpark();
         }
     }
@@ -631,7 +806,7 @@ impl Shared {
         // buffer.
         let mut snapshots = SNAPSHOTS.take();
         snapshots.clear();
-        snapshots.extend(self.cores[candidates].iter().map(DequeRq::snapshot));
+        snapshots.extend(self.cores[candidates].iter().map(|core| core.snapshot()));
         let target = self.policy.choice.place_wakeup(prev, &snapshots).unwrap_or(prev);
         SNAPSHOTS.set(snapshots);
         if local.is_none() && target != prev {
@@ -647,36 +822,89 @@ impl Shared {
         id
     }
 
-    /// One three-step balancing operation for `thief`.  The selection is
+    /// Worker `me`'s own snapshot, or `None` when its own sources hold
+    /// work: the seated task, the ring or the injector.
+    fn dry_snapshot(&self, me: usize) -> Option<CoreSnapshot> {
+        let rq = &self.cores[me];
+        let own = rq.snapshot();
+        (own.is_idle() && rq.injected_len() == 0).then_some(own)
+    }
+
+    /// The victim the policy would let `thief` steal from, if any:
     /// [`Policy::select`] — the one the model, the runqueues and the
     /// simulator run — over fresh lock-less snapshots, its candidates
     /// collected into this thread's reusable buffer (no allocation on the
-    /// steal path); the outcome is counted and traced through the shared
-    /// [`StealRecorder`] program point, which is what keeps
-    /// `stats == fold(trace)` exact for this substrate too.
-    fn balance_once(&self, thief: CoreId) -> StealOutcome {
-        let thief_snap = self.cores[thief.0].snapshot();
+    /// steal path).
+    fn select_victim(&self, thief: &CoreSnapshot) -> Option<CoreSnapshot> {
         let mut candidates = SNAPSHOTS.take();
         let victim = self.policy.select(
-            &thief_snap,
-            self.cores.iter().map(DequeRq::snapshot),
+            thief,
+            self.cores.iter().map(|core| core.snapshot()),
             &mut candidates,
         );
         SNAPSHOTS.set(candidates);
-        let recorder = |level| {
-            StealRecorder::new(&self.stats, level).with_trace(&self.trace, thief, &self.clock)
+        victim
+    }
+
+    /// One look for work by worker `me`: its own sources, then one
+    /// three-step balancing operation.  A look that finds no victim records
+    /// nothing; a steal from a chosen victim is counted and traced through
+    /// the shared [`StealRecorder`] program point, which is what keeps
+    /// `stats == fold(trace)` exact for this substrate too.
+    fn look(&self, me: usize) -> Found {
+        let Some(own) = self.dry_snapshot(me) else {
+            return Found::Own;
         };
-        let Some(victim) = victim else {
-            recorder(None).record_attempt(&StealOutcome::NoCandidates, 1);
-            return StealOutcome::NoCandidates;
+        let Some(victim) = self.select_victim(&own) else {
+            return Found::Nothing;
         };
-        DequeRq::try_steal_recorded(
-            &self.cores[thief.0],
+        let thief = CoreId(me);
+        let recorder =
+            StealRecorder::new(&self.stats, Some(self.topo.steal_level(thief, victim.id)))
+                .with_trace(&self.trace, thief, &self.clock);
+        match DequeRq::try_steal_recorded(
+            &self.cores[me],
             &self.cores[victim.id.0],
             self.policy.filter.as_ref(),
-            self.policy.steal.plan(&self.policy, &thief_snap, &victim).count,
-            Some(recorder(Some(self.topo.steal_level(thief, victim.id)))),
-        )
+            self.policy.steal.plan(&self.policy, &own, &victim).count,
+            Some(recorder),
+        ) {
+            StealOutcome::Stole { victim, tasks } => {
+                Found::Stole { victim: victim.0, seated: tasks.len() }
+            }
+            _ => Found::Nothing,
+        }
+    }
+
+    /// A dry worker's search (see "A dry worker searches before it parks"
+    /// in the module docs): looks until one finds work, [`SEARCH_WINDOW`]
+    /// has passed or shutdown has begun, yielding the CPU between looks.
+    /// The worker counts in `searching` for the whole of it.  Returns what
+    /// it found and whether the first look found it — work that was there
+    /// when the search began.
+    fn search(&self, me: usize) -> (Found, bool) {
+        self.searching.0.fetch_add(1, Ordering::AcqRel);
+        let began = Instant::now();
+        let mut first = true;
+        let found = loop {
+            let found = self.look(me);
+            if !matches!(found, Found::Nothing)
+                || began.elapsed() >= SEARCH_WINDOW
+                || self.shutdown.load(Ordering::Relaxed)
+            {
+                break found;
+            }
+            first = false;
+            std::thread::yield_now();
+        };
+        self.searching.0.fetch_sub(1, Ordering::AcqRel);
+        (found, first)
+    }
+
+    /// The re-check after registering as parked: work on `me`'s own queue,
+    /// or on any queue the policy would let it steal from.
+    fn has_work(&self, me: usize) -> bool {
+        self.dry_snapshot(me).is_none_or(|own| self.select_victim(&own).is_some())
     }
 
     /// Runs one claimed task to completion on worker `me`.
@@ -686,7 +914,7 @@ impl Shared {
         // always resolves; tolerate a miss anyway rather than poisoning
         // the worker.
         debug_assert!(job.is_some(), "task {task:?} has no job");
-        let panicked = job.is_some_and(|run| run());
+        let panicked = job.is_some_and(Run::run);
         // The one wall-clock read per task, taken only for a clock that
         // has a reader: it stamps this task's completion and is the
         // reading the next task's spawns go by.
@@ -723,49 +951,40 @@ impl Shared {
         WORKER.set(Some(WorkerTag { executor: self.id, index: me }));
         let rq = &self.cores[me];
         self.advance_clock();
-        // How the last park ended: on its backstop, with no wake edge having
-        // reached this worker and its own queue empty — or on a token.
-        let (mut by_backstop, mut by_token) = (false, false);
+        // Whether the last park ended on its backstop, with no wake edge
+        // having reached this worker and its own queue empty.
+        let mut by_backstop = false;
         loop {
             rq.refresh();
             // Run everything reachable from the own core: the seated task
             // (a wakeup may have claimed the idle core directly), then
             // ring and injector via `pick_next`.  Each task advances the
             // clock as it completes.
-            let mut idle = true;
             while let Some(task) = rq.current_task().or_else(|| rq.pick_next()) {
-                idle = false;
                 self.execute(task, me);
             }
-            // Own sources empty: go stealing.  The `searching` counter is
-            // up only around the attempt — producers seeing it nonzero
-            // trust this thief to find their work.
-            self.searching.0.fetch_add(1, Ordering::AcqRel);
-            let outcome = self.balance_once(CoreId(me));
-            self.searching.0.fetch_sub(1, Ordering::AcqRel);
-            if let StealOutcome::Stole { victim, tasks } = &outcome {
-                if by_backstop {
+            // Own sources empty: search.  Producers that find a searcher
+            // trust it to find their work.
+            let (found, at_first_look) = self.search(me);
+            if let Found::Stole { victim, seated } = found {
+                if by_backstop && at_first_look {
                     bump_own(&self.counters[me].0.backstop_steals);
                 }
-                self.notify_after_steal(victim.0, tasks.len());
+                self.notify_after_steal(victim, seated);
             }
-            // Woken, and there was nothing on the own queue and nothing to
-            // steal: the wake was an undirected one that came to nothing,
-            // and whoever sent it paid for it.  Sit the next ones out.
-            let futile = by_token && idle && !outcome.is_success();
-            let rests_until = if futile { self.wall_ns() + FUTILE_WAKE_REST_NS } else { 0 };
-            (by_backstop, by_token) = (false, false);
-            if outcome.is_success() {
+            by_backstop = false;
+            if !matches!(found, Found::Nothing) {
                 continue;
             }
             if self.should_exit() {
                 break;
             }
-            // Register → re-check → block.  A producer enqueueing after
-            // the re-check sees the registration and deposits the token.
-            self.idle.push(me, rests_until);
-            let has_work = || !rq.snapshot().is_idle() || rq.injected_len() > 0;
-            if has_work() || self.should_exit() {
+            // Register → re-check every queue → block.  A producer that
+            // enqueued after the re-check sees the registration; one that
+            // skipped its wake for a searcher is seen by the searcher's
+            // re-check (ordering argument 1 of the module docs).
+            self.idle.push(me);
+            if self.has_work(me) || self.should_exit() {
                 if !self.idle.remove(me) {
                     // A producer popped us concurrently and deposited a
                     // token; consume it so it cannot ghost-wake a later
@@ -775,11 +994,11 @@ impl Shared {
                 continue;
             }
             self.trace.record(CoreId(me), self.now_ns(), &TraceEvent::Park);
-            by_token = self.parkers[me].park_timeout(PARK_BACKSTOP);
+            let by_token = self.parkers[me].park_timeout(PARK_BACKSTOP);
             // Work on the own queue of a worker that is still registered
             // and holds no token: whoever seated it is yet to pop this
             // worker — a matter of nanoseconds — or never will.
-            let sat_on_work = !by_token && has_work();
+            let sat_on_work = !by_token && self.dry_snapshot(me).is_none();
             // Leave the stack whatever ended the park.  A token does not
             // prove a producer popped us: shutdown unparks every worker
             // without touching the stack, and a token can land after the
@@ -798,6 +1017,17 @@ impl Shared {
             self.trace.record(CoreId(me), now, &TraceEvent::Unpark);
         }
     }
+}
+
+/// What a dry worker's search turned up.
+#[derive(Debug)]
+enum Found {
+    /// Work on its own sources: a wakeup seated it there.
+    Own,
+    /// A steal decision that moved `seated` tasks from `victim`'s queue.
+    Stole { victim: usize, seated: usize },
+    /// Nothing, for the whole window (or until shutdown began).
+    Nothing,
 }
 
 /// Everything a finished run measured, returned by [`Executor::shutdown`].
@@ -822,8 +1052,9 @@ pub struct ExecReport {
     /// its wake.
     pub backstop_rescues: u64,
     /// Parks only the backstop ended, with the own queue empty, whose
-    /// first steal decision then moved tasks: another queue was overloaded
-    /// and no wake had reached this worker for it.  Undirected wakes are
+    /// first look then moved tasks: another queue was overloaded and no
+    /// wake had reached this worker for it.  (Work the search that follows
+    /// finds later turned up while this worker was awake.)  Undirected wakes are
     /// bounded on purpose (one per submission or per seated batch, none
     /// while a thief is out searching), so this is not zero on a busy
     /// machine with more workers than it needs; it is how often the
@@ -848,7 +1079,7 @@ impl Executor {
         let policy = policy.with_steal(StealRule::HalfImbalance);
         let clock = Arc::new(AtomicU64::new(0));
         let clocked = trace.is_enabled() || policy.tracker.is_decayed();
-        let cores: Vec<DequeRq> = topo
+        let cores: Vec<Padded<DequeRq>> = topo
             .cpus()
             .iter()
             .map(|c| {
@@ -860,7 +1091,7 @@ impl Executor {
                     ring_capacity,
                 );
                 rq.attach_trace(trace.clone());
-                rq
+                Padded(rq)
             })
             .collect();
         let nr_workers = cores.len();
@@ -922,14 +1153,8 @@ impl Executor {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let cell = Arc::new(JoinCell::new());
-        let out = Arc::clone(&cell);
-        self.shared.submit(Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(f));
-            let panicked = result.is_err();
-            out.complete(result);
-            panicked
-        }));
+        let cell = Arc::new(JoinCell::new(f));
+        self.shared.submit(Arc::clone(&cell) as Job);
         JoinHandle { cell }
     }
 
@@ -961,7 +1186,7 @@ impl Executor {
 
     /// Lock-less snapshots of every worker's runqueue, in id order.
     pub fn snapshots(&self) -> Vec<CoreSnapshot> {
-        self.shared.cores.iter().map(DequeRq::snapshot).collect()
+        self.shared.cores.iter().map(|core| core.snapshot()).collect()
     }
 
     /// Waits for the queues to empty, stops and joins all workers (the
@@ -1348,13 +1573,15 @@ mod tests {
 
     // ---- the job slab ----
 
+    /// A job whose handle nobody keeps.
+    fn job(f: impl FnOnce() + Send + 'static) -> Job {
+        Arc::new(JoinCell::new(f))
+    }
+
     /// A job that leaves `tag` in `ran` when it runs.
     fn tagged(tag: u64, ran: &Arc<AtomicU64>) -> Job {
         let ran = Arc::clone(ran);
-        Box::new(move || {
-            ran.store(tag, Ordering::Relaxed);
-            false
-        })
+        job(move || ran.store(tag, Ordering::Relaxed))
     }
 
     #[test]
@@ -1371,8 +1598,8 @@ mod tests {
                 assert!(seen.insert(id.0), "id {id:?} handed out twice");
                 assert!(id.0 < ID_LIMIT);
                 assert_eq!(id.0 % 3, i as u64 % 3, "the shard rides in the id");
-                let run = slab.take(*id).unwrap_or_else(|| panic!("id {id:?} did not resolve"));
-                run();
+                let job = slab.take(*id).unwrap_or_else(|| panic!("id {id:?} did not resolve"));
+                assert!(!job.run(), "the job did not panic");
                 assert_eq!(
                     ran.load(Ordering::Relaxed),
                     round * 6 + i as u64,
@@ -1382,7 +1609,7 @@ mod tests {
             }
         }
         for shard in &slab.shards {
-            assert_eq!(shard.0.lock().unwrap().slots.len(), 2, "slots were recycled, not grown");
+            assert_eq!(shard.free.lock().unwrap().grown, 2, "slots were recycled, not grown");
         }
         assert!(
             slab.take(TaskId(ID_LIMIT - 1)).is_none(),
@@ -1403,12 +1630,106 @@ mod tests {
         let slot_of = |id: TaskId| (id.0 / 5) & ((1 << SLOT_BITS) - 1);
         let generation_of = |id: TaskId| (id.0 / 5) >> SLOT_BITS;
         for generation in 0..3 {
-            let id = slab.insert(1, Box::new(|| false));
+            let id = slab.insert(1, job(|| ()));
             assert_eq!((slot_of(id), generation_of(id)), (0, generation));
             assert!(slab.take(id).is_some());
         }
-        let id = slab.insert(1, Box::new(|| false));
+        let id = slab.insert(1, job(|| ()));
         assert_eq!((slot_of(id), generation_of(id)), (1, 0), "slot 0 is out of generations");
+    }
+
+    /// Takers on other threads resolve ids while the submitter grows the
+    /// shard across segment boundaries and recycles what they vacate: each
+    /// burst is inserted while the takers still work through the last one.
+    /// Every id resolves once, to its own job, and a slot whose generations
+    /// are spent is never handed out again.
+    #[test]
+    fn takers_resolve_ids_while_the_submitter_grows_the_shard_across_segments() {
+        let mut slab = JobSlab::new(2);
+        slab.generations = 3;
+        let slab = slab;
+        let bursts = [50, 200, 700, 2500, 3000, 3000];
+        let total: usize = bursts.iter().sum();
+        let ran: Arc<Vec<AtomicU64>> = Arc::new((0..total).map(|_| AtomicU64::new(0)).collect());
+        let mut caught_up = 0;
+        let ids = std::thread::scope(|scope| {
+            let takers: Vec<mpsc::Sender<Vec<TaskId>>> = (0..2)
+                .map(|_| {
+                    let (ids, burst) = mpsc::channel::<Vec<TaskId>>();
+                    let slab = &slab;
+                    scope.spawn(move || {
+                        for id in burst.into_iter().flatten() {
+                            let job =
+                                slab.take(id).unwrap_or_else(|| panic!("{id:?} did not resolve"));
+                            assert!(!job.run(), "the job did not panic");
+                            assert!(slab.take(id).is_none(), "an id resolves once");
+                        }
+                    });
+                    ids
+                })
+                .collect();
+            let grown = || slab.shards[1].free.lock().unwrap().grown as usize;
+            let mut all = Vec::with_capacity(total);
+            for (n, burst) in bursts.into_iter().enumerate() {
+                if n == 4 {
+                    // Let the takers catch up once, so that the next burst
+                    // finds every slot vacated but the retired ones.
+                    while ran.iter().map(|n| n.load(Ordering::Relaxed)).sum::<u64>()
+                        < all.len() as u64
+                    {
+                        std::thread::yield_now();
+                    }
+                    caught_up = grown();
+                }
+                if n == 5 {
+                    assert!(
+                        grown() < caught_up + bursts[4],
+                        "the burst after the catch-up reused vacated slots"
+                    );
+                }
+                let ids: Vec<TaskId> = (all.len()..all.len() + burst)
+                    .map(|i| {
+                        let ran = Arc::clone(&ran);
+                        slab.insert(
+                            1,
+                            job(move || {
+                                ran[i].fetch_add(1, Ordering::Relaxed);
+                            }),
+                        )
+                    })
+                    .collect();
+                all.extend_from_slice(&ids);
+                let (left, right) = ids.split_at(ids.len() / 2);
+                takers[0].send(left.to_vec()).expect("taker 0 is running");
+                takers[1].send(right.to_vec()).expect("taker 1 is running");
+            }
+            all
+        });
+        assert!(
+            ran.iter().all(|n| n.load(Ordering::Relaxed) == 1),
+            "a job did not run exactly once"
+        );
+        let grown = slab.shards[1].free.lock().unwrap().grown as usize;
+        // Five segments hold 64 + 128 + 256 + 512 + 1024 slots.
+        assert!(
+            grown > 1984,
+            "{grown} slots: the 2500 burst grew the shard past its fifth segment"
+        );
+        let mut seen = HashSet::new();
+        let mut per_slot: std::collections::HashMap<u64, Vec<u64>> = Default::default();
+        for id in &ids {
+            assert!(seen.insert(id.0), "id {id:?} handed out twice");
+            assert_eq!(id.0 % 2, 1, "the shard rides in the id");
+            let word = id.0 / 2;
+            let (generation, slot) = (word >> SLOT_BITS, word & ((1 << SLOT_BITS) - 1));
+            assert!(generation < slab.generations, "{id:?} uses a retired generation");
+            per_slot.entry(slot).or_default().push(generation);
+        }
+        assert_eq!(per_slot.len(), grown, "every slot the shard grew was handed out");
+        for (slot, generations) in per_slot {
+            let in_order: Vec<u64> = (0..generations.len() as u64).collect();
+            assert_eq!(generations, in_order, "slot {slot} skipped or repeated a generation");
+        }
     }
 
     /// Satellite (a): submitters inside and outside the executor race the
@@ -1622,26 +1943,26 @@ mod tests {
 
     #[test]
     fn a_dropped_handle_gets_no_store_and_no_wake() {
-        let cell = Arc::new(JoinCell::new());
-        drop(JoinHandle { cell: Arc::clone(&cell) });
+        let cell = Arc::new(JoinCell::new(|| 7));
+        drop(JoinHandle::<i32> { cell: Arc::clone(&cell) as Arc<dyn Outcome<i32>> });
         assert!(!cell.complete(Ok(7)));
         assert!(cell.state.lock().unwrap().result.is_none(), "nobody can read it: not stored");
     }
 
     #[test]
     fn a_joiner_that_has_not_arrived_gets_the_result_without_a_wake() {
-        let cell = Arc::new(JoinCell::new());
-        let handle = JoinHandle { cell: Arc::clone(&cell) };
+        let cell = Arc::new(JoinCell::new(|| 7));
+        let handle = JoinHandle::<i32> { cell: Arc::clone(&cell) as Arc<dyn Outcome<i32>> };
         assert!(!cell.state.lock().unwrap().waiting);
         assert!(!cell.complete(Ok(7)), "no registered waiter, no condvar wake");
-        assert!(handle.is_finished());
+        assert!(cell.state.lock().unwrap().result.is_some(), "the result is stored");
         assert_eq!(handle.join(), 7, "the late joiner finds the result and never blocks");
     }
 
     #[test]
     fn a_waiting_joiner_is_woken() {
-        let cell = Arc::new(JoinCell::new());
-        let handle = JoinHandle { cell: Arc::clone(&cell) };
+        let cell = Arc::new(JoinCell::new(|| 7));
+        let handle = JoinHandle::<i32> { cell: Arc::clone(&cell) as Arc<dyn Outcome<i32>> };
         let joiner = std::thread::spawn(move || handle.join());
         // `waiting` is set under the lock the wait releases, so once it
         // reads true the joiner is blocked (or about to find the result).
@@ -1855,13 +2176,16 @@ mod tests {
     /// every submitted one has if fewer are left.  What the thief observed
     /// is stale by the time it claims, on any box and in any build.
     ///
-    /// The wait is a handshake, not a timeout.  With two workers the
-    /// dawdling thief is the only other one, so every closure not yet
-    /// completed is the victim's worker's to run, and it runs them however
-    /// long the OS keeps either thread off a CPU; and it holds still at the
-    /// awaited completion ([`Progress::complete`]) until the thief is back
-    /// from the filter, however long the thief was away.  Closing the
-    /// switch ends the wait and refuses the steal.
+    /// The wait is a handshake, not a timeout.  Only a thief of core 0
+    /// dawdles: every closure is placed there, so with two workers, and the
+    /// thief dry when it looks, every closure not yet completed is core 0's
+    /// worker's to run, and it runs them however long the OS keeps either
+    /// thread off a CPU; and it holds still at the awaited completion
+    /// ([`Progress::complete`]) until the thief is back from the filter,
+    /// however long the thief was away.  (Core 0's worker asking about
+    /// core 1 must not dawdle: losers trimmed back into its own injector
+    /// would be closures only it runs.)  Closing the switch ends the wait
+    /// and refuses the steal.
     struct GatedFilter {
         open: Arc<AtomicBool>,
         dawdle_over: Option<Arc<Progress>>,
@@ -1873,7 +2197,8 @@ mod tests {
             if !self.open.load(Ordering::Acquire) || !self.inner.can_steal(thief, victim) {
                 return false;
             }
-            let Some(progress) = &self.dawdle_over else {
+            let Some(progress) = self.dawdle_over.as_ref().filter(|_| victim.id == CoreId(0))
+            else {
                 return true;
             };
             let owed = (progress.completed.load(Ordering::SeqCst) + 4)
@@ -2015,10 +2340,9 @@ mod tests {
                     }
                 });
                 let handles: Vec<JoinHandle<()>> = (1..self.burst).map(&submit).collect();
-                // Each submission woke a thief; each was refused and went
-                // back to sleep, and is sitting its futile wake out.
+                // Whoever a submission woke was refused and went back to
+                // sleep.
                 wait_until_parked(&exec, self.workers - 1);
-                std::thread::sleep(Duration::from_nanos(2 * FUTILE_WAKE_REST_NS));
                 release.send(()).expect("the gate job is waiting");
                 gate.join().join();
                 handles.into_iter().for_each(JoinHandle::join);
@@ -2138,9 +2462,8 @@ mod tests {
                 let ran = Arc::clone(&ran);
                 let id = shared.jobs.insert(
                     2,
-                    Box::new(move || {
+                    job(move || {
                         ran.fetch_add(1, Ordering::Relaxed);
-                        false
                     }),
                 );
                 shared.counters[2].0.submitted.fetch_add(1, Ordering::Relaxed);
@@ -2236,16 +2559,20 @@ mod tests {
         }
     }
 
-    /// The producer of tiny jobs must not pay for a thief's every visit: a
-    /// worker whose undirected wake found nothing sits the next ones out
-    /// for `FUTILE_WAKE_REST_NS`.  Core 0's worker is held and nobody may
-    /// steal, so every wake of another worker is futile; each of the three
-    /// takes one per rest (and looks in on its backstop), however many
-    /// submissions land on the busy core meanwhile.
+    /// The producer of tiny jobs must not pay for a thief's every visit.
+    /// Core 0's worker is held and nobody may steal, so every wake of
+    /// another worker is futile.  A woken worker searches before it parks
+    /// again, and submissions make no undirected wake while anyone
+    /// searches, so the producer pays for a wake in at most one submission
+    /// of four — read off the trace's `Unpark`s on the three thieves, their
+    /// backstops included.  Without the search a futile visit is one look,
+    /// and the producer pays for a wake every second or third submission.
     #[test]
     fn a_worker_whose_undirected_wake_found_nothing_sits_the_next_ones_out() {
+        let submissions = 3000;
         let open = Arc::new(AtomicBool::new(false));
-        let exec = start_pinned(4, 4096, TraceSink::disabled(), Arc::clone(&open), None);
+        let sink = TraceSink::with_capacity(4, 1 << 14);
+        let exec = start_pinned(4, 4096, sink.clone(), Arc::clone(&open), None);
         wait_until_parked(&exec, 4);
         let (release, held) = mpsc::channel::<()>();
         let (running, gate_runs) = mpsc::channel::<()>();
@@ -2254,26 +2581,29 @@ mod tests {
             held.recv().expect("the test releases the gate")
         });
         gate_runs.recv().expect("the gate job starts");
-        let before = exec.stats().no_candidates();
-        let began = Instant::now();
-        let handles: Vec<JoinHandle<()>> = (0..3000).map(|_| exec.spawn(|| ())).collect();
-        let took_ns = began.elapsed().as_nanos() as u64;
+        let from = exec.shared.advance_clock();
+        let handles: Vec<JoinHandle<()>> = (0..submissions).map(|_| exec.spawn(|| ())).collect();
         // Whoever is up on a visit finishes it.
         wait_until_parked(&exec, 3);
-        let visits = exec.stats().no_candidates() - before;
+        let to = exec.shared.advance_clock();
         open.store(true, Ordering::Release);
         release.send(()).expect("the gate job is waiting");
         gate.join();
         handles.into_iter().for_each(JoinHandle::join);
         exec.shutdown();
 
-        let thieves = 3;
-        let allowed = thieves
-            * (2 + took_ns / FUTILE_WAKE_REST_NS + took_ns / PARK_BACKSTOP.as_nanos() as u64);
-        assert!(visits >= 1, "the first submission onto the busy core wakes a thief");
+        let trace = sink.drain();
+        assert_eq!(trace.dropped, 0);
+        let wakes = trace
+            .events
+            .iter()
+            .filter(|e| e.core != CoreId(0) && e.event == TraceEvent::Unpark)
+            .filter(|e| (from..=to).contains(&e.ts))
+            .count();
+        assert!(wakes >= 1, "the first submission onto the busy core wakes a thief");
         assert!(
-            visits <= allowed,
-            "{visits} futile visits in {took_ns} ns of submissions; {allowed} is one per rest"
+            4 * wakes <= submissions,
+            "{wakes} futile wakes in {submissions} submissions onto a busy core"
         );
     }
 

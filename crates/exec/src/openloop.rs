@@ -81,19 +81,6 @@ impl ServiceMix {
             }
         }
     }
-
-    /// Mean service time of the mix, in nanoseconds (exact for fixed and
-    /// exponential, the weighted average for bimodal).
-    pub fn mean_ns(&self) -> u64 {
-        match *self {
-            ServiceMix::Fixed { ns } => ns,
-            ServiceMix::Exp { mean_ns } => mean_ns,
-            ServiceMix::Bimodal { short_ns, long_ns, long_pct } => {
-                let pct = u64::from(long_pct.min(100));
-                (long_ns * pct + short_ns * (100 - pct)) / 100
-            }
-        }
-    }
 }
 
 /// One open-loop run: who arrives when, costing what, for how long.
@@ -119,12 +106,6 @@ impl OpenLoopSpec {
             horizon_ns: self.duration_ms.saturating_mul(1_000_000),
             service: self.service,
         }
-    }
-
-    /// Offered load in service-seconds per second (ρ for one worker;
-    /// divide by the worker count for the per-core utilisation).
-    pub fn offered_load(&self) -> f64 {
-        self.rate_hz as f64 * self.service.mean_ns() as f64 / 1e9
     }
 }
 
@@ -301,14 +282,6 @@ mod tests {
         assert_eq!(long + short, arrivals.len(), "no third mode exists");
         let long_share = long as f64 / arrivals.len() as f64;
         assert!((0.05..0.2).contains(&long_share), "~10% long, got {long_share}");
-    }
-
-    #[test]
-    fn offered_load_is_rate_times_mean_service() {
-        let s = spec(10_000, 100, ServiceMix::Fixed { ns: 50_000 }, 1);
-        assert!((s.offered_load() - 0.5).abs() < 1e-9);
-        let mix = ServiceMix::Bimodal { short_ns: 1_000, long_ns: 11_000, long_pct: 50 };
-        assert_eq!(mix.mean_ns(), 6_000);
     }
 
     mod properties {

@@ -11,15 +11,13 @@
 //! * an undirected "work exists somewhere" nudge pops the **top** of the
 //!   stack — last parked, first woken — so the most recently active
 //!   worker (warmest cache, least likely to have been descheduled) takes
-//!   the hit and long-idle workers stay asleep.  A worker may register
-//!   as *resting* until some instant: nudges pass it over until then (a
-//!   wakeup aimed at it does not).
+//!   the hit and long-idle workers stay asleep.
 //!
 //! The token makes the classic publish/re-check race benign: a worker
-//! *registers* on the idle stack, *re-checks* its sources, and only then
-//! blocks.  A producer that enqueues after the re-check necessarily sees
-//! the registration and deposits the token, so the park returns
-//! immediately instead of sleeping through the wakeup.
+//! *registers* on the idle stack, *re-checks* every queue it could run or
+//! steal from, and only then blocks.  A producer that enqueues after the
+//! re-check necessarily sees the registration and deposits the token, so
+//! the park returns immediately instead of sleeping through the wakeup.
 //!
 //! # Producers do not take the lock when nobody is parked
 //!
@@ -32,18 +30,22 @@
 //!
 //! ```text
 //!   worker                          producer
-//!   W1  push: len = parked (store)  P1  enqueue (writes the runqueue)
-//!   W2  fence(SeqCst)               P2  fence(SeqCst)
-//!   W3  re-check the runqueue       P3  any_parked (load)
+//!   W0  searching -= 1              P1  enqueue (writes a runqueue)
+//!   W1  push: len = parked (store)  P2  fence(SeqCst)
+//!   W2  fence(SeqCst)               P3  any_parked (load)
+//!   W3  re-check every runqueue     P4  searching (load)
 //! ```
 //!
 //! The two fences are totally ordered.  If P2 comes first, everything
 //! before it — the enqueue — is visible to everything after W2, so the
 //! re-check W3 finds the task and the worker does not block.  If W2 comes
 //! first, the registration W1 is visible to P3, so the producer takes the
-//! lock and wakes a worker exactly as it always did.  Either way the task
-//! is not stranded.  W2 is the fence at the end of [`IdleStack::push`];
-//! P2 is the producer's own, issued after its enqueue.
+//! lock and wakes a worker exactly as it always did — and W0 is visible to
+//! P4, so a producer that skips its undirected wake because some worker is
+//! searching counts only workers whose own W3 is still to come.  Either
+//! way the task is not stranded.  W2 is the fence at the end of
+//! [`IdleStack::push`]; P2 is the producer's own, issued after its
+//! enqueue.
 
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -100,12 +102,10 @@ impl Parker {
     }
 }
 
-/// The shared registry of parked workers, in park order (a stack): each
-/// with the instant — on whatever clock the callers share — until which
-/// undirected wakeups pass it over.
+/// The shared registry of parked workers, in park order (a stack).
 #[derive(Debug, Default)]
 pub struct IdleStack {
-    parked: Mutex<Vec<(usize, u64)>>,
+    parked: Mutex<Vec<usize>>,
     /// `parked.len()`, stored under the lock after every change and read
     /// without it by [`IdleStack::any_parked`].
     len: AtomicUsize,
@@ -118,7 +118,7 @@ impl IdleStack {
     }
 
     /// Runs `change` on the stack under the lock and republishes its length.
-    fn with_parked<R>(&self, change: impl FnOnce(&mut Vec<(usize, u64)>) -> R) -> R {
+    fn with_parked<R>(&self, change: impl FnOnce(&mut Vec<usize>) -> R) -> R {
         let mut parked = self.parked.lock().expect("idle stack poisoned");
         let out = change(&mut parked);
         // Relaxed: the lock orders the writers, and the one lock-free reader
@@ -127,14 +127,13 @@ impl IdleStack {
         out
     }
 
-    /// Registers `worker` as parked (pushes it on top), resting until
-    /// `rests_until` (0: not at all).  Must be called *before* the worker's
-    /// final re-check of its work sources: the fence that ends this call is
-    /// W2 of the module docs' ordering argument.
-    pub fn push(&self, worker: usize, rests_until: u64) {
+    /// Registers `worker` as parked (pushes it on top).  Must be called
+    /// *before* the worker's final re-check of its work sources: the fence
+    /// that ends this call is W2 of the module docs' ordering argument.
+    pub fn push(&self, worker: usize) {
         self.with_parked(|parked| {
-            debug_assert!(parked.iter().all(|&(w, _)| w != worker), "worker parked twice");
-            parked.push((worker, rests_until));
+            debug_assert!(!parked.contains(&worker), "worker parked twice");
+            parked.push(worker);
         });
         fence(Ordering::SeqCst);
     }
@@ -151,7 +150,7 @@ impl IdleStack {
     /// if it was still registered — `false` means a producer already popped
     /// it (and deposited a token the worker's next park will consume).
     pub fn remove(&self, worker: usize) -> bool {
-        self.with_parked(|parked| match parked.iter().position(|&(w, _)| w == worker) {
+        self.with_parked(|parked| match parked.iter().position(|&w| w == worker) {
             Some(at) => {
                 parked.remove(at);
                 true
@@ -160,13 +159,9 @@ impl IdleStack {
         })
     }
 
-    /// Pops the most recently parked worker that is not resting at `now`
-    /// (last parked, first woken).
-    pub fn pop_any(&self, now: u64) -> Option<usize> {
-        self.with_parked(|parked| {
-            let at = parked.iter().rposition(|&(_, rests_until)| rests_until <= now)?;
-            Some(parked.remove(at).0)
-        })
+    /// Pops the most recently parked worker (last parked, first woken).
+    pub fn pop_any(&self) -> Option<usize> {
+        self.with_parked(Vec::pop)
     }
 
     /// Pops `worker` specifically, if it is registered.
@@ -187,7 +182,7 @@ impl IdleStack {
 
     /// Drains the whole stack, top first (shutdown wakes everyone).
     pub fn drain(&self) -> Vec<usize> {
-        self.with_parked(std::mem::take).into_iter().rev().map(|(worker, _)| worker).collect()
+        self.with_parked(std::mem::take).into_iter().rev().collect()
     }
 }
 
@@ -230,27 +225,13 @@ mod tests {
     #[test]
     fn the_stack_wakes_last_parked_first() {
         let s = IdleStack::new();
-        s.push(0, 0);
-        s.push(1, 0);
-        s.push(2, 0);
-        assert_eq!(s.pop_any(0), Some(2));
-        assert_eq!(s.pop_any(0), Some(1));
+        s.push(0);
+        s.push(1);
+        s.push(2);
+        assert_eq!(s.pop_any(), Some(2));
+        assert_eq!(s.pop_any(), Some(1));
         assert!(s.pop_specific(0));
         assert!(!s.pop_specific(0), "already popped");
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn undirected_wakes_pass_a_resting_worker_over_and_directed_ones_do_not() {
-        let s = IdleStack::new();
-        s.push(0, 0);
-        s.push(1, 500);
-        s.push(2, 900);
-        assert_eq!(s.pop_any(100), Some(0), "the two on top are resting");
-        assert_eq!(s.pop_any(100), None);
-        assert!(s.any_parked(), "resting workers are parked workers");
-        assert_eq!(s.pop_any(500), Some(1), "rested");
-        assert!(s.pop_specific(2), "a wakeup aimed at a worker does not wait for its rest");
         assert!(s.is_empty());
     }
 
@@ -258,14 +239,14 @@ mod tests {
     fn the_published_length_follows_every_change() {
         let s = IdleStack::new();
         assert!(!s.any_parked());
-        s.push(4, 0);
-        s.push(5, 0);
+        s.push(4);
+        s.push(5);
         assert!(s.any_parked());
         assert!(s.remove(4));
         assert!(s.any_parked(), "5 is still registered");
-        assert_eq!(s.pop_any(0), Some(5));
+        assert_eq!(s.pop_any(), Some(5));
         assert!(!s.any_parked());
-        s.push(6, 0);
+        s.push(6);
         assert_eq!(s.drain(), vec![6]);
         assert!(!s.any_parked());
     }
@@ -273,8 +254,8 @@ mod tests {
     #[test]
     fn drain_empties_top_first() {
         let s = IdleStack::new();
-        s.push(3, 0);
-        s.push(7, 9);
+        s.push(3);
+        s.push(7);
         assert_eq!(s.drain(), vec![7, 3]);
         assert!(s.is_empty());
     }

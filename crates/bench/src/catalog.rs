@@ -89,8 +89,8 @@ fn load_into(loaded: &mut Vec<Scenario>, source: &str, origin: &str) -> Result<(
             .any(|prior| prior.name == scenario.name && prior.experiment == scenario.experiment);
         if duplicate {
             // Records are keyed `experiment | scenario | backend`; two
-            // scenarios with the same key would collide silently in the
-            // bench-diff gate.
+            // scenarios with the same key would make records the records
+            // contract rejects as duplicates.
             return Err(located(&format!(
                 "duplicate scenario `{}` for {}",
                 scenario.name, scenario.experiment

@@ -246,10 +246,7 @@ mod tests {
     fn the_spill_fixture_reproduces_the_committed_storm_records() {
         use crate::runner::Backend as _;
 
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_results.json");
-        let text = std::fs::read_to_string(path).expect("committed BENCH_results.json");
-        let json = sched_json::parse(&text).expect("valid JSON");
-        let committed = json.get("records").and_then(|r| r.as_array()).expect("records array");
+        let committed = crate::records::committed_records();
         let storms: Vec<&Scenario> = crate::catalog::builtin()
             .iter()
             .filter(|spec| matches!(spec.driver, Driver::Storm(_)))
@@ -258,14 +255,10 @@ mod tests {
         for spec in storms {
             let record = crate::runner::RqSpillDequeBackend.run(spec, None).expect("a storm");
             assert_eq!(record.rq_backend, Some("mutex"));
-            let key = sched_json::record_key(&spec.experiment, &spec.name, "rq-deque-spill");
+            let key = format!("{} | {} | rq-deque-spill", spec.experiment, spec.name);
             let baseline = committed
                 .iter()
-                .find(|r| {
-                    let field = |k: &str| r.get(k).and_then(|v| v.as_str()).unwrap_or_default();
-                    sched_json::record_key(field("experiment"), field("scenario"), field("backend"))
-                        == key
-                })
+                .find(|r| crate::records::record_key(r) == key)
                 .unwrap_or_else(|| panic!("{key} is committed"));
             let number = |k: &str| baseline.get(k).and_then(|v| v.as_f64());
             let levels = record.steals.level_migrations;

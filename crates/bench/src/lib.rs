@@ -13,9 +13,8 @@
 //! threads over the mutex and lock-free runqueues (plus the storm-only
 //! tiny-ring flavours), and the real executor.  `experiments --json`
 //! serializes the resulting [`ExperimentRecord`]s to `BENCH_results.json`,
-//! the workspace's machine-readable perf trajectory, which `xtask
-//! bench-diff` gates and `tests/records.rs` pins: a fresh run must
-//! reproduce every record of a [`Backend::reproducible`] backend.
+//! the workspace's machine-readable perf trajectory, and [`mod@records`]
+//! holds a fresh run of the catalog to it (`tests/records.rs`).
 //!
 //! A traced run is the same run with a recorder attached
 //! ([`ExperimentRunner::run_traced`]); [`report`] folds the drained trace
@@ -30,11 +29,12 @@
 pub mod catalog;
 pub mod experiments;
 pub mod fuzz;
+pub mod records;
 pub mod report;
 pub mod runner;
 
-/// The shared JSON codec (re-exported from `sched-json`, which also backs
-/// the `xtask bench-diff` gate so writer and reader can never disagree).
+/// The JSON codec the records are written and read with (re-exported from
+/// `sched-json`).
 pub use sched_json as json;
 
 pub use catalog::{builtin, load_dir, load_str};
@@ -42,9 +42,9 @@ pub use experiments::{all_experiments, run_experiment, ExperimentId};
 pub use fuzz::{
     check_ordering, check_records, check_sanity, fuzz_scenarios, FuzzConfig, FuzzReport, Violation,
 };
+pub use records::{committed_records, compare_records, records_of, records_to_json};
 pub use report::trace_report;
 pub use runner::{
-    records_table, records_to_json, run_sim_result, set_trace_dir, validate, Backend, ExecBackend,
-    ExperimentRecord, ExperimentRunner, ModelBackend, RqBackend, SimBackend, SimEngine,
-    SimEventBackend, SpecError,
+    records_table, run_sim_result, set_trace_dir, validate, Backend, ExecBackend, ExperimentRecord,
+    ExperimentRunner, ModelBackend, RqBackend, SimBackend, SimEngine, SimEventBackend, SpecError,
 };

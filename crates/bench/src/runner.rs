@@ -445,7 +445,7 @@ pub struct ExperimentRecord {
 
 impl ExperimentRecord {
     /// The record as a JSON object.
-    fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         let levels = self.steals.level_migrations;
         object(vec![
             ("experiment", JsonValue::Str(self.experiment.clone())),
@@ -1308,22 +1308,6 @@ impl ExperimentRunner {
     }
 }
 
-/// Serializes records (plus a small header) to the `BENCH_results.json`
-/// document.
-pub fn records_to_json(records: &[ExperimentRecord]) -> String {
-    object(vec![
-        (
-            "paper",
-            JsonValue::Str("Towards Proving Optimistic Multicore Schedulers (HotOS 2017)".into()),
-        ),
-        ("harness", JsonValue::Str("sched-bench experiments --json".into())),
-        // The version's meaning is documented on `sched_json::SCHEMA_VERSION`.
-        ("schema_version", JsonValue::Int(sched_json::SCHEMA_VERSION)),
-        ("records", JsonValue::Array(records.iter().map(ExperimentRecord::to_json).collect())),
-    ])
-    .render_pretty()
-}
-
 /// One column of [`records_table`]: its header, and the cell of a record
 /// that measured it (`None` for one that did not).
 type Column = (&'static str, fn(&ExperimentRecord) -> Option<String>);
@@ -1757,7 +1741,7 @@ mod tests {
     fn json_document_has_the_required_fields() {
         let runner = ExperimentRunner::new(vec![Box::new(ModelBackend)]);
         let records = runner.run(small_spec(PolicyRecipe::Listing1));
-        let json = records_to_json(&records);
+        let json = crate::records::records_to_json(&records);
         for key in [
             "\"experiment\"",
             "\"scenario\"",

@@ -1,6 +1,6 @@
 //! The three-step balancer of Figure 1, applied to the pure scheduler state.
 
-use crate::outcome::{BalanceAttempt, RoundReport, StealOutcome};
+use crate::outcome::StealOutcome;
 use crate::policy::Policy;
 use crate::snapshot::{CoreSnapshot, SystemSnapshot};
 use crate::system::SystemState;
@@ -21,8 +21,9 @@ pub struct Selection {
 ///
 /// The balancer exposes the selection and stealing phases separately so that
 /// the concurrent-round executor ([`crate::round::ConcurrentRound`]) and the
-/// model checker can interleave them; [`Balancer::balance_core`] performs
-/// the whole round for one core in isolation (the §4.2 sequential setting).
+/// model checker can interleave them; under
+/// [`crate::RoundSchedule::Sequential`] each core runs both in isolation
+/// (the §4.2 sequential setting).
 pub struct Balancer {
     policy: Policy,
 }
@@ -59,8 +60,16 @@ impl Balancer {
     ///
     /// Re-checks the filter against the *live* state before migrating, as in
     /// Listing 1 line 12 — this is where optimistic selections are detected
-    /// to have gone stale.
-    pub fn steal(&self, system: &mut SystemState, thief: CoreId, victim: CoreId) -> StealOutcome {
+    /// to have gone stale.  `contenders` is the round's count of thieves
+    /// that chose `victim` and have not yet stolen, this one included
+    /// ([`crate::StealRule::plan`]).
+    pub fn steal(
+        &self,
+        system: &mut SystemState,
+        thief: CoreId,
+        victim: CoreId,
+        contenders: usize,
+    ) -> StealOutcome {
         let thief_snap = CoreSnapshot::capture(system.core(thief));
         let victim_snap = CoreSnapshot::capture(system.core(victim));
         if !self.policy.filter.can_steal(&thief_snap, &victim_snap) {
@@ -69,7 +78,7 @@ impl Balancer {
         // Step 3 picks the planned number of waiting threads, newest first
         // or lightest first (newest among equals) as the rule asks, capped
         // by the live queue (§4.2, "does not steal too much").
-        let plan = self.policy.steal.plan(&self.policy, &thief_snap, &victim_snap);
+        let plan = self.policy.steal.plan(&self.policy, &thief_snap, &victim_snap, contenders);
         let live = system.core(victim);
         let take = plan.take(live.ready.len(), live.current.is_some());
         let tasks: Vec<TaskId> = if plan.lightest {
@@ -94,49 +103,6 @@ impl Balancer {
             StealOutcome::Stole { victim, tasks: moved }
         }
     }
-
-    /// Runs all three steps for one core in isolation.
-    ///
-    /// The snapshot is taken immediately before the stealing phase, so the
-    /// selection can never be stale: this is the no-concurrency setting of
-    /// §4.2 in which failures cannot occur.
-    pub fn balance_core(
-        &self,
-        system: &mut SystemState,
-        thief: CoreId,
-        time: usize,
-    ) -> BalanceAttempt {
-        let snapshot = SystemSnapshot::capture(system);
-        let selection = self.select(&snapshot, thief);
-        let outcome = match selection.chosen {
-            Some(victim) => self.steal(system, thief, victim),
-            None => StealOutcome::NoCandidates,
-        };
-        BalanceAttempt {
-            thief,
-            select_time: time,
-            steal_time: time,
-            candidates: selection.candidates,
-            chosen: selection.chosen,
-            outcome,
-        }
-    }
-
-    /// Runs a fully sequential load-balancing round: every core executes its
-    /// three steps in isolation, in core-id order.
-    ///
-    /// "In this setup, in each load-balancing round the load-balancing
-    /// operations do not overlap (i.e., core 0 first does all three
-    /// load-balancing steps in isolation, then core 1 does all three steps,
-    /// etc.)." (§4.2)
-    pub fn run_round_sequential(&self, system: &mut SystemState) -> RoundReport {
-        let ids = system.core_ids();
-        let mut report = RoundReport::default();
-        for (time, id) in ids.into_iter().enumerate() {
-            report.attempts.push(self.balance_core(system, id, time));
-        }
-        report
-    }
 }
 
 impl std::fmt::Debug for Balancer {
@@ -149,13 +115,20 @@ impl std::fmt::Debug for Balancer {
 mod tests {
     use super::*;
     use crate::load::LoadMetric;
+    use crate::outcome::RoundReport;
     use crate::policy::Policy;
+    use crate::round::{ConcurrentRound, RoundSchedule};
+
+    /// §4.2's sequential round: each core runs all three steps in isolation.
+    fn sequential_round(balancer: &Balancer, system: &mut SystemState) -> RoundReport {
+        ConcurrentRound::new(balancer).execute(system, &RoundSchedule::Sequential)
+    }
 
     #[test]
     fn sequential_round_fixes_a_simple_imbalance() {
         let mut system = SystemState::from_loads(&[0, 3, 1]);
         let balancer = Balancer::new(Policy::simple());
-        let report = balancer.run_round_sequential(&mut system);
+        let report = sequential_round(&balancer, &mut system);
         assert_eq!(report.nr_successes(), 1);
         assert_eq!(report.nr_failures(), 0, "no failures without concurrency");
         assert!(system.is_work_conserving());
@@ -167,7 +140,7 @@ mod tests {
     fn idle_system_has_no_candidates() {
         let mut system = SystemState::from_loads(&[0, 0, 0]);
         let balancer = Balancer::new(Policy::simple());
-        let report = balancer.run_round_sequential(&mut system);
+        let report = sequential_round(&balancer, &mut system);
         assert!(report.attempts.iter().all(|a| a.outcome == StealOutcome::NoCandidates));
     }
 
@@ -196,7 +169,7 @@ mod tests {
         let stolen = system.core(CoreId(2)).ready[0].id;
         system.migrate(CoreId(2), CoreId(1), stolen);
 
-        let outcome = balancer.steal(&mut system, CoreId(0), CoreId(2));
+        let outcome = balancer.steal(&mut system, CoreId(0), CoreId(2), 1);
         assert_eq!(outcome, StealOutcome::RecheckFailed { victim: CoreId(2) });
         assert!(system.tasks_are_unique());
     }
@@ -206,8 +179,7 @@ mod tests {
         let mut system = SystemState::from_loads(&[0, 2]);
         let balancer = Balancer::new(Policy::simple());
         let running = system.core(CoreId(1)).current.as_ref().unwrap().id;
-        let attempt = balancer.balance_core(&mut system, CoreId(0), 0);
-        match attempt.outcome {
+        match balancer.steal(&mut system, CoreId(0), CoreId(1), 1) {
             StealOutcome::Stole { tasks, .. } => assert!(!tasks.contains(&running)),
             other => panic!("expected a successful steal, got {other:?}"),
         }
@@ -220,8 +192,8 @@ mod tests {
         // idle, the model lets every core run balancing operations (§3.1).
         let mut system = SystemState::from_loads(&[1, 4]);
         let balancer = Balancer::new(Policy::simple());
-        let attempt = balancer.balance_core(&mut system, CoreId(0), 0);
-        assert!(attempt.is_success());
+        let report = sequential_round(&balancer, &mut system);
+        assert_eq!(report.nr_successes(), 1);
         assert_eq!(system.loads(LoadMetric::NrThreads), vec![2, 3]);
     }
 }

@@ -27,7 +27,10 @@ pub enum StealRule {
     Fixed(usize),
     /// Half the observed imbalance, newest first — CFS's batch migration.
     /// Moving half the surplus converges like binary search while never
-    /// inverting the imbalance the filter approved (the P2 argument).
+    /// inverting the imbalance the filter approved (the P2 argument).  When
+    /// `r` thieves of one round chose the same victim, each takes the live
+    /// surplus divided by `1 + r`, so a herd shares the surplus instead of
+    /// halving it thief after thief.
     HalfImbalance,
 }
 
@@ -62,6 +65,10 @@ impl StealRule {
     /// Sizes one steal decision of `policy` from the thief's and the
     /// victim's observations — the only step-3 sizing there is.
     ///
+    /// * `contenders` is `r`, the thieves of this round that chose this
+    ///   victim and have not yet stolen, the thief included; a substrate that
+    ///   does not count them passes 1.  Only [`StealRule::HalfImbalance`]
+    ///   reads it.
     /// * Imbalances are measured in the unit of the policy tracker's base:
     ///   a thread for thread counts, a `nice 0` weight for weighted loads.
     /// * The count is at least one.
@@ -71,7 +78,13 @@ impl StealRule {
     ///   the §4.2 "does not steal too much" obligation.  A substrate that
     ///   holds the victim's queue applies the count through
     ///   [`StealPlan::take`].
-    pub fn plan(self, policy: &Policy, thief: &CoreSnapshot, victim: &CoreSnapshot) -> StealPlan {
+    pub fn plan(
+        self,
+        policy: &Policy,
+        thief: &CoreSnapshot,
+        victim: &CoreSnapshot,
+        contenders: usize,
+    ) -> StealPlan {
         let wanted = match self {
             StealRule::One | StealRule::Lightest => 1,
             StealRule::Fixed(k) => k,
@@ -81,7 +94,8 @@ impl StealRule {
                     _ => 1,
                 };
                 let surplus = victim.load(policy.metric).saturating_sub(thief.load(policy.metric));
-                usize::try_from(surplus / unit / 2).unwrap_or(usize::MAX)
+                let shares = contenders.max(1) as u64 + 1;
+                usize::try_from(surplus / unit / shares).unwrap_or(usize::MAX)
             }
         };
         let spare = usize::try_from(victim.nr_threads.saturating_sub(1)).unwrap_or(usize::MAX);
@@ -115,12 +129,12 @@ mod tests {
 
     fn sized(rule: StealRule, policy: &Policy, system: &SystemState) -> StealPlan {
         let snapshot = SystemSnapshot::capture(system);
-        rule.plan(policy, snapshot.core(CoreId(0)), snapshot.core(CoreId(1)))
+        rule.plan(policy, snapshot.core(CoreId(0)), snapshot.core(CoreId(1)), 1)
     }
 
     /// What the model's stealing phase moves from core 1 to core 0.
     fn stolen(policy: Policy, system: &mut SystemState) -> StealOutcome {
-        Balancer::new(policy).steal(system, CoreId(0), CoreId(1))
+        Balancer::new(policy).steal(system, CoreId(0), CoreId(1), 1)
     }
 
     #[test]
@@ -211,6 +225,21 @@ mod tests {
         if let StealOutcome::Stole { tasks, .. } = outcome {
             assert!(tasks.iter().all(|id| waiting[1..].contains(id)));
         }
+    }
+
+    #[test]
+    fn steal_half_shares_the_live_surplus_among_contenders() {
+        // r thieves that chose one victim each take surplus / (1 + r); r = 1
+        // is the half, and a missing count reads as one.
+        let half = Policy::simple().with_steal(StealRule::HalfImbalance);
+        let snapshot = SystemSnapshot::capture(&SystemState::from_loads(&[0, 12]));
+        let (thief, victim) = (snapshot.core(CoreId(0)), snapshot.core(CoreId(1)));
+        let counts: Vec<usize> = [0, 1, 2, 3, 63]
+            .map(|r| StealRule::HalfImbalance.plan(&half, thief, victim, r).count)
+            .into();
+        assert_eq!(counts, [6, 6, 4, 3, 1]);
+        // The other rules ignore it.
+        assert_eq!(StealRule::Fixed(4).plan(&half, thief, victim, 8).count, 4);
     }
 
     #[test]

@@ -61,9 +61,6 @@ pub enum RoundSchedule {
     /// observes the same initial state.  This models CFS's "load balancing
     /// operations are performed simultaneously on all cores every 4ms".
     AllSelectThenSteal,
-    /// An explicit interleaving, used by the model checker to enumerate every
-    /// possible conflict.
-    Explicit(Vec<Step>),
     /// A pseudo-random valid interleaving derived from the seed, used by the
     /// simulator; different rounds should use different seeds.
     Seeded(u64),
@@ -81,7 +78,6 @@ impl RoundSchedule {
                 .map(|i| Step::select(CoreId(i)))
                 .chain((0..nr_cores).map(|i| Step::steal(CoreId(i))))
                 .collect(),
-            RoundSchedule::Explicit(steps) => steps.clone(),
             RoundSchedule::Seeded(seed) => seeded_interleaving(nr_cores, *seed),
         }
     }
@@ -203,9 +199,12 @@ impl<'a> ConcurrentRound<'a> {
     /// validates interleavings itself.
     ///
     /// Each core's Select step plans against the state of that moment, its
-    /// Steal step acts on the plan against whatever the state has become.
+    /// Steal step acts on the plan against whatever the state has become,
+    /// sized for the thieves that chose the same victim and have not yet
+    /// stolen ([`crate::StealRule::plan`]'s `r`).
     pub fn execute_steps(&self, system: &mut SystemState, steps: &[Step]) -> RoundReport {
         let mut pending: Vec<Option<(Selection, usize)>> = vec![None; system.nr_cores()];
+        let mut contenders = vec![0usize; system.nr_cores()];
         let mut report = RoundReport::default();
         for (time, step) in steps.iter().enumerate() {
             match step.phase {
@@ -214,6 +213,9 @@ impl<'a> ConcurrentRound<'a> {
                     // it stale, which is exactly the optimism of the model.
                     let snapshot = SystemSnapshot::capture(system);
                     let selection = self.balancer.select(&snapshot, step.core);
+                    if let Some(victim) = selection.chosen {
+                        contenders[victim.0] += 1;
+                    }
                     pending[step.core.0] = Some((selection, time));
                 }
                 Phase::Steal => {
@@ -221,7 +223,11 @@ impl<'a> ConcurrentRound<'a> {
                         .take()
                         .expect("validated schedule guarantees select before steal");
                     let outcome = match selection.chosen {
-                        Some(victim) => self.balancer.steal(system, step.core, victim),
+                        Some(victim) => {
+                            let r = contenders[victim.0];
+                            contenders[victim.0] -= 1;
+                            self.balancer.steal(system, step.core, victim, r)
+                        }
                         None => StealOutcome::NoCandidates,
                     };
                     report.attempts.push(BalanceAttempt {
@@ -308,15 +314,38 @@ mod tests {
 
     #[test]
     fn sequential_schedule_through_the_executor_matches_the_balancer() {
+        // Under the sequential schedule each core selects on the state the
+        // previous core's steal left, so it is the balancer's select then
+        // steal, core after core.
         let mut a = SystemState::from_loads(&[0, 4, 1, 0]);
         let mut b = a.clone();
         let balancer = Balancer::new(Policy::simple());
-        let round = ConcurrentRound::new(&balancer);
-        let ra = round.execute(&mut a, &RoundSchedule::Sequential);
-        let rb = balancer.run_round_sequential(&mut b);
+        let ra = ConcurrentRound::new(&balancer).execute(&mut a, &RoundSchedule::Sequential);
+        let mut successes = 0;
+        for thief in b.core_ids() {
+            let selection = balancer.select(&SystemSnapshot::capture(&b), thief);
+            if let Some(victim) = selection.chosen {
+                successes += usize::from(balancer.steal(&mut b, thief, victim, 1).is_success());
+            }
+        }
         assert_eq!(a, b);
-        assert_eq!(ra.nr_successes(), rb.nr_successes());
-        assert_eq!(a.loads(LoadMetric::NrThreads), b.loads(LoadMetric::NrThreads));
+        assert_eq!(ra.nr_successes(), successes);
+        assert_eq!(ra.nr_failures(), 0, "no failures without concurrency");
+        assert_eq!(a.loads(LoadMetric::NrThreads), vec![1, 1, 2, 1]);
+    }
+
+    #[test]
+    fn a_herd_on_one_victim_shares_its_surplus() {
+        // Three idle cores all choose core 0 from one snapshot.  Halving the
+        // live surplus thief after thief would end at [3, 12, 6, 3]; sized
+        // for the thieves still to come, the first takes 24 / 4 and the
+        // round ends balanced.
+        let mut system = SystemState::from_loads(&[24, 0, 0, 0]);
+        let balancer = Balancer::new(Policy::simple().with_steal(crate::StealRule::HalfImbalance));
+        let report = ConcurrentRound::new(&balancer)
+            .execute(&mut system, &RoundSchedule::AllSelectThenSteal);
+        assert_eq!(report.nr_failures(), 0);
+        assert_eq!(system.loads(LoadMetric::NrThreads), vec![6, 6, 6, 6]);
     }
 
     #[test]
@@ -334,7 +363,7 @@ mod tests {
         let mut system = SystemState::from_loads(&[0, 0, 2]);
         let balancer = Balancer::new(Policy::simple());
         let round = ConcurrentRound::new(&balancer);
-        let report = round.execute(&mut system, &RoundSchedule::Explicit(steps));
+        let report = round.execute_steps(&mut system, &steps);
         let core0 = report.attempts.iter().find(|a| a.thief == CoreId(0)).unwrap();
         let core1 = report.attempts.iter().find(|a| a.thief == CoreId(1)).unwrap();
         assert!(core1.is_success());

@@ -189,16 +189,19 @@ mod tests {
                 .unwrap();
         let mut system = SystemState::from_loads(&[0, 5]);
         let balancer = Balancer::new(compiled.policy);
-        let attempt = balancer.balance_core(&mut system, CoreId(0), 0);
-        assert_eq!(attempt.outcome.nr_stolen(), 2);
+        let round =
+            ConcurrentRound::new(&balancer).execute(&mut system, &RoundSchedule::Sequential);
+        assert_eq!(round.nr_stolen(), 2);
         // `steal = half` is the step the executor runs.
         let compiled =
             compile_source("policy half { filter = victim.load - self.load >= 2; steal = half; }")
                 .unwrap();
         assert_eq!(compiled.policy.steal, StealRule::HalfImbalance);
         let mut system = SystemState::from_loads(&[0, 7]);
-        let attempt = Balancer::new(compiled.policy).balance_core(&mut system, CoreId(0), 0);
-        assert_eq!(attempt.outcome.nr_stolen(), 3);
+        let balancer = Balancer::new(compiled.policy);
+        let round =
+            ConcurrentRound::new(&balancer).execute(&mut system, &RoundSchedule::Sequential);
+        assert_eq!(round.nr_stolen(), 3);
     }
 
     #[test]

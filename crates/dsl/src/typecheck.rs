@@ -14,7 +14,7 @@ pub enum ExprType {
 }
 
 /// Infers the type of `expr`, rejecting ill-typed operands.
-pub fn type_of(expr: &Expr) -> Result<ExprType, DslError> {
+fn type_of(expr: &Expr) -> Result<ExprType, DslError> {
     match expr {
         Expr::Int(_) | Expr::Field(_, _) => Ok(ExprType::Int),
         Expr::Binary(op, lhs, rhs) => {

@@ -866,7 +866,7 @@ impl Shared {
             &self.cores[me],
             &self.cores[victim.id.0],
             self.policy.filter.as_ref(),
-            self.policy.steal.plan(&self.policy, &own, &victim).count,
+            self.policy.steal.plan(&self.policy, &own, &victim, 1).count,
             Some(recorder),
         ) {
             StealOutcome::Stole { victim, tasks } => {

@@ -4,11 +4,11 @@
 //! crate hand-rolls exactly the JSON the harness needs — and, crucially, it
 //! holds **both directions in one place**: the writer the `experiments
 //! --json` runner emits `BENCH_results.json` with ([`JsonValue`]) and the
-//! reader the `xtask bench-diff` regression gate parses it back with
-//! ([`parse`]).  Keeping encoder and decoder in a single crate means the
-//! gate and the runner can never disagree on encoding details (escaping,
-//! float formatting, nesting) — the round-trip is pinned by tests here
-//! rather than by two hand-rolled implementations drifting apart.
+//! reader the records contract (`sched_bench::compare_records`) parses it
+//! back with ([`parse`]).  Keeping encoder and decoder in a single crate
+//! means the two can never disagree on encoding details (escaping, float
+//! formatting, nesting) — the round-trip is pinned by tests here rather
+//! than by two hand-rolled implementations drifting apart.
 
 pub mod read;
 pub mod write;
@@ -18,9 +18,8 @@ pub use write::{object, JsonValue};
 
 /// Schema version of the `BENCH_results.json` document.
 ///
-/// Lives here — next to the codec both the writer (`sched-bench`) and the
-/// gate (`xtask bench-diff`) share — so the two sides can never disagree
-/// about what a version means.
+/// Lives here, next to the codec the records are written and read with, so
+/// the two sides can never disagree about what a version means.
 ///
 /// * v2: per-level steal counts, `remote_steal_rate`, per-node idle.
 /// * v3: per-record `tracker` (load criterion).
@@ -44,8 +43,8 @@ pub use write::{object, JsonValue};
 /// * v8: per-record `e2e_p99_us` and `e2e_p999_us` — measured wall-clock
 ///   end-to-end request latency (submit to completion) on the real
 ///   work-stealing executor under open-loop arrivals (the E26 ladder; the
-///   gate's absolute `--p99-ceiling-us` applies to both).  `null` on
-///   every backend except `exec`.
+///   records contract's absolute `P99_CEILING_US` applies to both).
+///   `null` on every backend except `exec`.
 /// * v9: no key added or removed — what changed is what the records of a
 ///   policy whose step 3 moves more than one thread mean.  Every backend
 ///   now sizes its steals with the policy's own `StealRule::plan`, so the
@@ -54,18 +53,6 @@ pub use write::{object, JsonValue};
 ///   the `model` record always was one), and the `.scn` `batch` clause is
 ///   sugar for that step.
 pub const SCHEMA_VERSION: i64 = 9;
-
-/// The identity of one `BENCH_results.json` record.
-///
-/// Both sides of the pipeline key records the same way: the `sched-bench`
-/// tests name committed records with it, and the `xtask bench-diff` gate pairs
-/// baseline and current runs (and rejects duplicate keys) with it.  Living
-/// here, next to the codec, the two ends can never drift apart on what
-/// makes a record unique.
-#[must_use]
-pub fn record_key(experiment: &str, scenario: &str, backend: &str) -> String {
-    format!("{experiment} | {scenario} | {backend}")
-}
 
 #[cfg(test)]
 mod tests {

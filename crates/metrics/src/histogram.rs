@@ -34,7 +34,7 @@ impl Histogram {
     }
 
     /// Index of the bucket `value` falls into.
-    pub fn bucket_of(value: u64) -> usize {
+    fn bucket_of(value: u64) -> usize {
         (64 - value.leading_zeros()).saturating_sub(1) as usize
     }
 

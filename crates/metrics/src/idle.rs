@@ -66,11 +66,6 @@ impl IdleAccounting {
         self.idle_violating.iter().sum()
     }
 
-    /// Violating idle time of one core.
-    pub fn idle_violating(&self, core: usize) -> u64 {
-        self.idle_violating[core]
-    }
-
     /// Busy time of one core.
     pub fn busy(&self, core: usize) -> u64 {
         self.busy[core]
@@ -121,7 +116,7 @@ mod tests {
         assert_eq!(acc.total_idle_benign(), 10);
         assert_eq!(acc.total_idle_violating(), 5);
         assert_eq!(acc.busy(0), 10);
-        assert_eq!(acc.idle_violating(1), 5);
+        assert_eq!(acc.idle_violating[1], 5);
     }
 
     #[test]

@@ -290,7 +290,7 @@ impl<B: RqBackend> MultiQueue<B> {
         let thief_snap = self.cores[thief.0].snapshot();
         let victim =
             policy.select(&thief_snap, self.cores.iter().map(B::snapshot), &mut Vec::new())?;
-        Some((victim.id, step.plan(policy, &thief_snap, &victim).count))
+        Some((victim.id, step.plan(policy, &thief_snap, &victim, 1).count))
     }
 
     /// Stealing phase of one operation, the only one there is: claims up to
@@ -420,7 +420,7 @@ impl<Q: TaskQueue + 'static> MultiQueue<PerCoreRq<Q>> {
         // single-threaded use, and under concurrency the re-check still
         // protects correctness.
         let sized =
-            victim.map(|v| (v.id, policy.steal.plan(policy, &snapshots[thief.0], &v).count));
+            victim.map(|v| (v.id, policy.steal.plan(policy, &snapshots[thief.0], &v, 1).count));
         self.steal(thief, sized, policy, None)
     }
 }
@@ -714,19 +714,19 @@ mod tests {
             injected: 0,
         };
         let idle = snap(0, 0);
-        assert_eq!(StealRule::One.plan(&policy, &idle, &snap(1, 9)).count, 1);
-        assert_eq!(StealRule::Fixed(4).plan(&policy, &idle, &snap(1, 9)).count, 4);
-        assert_eq!(StealRule::Fixed(0).plan(&policy, &idle, &snap(1, 9)).count, 1, "clamped");
-        assert_eq!(StealRule::HalfImbalance.plan(&policy, &idle, &snap(1, 9)).count, 4);
-        assert_eq!(StealRule::HalfImbalance.plan(&policy, &snap(0, 3), &snap(1, 9)).count, 3);
+        assert_eq!(StealRule::One.plan(&policy, &idle, &snap(1, 9), 1).count, 1);
+        assert_eq!(StealRule::Fixed(4).plan(&policy, &idle, &snap(1, 9), 1).count, 4);
+        assert_eq!(StealRule::Fixed(0).plan(&policy, &idle, &snap(1, 9), 1).count, 1, "clamped");
+        assert_eq!(StealRule::HalfImbalance.plan(&policy, &idle, &snap(1, 9), 1).count, 4);
+        assert_eq!(StealRule::HalfImbalance.plan(&policy, &snap(0, 3), &snap(1, 9), 1).count, 3);
         assert_eq!(
-            StealRule::HalfImbalance.plan(&policy, &snap(0, 2), &snap(1, 3)).count,
+            StealRule::HalfImbalance.plan(&policy, &snap(0, 2), &snap(1, 3), 1).count,
             1,
             "≥ 1"
         );
         // Weighted policies size in nice-0 units.
         let weighted = Policy::weighted();
-        assert_eq!(StealRule::HalfImbalance.plan(&weighted, &idle, &snap(1, 8)).count, 4);
+        assert_eq!(StealRule::HalfImbalance.plan(&weighted, &idle, &snap(1, 8), 1).count, 4);
     }
 
     #[test]

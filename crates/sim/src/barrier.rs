@@ -36,11 +36,6 @@ impl SimBarrier {
             None
         }
     }
-
-    /// Number of threads currently waiting.
-    pub fn nr_waiting(&self) -> usize {
-        self.waiting.len()
-    }
 }
 
 #[cfg(test)]
@@ -52,10 +47,10 @@ mod tests {
         let mut b = SimBarrier::new(0, 3);
         assert!(b.arrive(SimThreadId(0)).is_none());
         assert!(b.arrive(SimThreadId(1)).is_none());
-        assert_eq!(b.nr_waiting(), 2);
+        assert_eq!(b.waiting.len(), 2);
         let released = b.arrive(SimThreadId(2)).unwrap();
         assert_eq!(released.len(), 3);
-        assert_eq!(b.nr_waiting(), 0, "the barrier resets for the next iteration");
+        assert!(b.waiting.is_empty(), "the barrier resets for the next iteration");
     }
 
     #[test]

@@ -47,13 +47,6 @@ impl SimConfig {
         SimConfig { nr_cores, ..Default::default() }
     }
 
-    /// Overrides the balancing period.
-    pub fn balance_period(mut self, ns: u64) -> Self {
-        assert!(ns > 0, "the balancing period must be positive");
-        self.balance_period_ns = ns;
-        self
-    }
-
     /// Overrides the preemption timeslice.
     pub fn timeslice(mut self, ns: u64) -> Self {
         assert!(ns > 0, "the timeslice must be positive");
@@ -95,8 +88,7 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let c = SimConfig::with_cores(64)
-            .balance_period(8_000_000)
+        let c = SimConfig { balance_period_ns: 8_000_000, ..SimConfig::with_cores(64) }
             .timeslice(500_000)
             .horizon(1)
             .with_ordering(OrderingPolicy::Seeded(9))
@@ -107,11 +99,5 @@ mod tests {
         assert_eq!(c.horizon_ns, 1);
         assert_eq!(c.ordering, OrderingPolicy::Seeded(9));
         assert_eq!(c.event_budget, Some(100));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_period_is_rejected() {
-        let _ = SimConfig::default().balance_period(0);
     }
 }

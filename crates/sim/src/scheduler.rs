@@ -73,8 +73,8 @@ fn trace_steal(
 /// later cores can be stale and their steals can fail, exactly the optimism
 /// of the model — then each planned steal re-checks the filter against the
 /// live queues before migrating (Listing 1 line 12) as many threads as the
-/// policy's step 3 plans from the same live observations, as the model's
-/// balancer does.
+/// policy's step 3 plans from the same live observations and the planned
+/// thieves of that victim still to come, as the model's round does.
 fn balance_pass(
     policy: &Policy,
     topo: Option<&MachineTopology>,
@@ -85,13 +85,18 @@ fn balance_pass(
     let snapshots = queues.snapshots(threads);
     let mut candidates = Vec::new();
     let mut plans: Vec<(CoreId, CoreId)> = Vec::new();
+    // Per victim, the planned thieves that have not stolen yet: step 3's `r`.
+    let mut contenders = vec![0usize; snapshots.len()];
     for thief in &snapshots {
         if let Some(victim) = policy.select(thief, snapshots.iter().copied(), &mut candidates) {
             plans.push((thief.id, victim.id));
+            contenders[victim.id.0] += 1;
         }
     }
     let mut stats = FoldedStats::default();
     for (thief, victim) in plans {
+        let r = contenders[victim.0];
+        contenders[victim.0] -= 1;
         let live_thief = queues.snapshot(thief, threads);
         let live_victim = queues.snapshot(victim, threads);
         let (mut k, mut moved) = (1, Vec::new());
@@ -99,7 +104,7 @@ fn balance_pass(
             // Step 3: the planned number of waiting threads, newest first or
             // lightest first (newest among equals) as the rule asks, capped
             // by the live queue (§4.2, "does not steal too much").
-            let plan = policy.steal.plan(policy, &live_thief, &live_victim);
+            let plan = policy.steal.plan(policy, &live_thief, &live_victim, r);
             let live = queues.core(victim);
             let take = plan.take(live.ready.len(), live.current.is_some());
             k = plan.count;

@@ -49,11 +49,6 @@ impl CpuInfo {
     pub fn shares_llc_with(&self, other: &CpuInfo) -> bool {
         self.socket == other.socket && self.llc == other.llc
     }
-
-    /// Returns `true` if `other` is on the same NUMA node as this CPU.
-    pub fn shares_node_with(&self, other: &CpuInfo) -> bool {
-        self.node == other.node
-    }
 }
 
 #[cfg(test)]
@@ -92,12 +87,5 @@ mod tests {
         let mut b = cpu(1, 0, 0, 0, 0);
         b.physical_core = 0;
         assert!(a.is_smt_sibling_of(&b));
-    }
-
-    #[test]
-    fn node_sharing() {
-        let a = cpu(0, 0, 0, 0, 0);
-        let b = cpu(1, 0, 0, 1, 1);
-        assert!(a.shares_node_with(&b));
     }
 }

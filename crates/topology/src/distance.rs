@@ -60,21 +60,6 @@ impl DistanceMatrix {
         assert!(a.0 < self.nr_nodes && b.0 < self.nr_nodes, "node out of range");
         self.distances[a.0 * self.nr_nodes + b.0]
     }
-
-    /// Overrides the distance between `a` and `b` (symmetrically).
-    pub fn set_distance(&mut self, a: NodeId, b: NodeId, distance: u32) {
-        assert!(a.0 < self.nr_nodes && b.0 < self.nr_nodes, "node out of range");
-        self.distances[a.0 * self.nr_nodes + b.0] = distance;
-        self.distances[b.0 * self.nr_nodes + a.0] = distance;
-    }
-
-    /// Nodes sorted by distance from `from`, nearest first (excluding `from`).
-    pub fn nodes_by_distance(&self, from: NodeId) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> =
-            (0..self.nr_nodes).filter(|&n| n != from.0).map(NodeId).collect();
-        nodes.sort_by_key(|&n| self.distance(from, n));
-        nodes
-    }
 }
 
 #[cfg(test)]
@@ -103,21 +88,6 @@ mod tests {
         assert_eq!(m.distance(NodeId(0), NodeId(1)), 20);
         assert_eq!(m.distance(NodeId(0), NodeId(2)), 30);
         assert_eq!(m.distance(NodeId(0), NodeId(3)), 20);
-    }
-
-    #[test]
-    fn nodes_by_distance_orders_nearest_first() {
-        let m = DistanceMatrix::ring(4);
-        let order = m.nodes_by_distance(NodeId(0));
-        assert_eq!(order.len(), 3);
-        assert_eq!(*order.last().unwrap(), NodeId(2));
-    }
-
-    #[test]
-    fn set_distance_is_symmetric() {
-        let mut m = DistanceMatrix::flat(2);
-        m.set_distance(NodeId(0), NodeId(1), 42);
-        assert_eq!(m.distance(NodeId(1), NodeId(0)), 42);
     }
 
     #[test]

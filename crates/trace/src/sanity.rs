@@ -177,7 +177,7 @@ impl SanityChecker {
     /// the first [`SanityChecker::observe`]); nonzero suppresses the
     /// conservation checks, which would otherwise blame the scheduler for
     /// the recorder's blind spot.
-    pub fn set_dropped(&mut self, dropped: u64) {
+    fn set_dropped(&mut self, dropped: u64) {
         self.dropped = dropped;
     }
 

@@ -134,7 +134,7 @@ fn explore_adversarial(
             }
             for victim in candidates {
                 let mut branch = system.clone();
-                let _ = balancer.steal(&mut branch, step.core, victim);
+                let _ = balancer.steal(&mut branch, step.core, victim, 1);
                 explore_adversarial(balancer, branch, steps, idx + 1, pending, out);
             }
         }

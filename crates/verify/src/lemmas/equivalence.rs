@@ -72,8 +72,8 @@ pub fn check_equivalence(spec: &Policy, imp: &Policy, scope: &Scope) -> LemmaRep
                 let (a, b) = (spec_victim.map(|v| v.id.0), imp_victim.map(|v| v.id.0));
                 ("step 2, the chosen victim", format!("{a:?}"), format!("{b:?}"))
             } else if let Some(victim) = spec_victim {
-                let a = spec.steal.plan(spec, thief, &victim);
-                let b = imp.steal.plan(imp, thief, &victim);
+                let a = spec.steal.plan(spec, thief, &victim, 1);
+                let b = imp.steal.plan(imp, thief, &victim, 1);
                 if a == b {
                     continue;
                 }

@@ -7,7 +7,7 @@
 //! | [`seq_wc`] | §4.2 | Under sequential (non-overlapping) rounds, the system becomes work-conserving within a bounded number of rounds. |
 //! | [`failure`] | §4.3, property P1 | A failed stealing attempt implies that a concurrent stealing attempt by another core succeeded in between, touching the failed attempt's victim or thief. |
 //! | [`potential`] | §4.3, property P2 | Every successful steal strictly decreases the pairwise absolute load difference `d`. |
-//! | [`steal_size`] | §4.2, §4.3 P2 | The one step-3 sizing every substrate calls sizes at least one thread, never the victim's last, and — for half the imbalance — never inverts the pair. |
+//! | [`steal_size`] | §4.2, §4.3 P2 | The one step-3 sizing every substrate calls sizes at least one thread, never the victim's last, and — for half the imbalance — never inverts the pair, for any contender count `r` and for `r` thieves stealing in turn from the live victim (sizing from the round's snapshot is refuted). |
 //! | [`equivalence`] | §1 (one DSL text, compiled to proof and code) | Two policies balance the same load view, build the same candidate list, choose the same victim and size the same steal from every state of the scope, for every thief. |
 //! | [`decay`] | §3.1 ("no assumption on the criteria") | A steady tracked load converges geometrically to the instantaneous load, and balancing on any monotone tracker preserves work conservation given settling ticks. |
 //!
@@ -30,5 +30,5 @@ pub use failure::check_failure_implies_concurrent_success;
 pub use lemma1::check_lemma1;
 pub use potential::check_potential_decreases;
 pub use seq_wc::check_sequential_work_conservation;
-pub use steal_size::check_steal_sizing;
+pub use steal_size::{check_contended_steals, check_steal_sizing, Sizing};
 pub use steal_sound::check_steal_soundness;

@@ -21,7 +21,7 @@ pub fn check_potential_decreases(balancer: &Balancer, scope: &Scope) -> LemmaRep
         instances += 1;
         let loads = working.loads(LoadMetric::NrThreads);
         let before = potential(&working, metric);
-        let outcome = balancer.steal(&mut working, thief, victim);
+        let outcome = balancer.steal(&mut working, thief, victim, 1);
         if !matches!(outcome, StealOutcome::Stole { .. }) {
             // Soundness violations are reported by the steal soundness
             // lemma; the potential lemma only constrains successful steals.

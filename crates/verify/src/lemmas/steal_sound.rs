@@ -27,7 +27,7 @@ pub fn check_steal_soundness(balancer: &Balancer, scope: &Scope) -> LemmaReport 
         let loads = working.loads(LoadMetric::NrThreads);
         let total_before = working.total_threads();
         let thief_before = working.core(thief).nr_threads();
-        let outcome = balancer.steal(&mut working, thief, victim);
+        let outcome = balancer.steal(&mut working, thief, victim, 1);
 
         let broken = if !outcome.is_success() {
             "a steal whose filter holds on the live state failed"

@@ -13,7 +13,7 @@ pub enum Phase {
 
 impl Phase {
     /// Returns the CPU time this phase consumes.
-    pub fn cpu_ns(&self) -> u64 {
+    fn cpu_ns(&self) -> u64 {
         match self {
             Phase::Compute(ns) => *ns,
             _ => 0,

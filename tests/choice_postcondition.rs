@@ -8,7 +8,8 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use optimistic_sched::core::{
-    Balancer, ChoicePolicy, CoreId, CoreSnapshot, Policy, StealOutcome, SystemState, Weight,
+    Balancer, ChoicePolicy, ConcurrentRound, CoreId, CoreSnapshot, Policy, RoundSchedule,
+    StealOutcome, SystemState, Weight,
 };
 use optimistic_sched::rq::{BalanceStats, DequeRq, FifoQueue, MultiQueue, PerCoreRq, RqBackend};
 use optimistic_sched::sim::{
@@ -57,7 +58,8 @@ impl ChoicePolicy for Rogue {
 fn on_the_model(policy: Policy) {
     let mut system = SystemState::from_loads(&LOADS);
     let balancer = Balancer::new(policy);
-    for attempt in balancer.run_round_sequential(&mut system).attempts {
+    let round = ConcurrentRound::new(&balancer).execute(&mut system, &RoundSchedule::Sequential);
+    for attempt in round.attempts {
         assert_eq!(attempt.chosen.is_some(), !attempt.candidates.is_empty());
         assert!(attempt.chosen.is_none_or(|victim| attempt.candidates.contains(&victim)));
     }

@@ -126,7 +126,8 @@ fn a_half_step_on_tracked_thread_counts_moves_the_same_number_everywhere() {
     let mut system = SystemState::from_loads(&[0, 7]);
     system.tick(warm, policy().tracker.as_ref());
     assert_eq!(system.loads(LoadMetric::Tracked), vec![0, 7]);
-    let model = Balancer::new(policy()).balance_core(&mut system, CoreId(0), 0);
+    let balancer = Balancer::new(policy());
+    let model = ConcurrentRound::new(&balancer).execute(&mut system, &RoundSchedule::Sequential);
 
     // The lock-free runqueues, warmed the same way.
     let mq: MultiQueue<DequeRq> = MultiQueue::with_tracker(2, Arc::clone(&policy().tracker));
@@ -150,7 +151,7 @@ fn a_half_step_on_tracked_thread_counts_moves_the_same_number_everywhere() {
     queues.touch(CoreId(1), 0, &NrThreadsTracker, &threads);
     let sim = OptimisticScheduler::new(policy()).balance_round(&mut queues, &threads);
 
-    assert_eq!(model.outcome.nr_stolen(), 3, "model");
+    assert_eq!(model.nr_stolen(), 3, "model");
     assert_eq!(rq.nr_stolen(), 3, "MultiQueue<DequeRq>");
     assert_eq!((sim.successes, sim.migrations), (1, 3), "simulator");
 }

@@ -79,7 +79,7 @@ proptest! {
                 }
                 let mut working = system.clone();
                 let before = potential(&working, LoadMetric::NrThreads);
-                let outcome = balancer.steal(&mut working, thief, victim);
+                let outcome = balancer.steal(&mut working, thief, victim, 1);
                 prop_assert!(outcome.is_success());
                 prop_assert!(potential(&working, LoadMetric::NrThreads) < before);
             }
@@ -120,7 +120,8 @@ proptest! {
         };
         let balancer = Balancer::new(policy);
         let mut system = SystemState::from_loads(&loads);
-        let report = balancer.run_round_sequential(&mut system);
+        let report =
+            ConcurrentRound::new(&balancer).execute(&mut system, &RoundSchedule::Sequential);
         for attempt in report.successes() {
             let victim = attempt.outcome.victim().unwrap();
             prop_assert!(!system.core(victim).is_idle());

@@ -59,6 +59,11 @@ impl ChoicePolicy for MaxLoadChoice {
             .map(|c| c.id)
     }
 
+    /// Over thread counts the ordering above is the claim itself.
+    fn picks_most_threads(&self) -> bool {
+        self.metric == LoadMetric::NrThreads
+    }
+
     fn name(&self) -> &'static str {
         "max_load"
     }
@@ -199,6 +204,8 @@ mod tests {
             MaxLoadChoice::new(LoadMetric::NrThreads).choose(&thief, &cands),
             Some(CoreId(2))
         );
+        assert!(MaxLoadChoice::new(LoadMetric::NrThreads).picks_most_threads());
+        assert!(!MaxLoadChoice::new(LoadMetric::Weighted).picks_most_threads());
     }
 
     #[test]

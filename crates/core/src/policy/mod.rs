@@ -56,6 +56,21 @@ pub trait FilterPolicy: Send + Sync {
     /// (possibly stale) observations.
     fn can_steal(&self, thief: &CoreSnapshot, victim: &CoreSnapshot) -> bool;
 
+    /// Step 1's index claim, off by default.  `Some(δ)` claims "I admit
+    /// exactly the victims whose `nr_threads` is at least the thief's plus
+    /// δ", whatever else the snapshots say.  With
+    /// [`ChoicePolicy::picks_most_threads`] it licenses a substrate to
+    /// select from a count index instead of calling
+    /// [`FilterPolicy::can_steal`] on every pair ([`Policy::index_threshold`]).
+    ///
+    /// A claim is a proof obligation, not a hint: `sched-verify`'s
+    /// `lemmas::indexed_select` checks every claimant against
+    /// [`Policy::select`], and an implementation that claims must be on
+    /// that lemma's pinned list of claimants.
+    fn count_threshold(&self) -> Option<u64> {
+        None
+    }
+
     /// Human-readable name used in reports and experiment tables.
     fn name(&self) -> &'static str;
 }
@@ -86,6 +101,14 @@ pub trait ChoicePolicy: Send + Sync {
     /// implementations.
     fn observe(&self, thief: CoreId, victim: CoreId, success: bool) {
         let _ = (thief, victim, success);
+    }
+
+    /// Step 2's index claim, off by default.  `true` claims "on snapshots
+    /// with `injected == 0`, I pick the candidate with the most threads,
+    /// the lowest id among equals".  See [`FilterPolicy::count_threshold`]
+    /// for what the claim licenses and how it is proven.
+    fn picks_most_threads(&self) -> bool {
+        false
     }
 
     /// Places a waking task: picks the core a wakeup should land on, given
@@ -271,6 +294,17 @@ impl Policy {
         candidates.iter().find(|c| Some(c.id) == answer).or(candidates.first()).copied()
     }
 
+    /// The δ of an indexed selection, when both selection steps claim one:
+    /// the filter [`FilterPolicy::count_threshold`] and the choice
+    /// [`ChoicePolicy::picks_most_threads`].  Then, on snapshots with
+    /// `injected == 0`, [`Policy::select`] answers the first core of the
+    /// highest thread count if that count is at least the thief's plus δ,
+    /// and nothing otherwise — an answer a substrate can read off a count
+    /// index.  `None` when either step makes no claim: scan.
+    pub fn index_threshold(&self) -> Option<u64> {
+        self.filter.count_threshold().filter(|_| self.choice.picks_most_threads())
+    }
+
     /// A compact `filter/choice/steal` description for reports.
     pub fn describe(&self) -> String {
         format!("{}/{}/{}", self.filter.name(), self.choice.name(), self.steal.name())
@@ -329,6 +363,19 @@ mod tests {
         assert_eq!(ids(&candidates), [1]);
         assert_eq!(policy.select(thief, std::iter::empty(), &mut candidates), None);
         assert!(candidates.is_empty());
+    }
+
+    #[test]
+    fn only_listing1_shaped_recipes_claim_the_index() {
+        assert_eq!(Policy::simple().index_threshold(), Some(2));
+        for policy in [
+            Policy::greedy(),
+            Policy::weighted(),
+            Policy::pelt(8_000_000),
+            Policy::simple().with_choice(Box::new(FirstChoice)),
+        ] {
+            assert_eq!(policy.index_threshold(), None, "{}", policy.describe());
+        }
     }
 
     #[test]

@@ -54,6 +54,11 @@ impl FilterPolicy for DeltaFilter {
         victim_load >= thief_load + self.threshold
     }
 
+    /// Over thread counts the comparison above is the claim itself.
+    fn count_threshold(&self) -> Option<u64> {
+        (self.metric == LoadMetric::NrThreads).then_some(self.threshold)
+    }
+
     fn name(&self) -> &'static str {
         "delta_filter"
     }
@@ -130,5 +135,8 @@ mod tests {
         assert_eq!(f.metric(), LoadMetric::NrThreads);
         assert_eq!(f.threshold(), 2);
         assert_eq!(f.name(), "delta_filter");
+        assert_eq!(f.count_threshold(), Some(2));
+        assert_eq!(DeltaFilter::new(LoadMetric::Weighted, 2048).count_threshold(), None);
+        assert_eq!(DeltaFilter::new(LoadMetric::Tracked, 2).count_threshold(), None);
     }
 }

@@ -46,12 +46,26 @@ const LEVEL_DELTAS: [u64; 4] = [2, 2, 2, 4];
 pub struct TopologyAwareChoice {
     topo: Arc<MachineTopology>,
     metric: LoadMetric,
+    /// Every pair of distinct cores of `topo` shares one steal level, so
+    /// the search has one level and its best is the answer.
+    one_level: bool,
 }
 
 impl TopologyAwareChoice {
     /// Creates the policy for `topo`, measuring loads in `metric`.
+    ///
+    /// Checks once whether every pair of distinct cores shares one steal
+    /// level (a flat machine): then there is one level to search, and over
+    /// thread counts the choice makes the index claim
+    /// ([`ChoicePolicy::picks_most_threads`]).
     pub fn new(topo: Arc<MachineTopology>, metric: LoadMetric) -> Self {
-        TopologyAwareChoice { topo, metric }
+        let cpus = topo.cpus();
+        let level = |a: usize, b: usize| topo.steal_level(cpus[a].id, cpus[b].id);
+        let one_level = cpus.len() < 2 || {
+            let first = level(0, 1);
+            (0..cpus.len()).all(|a| (0..cpus.len()).all(|b| a == b || level(a, b) == first))
+        };
+        TopologyAwareChoice { topo, metric, one_level }
     }
 }
 
@@ -123,6 +137,14 @@ impl ChoicePolicy for TopologyAwareChoice {
             keep_min(&mut quietest, c);
         }
         idle_at.into_iter().flatten().next().or(quietest).map(|(_, id)| CoreId(id))
+    }
+
+    /// With one level the search above keeps a single best — deepest
+    /// injector, then most loaded, then lowest id — and returns it whether
+    /// or not it meets the level's threshold: on snapshots with
+    /// `injected == 0`, the most threads, lowest id among equals.
+    fn picks_most_threads(&self) -> bool {
+        self.one_level && self.metric == LoadMetric::NrThreads
     }
 
     fn name(&self) -> &'static str {
@@ -344,6 +366,19 @@ mod tests {
         let candidates = [mk(1, 0, 700), mk(2, 0, 3)];
         assert_eq!(FirstChoice.place_wakeup(CoreId(0), &candidates), Some(CoreId(2)));
         assert_eq!(FirstChoice.place_wakeup(CoreId(0), &[]), None);
+    }
+
+    #[test]
+    fn only_a_one_level_machine_claims_the_index() {
+        let flat = |n| Arc::new(TopologyBuilder::new().sockets(1).cores_per_socket(n).build());
+        for n in [1, 2, 64] {
+            let choice = TopologyAwareChoice::new(flat(n), LoadMetric::NrThreads);
+            assert!(choice.picks_most_threads(), "flat({n})");
+        }
+        assert!(!TopologyAwareChoice::new(flat(64), LoadMetric::Weighted).picks_most_threads());
+        assert!(!TopologyAwareChoice::new(rich_topo(), LoadMetric::NrThreads).picks_most_threads());
+        let two_nodes = Arc::new(TopologyBuilder::new().sockets(2).cores_per_socket(2).build());
+        assert!(!TopologyAwareChoice::new(two_nodes, LoadMetric::NrThreads).picks_most_threads());
     }
 
     #[test]

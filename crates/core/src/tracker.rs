@@ -103,6 +103,11 @@ pub fn decay_scaled(scaled: u64, elapsed_ns: u64, half_life_ns: u64) -> u64 {
 /// instantaneous load never yields a smaller tracked value, which is what
 /// the work-conservation lemma for tracked policies relies on (see
 /// `sched-verify`'s decay lemmas).
+///
+/// [`LoadTracker::view`], [`LoadTracker::base`] and
+/// [`LoadTracker::is_decayed`] are constants of the tracker: every call
+/// returns the same answer, so a substrate may read them once, when it is
+/// built, and never again (the simulator's machine does).
 pub trait LoadTracker: Send + Sync + std::fmt::Debug {
     /// The snapshot view the balancing steps read under this criterion.
     ///

@@ -62,7 +62,7 @@ impl Upkeep for Eager {
     fn on_balance(m: &mut Engine<'_>) {
         // Decay every tracked load to the present before the selection
         // phase reads it, and refresh after the migrations settle.
-        m.queues.touch_all(m.now, m.tracker.as_ref(), &m.threads);
+        m.touch_all();
         m.balance_round();
         // Any core that received work while idle starts running it now
         // (elect_next also refreshes each core's tracked load).

@@ -129,7 +129,7 @@ impl Upkeep for Lazy {
     /// Replays the balance-grid tracker folds `core` missed while it was off
     /// the calendar.
     fn before_change(m: &mut EventEngine<'_>, core: CoreId) {
-        m.queues.catch_up(core, m.now, m.config.balance_period_ns, m.tracker.as_ref(), &m.threads);
+        m.catch_up(core);
     }
 
     fn after_change(m: &mut EventEngine<'_>, core: CoreId) {

@@ -33,12 +33,20 @@
 //! completion, and a completion whose tie is not the live one is stale and
 //! ignored.  The check is exact: ties never repeat within a run.
 //!
+//! The machine reads its tracker's constants — [`LoadTracker::base`] and
+//! [`LoadTracker::is_decayed`] — once, when it is built; no queue change
+//! asks the tracker again, and under an instantaneous tracker no queue
+//! change replays missed folds ([`CoreQueues::catch_up`]).  A preemption is
+//! one [`CoreQueues::rotate`] and an election one
+//! [`CoreQueues::promote`]: neither changes a core's count, so neither
+//! touches the count index the scheduler selects from.
+//!
 //! [`OrderingPolicy`]: crate::event::OrderingPolicy
 
 use std::sync::Arc;
 
 use sched_core::tracker::LoadTracker;
-use sched_core::{CoreId, Nice, TaskId};
+use sched_core::{CoreId, LoadMetric, Nice, TaskId};
 use sched_metrics::{Histogram, IdleAccounting};
 use sched_topology::MachineTopology;
 use sched_trace::{FoldedStats, TraceEvent, TraceSink};
@@ -107,7 +115,12 @@ pub struct Machine<'w, U: Upkeep> {
     scheduler: Box<dyn SimScheduler>,
     /// The scheduler's load criterion: every run, sleep and wakeup event is
     /// folded into the per-core tracked averages under it.
-    pub(crate) tracker: Arc<dyn LoadTracker>,
+    tracker: Arc<dyn LoadTracker>,
+    /// The tracker's base metric, read once.
+    base: LoadMetric,
+    /// Whether the tracker decays, read once: only then does a core that
+    /// was off the calendar replay the folds it missed.
+    decayed: bool,
     pub(crate) now: u64,
     pub(crate) idle: IdleAccounting,
     latency: Histogram,
@@ -162,6 +175,7 @@ impl<'w, U: Upkeep> Machine<'w, U> {
             events.push(spec.arrival_ns, EventKind::Arrival(SimThreadId(i)));
         }
         let upkeep = U::new(nr_cores, &config, &mut events);
+        let tracker = scheduler.tracker();
 
         Machine {
             idle: IdleAccounting::new(nr_cores),
@@ -172,7 +186,9 @@ impl<'w, U: Upkeep> Machine<'w, U> {
             threads,
             barriers,
             events,
-            tracker: scheduler.tracker(),
+            base: tracker.base(),
+            decayed: tracker.is_decayed(),
+            tracker,
             scheduler,
             now: 0,
             finished_count: 0,
@@ -261,7 +277,22 @@ impl<'w, U: Upkeep> Machine<'w, U> {
     /// at the present simulation time.  Called after every queue mutation,
     /// so decayed criteria see each run/sleep/wakeup transition.
     pub(crate) fn touch(&mut self, core: CoreId) {
-        self.queues.touch(core, self.now, self.tracker.as_ref(), &self.threads);
+        self.queues.touch(core, self.now, self.tracker.as_ref(), self.base, &self.threads);
+    }
+
+    /// Brings `core`'s tracked load up to the present before its runqueue
+    /// changes, if the tracker decays ([`CoreQueues::catch_up`]).
+    #[inline]
+    pub(crate) fn catch_up(&mut self, core: CoreId) {
+        if self.decayed {
+            let (tracker, period) = (self.tracker.as_ref(), self.config.balance_period_ns);
+            self.queues.catch_up(core, self.now, period, tracker, self.base, &self.threads);
+        }
+    }
+
+    /// [`CoreQueues::touch_all`]: folds every core at the present.
+    pub(crate) fn touch_all(&mut self) {
+        self.queues.touch_all(self.now, self.tracker.as_ref(), self.base, &self.threads);
     }
 
     fn handle(&mut self, event: Event) {
@@ -357,6 +388,7 @@ impl<'w, U: Upkeep> Machine<'w, U> {
         thread.ready_since = Some(self.now);
         thread.last_core = Some(target);
         if self.queues.core(target).current.is_none() {
+            self.queues.set_current(target, Some(tid));
             self.start_running(target, tid);
         } else {
             self.queues.enqueue(target, tid);
@@ -367,11 +399,10 @@ impl<'w, U: Upkeep> Machine<'w, U> {
         U::on_wakeup(self);
     }
 
-    /// Puts `tid` on `core` and schedules the completion of its compute
-    /// phase.
+    /// Starts `tid`, which the queues have just made `core`'s current
+    /// thread, and schedules the completion of its compute phase.
     fn start_running(&mut self, core: CoreId, tid: SimThreadId) {
-        debug_assert!(self.queues.core(core).current.is_none());
-        self.queues.set_current(core, Some(tid));
+        debug_assert_eq!(self.queues.core(core).current, Some(tid));
         let thread = &mut self.threads[tid.0];
         thread.state = ThreadState::Running;
         thread.running_since = Some(self.now);
@@ -387,10 +418,8 @@ impl<'w, U: Upkeep> Machine<'w, U> {
     /// Elects the oldest waiting thread of `core` if the core is idle, and
     /// folds the core's tracked load.
     pub(crate) fn elect_next(&mut self, core: CoreId) {
-        if self.queues.core(core).current.is_none() {
-            if let Some(next) = self.queues.pop_ready(core) {
-                self.start_running(core, next);
-            }
+        if let Some(next) = self.queues.promote(core) {
+            self.start_running(core, next);
         }
         self.touch(core);
         self.trace_core_state(core);
@@ -420,22 +449,22 @@ impl<'w, U: Upkeep> Machine<'w, U> {
     /// Round-robin preemption: if somebody is waiting on `core`, the running
     /// thread yields the core and requeues at the tail.
     pub(crate) fn preempt(&mut self, core: CoreId) {
-        if let Some(running) = self.queues.core(core).current {
-            if !self.queues.core(core).ready.is_empty() {
-                U::before_change(self, core);
-                let thread = &mut self.threads[running.0];
-                let ran_for =
-                    self.now - thread.running_since.expect("running thread has a start time");
-                thread.remaining_ns = thread.remaining_ns.saturating_sub(ran_for);
-                thread.completion = None;
-                thread.state = ThreadState::Runnable;
-                thread.ready_since = Some(self.now);
-                self.queues.set_current(core, None);
-                self.queues.enqueue(core, running);
-                self.elect_next(core);
-                U::after_change(self, core);
-            }
-        }
+        let c = self.queues.core(core);
+        let Some(running) = c.current.filter(|_| !c.ready.is_empty()) else {
+            return;
+        };
+        U::before_change(self, core);
+        let thread = &mut self.threads[running.0];
+        let ran_for = self.now - thread.running_since.expect("running thread has a start time");
+        thread.remaining_ns = thread.remaining_ns.saturating_sub(ran_for);
+        thread.completion = None;
+        thread.state = ThreadState::Runnable;
+        thread.ready_since = Some(self.now);
+        let next = self.queues.rotate(core).expect("a thread runs and another waits");
+        self.start_running(core, next);
+        self.touch(core);
+        self.trace_core_state(core);
+        U::after_change(self, core);
     }
 
     /// One machine-wide balancing round of the scheduler over the queues as
@@ -509,6 +538,7 @@ mod tests {
         let mut machine =
             Machine::<Eager>::new(SimConfig::with_cores(1), None, &workload, scheduler);
         machine.threads[0].ready_since = Some(machine.now + 1);
+        machine.queues.set_current(CoreId(0), Some(SimThreadId(0)));
         machine.start_running(CoreId(0), SimThreadId(0));
     }
 

@@ -3,10 +3,19 @@
 //! [`CoreQueues`] is the only writer of a core's `current` and `ready` (a
 //! core is handed out by shared reference only), so its dense count array
 //! stays equal to every core's [`SimCore::nr_threads`].  Beside the counts
-//! it keeps, for every count, the set of cores holding it as a bitmap, and
-//! a lower bound of the least count held: wakeup placement
-//! ([`CoreQueues::idlest`]) reads the first core of the least count's set,
-//! ⌈cores / 64⌉ words, instead of scanning every core's count twice.
+//! it keeps, for every count, the set of cores holding it as a bitmap, a
+//! lower bound of the least count held and an upper bound of the highest.
+//! Wakeup placement ([`CoreQueues::idlest`]) reads the first core of the
+//! least count's set, ⌈cores / 64⌉ words, instead of scanning every core's
+//! count twice; an indexed balance pass reads the first core of the highest
+//! count's set ([`CoreQueues::busiest`]) instead of calling the filter on
+//! every pair of cores.
+//!
+//! The two moves the machine makes most keep a core's count, so they touch
+//! neither the counts nor the sets: a preemption is one
+//! [`CoreQueues::rotate`] (the running thread to the tail, the head to
+//! current) and an election one [`CoreQueues::promote`] (the head to
+//! current).
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -66,6 +75,9 @@ pub struct CoreQueues {
     /// A lower bound of the least count any core holds, raised to it by
     /// [`CoreQueues::idlest`].
     least: Cell<u32>,
+    /// An upper bound of the highest count any core holds, lowered to it
+    /// by [`CoreQueues::busiest`].
+    most: Cell<u32>,
     /// When enabled, records every core whose runqueue a mutation touched.
     /// The event engine wraps `balance_round` in it so only cores the
     /// scheduler actually moved work between need settling afterwards.
@@ -106,6 +118,7 @@ impl CoreQueues {
             by_count,
             words,
             least: Cell::new(0),
+            most: Cell::new(0),
             mutation_log: None,
         }
     }
@@ -116,7 +129,8 @@ impl CoreQueues {
     }
 
     /// Moves `core` from its count to `count` in `counts` and `by_count`,
-    /// and lowers `least` to `count` if it is below.
+    /// lowers `least` to `count` if it is below and raises `most` to it if
+    /// it is above.
     fn recount(&mut self, core: usize, count: u32) {
         let from = std::mem::replace(&mut self.counts[core], count);
         let (word, bit) = (core / 64, 1u64 << (core % 64));
@@ -127,6 +141,7 @@ impl CoreQueues {
         }
         self.by_count[at] |= bit;
         self.least.set(self.least.get().min(count));
+        self.most.set(self.most.get().max(count));
     }
 
     /// Starts recording the cores mutated by subsequent queue operations.
@@ -195,6 +210,29 @@ impl CoreQueues {
         }
     }
 
+    /// The most loaded core, the lowest id among equals, and its thread
+    /// count.
+    ///
+    /// Reads the set of the cores at the highest count, lowering the kept
+    /// bound past counts no core holds any more: O(1) amortised, as for
+    /// [`CoreQueues::idlest`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no cores.
+    pub fn busiest(&self) -> (CoreId, u64) {
+        assert!(!self.cores.is_empty(), "a machine has cores");
+        loop {
+            let most = self.most.get();
+            if let Some((word, bits)) =
+                self.holding(most).iter().enumerate().find(|(_, &bits)| bits != 0)
+            {
+                return (self.cores[word * 64 + bits.trailing_zeros() as usize].id, most.into());
+            }
+            self.most.set(most - 1);
+        }
+    }
+
     /// Per-core thread counts.
     pub fn loads(&self) -> Vec<u64> {
         self.cores.iter().map(SimCore::nr_threads).collect()
@@ -219,14 +257,32 @@ impl CoreQueues {
         self.log_mutation(core);
     }
 
-    /// Pops the oldest waiting thread of `core`.
-    pub fn pop_ready(&mut self, core: CoreId) -> Option<SimThreadId> {
-        let popped = self.cores[core.0].ready.pop_front();
-        if popped.is_some() {
-            self.recount(core.0, self.counts[core.0] - 1);
-            self.log_mutation(core);
+    /// Preempts `core`: its running thread goes to the tail of its
+    /// runqueue and the oldest waiting thread becomes current, which is
+    /// returned.  The count does not change.  `None`, and nothing moves,
+    /// unless a thread runs and another waits.
+    pub fn rotate(&mut self, core: CoreId) -> Option<SimThreadId> {
+        let c = &mut self.cores[core.0];
+        let running = c.current?;
+        let next = c.ready.pop_front()?;
+        c.ready.push_back(running);
+        c.current = Some(next);
+        self.log_mutation(core);
+        Some(next)
+    }
+
+    /// Elects on an idle `core`: its oldest waiting thread becomes current,
+    /// and is returned.  The count does not change.  `None`, and nothing
+    /// moves, if a thread runs already or none waits.
+    pub fn promote(&mut self, core: CoreId) -> Option<SimThreadId> {
+        let c = &mut self.cores[core.0];
+        if c.current.is_some() {
+            return None;
         }
-        popped
+        let next = c.ready.pop_front()?;
+        c.current = Some(next);
+        self.log_mutation(core);
+        Some(next)
     }
 
     /// Steals the most recently queued waiting thread of `from` and appends
@@ -249,6 +305,47 @@ impl CoreQueues {
         Some(tid)
     }
 
+    /// Moves the waiting threads of `from` at `picks` to the tail of `to`'s
+    /// runqueue, in the order given, appending their ids to `moved`: what
+    /// [`CoreQueues::migrate_at`] one pick at a time would do, in one pass
+    /// over `from`'s runqueue from the oldest pick on — so taking the
+    /// newest threads costs nothing per thread left behind.  `picks` are
+    /// distinct positions in `from`'s runqueue (oldest first) as it was
+    /// before the first move.
+    pub fn migrate_picks(
+        &mut self,
+        from: CoreId,
+        to: CoreId,
+        picks: &[usize],
+        moved: &mut Vec<SimThreadId>,
+    ) {
+        assert_ne!(from, to, "a core cannot steal from itself");
+        if picks.is_empty() {
+            return;
+        }
+        let first = moved.len();
+        let ready = &mut self.cores[from.0].ready;
+        moved.extend(picks.iter().map(|&i| ready[i]));
+        let mut gone = picks.to_vec();
+        gone.sort_unstable();
+        // Close the gaps from the oldest pick on; nothing before it moves.
+        let oldest = gone[0];
+        let (mut gone, mut kept) = (gone.into_iter().peekable(), oldest);
+        for position in oldest..ready.len() {
+            if gone.next_if_eq(&position).is_none() {
+                ready[kept] = ready[position];
+                kept += 1;
+            }
+        }
+        ready.truncate(kept);
+        self.cores[to.0].ready.extend(&moved[first..]);
+        let taken = picks.len() as u32;
+        self.recount(from.0, self.counts[from.0] - taken);
+        self.recount(to.0, self.counts[to.0] + taken);
+        self.log_mutation(from);
+        self.log_mutation(to);
+    }
+
     /// Weighted load of one core, with weights taken from the thread table.
     pub fn weighted_load(&self, core: CoreId, threads: &[SimThread]) -> u64 {
         let core = &self.cores[core.0];
@@ -256,27 +353,41 @@ impl CoreQueues {
         cur + core.ready.iter().map(|&tid| threads[tid.0].weight().raw()).sum::<u64>()
     }
 
-    /// Folds one core's instantaneous load (under `tracker`'s base metric)
-    /// into its tracked average, as observed at `now_ns`.
+    /// One core's instantaneous load under `base`, a tracker's
+    /// [`LoadTracker::base`].
+    fn instantaneous(&self, core: CoreId, base: LoadMetric, threads: &[SimThread]) -> u64 {
+        match base {
+            LoadMetric::Weighted => self.weighted_load(core, threads),
+            _ => self.cores[core.0].nr_threads(),
+        }
+    }
+
+    /// Folds one core's instantaneous load under `base`, which must be
+    /// `tracker`'s [`LoadTracker::base`] (a constant the caller reads
+    /// once), into its tracked average, as observed at `now_ns`.
     pub fn touch(
         &mut self,
         core: CoreId,
         now_ns: u64,
         tracker: &dyn LoadTracker,
+        base: LoadMetric,
         threads: &[SimThread],
     ) {
-        let inst = match tracker.base() {
-            LoadMetric::Weighted => self.weighted_load(core, threads),
-            _ => self.cores[core.0].nr_threads(),
-        };
+        let inst = self.instantaneous(core, base, threads);
         tracker.update(&mut self.cores[core.0].tracked, now_ns, inst);
     }
 
     /// [`CoreQueues::touch`] for every core — the pre-balance tick that
     /// decays every tracked load to the current time.
-    pub fn touch_all(&mut self, now_ns: u64, tracker: &dyn LoadTracker, threads: &[SimThread]) {
+    pub fn touch_all(
+        &mut self,
+        now_ns: u64,
+        tracker: &dyn LoadTracker,
+        base: LoadMetric,
+        threads: &[SimThread],
+    ) {
         for core in 0..self.cores.len() {
-            self.touch(CoreId(core), now_ns, tracker, threads);
+            self.touch(CoreId(core), now_ns, tracker, base, threads);
         }
     }
 
@@ -292,23 +403,22 @@ impl CoreQueues {
     /// load, so call this *before* mutating the core at `now_ns`.  Once a
     /// fold stops changing the tracked value the remaining folds are
     /// identical, so the replay jumps straight to the last grid point.
+    ///
+    /// Only a decayed tracker ([`LoadTracker::is_decayed`]) needs this: for
+    /// an elapsed-insensitive one, the caller's one fold at `now_ns` is
+    /// identical to folding at every grid point, so the caller skips it.
+    /// `base` is `tracker`'s [`LoadTracker::base`], as for
+    /// [`CoreQueues::touch`].
     pub fn catch_up(
         &mut self,
         core: CoreId,
         now_ns: u64,
         balance_period_ns: u64,
         tracker: &dyn LoadTracker,
+        base: LoadMetric,
         threads: &[SimThread],
     ) {
-        if !tracker.is_decayed() {
-            // Elapsed-insensitive trackers: one fold at `now_ns` (done by
-            // the caller) is identical to folding at every grid point.
-            return;
-        }
-        let inst = match tracker.base() {
-            LoadMetric::Weighted => self.weighted_load(core, threads),
-            _ => self.cores[core.0].nr_threads(),
-        };
+        let inst = self.instantaneous(core, base, threads);
         let last = self.cores[core.0].tracked.last_update_ns;
         let mut grid = (last / balance_period_ns + 1) * balance_period_ns;
         while grid <= now_ns {
@@ -420,6 +530,17 @@ mod tests {
         q.cores()[counts.iter().position(|&n| n == least).expect("the minimum is present")].id
     }
 
+    /// The scan `busiest` replaced: the highest count, then the first core
+    /// holding it.
+    fn oracle_busiest(q: &CoreQueues) -> (CoreId, u64) {
+        let counts: Vec<u64> = q.cores().iter().map(SimCore::nr_threads).collect();
+        let most = counts.iter().copied().max().expect("a machine has cores");
+        (
+            q.cores()[counts.iter().position(|&n| n == most).expect("the maximum is present")].id,
+            most,
+        )
+    }
+
     /// The cores the ops below act on on machines of more than 8 cores:
     /// the ends of every bitmap word of up to 130 cores, so that the least
     /// count moves on machines of 64 and 130 cores too.  Smaller machines
@@ -442,6 +563,7 @@ mod tests {
             assert_eq!(q.holding(level as u32), &expected[..], "the set of count {level}");
         }
         assert!(q.least.get() <= *q.counts.iter().min().expect("a machine has cores"));
+        assert!(q.most.get() >= *q.counts.iter().max().expect("a machine has cores"));
     }
 
     proptest! {
@@ -449,7 +571,7 @@ mod tests {
         fn the_count_array_follows_every_mutation(
             size in 0usize..6,
             fill in 0usize..3,
-            ops in prop::collection::vec((0usize..4, 0usize..8, 0usize..8, 0usize..6), 1..120),
+            ops in prop::collection::vec((0usize..6, 0usize..8, 0usize..8, 0usize..6), 1..120),
         ) {
             let nr_cores = [1, 2, 3, 5, 64, 130][size];
             let on = |k: usize| CoreId(if nr_cores <= EDGES.len() { k } else { EDGES[k] } % nr_cores);
@@ -462,25 +584,37 @@ mod tests {
             }
             assert_count_sets(&q);
             prop_assert_eq!(q.idlest(), oracle_idlest(&q));
+            prop_assert_eq!(q.busiest(), oracle_busiest(&q));
             for (op, a, b, i) in ops {
                 let (a, b) = (on(a), on(b));
                 match op {
                     0 => q.enqueue(a, fresh.next().unwrap()),
                     1 => {
-                        q.pop_ready(a);
+                        if a != b {
+                            let len = q.core(a).ready.len();
+                            let picks: Vec<usize> = (0..len).rev().step_by(1 + i % 3).collect();
+                            q.migrate_picks(a, b, &picks, &mut Vec::new());
+                        }
                     }
                     2 => {
                         if a != b {
                             q.migrate_at(a, b, i);
                         }
                     }
-                    _ => q.set_current(a, (i % 3 != 0).then(|| fresh.next().unwrap())),
+                    3 => q.set_current(a, (i % 3 != 0).then(|| fresh.next().unwrap())),
+                    4 => {
+                        q.rotate(a);
+                    }
+                    _ => {
+                        q.promote(a);
+                    }
                 }
                 for core in q.cores() {
                     prop_assert_eq!(u64::from(q.counts[core.id.0]), core.nr_threads());
                 }
                 assert_count_sets(&q);
                 prop_assert_eq!(q.idlest(), oracle_idlest(&q));
+                prop_assert_eq!(q.busiest(), oracle_busiest(&q));
                 assert_count_sets(&q);
             }
         }
@@ -500,13 +634,43 @@ mod tests {
     }
 
     #[test]
-    fn pop_ready_takes_the_oldest_first() {
-        let mut q = CoreQueues::new(1);
+    fn promote_takes_the_oldest_first() {
+        let mut q = CoreQueues::new(2);
         q.enqueue(CoreId(0), SimThreadId(0));
         q.enqueue(CoreId(0), SimThreadId(1));
-        assert_eq!(q.pop_ready(CoreId(0)), Some(SimThreadId(0)));
-        assert_eq!(q.pop_ready(CoreId(0)), Some(SimThreadId(1)));
-        assert_eq!(q.pop_ready(CoreId(0)), None);
+        assert_eq!(q.promote(CoreId(0)), Some(SimThreadId(0)));
+        assert_eq!(q.promote(CoreId(0)), None, "a thread runs already");
+        assert_eq!(q.core(CoreId(0)).ready, [SimThreadId(1)]);
+        assert_eq!(q.promote(CoreId(1)), None, "nothing waits");
+        assert_eq!(q.loads(), vec![2, 0], "an election keeps the count");
+    }
+
+    #[test]
+    fn rotate_queues_the_preempted_thread_last() {
+        let mut q = CoreQueues::new(1);
+        for tid in 0..3 {
+            q.enqueue(CoreId(0), SimThreadId(tid));
+        }
+        assert_eq!(q.rotate(CoreId(0)), None, "nothing runs yet");
+        q.promote(CoreId(0));
+        assert_eq!(q.rotate(CoreId(0)), Some(SimThreadId(1)));
+        let core = q.core(CoreId(0));
+        assert_eq!(core.current, Some(SimThreadId(1)));
+        assert_eq!(core.ready, [SimThreadId(2), SimThreadId(0)]);
+        assert_eq!(q.loads(), vec![3], "a preemption keeps the count");
+    }
+
+    #[test]
+    fn migrate_picks_moves_the_positions_it_is_given_in_order() {
+        let mut q = CoreQueues::new(2);
+        for tid in 0..5 {
+            q.enqueue(CoreId(0), SimThreadId(tid));
+        }
+        let mut moved = Vec::new();
+        q.migrate_picks(CoreId(0), CoreId(1), &[3, 0, 4, 1], &mut moved);
+        assert_eq!(moved, [3, 0, 4, 1].map(SimThreadId));
+        assert_eq!(q.core(CoreId(0)).ready, [SimThreadId(2)]);
+        assert_eq!(q.core(CoreId(1)).ready, moved);
     }
 
     #[test]
@@ -516,7 +680,7 @@ mod tests {
         q.enqueue(CoreId(2), SimThreadId(1));
         q.enable_mutation_log();
         assert!(q.migrate_newest(CoreId(2), CoreId(0)).is_some());
-        assert!(q.pop_ready(CoreId(0)).is_some());
+        assert!(q.promote(CoreId(0)).is_some());
         assert_eq!(q.drain_mutation_log(), vec![CoreId(0), CoreId(2)]);
         // Draining disables the log again.
         q.enqueue(CoreId(1), SimThreadId(2));
@@ -536,9 +700,10 @@ mod tests {
             let mut eager = CoreQueues::new(1);
             // Seed a non-zero tracked value, then let the queue sit idle.
             eager.set_current(CoreId(0), Some(SimThreadId(0)));
-            eager.touch(CoreId(0), 1_000_000, &tracker, &table);
+            let base = LoadMetric::NrThreads;
+            eager.touch(CoreId(0), 1_000_000, &tracker, base, &table);
             eager.set_current(CoreId(0), None);
-            eager.touch(CoreId(0), 1_500_000, &tracker, &table);
+            eager.touch(CoreId(0), 1_500_000, &tracker, base, &table);
             let mut lazy = eager.clone();
 
             // The tick engine folds at every balance tick (including one
@@ -546,13 +711,13 @@ mod tests {
             // reproduce those folds exactly.
             let mut t = period;
             while t <= wakeup {
-                eager.touch(CoreId(0), t, &tracker, &table);
+                eager.touch(CoreId(0), t, &tracker, base, &table);
                 t += period;
             }
-            eager.touch(CoreId(0), wakeup, &tracker, &table);
+            eager.touch(CoreId(0), wakeup, &tracker, base, &table);
 
-            lazy.catch_up(CoreId(0), wakeup, period, &tracker, &table);
-            lazy.touch(CoreId(0), wakeup, &tracker, &table);
+            lazy.catch_up(CoreId(0), wakeup, period, &tracker, base, &table);
+            lazy.touch(CoreId(0), wakeup, &tracker, base, &table);
             assert_eq!(lazy.core(CoreId(0)).tracked, eager.core(CoreId(0)).tracked);
         }
     }

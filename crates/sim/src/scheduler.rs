@@ -16,7 +16,24 @@
 //! [`sched_core::StealRule::plan`], sizes from the live observations.
 //! [`OptimisticScheduler`]'s round is that pass; a topology-aware policy
 //! makes it hierarchical through its step-2 choice alone.
+//!
+//! **The index.**  Planning by scan costs a snapshot per core and a filter
+//! call per pair of cores.  When both selection steps claim the index
+//! ([`Policy::index_threshold`] is some δ: a filter admitting exactly the
+//! victims at least δ threads above the thief, a choice picking the most
+//! threads, lowest id among equals), every thief's [`Policy::select`] is
+//! known without a call: the first core of the highest thread count, if
+//! that count is at least the thief's plus δ.  The pass then plans from the
+//! queues' count index ([`CoreQueues::busiest`]) in thief-id order, the
+//! order of the scan.  The claim is proven, not trusted: `sched-verify`'s
+//! `lemmas::indexed_select` checks each claimant against the scan, and a
+//! policy whose steps do not both claim keeps the scan.  Listing 1 claims
+//! (so does a topology-aware choice on a machine of one steal level);
+//! weighted, decayed and greedy policies do not.  The stealing phase is
+//! the same either way.
 
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sched_core::tracker::{LoadTracker, NrThreadsTracker};
@@ -67,31 +84,85 @@ fn trace_steal(
     }
 }
 
+/// The steals a scan plans, in thief-id order: every core selects through
+/// [`Policy::select`] against one shared snapshot.
+fn scanned_plans(
+    policy: &Policy,
+    queues: &CoreQueues,
+    threads: &[SimThread],
+) -> Vec<(CoreId, CoreId)> {
+    let snapshots = queues.snapshots(threads);
+    let mut candidates = Vec::new();
+    snapshots
+        .iter()
+        .filter_map(|thief| {
+            let victim = policy.select(thief, snapshots.iter().copied(), &mut candidates)?;
+            Some((thief.id, victim.id))
+        })
+        .collect()
+}
+
+/// The same plans read off the count index, for a policy whose selection
+/// claims it with threshold `delta`: every core at least `delta` threads
+/// below the busiest plans to steal from it.
+fn indexed_plans(queues: &CoreQueues, delta: u64) -> Vec<(CoreId, CoreId)> {
+    let (victim, top) = queues.busiest();
+    queues
+        .cores()
+        .iter()
+        .filter(|thief| thief.nr_threads() + delta <= top)
+        .map(|thief| (thief.id, victim))
+        .collect()
+}
+
+/// The runqueue positions step 3 takes from `ready`, in the order it moves
+/// them: the `take` newest, or for a lightest-first plan the `take`
+/// lightest, newest first among equals — selected and ordered once, not
+/// rescanned per thread moved.
+fn picks(
+    ready: &VecDeque<SimThreadId>,
+    threads: &[SimThread],
+    take: usize,
+    lightest: bool,
+) -> Vec<usize> {
+    if !lightest {
+        return (0..ready.len()).rev().take(take).collect();
+    }
+    let key = |&i: &usize| (threads[ready[i].0].weight(), Reverse(i));
+    let mut picks: Vec<usize> = (0..ready.len()).collect();
+    if take < picks.len() {
+        picks.select_nth_unstable_by_key(take, key);
+        picks.truncate(take);
+    }
+    picks.sort_unstable_by_key(key);
+    picks
+}
+
 /// One machine-wide balancing pass, the only one the simulator has: every
-/// core plans through [`Policy::select`] against ONE shared snapshot — the
-/// "all cores balance simultaneously" interleaving, so selections made by
-/// later cores can be stale and their steals can fail, exactly the optimism
-/// of the model — then each planned steal re-checks the filter against the
+/// core plans its steal against ONE shared view — the "all cores balance
+/// simultaneously" interleaving, so selections made by later cores can be
+/// stale and their steals can fail, exactly the optimism of the model — by
+/// scan, or from the count index when the policy's claim `index` allows
+/// (module docs).  Then each planned steal re-checks the filter against the
 /// live queues before migrating (Listing 1 line 12) as many threads as the
 /// policy's step 3 plans from the same live observations and the planned
 /// thieves of that victim still to come, as the model's round does.
 fn balance_pass(
     policy: &Policy,
+    index: Option<u64>,
     topo: Option<&MachineTopology>,
     trace: &TraceSink,
     queues: &mut CoreQueues,
     threads: &[SimThread],
 ) -> FoldedStats {
-    let snapshots = queues.snapshots(threads);
-    let mut candidates = Vec::new();
-    let mut plans: Vec<(CoreId, CoreId)> = Vec::new();
+    let plans = match index {
+        Some(delta) => indexed_plans(queues, delta),
+        None => scanned_plans(policy, queues, threads),
+    };
     // Per victim, the planned thieves that have not stolen yet: step 3's `r`.
-    let mut contenders = vec![0usize; snapshots.len()];
-    for thief in &snapshots {
-        if let Some(victim) = policy.select(thief, snapshots.iter().copied(), &mut candidates) {
-            plans.push((thief.id, victim.id));
-            contenders[victim.id.0] += 1;
-        }
+    let mut contenders = vec![0usize; queues.nr_cores()];
+    for &(_, victim) in &plans {
+        contenders[victim.0] += 1;
     }
     let mut stats = FoldedStats::default();
     for (thief, victim) in plans {
@@ -108,18 +179,8 @@ fn balance_pass(
             let live = queues.core(victim);
             let take = plan.take(live.ready.len(), live.current.is_some());
             k = plan.count;
-            while moved.len() < take {
-                let ready = &queues.core(victim).ready;
-                let pick = if plan.lightest {
-                    (0..ready.len()).rev().min_by_key(|&i| threads[ready[i].0].weight())
-                } else {
-                    ready.len().checked_sub(1)
-                };
-                let Some(tid) = pick.and_then(|i| queues.migrate_at(victim, thief, i)) else {
-                    break;
-                };
-                moved.push(tid);
-            }
+            let picks = picks(&live.ready, threads, take, plan.lightest);
+            queues.migrate_picks(victim, thief, &picks, &mut moved);
         }
         // Every failure class in the simulator is a stale optimistic
         // selection, so a failed attempt is a re-check failure.
@@ -182,6 +243,9 @@ pub trait SimScheduler: Send {
 /// the paper's three-step round driven by a [`Policy`].
 pub struct OptimisticScheduler {
     policy: Policy,
+    /// The policy's [`Policy::index_threshold`], read once: `Some` plans
+    /// every round from the count index.
+    index: Option<u64>,
     topo: Option<Arc<MachineTopology>>,
     trace: TraceSink,
 }
@@ -189,13 +253,14 @@ pub struct OptimisticScheduler {
 impl OptimisticScheduler {
     /// Creates the scheduler around `policy` (usually [`Policy::simple`]).
     pub fn new(policy: Policy) -> Self {
-        OptimisticScheduler { policy, topo: None, trace: TraceSink::disabled() }
+        let index = policy.index_threshold();
+        OptimisticScheduler { policy, index, topo: None, trace: TraceSink::disabled() }
     }
 
     /// Creates the scheduler with a machine topology, enabling exact
     /// per-level attribution of migrations (SMT/LLC/node/remote).
     pub fn with_topology(policy: Policy, topo: Arc<MachineTopology>) -> Self {
-        OptimisticScheduler { policy, topo: Some(topo), trace: TraceSink::disabled() }
+        OptimisticScheduler { topo: Some(topo), ..Self::new(policy) }
     }
 
     /// The policy driving the balancing rounds.
@@ -231,7 +296,7 @@ impl SimScheduler for OptimisticScheduler {
     }
 
     fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> FoldedStats {
-        balance_pass(&self.policy, self.topo.as_deref(), &self.trace, queues, threads)
+        balance_pass(&self.policy, self.index, self.topo.as_deref(), &self.trace, queues, threads)
     }
 
     fn set_trace_sink(&mut self, sink: TraceSink) {
@@ -241,8 +306,10 @@ impl SimScheduler for OptimisticScheduler {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
-    use sched_core::Weight;
+    use sched_core::{Nice, Weight};
 
     fn threads(n: usize) -> Vec<SimThread> {
         (0..n).map(|i| SimThread::new(SimThreadId(i), Weight::NICE_0)).collect()
@@ -322,5 +389,59 @@ mod tests {
         let stats = sched.balance_round(&mut queues, &table);
         assert!(stats.migrations >= 1);
         assert_eq!(stats.level_migrations.iter().sum::<u64>(), stats.migrations);
+    }
+
+    /// The loop the one-pass picks replaced: rescan the live runqueue for
+    /// each thread moved, the newest of the lightest (or the newest).
+    fn rescanning(
+        queues: &mut CoreQueues,
+        threads: &[SimThread],
+        take: usize,
+        lightest: bool,
+    ) -> Vec<SimThreadId> {
+        let (victim, thief) = (CoreId(0), CoreId(1));
+        let mut moved = Vec::new();
+        while moved.len() < take {
+            let ready = &queues.core(victim).ready;
+            let pick = if lightest {
+                (0..ready.len()).rev().min_by_key(|&i| threads[ready[i].0].weight())
+            } else {
+                ready.len().checked_sub(1)
+            };
+            let Some(tid) = pick.and_then(|i| queues.migrate_at(victim, thief, i)) else {
+                break;
+            };
+            moved.push(tid);
+        }
+        moved
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_picks_move_what_the_rescan_moved(
+            nices in prop::collection::vec(0usize..4, 0..16),
+            take in 0usize..18,
+            lightest in any::<bool>(),
+        ) {
+            // Few distinct weights, so equal weights are common.
+            let threads: Vec<SimThread> = nices
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| SimThread::new(SimThreadId(i), Nice::new([-5, 0, 0, 19][n]).weight()))
+                .collect();
+            let take = take.min(threads.len());
+            let mut queues = CoreQueues::new(2);
+            for thread in &threads {
+                queues.enqueue(CoreId(0), thread.id);
+            }
+            let mut oracle = queues.clone();
+            let expected = rescanning(&mut oracle, &threads, take, lightest);
+            let picks = picks(&queues.core(CoreId(0)).ready, &threads, take, lightest);
+            let mut moved = Vec::new();
+            queues.migrate_picks(CoreId(0), CoreId(1), &picks, &mut moved);
+            prop_assert_eq!(&moved, &expected);
+            prop_assert_eq!(&queues.core(CoreId(0)).ready, &oracle.core(CoreId(0)).ready);
+            prop_assert_eq!(&queues.core(CoreId(1)).ready, &oracle.core(CoreId(1)).ready);
+        }
     }
 }

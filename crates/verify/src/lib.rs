@@ -23,6 +23,9 @@
 //!   - bounded failures / concurrent convergence (§4.3 + §3.2): no reachable
 //!     cycle of non-work-conserving states exists, and the bound `N` is
 //!     computed,
+//!   - indexed select: a policy whose steps claim the count index selects
+//!     what the index answers, which licenses the simulator's indexed
+//!     balance pass,
 //! * failures are reported as step-by-step [`counterexample::Counterexample`]s
 //!   — running the checker against the §4.3 greedy filter reproduces the
 //!   three-core ping-pong exactly.

@@ -148,7 +148,7 @@ fn a_half_step_on_tracked_thread_counts_moves_the_same_number_everywhere() {
     }
     // A long steady stretch leaves the PELT average at the thread count,
     // which is what one instantaneous fold writes.
-    queues.touch(CoreId(1), 0, &NrThreadsTracker, &threads);
+    queues.touch(CoreId(1), 0, &NrThreadsTracker, LoadMetric::NrThreads, &threads);
     let sim = OptimisticScheduler::new(policy()).balance_round(&mut queues, &threads);
 
     assert_eq!(model.nr_stolen(), 3, "model");

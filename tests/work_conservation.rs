@@ -3,7 +3,8 @@
 //! These tests exercise `sched-core` and `sched-verify` together exactly the
 //! way the experiment harness does, and pin the lemma verdicts and model
 //! sweeps of the per-experiment index (README § The unified experiment
-//! runner): e1, e3, e4, e6 and e7's lemmas, e2, e7 and e8's model runs.
+//! runner): e1, e3, e4, e6 and e7's lemmas, e2, e7 and e8's model runs —
+//! and the index claims the simulator's balance pass selects by.
 
 use std::sync::Arc;
 
@@ -309,4 +310,132 @@ fn convergence_scales_to_hundreds_of_cores() {
     assert!(system.is_work_conserving());
     assert_eq!(system.total_threads(), 512);
     assert!(system.tasks_are_unique());
+}
+
+/// A choice that claims the index but answers what it wraps.
+struct ClaimsMostThreads<C>(C);
+
+impl<C: ChoicePolicy> ChoicePolicy for ClaimsMostThreads<C> {
+    fn choose(&self, thief: &CoreSnapshot, candidates: &[CoreSnapshot]) -> Option<CoreId> {
+        self.0.choose(thief, candidates)
+    }
+
+    fn picks_most_threads(&self) -> bool {
+        true
+    }
+
+    fn name(&self) -> &'static str {
+        "claims_most_threads"
+    }
+}
+
+/// Picks the candidate with the fewest threads, lowest id among equals.
+struct FewestThreads;
+
+impl ChoicePolicy for FewestThreads {
+    fn choose(&self, _thief: &CoreSnapshot, candidates: &[CoreSnapshot]) -> Option<CoreId> {
+        candidates.iter().min_by_key(|c| (c.nr_threads, c.id)).map(|c| c.id)
+    }
+
+    fn name(&self) -> &'static str {
+        "fewest_threads"
+    }
+}
+
+/// A filter that claims the count threshold `.1` but admits what it wraps.
+struct ClaimsCountThreshold<F>(F, u64);
+
+impl<F: FilterPolicy> FilterPolicy for ClaimsCountThreshold<F> {
+    fn can_steal(&self, thief: &CoreSnapshot, victim: &CoreSnapshot) -> bool {
+        self.0.can_steal(thief, victim)
+    }
+
+    fn count_threshold(&self) -> Option<u64> {
+        Some(self.1)
+    }
+
+    fn name(&self) -> &'static str {
+        "claims_count_threshold"
+    }
+}
+
+/// Each index claimant is proven in a policy where it claims (the lemma
+/// behind the simulator's indexed balance pass), at `Scope::default_scope()`:
+/// every state and thief, one instance each.  The list of claimants is the
+/// lemma's pinned list, which CI's "Every index claim is proven" lint
+/// holds every non-test claim to.
+#[test]
+fn every_index_claimant_is_proven() {
+    assert_eq!(lemmas::CLAIMANTS, ["DeltaFilter", "MaxLoadChoice", "TopologyAwareChoice"]);
+    let scope = Scope::default_scope();
+    let flat = Arc::new(TopologyBuilder::new().sockets(1).cores_per_socket(4).build());
+    let metric = LoadMetric::NrThreads;
+    let delta3 = Policy::new(
+        metric,
+        Box::new(DeltaFilter::new(metric, 3)),
+        Box::new(MaxLoadChoice::new(metric)),
+        StealRule::One,
+    );
+    let claimants = [
+        ("DeltaFilter(2) + MaxLoadChoice", Policy::simple(), 2),
+        ("DeltaFilter(3) + MaxLoadChoice", delta3, 3),
+        (
+            "DeltaFilter(2) + TopologyAwareChoice on flat(4)",
+            Policy::simple().with_choice(Box::new(TopologyAwareChoice::new(flat, metric))),
+            2,
+        ),
+    ];
+    for (name, policy, delta) in claimants {
+        assert_eq!(policy.index_threshold(), Some(delta), "{name} claims");
+        let report = lemmas::check_indexed_select(&policy, &scope).expect("a claimant");
+        assert!(report.is_proved(), "{name}: {report}");
+        assert_eq!(report.instances, 1148, "{name}");
+    }
+}
+
+/// A claim the policy does not live up to is refuted, with the state and
+/// the thief where the index and the scan part.
+#[test]
+fn planted_false_index_claims_are_refuted() {
+    let scope = Scope::default_scope();
+    let metric = LoadMetric::NrThreads;
+    let two_nodes = Arc::new(TopologyBuilder::new().sockets(2).cores_per_socket(2).build());
+    let planted = [
+        (
+            "a choice that claims the most threads but picks the fewest",
+            Policy::simple().with_choice(Box::new(ClaimsMostThreads(FewestThreads))),
+            (168, vec![0, 2, 3], "thief core 0", "index: Some(2)", "select: Some(1)"),
+        ),
+        (
+            "a weighted delta filter that claims a count threshold",
+            Policy::new(
+                LoadMetric::Weighted,
+                Box::new(ClaimsCountThreshold(DeltaFilter::new(LoadMetric::Weighted, 2048), 2)),
+                Box::new(MaxLoadChoice::new(metric)),
+                StealRule::One,
+            ),
+            (
+                13,
+                vec![0, 2],
+                "thief core 0; weighted loads [0, 1039]",
+                "index: Some(1)",
+                "select: None",
+            ),
+        ),
+        (
+            "a topology-aware choice on two nodes, forced to claim",
+            Policy::simple().with_choice(Box::new(ClaimsMostThreads(TopologyAwareChoice::new(
+                two_nodes, metric,
+            )))),
+            (168, vec![0, 2, 3], "thief core 0", "index: Some(2)", "select: Some(1)"),
+        ),
+    ];
+    for (name, policy, (instances, loads, thief, index, select)) in planted {
+        let report = lemmas::check_indexed_select(&policy, &scope).expect("it claims");
+        let ce = report.status.counterexample().unwrap_or_else(|| panic!("{name}: {report}"));
+        assert_eq!(report.instances, instances, "{name}");
+        assert_eq!(ce.initial_loads, loads, "{name}");
+        assert!(ce.trace[0].starts_with(thief), "{name}: {}", ce.trace[0]);
+        assert_eq!(ce.trace[1..], [index, select], "{name}");
+    }
 }

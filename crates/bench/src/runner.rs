@@ -657,8 +657,7 @@ impl RoundMachine for (SystemState, Balancer) {
         for attempt in &report.attempts {
             let level =
                 attempt.outcome.victim().map(|victim| topo.steal_level(attempt.thief, victim));
-            // The report keeps no claim size, and the tally does not read one.
-            steals.observe(&TraceEvent::steal_attempt(&attempt.outcome, level, 0));
+            steals.observe(&TraceEvent::steal_attempt(&attempt.outcome, level, attempt.k));
         }
     }
 

@@ -1,10 +1,12 @@
-//! The three-step balancer of Figure 1, applied to the pure scheduler state.
+//! The three steps of Figure 1 on a round's state: the selection phase
+//! over a snapshot, and step 3, [`steal_step`], the one stealing phase.
+
+use std::cmp::Reverse;
 
 use crate::outcome::StealOutcome;
 use crate::policy::Policy;
-use crate::snapshot::{CoreSnapshot, SystemSnapshot};
-use crate::system::SystemState;
-use crate::task::{Task, TaskId};
+use crate::round::RoundState;
+use crate::snapshot::SystemSnapshot;
 use crate::CoreId;
 
 /// The result of a selection phase: the filtered candidates (step 1) and the
@@ -17,21 +19,27 @@ pub struct Selection {
     pub chosen: Option<CoreId>,
 }
 
-/// Executes a [`Policy`] against a [`SystemState`].
+/// Executes a [`Policy`]'s steps for the one round driver,
+/// [`crate::round::ConcurrentRound`].
 ///
-/// The balancer exposes the selection and stealing phases separately so that
-/// the concurrent-round executor ([`crate::round::ConcurrentRound`]) and the
-/// model checker can interleave them; under
-/// [`crate::RoundSchedule::Sequential`] each core runs both in isolation
-/// (the §4.2 sequential setting).
+/// The selection phase ([`Balancer::select`]) and the stealing phase
+/// ([`Balancer::steal`]) are separate so that the driver and the model
+/// checker can interleave them; under [`crate::RoundSchedule::Sequential`]
+/// each core runs both in isolation (the §4.2 sequential setting).  Both
+/// act on any [`RoundState`]: the model's [`crate::SystemState`] or the
+/// simulator's runqueues.
+#[derive(Debug)]
 pub struct Balancer {
     policy: Policy,
+    /// The policy's [`Policy::index_threshold`], read once.
+    pub(crate) index: Option<u64>,
 }
 
 impl Balancer {
     /// Creates a balancer executing `policy`.
     pub fn new(policy: Policy) -> Self {
-        Balancer { policy }
+        let index = policy.index_threshold();
+        Balancer { policy, index }
     }
 
     /// The policy being executed.
@@ -56,68 +64,79 @@ impl Balancer {
         }
     }
 
-    /// Stealing phase (step 3): atomic with respect to the two runqueues.
-    ///
-    /// Re-checks the filter against the *live* state before migrating, as in
-    /// Listing 1 line 12 — this is where optimistic selections are detected
-    /// to have gone stale.  `contenders` is the round's count of thieves
-    /// that chose `victim` and have not yet stolen, this one included
-    /// ([`crate::StealRule::plan`]).
-    pub fn steal(
+    /// Stealing phase (step 3): [`steal_step`] under this balancer's policy.
+    pub fn steal<S: RoundState>(
         &self,
-        system: &mut SystemState,
+        state: &mut S,
         thief: CoreId,
         victim: CoreId,
         contenders: usize,
     ) -> StealOutcome {
-        let thief_snap = CoreSnapshot::capture(system.core(thief));
-        let victim_snap = CoreSnapshot::capture(system.core(victim));
-        if !self.policy.filter.can_steal(&thief_snap, &victim_snap) {
-            return StealOutcome::RecheckFailed { victim };
-        }
-        // Step 3 picks the planned number of waiting threads, newest first
-        // or lightest first (newest among equals) as the rule asks, capped
-        // by the live queue (§4.2, "does not steal too much").
-        let plan = self.policy.steal.plan(&self.policy, &thief_snap, &victim_snap, contenders);
-        let live = system.core(victim);
-        let take = plan.take(live.ready.len(), live.current.is_some());
-        let tasks: Vec<TaskId> = if plan.lightest {
-            let mut waiting: Vec<&Task> = live.ready.iter().rev().collect();
-            waiting.sort_by_key(|t| t.weight());
-            waiting.into_iter().take(take).map(|t| t.id).collect()
-        } else {
-            live.ready.iter().rev().take(take).map(|t| t.id).collect()
-        };
-        if tasks.is_empty() {
-            return StealOutcome::NothingToSteal { victim };
-        }
-        let mut moved = Vec::with_capacity(tasks.len());
-        for id in tasks {
-            if system.migrate(victim, thief, id) {
-                moved.push(id);
-            }
-        }
-        if moved.is_empty() {
-            StealOutcome::NothingToSteal { victim }
-        } else {
-            StealOutcome::Stole { victim, tasks: moved }
-        }
+        steal_step(&self.policy, state, thief, victim, contenders).0
     }
 }
 
-impl std::fmt::Debug for Balancer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Balancer").field("policy", &self.policy).finish()
+/// Step 3, atomic with respect to the two runqueues: the one stealing phase
+/// every round runs.  Re-checks the filter against the *live* state, as in
+/// Listing 1 line 12 — this is where a stale selection fails — then takes
+/// what [`crate::StealRule::plan`] sizes from the live observations and
+/// `contenders` (the round's thieves that chose `victim` and have not yet
+/// stolen, this one included), capped by the live queue: the newest first,
+/// or the lightest first and the newest among equals.  Returns the outcome
+/// and the plan's count, 0 when the re-check failed.
+pub fn steal_step<S: RoundState>(
+    policy: &Policy,
+    state: &mut S,
+    thief: CoreId,
+    victim: CoreId,
+    contenders: usize,
+) -> (StealOutcome, usize) {
+    let (live_thief, live_victim) = (state.snapshot(thief), state.snapshot(victim));
+    if !policy.filter.can_steal(&live_thief, &live_victim) {
+        return (StealOutcome::RecheckFailed { victim }, 0);
     }
+    let plan = policy.steal.plan(policy, &live_thief, &live_victim, contenders);
+    let (waiting, running) = state.queue(victim);
+    let picks = picks(state, victim, plan.take(waiting, running), plan.lightest);
+    let moved = state.migrate_ready(victim, thief, &picks);
+    let outcome = if moved.is_empty() {
+        StealOutcome::NothingToSteal { victim }
+    } else {
+        StealOutcome::Stole { victim, tasks: moved }
+    };
+    (outcome, plan.count)
+}
+
+/// The runqueue positions of `victim` step 3 takes, in the order it moves
+/// them: the `take` newest, or for a lightest-first plan the `take`
+/// lightest, newest first among equals — selected and ordered once, not
+/// rescanned per thread moved.
+fn picks<S: RoundState>(state: &S, victim: CoreId, take: usize, lightest: bool) -> Vec<usize> {
+    let waiting = state.queue(victim).0;
+    if !lightest {
+        return (0..waiting).rev().take(take).collect();
+    }
+    let key = |&i: &usize| (state.ready_weight(victim, i), Reverse(i));
+    let mut picks: Vec<usize> = (0..waiting).collect();
+    if take < picks.len() {
+        picks.select_nth_unstable_by_key(take, key);
+        picks.truncate(take);
+    }
+    picks.sort_unstable_by_key(key);
+    picks
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::load::LoadMetric;
     use crate::outcome::RoundReport;
     use crate::policy::Policy;
     use crate::round::{ConcurrentRound, RoundSchedule};
+    use crate::system::SystemState;
+    use crate::task::{Nice, Task, TaskId};
 
     /// §4.2's sequential round: each core runs all three steps in isolation.
     fn sequential_round(balancer: &Balancer, system: &mut SystemState) -> RoundReport {
@@ -195,5 +214,49 @@ mod tests {
         let report = sequential_round(&balancer, &mut system);
         assert_eq!(report.nr_successes(), 1);
         assert_eq!(system.loads(LoadMetric::NrThreads), vec![2, 3]);
+    }
+
+    /// The loop the one-pass picks replaced: rescan the live runqueue for
+    /// each thread moved, the newest of the lightest (or the newest).
+    fn rescanning(system: &mut SystemState, take: usize, lightest: bool) -> Vec<TaskId> {
+        let (victim, thief) = (CoreId(0), CoreId(1));
+        let mut moved = Vec::new();
+        while moved.len() < take {
+            let ready = &system.core(victim).ready;
+            let pick = if lightest {
+                (0..ready.len()).rev().min_by_key(|&i| ready[i].weight())
+            } else {
+                ready.len().checked_sub(1)
+            };
+            let Some(id) = pick.map(|i| ready[i].id) else {
+                break;
+            };
+            system.migrate(victim, thief, id);
+            moved.push(id);
+        }
+        moved
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_picks_move_what_the_rescan_moved(
+            nices in prop::collection::vec(0usize..4, 0..16),
+            take in 0usize..18,
+            lightest in any::<bool>(),
+        ) {
+            // Few distinct weights, so equal weights are common.
+            let mut system = SystemState::new(2);
+            for (i, &n) in nices.iter().enumerate() {
+                let task = Task::with_nice(TaskId(i as u64), Nice::new([-5, 0, 0, 19][n]));
+                system.core_mut(CoreId(0)).push_ready(task);
+            }
+            let take = take.min(nices.len());
+            let mut oracle = system.clone();
+            let expected = rescanning(&mut oracle, take, lightest);
+            let picks = picks(&system, CoreId(0), take, lightest);
+            let moved = system.migrate_ready(CoreId(0), CoreId(1), &picks);
+            prop_assert_eq!(&moved, &expected);
+            prop_assert_eq!(&system, &oracle);
+        }
     }
 }

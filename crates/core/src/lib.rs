@@ -54,13 +54,13 @@ pub mod task;
 pub mod tracker;
 pub mod work_conservation;
 
-pub use balancer::Balancer;
+pub use balancer::{steal_step, Balancer};
 pub use core_state::CoreState;
 pub use load::LoadMetric;
 pub use outcome::{BalanceAttempt, RoundReport, StealOutcome};
 pub use policy::{ChoicePolicy, FilterPolicy, Policy, StealPlan, StealRule};
 pub use potential::{potential, potential_between};
-pub use round::{ConcurrentRound, Phase, RoundSchedule, Step};
+pub use round::{ConcurrentRound, Phase, RoundSchedule, RoundState, Step};
 pub use snapshot::{CoreSnapshot, SystemSnapshot};
 pub use system::SystemState;
 pub use task::{Nice, Task, TaskId, Weight};

@@ -82,10 +82,14 @@ pub struct BalanceAttempt {
     pub select_time: usize,
     /// Logical time of the stealing phase.
     pub steal_time: usize,
-    /// Cores that passed the filter (step 1), in id order.
+    /// Cores that passed the filter (step 1), in id order; empty when the
+    /// round selected from a count index ([`crate::RoundState::busiest`]).
     pub candidates: Vec<CoreId>,
     /// Core chosen among the candidates (step 2), if any.
     pub chosen: Option<CoreId>,
+    /// The count step 3 planned ([`crate::StealPlan::count`]); 0 when no
+    /// plan was sized (no candidates, or a failed re-check).
+    pub k: usize,
     /// What happened during the stealing phase (step 3).
     pub outcome: StealOutcome,
 }
@@ -153,6 +157,7 @@ mod tests {
             steal_time: 1,
             candidates: vec![],
             chosen: outcome.victim(),
+            k: 0,
             outcome,
         }
     }

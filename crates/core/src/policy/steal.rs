@@ -1,10 +1,11 @@
 //! Step 3 of a balancing round: how many waiting threads migrate, and which.
 //!
 //! The step is one closed value, [`StealRule`], and one sizing function,
-//! [`StealRule::plan`], which every substrate calls: the model's
-//! [`crate::Balancer`] and the simulator pick that many from their locked
-//! queues, the runqueues and the executor claim that many.  The rule
-//! `sched-verify` checks is therefore the rule every substrate runs.
+//! [`StealRule::plan`], which every substrate calls: the one stealing
+//! phase of the model and the simulator, [`crate::steal_step`], picks that
+//! many from the locked queues, the runqueues and the executor claim that
+//! many.  The rule `sched-verify` checks is therefore the rule every
+//! substrate runs.
 
 use crate::load::LoadMetric;
 use crate::policy::Policy;
@@ -39,8 +40,8 @@ pub enum StealRule {
 pub struct StealPlan {
     /// Waiting threads to migrate; at least one.
     pub count: usize,
-    /// Take the lightest waiting threads rather than the newest.  The model
-    /// and the simulator pick by it; a runqueue claim keeps its own end.
+    /// Take the lightest waiting threads rather than the newest.
+    /// [`crate::steal_step`] picks by it; a runqueue claim keeps its own end.
     pub lightest: bool,
     /// A batch rule: see [`StealPlan::take`].
     keep_one: bool,

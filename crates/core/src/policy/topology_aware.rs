@@ -37,11 +37,10 @@ const LEVEL_DELTAS: [u64; 4] = [2, 2, 2, 4];
 
 /// The distance-ordered, threshold-gated choice policy.
 ///
-/// Shared by every substrate: the pure model executes it inside
-/// [`crate::round::ConcurrentRound`], the simulator inside its balance
-/// pass, the real-thread runqueues inside `MultiQueue::balance_once` and
-/// the executor in its workers' steal path — the identical policy object
-/// at every altitude.
+/// Shared by every substrate: the pure model and the simulator execute it
+/// inside [`crate::round::ConcurrentRound`], the real-thread runqueues
+/// inside `MultiQueue::balance_once` and the executor in its workers' steal
+/// path — the identical policy object at every altitude.
 #[derive(Debug)]
 pub struct TopologyAwareChoice {
     topo: Arc<MachineTopology>,

@@ -1,4 +1,5 @@
-//! Concurrent load-balancing rounds with interleaved phases.
+//! Concurrent load-balancing rounds with interleaved phases: the one round
+//! driver.
 //!
 //! "The operations of a load balancing round might be performed
 //! simultaneously on multiple cores, both idle and non-idle. […] When load
@@ -11,14 +12,77 @@
 //! (lock both runqueues, re-check the filter, migrate or fail).  The
 //! interleaving decides how stale each core's selection is by the time it
 //! steals; enumerating all interleavings is how `sched-verify` explores
-//! every possible conflict, and seeding them randomly is how `sched-sim`
-//! produces realistic races.
+//! every possible conflict.
+//!
+//! [`ConcurrentRound::execute_steps`] is the only code that runs those
+//! steps, written once over [`RoundState`], which the model's
+//! [`SystemState`] and the simulator's runqueues implement: the driver owns
+//! the selection, the count of contending thieves, the re-check and step 3.
 
-use crate::balancer::{Balancer, Selection};
+use crate::balancer::{steal_step, Balancer, Selection};
 use crate::outcome::{BalanceAttempt, RoundReport, StealOutcome};
-use crate::snapshot::SystemSnapshot;
+use crate::snapshot::{CoreSnapshot, SystemSnapshot};
 use crate::system::SystemState;
+use crate::task::TaskId;
 use crate::CoreId;
+
+/// What a balancing round reads and moves: the live runqueues of every
+/// core.  The model's [`SystemState`] and the simulator's runqueues
+/// implement it; [`ConcurrentRound`] runs every step against it.
+pub trait RoundState {
+    /// Number of cores, numbered from 0.
+    fn nr_cores(&self) -> usize;
+
+    /// A live observation of `core`.
+    fn snapshot(&self, core: CoreId) -> CoreSnapshot;
+
+    /// The number of threads waiting in `core`'s runqueue, and whether a
+    /// thread runs there.
+    fn queue(&self, core: CoreId) -> (usize, bool);
+
+    /// Load weight of the waiting thread at `position` of `core`'s
+    /// runqueue, oldest first.
+    fn ready_weight(&self, core: CoreId, position: usize) -> u64;
+
+    /// Moves the waiting threads of `from` at `positions` (distinct, oldest
+    /// first, as the runqueue was before the first move) to the tail of
+    /// `to`'s runqueue in the order given, and returns their ids.
+    fn migrate_ready(&mut self, from: CoreId, to: CoreId, positions: &[usize]) -> Vec<TaskId>;
+
+    /// The most loaded core by thread count, the lowest id among equals, and
+    /// its count, when the state keeps a count index for a policy that claims
+    /// it ([`crate::Policy::index_threshold`]).  The model keeps none: the
+    /// oracle scans.
+    fn busiest(&self) -> Option<(CoreId, u64)> {
+        None
+    }
+}
+
+impl RoundState for SystemState {
+    fn nr_cores(&self) -> usize {
+        self.cores().len()
+    }
+
+    fn snapshot(&self, core: CoreId) -> CoreSnapshot {
+        CoreSnapshot::capture(self.core(core))
+    }
+
+    fn queue(&self, core: CoreId) -> (usize, bool) {
+        (self.core(core).ready.len(), self.core(core).current.is_some())
+    }
+
+    fn ready_weight(&self, core: CoreId, position: usize) -> u64 {
+        self.core(core).ready[position].weight().raw()
+    }
+
+    fn migrate_ready(&mut self, from: CoreId, to: CoreId, positions: &[usize]) -> Vec<TaskId> {
+        let moved: Vec<TaskId> = positions.iter().map(|&i| self.core(from).ready[i].id).collect();
+        for &id in &moved {
+            self.migrate(from, to, id);
+        }
+        moved
+    }
+}
 
 /// The two atomic phases of one core's balancing operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,8 +125,8 @@ pub enum RoundSchedule {
     /// observes the same initial state.  This models CFS's "load balancing
     /// operations are performed simultaneously on all cores every 4ms".
     AllSelectThenSteal,
-    /// A pseudo-random valid interleaving derived from the seed, used by the
-    /// simulator; different rounds should use different seeds.
+    /// A pseudo-random valid interleaving derived from the seed; different
+    /// rounds should use different seeds.
     Seeded(u64),
 }
 
@@ -181,61 +245,78 @@ impl<'a> ConcurrentRound<'a> {
         ConcurrentRound { balancer }
     }
 
-    /// Executes one round under `schedule`, mutating `system` in place.
+    /// Executes one round under `schedule`, mutating `state` in place.
     ///
     /// # Panics
     ///
     /// Panics if the materialised schedule is not a valid round (see
     /// [`RoundSchedule::validate`]).
-    pub fn execute(&self, system: &mut SystemState, schedule: &RoundSchedule) -> RoundReport {
-        let steps = schedule.steps(system.nr_cores());
-        RoundSchedule::validate(&steps, system.nr_cores())
+    pub fn execute<S: RoundState>(&self, state: &mut S, schedule: &RoundSchedule) -> RoundReport {
+        let steps = schedule.steps(state.nr_cores());
+        RoundSchedule::validate(&steps, state.nr_cores())
             .unwrap_or_else(|e| panic!("invalid round schedule: {e}"));
-        self.execute_steps(system, &steps)
+        self.execute_steps(state, &steps)
     }
 
     /// Executes one round described by an explicit, already validated list of
     /// steps.  Exposed separately for the model checker, which generates and
-    /// validates interleavings itself.
+    /// validates interleavings itself, and for the simulator, which
+    /// materialises its schedule once.
     ///
-    /// Each core's Select step plans against the state of that moment, its
-    /// Steal step acts on the plan against whatever the state has become,
-    /// sized for the thieves that chose the same victim and have not yet
-    /// stolen ([`crate::StealRule::plan`]'s `r`).
-    pub fn execute_steps(&self, system: &mut SystemState, steps: &[Step]) -> RoundReport {
-        let mut pending: Vec<Option<(Selection, usize)>> = vec![None; system.nr_cores()];
-        let mut contenders = vec![0usize; system.nr_cores()];
-        let mut report = RoundReport::default();
+    /// Each core's Select step plans against the state of that moment, from
+    /// the state's count index when it keeps one and the policy claims it
+    /// (leaving the candidate list empty), else by [`Balancer::select`] over
+    /// a snapshot kept until a steal moves a thread.  Its Steal step acts on
+    /// the plan against whatever the state has become ([`steal_step`]), sized
+    /// for the thieves that chose the same victim and have not yet stolen.
+    pub fn execute_steps<S: RoundState>(&self, state: &mut S, steps: &[Step]) -> RoundReport {
+        let mut pending: Vec<Option<(Selection, usize)>> = vec![None; state.nr_cores()];
+        let mut contenders = vec![0usize; state.nr_cores()];
+        let mut view: Option<SystemSnapshot> = None;
+        let mut report = RoundReport { attempts: Vec::with_capacity(state.nr_cores()) };
         for (time, step) in steps.iter().enumerate() {
+            let thief = step.core;
             match step.phase {
                 Phase::Select => {
-                    // The snapshot is taken *now*: every later mutation makes
-                    // it stale, which is exactly the optimism of the model.
-                    let snapshot = SystemSnapshot::capture(system);
-                    let selection = self.balancer.select(&snapshot, step.core);
+                    let selection = match self.balancer.index.zip(state.busiest()) {
+                        Some((delta, (victim, most))) => {
+                            let (waiting, running) = state.queue(thief);
+                            let threads = (waiting + usize::from(running)) as u64;
+                            let chosen = (threads + delta <= most).then_some(victim);
+                            Selection { candidates: Vec::new(), chosen }
+                        }
+                        None => self.balancer.select(
+                            view.get_or_insert_with(|| SystemSnapshot::capture(state)),
+                            thief,
+                        ),
+                    };
                     if let Some(victim) = selection.chosen {
                         contenders[victim.0] += 1;
                     }
-                    pending[step.core.0] = Some((selection, time));
+                    pending[thief.0] = Some((selection, time));
                 }
                 Phase::Steal => {
-                    let (selection, select_time) = pending[step.core.0]
+                    let (selection, select_time) = pending[thief.0]
                         .take()
                         .expect("validated schedule guarantees select before steal");
-                    let outcome = match selection.chosen {
+                    let (outcome, k) = match selection.chosen {
                         Some(victim) => {
                             let r = contenders[victim.0];
                             contenders[victim.0] -= 1;
-                            self.balancer.steal(system, step.core, victim, r)
+                            steal_step(self.balancer.policy(), state, thief, victim, r)
                         }
-                        None => StealOutcome::NoCandidates,
+                        None => (StealOutcome::NoCandidates, 0),
                     };
+                    if outcome.is_success() {
+                        view = None;
+                    }
                     report.attempts.push(BalanceAttempt {
-                        thief: step.core,
+                        thief,
                         select_time,
                         steal_time: time,
                         candidates: selection.candidates,
                         chosen: selection.chosen,
+                        k,
                         outcome,
                     });
                 }
@@ -346,6 +427,10 @@ mod tests {
             .execute(&mut system, &RoundSchedule::AllSelectThenSteal);
         assert_eq!(report.nr_failures(), 0);
         assert_eq!(system.loads(LoadMetric::NrThreads), vec![6, 6, 6, 6]);
+        // Each attempt carries the count step 3 planned: 24 / (1 + 3) for
+        // the first thief, 18 / (1 + 2) and 12 / (1 + 1) for the next two.
+        let planned: Vec<usize> = report.attempts.iter().map(|a| a.k).collect();
+        assert_eq!(planned, [0, 6, 6, 6], "core 0 selected nothing");
     }
 
     #[test]

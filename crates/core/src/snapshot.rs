@@ -14,7 +14,7 @@ use sched_topology::NodeId;
 
 use crate::core_state::CoreState;
 use crate::load::LoadMetric;
-use crate::system::SystemState;
+use crate::round::RoundState;
 use crate::tracker::round_scaled;
 use crate::CoreId;
 
@@ -92,9 +92,10 @@ pub struct SystemSnapshot {
 }
 
 impl SystemSnapshot {
-    /// Captures a snapshot of every core of `system`.
-    pub fn capture(system: &SystemState) -> Self {
-        SystemSnapshot { cores: system.cores().iter().map(CoreSnapshot::capture).collect() }
+    /// Captures a snapshot of every core of `state`: the model's
+    /// [`crate::SystemState`], or any other state a round balances.
+    pub fn capture<S: RoundState>(state: &S) -> Self {
+        SystemSnapshot { cores: (0..state.nr_cores()).map(|c| state.snapshot(CoreId(c))).collect() }
     }
 
     /// The observation of one core.
@@ -127,6 +128,7 @@ impl SystemSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::SystemState;
 
     #[test]
     fn snapshot_reflects_loads_at_capture_time() {

@@ -11,8 +11,9 @@ use crate::CoreId;
 /// The scheduling state of every core of the machine.
 ///
 /// This is the `(c₁, …, cₙ)` tuple of the paper's work-conservation
-/// definition (§3.2).  All balancing operations, the model checker and the
-/// simulator manipulate values of this type.
+/// definition (§3.2).  The model's balancing operations and the model
+/// checker manipulate values of this type; it is the model's
+/// [`crate::RoundState`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemState {
     cores: Vec<CoreState>,

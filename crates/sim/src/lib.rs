@@ -87,5 +87,5 @@ pub use event_engine::EventEngine;
 pub use machine::{Machine, Upkeep};
 pub use queues::{CoreQueues, SimCore};
 pub use result::SimResult;
-pub use scheduler::{OptimisticScheduler, SimScheduler};
+pub use scheduler::{OptimisticScheduler, SimScheduler, SimState};
 pub use thread::{SimThread, SimThreadId, ThreadState};

@@ -7,9 +7,9 @@
 //! lower bound of the least count held and an upper bound of the highest.
 //! Wakeup placement ([`CoreQueues::idlest`]) reads the first core of the
 //! least count's set, ⌈cores / 64⌉ words, instead of scanning every core's
-//! count twice; an indexed balance pass reads the first core of the highest
-//! count's set ([`CoreQueues::busiest`]) instead of calling the filter on
-//! every pair of cores.
+//! count twice; an indexed balancing round reads the first core of the
+//! highest count's set ([`CoreQueues::busiest`]) instead of calling the
+//! filter on every pair of cores.
 //!
 //! The two moves the machine makes most keep a core's count, so they touch
 //! neither the counts nor the sets: a preemption is one
@@ -289,46 +289,29 @@ impl CoreQueues {
     /// it to `to`'s runqueue, returning its id.
     pub fn migrate_newest(&mut self, from: CoreId, to: CoreId) -> Option<SimThreadId> {
         let newest = self.cores[from.0].ready.len().checked_sub(1)?;
-        self.migrate_at(from, to, newest)
-    }
-
-    /// Steals the waiting thread at `index` of `from`'s runqueue (oldest
-    /// first) and appends it to `to`'s runqueue, returning its id.
-    pub fn migrate_at(&mut self, from: CoreId, to: CoreId, index: usize) -> Option<SimThreadId> {
-        assert_ne!(from, to, "a core cannot steal from itself");
-        let tid = self.cores[from.0].ready.remove(index)?;
-        self.cores[to.0].ready.push_back(tid);
-        self.recount(from.0, self.counts[from.0] - 1);
-        self.recount(to.0, self.counts[to.0] + 1);
-        self.log_mutation(from);
-        self.log_mutation(to);
+        let tid = self.cores[from.0].ready[newest];
+        self.migrate_picks(from, to, &[newest]);
         Some(tid)
     }
 
     /// Moves the waiting threads of `from` at `picks` to the tail of `to`'s
-    /// runqueue, in the order given, appending their ids to `moved`: what
-    /// [`CoreQueues::migrate_at`] one pick at a time would do, in one pass
-    /// over `from`'s runqueue from the oldest pick on — so taking the
-    /// newest threads costs nothing per thread left behind.  `picks` are
-    /// distinct positions in `from`'s runqueue (oldest first) as it was
-    /// before the first move.
-    pub fn migrate_picks(
-        &mut self,
-        from: CoreId,
-        to: CoreId,
-        picks: &[usize],
-        moved: &mut Vec<SimThreadId>,
-    ) {
+    /// runqueue, in the order given, in one pass over `from`'s runqueue from
+    /// the oldest pick on — so taking the newest threads costs nothing per
+    /// thread left behind.  `picks` are distinct positions in `from`'s
+    /// runqueue (oldest first) as it was before the first move.
+    pub fn migrate_picks(&mut self, from: CoreId, to: CoreId, picks: &[usize]) {
         assert_ne!(from, to, "a core cannot steal from itself");
         if picks.is_empty() {
             return;
         }
-        let first = moved.len();
-        let ready = &mut self.cores[from.0].ready;
-        moved.extend(picks.iter().map(|&i| ready[i]));
+        for &i in picks {
+            let tid = self.cores[from.0].ready[i];
+            self.cores[to.0].ready.push_back(tid);
+        }
         let mut gone = picks.to_vec();
         gone.sort_unstable();
         // Close the gaps from the oldest pick on; nothing before it moves.
+        let ready = &mut self.cores[from.0].ready;
         let oldest = gone[0];
         let (mut gone, mut kept) = (gone.into_iter().peekable(), oldest);
         for position in oldest..ready.len() {
@@ -338,7 +321,6 @@ impl CoreQueues {
             }
         }
         ready.truncate(kept);
-        self.cores[to.0].ready.extend(&moved[first..]);
         let taken = picks.len() as u32;
         self.recount(from.0, self.counts[from.0] - taken);
         self.recount(to.0, self.counts[to.0] + taken);
@@ -460,12 +442,6 @@ impl CoreQueues {
             tracked_scaled: core.tracked.scaled,
             injected: 0,
         }
-    }
-
-    /// [`CoreQueues::snapshot`] of every core — the selection-phase view
-    /// handed to `sched-core` policies.
-    pub fn snapshots(&self, threads: &[SimThread]) -> Vec<CoreSnapshot> {
-        self.cores.iter().map(|core| self.snapshot(core.id, threads)).collect()
     }
 
     /// Total number of threads on all runqueues (running plus waiting).
@@ -593,12 +569,14 @@ mod tests {
                         if a != b {
                             let len = q.core(a).ready.len();
                             let picks: Vec<usize> = (0..len).rev().step_by(1 + i % 3).collect();
-                            q.migrate_picks(a, b, &picks, &mut Vec::new());
+                            q.migrate_picks(a, b, &picks);
                         }
                     }
                     2 => {
-                        if a != b {
-                            q.migrate_at(a, b, i);
+                        if a != b && i < q.core(a).ready.len() {
+                            q.migrate_picks(a, b, &[i]);
+                        } else if a != b {
+                            q.migrate_newest(a, b);
                         }
                     }
                     3 => q.set_current(a, (i % 3 != 0).then(|| fresh.next().unwrap())),
@@ -626,11 +604,11 @@ mod tests {
         let table = threads(3);
         q.set_current(CoreId(0), Some(SimThreadId(0)));
         q.enqueue(CoreId(0), SimThreadId(1));
-        let snaps = q.snapshots(&table);
-        assert_eq!(snaps[0].nr_threads, 2);
-        assert_eq!(snaps[0].weighted_load, 2048);
-        assert_eq!(snaps[0].lightest_ready_weight, Some(1024));
-        assert!(snaps[1].is_idle());
+        let busy = q.snapshot(CoreId(0), &table);
+        assert_eq!(busy.nr_threads, 2);
+        assert_eq!(busy.weighted_load, 2048);
+        assert_eq!(busy.lightest_ready_weight, Some(1024));
+        assert!(q.snapshot(CoreId(1), &table).is_idle());
     }
 
     #[test]
@@ -666,11 +644,9 @@ mod tests {
         for tid in 0..5 {
             q.enqueue(CoreId(0), SimThreadId(tid));
         }
-        let mut moved = Vec::new();
-        q.migrate_picks(CoreId(0), CoreId(1), &[3, 0, 4, 1], &mut moved);
-        assert_eq!(moved, [3, 0, 4, 1].map(SimThreadId));
+        q.migrate_picks(CoreId(0), CoreId(1), &[3, 0, 4, 1]);
         assert_eq!(q.core(CoreId(0)).ready, [SimThreadId(2)]);
-        assert_eq!(q.core(CoreId(1)).ready, moved);
+        assert_eq!(q.core(CoreId(1)).ready, [3, 0, 4, 1].map(SimThreadId));
     }
 
     #[test]

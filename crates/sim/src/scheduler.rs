@@ -9,193 +9,70 @@
 //! [`SimScheduler::balance_round`] every balancing period — from one place
 //! each, at the same simulated times under either upkeep.
 //!
-//! Balancing is one pass function, `balance_pass`: every core plans through
-//! [`Policy::select`] — the selection `sched-verify` checks, shared with the
-//! model, the runqueues and the executor — against one shared snapshot, then
-//! the planned steals re-check against the live queues and move what step 3,
-//! [`sched_core::StealRule::plan`], sizes from the live observations.
-//! [`OptimisticScheduler`]'s round is that pass; a topology-aware policy
-//! makes it hierarchical through its step-2 choice alone.
-//!
-//! **The index.**  Planning by scan costs a snapshot per core and a filter
-//! call per pair of cores.  When both selection steps claim the index
-//! ([`Policy::index_threshold`] is some δ: a filter admitting exactly the
-//! victims at least δ threads above the thief, a choice picking the most
-//! threads, lowest id among equals), every thief's [`Policy::select`] is
-//! known without a call: the first core of the highest thread count, if
-//! that count is at least the thief's plus δ.  The pass then plans from the
-//! queues' count index ([`CoreQueues::busiest`]) in thief-id order, the
-//! order of the scan.  The claim is proven, not trusted: `sched-verify`'s
-//! `lemmas::indexed_select` checks each claimant against the scan, and a
-//! policy whose steps do not both claim keeps the scan.  Listing 1 claims
-//! (so does a topology-aware choice on a machine of one steal level);
-//! weighted, decayed and greedy policies do not.  The stealing phase is
-//! the same either way.
+//! [`OptimisticScheduler`]'s balancing round is the model's: `sched-core`'s
+//! one round driver, [`ConcurrentRound`], under
+//! [`RoundSchedule::AllSelectThenSteal`] ("all cores balance
+//! simultaneously", so later selections can be stale and their steals
+//! fail), run on [`SimState`], the runqueues and the thread table.  The
+//! selection, the re-check and step 3 are the code `sched-verify` checks;
+//! this module supplies the state and narrates the attempts.  A
+//! topology-aware policy makes the round hierarchical through its step-2
+//! choice alone.  For a policy whose selection claims the count index
+//! ([`Policy::index_threshold`], proven by `sched-verify`'s
+//! `lemmas::indexed_select`), the round selects from
+//! [`CoreQueues::busiest`] and takes no snapshot.
 
-use std::cmp::Reverse;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sched_core::tracker::{LoadTracker, NrThreadsTracker};
-use sched_core::{CoreId, CoreSnapshot, Policy, TaskId};
-use sched_topology::{MachineTopology, StealLevel};
-use sched_trace::{FoldedStats, StealOutcomeKind, TraceEvent, TraceSink};
+use sched_core::{
+    Balancer, ConcurrentRound, CoreId, CoreSnapshot, Policy, RoundSchedule, RoundState,
+    StealOutcome, Step, TaskId,
+};
+use sched_topology::MachineTopology;
+use sched_trace::{FoldedStats, TraceEvent, TraceSink};
 
 use crate::queues::CoreQueues;
 use crate::thread::{SimThread, SimThreadId};
 
-/// Distance class between two distinct cores: exact when a topology is
-/// known, node-based (same node vs remote) otherwise.
-fn steal_level_of(
-    topo: Option<&MachineTopology>,
-    thief: &CoreSnapshot,
-    victim: &CoreSnapshot,
-) -> StealLevel {
-    match topo {
-        Some(topo) => topo.steal_level(thief.id, victim.id),
-        None => {
-            if thief.node == victim.node {
-                StealLevel::SameNode
-            } else {
-                StealLevel::Remote
-            }
-        }
-    }
+/// The simulator's runqueues with the thread table that weighs their
+/// threads: the state a balancing round runs on.  A thread's [`TaskId`] is
+/// its [`SimThreadId`].
+pub struct SimState<'a> {
+    /// The runqueues the round reads and moves threads between.
+    pub queues: &'a mut CoreQueues,
+    /// The thread table, indexed by [`SimThreadId`].
+    pub threads: &'a [SimThread],
 }
 
-/// Records one simulated steal attempt on the thief's ring, using the
-/// engine-published clock ([`TraceSink::record_now`]): the attempt the
-/// pass counted, then one [`TraceEvent::Migration`] per moved thread, which
-/// parity folding and the sanity checker consume.
-fn trace_steal(
-    trace: &TraceSink,
-    thief: CoreId,
-    victim: CoreId,
-    attempt: &TraceEvent,
-    moved: &[SimThreadId],
-) {
-    if !trace.is_enabled() {
-        return;
+impl RoundState for SimState<'_> {
+    fn nr_cores(&self) -> usize {
+        self.queues.nr_cores()
     }
-    trace.record_now(thief, attempt);
-    for tid in moved {
-        trace
-            .record_now(thief, &TraceEvent::Migration { task: TaskId(tid.0 as u64), from: victim });
-    }
-}
 
-/// The steals a scan plans, in thief-id order: every core selects through
-/// [`Policy::select`] against one shared snapshot.
-fn scanned_plans(
-    policy: &Policy,
-    queues: &CoreQueues,
-    threads: &[SimThread],
-) -> Vec<(CoreId, CoreId)> {
-    let snapshots = queues.snapshots(threads);
-    let mut candidates = Vec::new();
-    snapshots
-        .iter()
-        .filter_map(|thief| {
-            let victim = policy.select(thief, snapshots.iter().copied(), &mut candidates)?;
-            Some((thief.id, victim.id))
-        })
-        .collect()
-}
+    fn snapshot(&self, core: CoreId) -> CoreSnapshot {
+        self.queues.snapshot(core, self.threads)
+    }
 
-/// The same plans read off the count index, for a policy whose selection
-/// claims it with threshold `delta`: every core at least `delta` threads
-/// below the busiest plans to steal from it.
-fn indexed_plans(queues: &CoreQueues, delta: u64) -> Vec<(CoreId, CoreId)> {
-    let (victim, top) = queues.busiest();
-    queues
-        .cores()
-        .iter()
-        .filter(|thief| thief.nr_threads() + delta <= top)
-        .map(|thief| (thief.id, victim))
-        .collect()
-}
+    fn queue(&self, core: CoreId) -> (usize, bool) {
+        let core = self.queues.core(core);
+        (core.ready.len(), core.current.is_some())
+    }
 
-/// The runqueue positions step 3 takes from `ready`, in the order it moves
-/// them: the `take` newest, or for a lightest-first plan the `take`
-/// lightest, newest first among equals — selected and ordered once, not
-/// rescanned per thread moved.
-fn picks(
-    ready: &VecDeque<SimThreadId>,
-    threads: &[SimThread],
-    take: usize,
-    lightest: bool,
-) -> Vec<usize> {
-    if !lightest {
-        return (0..ready.len()).rev().take(take).collect();
+    fn ready_weight(&self, core: CoreId, position: usize) -> u64 {
+        self.threads[self.queues.core(core).ready[position].0].weight().raw()
     }
-    let key = |&i: &usize| (threads[ready[i].0].weight(), Reverse(i));
-    let mut picks: Vec<usize> = (0..ready.len()).collect();
-    if take < picks.len() {
-        picks.select_nth_unstable_by_key(take, key);
-        picks.truncate(take);
-    }
-    picks.sort_unstable_by_key(key);
-    picks
-}
 
-/// One machine-wide balancing pass, the only one the simulator has: every
-/// core plans its steal against ONE shared view — the "all cores balance
-/// simultaneously" interleaving, so selections made by later cores can be
-/// stale and their steals can fail, exactly the optimism of the model — by
-/// scan, or from the count index when the policy's claim `index` allows
-/// (module docs).  Then each planned steal re-checks the filter against the
-/// live queues before migrating (Listing 1 line 12) as many threads as the
-/// policy's step 3 plans from the same live observations and the planned
-/// thieves of that victim still to come, as the model's round does.
-fn balance_pass(
-    policy: &Policy,
-    index: Option<u64>,
-    topo: Option<&MachineTopology>,
-    trace: &TraceSink,
-    queues: &mut CoreQueues,
-    threads: &[SimThread],
-) -> FoldedStats {
-    let plans = match index {
-        Some(delta) => indexed_plans(queues, delta),
-        None => scanned_plans(policy, queues, threads),
-    };
-    // Per victim, the planned thieves that have not stolen yet: step 3's `r`.
-    let mut contenders = vec![0usize; queues.nr_cores()];
-    for &(_, victim) in &plans {
-        contenders[victim.0] += 1;
+    fn migrate_ready(&mut self, from: CoreId, to: CoreId, positions: &[usize]) -> Vec<TaskId> {
+        let ready = &self.queues.core(from).ready;
+        let moved = positions.iter().map(|&i| TaskId(ready[i].0 as u64)).collect();
+        self.queues.migrate_picks(from, to, positions);
+        moved
     }
-    let mut stats = FoldedStats::default();
-    for (thief, victim) in plans {
-        let r = contenders[victim.0];
-        contenders[victim.0] -= 1;
-        let live_thief = queues.snapshot(thief, threads);
-        let live_victim = queues.snapshot(victim, threads);
-        let (mut k, mut moved) = (1, Vec::new());
-        if policy.filter.can_steal(&live_thief, &live_victim) {
-            // Step 3: the planned number of waiting threads, newest first or
-            // lightest first (newest among equals) as the rule asks, capped
-            // by the live queue (§4.2, "does not steal too much").
-            let plan = policy.steal.plan(policy, &live_thief, &live_victim, r);
-            let live = queues.core(victim);
-            let take = plan.take(live.ready.len(), live.current.is_some());
-            k = plan.count;
-            let picks = picks(&live.ready, threads, take, plan.lightest);
-            queues.migrate_picks(victim, thief, &picks, &mut moved);
-        }
-        // Every failure class in the simulator is a stale optimistic
-        // selection, so a failed attempt is a re-check failure.
-        let stole = !moved.is_empty();
-        let attempt = TraceEvent::StealAttempt {
-            victim: Some(victim),
-            level: stole.then(|| steal_level_of(topo, &live_thief, &live_victim)),
-            outcome: if stole { StealOutcomeKind::Stole } else { StealOutcomeKind::RecheckFailed },
-            k: k as u32,
-            moved: moved.len() as u32,
-        };
-        stats.observe(&attempt);
-        trace_steal(trace, thief, victim, &attempt, &moved);
+
+    fn busiest(&self) -> Option<(CoreId, u64)> {
+        Some(self.queues.busiest())
     }
-    stats
 }
 
 /// The decisions a scheduler makes inside the simulator.
@@ -242,10 +119,9 @@ pub trait SimScheduler: Send {
 /// The verified optimistic scheduler: wakeups go to idle cores, balancing is
 /// the paper's three-step round driven by a [`Policy`].
 pub struct OptimisticScheduler {
-    policy: Policy,
-    /// The policy's [`Policy::index_threshold`], read once: `Some` plans
-    /// every round from the count index.
-    index: Option<u64>,
+    balancer: Balancer,
+    /// The round's steps on this machine, materialised at the first round.
+    steps: Vec<Step>,
     topo: Option<Arc<MachineTopology>>,
     trace: TraceSink,
 }
@@ -253,19 +129,23 @@ pub struct OptimisticScheduler {
 impl OptimisticScheduler {
     /// Creates the scheduler around `policy` (usually [`Policy::simple`]).
     pub fn new(policy: Policy) -> Self {
-        let index = policy.index_threshold();
-        OptimisticScheduler { policy, index, topo: None, trace: TraceSink::disabled() }
+        OptimisticScheduler {
+            balancer: Balancer::new(policy),
+            steps: Vec::new(),
+            topo: None,
+            trace: TraceSink::disabled(),
+        }
     }
 
-    /// Creates the scheduler with a machine topology, enabling exact
-    /// per-level attribution of migrations (SMT/LLC/node/remote).
+    /// Creates the scheduler with a machine topology, enabling per-level
+    /// attribution of migrations (SMT/LLC/node/remote).
     pub fn with_topology(policy: Policy, topo: Arc<MachineTopology>) -> Self {
         OptimisticScheduler { topo: Some(topo), ..Self::new(policy) }
     }
 
     /// The policy driving the balancing rounds.
     pub fn policy(&self) -> &Policy {
-        &self.policy
+        self.balancer.policy()
     }
 }
 
@@ -275,7 +155,7 @@ impl SimScheduler for OptimisticScheduler {
     }
 
     fn tracker(&self) -> Arc<dyn LoadTracker> {
-        Arc::clone(&self.policy.tracker)
+        Arc::clone(&self.policy().tracker)
     }
 
     fn place_wakeup(
@@ -295,8 +175,36 @@ impl SimScheduler for OptimisticScheduler {
         queues.idlest()
     }
 
+    /// One [`RoundSchedule::AllSelectThenSteal`] round of the one driver.
+    /// Every attempt that chose a victim is counted and, on the thief's
+    /// ring at the engine-published clock ([`TraceSink::record_now`]),
+    /// recorded with one [`TraceEvent::Migration`] per moved thread, which
+    /// parity folding and the sanity checker consume.  A thief that
+    /// selected nothing leaves no trace.
     fn balance_round(&mut self, queues: &mut CoreQueues, threads: &[SimThread]) -> FoldedStats {
-        balance_pass(&self.policy, self.index, self.topo.as_deref(), &self.trace, queues, threads)
+        if self.steps.len() != 2 * queues.nr_cores() {
+            self.steps = RoundSchedule::AllSelectThenSteal.steps(queues.nr_cores());
+        }
+        let report = ConcurrentRound::new(&self.balancer)
+            .execute_steps(&mut SimState { queues, threads }, &self.steps);
+        let mut stats = FoldedStats::default();
+        for attempt in &report.attempts {
+            let (thief, Some(victim)) = (attempt.thief, attempt.chosen) else {
+                continue;
+            };
+            let level = self.topo.as_ref().map(|topo| topo.steal_level(thief, victim));
+            let event = TraceEvent::steal_attempt(&attempt.outcome, level, attempt.k);
+            stats.observe(&event);
+            if self.trace.is_enabled() {
+                self.trace.record_now(thief, &event);
+                if let StealOutcome::Stole { tasks, .. } = &attempt.outcome {
+                    for &task in tasks {
+                        self.trace.record_now(thief, &TraceEvent::Migration { task, from: victim });
+                    }
+                }
+            }
+        }
+        stats
     }
 
     fn set_trace_sink(&mut self, sink: TraceSink) {
@@ -306,10 +214,8 @@ impl SimScheduler for OptimisticScheduler {
 
 #[cfg(test)]
 mod tests {
-    use proptest::prelude::*;
-
     use super::*;
-    use sched_core::{Nice, Weight};
+    use sched_core::Weight;
 
     fn threads(n: usize) -> Vec<SimThread> {
         (0..n).map(|i| SimThread::new(SimThreadId(i), Weight::NICE_0)).collect()
@@ -389,59 +295,5 @@ mod tests {
         let stats = sched.balance_round(&mut queues, &table);
         assert!(stats.migrations >= 1);
         assert_eq!(stats.level_migrations.iter().sum::<u64>(), stats.migrations);
-    }
-
-    /// The loop the one-pass picks replaced: rescan the live runqueue for
-    /// each thread moved, the newest of the lightest (or the newest).
-    fn rescanning(
-        queues: &mut CoreQueues,
-        threads: &[SimThread],
-        take: usize,
-        lightest: bool,
-    ) -> Vec<SimThreadId> {
-        let (victim, thief) = (CoreId(0), CoreId(1));
-        let mut moved = Vec::new();
-        while moved.len() < take {
-            let ready = &queues.core(victim).ready;
-            let pick = if lightest {
-                (0..ready.len()).rev().min_by_key(|&i| threads[ready[i].0].weight())
-            } else {
-                ready.len().checked_sub(1)
-            };
-            let Some(tid) = pick.and_then(|i| queues.migrate_at(victim, thief, i)) else {
-                break;
-            };
-            moved.push(tid);
-        }
-        moved
-    }
-
-    proptest! {
-        #[test]
-        fn one_pass_picks_move_what_the_rescan_moved(
-            nices in prop::collection::vec(0usize..4, 0..16),
-            take in 0usize..18,
-            lightest in any::<bool>(),
-        ) {
-            // Few distinct weights, so equal weights are common.
-            let threads: Vec<SimThread> = nices
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| SimThread::new(SimThreadId(i), Nice::new([-5, 0, 0, 19][n]).weight()))
-                .collect();
-            let take = take.min(threads.len());
-            let mut queues = CoreQueues::new(2);
-            for thread in &threads {
-                queues.enqueue(CoreId(0), thread.id);
-            }
-            let mut oracle = queues.clone();
-            let expected = rescanning(&mut oracle, &threads, take, lightest);
-            let picks = picks(&queues.core(CoreId(0)).ready, &threads, take, lightest);
-            let mut moved = Vec::new();
-            queues.migrate_picks(CoreId(0), CoreId(1), &picks, &mut moved);
-            prop_assert_eq!(&moved, &expected);
-            prop_assert_eq!(&queues.core(CoreId(0)).ready, &oracle.core(CoreId(0)).ready);
-            prop_assert_eq!(&queues.core(CoreId(1)).ready, &oracle.core(CoreId(1)).ready);
-        }
     }
 }

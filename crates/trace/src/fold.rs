@@ -4,9 +4,9 @@
 //! [`FoldedStats::of`] is the one function that decides which counter a
 //! [`TraceEvent::StealAttempt`] moves and which level its migrations count
 //! towards.  The live counters call it at the point where they record the
-//! attempt (`sched-rq`'s `BalanceStats`, which the executor shares, and the
-//! simulator's balancing pass), the experiment runner calls it on the
-//! model's round reports, and [`FoldedStats::from_trace`] calls it on a
+//! attempt (`sched-rq`'s `BalanceStats`, which the executor shares), the
+//! simulator and the experiment runner call it on the round reports of the
+//! one round driver, and [`FoldedStats::from_trace`] calls it on a
 //! drained trace.  Folding a trace must therefore reproduce the live tally
 //! bit for bit — the `stats == fold(trace)` parity tests in each substrate
 //! compare the whole struct, which pins the trace as a complete record of

@@ -7,8 +7,8 @@
 //! together that [`Policy::select`] answers every thief with the first core
 //! of the highest thread count, if that count is at least the thief's plus
 //! δ, and with nothing otherwise ([`Policy::index_threshold`]).  That answer
-//! can be read off an index of the cores by count, as the simulator's
-//! balance pass does, with no filter call per pair.  This lemma is what
+//! can be read off an index of the cores by count, as the one round driver
+//! does on the simulator's runqueues, with no filter call per pair.  This lemma is what
 //! makes a claim more than a promise: it compares the indexed answer with
 //! the scanned one on every state and thief of the scope.
 //!

@@ -8,8 +8,8 @@
 //! `r`, and for a herd of `r` thieves that steal from one victim in turn.
 
 use sched_core::{
-    CoreId, CoreSnapshot, LoadMetric, Policy, StealRule, SystemSnapshot, SystemState, TaskId,
-    Weight,
+    steal_step, CoreId, CoreSnapshot, LoadMetric, Policy, StealOutcome, StealRule, SystemSnapshot,
+    SystemState, TaskId, Weight,
 };
 
 use crate::counterexample::Counterexample;
@@ -74,7 +74,8 @@ pub fn check_steal_sizing(policy: &Policy, scope: &Scope) -> LemmaReport {
 /// What a contended steal is sized from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sizing {
-    /// The live thief and victim each steal meets: what every substrate runs.
+    /// The live thief and victim each steal meets: the step every round
+    /// runs ([`steal_step`]).
     Live,
     /// The round's snapshot and its contender count, so a later thief
     /// sizes from a surplus earlier thieves already took.  Refuted for half
@@ -120,10 +121,12 @@ fn orders(cores: &[CoreId]) -> Vec<Vec<CoreId>> {
     })
 }
 
-/// Lets `thieves` steal from `victim` in turn, newest waiting threads
-/// first, each after a live re-check of the filter and sized by `sizing`
-/// (live: with the thieves not yet stolen as `r`); returns the final state,
-/// or the steal that left its thief above the victim.
+/// Lets `thieves` steal from `victim` in turn, each after a live re-check
+/// of the filter, and returns the final state, or the steal that left its
+/// thief above the victim.  Sized live, each steal is the step every round
+/// runs, [`steal_step`], with the thieves not yet stolen as `r`; sized from
+/// the snapshot, it takes the newest waiting threads the round's snapshot
+/// and the whole herd's `r` size.
 fn steal_in_turn(
     policy: &Policy,
     mut state: SystemState,
@@ -138,21 +141,27 @@ fn steal_in_turn(
         state.loads(LoadMetric::NrThreads),
     );
     for (i, &thief) in thieves.iter().enumerate() {
-        let (t, v) = (live(&state, thief), live(&state, victim));
-        if !policy.filter.can_steal(&t, &v) {
-            continue;
-        }
-        let (r, (sized_t, sized_v)) = match sizing {
-            Sizing::Live => (thieves.len() - i, (&t, &v)),
-            Sizing::Snapshot => (thieves.len(), (round.core(thief), round.core(victim))),
+        let r = if sizing == Sizing::Live { thieves.len() - i } else { thieves.len() };
+        let take = match sizing {
+            Sizing::Live => match steal_step(policy, &mut state, thief, victim, r).0 {
+                StealOutcome::RecheckFailed { .. } => continue,
+                outcome => outcome.nr_stolen(),
+            },
+            Sizing::Snapshot => {
+                if !policy.filter.can_steal(&live(&state, thief), &live(&state, victim)) {
+                    continue;
+                }
+                let plan = policy.steal.plan(policy, round.core(thief), round.core(victim), r);
+                let queue = state.core(victim);
+                let take = plan.take(queue.ready.len(), queue.current.is_some());
+                let newest: Vec<TaskId> =
+                    queue.ready.iter().rev().take(take).map(|t| t.id).collect();
+                for id in newest {
+                    state.migrate(victim, thief, id);
+                }
+                take
+            }
         };
-        let plan = policy.steal.plan(policy, sized_t, sized_v, r);
-        let queue = state.core(victim);
-        let take = plan.take(queue.ready.len(), queue.current.is_some());
-        let newest: Vec<TaskId> = queue.ready.iter().rev().take(take).map(|t| t.id).collect();
-        for id in newest {
-            state.migrate(victim, thief, id);
-        }
         let (t, v) =
             (live(&state, thief).load(policy.metric), live(&state, victim).load(policy.metric));
         ce = ce.step(format!("thief {thief} (r = {r}) takes {take}: {t} against the victim's {v}"));

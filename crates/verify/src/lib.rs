@@ -25,7 +25,7 @@
 //!     computed,
 //!   - indexed select: a policy whose steps claim the count index selects
 //!     what the index answers, which licenses the simulator's indexed
-//!     balance pass,
+//!     balancing round,
 //! * failures are reported as step-by-step [`counterexample::Counterexample`]s
 //!   — running the checker against the §4.3 greedy filter reproduces the
 //!   three-core ping-pong exactly.

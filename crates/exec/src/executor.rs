@@ -3,7 +3,8 @@
 //! Everything below this crate schedules *abstract task words*; this module
 //! finally makes them real.  An [`Executor`] spawns one OS worker thread
 //! per CPU of a [`MachineTopology`], each owning a lock-free
-//! [`DequeRq`] (Chase–Lev ring plus the shared overflow injector), and runs
+//! [`DequeRq`] (a Chase–Lev ring plus an injector that takes the ring's
+//! overflow and submissions from other threads), and runs
 //! submitted jobs through exactly the machinery the rest of the repository
 //! verifies: wakeup placement via [`sched_core::ChoicePolicy::place_wakeup`],
 //! batched CAS stealing via [`DequeRq::try_steal_recorded`] with the same
@@ -96,6 +97,16 @@
 //!   a producer of tiny jobs then keeps every worker thread busy and runs
 //!   at whatever pace the operating system's placement of them leaves it —
 //!   twice as slow when it shares its CPU with a worker it keeps waking.
+//! * **A foreign submission writes nothing its worker writes.**  Every
+//!   submission whose target is not the submitting worker's own core —
+//!   every spawn from outside, and a worker's spawn placed on another core
+//!   — goes through [`DequeRq::inject`]: one CAS claims the target core if
+//!   it is idle, and otherwise the task waits in the core's injector, on
+//!   lines of its own.  So each core's ring bottom, owner mutex and
+//!   ring count have one writer, its worker, which moves the injector's
+//!   residents into its ring before each pop, oldest first: it still runs
+//!   the newest waiting task first, and thieves still take the oldest.  A
+//!   worker's spawn onto its own core takes the owner path.
 //! * **Placement reads no busy neighbour and allocates nothing.**  A busy
 //!   core's load lives on lines its worker writes for every task, so a
 //!   snapshot of it costs both sides a coherence miss.  While nobody is
@@ -163,13 +174,24 @@
 //! 1. **Whoever seats work vs the parking worker.**  The worker leaves
 //!    `searching`, registers, *then* re-checks **every** queue — its own
 //!    ring, running slot and injector, and every queue the policy would
-//!    let it steal from; the producer enqueues, *then* reads the published
-//!    count of registered workers and takes the idle stack's lock only
-//!    when it is non-zero.  `SeqCst` fences between the two steps on both
-//!    sides guarantee that the worker sees the task or the producer sees
-//!    the registration — and, since the worker left `searching` before its
-//!    fence, the producer's read of `searching` no longer counts it
-//!    (spelled out in [`crate::parker`]).  Edges 2 and 3 are the same pair
+//!    let it steal from; the producer seats the task, *then* reads the
+//!    published count of registered workers and takes the idle stack's
+//!    lock only when it is non-zero.  `SeqCst` fences between the two
+//!    steps on both sides guarantee that the worker sees the task or the
+//!    producer sees the registration — and, since the worker left
+//!    `searching` before its fence, the producer's read of `searching` no
+//!    longer counts it (spelled out in [`crate::parker`]).  A foreign
+//!    producer's store is the CAS that claims an idle core or the
+//!    injector push, whose resident count is published inside the push;
+//!    the worker's re-check reads the running slot and that count through
+//!    its own snapshot and `injected_len()`, and any other queue's through
+//!    the snapshots the policy selects from.  So a task injected onto a
+//!    core whose worker has just finished its running task and found its
+//!    ring empty is not lost: either the worker's re-check sees it in the
+//!    injector and the worker runs it, or the producer sees the
+//!    registration and wakes it.  An own-core spawn's store is the ring
+//!    push, made by the worker itself, which runs its own queue before it
+//!    looks anywhere else.  Edges 2 and 3 are the same pair
 //!    with the thief as the producer (`Shared::notify_after_steal`): its
 //!    stores are the injector push that returns the losers and the
 //!    owner-side push that seats its share, both before its fence; the
@@ -764,7 +786,8 @@ impl Shared {
         }
     }
 
-    /// Seats `job` on a runqueue: slab, counter, placement, enqueue, wake.
+    /// Seats `job` on a runqueue: slab, counter, placement, enqueue (own
+    /// core) or injection (any other), wake.
     fn submit(&self, job: Job) -> TaskId {
         let nr_workers = self.cores.len();
         let local = self.local_worker();
@@ -817,7 +840,14 @@ impl Shared {
             self.trace.record(target, now, &TraceEvent::TaskWake { task: id });
             self.trace.record(target, now, &TraceEvent::PlaceDecision { task: id, core: target });
         }
-        self.cores[target.0].enqueue(RqTask::new(id));
+        // Only a worker's spawn onto its own core takes the owner path; any
+        // other goes to the target's injector, so each ring's bottom, owner
+        // mutex and queue length keep one writer, its worker.
+        let task = RqTask::new(id);
+        match local {
+            Some(me) if me == target.0 => self.cores[me].enqueue(task),
+            _ => self.cores[target.0].inject(task),
+        }
         self.notify(target.0);
         id
     }
@@ -1300,6 +1330,35 @@ mod tests {
         assert_eq!(exec_policy(&small_topo()).steal, StealRule::One);
         assert_eq!(exec.policy().steal, StealRule::HalfImbalance);
         assert_eq!(exec.policy().describe(), "delta_filter/topology_aware/steal_half");
+        exec.shutdown();
+    }
+
+    /// The order an open loop's median latency rests on, end to end:
+    /// submissions from outside queue behind a running job in its worker's
+    /// injector and run newest first once it completes.
+    #[test]
+    fn foreign_submissions_queue_behind_a_gated_job_and_run_newest_first() {
+        let topo = Arc::new(TopologyBuilder::new().sockets(1).cores_per_socket(1).build());
+        let exec = Executor::start(ExecConfig::new(topo, Policy::simple()));
+        let (release, held) = mpsc::channel::<()>();
+        let (running, gate_runs) = mpsc::channel::<()>();
+        let gate = exec.spawn(move || {
+            running.send(()).expect("the test waits for the gate");
+            held.recv().expect("the test releases the gate")
+        });
+        gate_runs.recv().expect("the gate job starts");
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let handles: Vec<JoinHandle<()>> = (0..4)
+            .map(|i| {
+                let order = Arc::clone(&order);
+                exec.spawn(move || order.lock().expect("order poisoned").push(i))
+            })
+            .collect();
+        assert_eq!(exec.shared.cores[0].injected_len(), 4, "they wait in the injector");
+        release.send(()).expect("the gate job is waiting");
+        gate.join();
+        handles.into_iter().for_each(JoinHandle::join);
+        assert_eq!(*order.lock().expect("order poisoned"), [3, 2, 1, 0]);
         exec.shutdown();
     }
 

@@ -3,10 +3,13 @@
 //!
 //! ## Shape
 //!
-//! * **Waiting tasks** live in a [`sched_deque`] ring.  The core's owner
-//!   operations (wakeup enqueue, `pick_next`, `complete_current`) push and
-//!   pop at the *bottom*; thieves claim at the *top* with a CAS and never
-//!   take any lock.
+//! * **Waiting tasks** live in a [`sched_deque`] ring and the core's
+//!   injector.  The core's owner operations (wakeup enqueue, `pick_next`,
+//!   `complete_current`) push and pop at the ring's *bottom*; thieves claim
+//!   at the *top* with a CAS and never take any lock.  A submission from
+//!   another core's thread goes through [`DequeRq::inject`] into the
+//!   injector instead, and the owner moves it into the ring before its next
+//!   pop (see "The injector" below).
 //! * **The running task** is a single atomic word ([`DequeRq`] encodes the
 //!   task id and niceness into a `u64`): wakeups claim an idle core with a
 //!   CAS, completion swaps it out.  Thieves never touch it — the running
@@ -16,12 +19,14 @@
 //!   re-publishes a consistent snapshot after every locked mutation, the
 //!   deque backend's counters *are* the live atomics, so the owner's hot
 //!   path has no publication step at all — and it writes only the counters
-//!   some reader needs.  A `nice 0` task is counted by the queue length
-//!   alone: weight sum and lightest-weight watermark cover the other
-//!   niceness values, next to a count of them, and [`DequeRq::snapshot`]
-//!   derives the weighted load and the lightest waiting weight from the
-//!   four.  The tracked average is folded only for a tracker that decays;
-//!   an instantaneous tracker's value is the instantaneous load times
+//!   some reader needs.  The waiting tasks are counted in two places: the
+//!   ring's residents by `queued`, the injector's by the injector itself,
+//!   and [`DequeRq::snapshot`] adds the two.  A `nice 0` task is counted by
+//!   those lengths alone: weight sum and lightest-weight watermark cover
+//!   the other niceness values, next to a count of them, and the snapshot
+//!   derives the weighted load and the lightest waiting weight from them.
+//!   The tracked average is folded only for a tracker that decays; an
+//!   instantaneous tracker's value is the instantaneous load times
 //!   [`TRACK_SCALE`], which the snapshot derives from the same counters.
 //!   A queue of `nice 0` tasks under an instantaneous tracker therefore
 //!   pays one counter update per enqueue and one per departure.
@@ -49,9 +54,14 @@
 //! remote core), so the owner end sits behind a small mutex that
 //! serialises *co-located producers only*: thieves never acquire it, which
 //! is the whole point — the owner's enqueue/dequeue path no longer
-//! contends with concurrent stealers (E19/E20 measure exactly this).
+//! contends with concurrent stealers (E19/E20 measure exactly this).  A
+//! caller that can tell its own core from a foreign one does better:
+//! submitting to a foreign core through [`DequeRq::inject`] leaves the
+//! ring's bottom, the owner mutex and `queued` with one writer, the core's
+//! own thread, so a producer on another thread costs the owner no
+//! coherence miss on any of them.  The executor submits that way.
 //!
-//! ## Overflow & the shared injector
+//! ## The injector: overflow and foreign submissions
 //!
 //! The ring is fixed-capacity, so overflow needs a second home — and where
 //! that home is decides whether the backend stays **work-conserving**.
@@ -66,23 +76,27 @@
 //! genuinely had work to give.
 //!
 //! Overflow now goes to a **shared MPMC injector**
-//! ([`sched_deque::Injector`], one per core): the owner overflows into it,
-//! and it is claimable by *anyone* from the instant the push returns.  The
-//! owner's [`DequeRq::pick_next`] checks ring first, injector second;
-//! thieves check the victim's injector whenever the ring CAS finds it
-//! empty — an injector loss ([`Steal::Retry`]) loops back through the
-//! filter exactly like a lost ring CAS.  Every counter (`queued`, the
+//! ([`sched_deque::Injector`], one per core), which is also the inbox of
+//! foreign submissions: the owner overflows into it, [`DequeRq::inject`]
+//! pushes into it, and it is claimable by *anyone* from the instant the
+//! push returns.  Before every owner pop the owner moves the injector's
+//! residents into the ring's free slots, oldest first, in one batch claim:
+//! the newest waiting task then sits at the bottom, where the owner pops,
+//! and the oldest at the top, where thieves claim — the order a ring fed
+//! by the owner alone would have.  Thieves check the victim's injector
+//! whenever the ring CAS finds the ring empty — an injector loss
+//! ([`Steal::Retry`]) loops back through the filter exactly like a lost
+//! ring CAS.  Every load the snapshot reports (the thread count, the
 //! weighted counters, the lightest-weight watermark, the tracked average)
 //! includes injector residents, so what balancing *sees* and what thieves
-//! *can take* are the same set again.  [`DequeRq::refresh`] performs **no
-//! correctness-critical drain**: conservation and convergence hold with
-//! no tick at all, because the injector is as stealable as the ring.
-//! What the tick still does is *age* overflow — it folds injector
-//! residents into the ring's free slots, bounding how long a task that
-//! overflowed can wait behind newer ring arrivals on a core whose ring
-//! never empties (owner and thieves otherwise consult the injector only
-//! on ring-empty).  The old spill needed its drain for reachability; the
-//! new one needs it only for fairness.
+//! *can take* are the same set again.  A move from the injector into the
+//! ring is counted in `queued` before it leaves the injector, and the
+//! snapshot reads the injector before `queued`, so a snapshot taken during
+//! a move may over-state the queue but never under-states it.
+//! [`DequeRq::refresh`] performs **no correctness-critical drain**:
+//! conservation and convergence hold with no tick at all, because the
+//! injector is as stealable as the ring.  What the tick still does is the
+//! same move as an owner pop, for a core whose owner does not pop.
 //!
 //! The pre-injector discipline is now a mutex-backend queue fixture,
 //! [`crate::overflow::SpillQueue`], kept as E22/E25's negative control.
@@ -152,10 +166,25 @@ fn weigh_others(words: &[u64]) -> (u64, u64, u64) {
 }
 
 thread_local! {
-    /// The words the last steal decision on this thread claimed, kept for
-    /// their allocation: a batch is claimed into this buffer, split into
-    /// the thief's share and the losers, and the buffer goes back.
+    /// The words the last batch claim on this thread took, kept for their
+    /// allocation: a steal decision's batch, split into the thief's share
+    /// and the losers, or an owner's move from its injector into its ring.
+    /// The buffer goes back when the claim is done with.
     static CLAIMED: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Gives `T` a cache-line pair of its own, so that one thread writing it
+/// never invalidates what another thread keeps next to it.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Padded<T>(T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
 }
 
 /// One core's lock-free runqueue (see the module docs).
@@ -177,16 +206,23 @@ pub struct DequeRq {
     /// (never taken by thieves).
     owner: Mutex<Worker>,
     stealer: Stealer,
-    /// Shared MPMC home for ring overflow: pushed by the owner when the
-    /// ring is full, claimed by the owner (ring first, injector second)
-    /// and by thieves (whenever the ring CAS finds the ring empty).
-    injector: Injector,
+    /// Shared MPMC home for ring overflow and foreign submissions: pushed
+    /// by the owner when the ring is full and by [`DequeRq::inject`],
+    /// moved into the ring by the owner before each pop, and claimed by
+    /// thieves whenever the ring CAS finds the ring empty.  It counts its
+    /// own residents.  Its lines are its own: a foreign producer's push
+    /// must not invalidate the owner mutex or the counters next to it.
+    injector: Padded<Injector>,
     /// Encoded running task, or [`EMPTY`].
     current: AtomicU64,
-    /// Number of waiting tasks (ring + injector), `nice 0` or not.
+    /// Number of tasks waiting in the ring, `nice 0` or not; the
+    /// injector's residents are counted by the injector.  Written by the
+    /// owner's pushes and pops and by thieves' ring claims, never by
+    /// [`DequeRq::inject`].
     queued: AtomicU64,
-    /// How many of the waiting tasks are not `nice 0`: the tasks the two
-    /// fields below cover.  The rest weigh [`Weight::NICE_0`] each.
+    /// How many of the waiting tasks (ring and injector) are not `nice 0`:
+    /// the tasks the two fields below cover.  The rest weigh
+    /// [`Weight::NICE_0`] each.
     others: AtomicU64,
     /// Total weight of the waiting tasks that are not `nice 0`.
     queued_weight: AtomicU64,
@@ -241,7 +277,7 @@ impl DequeRq {
             clock,
             owner: Mutex::new(worker),
             stealer,
-            injector: Injector::new(),
+            injector: Padded(Injector::new()),
             current: AtomicU64::new(EMPTY),
             queued: AtomicU64::new(0),
             others: AtomicU64::new(0),
@@ -285,48 +321,77 @@ impl DequeRq {
         (word != EMPTY).then(|| decode(word).id)
     }
 
-    /// Pops one waiting task at the owner end (ring first, then the
-    /// injector), keeping the counters in step.  Caller holds the owner
-    /// mutex.
+    /// Pops one waiting task at the owner end, keeping the counters in
+    /// step: the injector's residents move into the ring first, so the
+    /// pop takes the newest waiting task.  Caller holds the owner mutex.
     fn pop_queued(&self, owner: &mut Worker) -> Option<u64> {
-        let word = owner.pop().or_else(|| self.pop_injected())?;
-        self.retire_queued(&[word]);
+        self.absorb(owner);
+        let word = owner.pop()?;
+        self.queued.fetch_sub(1, Ordering::AcqRel);
+        self.weigh_out(&[word]);
         Some(word)
     }
 
-    /// Claims one task from the injector: the owner simply joins the
-    /// thieves' claim race (a lost race means someone else got that task —
-    /// loop for the next).
-    fn pop_injected(&self) -> Option<u64> {
-        loop {
-            match self.injector.steal() {
-                Steal::Stolen(word) => {
-                    // Every injector exit is narrated: the trace-derived
-                    // injector population (pushes + trim loop-backs −
-                    // drains) must match the live resident count.
-                    self.trace_event(&TraceEvent::InjectorDrain { moved: 1 });
-                    return Some(word);
-                }
-                Steal::Empty => return None,
-                Steal::Retry => {}
-            }
+    /// Moves the injector's residents into the ring's free slots, oldest
+    /// first, in one batch claim: the newest then sits at the bottom, where
+    /// the owner pops, and the oldest at the top, where thieves claim.
+    /// Caller holds the owner mutex.
+    fn absorb(&self, owner: &mut Worker) {
+        self.absorb_by(owner, |want, into| self.injector.steal_batch_into(want, into));
+    }
+
+    /// [`DequeRq::absorb`] with the batch claim passed in: `claim(want,
+    /// into)` claims up to `want` injector residents into `into`, oldest
+    /// first, and returns how many it claimed.  Tests pass the injector's
+    /// probed claim here to look at the queue in the middle of a move.
+    ///
+    /// The move is counted in `queued` before it leaves the injector, and
+    /// [`DequeRq::snapshot`] reads the injector first, so a concurrent
+    /// snapshot may count a moving task twice but never misses it; what a
+    /// rival claimed from the injector meanwhile is taken back out of
+    /// `queued` after the move.  Thieves only shrink the ring, so whatever
+    /// fit it when the move was sized fits it at the push.
+    fn absorb_by(&self, owner: &mut Worker, claim: impl FnOnce(usize, &mut Vec<u64>) -> usize) {
+        let waiting = self.injector.len();
+        if waiting == 0 {
+            return;
+        }
+        let want = waiting.min(owner.capacity() - owner.len());
+        if want == 0 {
+            return;
+        }
+        self.queued.fetch_add(want as u64, Ordering::AcqRel);
+        let mut moving = CLAIMED.take();
+        moving.clear();
+        let moved = claim(want, &mut moving);
+        for &word in &moving {
+            owner.push(word).expect("the move was sized to the ring's free slots");
+        }
+        CLAIMED.set(moving);
+        if moved < want {
+            self.queued.fetch_sub((want - moved) as u64, Ordering::AcqRel);
+        }
+        if moved > 0 {
+            // Every injector exit is narrated: the trace-derived injector
+            // population (pushes + trim loop-backs − drains) must match
+            // the live resident count.
+            self.trace_event(&TraceEvent::InjectorDrain { moved: moved as u64 });
         }
     }
 
-    /// Counter bookkeeping shared by every path that removes waiting tasks
-    /// (owner pop and thief claim), once per batch: decrement the length
-    /// and — for the departing tasks that are not `nice 0`, if any — their
-    /// count and weight, and retire the lightest-weight watermark when it
-    /// can no longer be trusted: a departing task's weight *was* the
-    /// recorded minimum, or the last task that is not `nice 0` left.
-    /// `NO_MARK` reads as "unknown" until the next such enqueue
-    /// re-establishes a bound.  Retirement eliminates the dangerous
-    /// stale-*low* case (a departed light task haunting later generations);
-    /// the residual imprecision is stale-*high* with equal-weight
-    /// duplicates, which only makes weighted filters more conservative (see
-    /// the field doc).
-    fn retire_queued(&self, words: &[u64]) {
-        self.queued.fetch_sub(words.len() as u64, Ordering::AcqRel);
+    /// Counts `words` out of the weighted counters, once per batch, for
+    /// every path that removes waiting tasks (owner pop and thief claim):
+    /// for the departing tasks that are not `nice 0`, if any, their count
+    /// and weight, and retires the lightest-weight watermark when it can no
+    /// longer be trusted: a departing task's weight *was* the recorded
+    /// minimum, or the last task that is not `nice 0` left.  `NO_MARK`
+    /// reads as "unknown" until the next such enqueue re-establishes a
+    /// bound.  Retirement eliminates the dangerous stale-*low* case (a
+    /// departed light task haunting later generations); the residual
+    /// imprecision is stale-*high* with equal-weight duplicates, which only
+    /// makes weighted filters more conservative (see the field doc).  The
+    /// lengths are the caller's: `queued` for the ring, the injector's own.
+    fn weigh_out(&self, words: &[u64]) {
         let (count, weight, _) = weigh_others(words);
         if count == 0 {
             return;
@@ -350,46 +415,63 @@ impl DequeRq {
         }
     }
 
-    /// Counts `words` as waiting here, one update per counter for the
-    /// whole run: the length, and only if some of them are not `nice 0`,
-    /// their count, weight and watermark.
-    fn count_queued(&self, words: &[u64]) {
+    /// Counts `words` into the weighted counters, one update per counter
+    /// for the whole run and only if some of them are not `nice 0`: their
+    /// count, weight and watermark.  The lengths are the caller's.
+    fn weigh_in(&self, words: &[u64]) {
         let (count, weight, lightest) = weigh_others(words);
         if count > 0 {
             self.others.fetch_add(count, Ordering::AcqRel);
             self.queued_weight.fetch_add(weight, Ordering::AcqRel);
             self.lightest_mark.fetch_min(lightest, Ordering::AcqRel);
         }
-        self.queued.fetch_add(words.len() as u64, Ordering::AcqRel);
     }
 
-    /// Pushes `words` at the owner end (overflowing to the injector when
-    /// the ring is full), keeping the counters in step.  Caller holds the
-    /// owner mutex.
+    /// Pushes `words` at the owner end, keeping the counters in step: what
+    /// fits the ring's free slots goes there, the rest overflows to the
+    /// injector.  Caller holds the owner mutex.
     ///
-    /// The counters — including the lightest-weight watermark — move
-    /// *before* the ring/injector placement is decided, so an overflowed
-    /// task is counted and watermarked identically to a ring resident.
-    /// The counted set and the claimable set therefore agree up to the
+    /// The counters move *before* the words become claimable, so an
+    /// overflowed task is counted and watermarked identically to a ring
+    /// resident, and a thief that claims a word finds it counted.  The
+    /// counted set and the claimable set therefore agree up to the
     /// instruction-scale window of a push in flight: a thief probing
-    /// between the counter bump and the ring/injector placement can see
-    /// the tasks counted but not yet claimable, which costs that thief one
-    /// failed round — the same transient as a mid-migration task — and
-    /// heals on its next attempt.  What the injector eliminates is the
-    /// *persistent* divergence of a private spill, where counted work stays
-    /// unclaimable until the next tick (E22's negative control,
+    /// between the counter bump and the placement can see the tasks counted
+    /// but not yet claimable, which costs that thief one failed round — the
+    /// same transient as a mid-migration task — and heals on its next
+    /// attempt.  What the injector eliminates is the *persistent*
+    /// divergence of a private spill, where counted work stays unclaimable
+    /// until the next tick (E22's negative control,
     /// [`crate::overflow::SpillQueue`]).
     fn push_queued(&self, owner: &mut Worker, words: &[u64]) {
         if words.is_empty() {
             return;
         }
-        self.count_queued(words);
-        for &word in words {
-            if let Err(sched_deque::Full(rejected)) = owner.push(word) {
-                self.injector.push(rejected);
-                self.trace_event(&TraceEvent::InjectorPush { task: decode(rejected).id });
+        self.weigh_in(words);
+        // Thieves only shrink the ring: what fits now fits at the push.
+        let fits = words.len().min(owner.capacity() - owner.len());
+        let (ring, overflow) = words.split_at(fits);
+        self.queued.fetch_add(ring.len() as u64, Ordering::AcqRel);
+        for &word in ring {
+            owner.push(word).expect("the ring had room for these");
+        }
+        if !overflow.is_empty() {
+            self.injector.push_many(overflow);
+            for &word in overflow {
+                self.trace_event(&TraceEvent::InjectorPush { task: decode(word).id });
             }
         }
+    }
+
+    /// Installs `word` as the running task if the core is idle.  A busy
+    /// core is told apart by a load, not by a failed CAS: a spawn from the
+    /// running task finds its own core busy every time.
+    fn claim_idle(&self, word: u64) -> bool {
+        self.current.load(Ordering::Acquire) == EMPTY
+            && self
+                .current
+                .compare_exchange(EMPTY, word, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
     }
 
     /// Makes `words` runnable here, oldest first: the first one starts
@@ -399,18 +481,9 @@ impl DequeRq {
         let Some((&first, rest)) = words.split_first() else {
             return;
         };
-        // A busy core is told apart by a load, not by a failed CAS: a
-        // spawn from the running task finds its own core busy every time.
-        let claim_idle = || {
-            self.current.load(Ordering::Acquire) == EMPTY
-                && self
-                    .current
-                    .compare_exchange(EMPTY, first, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-        };
         // An idle core is claimed directly — the common wakeup fast path
         // is one CAS, no lock, no publication step.
-        if claim_idle() {
+        if self.claim_idle(first) {
             if !rest.is_empty() {
                 self.push_queued(&mut self.owner.lock(), rest);
             }
@@ -420,8 +493,31 @@ impl DequeRq {
             // completed between the load and the lock acquisition.  Its
             // completion emptied the core under this mutex, so the load
             // here sees that.
-            let waiting = if claim_idle() { rest } else { words };
+            let waiting = if self.claim_idle(first) { rest } else { words };
             self.push_queued(&mut owner, waiting);
+        }
+        self.fold_tracked();
+    }
+
+    /// Makes `task` runnable here from a thread that is not this core's
+    /// owner: it starts running if the core is idle (the one CAS an
+    /// [`RqBackend::enqueue`] makes too), else it waits in the injector,
+    /// claimable by thieves at once and moved into the ring by the owner
+    /// before its next pop.  It writes nothing the owner writes on its own
+    /// path: not the ring's bottom, not the owner mutex and not `queued`
+    /// (CI's "A core's ring has one writer" lint holds it to that).
+    ///
+    /// The owner may complete its running task and look for the next one
+    /// between the load that found the core busy and the push: this queue
+    /// then holds a task with nothing running.  Whoever calls `inject`
+    /// makes sure the owner looks again — the executor's worker re-reads
+    /// the injector before it parks.
+    pub fn inject(&self, task: RqTask) {
+        let word = encode(&task);
+        if !self.claim_idle(word) {
+            self.weigh_in(&[word]);
+            self.injector.push(word);
+            self.trace_event(&TraceEvent::InjectorPush { task: task.id });
         }
         self.fold_tracked();
     }
@@ -471,9 +567,16 @@ impl DequeRq {
         }
     }
 
+    /// The waiting tasks, ring and injector: the injector is read first,
+    /// so a task moving from it into the ring may be counted twice but is
+    /// never missed (see [`DequeRq::absorb_by`]).
+    fn waiting(&self) -> (u64, u64) {
+        let injected = self.injector.len() as u64;
+        (injected + self.queued.load(Ordering::Acquire), injected)
+    }
+
     fn nr_threads(&self) -> u64 {
-        self.queued.load(Ordering::Acquire)
-            + u64::from(self.current.load(Ordering::Acquire) != EMPTY)
+        self.waiting().0 + u64::from(self.current.load(Ordering::Acquire) != EMPTY)
     }
 
     /// One *batch* claim at the victim — ring first (a multi-claim CAS that
@@ -524,7 +627,10 @@ impl DequeRq {
             let apart = victim_snap.nr_threads.saturating_sub(thief_snap.nr_threads);
             let want = want.min(usize::try_from(apart / 2).unwrap_or(usize::MAX)).max(1);
             match self.stealer.steal_many_into(want, share) {
-                Steal::Stolen(_) => break,
+                Steal::Stolen(claimed) => {
+                    self.queued.fetch_sub(claimed as u64, Ordering::AcqRel);
+                    break;
+                }
                 Steal::Empty => {
                     // Ring empty is not queue empty: overflow lives in the
                     // shared injector, claimable right now — and claimed as
@@ -544,7 +650,7 @@ impl DequeRq {
                 Steal::Retry => {}
             }
         }
-        self.retire_queued(&share[held..]);
+        self.weigh_out(&share[held..]);
         self.fold_tracked();
         Ok(())
     }
@@ -574,11 +680,11 @@ impl DequeRq {
         if losers.is_empty() {
             return false;
         }
-        // Re-counted exactly like an enqueue and parked in the shared
+        // Re-counted exactly like an injection and parked in the shared
         // injector, where the owner and any claimant reach them without
         // the owner mutex (which thieves never take, by design).  The trim
         // is the victim's story: its tasks came back, on its ring.
-        self.count_queued(losers);
+        self.weigh_in(losers);
         self.injector.push_many(losers);
         self.fold_tracked();
         self.trace_event(&TraceEvent::BatchTrim { returned: losers.len() as u64 });
@@ -613,15 +719,15 @@ impl RqBackend for DequeRq {
         &self.tracker
     }
 
-    /// Derives what the counters leave implicit: the waiting `nice 0`
-    /// tasks weigh [`Weight::NICE_0`] each and are the lightest waiting
+    /// Derives what the counters leave implicit: the waiting tasks are the
+    /// ring's and the injector's, the waiting `nice 0` tasks weigh [`Weight::NICE_0`] each and are the lightest waiting
     /// weight unless the watermark of the others is lower, and an
     /// instantaneous tracker's value is the load times [`TRACK_SCALE`].
     fn snapshot(&self) -> CoreSnapshot {
-        let queued = self.queued.load(Ordering::Acquire);
+        let (waiting, injected) = self.waiting();
         // A concurrent update can be half seen; it never makes a count
         // negative.
-        let others = self.others.load(Ordering::Acquire).min(queued);
+        let others = self.others.load(Ordering::Acquire).min(waiting);
         let current = self.current.load(Ordering::Acquire);
         let nice_0 = Weight::NICE_0.raw();
         let (others_weight, mark) = if others == 0 {
@@ -629,10 +735,10 @@ impl RqBackend for DequeRq {
         } else {
             (self.queued_weight.load(Ordering::Acquire), self.lightest_mark.load(Ordering::Acquire))
         };
-        let nr_threads = queued + u64::from(current != EMPTY);
+        let nr_threads = waiting + u64::from(current != EMPTY);
         let current_weight = if current == EMPTY { 0 } else { weight_of(current) };
-        let weighted_load = (queued - others) * nice_0 + others_weight + current_weight;
-        let lightest = if queued > others { mark.min(nice_0) } else { mark };
+        let weighted_load = (waiting - others) * nice_0 + others_weight + current_weight;
+        let lightest = if waiting > others { mark.min(nice_0) } else { mark };
         let tracked_scaled = if self.decayed {
             self.tracked_scaled.load(Ordering::Acquire)
         } else {
@@ -645,7 +751,7 @@ impl RqBackend for DequeRq {
             weighted_load,
             lightest_ready_weight: (lightest != NO_MARK).then_some(lightest),
             tracked_scaled,
-            injected: self.injected_len() as u64,
+            injected,
         }
     }
 
@@ -686,40 +792,13 @@ impl RqBackend for DequeRq {
     }
 
     fn refresh(&self) {
-        // The *fairness* drain — deliberately not correctness-critical:
-        // injector residents are stealable the whole time, and every
-        // conservation property holds with no tick at all (the storm tests
-        // converge without one).  What the drain restores is a tick-scale
-        // *aging* bound: owner and thieves otherwise reach the injector
-        // only when the ring is empty, so on a core whose ring never drains
-        // (steady arrivals, no admitted steals) an overflowed task's wait
-        // would be unbounded.  Folding residents into the ring's free slots
-        // once per tick bounds that wait; the instruction-scale window in
-        // which a moving word is reachable by neither structure is the
-        // same transient as a push in flight.
-        let mut owner = self.owner.lock();
-        let mut moved = 0u64;
-        while owner.len() < owner.capacity() {
-            match self.injector.steal() {
-                Steal::Stolen(word) => {
-                    if let Err(sched_deque::Full(rejected)) = owner.push(word) {
-                        // Unreachable while the owner mutex is held
-                        // (thieves only shrink the ring), but if it ever
-                        // fired the word must go back where it is
-                        // stealable.
-                        self.injector.push(rejected);
-                        break;
-                    }
-                    moved += 1;
-                }
-                Steal::Empty => break,
-                Steal::Retry => {}
-            }
-        }
-        drop(owner);
-        if moved > 0 {
-            self.trace_event(&TraceEvent::InjectorDrain { moved });
-        }
+        // Deliberately not correctness-critical: injector residents are
+        // stealable the whole time, and every conservation property holds
+        // with no tick at all (the storm tests converge without one).  The
+        // tick makes the owner pop's move for a core whose owner is not
+        // popping, so an overflowed or injected task does not wait in the
+        // injector behind a ring that never empties.
+        self.absorb(&mut self.owner.lock());
         self.fold_tracked();
     }
 
@@ -1294,6 +1373,115 @@ mod tests {
         });
     }
 
+    /// A queue with a ring of `capacity` slots under the thread-count
+    /// tracker.
+    fn rq_with_ring(id: usize, capacity: usize) -> DequeRq {
+        DequeRq::with_queue_capacity(
+            CoreId(id),
+            NodeId(0),
+            Arc::new(NrThreadsTracker),
+            Arc::new(AtomicU64::new(0)),
+            capacity,
+        )
+    }
+
+    #[test]
+    fn an_injection_claims_an_idle_core_and_otherwise_waits_in_the_injector() {
+        let q = rq(0);
+        q.inject(RqTask::new(TaskId(1)));
+        assert_eq!((q.current_task(), q.injected_len()), (Some(TaskId(1)), 0));
+        q.inject(RqTask::with_nice(TaskId(2), Nice::new(19)));
+        let snap = q.snapshot();
+        assert_eq!((snap.nr_threads, snap.injected), (2, 1));
+        assert_eq!(snap.weighted_load, 1024 + 15);
+        assert_eq!(snap.lightest_ready_weight, Some(15));
+        assert_eq!(q.queued.load(Ordering::Relaxed), 0, "the ring's count is the owner's alone");
+    }
+
+    #[test]
+    fn injected_tasks_run_newest_first_and_a_thief_takes_the_oldest() {
+        // The order an open loop's median latency rests on: the owner runs
+        // the newest waiting task, a thief takes the oldest, however the
+        // tasks arrived.  A, B and C are injected behind a running task and
+        // wait in the injector; the owner's next pop moves them into the
+        // ring oldest first.
+        let q = rq(1);
+        q.enqueue(RqTask::new(TaskId(0)));
+        let [a, b, c] = [1, 2, 3].map(TaskId);
+        for id in [a, b, c] {
+            q.inject(RqTask::new(id));
+        }
+        assert_eq!((q.injected_len(), q.snapshot().nr_threads), (3, 4));
+        assert_eq!(q.complete_current().map(|task| task.id), Some(TaskId(0)));
+        assert_eq!(q.injected_len(), 0, "the pop moved the injector into the ring");
+        assert_eq!(q.complete_current().map(|task| task.id), Some(c), "C, the newest, ran first");
+        assert_eq!(q.current_task(), Some(b), "then B");
+        let outcome = DequeRq::try_steal_recorded(&rq(0), &q, &DeltaFilter::listing1(), 1, None);
+        assert_eq!(outcome, StealOutcome::Stole { victim: CoreId(1), tasks: vec![a] });
+        // An injection is newer than what already waits in the ring, and
+        // the move before the pop puts it there, not just when the ring
+        // runs dry.
+        q.enqueue(RqTask::new(TaskId(4)));
+        q.inject(RqTask::new(TaskId(5)));
+        assert_eq!(q.complete_current().map(|task| task.id), Some(b));
+        assert_eq!(q.current_task(), Some(TaskId(5)));
+    }
+
+    #[test]
+    fn a_snapshot_during_the_move_into_the_ring_never_reads_low() {
+        // The move counts its words in the ring before it claims them from
+        // the injector.  A snapshot between the injector's resident check
+        // and its claim (the probe), or between the claim and the push into
+        // the ring (the sink), may count a moving task twice but never
+        // misses one.  The probe also lets a rival claim the two oldest
+        // residents first: the move takes the rest, and gives back the
+        // count it had taken for the two.
+        let q = rq_with_ring(0, 8);
+        q.enqueue(RqTask::new(TaskId(0)));
+        for id in 1..=6 {
+            q.inject(RqTask::new(TaskId(id)));
+        }
+        let reads_low = |live: u64| q.snapshot().nr_threads < live;
+        let mut rival = Vec::new();
+        q.absorb_by(&mut q.owner.lock(), |want, into| {
+            assert_eq!(want, 6);
+            q.injector.steal_batch_with_probe(
+                want,
+                |word| {
+                    assert!(!reads_low(5), "a claimed word is counted before the ring holds it");
+                    into.push(word);
+                },
+                || {
+                    assert!(!reads_low(7));
+                    assert_eq!(q.injector.steal_batch_into(2, &mut rival), 2);
+                    assert!(!reads_low(5));
+                },
+            )
+        });
+        assert_eq!(rival.iter().map(|&word| decode(word).id.0).collect::<Vec<_>>(), [1, 2]);
+        let snap = q.snapshot();
+        assert_eq!((snap.nr_threads, snap.injected), (5, 0), "exact again once the move is done");
+        assert_eq!(q.queued.load(Ordering::Relaxed), 4);
+        assert_eq!(q.complete_current().map(|task| task.id), Some(TaskId(0)));
+        assert_eq!(q.current_task(), Some(TaskId(6)));
+    }
+
+    #[test]
+    fn a_foreign_push_shares_no_cache_line_pair_with_the_owner_path() {
+        // The injector is the only line pair a foreign submission writes
+        // to a busy core; the owner writes its mutex, the running slot and
+        // the ring's count for every task.
+        use std::mem::{offset_of, size_of};
+        let pair = |offset: usize| offset / 128;
+        let injector = offset_of!(DequeRq, injector);
+        let pairs = pair(injector)..=pair(injector + size_of::<Padded<Injector>>() - 1);
+        for owned in
+            [offset_of!(DequeRq, owner), offset_of!(DequeRq, current), offset_of!(DequeRq, queued)]
+        {
+            assert!(!pairs.contains(&pair(owned)), "field at {owned} shares the injector's lines");
+        }
+    }
+
     /// What one queue holds, kept by hand: the running task and the
     /// waiting ones, each with its weight.
     #[derive(Debug, Default)]
@@ -1400,6 +1588,208 @@ mod tests {
                     oracle.check(q, weighted_tracker)?;
                 }
             }
+        }
+    }
+
+    /// Where one queue's tasks are, kept by hand: the running task, the
+    /// ring and the injector (each oldest first), with their weights.
+    #[derive(Debug, Default)]
+    struct Places {
+        current: Option<(u64, u64)>,
+        ring: std::collections::VecDeque<(u64, u64)>,
+        injector: std::collections::VecDeque<(u64, u64)>,
+    }
+
+    impl Places {
+        /// An owner enqueue or a foreign injection of `task`.
+        fn arrive(&mut self, task: (u64, u64), capacity: usize, foreign: bool) {
+            if self.current.is_none() {
+                self.current = Some(task);
+            } else if !foreign && self.ring.len() < capacity {
+                self.ring.push_back(task);
+            } else {
+                self.injector.push_back(task);
+            }
+        }
+
+        /// An owner pop onto an idle core: the injector moves into the
+        /// ring's free slots, then the newest ring resident runs.
+        fn promote(&mut self, capacity: usize) {
+            let room = (capacity - self.ring.len()).min(self.injector.len());
+            self.ring.extend(self.injector.drain(..room));
+            self.current = self.ring.pop_back();
+        }
+
+        /// A thief's claim of `words`: the ring's oldest, or the
+        /// injector's when the ring is empty.
+        fn claim(&mut self, words: &[u64]) -> Result<(), TestCaseError> {
+            let from = if self.ring.is_empty() { &mut self.injector } else { &mut self.ring };
+            prop_assert!(words.len() <= from.len());
+            for (&word, (id, _)) in words.iter().zip(from.drain(..words.len())) {
+                prop_assert_eq!(decode(word).id.0, id);
+            }
+            Ok(())
+        }
+
+        fn check(&self, q: &DequeRq) -> Result<(), TestCaseError> {
+            let snap = q.snapshot();
+            let all = || self.current.iter().chain(&self.ring).chain(&self.injector);
+            prop_assert_eq!(snap.nr_threads, all().count() as u64);
+            prop_assert_eq!(snap.weighted_load, all().map(|&(_, w)| w).sum::<u64>());
+            prop_assert_eq!(snap.injected, self.injector.len() as u64);
+            prop_assert_eq!(q.queued.load(Ordering::Relaxed), self.ring.len() as u64);
+            prop_assert_eq!(q.current_task(), self.current.map(|(id, _)| TaskId(id)));
+            Ok(())
+        }
+    }
+
+    proptest! {
+        /// One queue under owner enqueues and pops, foreign injections,
+        /// thief batch claims that trim losers back, and ticks, against a
+        /// hand-kept record of where each task is: at every quiescent point
+        /// the snapshot's thread count and weighted load are the live
+        /// population's, `injected` is the injector's residents, `queued`
+        /// the ring's, and every pop and claim takes the task the record
+        /// says it does.
+        #[test]
+        fn ring_and_injector_counts_agree_with_where_the_tasks_are(
+            ring in 0usize..3,
+            ops in prop::collection::vec((0u8..7, 0usize..8, 1usize..5), 1..150),
+        ) {
+            let capacity = [2, 4, 8][ring];
+            let q = rq_with_ring(0, capacity);
+            let thief = rq(1);
+            let mut places = Places::default();
+            let mut thief_load = 0u64;
+            let nices = [0i8, 0, 0, 0, -5, 5, 19, 0];
+            let filters = [DeltaFilter::listing1(), DeltaFilter::new(LoadMetric::NrThreads, 1)];
+            let mut next_id = 0;
+            for (op, pick, k) in ops {
+                match op {
+                    0 | 1 => {
+                        let task = RqTask::with_nice(TaskId(next_id), Nice::new(nices[pick]));
+                        next_id += 1;
+                        let foreign = op == 1;
+                        places.arrive((task.id.0, task.weight().raw()), capacity, foreign);
+                        if foreign {
+                            q.inject(task);
+                        } else {
+                            q.enqueue(task);
+                        }
+                    }
+                    2 => {
+                        let done = q.complete_current().map(|task| task.id.0);
+                        prop_assert_eq!(done, places.current.take().map(|(id, _)| id));
+                        places.promote(capacity);
+                    }
+                    3 => {
+                        q.pick_next();
+                        if places.current.is_none() {
+                            places.promote(capacity);
+                        }
+                    }
+                    4 => {
+                        // A claim, `pick % 3` arrivals on the thief while it
+                        // holds the claim, and the delivery's trim.
+                        let mut share = Vec::new();
+                        let filter = &filters[pick % 2];
+                        if q.claim_checked_many(&thief, filter, k, &mut share).is_ok() {
+                            places.claim(&share)?;
+                            for _ in 0..pick % 3 {
+                                thief.enqueue(RqTask::new(TaskId(next_id)));
+                                next_id += 1;
+                                thief_load += 1;
+                            }
+                            let claimed = share.clone();
+                            q.trim(&thief, &mut share, 0);
+                            for &word in &claimed[share.len()..] {
+                                let task = decode(word);
+                                places.injector.push_back((task.id.0, task.weight().raw()));
+                            }
+                            thief.seat(&share);
+                            thief_load += share.len() as u64;
+                        }
+                    }
+                    5 => {
+                        if thief.complete_current().is_some() {
+                            thief_load -= 1;
+                        }
+                    }
+                    _ => {
+                        q.refresh();
+                        let room = (capacity - places.ring.len()).min(places.injector.len());
+                        let moved: Vec<_> = places.injector.drain(..room).collect();
+                        places.ring.extend(moved);
+                    }
+                }
+                places.check(&q)?;
+                prop_assert_eq!(thief.snapshot().nr_threads, thief_load);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "nightly-strength stress; run via `cargo test -- --ignored`"]
+    fn stress_foreign_producers_owner_and_thieves_claim_every_task_once() {
+        // Two producers inject into a core with an eight-slot ring while its
+        // owner pops and two thieves claim batches from it: every task is
+        // claimed exactly once, and the victim's counters return to zero.
+        const PRODUCERS: u64 = 2;
+        const EACH: u64 = 500;
+        let total = PRODUCERS * EACH;
+        let filter = DeltaFilter::new(LoadMetric::NrThreads, 1);
+        let nices = [0i8, 0, 0, 5];
+        for round in 0..100 {
+            let victim = rq_with_ring(0, 8);
+            let thieves: Vec<DequeRq> = (1..=2).map(rq).collect();
+            let seen: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
+            let done = AtomicU64::new(0);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+            let busy =
+                || done.load(Ordering::Acquire) < total && std::time::Instant::now() < deadline;
+            let record = |task: RqTask| {
+                seen[task.id.0 as usize].fetch_add(1, Ordering::Relaxed);
+                done.fetch_add(1, Ordering::AcqRel);
+            };
+            std::thread::scope(|scope| {
+                for producer in 0..PRODUCERS {
+                    let victim = &victim;
+                    scope.spawn(move || {
+                        for i in 0..EACH {
+                            let nice = Nice::new(nices[i as usize % nices.len()]);
+                            victim.inject(RqTask::with_nice(TaskId(producer * EACH + i), nice));
+                        }
+                    });
+                }
+                scope.spawn(|| {
+                    while busy() {
+                        match victim.complete_current() {
+                            Some(task) => record(task),
+                            None => std::thread::yield_now(),
+                        }
+                    }
+                });
+                for thief in &thieves {
+                    let (victim, filter) = (&victim, &filter);
+                    scope.spawn(move || {
+                        while busy() {
+                            let _ = DequeRq::try_steal_recorded(thief, victim, filter, 4, None);
+                            while let Some(task) = thief.complete_current() {
+                                record(task);
+                            }
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+            });
+            let counts: Vec<u64> = seen.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+            assert!(counts.iter().all(|&n| n == 1), "round {round}: claims per task {counts:?}");
+            let snap = victim.snapshot();
+            assert_eq!((snap.nr_threads, snap.weighted_load, snap.injected), (0, 0, 0));
+            for counter in [&victim.queued, &victim.others, &victim.queued_weight] {
+                assert_eq!(counter.load(Ordering::Relaxed), 0, "round {round}");
+            }
+            assert!(thieves.iter().all(|thief| thief.snapshot().is_idle()));
         }
     }
 }

@@ -582,12 +582,28 @@ mod tests {
         assert!(at(&churn, 1).steals.migrations > 0, "1ms half-life must churn");
         assert_eq!(at(&churn, 16).steals.migrations, 0, "16ms half-life must hold still");
         // The responsiveness axis: the warm-up lag never shrinks as the
-        // half-life grows, and 64ms pays more of it than 1ms.
-        let lags: Vec<usize> = [1, 4, 16, 64]
-            .map(|ms| at(&lag, ms).convergence_rounds.expect("a cold tracker still converges"))
-            .to_vec();
+        // half-life grows, and 64ms pays more of it than 1ms — in rounds,
+        // and in violating idle over the scenario's fixed round budget.
+        let records = [1, 4, 16, 64].map(|ms| at(&lag, ms));
+        let lags: Vec<usize> = records
+            .iter()
+            .map(|r| r.convergence_rounds.expect("a cold tracker still converges"))
+            .collect();
+        let idle: Vec<f64> = records.iter().map(|r| r.violating_idle).collect();
         assert!(lags.windows(2).all(|w| w[0] <= w[1]), "warm-up lag per half-life: {lags:?}");
         assert!(lags[0] < lags[3], "a longer half-life must pay a longer warm-up lag: {lags:?}");
+        assert!(idle.windows(2).all(|w| w[0] <= w[1]), "idle per half-life: {idle:?}");
+        assert!(idle[0] < idle[3], "a longer warm-up lag must idle longer: {idle:?}");
+    }
+
+    /// Violating idle is core-rounds over the replay's round budget: e8's
+    /// one round with 63 of 64 cores idle reads 63 core-rounds of
+    /// 64 × 1024.
+    #[test]
+    fn e8_accounts_its_one_idle_round_over_the_whole_budget() {
+        let e8 = model_records(ExperimentId::E8).remove(0);
+        assert_eq!(e8.convergence_rounds, Some(1));
+        assert_eq!(e8.violating_idle, 63.0 / 65536.0);
     }
 
     /// The locality numbers the E14/E15 policy variants are catalogued to

@@ -37,7 +37,7 @@ use sched_core::prelude::*;
 use sched_dsl::{
     Batch, Driver, OpenLoop, PolicyRecipe, Scenario, Service, Storm, Topology, WorkloadKind,
 };
-use sched_metrics::Table;
+use sched_metrics::{IdleAccounting, Table};
 use sched_rq::MultiQueue;
 use sched_topology::{MachineTopology, NodeId, TopologyBuilder};
 use sched_trace::{FoldedStats, Trace, TraceEvent, TraceSink};
@@ -551,57 +551,51 @@ fn record_base(
     }
 }
 
-/// What a round-driven run (model or runqueues, any driver) measures about
-/// itself besides its steal tally: how much of the machine — and of each
-/// NUMA node — sat idle per sampled round, and the wall time it took.
-struct RoundSamples<'a> {
-    topo: &'a MachineTopology,
-    exposure: sched_metrics::OverflowExposure,
-    node_idle: Vec<f64>,
+/// Accounts `rounds` rounds at per-core thread counts `loads` into `idle`,
+/// one unit of core-time per core per round: a core holding no thread is
+/// idle, and its idle time violates work conservation while some core
+/// holds two or more.
+fn account_rounds(idle: &mut IdleAccounting, loads: &[usize], rounds: u64) {
+    let any_overloaded = loads.iter().any(|&n| n >= 2);
+    for (core, &n) in loads.iter().enumerate() {
+        idle.account(core, rounds, n == 0, any_overloaded);
+    }
 }
 
-impl<'a> RoundSamples<'a> {
-    fn new(topo: &'a MachineTopology) -> Self {
-        RoundSamples {
-            topo,
-            exposure: sched_metrics::OverflowExposure::new(topo.nr_cpus()),
-            node_idle: vec![0.0; topo.nr_nodes()],
-        }
-    }
+/// Stamps the violating share of `idle`'s core-time, machine-wide and per
+/// NUMA node — the one writer of both fields for every backend that
+/// measures them.
+fn stamp_idle(record: &mut ExperimentRecord, idle: &IdleAccounting, topo: &MachineTopology) {
+    record.violating_idle = idle.violation_fraction();
+    record.per_node_violating_idle = (0..topo.nr_nodes())
+        .map(|n| {
+            let cpus: Vec<usize> = topo.cpus_of_node(NodeId(n)).iter().map(|c| c.0).collect();
+            idle.violation_fraction_of(&cpus)
+        })
+        .collect();
+}
 
-    /// Samples one round from its per-core thread counts.  The idle cores
-    /// count against the run only while they are `violating` — idle next to
-    /// work they could have had.
-    fn sample(&mut self, violating: bool, loads: &[usize]) {
-        let idle = loads.iter().filter(|&&n| n == 0).count();
-        self.exposure.record_round(idle, violating);
-        if violating {
-            for (node, slot) in self.node_idle.iter_mut().enumerate() {
-                let cpus = self.topo.cpus_of_node(NodeId(node));
-                let idle = cpus.iter().filter(|c| loads[c.0] == 0).count();
-                *slot += idle as f64 / cpus.len() as f64;
-            }
-        }
-    }
-
-    /// Stamps the run's wall time, its migrations per wall-clock second,
-    /// the idle fractions averaged over the sampled rounds and — on a batch
-    /// sweep — the threads moved per successful acquisition.
-    fn stamp(self, record: &mut ExperimentRecord, wall: std::time::Duration) {
-        record.wall_ms = wall.as_secs_f64() * 1e3;
-        record.throughput = if wall.as_secs_f64() > 0.0 {
-            record.steals.migrations as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        record.violating_idle = self.exposure.violating_fraction();
-        let rounds = self.exposure.sampled_rounds().max(1) as f64;
-        record.per_node_violating_idle = self.node_idle.into_iter().map(|v| v / rounds).collect();
-        if record.steal_batch_k.is_some() {
-            let FoldedStats { successes, migrations, .. } = record.steals;
-            record.tasks_per_acquisition =
-                Some(if successes > 0 { migrations as f64 / successes as f64 } else { 0.0 });
-        }
+/// Stamps what a round-driven run (model or runqueues, any driver)
+/// measured besides its steal tally: its wall time, its migrations per
+/// wall-clock second, its idle accounting and — on a batch sweep — the
+/// threads moved per successful acquisition.
+fn stamp_rounds(
+    record: &mut ExperimentRecord,
+    idle: &IdleAccounting,
+    topo: &MachineTopology,
+    wall: std::time::Duration,
+) {
+    record.wall_ms = wall.as_secs_f64() * 1e3;
+    record.throughput = if wall.as_secs_f64() > 0.0 {
+        record.steals.migrations as f64 / wall.as_secs_f64()
+    } else {
+        0.0
+    };
+    stamp_idle(record, idle, topo);
+    if record.steal_batch_k.is_some() {
+        let FoldedStats { successes, migrations, .. } = record.steals;
+        record.tasks_per_acquisition =
+            Some(if successes > 0 { migrations as f64 / successes as f64 } else { 0.0 });
     }
 }
 
@@ -713,7 +707,9 @@ impl<B: sched_rq::RqBackend> RoundMachine for (MultiQueue<B>, Policy) {
 /// Steps `machine` through the spec's round-paced driver into `record`:
 ///
 /// * **replay** — one balancing period per round, until the machine is
-///   work-conserving or the budget runs out;
+///   work-conserving or the budget runs out; the idle accounting's
+///   horizon is the whole budget, so a run that converges early accounts
+///   its remaining rounds at the converged loads;
 /// * **burst** (see [`sched_dsl::Burst`]) — per epoch one core's threads sleep, a
 ///   single concurrent round runs against the blipped state and the
 ///   sleepers wake on their own core: the churn those blips induce.
@@ -723,7 +719,7 @@ fn run_rounds<M: RoundMachine>(
     topo: &Arc<MachineTopology>,
     mut record: ExperimentRecord,
 ) -> ExperimentRecord {
-    let mut samples = RoundSamples::new(topo);
+    let mut idle = IdleAccounting::new(topo.nr_cpus());
     let start = if let Driver::Burst(burst) = spec.driver {
         // Warm up: let decayed trackers converge to the steady loads.
         let mut now = burst.warmup_ns;
@@ -734,7 +730,7 @@ fn run_rounds<M: RoundMachine>(
             let sleepers = machine.sleep(sleeper);
             now += burst.epoch_ns;
             machine.tick(now);
-            samples.sample(true, &machine.loads());
+            account_rounds(&mut idle, &machine.loads(), 1);
             machine.balance(topo, &mut record.steals);
             machine.wake(sleeper, sleepers);
         }
@@ -747,19 +743,18 @@ fn run_rounds<M: RoundMachine>(
             machine.tick((round as u64 + 1) * ROUND_NS);
             if machine.is_work_conserving() {
                 record.convergence_rounds = Some(round);
+                account_rounds(&mut idle, &machine.loads(), (spec.budget - round) as u64);
                 break;
             }
             if round == spec.budget {
                 break;
             }
-            // Every idle core in a non-work-conserving state is a violation
-            // by definition.
-            samples.sample(true, &machine.loads());
+            account_rounds(&mut idle, &machine.loads(), 1);
             machine.balance(topo, &mut record.steals);
         }
         start
     };
-    samples.stamp(&mut record, start.elapsed());
+    stamp_rounds(&mut record, &idle, topo, start.elapsed());
     record.final_loads = machine.loads();
     record
 }
@@ -937,15 +932,9 @@ fn run_sim(
 
     record.throughput = result.throughput_ops_per_sec();
     record.throughput_unit = "ops/s";
-    record.violating_idle = result.violating_idle_fraction();
+    stamp_idle(&mut record, &result.idle, &topo);
     record.steals = result.balance;
     record.p99_sched_latency_us = Some(result.latency.quantile(0.99) as f64 / 1e3);
-    record.per_node_violating_idle = (0..topo.nr_nodes())
-        .map(|n| {
-            let cpus: Vec<usize> = topo.cpus_of_node(NodeId(n)).iter().map(|c| c.0).collect();
-            result.idle.violation_fraction_of(&cpus)
-        })
-        .collect();
     record.sim_engine = Some(match engine {
         SimEngine::Tick => "tick",
         SimEngine::Event => "event",
@@ -1001,18 +990,19 @@ pub struct RqDequeBackend;
 /// The overflow-storm driver (see [`Storm`]): per epoch, a fan-out
 /// burst lands on core 0, `rounds_per_epoch` genuinely concurrent rounds
 /// run against it with **no tick** in between, and the machine drains.
-/// After every round the settled state is sampled: a core still idle while
-/// an overloaded core holds waiting work is the violation this experiment
-/// exists to measure — on a conserving overflow discipline the burst is
-/// fully reachable, so the post-round idle count is ~0; on one that hides
-/// overflow the stranded cores persist for the rest of the epoch.
+/// After every round the settled state is accounted: a core still idle
+/// while an overloaded core holds waiting work is the violation this
+/// experiment exists to measure — on a conserving overflow discipline the
+/// burst is fully reachable, so the post-round idle count is ~0; on one
+/// that hides overflow the stranded cores persist for the rest of the
+/// epoch.
 fn run_storm<B: sched_rq::RqBackend>(
     mut machine: (MultiQueue<B>, Policy),
     storm: Storm,
     topo: &Arc<MachineTopology>,
     mut record: ExperimentRecord,
 ) -> ExperimentRecord {
-    let mut samples = RoundSamples::new(topo);
+    let mut idle = IdleAccounting::new(topo.nr_cpus());
     let mut now = 0u64;
 
     let start = Instant::now();
@@ -1024,10 +1014,9 @@ fn run_storm<B: sched_rq::RqBackend>(
         }
         for _ in 0..storm.rounds {
             machine.balance(topo, &mut record.steals);
-            // Sample the *settled* state: idle-after-a-full-round while
+            // Account the *settled* state: idle-after-a-full-round while
             // work waits is exactly the conservation violation.
-            let loads = machine.loads();
-            samples.sample(loads.iter().any(|&n| n >= 2), &loads);
+            account_rounds(&mut idle, &machine.loads(), 1);
         }
         // Epoch boundary: the tick fires (this is where the private spill
         // finally re-exposes stranded work) and the machine drains for the
@@ -1038,7 +1027,7 @@ fn run_storm<B: sched_rq::RqBackend>(
             while machine.0.core(CoreId(core)).complete_current().is_some() {}
         }
     }
-    samples.stamp(&mut record, start.elapsed());
+    stamp_rounds(&mut record, &idle, topo, start.elapsed());
     record.final_loads = machine.loads();
     record
 }
@@ -1541,6 +1530,30 @@ mod tests {
                 "{}: no core may end above the initial maximum",
                 r.backend
             );
+        }
+    }
+
+    /// A burst epoch violates work conservation only while some core holds
+    /// two or more threads: on one thread per core, the sleeping core's
+    /// idle time is benign.
+    #[test]
+    fn a_burst_with_no_overloaded_core_reads_no_violating_idle() {
+        let spec = Scenario {
+            loads: vec![1, 1, 1, 1],
+            driver: Driver::Burst(Burst {
+                epochs: 8,
+                epoch_ns: 1_000_000,
+                warmup_ns: 8_000_000,
+                seed: 17,
+                jitter_pct: 40,
+            }),
+            ..small_spec(PolicyRecipe::Listing1)
+        };
+        for backend in [&ModelBackend as &dyn Backend, &RqBackend] {
+            let record = backend.run(&spec, None).expect("a burst runs on the model and rq");
+            assert_eq!(record.steals.migrations, 0, "{}", record.backend);
+            assert_eq!(record.violating_idle, 0.0, "{}", record.backend);
+            assert_eq!(record.per_node_violating_idle, vec![0.0], "{}", record.backend);
         }
     }
 

@@ -52,7 +52,15 @@ pub use write::{object, JsonValue};
 ///   `rq-deque` are half-imbalance runs (they were one-task runs before;
 ///   the `model` record always was one), and the `.scn` `batch` clause is
 ///   sugar for that step.
-pub const SCHEMA_VERSION: i64 = 9;
+/// * v10: no key added or removed — what changed is `violating_idle` and
+///   `per_node_violating_idle` on the model and runqueue records.  They are
+///   violating core-rounds over cores × a horizon fixed per scenario (the
+///   round budget of a replay, the epochs of a burst, epochs × rounds of a
+///   storm) instead of a mean over the rounds a run took, so a replay that
+///   converges at round `c` of budget `b` reads `c / b` of its v9 value; a
+///   burst epoch with no core holding two or more threads no longer counts
+///   as violating.  The simulator records are unchanged.
+pub const SCHEMA_VERSION: i64 = 10;
 
 #[cfg(test)]
 mod tests {

@@ -9,6 +9,12 @@
 //! and idle time while *some* core is overloaded (a work-conservation
 //! violation in the ideal sense; a correct optimistic scheduler keeps it
 //! bounded instead of zero).
+//!
+//! This is the one measure of the invariant.  The simulator charges it in
+//! simulated nanoseconds over its run; the model and runqueue round drivers
+//! charge one unit per core per round over a horizon fixed per scenario
+//! (a replay's round budget, a burst's epochs, a storm's epochs × rounds),
+//! so a run that converges sooner reads less.
 
 /// Per-core accumulation of busy, benign-idle and violating-idle time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,11 +72,6 @@ impl IdleAccounting {
         self.idle_violating.iter().sum()
     }
 
-    /// Busy time of one core.
-    pub fn busy(&self, core: usize) -> u64 {
-        self.busy[core]
-    }
-
     /// Fraction of total core-time that was violating idle time, in `[0, 1]`.
     pub fn violation_fraction(&self) -> f64 {
         let total = self.total_busy() + self.total_idle_benign() + self.total_idle_violating();
@@ -115,7 +116,7 @@ mod tests {
         assert_eq!(acc.total_busy(), 10);
         assert_eq!(acc.total_idle_benign(), 10);
         assert_eq!(acc.total_idle_violating(), 5);
-        assert_eq!(acc.busy(0), 10);
+        assert_eq!(acc.busy[0], 10);
         assert_eq!(acc.idle_violating[1], 5);
     }
 

@@ -10,20 +10,17 @@
 //! * [`idle::IdleAccounting`] — per-core idle time, split into *benign* idle
 //!   time (no work anywhere) and *violating* idle time (idle while some core
 //!   is overloaded), which is the quantity a work-conserving scheduler drives
-//!   to zero,
+//!   to zero.  It is the one measure of the paper's invariant: the simulator
+//!   charges it in simulated nanoseconds over the run, and the model and
+//!   runqueue round drivers in core-rounds over the scenario's round budget,
 //! * [`histogram`] — scheduling and end-to-end latency distributions,
-//! * [`overflow::OverflowExposure`] — idle-while-spilled accounting: the
-//!   fraction of the machine stranded idle while a runqueue's overflow
-//!   handling hid runnable work (experiment E22),
 //! * [`table::Table`] — fixed-width/markdown table rendering used by the
 //!   experiment harness to print its catalog records and trace reports.
 
 pub mod histogram;
 pub mod idle;
-pub mod overflow;
 pub mod table;
 
 pub use histogram::Histogram;
 pub use idle::IdleAccounting;
-pub use overflow::OverflowExposure;
 pub use table::Table;
